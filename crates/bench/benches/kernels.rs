@@ -639,8 +639,10 @@ fn bench_client_storm(c: &mut Criterion) {
     //   fast_path_hit — fast cache on; the submit thread probes the
     //                   lock-free table and resolves in place
     //
-    // The gap between the two p50s is the front-end fast path's win;
-    // the assertion keeps it from silently regressing below 5x.
+    // The gap between the two p50s is printed, not asserted: the
+    // queued row is dominated by the 1 ms batch deadline a lone request
+    // waits out on an idle shard, so a ratio gate would measure a config
+    // constant on whatever box runs it.
     let (vault, x) = serving_vault(512);
     let mut group = c.benchmark_group("client_storm");
     for &(label, fast_cache_slots) in &[("queued_hit", 0usize), ("fast_path_hit", 4096)] {
@@ -705,13 +707,6 @@ fn bench_client_storm(c: &mut Criterion) {
          ({:.1}x)",
         queued / fast
     );
-    if std::env::var_os("SERVE_DISABLE_FAST_CACHE").is_none() {
-        assert!(
-            fast * 5.0 <= queued,
-            "fast-path hit p50 ({fast:.0} ns) must be at least 5x below the queued-hit \
-             p50 ({queued:.0} ns)"
-        );
-    }
 }
 
 criterion_group!(

@@ -1,7 +1,7 @@
 use crate::{SubstituteKind, VaultError};
 use graph::{normalization, Graph};
-use linalg::{CsrMatrix, DenseMatrix};
-use nn::{GcnNetwork, MlpNetwork, QuantizedGcnNetwork, QuantizedMlpNetwork, TrainConfig};
+use linalg::{CsrMatrix, DenseMatrix, QuantizedMatrix};
+use nn::{GcnNetwork, MlpNetwork, TrainConfig};
 use serde::{Deserialize, Serialize};
 
 /// The public backbone model deployed in the untrusted world (§IV-C).
@@ -104,13 +104,24 @@ impl Backbone {
     ///
     /// Returns [`VaultError::Nn`] on shape inconsistencies.
     pub fn embeddings(&self, features: &DenseMatrix) -> Result<Vec<DenseMatrix>, VaultError> {
+        self.embeddings_at(features, None)
+    }
+
+    /// [`Backbone::embeddings`] at the vault's serving precision: with
+    /// `int8`, the same public data path runs each layer's product
+    /// through its quantized weight (see [`nn::Projection`]).
+    pub(crate) fn embeddings_at(
+        &self,
+        features: &DenseMatrix,
+        int8: Option<&[QuantizedMatrix]>,
+    ) -> Result<Vec<DenseMatrix>, VaultError> {
         Ok(match self {
             Backbone::Gcn {
                 network,
                 substitute_adj,
                 ..
-            } => network.forward_embeddings(substitute_adj, features)?,
-            Backbone::Mlp { network } => network.forward_embeddings(features)?,
+            } => network.forward_embeddings_at(substitute_adj, features, int8)?,
+            Backbone::Mlp { network } => network.forward_embeddings_at(features, int8)?,
         })
     }
 
@@ -170,59 +181,23 @@ impl Backbone {
         }
     }
 
-    /// Quantizes the network half for int8 serving; the substitute
-    /// graph/adjacency stay with the f32 backbone (the quantized
-    /// forward borrows them through [`Backbone::embeddings_quantized`]).
-    pub(crate) fn quantize_network(&self) -> QuantizedBackboneNet {
+    /// Int8 codes of every layer's weight, in layer order — the
+    /// backbone half of an int8 deployment's data.
+    pub(crate) fn quantize_projections(&self) -> Vec<QuantizedMatrix> {
+        let quantize = |w: &nn::Param| QuantizedMatrix::quantize(&w.value);
         match self {
-            Backbone::Gcn { network, .. } => {
-                QuantizedBackboneNet::Gcn(QuantizedGcnNetwork::quantize(network))
-            }
-            Backbone::Mlp { network } => {
-                QuantizedBackboneNet::Mlp(QuantizedMlpNetwork::quantize(network))
-            }
+            Backbone::Gcn { network, .. } => network
+                .layers()
+                .iter()
+                .map(|l| quantize(l.weight()))
+                .collect(),
+            Backbone::Mlp { network } => network
+                .layers()
+                .iter()
+                .map(|l| quantize(l.weight()))
+                .collect(),
         }
     }
-
-    /// [`Backbone::embeddings`] through a quantized network: the same
-    /// public data path (substitute adjacency for GCN, none for MLP)
-    /// with int8 projections.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VaultError::Nn`] on shape inconsistencies and
-    /// [`VaultError::InvalidConfig`] if `net` was quantized from a
-    /// different backbone architecture.
-    pub(crate) fn embeddings_quantized(
-        &self,
-        net: &QuantizedBackboneNet,
-        features: &DenseMatrix,
-    ) -> Result<Vec<DenseMatrix>, VaultError> {
-        Ok(match (self, net) {
-            (Backbone::Gcn { substitute_adj, .. }, QuantizedBackboneNet::Gcn(q)) => {
-                q.forward_embeddings(substitute_adj, features)?
-            }
-            (Backbone::Mlp { .. }, QuantizedBackboneNet::Mlp(q)) => {
-                q.forward_embeddings(features)?
-            }
-            _ => {
-                return Err(VaultError::InvalidConfig {
-                    reason: "quantized network architecture disagrees with the backbone".into(),
-                })
-            }
-        })
-    }
-}
-
-/// The int8 network half of a quantized backbone (crate-internal): a
-/// quantized mirror of the [`Backbone`]'s network, run against the f32
-/// backbone's own substitute adjacency.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum QuantizedBackboneNet {
-    /// Quantized GCN stack.
-    Gcn(QuantizedGcnNetwork),
-    /// Quantized MLP stack.
-    Mlp(QuantizedMlpNetwork),
 }
 
 #[cfg(test)]

@@ -20,78 +20,68 @@
 //! identity: `(epoch, node)` keys mean the same answer on every
 //! replica.
 //!
-//! Layout (versionless little-endian, like [`tee::codec`]; both sides
-//! are always built from the same binary):
+//! There is one payload form: one magic, one flags byte, and a body
+//! whose sections the flags select (little-endian throughout, like
+//! [`tee::codec`]; both sides are always built from the same binary, so
+//! any other magic — including the retired `GV_SNAP1`–`GV_SNAP4` — and
+//! any undefined flag bit is rejected, not migrated):
 //!
 //! ```text
-//! magic u64 | epoch u64 | num_nodes u64
-//! epc_budget u64 | cost{transition,per_byte,page_swap,slowdown} u64×4
-//! policy u8
-//! backbone: tag u8 (0 GCN, 1 MLP)
-//!   GCN: substitute kind (tag u8 + payload) | substitute graph | network
-//!   MLP: network
+//! magic u64 ("GV_SNAP5")
+//! flags u8            bit 0: partition image   bit 1: int8 projections
+//! epoch u64 | num_global_nodes u64
+//! config:    epc_budget u64 | cost{transition,per_byte,page_swap,slowdown} u64×4
+//!            | policy u8
+//! backbone:  tag u8 (0 GCN, 1 MLP)
+//!              GCN: substitute kind (tag u8 + payload) | substitute graph | network
+//!              MLP: network
 //! rectifier: kind u8 | conv u8 | backbone_dims | channels | taps
-//!   | per-layer params (count u64, matrices)
-//! real graph: num_edges u64 | (u,v) u64 pairs
+//!            | per layer (count u64, projection, count-1 matrices)
+//! scope:     full image:      real graph
+//!            partition image: part u64 | parts u64 | owned (global ids)
+//!                             | local_ids (global ids) | original_degrees
+//!                             | local graph
 //! ```
 //!
 //! where `network` is `input_dim u64 | layers u64 | per layer (in u64,
-//! out u64, weight matrix, bias matrix)`, a matrix is `rows u64 | cols
-//! u64 | f32-LE data`, and a graph is `num_nodes u64 | num_edges u64 |
-//! (u,v) u64 pairs`.
+//! out u64, projection, bias matrix)`, a matrix is `rows u64 | cols u64
+//! | f32-LE data`, a list is `len u64 | u64 items`, and a graph is
+//! `num_nodes u64 | num_edges u64 | (u,v) u64 pairs`.
 //!
-//! A *per-partition* snapshot (magic `GV_SNAP2`, produced by
-//! [`Vault::snapshot_partition`](crate::Vault::snapshot_partition))
-//! replaces the trailing full real graph with one partition's private
-//! state — the owned-node list, the closure's global-id map, the
-//! full-graph degree vector, and the induced local COO — while keeping
-//! the shared backbone/rectifier weights:
+//! A *projection* is the one slot the int8 flag changes: an f32 matrix
+//! when the flag is clear, `out_dim u64 | in_dim u64 | i8 codes | f32
+//! per-channel scales` when it is set. Biases, attention vectors, and
+//! graphs are f32/exact in both. Codes and scales are stored *verbatim*
+//! (never re-derived on restore), so replicas of an int8 snapshot serve
+//! bit-identically to their source and re-snapshot to identical bytes;
+//! the f32 layers are rebuilt from the dequantized weights.
 //!
-//! ```text
-//! magic u64 | epoch u64 | num_global_nodes u64 | part u64 | parts u64
-//! epc_budget u64 | cost u64×4 | policy u8 | backbone | rectifier
-//! owned (global ids) | local_ids (global ids) | original_degrees
-//! local graph
-//! ```
-//!
-//! Restoring it builds a *partial* vault that answers only its owned
-//! nodes — bit-identically to the full vault, because the closure spans
-//! the rectifier's receptive field and normalization uses the original
-//! degrees.
-//!
-//! An *int8* vault ([`Precision::Int8`](crate::Precision), magics
-//! `GV_SNAP3` full / `GV_SNAP4` partition) snapshots with every
-//! projection weight replaced by its quantized form — `out_dim u64 |
-//! in_dim u64 | i8 codes | f32 per-channel scales` — while biases,
-//! attention vectors, and graphs stay f32/exact. Codes and scales are
-//! stored *verbatim* (never re-derived on restore), so replicas of an
-//! int8 snapshot serve bit-identically to their source and re-snapshot
-//! to identical bytes; the f32 network halves are rebuilt from the
-//! dequantized weights. The f32 forms (`GV_SNAP1`/`GV_SNAP2`) are
-//! byte-for-byte unchanged by the int8 extension.
+//! A *partition image*
+//! ([`Vault::snapshot_partition`](crate::Vault::snapshot_partition))
+//! replaces the full real graph with one partition's private state —
+//! the owned-node list, the closure's global-id map, the full-graph
+//! degree vector, and the induced local COO — while keeping the shared
+//! backbone/rectifier weights. Restoring it builds a *partial* vault
+//! that answers only its owned nodes — bit-identically to the full
+//! vault, because the closure spans the rectifier's receptive field and
+//! normalization uses the original degrees.
 
-use crate::backbone::QuantizedBackboneNet;
-use crate::vault::QuantizedModel;
+use crate::vault::Int8Projections;
 use crate::{Backbone, Rectifier, RectifierKind, SubstituteKind, VaultError};
+use graph::partition::GraphPartition;
 use graph::Graph;
 use linalg::{DenseMatrix, QuantizedMatrix};
-use nn::{
-    ConvKind, GcnNetwork, MlpNetwork, QuantizedConvLayer, QuantizedDenseLayer, QuantizedGatLayer,
-    QuantizedGcnLayer, QuantizedGcnNetwork, QuantizedMlpNetwork, QuantizedSageLayer,
-};
+use nn::{ConvKind, GcnNetwork, MlpNetwork, Projection};
 use tee::{CostModel, OverBudgetPolicy, Sealed};
 
-/// Format marker at offset 0 of every full-vault snapshot payload.
-const MAGIC: u64 = 0x4756_5F53_4E41_5031; // "GV_SNAP1"
+/// Format marker at offset 0 of every snapshot payload.
+const MAGIC: u64 = 0x4756_5F53_4E41_5035; // "GV_SNAP5"
 
-/// Format marker of the per-partition snapshot form.
-const MAGIC_PARTITION: u64 = 0x4756_5F53_4E41_5032; // "GV_SNAP2"
+/// Flag bit: the scope section is one partition, not the full graph.
+const FLAG_PARTITION: u8 = 1 << 0;
 
-/// Format marker of the int8 full-vault snapshot form.
-const MAGIC_INT8: u64 = 0x4756_5F53_4E41_5033; // "GV_SNAP3"
-
-/// Format marker of the int8 per-partition snapshot form.
-const MAGIC_INT8_PARTITION: u64 = 0x4756_5F53_4E41_5034; // "GV_SNAP4"
+/// Flag bit: projection slots hold int8 codes + scales, not f32.
+const FLAG_INT8: u8 = 1 << 1;
 
 /// Which partition a sealed snapshot carries — clear routing metadata
 /// on a [`VaultSnapshot`], mirrored (and cross-checked) inside the
@@ -104,10 +94,6 @@ pub struct SnapshotPartition {
 }
 
 impl SnapshotPartition {
-    pub(crate) fn new(part: usize, parts: usize) -> Self {
-        Self { part, parts }
-    }
-
     /// This snapshot's partition index.
     pub fn part(&self) -> usize {
         self.part
@@ -166,29 +152,19 @@ impl VaultSnapshot {
         self.sealed.len()
     }
 
-    /// Wraps an already-sealed payload (crate-internal; use
-    /// [`Vault::snapshot`](crate::Vault::snapshot)).
-    pub(crate) fn from_parts(epoch: u64, num_nodes: usize, sealed: Sealed) -> Self {
-        Self {
-            epoch,
-            num_nodes,
-            partition: None,
-            sealed,
-        }
-    }
-
-    /// Wraps a sealed per-partition payload (crate-internal; use
-    /// [`Vault::snapshot_partition`](crate::Vault::snapshot_partition)).
-    pub(crate) fn from_partition_parts(
+    /// Wraps an already-sealed payload with its clear metadata
+    /// (crate-internal; use [`Vault::snapshot`](crate::Vault::snapshot)
+    /// or [`Vault::snapshot_partition`](crate::Vault::snapshot_partition)).
+    pub(crate) fn new(
         epoch: u64,
         num_nodes: usize,
-        partition: SnapshotPartition,
+        partition: Option<SnapshotPartition>,
         sealed: Sealed,
     ) -> Self {
         Self {
             epoch,
             num_nodes,
-            partition: Some(partition),
+            partition,
             sealed,
         }
     }
@@ -199,38 +175,105 @@ impl VaultSnapshot {
     }
 }
 
-/// Everything [`Vault::restore`](crate::Vault::restore) needs to rebuild
-/// a deployment from a decoded payload. For a partition payload,
-/// `real_graph` is the induced *local* graph and `partition` carries the
-/// ownership maps; for a full payload `partition` is `None` and
-/// `num_global_nodes == real_graph.num_nodes()`.
-pub(crate) struct DecodedVault {
-    pub epoch: u64,
+/// Ownership maps of one partition: what a partition image's scope
+/// section carries, what the decoder returns, and what a partition
+/// replica keeps resident. `part`/`parts` are public routing metadata;
+/// the closure (`local_ids`, whose tail reveals halo membership and
+/// therefore cross-partition adjacency) stays enclave-private like the
+/// rest of the graph state.
+#[derive(Debug, Clone)]
+pub(crate) struct PartitionMaps {
+    /// Which partition of how many — the clear stamp its snapshots carry.
+    pub stamp: SnapshotPartition,
+    /// Node count of the whole deployment (the query id space).
     pub num_global_nodes: usize,
+    /// Global ids owned by this partition, strictly ascending.
+    pub owned: Vec<usize>,
+    /// Global ids of the closure (`owned ∪ halo`), strictly ascending;
+    /// the index in this list is the local id in the partition's graph.
+    pub local_ids: Vec<usize>,
+    /// Full-graph degree per local id — the normalization degrees that
+    /// make local aggregation bit-identical to the full graph.
+    pub original_degrees: Vec<usize>,
+}
+
+impl PartitionMaps {
+    /// The maps of a partition just cut from a `num_global_nodes`-node
+    /// graph.
+    pub(crate) fn of(gp: &GraphPartition, num_global_nodes: usize) -> Self {
+        Self {
+            stamp: SnapshotPartition {
+                part: gp.part(),
+                parts: gp.num_parts(),
+            },
+            num_global_nodes,
+            owned: gp.owned().to_vec(),
+            local_ids: gp.local_ids().to_vec(),
+            original_degrees: gp.original_degrees().to_vec(),
+        }
+    }
+
+    pub(crate) fn local_id(&self, global: usize) -> Option<usize> {
+        self.local_ids.binary_search(&global).ok()
+    }
+
+    pub(crate) fn owns(&self, global: usize) -> bool {
+        self.owned.binary_search(&global).is_ok()
+    }
+}
+
+/// Everything of a deployment that is the same in every scope: what
+/// [`encode`] writes ahead of the scope section.
+pub(crate) struct Header<'a> {
+    pub epoch: u64,
+    pub epc_budget: usize,
+    pub cost: &'a CostModel,
+    pub policy: OverBudgetPolicy,
+    pub backbone: &'a Backbone,
+    pub rectifier: &'a Rectifier,
+    /// `Some` sets the int8 flag: projections are written as these
+    /// stored codes instead of the layers' f32 weights.
+    pub int8: Option<&'a Int8Projections>,
+}
+
+/// How much of the private graph an image carries.
+pub(crate) enum Scope<'a> {
+    /// The whole real graph (a replica image).
+    Full(&'a Graph),
+    /// One partition: its ownership maps and induced local graph.
+    Partition(&'a PartitionMaps, &'a Graph),
+}
+
+/// The owned parts of one deployment: what [`decode`] returns and what
+/// the vault installs, whether they came from a payload
+/// ([`Vault::restore`](crate::Vault::restore)) or from training
+/// ([`Vault::deploy`](crate::Vault::deploy)). On a partition replica
+/// `real_graph` is the induced *local* graph and `partition` carries
+/// the ownership maps.
+pub(crate) struct Deployment {
+    pub epoch: u64,
     pub epc_budget: usize,
     pub cost: CostModel,
     pub policy: OverBudgetPolicy,
     pub backbone: Backbone,
     pub rectifier: Rectifier,
-    /// `Some` for an int8 payload: the verbatim-restored quantized
-    /// weights. The f32 `backbone`/`rectifier` then hold dequantized
-    /// weights and exist for wiring, shapes, and precision switches.
-    pub quantized: Option<QuantizedModel>,
+    /// `Some` for an int8 deployment: the projection codes. Decoded
+    /// from a payload they are verbatim, and the f32
+    /// `backbone`/`rectifier` then hold the dequantized weights.
+    pub int8: Option<Int8Projections>,
     pub real_graph: Graph,
-    pub partition: Option<DecodedPartition>,
+    pub partition: Option<PartitionMaps>,
 }
 
-/// The ownership maps of a decoded per-partition payload.
-pub(crate) struct DecodedPartition {
-    pub part: usize,
-    pub parts: usize,
-    /// Global ids owned by this partition, strictly ascending.
-    pub owned: Vec<usize>,
-    /// Global ids of the closure (`owned ∪ halo`), strictly ascending;
-    /// index in this list is the local id.
-    pub local_ids: Vec<usize>,
-    /// Full-graph degree per local id.
-    pub original_degrees: Vec<usize>,
+impl Deployment {
+    /// Node count of the whole deployment (the query id space), which
+    /// on a partition replica is not the local graph's.
+    pub(crate) fn num_global_nodes(&self) -> usize {
+        match &self.partition {
+            Some(maps) => maps.num_global_nodes,
+            None => self.real_graph.num_nodes(),
+        }
+    }
 }
 
 /// Shorthand for decode failures.
@@ -289,14 +332,20 @@ impl Writer {
         }
     }
 
-    fn put_qmatrix(&mut self, q: &QuantizedMatrix) {
-        self.put_usize(q.out_dim());
-        self.put_usize(q.in_dim());
-        for &c in q.data() {
-            self.put_u8(c as u8);
-        }
-        for &s in q.scales() {
-            self.put_f32(s);
+    /// The one slot whose form the int8 flag selects.
+    fn put_projection(&mut self, p: Projection<'_>) {
+        match p {
+            Projection::F32(m) => self.put_matrix(m),
+            Projection::Int8(q) => {
+                self.put_usize(q.out_dim());
+                self.put_usize(q.in_dim());
+                for &c in q.data() {
+                    self.put_u8(c as u8);
+                }
+                for &s in q.scales() {
+                    self.put_f32(s);
+                }
+            }
         }
     }
 
@@ -363,12 +412,19 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    fn get_usizes(&mut self) -> Result<Vec<usize>, VaultError> {
-        let len = self.get_usize()?;
-        // Cheap sanity bound: each element needs 8 payload bytes.
-        if len > self.buf.len() / 8 + 1 {
-            return Err(bad(format!("implausible list length {len}")));
+    /// A count of items that each occupy at least `min_item_bytes` of
+    /// payload: anything the whole payload could not hold is rejected
+    /// before a loop or an allocation is sized from it.
+    fn get_count(&mut self, min_item_bytes: usize, what: &str) -> Result<usize, VaultError> {
+        let count = self.get_usize()?;
+        if count > self.buf.len() / min_item_bytes + 1 {
+            return Err(bad(format!("implausible {what} count {count}")));
         }
+        Ok(count)
+    }
+
+    fn get_usizes(&mut self) -> Result<Vec<usize>, VaultError> {
+        let len = self.get_count(8, "list item")?;
         (0..len).map(|_| self.get_usize()).collect()
     }
 
@@ -387,11 +443,8 @@ impl<'a> Reader<'a> {
     }
 
     fn get_qmatrix(&mut self) -> Result<QuantizedMatrix, VaultError> {
-        let out_dim = self.get_usize()?;
+        let out_dim = self.get_count(4, "channel")?;
         let in_dim = self.get_usize()?;
-        if out_dim > self.buf.len() / 4 + 1 {
-            return Err(bad(format!("implausible channel count {out_dim}")));
-        }
         let n = out_dim
             .checked_mul(in_dim)
             .filter(|&n| n <= self.buf.len())
@@ -404,12 +457,30 @@ impl<'a> Reader<'a> {
         QuantizedMatrix::from_parts(out_dim, in_dim, data, scales).map_err(|e| bad(e.to_string()))
     }
 
+    /// Reads a projection slot in the form the int8 flag selects:
+    /// the f32 weight a layer is restored with (dequantized for an int8
+    /// slot) plus the verbatim codes. An empty weight is rejected — a
+    /// `0 × n` matrix costs the payload nothing, so its `n` would be
+    /// the one dimension the payload's length does not bound.
+    fn get_projection(
+        &mut self,
+        int8: bool,
+    ) -> Result<(DenseMatrix, Option<QuantizedMatrix>), VaultError> {
+        let (weight, codes) = if int8 {
+            let codes = self.get_qmatrix()?;
+            (codes.dequantize(), Some(codes))
+        } else {
+            (self.get_matrix()?, None)
+        };
+        if weight.rows() == 0 || weight.cols() == 0 {
+            return Err(bad("projection weight has no elements"));
+        }
+        Ok((weight, codes))
+    }
+
     fn get_graph(&mut self) -> Result<Graph, VaultError> {
         let num_nodes = self.get_usize()?;
-        let num_edges = self.get_usize()?;
-        if num_edges > self.buf.len() / 16 + 1 {
-            return Err(bad(format!("implausible edge count {num_edges}")));
-        }
+        let num_edges = self.get_count(16, "edge")?;
         let mut pairs = Vec::with_capacity(num_edges);
         for _ in 0..num_edges {
             pairs.push((self.get_usize()?, self.get_usize()?));
@@ -423,99 +494,49 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------
 
 /// Encodes a deployment into the deterministic snapshot payload
-/// (pre-sealing). With `quantized`, emits the int8 form (`GV_SNAP3`):
-/// projection weights as stored codes + scales, everything else f32.
-#[allow(clippy::too_many_arguments)] // flat encoder signature mirrors the payload layout
-pub(crate) fn encode(
-    epoch: u64,
-    epc_budget: usize,
-    cost: &CostModel,
-    policy: OverBudgetPolicy,
-    backbone: &Backbone,
-    rectifier: &Rectifier,
-    quantized: Option<&QuantizedModel>,
-    real_graph: &Graph,
-) -> Vec<u8> {
+/// (pre-sealing): the shared header, then the scope's section.
+pub(crate) fn encode(h: &Header<'_>, scope: &Scope<'_>) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u64(if quantized.is_some() {
-        MAGIC_INT8
-    } else {
-        MAGIC
-    });
-    w.put_u64(epoch);
-    w.put_usize(real_graph.num_nodes());
-    encode_config(&mut w, epc_budget, cost, policy);
-    encode_backbone(&mut w, backbone, quantized.map(|q| &q.backbone));
-    encode_rectifier(&mut w, rectifier, quantized.map(|q| q.rectifier.as_slice()));
+    w.put_u64(MAGIC);
+    let (partition_flag, num_global_nodes) = match scope {
+        Scope::Full(graph) => (0, graph.num_nodes()),
+        Scope::Partition(maps, _) => (FLAG_PARTITION, maps.num_global_nodes),
+    };
+    w.put_u8(partition_flag | if h.int8.is_some() { FLAG_INT8 } else { 0 });
+    w.put_u64(h.epoch);
+    w.put_usize(num_global_nodes);
 
-    w.put_usize(real_graph.num_edges());
-    for &(u, v) in real_graph.edges() {
-        w.put_usize(u);
-        w.put_usize(v);
+    w.put_usize(h.epc_budget);
+    w.put_u64(h.cost.transition_ns);
+    w.put_u64(h.cost.per_byte_ns);
+    w.put_u64(h.cost.page_swap_ns);
+    w.put_u64(h.cost.compute_slowdown_pct as u64);
+    w.put_u8(match h.policy {
+        OverBudgetPolicy::Swap => 0,
+        OverBudgetPolicy::Fail => 1,
+    });
+
+    encode_backbone(&mut w, h.backbone, h.int8.map(|q| q.backbone.as_slice()));
+    encode_rectifier(&mut w, h.rectifier, h.int8.map(|q| q.rectifier.as_slice()));
+
+    match scope {
+        Scope::Full(graph) => w.put_graph(graph),
+        Scope::Partition(maps, local_graph) => {
+            w.put_usize(maps.stamp.part);
+            w.put_usize(maps.stamp.parts);
+            w.put_usizes(&maps.owned);
+            w.put_usizes(&maps.local_ids);
+            w.put_usizes(&maps.original_degrees);
+            w.put_graph(local_graph);
+        }
     }
     w.buf
 }
 
-/// Borrowed view of one partition's private state, handed to
-/// [`encode_partition`] by `Vault::snapshot_partition`.
-pub(crate) struct PartitionParts<'a> {
-    pub part: usize,
-    pub parts: usize,
-    pub num_global_nodes: usize,
-    pub owned: &'a [usize],
-    pub local_ids: &'a [usize],
-    pub original_degrees: &'a [usize],
-    pub local_graph: &'a Graph,
-}
-
-/// Encodes one partition of a deployment into the `GV_SNAP2` payload
-/// (pre-sealing): shared weights plus only this partition's private
-/// graph state.
-#[allow(clippy::too_many_arguments)] // flat encoder signature mirrors the payload layout
-pub(crate) fn encode_partition(
-    epoch: u64,
-    epc_budget: usize,
-    cost: &CostModel,
-    policy: OverBudgetPolicy,
-    backbone: &Backbone,
-    rectifier: &Rectifier,
-    quantized: Option<&QuantizedModel>,
-    p: &PartitionParts<'_>,
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(if quantized.is_some() {
-        MAGIC_INT8_PARTITION
-    } else {
-        MAGIC_PARTITION
-    });
-    w.put_u64(epoch);
-    w.put_usize(p.num_global_nodes);
-    w.put_usize(p.part);
-    w.put_usize(p.parts);
-    encode_config(&mut w, epc_budget, cost, policy);
-    encode_backbone(&mut w, backbone, quantized.map(|q| &q.backbone));
-    encode_rectifier(&mut w, rectifier, quantized.map(|q| q.rectifier.as_slice()));
-    w.put_usizes(p.owned);
-    w.put_usizes(p.local_ids);
-    w.put_usizes(p.original_degrees);
-    w.put_graph(p.local_graph);
-    w.buf
-}
-
-fn encode_config(w: &mut Writer, epc_budget: usize, cost: &CostModel, policy: OverBudgetPolicy) {
-    w.put_usize(epc_budget);
-    w.put_u64(cost.transition_ns);
-    w.put_u64(cost.per_byte_ns);
-    w.put_u64(cost.page_swap_ns);
-    w.put_u64(cost.compute_slowdown_pct as u64);
-    w.put_u8(match policy {
-        OverBudgetPolicy::Swap => 0,
-        OverBudgetPolicy::Fail => 1,
-    });
-}
-
-fn encode_backbone(w: &mut Writer, backbone: &Backbone, quantized: Option<&QuantizedBackboneNet>) {
-    match backbone {
+fn encode_backbone(w: &mut Writer, backbone: &Backbone, int8: Option<&[QuantizedMatrix]>) {
+    // Both architectures store a sequential network as per-layer
+    // `(weight, bias)` values behind their own tag and preamble.
+    let (input_dim, layers): (usize, Vec<_>) = match backbone {
         Backbone::Gcn {
             network,
             substitute_graph,
@@ -525,58 +546,38 @@ fn encode_backbone(w: &mut Writer, backbone: &Backbone, quantized: Option<&Quant
             w.put_u8(0);
             encode_substitute_kind(w, kind);
             w.put_graph(substitute_graph);
-            let qlayers = quantized.map(|q| match q {
-                QuantizedBackboneNet::Gcn(q) => q.layers(),
-                QuantizedBackboneNet::Mlp(_) => {
-                    unreachable!("quantized mirror is built from this backbone")
-                }
-            });
-            w.put_usize(network.input_dim());
-            w.put_usize(network.num_layers());
-            for (i, layer) in network.layers().iter().enumerate() {
-                w.put_usize(layer.in_dim());
-                w.put_usize(layer.out_dim());
-                match qlayers {
-                    Some(qs) => w.put_qmatrix(qs[i].weight()),
-                    None => w.put_matrix(&layer.weight().value),
-                }
-                w.put_matrix(&layer.bias().value);
-            }
+            let layers = network.layers().iter();
+            (
+                network.input_dim(),
+                layers.map(|l| (l.weight(), l.bias())).collect(),
+            )
         }
         Backbone::Mlp { network } => {
             w.put_u8(1);
-            let qlayers = quantized.map(|q| match q {
-                QuantizedBackboneNet::Mlp(q) => q.layers(),
-                QuantizedBackboneNet::Gcn(_) => {
-                    unreachable!("quantized mirror is built from this backbone")
-                }
-            });
-            w.put_usize(network.input_dim());
-            w.put_usize(network.num_layers());
-            for (i, layer) in network.layers().iter().enumerate() {
-                w.put_usize(layer.in_dim());
-                w.put_usize(layer.out_dim());
-                match qlayers {
-                    Some(qs) => w.put_qmatrix(qs[i].weight()),
-                    None => w.put_matrix(&layer.weight().value),
-                }
-                w.put_matrix(&layer.bias().value);
-            }
+            let layers = network.layers().iter();
+            (
+                network.input_dim(),
+                layers.map(|l| (l.weight(), l.bias())).collect(),
+            )
         }
+    };
+    w.put_usize(input_dim);
+    w.put_usize(layers.len());
+    for (i, (weight, bias)) in layers.into_iter().enumerate() {
+        w.put_usize(weight.value.rows());
+        w.put_usize(weight.value.cols());
+        w.put_projection(Projection::select(&weight.value, int8, i));
+        w.put_matrix(&bias.value);
     }
 }
 
-fn encode_rectifier(
-    w: &mut Writer,
-    rectifier: &Rectifier,
-    quantized: Option<&[QuantizedConvLayer]>,
-) {
+fn encode_rectifier(w: &mut Writer, rectifier: &Rectifier, int8: Option<&[QuantizedMatrix]>) {
     w.put_u8(match rectifier.kind() {
         RectifierKind::Parallel => 0,
         RectifierKind::Cascaded => 1,
         RectifierKind::Series => 2,
     });
-    w.put_u8(match rectifier.layers()[0].kind() {
+    w.put_u8(match rectifier.conv() {
         ConvKind::Gcn => 0,
         ConvKind::Sage => 1,
         ConvKind::Gat => 2,
@@ -585,22 +586,13 @@ fn encode_rectifier(
     w.put_usizes(&rectifier.channel_dims());
     w.put_usizes(&rectifier.tap_indices());
     for (i, layer) in rectifier.layers().iter().enumerate() {
+        // Param 0 is the projection weight for every conv kind; the
+        // rest (bias, attention vectors) are f32 in either form.
         let params = layer.params();
         w.put_usize(params.len());
-        match quantized {
-            // Param 0 is the projection weight for every conv kind;
-            // the rest (bias, attention vectors) stay f32.
-            Some(qs) => {
-                w.put_qmatrix(qs[i].weight());
-                for p in &params[1..] {
-                    w.put_matrix(&p.value);
-                }
-            }
-            None => {
-                for p in params {
-                    w.put_matrix(&p.value);
-                }
-            }
+        w.put_projection(Projection::select(&params[0].value, int8, i));
+        for p in &params[1..] {
+            w.put_matrix(&p.value);
         }
     }
 }
@@ -629,83 +621,80 @@ fn encode_substitute_kind(w: &mut Writer, kind: &SubstituteKind) {
 // ---------------------------------------------------------------------
 
 /// Decodes a snapshot payload back into deployment parts, validating
-/// every shape against the reconstructed architecture. Dispatches on
-/// the magic: `GV_SNAP1`/`GV_SNAP3` (full vault, f32/int8) or
-/// `GV_SNAP2`/`GV_SNAP4` (one partition, f32/int8).
-pub(crate) fn decode(payload: &[u8]) -> Result<DecodedVault, VaultError> {
+/// every shape against the reconstructed architecture.
+pub(crate) fn decode(payload: &[u8]) -> Result<Deployment, VaultError> {
     let mut r = Reader::new(payload);
-    match r.get_u64()? {
-        MAGIC => decode_full(r, false),
-        MAGIC_INT8 => decode_full(r, true),
-        MAGIC_PARTITION => decode_partition(r, false),
-        MAGIC_INT8_PARTITION => decode_partition(r, true),
-        _ => Err(bad("bad magic: not a vault snapshot")),
+    if r.get_u64()? != MAGIC {
+        return Err(bad("bad magic: not a vault snapshot of this format"));
     }
-}
-
-/// Pairs a decoded f32 backbone/rectifier with their quantized halves
-/// when the payload was int8.
-fn assemble_quantized(
-    qnet: Option<QuantizedBackboneNet>,
-    qlayers: Option<Vec<QuantizedConvLayer>>,
-) -> Option<QuantizedModel> {
-    match (qnet, qlayers) {
-        (Some(backbone), Some(rectifier)) => Some(QuantizedModel {
-            backbone,
-            rectifier,
-        }),
-        _ => None,
+    let flags = r.get_u8()?;
+    if flags & !(FLAG_PARTITION | FLAG_INT8) != 0 {
+        return Err(bad(format!("undefined flag bits in {flags:#010b}")));
     }
-}
-
-fn decode_full(mut r: Reader<'_>, int8: bool) -> Result<DecodedVault, VaultError> {
+    let int8 = flags & FLAG_INT8 != 0;
     let epoch = r.get_u64()?;
-    let num_nodes = r.get_usize()?;
-    let (epc_budget, cost, policy) = decode_config(&mut r)?;
-    let (backbone, qnet) = decode_backbone(&mut r, int8)?;
-    let (rectifier, qlayers) = decode_rectifier(&mut r, &backbone, int8)?;
+    let num_global_nodes = r.get_usize()?;
 
-    let num_edges = r.get_usize()?;
-    if num_edges > r.buf.len() / 16 + 1 {
-        return Err(bad(format!("implausible edge count {num_edges}")));
-    }
-    let mut pairs = Vec::with_capacity(num_edges);
-    for _ in 0..num_edges {
-        pairs.push((r.get_usize()?, r.get_usize()?));
-    }
-    let real_graph = Graph::from_edges(num_nodes, &pairs).map_err(|e| bad(e.to_string()))?;
+    let epc_budget = r.get_usize()?;
+    let cost = CostModel {
+        transition_ns: r.get_u64()?,
+        per_byte_ns: r.get_u64()?,
+        page_swap_ns: r.get_u64()?,
+        compute_slowdown_pct: u32::try_from(r.get_u64()?)
+            .map_err(|_| bad("compute slowdown overflows u32"))?,
+    };
+    let policy = match r.get_u8()? {
+        0 => OverBudgetPolicy::Swap,
+        1 => OverBudgetPolicy::Fail,
+        t => return Err(bad(format!("unknown over-budget policy tag {t}"))),
+    };
+
+    let (backbone, backbone_codes) = decode_backbone(&mut r, int8)?;
+    let (rectifier, rectifier_codes) = decode_rectifier(&mut r, &backbone, int8)?;
+
+    let (real_graph, partition) = if flags & FLAG_PARTITION != 0 {
+        decode_partition_scope(&mut r, num_global_nodes)?
+    } else {
+        let graph = r.get_graph()?;
+        if graph.num_nodes() != num_global_nodes {
+            return Err(bad(format!(
+                "real graph spans {} nodes but the header declares {num_global_nodes}",
+                graph.num_nodes()
+            )));
+        }
+        (graph, None)
+    };
     r.finish()?;
 
-    Ok(DecodedVault {
+    Ok(Deployment {
         epoch,
-        num_global_nodes: num_nodes,
         epc_budget,
         cost,
         policy,
         backbone,
         rectifier,
-        quantized: assemble_quantized(qnet, qlayers),
+        int8: int8.then_some(Int8Projections {
+            backbone: backbone_codes,
+            rectifier: rectifier_codes,
+        }),
         real_graph,
-        partition: None,
+        partition,
     })
 }
 
-fn decode_partition(mut r: Reader<'_>, int8: bool) -> Result<DecodedVault, VaultError> {
-    let epoch = r.get_u64()?;
-    let num_global_nodes = r.get_usize()?;
+fn decode_partition_scope(
+    r: &mut Reader<'_>,
+    num_global_nodes: usize,
+) -> Result<(Graph, Option<PartitionMaps>), VaultError> {
     let part = r.get_usize()?;
     let parts = r.get_usize()?;
     if part >= parts {
         return Err(bad(format!("partition index {part} out of {parts}")));
     }
-    let (epc_budget, cost, policy) = decode_config(&mut r)?;
-    let (backbone, qnet) = decode_backbone(&mut r, int8)?;
-    let (rectifier, qlayers) = decode_rectifier(&mut r, &backbone, int8)?;
     let owned = r.get_usizes()?;
     let local_ids = r.get_usizes()?;
     let original_degrees = r.get_usizes()?;
     let local_graph = r.get_graph()?;
-    r.finish()?;
 
     check_ascending_ids(&owned, num_global_nodes, "owned list")?;
     check_ascending_ids(&local_ids, num_global_nodes, "closure list")?;
@@ -726,33 +715,22 @@ fn decode_partition(mut r: Reader<'_>, int8: bool) -> Result<DecodedVault, Vault
             local_ids.len()
         )));
     }
-    let local_degrees = local_graph.degrees();
-    if local_degrees
+    if local_graph
+        .degrees()
         .iter()
         .zip(&original_degrees)
         .any(|(&local, &full)| local > full)
     {
         return Err(bad("local degree exceeds the recorded full-graph degree"));
     }
-
-    Ok(DecodedVault {
-        epoch,
+    let maps = PartitionMaps {
+        stamp: SnapshotPartition { part, parts },
         num_global_nodes,
-        epc_budget,
-        cost,
-        policy,
-        backbone,
-        rectifier,
-        quantized: assemble_quantized(qnet, qlayers),
-        real_graph: local_graph,
-        partition: Some(DecodedPartition {
-            part,
-            parts,
-            owned,
-            local_ids,
-            original_degrees,
-        }),
-    })
+        owned,
+        local_ids,
+        original_degrees,
+    };
+    Ok((local_graph, Some(maps)))
 }
 
 /// Rejects id lists that are not strictly ascending within bounds — the
@@ -767,86 +745,54 @@ fn check_ascending_ids(ids: &[usize], bound: usize, what: &str) -> Result<(), Va
     Ok(())
 }
 
-fn decode_config(r: &mut Reader<'_>) -> Result<(usize, CostModel, OverBudgetPolicy), VaultError> {
-    let epc_budget = r.get_usize()?;
-    let cost = CostModel {
-        transition_ns: r.get_u64()?,
-        per_byte_ns: r.get_u64()?,
-        page_swap_ns: r.get_u64()?,
-        compute_slowdown_pct: u32::try_from(r.get_u64()?)
-            .map_err(|_| bad("compute slowdown overflows u32"))?,
-    };
-    let policy = match r.get_u8()? {
-        0 => OverBudgetPolicy::Swap,
-        1 => OverBudgetPolicy::Fail,
-        t => return Err(bad(format!("unknown over-budget policy tag {t}"))),
-    };
-    Ok((epc_budget, cost, policy))
+/// Rejects a declared shape that is not the shape of a matrix actually
+/// read — whose element count the payload's own length bounds — before
+/// any network constructor sizes an allocation from the declaration.
+fn expect_shape(
+    what: &str,
+    declared: (usize, usize),
+    read: &DenseMatrix,
+) -> Result<(), VaultError> {
+    if read.shape() != declared {
+        return Err(bad(format!(
+            "{what} is declared {declared:?} but the payload carries {:?}",
+            read.shape()
+        )));
+    }
+    Ok(())
 }
 
 fn decode_backbone(
     r: &mut Reader<'_>,
     int8: bool,
-) -> Result<(Backbone, Option<QuantizedBackboneNet>), VaultError> {
+) -> Result<(Backbone, Vec<QuantizedMatrix>), VaultError> {
     Ok(match r.get_u8()? {
         0 => {
             let kind = decode_substitute_kind(r)?;
             let substitute_graph = r.get_graph()?;
-            let (input_dim, channels, weights, qweights) = decode_network_params(r, int8)?;
-            let mut network = GcnNetwork::new(input_dim, &channels, 0)?;
-            for (layer, (weight, bias)) in network.layers_mut().iter_mut().zip(weights) {
+            let net = decode_network(r, int8)?;
+            let mut network = GcnNetwork::new(net.input_dim, &net.channels, 0)?;
+            for (layer, (weight, bias)) in network.layers_mut().iter_mut().zip(net.params) {
                 restore_value(layer.weight_mut(), weight, "backbone weight")?;
                 restore_value(layer.bias_mut(), bias, "backbone bias")?;
             }
-            let qnet = match qweights {
-                Some(qs) => {
-                    let qlayers = qs
-                        .into_iter()
-                        .zip(network.layers())
-                        .map(|(qw, layer)| {
-                            QuantizedGcnLayer::from_parts(qw, layer.bias().value.clone())
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Some(QuantizedBackboneNet::Gcn(QuantizedGcnNetwork::from_layers(
-                        input_dim, qlayers,
-                    )?))
-                }
-                None => None,
-            };
             let substitute_adj = graph::normalization::gcn_normalize(&substitute_graph);
-            (
-                Backbone::Gcn {
-                    network,
-                    substitute_graph,
-                    substitute_adj,
-                    kind,
-                },
-                qnet,
-            )
+            let backbone = Backbone::Gcn {
+                network,
+                substitute_graph,
+                substitute_adj,
+                kind,
+            };
+            (backbone, net.codes)
         }
         1 => {
-            let (input_dim, channels, weights, qweights) = decode_network_params(r, int8)?;
-            let mut network = MlpNetwork::new(input_dim, &channels, 0)?;
-            for (layer, (weight, bias)) in network.layers_mut().iter_mut().zip(weights) {
+            let net = decode_network(r, int8)?;
+            let mut network = MlpNetwork::new(net.input_dim, &net.channels, 0)?;
+            for (layer, (weight, bias)) in network.layers_mut().iter_mut().zip(net.params) {
                 restore_value(layer.weight_mut(), weight, "backbone weight")?;
                 restore_value(layer.bias_mut(), bias, "backbone bias")?;
             }
-            let qnet = match qweights {
-                Some(qs) => {
-                    let qlayers = qs
-                        .into_iter()
-                        .zip(network.layers())
-                        .map(|(qw, layer)| {
-                            QuantizedDenseLayer::from_parts(qw, layer.bias().value.clone())
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Some(QuantizedBackboneNet::Mlp(QuantizedMlpNetwork::from_layers(
-                        input_dim, qlayers,
-                    )?))
-                }
-                None => None,
-            };
-            (Backbone::Mlp { network }, qnet)
+            (Backbone::Mlp { network }, net.codes)
         }
         t => return Err(bad(format!("unknown backbone tag {t}"))),
     })
@@ -856,7 +802,7 @@ fn decode_rectifier(
     r: &mut Reader<'_>,
     backbone: &Backbone,
     int8: bool,
-) -> Result<(Rectifier, Option<Vec<QuantizedConvLayer>>), VaultError> {
+) -> Result<(Rectifier, Vec<QuantizedMatrix>), VaultError> {
     let kind = match r.get_u8()? {
         0 => RectifierKind::Parallel,
         1 => RectifierKind::Cascaded,
@@ -877,72 +823,63 @@ fn decode_rectifier(
     }
     let channels = r.get_usizes()?;
     let taps = r.get_usizes()?;
+
+    // Read every layer's matrices before constructing anything, so the
+    // declared `channels` can be held against them.
+    let mut codes = Vec::new();
+    let mut layer_values = Vec::with_capacity(channels.len());
+    for _ in &channels {
+        let count = r.get_count(16, "rectifier parameter")?;
+        if count == 0 {
+            return Err(bad("rectifier layer has no parameters"));
+        }
+        let (weight, q) = r.get_projection(int8)?;
+        codes.extend(q);
+        let mut values = vec![weight];
+        for _ in 1..count {
+            values.push(r.get_matrix()?);
+        }
+        layer_values.push(values);
+    }
+    // Widths first: only once every channel is a (non-empty, hence
+    // payload-bounded) weight's column count is it safe to add them up
+    // into the wiring's expected input widths.
+    let widths: Vec<usize> = layer_values.iter().map(|v| v[0].cols()).collect();
+    if widths != channels {
+        return Err(bad(format!(
+            "rectifier channels are declared {channels:?} but the weights are {widths:?} wide"
+        )));
+    }
+    for (i, values) in layer_values.iter().enumerate() {
+        let in_dim = Rectifier::input_dim(kind, &channels, &backbone_dims, i);
+        // A SAGE weight spans the `[H ‖ Ā H]` concatenation.
+        let fan_in = match conv {
+            ConvKind::Sage => 2 * in_dim,
+            ConvKind::Gcn | ConvKind::Gat => in_dim,
+        };
+        expect_shape("rectifier weight", (fan_in, channels[i]), &values[0])?;
+    }
+
     let mut rectifier = Rectifier::new_with_conv(kind, conv, &channels, &backbone_dims, 0)?;
     if rectifier.tap_indices() != taps {
         return Err(bad(
             "encoded tap-set disagrees with the reconstructed wiring",
         ));
     }
-    let mut qlayers = int8.then(Vec::new);
-    for layer in rectifier.layers_mut() {
-        let count = r.get_usize()?;
-        let mut params = layer.params_mut();
-        if count != params.len() {
+    for (layer, values) in rectifier.layers_mut().iter_mut().zip(layer_values) {
+        let params = layer.params_mut();
+        if values.len() != params.len() {
             return Err(bad(format!(
-                "rectifier layer has {} parameters, payload carries {count}",
-                params.len()
+                "rectifier layer has {} parameters, payload carries {}",
+                params.len(),
+                values.len()
             )));
         }
-        match &mut qlayers {
-            None => {
-                for p in params.iter_mut() {
-                    let value = r.get_matrix()?;
-                    restore_value(p, value, "rectifier parameter")?;
-                }
-            }
-            Some(qs) => {
-                // Param 0 is the quantized projection weight; the f32
-                // layer gets its dequantized form, the quantized layer
-                // the verbatim codes. The remaining f32 params (bias,
-                // attention vectors) are shared by both.
-                let mut qweight = None;
-                let mut rest = Vec::with_capacity(count.saturating_sub(1));
-                for (i, p) in params.iter_mut().enumerate() {
-                    if i == 0 {
-                        let qw = r.get_qmatrix()?;
-                        restore_value(p, qw.dequantize(), "rectifier weight")?;
-                        qweight = Some(qw);
-                    } else {
-                        let value = r.get_matrix()?;
-                        restore_value(p, value.clone(), "rectifier parameter")?;
-                        rest.push(value);
-                    }
-                }
-                let qw = qweight.ok_or_else(|| bad("rectifier layer has no parameters"))?;
-                // `count == params.len()` already pinned `rest` to the
-                // architecture's parameter list for this conv kind.
-                let q = match conv {
-                    ConvKind::Gcn => {
-                        QuantizedConvLayer::Gcn(QuantizedGcnLayer::from_parts(qw, rest.remove(0))?)
-                    }
-                    ConvKind::Sage => QuantizedConvLayer::Sage(QuantizedSageLayer::from_parts(
-                        qw,
-                        rest.remove(0),
-                    )?),
-                    ConvKind::Gat => {
-                        let bias = rest.pop().ok_or_else(|| bad("gat layer missing bias"))?;
-                        let attn_dst = rest.pop().ok_or_else(|| bad("gat layer missing attn"))?;
-                        let attn_src = rest.pop().ok_or_else(|| bad("gat layer missing attn"))?;
-                        QuantizedConvLayer::Gat(QuantizedGatLayer::from_parts(
-                            qw, attn_src, attn_dst, bias,
-                        )?)
-                    }
-                };
-                qs.push(q);
-            }
+        for (p, value) in params.into_iter().zip(values) {
+            restore_value(p, value, "rectifier parameter")?;
         }
     }
-    Ok((rectifier, qlayers))
+    Ok((rectifier, codes))
 }
 
 fn decode_substitute_kind(r: &mut Reader<'_>) -> Result<SubstituteKind, VaultError> {
@@ -958,32 +895,25 @@ fn decode_substitute_kind(r: &mut Reader<'_>) -> Result<SubstituteKind, VaultErr
     })
 }
 
-/// Decodes one network's `input_dim`, per-layer output widths, and
-/// per-layer `(weight, bias)` value matrices. For an int8 payload the
-/// weight slot holds a quantized matrix: the returned f32 weight is its
-/// dequantized form and the verbatim codes come back in the fourth
-/// element.
-#[allow(clippy::type_complexity)]
-fn decode_network_params(
-    r: &mut Reader<'_>,
-    int8: bool,
-) -> Result<
-    (
-        usize,
-        Vec<usize>,
-        Vec<(DenseMatrix, DenseMatrix)>,
-        Option<Vec<QuantizedMatrix>>,
-    ),
-    VaultError,
-> {
+/// One decoded sequential network: its architecture, per-layer
+/// `(weight, bias)` values (the weight dequantized for an int8
+/// payload), and the verbatim int8 codes (empty for an f32 payload).
+struct DecodedNetwork {
+    input_dim: usize,
+    channels: Vec<usize>,
+    params: Vec<(DenseMatrix, DenseMatrix)>,
+    codes: Vec<QuantizedMatrix>,
+}
+
+fn decode_network(r: &mut Reader<'_>, int8: bool) -> Result<DecodedNetwork, VaultError> {
     let input_dim = r.get_usize()?;
-    let num_layers = r.get_usize()?;
-    if num_layers > r.buf.len() / 8 + 1 {
-        return Err(bad(format!("implausible layer count {num_layers}")));
-    }
-    let mut channels = Vec::with_capacity(num_layers);
-    let mut weights = Vec::with_capacity(num_layers);
-    let mut qweights = int8.then(Vec::new);
+    let num_layers = r.get_count(8, "layer")?;
+    let mut net = DecodedNetwork {
+        input_dim,
+        channels: Vec::with_capacity(num_layers),
+        params: Vec::with_capacity(num_layers),
+        codes: Vec::new(),
+    };
     let mut prev = input_dim;
     for _ in 0..num_layers {
         let in_dim = r.get_usize()?;
@@ -993,20 +923,16 @@ fn decode_network_params(
                 "layer input width {in_dim} does not chain from previous width {prev}"
             )));
         }
-        channels.push(out_dim);
-        let weight = match &mut qweights {
-            Some(qs) => {
-                let qw = r.get_qmatrix()?;
-                let weight = qw.dequantize();
-                qs.push(qw);
-                weight
-            }
-            None => r.get_matrix()?,
-        };
-        weights.push((weight, r.get_matrix()?));
+        let (weight, q) = r.get_projection(int8)?;
+        expect_shape("backbone weight", (in_dim, out_dim), &weight)?;
+        let bias = r.get_matrix()?;
+        expect_shape("backbone bias", (1, out_dim), &bias)?;
+        net.channels.push(out_dim);
+        net.params.push((weight, bias));
+        net.codes.extend(q);
         prev = out_dim;
     }
-    Ok((input_dim, channels, weights, qweights))
+    Ok(net)
 }
 
 /// Overwrites a freshly initialized parameter's value with a decoded
@@ -1244,9 +1170,10 @@ mod tests {
         let snapshot = vault.snapshot();
 
         // Metadata that disagrees with the sealed payload is caught.
-        let forged = VaultSnapshot::from_parts(
+        let forged = VaultSnapshot::new(
             snapshot.epoch() + 1,
             snapshot.num_nodes(),
+            None,
             snapshot.sealed().clone(),
         );
         assert!(matches!(
@@ -1256,9 +1183,10 @@ mod tests {
 
         // A sealed blob that is not a snapshot payload fails to decode
         // (bad magic), not panic.
-        let garbage = VaultSnapshot::from_parts(
+        let garbage = VaultSnapshot::new(
             snapshot.epoch(),
             snapshot.num_nodes(),
+            None,
             Sealed::seal(key.derive("vault-snapshot"), &[1, 2, 3, 4, 5, 6, 7, 8, 9]),
         );
         assert!(matches!(
@@ -1267,48 +1195,159 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn decode_rejects_truncation_at_every_prefix() {
-        let graph = random_graph(4, 500, 3);
+    /// Unsealed payload of a snapshot (test helper).
+    fn payload_of(snapshot: &VaultSnapshot, key: SealKey) -> Vec<u8> {
+        snapshot
+            .sealed()
+            .unseal(key.derive("vault-snapshot"))
+            .unwrap()
+            .to_vec()
+    }
+
+    /// The payload of every flag combination — {full, partition} ×
+    /// {f32, int8} — for one small deployment. The MLP backbone keeps
+    /// the bytes ahead of the network section free of graph ids, so the
+    /// forging tests below can find declared widths by value.
+    fn four_forms(conv: ConvKind) -> Vec<(&'static str, Vec<u8>)> {
+        use graph::partition::PartitionSpec;
+        let graph = random_graph(6, 500, 11);
         let key = SealKey(13);
-        let (vault, _) = trained_vault(
-            4,
+        let (mut vault, _) = trained_vault(
+            6,
             RectifierKind::Series,
-            ConvKind::Gcn,
-            SubstituteKind::Knn { k: 1 },
+            conv,
+            SubstituteKind::Dnn,
             &graph,
             6,
             key,
         );
-        let payload = encode(
-            vault.epoch(),
-            tee::SGX_EPC_BYTES,
-            &tee::CostModel::default(),
-            OverBudgetPolicy::Fail,
-            vault.backbone(),
-            // Round-trip decode to regain rectifier/graph access.
-            &decode(&payload_of(&vault)).unwrap().rectifier,
-            None,
-            &decode(&payload_of(&vault)).unwrap().real_graph,
-        );
-        assert!(decode(&payload).is_ok());
-        // Any strict prefix must fail cleanly.
-        for len in (0..payload.len()).step_by(41) {
-            assert!(
-                decode(&payload[..len]).is_err(),
-                "prefix of {len} bytes must not decode"
-            );
+        let spec = PartitionSpec::block(6, 2).unwrap();
+        let mut forms = Vec::new();
+        for (precision, full, partition) in [
+            (crate::Precision::F32, "full f32", "partition f32"),
+            (crate::Precision::Int8, "full int8", "partition int8"),
+        ] {
+            vault.set_precision(precision).unwrap();
+            forms.push((full, payload_of(&vault.snapshot(), key)));
+            let snap = vault.snapshot_partition(&spec, 0).unwrap();
+            forms.push((partition, payload_of(&snap, key)));
+        }
+        forms
+    }
+
+    /// `payload` with the first occurrence of the u64 sequence `find`
+    /// overwritten by `replace`.
+    fn forge_u64s(payload: &[u8], find: &[u64], replace: &[u64]) -> Vec<u8> {
+        let bytes = |vs: &[u64]| -> Vec<u8> { vs.iter().flat_map(|v| v.to_le_bytes()).collect() };
+        let (needle, patch) = (bytes(find), bytes(replace));
+        assert_eq!(needle.len(), patch.len());
+        let at = payload
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("the payload declares these widths");
+        let mut forged = payload.to_vec();
+        forged[at..at + patch.len()].copy_from_slice(&patch);
+        forged
+    }
+
+    /// The decode error's reason, or a panic if `payload` decodes.
+    fn rejection(payload: &[u8], what: &str) -> String {
+        match decode(payload) {
+            Err(VaultError::Snapshot { reason }) => reason,
+            Err(other) => panic!("{what}: expected a snapshot error, got {other}"),
+            Ok(_) => panic!("{what}: must not decode"),
         }
     }
 
-    /// Unsealed payload of a vault's own snapshot (test helper).
-    fn payload_of(vault: &Vault) -> Vec<u8> {
-        vault
-            .snapshot()
-            .sealed()
-            .unseal(SealKey(13).derive("vault-snapshot"))
-            .unwrap()
-            .to_vec()
+    #[test]
+    fn every_strict_prefix_fails_to_decode_in_all_four_forms() {
+        // GAT carries the most per-layer matrices, so its payload has
+        // the most section boundaries to cut at.
+        for (form, payload) in four_forms(ConvKind::Gat) {
+            assert!(decode(&payload).is_ok(), "{form}");
+            for len in 0..payload.len() {
+                assert!(
+                    decode(&payload[..len]).is_err(),
+                    "{form}: prefix of {len} bytes must not decode"
+                );
+            }
+            // ...and so does a payload that runs on past its end.
+            let mut long = payload.clone();
+            long.push(0);
+            assert!(rejection(&long, form).contains("trailing"), "{form}");
+        }
+    }
+
+    #[test]
+    fn retired_magics_and_undefined_flag_bits_are_rejected() {
+        for (form, payload) in four_forms(ConvKind::Gcn) {
+            // GV_SNAP1..4: the four forms this codec replaced.
+            for retired in 0x4756_5F53_4E41_5031u64..=0x4756_5F53_4E41_5034 {
+                let mut old = payload.clone();
+                old[..8].copy_from_slice(&retired.to_le_bytes());
+                assert!(rejection(&old, form).contains("magic"), "{form}");
+            }
+            let flags = payload[8];
+            assert_eq!(flags & !(FLAG_PARTITION | FLAG_INT8), 0);
+            for bit in 2..8 {
+                let mut forged = payload.clone();
+                forged[8] = flags | (1 << bit);
+                assert!(
+                    rejection(&forged, form).contains("flag"),
+                    "{form}: bit {bit}"
+                );
+            }
+            // A defined bit flipped selects a body the payload does not
+            // have; that fails typed too, wherever the mismatch lands.
+            for bit in [FLAG_PARTITION, FLAG_INT8] {
+                let mut forged = payload.clone();
+                forged[8] = flags ^ bit;
+                assert!(decode(&forged).is_err(), "{form}: flipped {bit:#04b}");
+            }
+        }
+    }
+
+    #[test]
+    fn declared_widths_are_checked_against_the_matrices_read() {
+        // `trained_vault` is 3 features → backbone [4, 2] → series
+        // rectifier [4, 2]. A payload that *declares* 2^20-wide layers
+        // beside those small matrices must fail typed — before
+        // anything Glorot-allocates 2^20 × 2^20 floats from the claim.
+        const HUGE: u64 = 1 << 20;
+        for conv in [ConvKind::Gcn, ConvKind::Sage, ConvKind::Gat] {
+            for (form, payload) in four_forms(conv) {
+                // Backbone: input_dim | layers | in | out, then the
+                // weight itself.
+                let forged = forge_u64s(&payload, &[3, 2, 3, 4], &[HUGE, 2, HUGE, HUGE]);
+                let reason = rejection(&forged, form);
+                assert!(
+                    reason.contains("backbone weight is declared"),
+                    "{form}: {reason}"
+                );
+                // Only the output width forged: the weight's row count
+                // still matches, its column count does not.
+                let forged = forge_u64s(&payload, &[3, 2, 3, 4], &[3, 2, 3, HUGE]);
+                let reason = rejection(&forged, form);
+                assert!(
+                    reason.contains("backbone weight is declared"),
+                    "{form}: {reason}"
+                );
+
+                // Rectifier: backbone_dims [4,2] | channels [4,2] |
+                // taps [0], each list length-prefixed.
+                let wiring = [2, 4, 2, 2, 4, 2, 1, 0];
+                let forged = forge_u64s(&payload, &wiring, &[2, 4, 2, 2, HUGE, 2, 1, 0]);
+                let reason = rejection(&forged, form);
+                assert!(
+                    reason.contains("rectifier channels are declared"),
+                    "{form}: {reason}"
+                );
+                // A channel list claiming more layers than the payload
+                // carries runs out of matrices instead.
+                let forged = forge_u64s(&payload, &wiring, &[2, 4, 2, HUGE, 4, 2, 1, 0]);
+                assert!(decode(&forged).is_err(), "{form}");
+            }
+        }
     }
 
     proptest! {
@@ -1394,7 +1433,7 @@ mod tests {
     }
 
     #[test]
-    fn partition_snapshot_rejects_truncation_and_forged_stamps() {
+    fn partition_snapshot_rejects_forged_stamps() {
         use graph::partition::PartitionSpec;
         let graph = random_graph(6, 500, 11);
         let key = SealKey(13);
@@ -1411,37 +1450,26 @@ mod tests {
         let snap = vault.snapshot_partition(&spec, 0).unwrap();
         let stamp = snap.partition().unwrap();
 
-        // Every strict prefix of the partition payload fails cleanly.
-        let payload = snap
-            .sealed()
-            .unseal(key.derive("vault-snapshot"))
-            .unwrap()
-            .to_vec();
-        assert!(decode(&payload).is_ok());
-        for len in (0..payload.len()).step_by(37) {
-            assert!(
-                decode(&payload[..len]).is_err(),
-                "prefix of {len} bytes must not decode"
-            );
-        }
-
         // Clear-metadata stamp disagreeing with the sealed payload is
         // caught: wrong part index, wrong epoch, and a stamp claiming
         // the payload is a full snapshot (or vice versa).
-        let forged_part = VaultSnapshot::from_partition_parts(
+        let forged_part = VaultSnapshot::new(
             snap.epoch(),
             snap.num_nodes(),
-            SnapshotPartition::new(1, stamp.parts()),
+            Some(SnapshotPartition {
+                part: 1,
+                parts: stamp.parts(),
+            }),
             snap.sealed().clone(),
         );
         assert!(matches!(
             Vault::restore(&forged_part, key),
             Err(VaultError::Snapshot { .. })
         ));
-        let forged_epoch = VaultSnapshot::from_partition_parts(
+        let forged_epoch = VaultSnapshot::new(
             snap.epoch() + 1,
             snap.num_nodes(),
-            SnapshotPartition::new(stamp.part(), stamp.parts()),
+            Some(stamp),
             snap.sealed().clone(),
         );
         assert!(matches!(
@@ -1449,16 +1477,16 @@ mod tests {
             Err(VaultError::Snapshot { .. })
         ));
         let unstamped =
-            VaultSnapshot::from_parts(snap.epoch(), snap.num_nodes(), snap.sealed().clone());
+            VaultSnapshot::new(snap.epoch(), snap.num_nodes(), None, snap.sealed().clone());
         assert!(matches!(
             Vault::restore(&unstamped, key),
             Err(VaultError::Snapshot { .. })
         ));
         let full = vault.snapshot();
-        let full_as_partition = VaultSnapshot::from_partition_parts(
+        let full_as_partition = VaultSnapshot::new(
             full.epoch(),
             full.num_nodes(),
-            SnapshotPartition::new(0, 2),
+            Some(SnapshotPartition { part: 0, parts: 2 }),
             full.sealed().clone(),
         );
         assert!(matches!(
@@ -1509,38 +1537,18 @@ mod tests {
                 }
                 let (single, _) = partial.infer_node(&x, owned[0]).unwrap();
                 assert_eq!(single, labels[owned[0]], "{conv:?}");
-                // The partition re-seals its own image byte-identically.
-                assert_eq!(&partial.snapshot(), snap, "{conv:?}");
+                // The partition re-seals its own image byte-identically,
+                // and that second-generation image restores a replica
+                // that still answers the same.
+                let resealed = partial.snapshot();
+                assert_eq!(&resealed, snap, "{conv:?}");
+                assert_eq!(resealed.sealed_nbytes(), snap.sealed_nbytes());
+                let mut second = Vault::restore(&resealed, key).unwrap();
+                assert_eq!(second.precision(), crate::Precision::Int8);
+                let mut session = second.open_session();
+                let (again, _) = second.infer_batch(&mut session, &x, &owned).unwrap();
+                assert_eq!(again, plabels, "{conv:?}: second-generation replica");
             }
-        }
-    }
-
-    #[test]
-    fn int8_payload_rejects_truncation_at_every_prefix() {
-        let graph = random_graph(5, 500, 9);
-        let key = SealKey(41);
-        let (mut vault, _) = trained_vault(
-            5,
-            RectifierKind::Series,
-            ConvKind::Gat,
-            SubstituteKind::Knn { k: 1 },
-            &graph,
-            4,
-            key,
-        );
-        vault.set_precision(crate::Precision::Int8).unwrap();
-        let payload = vault
-            .snapshot()
-            .sealed()
-            .unseal(key.derive("vault-snapshot"))
-            .unwrap()
-            .to_vec();
-        assert!(decode(&payload).is_ok());
-        for len in (0..payload.len()).step_by(31) {
-            assert!(
-                decode(&payload[..len]).is_err(),
-                "prefix of {len} bytes must not decode"
-            );
         }
     }
 

@@ -1,9 +1,8 @@
-use crate::backbone::QuantizedBackboneNet;
-use crate::{snapshot, Backbone, Rectifier, VaultError, VaultSnapshot};
+use crate::snapshot::{self, Deployment, PartitionMaps, Scope};
+use crate::{Backbone, Rectifier, VaultError, VaultSnapshot};
 use graph::partition::PartitionSpec;
 use graph::{normalization, Graph};
-use linalg::DenseMatrix;
-use nn::QuantizedConvLayer;
+use linalg::{CsrMatrix, DenseMatrix, QuantizedMatrix, Workspace};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,26 +73,17 @@ impl Precision {
     }
 }
 
-/// The int8 mirror of a deployment's weights: built once by
-/// [`Vault::set_precision`] (or decoded from an int8 snapshot) and
-/// stored, so repeated inference and re-snapshotting reuse one
-/// deterministic quantization instead of re-deriving scales — which
-/// keeps replicas of an int8 snapshot bit-identical to their source.
+/// The data that makes a deployment int8: codes of every projection
+/// weight, aligned 1:1 with the (always retained) f32 backbone and
+/// rectifier layers, which both precisions read biases and attention
+/// vectors from. Built once by [`Vault::set_precision`] or decoded
+/// verbatim from an int8 snapshot, and stored — re-snapshotting reuses
+/// them instead of re-deriving scales, which keeps replicas of an int8
+/// snapshot bit-identical to their source.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct QuantizedModel {
-    /// Quantized backbone network (runs against the f32 backbone's
-    /// substitute adjacency).
-    pub(crate) backbone: QuantizedBackboneNet,
-    /// Quantized rectifier stack, aligned 1:1 with the f32 layers.
-    pub(crate) rectifier: Vec<QuantizedConvLayer>,
-}
-
-impl QuantizedModel {
-    /// Heap bytes of the quantized rectifier parameters — the resident
-    /// enclave footprint that replaces the f32 parameter allocation.
-    pub(crate) fn rectifier_nbytes(&self) -> usize {
-        self.rectifier.iter().map(QuantizedConvLayer::nbytes).sum()
-    }
+pub(crate) struct Int8Projections {
+    pub(crate) backbone: Vec<QuantizedMatrix>,
+    pub(crate) rectifier: Vec<QuantizedMatrix>,
 }
 
 /// A deployed GNNVault instance (§IV-E): the public backbone plus
@@ -129,48 +119,19 @@ pub struct Vault {
     policy: OverBudgetPolicy,
     /// `Some` on a partition replica: `real_graph` is then the induced
     /// local closure and queries are answerable only for owned nodes.
-    partition: Option<VaultPartition>,
+    partition: Option<PartitionMaps>,
     // --- enclave-private state (never exposed by any accessor) ---
     rectifier: Rectifier,
-    /// `Some` when serving int8: the quantized weight mirror.
-    quantized: Option<QuantizedModel>,
+    /// `Some` when serving int8: the projection codes.
+    int8: Option<Int8Projections>,
     /// Ledger entry for the resident rectifier parameters, retained so
     /// [`Vault::set_precision`] can re-account it at the new size.
     rectifier_params_alloc: AllocationId,
     real_graph: Graph,
-    real_adj: linalg::CsrMatrix,
+    real_adj: CsrMatrix,
     enclave: EnclaveSim,
     sealed_artifacts: Vec<(String, Sealed)>,
     seal_key: SealKey,
-}
-
-/// Ownership maps of a partition replica. `part`/`parts` are public
-/// routing metadata; the closure (`local_ids`, whose tail reveals halo
-/// membership and therefore cross-partition adjacency) stays enclave-
-/// private like the rest of the graph state.
-#[derive(Debug, Clone)]
-struct VaultPartition {
-    part: usize,
-    parts: usize,
-    num_global_nodes: usize,
-    /// Global ids owned by this partition, strictly ascending.
-    owned: Vec<usize>,
-    /// Global ids of the closure (`owned ∪ halo`), strictly ascending;
-    /// the index in this list is the local id in `real_graph`.
-    local_ids: Vec<usize>,
-    /// Full-graph degree per local id — the normalization degrees that
-    /// make local aggregation bit-identical to the full graph.
-    original_degrees: Vec<usize>,
-}
-
-impl VaultPartition {
-    fn local_id(&self, global: usize) -> Option<usize> {
-        self.local_ids.binary_search(&global).ok()
-    }
-
-    fn owns(&self, global: usize) -> bool {
-        self.owned.binary_search(&global).is_ok()
-    }
 }
 
 impl Vault {
@@ -194,10 +155,18 @@ impl Vault {
         policy: OverBudgetPolicy,
         seal_key: SealKey,
     ) -> Result<Vault, VaultError> {
-        let epoch = NEXT_EPOCH.fetch_add(1, Ordering::Relaxed);
-        Self::deploy_with_epoch(
-            backbone, rectifier, real_graph, epc_budget, cost, policy, seal_key, epoch, None, None,
-        )
+        let fresh = Deployment {
+            epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
+            epc_budget,
+            cost,
+            policy,
+            backbone,
+            rectifier,
+            int8: None,
+            real_graph: real_graph.clone(),
+            partition: None,
+        };
+        Self::install(fresh, seal_key)
     }
 
     /// Deployment body shared by [`Vault::deploy`] (fresh epoch) and
@@ -207,26 +176,28 @@ impl Vault {
     /// recorded full-graph degrees — the resident set (COO, degree
     /// vector, CSR) shrinks to the closure size, which is the memory
     /// win of partitioned sharding.
-    #[allow(clippy::too_many_arguments)]
-    fn deploy_with_epoch(
-        backbone: Backbone,
-        rectifier: Rectifier,
-        real_graph: &Graph,
-        epc_budget: usize,
-        cost: CostModel,
-        policy: OverBudgetPolicy,
-        seal_key: SealKey,
-        epoch: u64,
-        partition: Option<VaultPartition>,
-        quantized: Option<QuantizedModel>,
-    ) -> Result<Vault, VaultError> {
+    fn install(deployment: Deployment, seal_key: SealKey) -> Result<Vault, VaultError> {
+        let Deployment {
+            epoch,
+            epc_budget,
+            cost,
+            policy,
+            backbone,
+            rectifier,
+            int8,
+            real_graph,
+            partition,
+        } = deployment;
         let mut enclave = EnclaveSim::new(epc_budget, cost, policy);
 
         // Resident enclave set, mirroring §IV-E's storage plan. An int8
-        // deployment keeps the quantized parameters resident instead of
-        // the f32 form.
-        let rectifier_params_alloc = match &quantized {
-            Some(q) => enclave.alloc("rectifier parameters (int8)", q.rectifier_nbytes())?,
+        // deployment keeps the projection codes resident instead of the
+        // f32 weights.
+        let rectifier_params_alloc = match &int8 {
+            Some(q) => enclave.alloc(
+                "rectifier parameters (int8)",
+                rectifier.nbytes_at(&q.rectifier),
+            )?,
             None => enclave.alloc("rectifier parameters", rectifier.nbytes())?,
         };
         enclave.alloc("real graph (COO)", real_graph.coo_nbytes())?;
@@ -238,7 +209,7 @@ impl Vault {
             Some(p) => p.original_degrees.clone(),
             None => real_graph.degrees(),
         };
-        let real_adj = normalization::gcn_normalize_with_degrees(real_graph, &degrees);
+        let real_adj = normalization::gcn_normalize_with_degrees(&real_graph, &degrees);
         enclave.alloc("normalized adjacency (CSR)", real_adj.nbytes())?;
 
         // Seal deployment artifacts (simulated SGX sealing).
@@ -269,9 +240,9 @@ impl Vault {
             policy,
             partition,
             rectifier,
-            quantized,
+            int8,
             rectifier_params_alloc,
-            real_graph: real_graph.clone(),
+            real_graph,
             real_adj,
             enclave,
             sealed_artifacts,
@@ -306,49 +277,10 @@ impl Vault {
     /// ```
     pub fn snapshot(&self) -> VaultSnapshot {
         match &self.partition {
-            None => {
-                let payload = snapshot::encode(
-                    self.epoch,
-                    self.epc_budget,
-                    self.enclave.cost_model(),
-                    self.policy,
-                    &self.backbone,
-                    &self.rectifier,
-                    self.quantized.as_ref(),
-                    &self.real_graph,
-                );
-                let sealed = Sealed::seal(self.seal_key.derive("vault-snapshot"), &payload);
-                VaultSnapshot::from_parts(self.epoch, self.real_graph.num_nodes(), sealed)
-            }
+            None => self.seal_scope(&Scope::Full(&self.real_graph)),
             // A partition replica re-snapshots as a partition image, so
             // its recovery handle restores the same partial vault.
-            Some(p) => {
-                let payload = snapshot::encode_partition(
-                    self.epoch,
-                    self.epc_budget,
-                    self.enclave.cost_model(),
-                    self.policy,
-                    &self.backbone,
-                    &self.rectifier,
-                    self.quantized.as_ref(),
-                    &snapshot::PartitionParts {
-                        part: p.part,
-                        parts: p.parts,
-                        num_global_nodes: p.num_global_nodes,
-                        owned: &p.owned,
-                        local_ids: &p.local_ids,
-                        original_degrees: &p.original_degrees,
-                        local_graph: &self.real_graph,
-                    },
-                );
-                let sealed = Sealed::seal(self.seal_key.derive("vault-snapshot"), &payload);
-                VaultSnapshot::from_partition_parts(
-                    self.epoch,
-                    p.num_global_nodes,
-                    crate::SnapshotPartition::new(p.part, p.parts),
-                    sealed,
-                )
-            }
+            Some(maps) => self.seal_scope(&Scope::Partition(maps, &self.real_graph)),
         }
     }
 
@@ -376,17 +308,8 @@ impl Vault {
         spec: &PartitionSpec,
         part: usize,
     ) -> Result<VaultSnapshot, VaultError> {
-        if self.partition.is_some() {
-            return Err(VaultError::InvalidConfig {
-                reason: "cannot re-partition a partition replica; partition the full vault".into(),
-            });
-        }
-        let gp = graph::partition::partition_one(
-            &self.real_graph,
-            spec,
-            part,
-            self.rectifier.num_layers(),
-        )?;
+        let hops = self.partition_halo_hops()?;
+        let gp = graph::partition::partition_one(&self.real_graph, spec, part, hops)?;
         Ok(self.seal_graph_partition(&gp))
     }
 
@@ -401,13 +324,8 @@ impl Vault {
         &self,
         spec: &PartitionSpec,
     ) -> Result<Vec<VaultSnapshot>, VaultError> {
-        if self.partition.is_some() {
-            return Err(VaultError::InvalidConfig {
-                reason: "cannot re-partition a partition replica; partition the full vault".into(),
-            });
-        }
-        let parts =
-            graph::partition::partition(&self.real_graph, spec, self.rectifier.num_layers())?;
+        let hops = self.partition_halo_hops()?;
+        let parts = graph::partition::partition(&self.real_graph, spec, hops)?;
         Ok(parts
             .iter()
             .map(|gp| self.seal_graph_partition(gp))
@@ -429,34 +347,45 @@ impl Vault {
             .collect()
     }
 
-    /// Encodes and seals one extracted partition under this vault's
-    /// deployment key.
+    /// The halo depth partitions of this vault are cut at — the
+    /// rectifier's receptive field — or the refusal to cut a replica
+    /// that is itself a partition.
+    fn partition_halo_hops(&self) -> Result<usize, VaultError> {
+        if self.partition.is_some() {
+            return Err(VaultError::InvalidConfig {
+                reason: "cannot re-partition a partition replica; partition the full vault".into(),
+            });
+        }
+        Ok(self.rectifier.num_layers())
+    }
+
+    /// Seals one partition just cut from this (full) vault's graph.
     fn seal_graph_partition(&self, gp: &graph::partition::GraphPartition) -> VaultSnapshot {
-        let payload = snapshot::encode_partition(
-            self.epoch,
-            self.epc_budget,
-            self.enclave.cost_model(),
-            self.policy,
-            &self.backbone,
-            &self.rectifier,
-            self.quantized.as_ref(),
-            &snapshot::PartitionParts {
-                part: gp.part(),
-                parts: gp.num_parts(),
-                num_global_nodes: self.real_graph.num_nodes(),
-                owned: gp.owned(),
-                local_ids: gp.local_ids(),
-                original_degrees: gp.original_degrees(),
-                local_graph: gp.graph(),
-            },
-        );
+        let maps = PartitionMaps::of(gp, self.real_graph.num_nodes());
+        self.seal_scope(&Scope::Partition(&maps, gp.graph()))
+    }
+
+    /// Encodes this deployment's shared header plus `scope`'s share of
+    /// the private graph, seals the payload under the deployment key,
+    /// and stamps it with the clear routing metadata — the one body
+    /// behind every snapshot form.
+    fn seal_scope(&self, scope: &Scope<'_>) -> VaultSnapshot {
+        let header = snapshot::Header {
+            epoch: self.epoch,
+            epc_budget: self.epc_budget,
+            cost: self.enclave.cost_model(),
+            policy: self.policy,
+            backbone: &self.backbone,
+            rectifier: &self.rectifier,
+            int8: self.int8.as_ref(),
+        };
+        let payload = snapshot::encode(&header, scope);
         let sealed = Sealed::seal(self.seal_key.derive("vault-snapshot"), &payload);
-        VaultSnapshot::from_partition_parts(
-            self.epoch,
-            self.real_graph.num_nodes(),
-            crate::SnapshotPartition::new(gp.part(), gp.num_parts()),
-            sealed,
-        )
+        let (num_nodes, stamp) = match scope {
+            Scope::Full(graph) => (graph.num_nodes(), None),
+            Scope::Partition(maps, _) => (maps.num_global_nodes, Some(maps.stamp)),
+        };
+        VaultSnapshot::new(self.epoch, num_nodes, stamp, sealed)
     }
 
     /// Rehydrates a replica from a sealed snapshot.
@@ -481,7 +410,7 @@ impl Vault {
             .sealed()
             .unseal(seal_key.derive("vault-snapshot"))?;
         let decoded = snapshot::decode(&payload)?;
-        if decoded.epoch != snapshot.epoch() || decoded.num_global_nodes != snapshot.num_nodes() {
+        if decoded.epoch != snapshot.epoch() || decoded.num_global_nodes() != snapshot.num_nodes() {
             return Err(VaultError::Snapshot {
                 reason: "snapshot metadata disagrees with its sealed payload".into(),
             });
@@ -489,36 +418,13 @@ impl Vault {
         // The clear partition stamp must agree with the sealed payload:
         // a partition image relabeled as another partition (or as a full
         // replica) is a forgery, not a routing mistake.
-        let sealed_stamp = decoded
-            .partition
-            .as_ref()
-            .map(|p| crate::SnapshotPartition::new(p.part, p.parts));
+        let sealed_stamp = decoded.partition.as_ref().map(|maps| maps.stamp);
         if sealed_stamp != snapshot.partition() {
             return Err(VaultError::Snapshot {
                 reason: "snapshot partition stamp disagrees with its sealed payload".into(),
             });
         }
-        let num_global_nodes = decoded.num_global_nodes;
-        let partition = decoded.partition.map(|p| VaultPartition {
-            part: p.part,
-            parts: p.parts,
-            num_global_nodes,
-            owned: p.owned,
-            local_ids: p.local_ids,
-            original_degrees: p.original_degrees,
-        });
-        Self::deploy_with_epoch(
-            decoded.backbone,
-            decoded.rectifier,
-            &decoded.real_graph,
-            decoded.epc_budget,
-            decoded.cost,
-            decoded.policy,
-            seal_key,
-            decoded.epoch,
-            partition,
-            decoded.quantized,
-        )
+        Self::install(decoded, seal_key)
     }
 
     /// Spawns an independent replica of this deployment by round-
@@ -592,7 +498,9 @@ impl Vault {
     /// `Some((part, parts))` on a partition replica, `None` on a full
     /// vault. Public routing metadata.
     pub fn partition_info(&self) -> Option<(usize, usize)> {
-        self.partition.as_ref().map(|p| (p.part, p.parts))
+        self.partition
+            .as_ref()
+            .map(|p| (p.stamp.part(), p.stamp.parts()))
     }
 
     /// The global node ids a partition replica answers (`None` on a
@@ -625,7 +533,7 @@ impl Vault {
     /// (per-output-channel symmetric int8, see
     /// [`linalg::QuantizedMatrix`]) and re-accounts the resident
     /// rectifier parameters in the enclave ledger at the quantized
-    /// size; moving back to [`Precision::F32`] drops the mirror and
+    /// size; moving back to [`Precision::F32`] drops the codes and
     /// restores the f32 accounting. The f32 weights are always
     /// retained, so the switch is lossless in both directions:
     /// quantization is a deterministic function of the f32 weights, and
@@ -641,22 +549,23 @@ impl Vault {
     pub fn set_precision(&mut self, precision: Precision) -> Result<(), VaultError> {
         match precision {
             Precision::Int8 => {
-                if self.quantized.is_some() {
+                if self.int8.is_some() {
                     return Ok(());
                 }
-                let model = QuantizedModel {
-                    backbone: self.backbone.quantize_network(),
-                    rectifier: self.rectifier.quantize_layers(),
+                let codes = Int8Projections {
+                    backbone: self.backbone.quantize_projections(),
+                    rectifier: self.rectifier.quantize_projections(),
                 };
-                let id = self
-                    .enclave
-                    .alloc("rectifier parameters (int8)", model.rectifier_nbytes())?;
+                let id = self.enclave.alloc(
+                    "rectifier parameters (int8)",
+                    self.rectifier.nbytes_at(&codes.rectifier),
+                )?;
                 self.enclave.free(self.rectifier_params_alloc)?;
                 self.rectifier_params_alloc = id;
-                self.quantized = Some(model);
+                self.int8 = Some(codes);
             }
             Precision::F32 => {
-                if self.quantized.is_none() {
+                if self.int8.is_none() {
                     return Ok(());
                 }
                 let id = self
@@ -664,7 +573,7 @@ impl Vault {
                     .alloc("rectifier parameters", self.rectifier.nbytes())?;
                 self.enclave.free(self.rectifier_params_alloc)?;
                 self.rectifier_params_alloc = id;
-                self.quantized = None;
+                self.int8 = None;
             }
         }
         Ok(())
@@ -672,7 +581,7 @@ impl Vault {
 
     /// The precision this vault currently serves at.
     pub fn precision(&self) -> Precision {
-        if self.quantized.is_some() {
+        if self.int8.is_some() {
             Precision::Int8
         } else {
             Precision::F32
@@ -681,9 +590,72 @@ impl Vault {
 
     /// Backbone forward at the serving precision.
     fn backbone_embeddings(&self, features: &DenseMatrix) -> Result<Vec<DenseMatrix>, VaultError> {
-        match &self.quantized {
-            Some(q) => self.backbone.embeddings_quantized(&q.backbone, features),
-            None => self.backbone.embeddings(features),
+        let int8 = self.int8.as_ref().map(|q| q.backbone.as_slice());
+        self.backbone.embeddings_at(features, int8)
+    }
+
+    /// Rectifier forward at the serving precision, over whichever
+    /// adjacency the query path built (full graph, partition closure,
+    /// or ego graph). Runs inside [`EnclaveSim::run`].
+    fn rectify(
+        &self,
+        adj: &CsrMatrix,
+        embeddings: &[DenseMatrix],
+    ) -> Result<crate::rectifier::RectifierForward, VaultError> {
+        let int8 = self.int8.as_ref().map(|q| q.rectifier.as_slice());
+        self.rectifier
+            .forward_at(adj, embeddings, int8, &mut Workspace::new())
+    }
+
+    /// Rejects a query the vault cannot answer: a node id outside the
+    /// deployment, or — on a partition replica — a node another
+    /// partition owns. The latter is a routing error the caller must
+    /// surface, not a silent wrong answer.
+    fn check_query(&self, nodes: &[usize]) -> Result<(), VaultError> {
+        if let Some(&bad) = nodes.iter().find(|&&n| n >= self.num_nodes()) {
+            return Err(VaultError::InvalidConfig {
+                reason: format!(
+                    "query node {bad} out of range for {} nodes",
+                    self.num_nodes()
+                ),
+            });
+        }
+        if let Some(p) = &self.partition {
+            if let Some(&node) = nodes.iter().find(|&&n| !p.owns(n)) {
+                return Err(VaultError::NotOwned {
+                    node,
+                    part: p.stamp.part(),
+                    parts: p.stamp.parts(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Opens one inference's accounting: a reset meter and the
+    /// transition count [`Vault::finish_report`] takes the delta from.
+    fn begin_report(&self) -> (Meter, u64) {
+        let meter = self.enclave.meter();
+        meter.reset();
+        (meter, self.enclave.transitions())
+    }
+
+    /// Closes one inference's accounting into its report.
+    fn finish_report(
+        &self,
+        meter: &Meter,
+        transitions_before: u64,
+        transferred_bytes: usize,
+    ) -> InferenceReport {
+        let breakdown = meter.breakdown();
+        let get = |phase: Phase| breakdown.get(&phase).copied().unwrap_or_default();
+        InferenceReport {
+            backbone_ns: get(Phase::Backbone).total_ns(),
+            transfer_ns: get(Phase::Transfer).total_ns(),
+            rectifier_ns: get(Phase::Enclave).total_ns() + get(Phase::PageSwap).total_ns(),
+            transferred_bytes,
+            transitions: self.enclave.transitions() - transitions_before,
+            peak_enclave_bytes: self.enclave.peak_usage(),
         }
     }
 
@@ -752,66 +724,15 @@ impl Vault {
                 reason: format!(
                     "partition replica {}/{} answers only its owned nodes; \
                      use infer_batch or infer_node",
-                    p.part, p.parts
+                    p.stamp.part(),
+                    p.stamp.parts()
                 ),
             });
         }
-        let meter = self.enclave.meter();
-        meter.reset();
-        let transitions_before = self.enclave.transitions();
-
-        // 1. Public backbone in the untrusted world.
-        let embeddings = meter.time(Phase::Backbone, || self.backbone_embeddings(features))?;
-
-        // 2. One-way transfer of exactly the tapped embeddings.
-        let taps = self.rectifier.tap_indices();
-        let mut channel = UntrustedToEnclave::new();
-        for &t in &taps {
-            let payload = codec::encode_dense(&embeddings[t]);
-            channel.send(&mut self.enclave, payload)?;
-        }
-        let transferred_bytes = channel.total_bytes();
-
-        // Enclave side: decode payloads back into tap embeddings.
-        let payloads = channel.drain();
-        let enclave_embeddings = Self::decode_tap_embeddings(&taps, &payloads, &embeddings)?;
-
-        // 3. Rectifier inside the enclave, with transient activation
-        //    buffers accounted against the EPC. The buffers are freed
-        //    whether or not the forward succeeds: a long-lived serving
-        //    enclave must not leak EPC on a failed batch.
-        let transient = self.alloc_transient_activations(features.rows())?;
-        let forward_result = {
-            let rectifier = &self.rectifier;
-            let real_adj = &self.real_adj;
-            let quantized = self.quantized.as_ref();
-            self.enclave.run(|| match quantized {
-                Some(q) => rectifier.forward_quantized(&q.rectifier, real_adj, &enclave_embeddings),
-                None => rectifier.forward(real_adj, &enclave_embeddings),
-            })
-        };
-        for id in transient {
-            self.enclave.free(id)?;
-        }
-        let forward = forward_result?;
-
-        // 4. Label-only egress: logits stay inside.
-        let labels: Vec<ClassLabel> = linalg::ops::argmax_rows(forward.logits())
-            .into_iter()
-            .map(ClassLabel)
-            .collect();
-
-        let breakdown = meter.breakdown();
-        let get = |phase: Phase| breakdown.get(&phase).copied().unwrap_or_default();
-        let report = InferenceReport {
-            backbone_ns: get(Phase::Backbone).total_ns(),
-            transfer_ns: get(Phase::Transfer).total_ns(),
-            rectifier_ns: get(Phase::Enclave).total_ns() + get(Phase::PageSwap).total_ns(),
-            transferred_bytes,
-            transitions: self.enclave.transitions() - transitions_before,
-            peak_enclave_bytes: self.enclave.peak_usage(),
-        };
-        Ok((labels, report))
+        // Full-graph inference is one batch on a channel nobody reuses.
+        let mut one_shot = EnclaveSession::new(SessionId::default());
+        let (classes, report) = self.full_pass(&mut one_shot, features)?;
+        Ok((classes.into_iter().map(ClassLabel).collect(), report))
     }
 
     /// Runs one batched inference for `nodes` through an open enclave
@@ -887,35 +808,42 @@ impl Vault {
                 reason: "empty batch: at least one query node is required".into(),
             });
         }
-        if let Some(&bad) = nodes.iter().find(|&&n| n >= self.num_nodes()) {
-            return Err(VaultError::InvalidConfig {
-                reason: format!(
-                    "query node {bad} out of range for {} nodes",
-                    self.num_nodes()
-                ),
-            });
-        }
-        // A partition replica answers only its owned nodes; anything
-        // else is a routing error the caller must surface, not a silent
-        // wrong answer.
-        if let Some(p) = &self.partition {
-            if let Some(&node) = nodes.iter().find(|&&n| !p.owns(n)) {
-                return Err(VaultError::NotOwned {
-                    node,
-                    part: p.part,
-                    parts: p.parts,
-                });
-            }
-        }
-        let meter = self.enclave.meter();
-        meter.reset();
-        let transitions_before = self.enclave.transitions();
+        self.check_query(nodes)?;
+        let (classes, report) = self.full_pass(session, features)?;
+        // Label-only egress for exactly the queried nodes (global ids
+        // translate to closure rows on a partition replica).
+        let labels = match &self.partition {
+            Some(p) => nodes
+                .iter()
+                .map(|&n| {
+                    let local = p.local_id(n).expect("ownership was validated above");
+                    ClassLabel(classes[local])
+                })
+                .collect(),
+            None => nodes.iter().map(|&n| ClassLabel(classes[n])).collect(),
+        };
+        Ok((labels, report))
+    }
 
-        // 1. One backbone forward for the whole batch.
+    /// One pass of the split pipeline over everything this vault holds
+    /// — the body of both [`Vault::infer`] and [`Vault::infer_batch`],
+    /// which differ only in which rows they let out. Returns the
+    /// predicted class of every row of the vault's graph (global ids on
+    /// a full vault, closure-local ids on a partition replica); the
+    /// callers wrap the ones they release in [`ClassLabel`] — logits
+    /// never leave.
+    fn full_pass(
+        &mut self,
+        session: &mut EnclaveSession,
+        features: &DenseMatrix,
+    ) -> Result<(Vec<usize>, InferenceReport), VaultError> {
+        let (meter, transitions_before) = self.begin_report();
+
+        // 1. One public backbone forward in the untrusted world.
         let embeddings = meter.time(Phase::Backbone, || self.backbone_embeddings(features))?;
 
-        // 2. One tap-set transfer per batch, through the session's
-        //    long-lived channel.
+        // 2. One-way transfer of exactly the tapped embeddings, through
+        //    the session's channel.
         let taps = self.rectifier.tap_indices();
         session.begin_batch();
         for &t in &taps {
@@ -940,55 +868,29 @@ impl Vault {
             None => enclave_embeddings,
         };
 
-        // 3. One rectifier pass per batch; transient activations are
-        //    allocated (and EPC-accounted) once, not once per query, and
-        //    freed even when the forward fails so a failed batch cannot
-        //    degrade the serving enclave. On a partition replica the
-        //    buffers shrink to the closure's row count.
+        // 3. One rectifier pass inside the enclave; transient
+        //    activations are allocated (and EPC-accounted) once, not
+        //    once per query, and freed even when the forward fails — a
+        //    long-lived serving enclave must not leak EPC on a failed
+        //    batch. On a partition replica the buffers shrink to the
+        //    closure's row count.
         let forward_rows = match &self.partition {
             Some(p) => p.local_ids.len(),
             None => features.rows(),
         };
         let transient = self.alloc_transient_activations(forward_rows)?;
-        let forward_result = {
-            let rectifier = &self.rectifier;
-            let real_adj = &self.real_adj;
-            let quantized = self.quantized.as_ref();
-            self.enclave.run(|| match quantized {
-                Some(q) => rectifier.forward_quantized(&q.rectifier, real_adj, &enclave_embeddings),
-                None => rectifier.forward(real_adj, &enclave_embeddings),
-            })
-        };
+        let forward_result = self
+            .enclave
+            .run(|| self.rectify(&self.real_adj, &enclave_embeddings));
         for id in transient {
             self.enclave.free(id)?;
         }
         let forward = forward_result?;
 
-        // 4. Label-only egress for exactly the queried nodes (global
-        //    ids translate to closure rows on a partition replica).
-        let all_labels = linalg::ops::argmax_rows(forward.logits());
-        let labels = match &self.partition {
-            Some(p) => nodes
-                .iter()
-                .map(|&n| {
-                    let local = p.local_id(n).expect("ownership was validated above");
-                    ClassLabel(all_labels[local])
-                })
-                .collect(),
-            None => nodes.iter().map(|&n| ClassLabel(all_labels[n])).collect(),
-        };
-
-        let breakdown = meter.breakdown();
-        let get = |phase: Phase| breakdown.get(&phase).copied().unwrap_or_default();
-        let report = InferenceReport {
-            backbone_ns: get(Phase::Backbone).total_ns(),
-            transfer_ns: get(Phase::Transfer).total_ns(),
-            rectifier_ns: get(Phase::Enclave).total_ns() + get(Phase::PageSwap).total_ns(),
-            transferred_bytes,
-            transitions: self.enclave.transitions() - transitions_before,
-            peak_enclave_bytes: self.enclave.peak_usage(),
-        };
-        Ok((labels, report))
+        // 4. Argmax inside the enclave.
+        let classes = linalg::ops::argmax_rows(forward.logits());
+        let report = self.finish_report(&meter, transitions_before, transferred_bytes);
+        Ok((classes, report))
     }
 
     /// Decodes world-crossing tap payloads back into the full embedding
@@ -1066,26 +968,8 @@ impl Vault {
         features: &DenseMatrix,
         node: usize,
     ) -> Result<(ClassLabel, InferenceReport), VaultError> {
-        if node >= self.num_nodes() {
-            return Err(VaultError::InvalidConfig {
-                reason: format!(
-                    "query node {node} out of range for {} nodes",
-                    self.num_nodes()
-                ),
-            });
-        }
-        if let Some(p) = &self.partition {
-            if !p.owns(node) {
-                return Err(VaultError::NotOwned {
-                    node,
-                    part: p.part,
-                    parts: p.parts,
-                });
-            }
-        }
-        let meter = self.enclave.meter();
-        meter.reset();
-        let transitions_before = self.enclave.transitions();
+        self.check_query(&[node])?;
+        let (meter, transitions_before) = self.begin_report();
 
         let embeddings = meter.time(Phase::Backbone, || self.backbone_embeddings(features))?;
         let taps = self.rectifier.tap_indices();
@@ -1098,71 +982,47 @@ impl Vault {
 
         // --- enclave side: ego extraction + subgraph rectification ---
         let hops = self.rectifier.num_layers();
-        let (label, peak) = {
-            let rectifier = &self.rectifier;
-            let real_graph = &self.real_graph;
-            let partition = self.partition.as_ref();
-            let quantized = self.quantized.as_ref();
-            let enclave = &self.enclave;
-            let out = enclave.run(|| -> Result<ClassLabel, VaultError> {
-                // On a partition replica the ego expansion runs on the
-                // local closure. Distances up to `hops` agree with the
-                // full graph because the closure spans the owned set's
-                // whole receptive field.
-                let center = match partition {
-                    Some(p) => p.local_id(node).expect("ownership was validated above"),
-                    None => node,
-                };
-                let ego = graph::subgraph::ego_graph(real_graph, center, hops)?;
-                let degrees: Vec<usize> = match partition {
-                    Some(p) => ego
-                        .original_ids
-                        .iter()
-                        .map(|&l| p.original_degrees[l])
-                        .collect(),
-                    None => ego.original_degrees.clone(),
-                };
-                let ego_adj =
-                    graph::normalization::gcn_normalize_with_degrees(&ego.graph, &degrees);
-                // Rows to pull from the full decoded tap payloads are
-                // *global* ids; a partition's ego ids are local.
-                let global_rows: Vec<usize> = match partition {
-                    Some(p) => ego.original_ids.iter().map(|&l| p.local_ids[l]).collect(),
-                    None => ego.original_ids.clone(),
-                };
-                let mut ego_embeddings: Vec<DenseMatrix> = embeddings
+        let partition = self.partition.as_ref();
+        let label = self.enclave.run(|| -> Result<ClassLabel, VaultError> {
+            // On a partition replica the ego expansion runs on the
+            // local closure. Distances up to `hops` agree with the
+            // full graph because the closure spans the owned set's
+            // whole receptive field.
+            let center = match partition {
+                Some(p) => p.local_id(node).expect("ownership was validated above"),
+                None => node,
+            };
+            let ego = graph::subgraph::ego_graph(&self.real_graph, center, hops)?;
+            let degrees: Vec<usize> = match partition {
+                Some(p) => ego
+                    .original_ids
                     .iter()
-                    .map(|e| DenseMatrix::zeros(ego.graph.num_nodes(), e.cols()))
-                    .collect();
-                for (&t, payload) in taps.iter().zip(&payloads) {
-                    let full = codec::decode_dense(payload)?;
-                    ego_embeddings[t] = full.select_rows(&global_rows)?;
-                }
-                let forward = match quantized {
-                    Some(q) => {
-                        rectifier.forward_quantized(&q.rectifier, &ego_adj, &ego_embeddings)?
-                    }
-                    None => rectifier.forward(&ego_adj, &ego_embeddings)?,
-                };
-                let preds = linalg::ops::argmax_rows(forward.logits());
-                Ok(ClassLabel(preds[ego.center]))
-            })?;
-            (out, self.enclave.peak_usage())
-        };
+                    .map(|&l| p.original_degrees[l])
+                    .collect(),
+                None => ego.original_degrees.clone(),
+            };
+            let ego_adj = graph::normalization::gcn_normalize_with_degrees(&ego.graph, &degrees);
+            // Rows to pull from the full decoded tap payloads are
+            // *global* ids; a partition's ego ids are local.
+            let global_rows: Vec<usize> = match partition {
+                Some(p) => ego.original_ids.iter().map(|&l| p.local_ids[l]).collect(),
+                None => ego.original_ids.clone(),
+            };
+            let mut ego_embeddings: Vec<DenseMatrix> = embeddings
+                .iter()
+                .map(|e| DenseMatrix::zeros(ego.graph.num_nodes(), e.cols()))
+                .collect();
+            for (&t, payload) in taps.iter().zip(&payloads) {
+                let full = codec::decode_dense(payload)?;
+                ego_embeddings[t] = full.select_rows(&global_rows)?;
+            }
+            let forward = self.rectify(&ego_adj, &ego_embeddings)?;
+            let preds = linalg::ops::argmax_rows(forward.logits());
+            Ok(ClassLabel(preds[ego.center]))
+        })?;
 
-        let breakdown = meter.breakdown();
-        let get = |phase: Phase| breakdown.get(&phase).copied().unwrap_or_default();
-        Ok((
-            label,
-            InferenceReport {
-                backbone_ns: get(Phase::Backbone).total_ns(),
-                transfer_ns: get(Phase::Transfer).total_ns(),
-                rectifier_ns: get(Phase::Enclave).total_ns() + get(Phase::PageSwap).total_ns(),
-                transferred_bytes,
-                transitions: self.enclave.transitions() - transitions_before,
-                peak_enclave_bytes: peak,
-            },
-        ))
+        let report = self.finish_report(&meter, transitions_before, transferred_bytes);
+        Ok((label, report))
     }
 }
 

@@ -1,8 +1,5 @@
-use crate::{glorot_uniform, NnError, Param};
-use linalg::{
-    matmul_a_bt_into_ws, matmul_at_b_into_ws, matmul_fused_into_ws, DenseMatrix, Epilogue,
-    Workspace,
-};
+use crate::{glorot_uniform, NnError, Param, Projection};
+use linalg::{matmul_a_bt_into_ws, matmul_at_b_into_ws, DenseMatrix, Epilogue, Workspace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -95,20 +92,6 @@ impl DenseLayer {
         self.forward_fused(input, false, &mut Workspace::new())
     }
 
-    /// Forward pass drawing the output buffer and the GEMM packing
-    /// buffers from `ws` (see [`crate::GcnLayer::forward_ws`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DenseLayer::forward`].
-    pub fn forward_ws(
-        &self,
-        input: &DenseMatrix,
-        ws: &mut Workspace,
-    ) -> Result<DenseForward, NnError> {
-        self.forward_fused(input, false, ws)
-    }
-
     /// Forward pass with the bias — and, when `fuse_relu` is set, the
     /// ReLU — fused into the GEMM epilogue, applied while each output
     /// tile is still register-resident (see
@@ -123,6 +106,22 @@ impl DenseLayer {
         fuse_relu: bool,
         ws: &mut Workspace,
     ) -> Result<DenseForward, NnError> {
+        self.forward_with(Projection::F32(&self.weight.value), input, fuse_relu, ws)
+    }
+
+    /// [`DenseLayer::forward_fused`] with `H W` taken through `weight`
+    /// (see [`Projection`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`DenseLayer::forward`], plus a `weight` not `in_dim × out_dim`.
+    pub fn forward_with(
+        &self,
+        weight: Projection<'_>,
+        input: &DenseMatrix,
+        fuse_relu: bool,
+        ws: &mut Workspace,
+    ) -> Result<DenseForward, NnError> {
         let bias = self.bias.value.row(0);
         let epilogue = if fuse_relu {
             Epilogue::BiasRelu(bias)
@@ -130,7 +129,7 @@ impl DenseLayer {
             Epilogue::Bias(bias)
         };
         let mut output = ws.take_for_overwrite(input.rows(), self.out_dim);
-        matmul_fused_into_ws(input, &self.weight.value, &mut output, epilogue, ws)?;
+        weight.matmul_into(input, &mut output, epilogue, ws)?;
         Ok(DenseForward { output })
     }
 

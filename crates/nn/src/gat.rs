@@ -1,7 +1,6 @@
-use crate::{glorot_uniform, NnError, Param};
+use crate::{glorot_uniform, NnError, Param, Projection};
 use linalg::{
-    matmul_a_bt_into_ws, matmul_at_b_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix,
-    Epilogue, Workspace,
+    matmul_a_bt_into_ws, matmul_at_b_into_ws, CsrMatrix, DenseMatrix, Epilogue, Workspace,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -167,22 +166,7 @@ impl GatLayer {
     ///
     /// Returns [`NnError::Linalg`] on shape inconsistencies.
     pub fn forward(&self, adj: &CsrMatrix, input: &DenseMatrix) -> Result<GatForward, NnError> {
-        self.forward_ws(adj, input, &mut Workspace::new())
-    }
-
-    /// Forward pass drawing the projection and output buffers from `ws`
-    /// (see [`crate::GcnLayer::forward_ws`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GatLayer::forward`].
-    pub fn forward_ws(
-        &self,
-        adj: &CsrMatrix,
-        input: &DenseMatrix,
-        ws: &mut Workspace,
-    ) -> Result<GatForward, NnError> {
-        self.forward_fused(adj, input, false, ws)
+        self.forward_fused(adj, input, false, &mut Workspace::new())
     }
 
     /// Forward pass applying bias — and, when `fuse_relu` is set, the
@@ -200,6 +184,30 @@ impl GatLayer {
         fuse_relu: bool,
         ws: &mut Workspace,
     ) -> Result<GatForward, NnError> {
+        self.forward_with(
+            Projection::F32(&self.weight.value),
+            adj,
+            input,
+            fuse_relu,
+            ws,
+        )
+    }
+
+    /// [`GatLayer::forward_fused`] with `W H` taken through `weight`
+    /// (see [`Projection`]); attention, softmax, aggregation, and the
+    /// fused bias/ReLU run the same f32 code on whatever came out.
+    ///
+    /// # Errors
+    ///
+    /// As [`GatLayer::forward`], plus a `weight` not `in_dim × out_dim`.
+    pub fn forward_with(
+        &self,
+        weight: Projection<'_>,
+        adj: &CsrMatrix,
+        input: &DenseMatrix,
+        fuse_relu: bool,
+        ws: &mut Workspace,
+    ) -> Result<GatForward, NnError> {
         if adj.rows() != input.rows() || adj.cols() != input.rows() {
             return Err(NnError::Linalg(linalg::LinalgError::ShapeMismatch {
                 op: "gat_forward",
@@ -209,16 +217,65 @@ impl GatLayer {
         }
         let n = input.rows();
         let mut wh = ws.take_for_overwrite(n, self.out_dim);
-        matmul_fused_into_ws(input, &self.weight.value, &mut wh, Epilogue::None, ws)?;
-        Ok(attention_aggregate(
-            adj,
+        weight.matmul_into(input, &mut wh, Epilogue::None, ws)?;
+        let (a_src, a_dst) = (self.attn_src.value.row(0), self.attn_dst.value.row(0));
+        let bias = self.bias.value.row(0);
+        // s_i = a_src · wh_i, t_j = a_dst · wh_j.
+        let s: Vec<f32> = (0..n)
+            .map(|i| wh.row(i).iter().zip(a_src).map(|(x, a)| x * a).sum())
+            .collect();
+        let t: Vec<f32> = (0..n)
+            .map(|j| wh.row(j).iter().zip(a_dst).map(|(x, a)| x * a).sum())
+            .collect();
+
+        let mut output = ws.take(n, self.out_dim);
+        let mut alpha = ws.take_for_overwrite(1, adj.nnz());
+        let mut pre = ws.take_for_overwrite(1, adj.nnz());
+        let mut offset = 0usize;
+        #[allow(clippy::needless_range_loop)] // i indexes adj rows and s in lockstep
+        for i in 0..n {
+            let (cols, _) = adj.row_entries(i);
+            let span = offset..offset + cols.len();
+            offset = span.end;
+            let row_pre = &mut pre.as_mut_slice()[span.clone()];
+            for (slot, &j) in row_pre.iter_mut().zip(cols) {
+                *slot = s[i] + t[j];
+            }
+            let row_post = &mut alpha.as_mut_slice()[span];
+            for (post, &e) in row_post.iter_mut().zip(row_pre.iter()) {
+                *post = if e >= 0.0 { e } else { LEAKY_SLOPE * e };
+            }
+            // Stable softmax over the neighbourhood.
+            let max = row_post.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
+            for v in row_post.iter_mut() {
+                *v = (*v - max).exp();
+                sum += *v;
+            }
+            if sum > 0.0 {
+                for v in row_post.iter_mut() {
+                    *v /= sum;
+                }
+            }
+            let orow = output.row_mut(i);
+            for (&j, &a) in cols.iter().zip(row_post.iter()) {
+                for (o, w) in orow.iter_mut().zip(wh.row(j)) {
+                    *o += a * w;
+                }
+            }
+            for (o, b) in orow.iter_mut().zip(bias) {
+                *o += b;
+                if fuse_relu {
+                    *o = o.max(0.0);
+                }
+            }
+        }
+        Ok(GatForward {
+            output,
             wh,
-            self.attn_src.value.row(0),
-            self.attn_dst.value.row(0),
-            self.bias.value.row(0),
-            fuse_relu,
-            ws,
-        ))
+            alpha,
+            pre,
+        })
     }
 
     /// Backward pass through attention, softmax, and projection; given
@@ -327,84 +384,6 @@ impl GatLayer {
         matmul_a_bt_into_ws(&d_wh, &self.weight.value, &mut d_input, ws)?;
         ws.give(d_wh);
         Ok(d_input)
-    }
-}
-
-/// Everything a GAT layer does *after* the projection: attention
-/// scores, LeakyReLU, neighbourhood softmax, weighted aggregation, and
-/// the fused bias/ReLU epilogue. Takes the projected features `wh` by
-/// value (they move into the returned cache).
-///
-/// Shared by [`GatLayer::forward_fused`] and the int8 path in
-/// [`crate::quantized`], so both precisions run the identical
-/// post-projection code on whatever `wh` they computed — the quantized
-/// forward differs from f32 only in the projection GEMM.
-pub(crate) fn attention_aggregate(
-    adj: &CsrMatrix,
-    wh: DenseMatrix,
-    a_src: &[f32],
-    a_dst: &[f32],
-    bias: &[f32],
-    fuse_relu: bool,
-    ws: &mut Workspace,
-) -> GatForward {
-    let n = wh.rows();
-    let out_dim = wh.cols();
-    // s_i = a_src · wh_i, t_j = a_dst · wh_j.
-    let s: Vec<f32> = (0..n)
-        .map(|i| wh.row(i).iter().zip(a_src).map(|(x, a)| x * a).sum())
-        .collect();
-    let t: Vec<f32> = (0..n)
-        .map(|j| wh.row(j).iter().zip(a_dst).map(|(x, a)| x * a).sum())
-        .collect();
-
-    let mut output = ws.take(n, out_dim);
-    let mut alpha = ws.take_for_overwrite(1, adj.nnz());
-    let mut pre = ws.take_for_overwrite(1, adj.nnz());
-    let mut offset = 0usize;
-    #[allow(clippy::needless_range_loop)] // i indexes adj rows and s in lockstep
-    for i in 0..n {
-        let (cols, _) = adj.row_entries(i);
-        let span = offset..offset + cols.len();
-        offset = span.end;
-        let row_pre = &mut pre.as_mut_slice()[span.clone()];
-        for (slot, &j) in row_pre.iter_mut().zip(cols) {
-            *slot = s[i] + t[j];
-        }
-        let row_post = &mut alpha.as_mut_slice()[span];
-        for (post, &e) in row_post.iter_mut().zip(row_pre.iter()) {
-            *post = if e >= 0.0 { e } else { LEAKY_SLOPE * e };
-        }
-        // Stable softmax over the neighbourhood.
-        let max = row_post.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row_post.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        if sum > 0.0 {
-            for v in row_post.iter_mut() {
-                *v /= sum;
-            }
-        }
-        let orow = output.row_mut(i);
-        for (&j, &a) in cols.iter().zip(row_post.iter()) {
-            for (o, w) in orow.iter_mut().zip(wh.row(j)) {
-                *o += a * w;
-            }
-        }
-        for (o, b) in orow.iter_mut().zip(bias) {
-            *o += b;
-            if fuse_relu {
-                *o = o.max(0.0);
-            }
-        }
-    }
-    GatForward {
-        output,
-        wh,
-        alpha,
-        pre,
     }
 }
 

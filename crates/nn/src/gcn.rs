@@ -1,7 +1,6 @@
-use crate::{glorot_uniform, NnError, Param};
+use crate::{glorot_uniform, NnError, Param, Projection};
 use linalg::{
-    matmul_a_bt_into_ws, matmul_at_b_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix,
-    Epilogue, Workspace,
+    matmul_a_bt_into_ws, matmul_at_b_into_ws, CsrMatrix, DenseMatrix, Epilogue, Workspace,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -11,9 +10,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// The forward pass never copies its input: [`GcnLayer::backward`]
 /// takes the layer input explicitly (training loops already own every
-/// layer's input), and [`GcnLayer::forward_ws`] additionally draws its
-/// output and scratch buffers from a [`Workspace`] so epochs reuse
-/// allocations instead of re-allocating per step.
+/// layer's input), and [`GcnLayer::forward_fused`] draws its output and
+/// scratch buffers from a [`Workspace`] so epochs reuse allocations
+/// instead of re-allocating per step.
 ///
 /// # Examples
 ///
@@ -118,30 +117,16 @@ impl GcnLayer {
         self.forward_fused(adj, input, false, &mut Workspace::new())
     }
 
-    /// Forward pass drawing the projection scratch (`H W`), the output,
-    /// and the GEMM packing buffers from `ws`, so a training loop that
-    /// gives buffers back each epoch runs allocation-free in steady
-    /// state.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GcnLayer::forward`].
-    pub fn forward_ws(
-        &self,
-        adj: &CsrMatrix,
-        input: &DenseMatrix,
-        ws: &mut Workspace,
-    ) -> Result<GcnForward, NnError> {
-        self.forward_fused(adj, input, false, ws)
-    }
-
     /// Forward pass with the bias — and, when `fuse_relu` is set, the
     /// ReLU activation — fused into the sparse aggregation's epilogue,
     /// so no separate broadcast or activation pass touches the output.
     ///
     /// With `fuse_relu` the returned output is *post-activation*; the
     /// network containers feed it to the next layer directly instead of
-    /// copying and ReLU-ing it.
+    /// copying and ReLU-ing it. The projection scratch (`H W`), the
+    /// output, and the GEMM packing buffers come from `ws`, so a
+    /// training loop that gives buffers back each epoch runs
+    /// allocation-free in steady state.
     ///
     /// # Errors
     ///
@@ -153,8 +138,31 @@ impl GcnLayer {
         fuse_relu: bool,
         ws: &mut Workspace,
     ) -> Result<GcnForward, NnError> {
+        self.forward_with(
+            Projection::F32(&self.weight.value),
+            adj,
+            input,
+            fuse_relu,
+            ws,
+        )
+    }
+
+    /// [`GcnLayer::forward_fused`] with `H W` taken through `weight`
+    /// (see [`Projection`]); bias and aggregation are this layer's.
+    ///
+    /// # Errors
+    ///
+    /// As [`GcnLayer::forward`], plus a `weight` not `in_dim × out_dim`.
+    pub fn forward_with(
+        &self,
+        weight: Projection<'_>,
+        adj: &CsrMatrix,
+        input: &DenseMatrix,
+        fuse_relu: bool,
+        ws: &mut Workspace,
+    ) -> Result<GcnForward, NnError> {
         let mut xw = ws.take_for_overwrite(input.rows(), self.out_dim);
-        matmul_fused_into_ws(input, &self.weight.value, &mut xw, Epilogue::None, ws)?;
+        weight.matmul_into(input, &mut xw, Epilogue::None, ws)?;
         let bias = self.bias.value.row(0);
         let epilogue = if fuse_relu {
             Epilogue::BiasRelu(bias)

@@ -15,10 +15,10 @@
 //!   full-batch training loop, parameter counting (the `θ` columns of
 //!   Table II), and per-layer embedding export (needed by the rectifier
 //!   taps and by the link-stealing attack surface),
-//! - [`quantized`]: int8 serving mirrors of every forward-only layer
-//!   ([`QuantizedConvLayer`], [`QuantizedGcnNetwork`], …) that swap
-//!   only the projection GEMM for the quantized path and share all
-//!   surrounding f32 code with their f32 counterparts.
+//! - [`Projection`]: the borrowed weight view (`F32` or `Int8`) every
+//!   layer's `forward_with` takes, so int8 serving is the *same*
+//!   layers handed quantized codes of their weights — precision is data
+//!   a caller holds beside the f32 model, not a second type hierarchy.
 //!
 //! # Examples
 //!
@@ -54,7 +54,7 @@ pub mod loss;
 mod network;
 mod optim;
 mod param;
-pub mod quantized;
+mod projection;
 mod sage;
 
 pub use conv::{ConvForward, ConvKind, ConvLayer};
@@ -66,8 +66,5 @@ pub use init::glorot_uniform;
 pub use network::{GcnNetwork, MlpNetwork, TrainConfig, TrainReport};
 pub use optim::Adam;
 pub use param::Param;
-pub use quantized::{
-    QuantizedConvLayer, QuantizedDenseLayer, QuantizedGatLayer, QuantizedGcnLayer,
-    QuantizedGcnNetwork, QuantizedMlpNetwork, QuantizedSageLayer,
-};
+pub use projection::{check_int8_count, Projection};
 pub use sage::{SageForward, SageLayer};

@@ -1,7 +1,6 @@
-use crate::{glorot_uniform, NnError, Param};
+use crate::{glorot_uniform, NnError, Param, Projection};
 use linalg::{
-    matmul_a_bt_into_ws, matmul_at_b_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix,
-    Epilogue, Workspace,
+    matmul_a_bt_into_ws, matmul_at_b_into_ws, CsrMatrix, DenseMatrix, Epilogue, Workspace,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -101,23 +100,7 @@ impl SageLayer {
     ///
     /// Returns [`NnError::Linalg`] on shape inconsistencies.
     pub fn forward(&self, adj: &CsrMatrix, input: &DenseMatrix) -> Result<SageForward, NnError> {
-        self.forward_ws(adj, input, &mut Workspace::new())
-    }
-
-    /// Forward pass drawing the aggregation scratch, the concatenated
-    /// input, the output, and the GEMM packing buffers from `ws` (see
-    /// [`crate::GcnLayer::forward_ws`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SageLayer::forward`].
-    pub fn forward_ws(
-        &self,
-        adj: &CsrMatrix,
-        input: &DenseMatrix,
-        ws: &mut Workspace,
-    ) -> Result<SageForward, NnError> {
-        self.forward_fused(adj, input, false, ws)
+        self.forward_fused(adj, input, false, &mut Workspace::new())
     }
 
     /// Forward pass with the bias — and, when `fuse_relu` is set, the
@@ -129,6 +112,30 @@ impl SageLayer {
     /// Same conditions as [`SageLayer::forward`].
     pub fn forward_fused(
         &self,
+        adj: &CsrMatrix,
+        input: &DenseMatrix,
+        fuse_relu: bool,
+        ws: &mut Workspace,
+    ) -> Result<SageForward, NnError> {
+        self.forward_with(
+            Projection::F32(&self.weight.value),
+            adj,
+            input,
+            fuse_relu,
+            ws,
+        )
+    }
+
+    /// [`SageLayer::forward_fused`] with `[H ‖ Ā H] W` taken through
+    /// `weight` (see [`Projection`]); aggregation and concatenation
+    /// stay f32.
+    ///
+    /// # Errors
+    ///
+    /// As [`SageLayer::forward`], plus a `weight` not `2·in_dim × out_dim`.
+    pub fn forward_with(
+        &self,
+        weight: Projection<'_>,
         adj: &CsrMatrix,
         input: &DenseMatrix,
         fuse_relu: bool,
@@ -146,7 +153,7 @@ impl SageLayer {
             Epilogue::Bias(bias)
         };
         let mut output = ws.take_for_overwrite(input.rows(), self.out_dim);
-        matmul_fused_into_ws(&concat, &self.weight.value, &mut output, epilogue, ws)?;
+        weight.matmul_into(&concat, &mut output, epilogue, ws)?;
         Ok(SageForward {
             output,
             cached_concat: concat,
