@@ -26,12 +26,11 @@ use graph::partition::PartitionSpec;
 use graph::{normalization, substitute, Graph};
 use linalg::{
     available_kernel_variants, detected_cpu_features, gemm_into_ws_with_variant, kernel_variant,
-    matmul_a_bt, matmul_at_b, matmul_fused, matmul_naive, matmul_packed, matmul_quantized_into,
-    matmul_quantized_into_with_variant, matmul_threaded, pairwise, DenseMatrix, Epilogue, GemmOp,
-    GemmStrategy, QuantizedMatrix, SpmmStrategy, Workspace,
+    matmul_a_bt, matmul_at_b, matmul_fused, matmul_naive, matmul_packed, matmul_threaded, pairwise,
+    DenseMatrix, Epilogue, GemmOp, GemmStrategy, SpmmStrategy, Workspace,
 };
 use nn::{GcnNetwork, TrainConfig};
-use serve::{BatchPolicy, Precision, ServeConfig, ServingEngine, Topology};
+use serve::{BatchPolicy, ServeConfig, ServingEngine, Topology};
 
 /// Bytes moved by one `m×k · k×n` GEMM call (read A and B, write C).
 fn gemm_bytes(m: usize, k: usize, n: usize) -> u64 {
@@ -143,40 +142,6 @@ fn bench_gemm_dispatch(c: &mut Criterion) {
                     &mut ws,
                 )
                 .expect("gemm")
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Bytes moved by one quantized `m×k · k×n` product: f32 activations in
-/// and out, i8 weight codes, one f32 scale per output channel.
-fn gemm_quantized_bytes(m: usize, k: usize, n: usize) -> u64 {
-    ((m * k + m * n + n) * std::mem::size_of::<f32>() + k * n) as u64
-}
-
-fn bench_gemm_quantized(c: &mut Criterion) {
-    // The int8 serving kernel on the same 256³ shape as `gemm_256`:
-    // per-row activation quantization, i32 dot products through each
-    // variant's `dot_i8`, f32 dequant at the epilogue. The `f32_packed`
-    // row is the apples-to-apples float baseline.
-    let a = random_matrix(256, 256, 1);
-    let wf = random_matrix(256, 256, 2);
-    let w = QuantizedMatrix::quantize(&wf);
-    let mut out = DenseMatrix::zeros(256, 256);
-    let mut group = c.benchmark_group("gemm_quantized");
-    group.throughput(Throughput::Bytes(gemm_quantized_bytes(256, 256, 256)));
-    group.bench_function("f32_packed", |bencher| {
-        bencher.iter(|| matmul_packed(&a, &wf).expect("gemm"))
-    });
-    group.bench_function(format!("int8_dispatched_{}", kernel_variant()), |bencher| {
-        bencher.iter(|| matmul_quantized_into(&a, &w, &mut out, Epilogue::None).expect("gemm"))
-    });
-    for variant in available_kernel_variants() {
-        group.bench_function(format!("int8_{}", variant.label()), |bencher| {
-            bencher.iter(|| {
-                matmul_quantized_into_with_variant(variant, &a, &w, &mut out, Epilogue::None)
-                    .expect("gemm")
             })
         });
     }
@@ -565,67 +530,6 @@ fn bench_serving_partitioned(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_serving_quantized(c: &mut Criterion) {
-    // f32 vs int8 through the *full* engine: the identical 256-query
-    // stream of `serving_sharded` at one shard, with the engine started
-    // under each `ServeConfig::precision`. Sealed snapshot bytes per
-    // mode are printed once — the int8 form must undercut f32 (that is
-    // the EPC/wire saving the quantized path exists for); labels are
-    // identical by the conformance suite, so the rows differ only in
-    // arithmetic (i8 dot products vs f32 FMA) and resident bytes.
-    const QUERIES: usize = 256;
-    let (vault, x) = serving_vault(512);
-    let f32_bytes = vault.snapshot().sealed_nbytes();
-    let mut probe = vault.spawn_replica().expect("replica");
-    probe.set_precision(Precision::Int8).expect("quantize");
-    let int8_bytes = probe.snapshot().sealed_nbytes();
-    eprintln!(
-        "serving_quantized: sealed snapshot {f32_bytes} bytes (f32) \
-         vs {int8_bytes} bytes (int8)"
-    );
-    assert!(
-        int8_bytes < f32_bytes,
-        "the int8 snapshot must seal strictly fewer bytes than f32"
-    );
-    let mut group = c.benchmark_group("serving_quantized");
-    group.throughput(Throughput::Bytes(
-        (QUERIES * 2 * std::mem::size_of::<u64>()) as u64,
-    ));
-    for precision in Precision::ALL {
-        let engine = ServingEngine::start(
-            vault.spawn_replica().expect("replica"),
-            x.clone(),
-            ServeConfig {
-                policy: BatchPolicy {
-                    max_batch_nodes: 64,
-                    max_delay: std::time::Duration::from_millis(1),
-                    max_queue_requests: 8192,
-                    ..BatchPolicy::default()
-                },
-                sessions: 2,
-                cache_capacity: 0,
-                shards: 1,
-                precision,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("engine start");
-        let handle = engine.handle();
-        group.bench_function(precision.label(), |bencher| {
-            bencher.iter(|| {
-                let tickets: Vec<_> = (0..QUERIES)
-                    .map(|i| handle.submit_one((i * 97) % 512).expect("admission"))
-                    .collect();
-                for ticket in tickets {
-                    ticket.wait().expect("inference");
-                }
-            })
-        });
-        engine.shutdown();
-    }
-    group.finish();
-}
-
 fn bench_client_storm(c: &mut Criterion) {
     // Tail latency of a client hammering already-hot nodes, measured in
     // latency mode (every submit→wait round trip timed individually, so
@@ -714,7 +618,6 @@ criterion_group!(
     record_machine_metadata,
     bench_gemm,
     bench_gemm_dispatch,
-    bench_gemm_quantized,
     bench_gemm_packed,
     bench_train_epoch,
     bench_spmm,
@@ -726,7 +629,6 @@ criterion_group!(
     bench_serving_batch,
     bench_serving_sharded,
     bench_serving_partitioned,
-    bench_serving_quantized,
     bench_client_storm
 );
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 use crate::{SubstituteKind, VaultError};
 use graph::{normalization, Graph};
-use linalg::{CsrMatrix, DenseMatrix, QuantizedMatrix};
+use linalg::{CsrMatrix, DenseMatrix};
 use nn::{GcnNetwork, MlpNetwork, TrainConfig};
 use serde::{Deserialize, Serialize};
 
@@ -104,24 +104,13 @@ impl Backbone {
     ///
     /// Returns [`VaultError::Nn`] on shape inconsistencies.
     pub fn embeddings(&self, features: &DenseMatrix) -> Result<Vec<DenseMatrix>, VaultError> {
-        self.embeddings_at(features, None)
-    }
-
-    /// [`Backbone::embeddings`] at the vault's serving precision: with
-    /// `int8`, the same public data path runs each layer's product
-    /// through its quantized weight (see [`nn::Projection`]).
-    pub(crate) fn embeddings_at(
-        &self,
-        features: &DenseMatrix,
-        int8: Option<&[QuantizedMatrix]>,
-    ) -> Result<Vec<DenseMatrix>, VaultError> {
         Ok(match self {
             Backbone::Gcn {
                 network,
                 substitute_adj,
                 ..
-            } => network.forward_embeddings_at(substitute_adj, features, int8)?,
-            Backbone::Mlp { network } => network.forward_embeddings_at(features, int8)?,
+            } => network.forward_embeddings(substitute_adj, features)?,
+            Backbone::Mlp { network } => network.forward_embeddings(features)?,
         })
     }
 
@@ -178,24 +167,6 @@ impl Backbone {
                 substitute_graph, ..
             } => Some(substitute_graph),
             Backbone::Mlp { .. } => None,
-        }
-    }
-
-    /// Int8 codes of every layer's weight, in layer order — the
-    /// backbone half of an int8 deployment's data.
-    pub(crate) fn quantize_projections(&self) -> Vec<QuantizedMatrix> {
-        let quantize = |w: &nn::Param| QuantizedMatrix::quantize(&w.value);
-        match self {
-            Backbone::Gcn { network, .. } => network
-                .layers()
-                .iter()
-                .map(|l| quantize(l.weight()))
-                .collect(),
-            Backbone::Mlp { network } => network
-                .layers()
-                .iter()
-                .map(|l| quantize(l.weight()))
-                .collect(),
         }
     }
 }

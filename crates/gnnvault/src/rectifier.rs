@@ -1,6 +1,6 @@
 use crate::VaultError;
-use linalg::{ops, CsrMatrix, DenseMatrix, QuantizedMatrix, Workspace};
-use nn::{loss, Adam, ConvForward, ConvKind, ConvLayer, Projection, TrainConfig};
+use linalg::{ops, CsrMatrix, DenseMatrix, Workspace};
+use nn::{loss, Adam, ConvForward, ConvKind, ConvLayer, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -417,21 +417,6 @@ impl Rectifier {
         backbone_embeddings: &[DenseMatrix],
         ws: &mut Workspace,
     ) -> Result<RectifierForward, VaultError> {
-        self.forward_at(real_adj, backbone_embeddings, None, ws)
-    }
-
-    /// [`Rectifier::forward_ws`] at the vault's serving precision: with
-    /// `int8`, layer `i`'s product runs through `int8[i]` (codes of that
-    /// layer's weight, see [`nn::Projection`]). Wiring, tap resolution,
-    /// and the fused bias/ReLU schedule are this one loop's at either
-    /// precision, so the two cannot drift.
-    pub(crate) fn forward_at(
-        &self,
-        real_adj: &CsrMatrix,
-        backbone_embeddings: &[DenseMatrix],
-        int8: Option<&[QuantizedMatrix]>,
-        ws: &mut Workspace,
-    ) -> Result<RectifierForward, VaultError> {
         if backbone_embeddings.len() != self.backbone_dims.len() {
             return Err(VaultError::InvalidConfig {
                 reason: format!(
@@ -441,43 +426,23 @@ impl Rectifier {
                 ),
             });
         }
-        nn::check_int8_count(int8, self.layers.len())?;
         let last = self.layers.len() - 1;
         let mut caches: Vec<ConvForward> = Vec::with_capacity(self.layers.len());
         let mut inputs = Vec::with_capacity(self.layers.len());
         for (i, layer) in self.layers.iter().enumerate() {
             let prev = caches.last().map(ConvForward::output);
             let stored = self.layer_input(i, backbone_embeddings, prev, ws)?;
-            let weight = Projection::select(&layer.weight().value, int8, i);
             let cache = {
                 let input = stored.resolve(i, backbone_embeddings, &caches);
                 // Hidden layers fuse bias + ReLU into the layer's
                 // output epilogue, so the cached output *is* the
                 // activation — no copy, no separate ReLU pass.
-                layer.forward_with(weight, real_adj, input, i != last, ws)?
+                layer.forward_fused(real_adj, input, i != last, ws)?
             };
             caches.push(cache);
             inputs.push(stored);
         }
         Ok(RectifierForward { caches, inputs })
-    }
-
-    /// Int8 codes of every layer's projection weight, in layer order —
-    /// the rectifier half of an int8 deployment's data.
-    pub(crate) fn quantize_projections(&self) -> Vec<QuantizedMatrix> {
-        self.layers
-            .iter()
-            .map(|l| QuantizedMatrix::quantize(&l.weight().value))
-            .collect()
-    }
-
-    /// Parameter bytes resident in the enclave when the projection
-    /// weights are held as `int8` codes: codes + scales, plus the f32
-    /// biases and attention vectors that stay with the layers.
-    pub(crate) fn nbytes_at(&self, int8: &[QuantizedMatrix]) -> usize {
-        let f32_weights: usize = self.layers.iter().map(|l| l.weight().len()).sum();
-        let codes: usize = int8.iter().map(QuantizedMatrix::nbytes).sum();
-        self.nbytes() - f32_weights * std::mem::size_of::<f32>() + codes
     }
 
     /// Trains the rectifier on frozen backbone embeddings with masked

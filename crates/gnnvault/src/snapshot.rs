@@ -51,10 +51,14 @@
 //! A *projection* is the one slot the int8 flag changes: an f32 matrix
 //! when the flag is clear, `out_dim u64 | in_dim u64 | i8 codes | f32
 //! per-channel scales` when it is set. Biases, attention vectors, and
-//! graphs are f32/exact in both. Codes and scales are stored *verbatim*
-//! (never re-derived on restore), so replicas of an int8 snapshot serve
-//! bit-identically to their source and re-snapshot to identical bytes;
-//! the f32 layers are rebuilt from the dequantized weights.
+//! graphs are f32/exact in both. Int8 is this codec's business alone:
+//! it quantizes a weight when it writes the slot and dequantizes it
+//! when it reads one, and nothing downstream ever sees a code. An int8
+//! vault's weights already sit on the int8 grid
+//! ([`Vault::set_precision`](crate::Vault::set_precision)), where
+//! `quantize∘dequantize` is a fixed point (see
+//! [`linalg::QuantizedMatrix`]), so replicas of an int8 snapshot serve
+//! bit-identically to their source and re-snapshot to identical bytes.
 //!
 //! A *partition image*
 //! ([`Vault::snapshot_partition`](crate::Vault::snapshot_partition))
@@ -66,12 +70,11 @@
 //! vault, because the closure spans the rectifier's receptive field and
 //! normalization uses the original degrees.
 
-use crate::vault::Int8Projections;
-use crate::{Backbone, Rectifier, RectifierKind, SubstituteKind, VaultError};
+use crate::{Backbone, Precision, Rectifier, RectifierKind, SubstituteKind, VaultError};
 use graph::partition::GraphPartition;
 use graph::Graph;
 use linalg::{DenseMatrix, QuantizedMatrix};
-use nn::{ConvKind, GcnNetwork, MlpNetwork, Projection};
+use nn::{ConvKind, GcnNetwork, MlpNetwork};
 use tee::{CostModel, OverBudgetPolicy, Sealed};
 
 /// Format marker at offset 0 of every snapshot payload.
@@ -231,9 +234,9 @@ pub(crate) struct Header<'a> {
     pub policy: OverBudgetPolicy,
     pub backbone: &'a Backbone,
     pub rectifier: &'a Rectifier,
-    /// `Some` sets the int8 flag: projections are written as these
-    /// stored codes instead of the layers' f32 weights.
-    pub int8: Option<&'a Int8Projections>,
+    /// `Int8` sets the int8 flag: projections are written as codes of
+    /// the layers' weights instead of the weights themselves.
+    pub precision: Precision,
 }
 
 /// How much of the private graph an image carries.
@@ -257,10 +260,9 @@ pub(crate) struct Deployment {
     pub policy: OverBudgetPolicy,
     pub backbone: Backbone,
     pub rectifier: Rectifier,
-    /// `Some` for an int8 deployment: the projection codes. Decoded
-    /// from a payload they are verbatim, and the f32
-    /// `backbone`/`rectifier` then hold the dequantized weights.
-    pub int8: Option<Int8Projections>,
+    /// The sealed form. Decoded from an int8 payload, `backbone` and
+    /// `rectifier` hold the dequantized weights.
+    pub precision: Precision,
     pub real_graph: Graph,
     pub partition: Option<PartitionMaps>,
 }
@@ -333,10 +335,11 @@ impl Writer {
     }
 
     /// The one slot whose form the int8 flag selects.
-    fn put_projection(&mut self, p: Projection<'_>) {
-        match p {
-            Projection::F32(m) => self.put_matrix(m),
-            Projection::Int8(q) => {
+    fn put_projection(&mut self, weight: &DenseMatrix, precision: Precision) {
+        match precision {
+            Precision::F32 => self.put_matrix(weight),
+            Precision::Int8 => {
+                let q = QuantizedMatrix::quantize(weight);
                 self.put_usize(q.out_dim());
                 self.put_usize(q.in_dim());
                 for &c in q.data() {
@@ -442,7 +445,12 @@ impl<'a> Reader<'a> {
         DenseMatrix::from_vec(rows, cols, data).map_err(|e| bad(e.to_string()))
     }
 
-    fn get_qmatrix(&mut self) -> Result<QuantizedMatrix, VaultError> {
+    /// An int8 slot, dequantized. Only values
+    /// [`QuantizedMatrix::quantize`] writes are accepted: a code of
+    /// -128, or a scale that is negative, subnormal or not finite, is a
+    /// forgery — as is a scale so large its grid leaves the finite
+    /// range, which would hand `install` `inf`/`NaN` weights.
+    fn get_qmatrix(&mut self) -> Result<DenseMatrix, VaultError> {
         let out_dim = self.get_count(4, "channel")?;
         let in_dim = self.get_usize()?;
         let n = out_dim
@@ -450,32 +458,43 @@ impl<'a> Reader<'a> {
             .filter(|&n| n <= self.buf.len())
             .ok_or_else(|| bad("implausible quantized matrix dimensions"))?;
         let data: Vec<i8> = self.take(n)?.iter().map(|&b| b as i8).collect();
+        if data.contains(&i8::MIN) {
+            return Err(bad("int8 code -128 is outside the symmetric range"));
+        }
         let mut scales = Vec::with_capacity(out_dim);
         for _ in 0..out_dim {
-            scales.push(self.get_f32()?);
+            let scale = self.get_f32()?;
+            let writable = scale.is_sign_positive() && (scale == 0.0 || scale.is_normal());
+            if !writable {
+                return Err(bad(format!(
+                    "int8 channel scale {scale:e} is not one the codec writes"
+                )));
+            }
+            scales.push(scale);
         }
-        QuantizedMatrix::from_parts(out_dim, in_dim, data, scales).map_err(|e| bad(e.to_string()))
+        let weight = QuantizedMatrix::from_parts(out_dim, in_dim, data, scales)
+            .map_err(|e| bad(e.to_string()))?
+            .dequantize();
+        if weight.as_slice().iter().any(|w| !w.is_finite()) {
+            return Err(bad("int8 slot dequantizes to a non-finite weight"));
+        }
+        Ok(weight)
     }
 
-    /// Reads a projection slot in the form the int8 flag selects:
-    /// the f32 weight a layer is restored with (dequantized for an int8
-    /// slot) plus the verbatim codes. An empty weight is rejected — a
-    /// `0 × n` matrix costs the payload nothing, so its `n` would be
-    /// the one dimension the payload's length does not bound.
-    fn get_projection(
-        &mut self,
-        int8: bool,
-    ) -> Result<(DenseMatrix, Option<QuantizedMatrix>), VaultError> {
-        let (weight, codes) = if int8 {
-            let codes = self.get_qmatrix()?;
-            (codes.dequantize(), Some(codes))
-        } else {
-            (self.get_matrix()?, None)
+    /// Reads a projection slot in the form the int8 flag selects and
+    /// returns the f32 weight a layer is restored with. An empty weight
+    /// is rejected — a `0 × n` matrix costs the payload nothing, so its
+    /// `n` would be the one dimension the payload's length does not
+    /// bound.
+    fn get_projection(&mut self, precision: Precision) -> Result<DenseMatrix, VaultError> {
+        let weight = match precision {
+            Precision::F32 => self.get_matrix()?,
+            Precision::Int8 => self.get_qmatrix()?,
         };
         if weight.rows() == 0 || weight.cols() == 0 {
             return Err(bad("projection weight has no elements"));
         }
-        Ok((weight, codes))
+        Ok(weight)
     }
 
     fn get_graph(&mut self) -> Result<Graph, VaultError> {
@@ -502,7 +521,10 @@ pub(crate) fn encode(h: &Header<'_>, scope: &Scope<'_>) -> Vec<u8> {
         Scope::Full(graph) => (0, graph.num_nodes()),
         Scope::Partition(maps, _) => (FLAG_PARTITION, maps.num_global_nodes),
     };
-    w.put_u8(partition_flag | if h.int8.is_some() { FLAG_INT8 } else { 0 });
+    w.put_u8(match h.precision {
+        Precision::F32 => partition_flag,
+        Precision::Int8 => partition_flag | FLAG_INT8,
+    });
     w.put_u64(h.epoch);
     w.put_usize(num_global_nodes);
 
@@ -516,8 +538,8 @@ pub(crate) fn encode(h: &Header<'_>, scope: &Scope<'_>) -> Vec<u8> {
         OverBudgetPolicy::Fail => 1,
     });
 
-    encode_backbone(&mut w, h.backbone, h.int8.map(|q| q.backbone.as_slice()));
-    encode_rectifier(&mut w, h.rectifier, h.int8.map(|q| q.rectifier.as_slice()));
+    encode_backbone(&mut w, h.backbone, h.precision);
+    encode_rectifier(&mut w, h.rectifier, h.precision);
 
     match scope {
         Scope::Full(graph) => w.put_graph(graph),
@@ -533,7 +555,7 @@ pub(crate) fn encode(h: &Header<'_>, scope: &Scope<'_>) -> Vec<u8> {
     w.buf
 }
 
-fn encode_backbone(w: &mut Writer, backbone: &Backbone, int8: Option<&[QuantizedMatrix]>) {
+fn encode_backbone(w: &mut Writer, backbone: &Backbone, precision: Precision) {
     // Both architectures store a sequential network as per-layer
     // `(weight, bias)` values behind their own tag and preamble.
     let (input_dim, layers): (usize, Vec<_>) = match backbone {
@@ -563,15 +585,15 @@ fn encode_backbone(w: &mut Writer, backbone: &Backbone, int8: Option<&[Quantized
     };
     w.put_usize(input_dim);
     w.put_usize(layers.len());
-    for (i, (weight, bias)) in layers.into_iter().enumerate() {
+    for (weight, bias) in layers {
         w.put_usize(weight.value.rows());
         w.put_usize(weight.value.cols());
-        w.put_projection(Projection::select(&weight.value, int8, i));
+        w.put_projection(&weight.value, precision);
         w.put_matrix(&bias.value);
     }
 }
 
-fn encode_rectifier(w: &mut Writer, rectifier: &Rectifier, int8: Option<&[QuantizedMatrix]>) {
+fn encode_rectifier(w: &mut Writer, rectifier: &Rectifier, precision: Precision) {
     w.put_u8(match rectifier.kind() {
         RectifierKind::Parallel => 0,
         RectifierKind::Cascaded => 1,
@@ -585,15 +607,37 @@ fn encode_rectifier(w: &mut Writer, rectifier: &Rectifier, int8: Option<&[Quanti
     w.put_usizes(rectifier.backbone_dims());
     w.put_usizes(&rectifier.channel_dims());
     w.put_usizes(&rectifier.tap_indices());
-    for (i, layer) in rectifier.layers().iter().enumerate() {
+    for layer in rectifier.layers() {
         // Param 0 is the projection weight for every conv kind; the
         // rest (bias, attention vectors) are f32 in either form.
         let params = layer.params();
         w.put_usize(params.len());
-        w.put_projection(Projection::select(&params[0].value, int8, i));
+        w.put_projection(&params[0].value, precision);
         for p in &params[1..] {
             w.put_matrix(&p.value);
         }
+    }
+}
+
+/// Moves every weight [`encode`] writes through a projection slot onto
+/// its int8 grid: the value an int8 slot written from it restores to.
+/// An int8 vault holds only grid weights, so its answers are those of
+/// every replica of its images.
+pub(crate) fn snap_to_int8_grid(backbone: &mut Backbone, rectifier: &mut Rectifier) {
+    let snap = |p: &mut nn::Param| p.value = QuantizedMatrix::quantize(&p.value).dequantize();
+    match backbone {
+        Backbone::Gcn { network, .. } => {
+            let layers = network.layers_mut().iter_mut();
+            layers.for_each(|l| snap(l.weight_mut()));
+        }
+        Backbone::Mlp { network } => {
+            let layers = network.layers_mut().iter_mut();
+            layers.for_each(|l| snap(l.weight_mut()));
+        }
+    }
+    for layer in rectifier.layers_mut() {
+        // Param 0, as in `encode_rectifier`.
+        snap(layer.params_mut().swap_remove(0));
     }
 }
 
@@ -631,7 +675,11 @@ pub(crate) fn decode(payload: &[u8]) -> Result<Deployment, VaultError> {
     if flags & !(FLAG_PARTITION | FLAG_INT8) != 0 {
         return Err(bad(format!("undefined flag bits in {flags:#010b}")));
     }
-    let int8 = flags & FLAG_INT8 != 0;
+    let precision = if flags & FLAG_INT8 != 0 {
+        Precision::Int8
+    } else {
+        Precision::F32
+    };
     let epoch = r.get_u64()?;
     let num_global_nodes = r.get_usize()?;
 
@@ -649,8 +697,8 @@ pub(crate) fn decode(payload: &[u8]) -> Result<Deployment, VaultError> {
         t => return Err(bad(format!("unknown over-budget policy tag {t}"))),
     };
 
-    let (backbone, backbone_codes) = decode_backbone(&mut r, int8)?;
-    let (rectifier, rectifier_codes) = decode_rectifier(&mut r, &backbone, int8)?;
+    let backbone = decode_backbone(&mut r, precision)?;
+    let rectifier = decode_rectifier(&mut r, &backbone, precision)?;
 
     let (real_graph, partition) = if flags & FLAG_PARTITION != 0 {
         decode_partition_scope(&mut r, num_global_nodes)?
@@ -673,10 +721,7 @@ pub(crate) fn decode(payload: &[u8]) -> Result<Deployment, VaultError> {
         policy,
         backbone,
         rectifier,
-        int8: int8.then_some(Int8Projections {
-            backbone: backbone_codes,
-            rectifier: rectifier_codes,
-        }),
+        precision,
         real_graph,
         partition,
     })
@@ -762,37 +807,33 @@ fn expect_shape(
     Ok(())
 }
 
-fn decode_backbone(
-    r: &mut Reader<'_>,
-    int8: bool,
-) -> Result<(Backbone, Vec<QuantizedMatrix>), VaultError> {
+fn decode_backbone(r: &mut Reader<'_>, precision: Precision) -> Result<Backbone, VaultError> {
     Ok(match r.get_u8()? {
         0 => {
             let kind = decode_substitute_kind(r)?;
             let substitute_graph = r.get_graph()?;
-            let net = decode_network(r, int8)?;
+            let net = decode_network(r, precision)?;
             let mut network = GcnNetwork::new(net.input_dim, &net.channels, 0)?;
             for (layer, (weight, bias)) in network.layers_mut().iter_mut().zip(net.params) {
                 restore_value(layer.weight_mut(), weight, "backbone weight")?;
                 restore_value(layer.bias_mut(), bias, "backbone bias")?;
             }
             let substitute_adj = graph::normalization::gcn_normalize(&substitute_graph);
-            let backbone = Backbone::Gcn {
+            Backbone::Gcn {
                 network,
                 substitute_graph,
                 substitute_adj,
                 kind,
-            };
-            (backbone, net.codes)
+            }
         }
         1 => {
-            let net = decode_network(r, int8)?;
+            let net = decode_network(r, precision)?;
             let mut network = MlpNetwork::new(net.input_dim, &net.channels, 0)?;
             for (layer, (weight, bias)) in network.layers_mut().iter_mut().zip(net.params) {
                 restore_value(layer.weight_mut(), weight, "backbone weight")?;
                 restore_value(layer.bias_mut(), bias, "backbone bias")?;
             }
-            (Backbone::Mlp { network }, net.codes)
+            Backbone::Mlp { network }
         }
         t => return Err(bad(format!("unknown backbone tag {t}"))),
     })
@@ -801,8 +842,8 @@ fn decode_backbone(
 fn decode_rectifier(
     r: &mut Reader<'_>,
     backbone: &Backbone,
-    int8: bool,
-) -> Result<(Rectifier, Vec<QuantizedMatrix>), VaultError> {
+    precision: Precision,
+) -> Result<Rectifier, VaultError> {
     let kind = match r.get_u8()? {
         0 => RectifierKind::Parallel,
         1 => RectifierKind::Cascaded,
@@ -826,16 +867,13 @@ fn decode_rectifier(
 
     // Read every layer's matrices before constructing anything, so the
     // declared `channels` can be held against them.
-    let mut codes = Vec::new();
     let mut layer_values = Vec::with_capacity(channels.len());
     for _ in &channels {
         let count = r.get_count(16, "rectifier parameter")?;
         if count == 0 {
             return Err(bad("rectifier layer has no parameters"));
         }
-        let (weight, q) = r.get_projection(int8)?;
-        codes.extend(q);
-        let mut values = vec![weight];
+        let mut values = vec![r.get_projection(precision)?];
         for _ in 1..count {
             values.push(r.get_matrix()?);
         }
@@ -879,7 +917,7 @@ fn decode_rectifier(
             restore_value(p, value, "rectifier parameter")?;
         }
     }
-    Ok((rectifier, codes))
+    Ok(rectifier)
 }
 
 fn decode_substitute_kind(r: &mut Reader<'_>) -> Result<SubstituteKind, VaultError> {
@@ -895,24 +933,22 @@ fn decode_substitute_kind(r: &mut Reader<'_>) -> Result<SubstituteKind, VaultErr
     })
 }
 
-/// One decoded sequential network: its architecture, per-layer
+/// One decoded sequential network: its architecture and per-layer
 /// `(weight, bias)` values (the weight dequantized for an int8
-/// payload), and the verbatim int8 codes (empty for an f32 payload).
+/// payload).
 struct DecodedNetwork {
     input_dim: usize,
     channels: Vec<usize>,
     params: Vec<(DenseMatrix, DenseMatrix)>,
-    codes: Vec<QuantizedMatrix>,
 }
 
-fn decode_network(r: &mut Reader<'_>, int8: bool) -> Result<DecodedNetwork, VaultError> {
+fn decode_network(r: &mut Reader<'_>, precision: Precision) -> Result<DecodedNetwork, VaultError> {
     let input_dim = r.get_usize()?;
     let num_layers = r.get_count(8, "layer")?;
     let mut net = DecodedNetwork {
         input_dim,
         channels: Vec::with_capacity(num_layers),
         params: Vec::with_capacity(num_layers),
-        codes: Vec::new(),
     };
     let mut prev = input_dim;
     for _ in 0..num_layers {
@@ -923,13 +959,12 @@ fn decode_network(r: &mut Reader<'_>, int8: bool) -> Result<DecodedNetwork, Vaul
                 "layer input width {in_dim} does not chain from previous width {prev}"
             )));
         }
-        let (weight, q) = r.get_projection(int8)?;
+        let weight = r.get_projection(precision)?;
         expect_shape("backbone weight", (in_dim, out_dim), &weight)?;
         let bias = r.get_matrix()?;
         expect_shape("backbone bias", (1, out_dim), &bias)?;
         net.channels.push(out_dim);
         net.params.push((weight, bias));
-        net.codes.extend(q);
         prev = out_dim;
     }
     Ok(net)
@@ -1346,6 +1381,39 @@ mod tests {
                 // carries runs out of matrices instead.
                 let forged = forge_u64s(&payload, &wiring, &[2, 4, 2, HUGE, 4, 2, 1, 0]);
                 assert!(decode(&forged).is_err(), "{form}");
+
+                // An int8 slot holding what `quantize` never writes. The
+                // first backbone slot follows its layer's declared
+                // widths: out 4 | in 3 | 12 codes | 4 scales.
+                if !form.contains("int8") {
+                    continue;
+                }
+                let slot: Vec<u8> = [3u64, 2, 3, 4, 4, 3]
+                    .iter()
+                    .flat_map(|v| v.to_le_bytes())
+                    .collect();
+                let at = payload.windows(slot.len()).position(|w| w == slot);
+                let codes = at.expect("the first int8 slot") + slot.len();
+                let scale0 = codes + 12;
+                let mut forged = payload.clone();
+                forged[codes] = i8::MIN as u8;
+                let reason = rejection(&forged, form);
+                assert!(reason.contains("code -128"), "{form}: {reason}");
+                let genuine = f32::from_le_bytes(payload[scale0..scale0 + 4].try_into().unwrap());
+                for (scale, why) in [
+                    (f32::NAN, "is not one the codec writes"),
+                    (f32::INFINITY, "is not one the codec writes"),
+                    (-genuine, "is not one the codec writes"),
+                    (-0.0, "is not one the codec writes"),
+                    (f32::MIN_POSITIVE / 2.0, "is not one the codec writes"),
+                    // Finite, but code ±127 times it is not.
+                    (f32::MAX / 2.0, "non-finite weight"),
+                ] {
+                    let mut forged = payload.clone();
+                    forged[scale0..scale0 + 4].copy_from_slice(&scale.to_le_bytes());
+                    let reason = rejection(&forged, form);
+                    assert!(reason.contains(why), "{form}: scale {scale:e}: {reason}");
+                }
             }
         }
     }

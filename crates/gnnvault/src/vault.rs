@@ -2,7 +2,7 @@ use crate::snapshot::{self, Deployment, PartitionMaps, Scope};
 use crate::{Backbone, Rectifier, VaultError, VaultSnapshot};
 use graph::partition::PartitionSpec;
 use graph::{normalization, Graph};
-use linalg::{CsrMatrix, DenseMatrix, QuantizedMatrix, Workspace};
+use linalg::{CsrMatrix, DenseMatrix};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,20 +42,32 @@ impl InferenceReport {
     }
 }
 
-/// Numeric precision of a vault's serving path
-/// ([`Vault::set_precision`]).
+/// The form a vault's projection weights are *sealed* in
+/// ([`Vault::set_precision`]) — a storage choice, not a compute path.
 ///
-/// `Int8` swaps every projection GEMM (backbone and rectifier) for a
-/// per-output-channel int8 weight kernel with i32 accumulation and an
-/// f32 dequantizing epilogue; aggregation, attention, softmax, bias,
-/// and ReLU stay f32 and run the identical code. Training always
-/// happens at `F32` — int8 is a serving-time transform.
+/// There is one forward pass, f32, at both settings. `Int8` makes
+/// every snapshot of the vault store each projection weight (backbone
+/// and rectifier) as per-output-channel int8 codes plus scales
+/// ([`linalg::QuantizedMatrix`]) instead of f32 — 948,734 → 361,590
+/// sealed bytes (−62 %) on the Cora-scale benchmark fixture, whose
+/// 1433×128 first-layer weight dominates the image. So that a restored
+/// replica answers exactly like its source, the vault's own weights are
+/// moved onto that int8 grid when the setting is chosen; biases,
+/// attention vectors and graphs are f32/exact in both forms. Resident
+/// enclave memory is the f32 size at both settings (peak EPC on that
+/// fixture: 4,156,916 B either way). Training always happens at `F32`.
+///
+/// Moving onto the grid is lossy and is not undone: going back to `F32`
+/// changes only the sealed form, so the `set_precision` round trip does
+/// not return the trained weights' answers (2 of 2,708 labels differ
+/// on that fixture).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Precision {
     /// Full-precision f32 weights (the precision models train at).
     #[default]
     F32,
-    /// Per-channel int8 projection weights, f32 everything else.
+    /// Projection weights sealed as per-channel int8 codes + scales,
+    /// and served from that grid; everything else f32.
     Int8,
 }
 
@@ -71,19 +83,6 @@ impl Precision {
             Precision::Int8 => "int8",
         }
     }
-}
-
-/// The data that makes a deployment int8: codes of every projection
-/// weight, aligned 1:1 with the (always retained) f32 backbone and
-/// rectifier layers, which both precisions read biases and attention
-/// vectors from. Built once by [`Vault::set_precision`] or decoded
-/// verbatim from an int8 snapshot, and stored — re-snapshotting reuses
-/// them instead of re-deriving scales, which keeps replicas of an int8
-/// snapshot bit-identical to their source.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Int8Projections {
-    pub(crate) backbone: Vec<QuantizedMatrix>,
-    pub(crate) rectifier: Vec<QuantizedMatrix>,
 }
 
 /// A deployed GNNVault instance (§IV-E): the public backbone plus
@@ -122,11 +121,9 @@ pub struct Vault {
     partition: Option<PartitionMaps>,
     // --- enclave-private state (never exposed by any accessor) ---
     rectifier: Rectifier,
-    /// `Some` when serving int8: the projection codes.
-    int8: Option<Int8Projections>,
-    /// Ledger entry for the resident rectifier parameters, retained so
-    /// [`Vault::set_precision`] can re-account it at the new size.
-    rectifier_params_alloc: AllocationId,
+    /// The sealed form of the projection weights; under `Int8` the
+    /// weights above already sit on the int8 grid.
+    precision: Precision,
     real_graph: Graph,
     real_adj: CsrMatrix,
     enclave: EnclaveSim,
@@ -162,7 +159,7 @@ impl Vault {
             policy,
             backbone,
             rectifier,
-            int8: None,
+            precision: Precision::F32,
             real_graph: real_graph.clone(),
             partition: None,
         };
@@ -184,22 +181,14 @@ impl Vault {
             policy,
             backbone,
             rectifier,
-            int8,
+            precision,
             real_graph,
             partition,
         } = deployment;
         let mut enclave = EnclaveSim::new(epc_budget, cost, policy);
 
-        // Resident enclave set, mirroring §IV-E's storage plan. An int8
-        // deployment keeps the projection codes resident instead of the
-        // f32 weights.
-        let rectifier_params_alloc = match &int8 {
-            Some(q) => enclave.alloc(
-                "rectifier parameters (int8)",
-                rectifier.nbytes_at(&q.rectifier),
-            )?,
-            None => enclave.alloc("rectifier parameters", rectifier.nbytes())?,
-        };
+        // Resident enclave set, mirroring §IV-E's storage plan.
+        enclave.alloc("rectifier parameters", rectifier.nbytes())?;
         enclave.alloc("real graph (COO)", real_graph.coo_nbytes())?;
         enclave.alloc(
             "degree vector",
@@ -240,8 +229,7 @@ impl Vault {
             policy,
             partition,
             rectifier,
-            int8,
-            rectifier_params_alloc,
+            precision,
             real_graph,
             real_adj,
             enclave,
@@ -377,7 +365,7 @@ impl Vault {
             policy: self.policy,
             backbone: &self.backbone,
             rectifier: &self.rectifier,
-            int8: self.int8.as_ref(),
+            precision: self.precision,
         };
         let payload = snapshot::encode(&header, scope);
         let sealed = Sealed::seal(self.seal_key.derive("vault-snapshot"), &payload);
@@ -527,84 +515,39 @@ impl Vault {
         EnclaveSession::new(id)
     }
 
-    /// Switches the serving precision. Idempotent.
+    /// Chooses the form this vault's projection weights are sealed in
+    /// (see [`Precision`]). Idempotent.
     ///
-    /// Moving to [`Precision::Int8`] quantizes every projection weight
-    /// (per-output-channel symmetric int8, see
-    /// [`linalg::QuantizedMatrix`]) and re-accounts the resident
-    /// rectifier parameters in the enclave ledger at the quantized
-    /// size; moving back to [`Precision::F32`] drops the codes and
-    /// restores the f32 accounting. The f32 weights are always
-    /// retained, so the switch is lossless in both directions:
-    /// quantization is a deterministic function of the f32 weights, and
-    /// `quantize(dequantize(q)) == q` makes re-quantization a fixed
-    /// point.
+    /// The first move to [`Precision::Int8`] snaps every projection
+    /// weight, backbone and rectifier, onto its int8 grid once —
+    /// `w ← dequantize(quantize(w))` — so the vault answers exactly as
+    /// every replica restored from its (62 % smaller) snapshots will,
+    /// and those replicas re-seal to identical bytes
+    /// (`quantize∘dequantize` is a fixed point of the grid; see
+    /// [`linalg::QuantizedMatrix`]). Inference stays the f32 path and
+    /// the enclave ledger does not move.
+    ///
+    /// That snap is the one lossy step: moving back to
+    /// [`Precision::F32`] changes only the sealed form — snapshots
+    /// grow back to f32 size, answers stay those of the grid weights.
+    /// The trained f32 weights are not retained; redeploy the trained
+    /// model to get them back.
     ///
     /// # Errors
     ///
-    /// Returns [`VaultError::Tee`] when the re-accounting is rejected
-    /// under [`OverBudgetPolicy::Fail`] — the new allocation is charged
-    /// before the old one is released, so a rejected switch leaves the
-    /// ledger (and the vault) exactly as it found them.
+    /// Infallible now that no enclave re-accounting is involved; the
+    /// `Result` is the signature existing callers compile against.
     pub fn set_precision(&mut self, precision: Precision) -> Result<(), VaultError> {
-        match precision {
-            Precision::Int8 => {
-                if self.int8.is_some() {
-                    return Ok(());
-                }
-                let codes = Int8Projections {
-                    backbone: self.backbone.quantize_projections(),
-                    rectifier: self.rectifier.quantize_projections(),
-                };
-                let id = self.enclave.alloc(
-                    "rectifier parameters (int8)",
-                    self.rectifier.nbytes_at(&codes.rectifier),
-                )?;
-                self.enclave.free(self.rectifier_params_alloc)?;
-                self.rectifier_params_alloc = id;
-                self.int8 = Some(codes);
-            }
-            Precision::F32 => {
-                if self.int8.is_none() {
-                    return Ok(());
-                }
-                let id = self
-                    .enclave
-                    .alloc("rectifier parameters", self.rectifier.nbytes())?;
-                self.enclave.free(self.rectifier_params_alloc)?;
-                self.rectifier_params_alloc = id;
-                self.int8 = None;
-            }
+        if precision == Precision::Int8 && self.precision != Precision::Int8 {
+            snapshot::snap_to_int8_grid(&mut self.backbone, &mut self.rectifier);
         }
+        self.precision = precision;
         Ok(())
     }
 
-    /// The precision this vault currently serves at.
+    /// The form this vault's projection weights are sealed in.
     pub fn precision(&self) -> Precision {
-        if self.int8.is_some() {
-            Precision::Int8
-        } else {
-            Precision::F32
-        }
-    }
-
-    /// Backbone forward at the serving precision.
-    fn backbone_embeddings(&self, features: &DenseMatrix) -> Result<Vec<DenseMatrix>, VaultError> {
-        let int8 = self.int8.as_ref().map(|q| q.backbone.as_slice());
-        self.backbone.embeddings_at(features, int8)
-    }
-
-    /// Rectifier forward at the serving precision, over whichever
-    /// adjacency the query path built (full graph, partition closure,
-    /// or ego graph). Runs inside [`EnclaveSim::run`].
-    fn rectify(
-        &self,
-        adj: &CsrMatrix,
-        embeddings: &[DenseMatrix],
-    ) -> Result<crate::rectifier::RectifierForward, VaultError> {
-        let int8 = self.int8.as_ref().map(|q| q.rectifier.as_slice());
-        self.rectifier
-            .forward_at(adj, embeddings, int8, &mut Workspace::new())
+        self.precision
     }
 
     /// Rejects a query the vault cannot answer: a node id outside the
@@ -840,7 +783,7 @@ impl Vault {
         let (meter, transitions_before) = self.begin_report();
 
         // 1. One public backbone forward in the untrusted world.
-        let embeddings = meter.time(Phase::Backbone, || self.backbone_embeddings(features))?;
+        let embeddings = meter.time(Phase::Backbone, || self.backbone.embeddings(features))?;
 
         // 2. One-way transfer of exactly the tapped embeddings, through
         //    the session's channel.
@@ -881,7 +824,7 @@ impl Vault {
         let transient = self.alloc_transient_activations(forward_rows)?;
         let forward_result = self
             .enclave
-            .run(|| self.rectify(&self.real_adj, &enclave_embeddings));
+            .run(|| self.rectifier.forward(&self.real_adj, &enclave_embeddings));
         for id in transient {
             self.enclave.free(id)?;
         }
@@ -971,7 +914,7 @@ impl Vault {
         self.check_query(&[node])?;
         let (meter, transitions_before) = self.begin_report();
 
-        let embeddings = meter.time(Phase::Backbone, || self.backbone_embeddings(features))?;
+        let embeddings = meter.time(Phase::Backbone, || self.backbone.embeddings(features))?;
         let taps = self.rectifier.tap_indices();
         let mut channel = UntrustedToEnclave::new();
         for &t in &taps {
@@ -1016,7 +959,7 @@ impl Vault {
                 let full = codec::decode_dense(payload)?;
                 ego_embeddings[t] = full.select_rows(&global_rows)?;
             }
-            let forward = self.rectify(&ego_adj, &ego_embeddings)?;
+            let forward = self.rectifier.forward(&ego_adj, &ego_embeddings)?;
             let preds = linalg::ops::argmax_rows(forward.logits());
             Ok(ClassLabel(preds[ego.center]))
         })?;
@@ -1401,45 +1344,52 @@ mod tests {
     }
 
     #[test]
-    fn set_precision_switches_paths_and_accounting_reversibly() {
+    fn set_precision_selects_the_sealed_form_only() {
         for kind in RectifierKind::ALL {
             let (mut vault, x, _) = toy_vault(kind);
             assert_eq!(vault.precision(), Precision::F32);
-            let (f32_labels, _) = vault.infer(&x).unwrap();
-            let f32_resident = vault.enclave_in_use_bytes();
+            vault.infer(&x).unwrap();
+            let resident = vault.enclave_in_use_bytes();
+            let peak = vault.peak_enclave_bytes();
+            let f32_sealed = vault.snapshot().sealed_nbytes();
 
+            // Int8 is a storage form: the enclave ledger does not move,
+            // the seal shrinks.
             vault.set_precision(Precision::Int8).unwrap();
             assert_eq!(vault.precision(), Precision::Int8);
+            assert_eq!(vault.enclave_in_use_bytes(), resident, "{kind:?}");
+            let int8_snapshot = vault.snapshot();
             assert!(
-                vault.enclave_in_use_bytes() < f32_resident,
-                "{kind:?}: int8 parameters must shrink the resident set"
+                int8_snapshot.sealed_nbytes() < f32_sealed,
+                "{kind:?}: int8 seals {} bytes, f32 {f32_sealed}",
+                int8_snapshot.sealed_nbytes()
             );
-            // Idempotent: a second switch is a no-op.
+            // Idempotent: the weights are on the grid already.
             vault.set_precision(Precision::Int8).unwrap();
-            let resident_int8 = vault.enclave_in_use_bytes();
-            vault.set_precision(Precision::Int8).unwrap();
-            assert_eq!(vault.enclave_in_use_bytes(), resident_int8);
+            assert_eq!(vault.snapshot(), int8_snapshot, "{kind:?}");
 
+            // Every query path runs the one forward pass over the same
+            // grid weights.
             let (int8_labels, _) = vault.infer(&x).unwrap();
-            assert_eq!(
-                int8_labels, f32_labels,
-                "{kind:?}: int8 labels disagree with f32"
-            );
-
-            // Every query path dispatches the quantized model.
             let (node0, _) = vault.infer_node(&x, 0).unwrap();
             assert_eq!(node0, int8_labels[0], "{kind:?}");
             let mut session = vault.open_session();
             let nodes: Vec<usize> = (0..x.rows()).collect();
             let (batched, _) = vault.infer_batch(&mut session, &x, &nodes).unwrap();
             assert_eq!(batched, int8_labels, "{kind:?}");
+            assert_eq!(vault.enclave_in_use_bytes(), resident, "{kind:?}");
+            assert_eq!(vault.peak_enclave_bytes(), peak, "{kind:?}");
 
-            // Switching back restores the exact f32 path and ledger.
+            // Back to F32 changes the sealed form and nothing else: the
+            // answers stay those of the grid weights.
             vault.set_precision(Precision::F32).unwrap();
             assert_eq!(vault.precision(), Precision::F32);
-            assert_eq!(vault.enclave_in_use_bytes(), f32_resident, "{kind:?}");
+            assert_eq!(vault.snapshot().sealed_nbytes(), f32_sealed, "{kind:?}");
             let (back, _) = vault.infer(&x).unwrap();
-            assert_eq!(back, f32_labels, "{kind:?}");
+            assert_eq!(back, int8_labels, "{kind:?}");
+            let mut replica = Vault::restore(&vault.snapshot(), SealKey(7)).unwrap();
+            assert_eq!(replica.precision(), Precision::F32);
+            assert_eq!(replica.infer(&x).unwrap().0, int8_labels, "{kind:?}");
         }
     }
 
@@ -1466,8 +1416,9 @@ mod tests {
                 replica_labels, labels,
                 "{kind:?}: int8 replica must answer bit-identically"
             );
-            // Re-snapshot reads the stored codes, so the replica seals
-            // the identical bytes — replicas of replicas stay coherent.
+            // The replica's weights are the grid's, which re-quantize
+            // to the same codes, so it seals the identical bytes —
+            // replicas of replicas stay coherent.
             assert_eq!(replica.snapshot(), snapshot, "{kind:?}");
             // The recovery path preserves the precision too.
             let mut revived = replica.recovery_handle().restore().unwrap();

@@ -50,41 +50,3 @@ unsafe fn accumulate_f32_impl(apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; 
         _mm256_storeu_ps(acc[i].as_mut_ptr().add(8), hi[i]);
     }
 }
-
-/// Safe wrapper; same soundness argument as [`accumulate_f32`].
-pub(super) fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
-    debug_assert_eq!(a.len(), b.len());
-    unsafe { dot_i8_impl(a, b) }
-}
-
-/// 16 i8 lanes per step: sign-extend to i16, `vpmaddwd` (i16×i16 pair
-/// products summed into i32 — exact: |product pair sum| ≤ 2·127² well
-/// inside i16-product/i32 range), accumulate in 8 i32 lanes, reduce at
-/// the end. Integer adds are associative, so the result equals the
-/// scalar kernel's bit for bit.
-#[target_feature(enable = "avx2")]
-unsafe fn dot_i8_impl(a: &[i8], b: &[i8]) -> i32 {
-    let n = a.len();
-    let mut acc = _mm256_setzero_si256();
-    let mut p = 0;
-    while p + 16 <= n {
-        let av = _mm_loadu_si128(a.as_ptr().add(p).cast());
-        let bv = _mm_loadu_si128(b.as_ptr().add(p).cast());
-        let prod = _mm256_madd_epi16(_mm256_cvtepi8_epi16(av), _mm256_cvtepi8_epi16(bv));
-        acc = _mm256_add_epi32(acc, prod);
-        p += 16;
-    }
-    let quad = _mm_add_epi32(
-        _mm256_extracti128_si256(acc, 1),
-        _mm256_castsi256_si128(acc),
-    );
-    let pair = _mm_add_epi32(quad, _mm_shuffle_epi32(quad, 0b01_00_11_10));
-    let one = _mm_add_epi32(pair, _mm_shuffle_epi32(pair, 0b00_00_00_01));
-    let mut total = _mm_cvtsi128_si32(one);
-    while p < n {
-        total += i32::from(a[p]) * i32::from(b[p]);
-        p += 1;
-    }
-    total
-}

@@ -13,8 +13,8 @@ use std::arch::x86_64::*;
 /// Safe wrapper over the `#[target_feature]` implementation.
 ///
 /// Soundness: reached only through the dispatch layer, which hands out
-/// the AVX-512 table exclusively when `avx512f` and `avx512bw` were
-/// runtime-detected (or explicitly forced, which asserts availability).
+/// the AVX-512 table exclusively when `avx512f` was runtime-detected
+/// (or explicitly forced, which asserts availability).
 pub(super) fn accumulate_f32(apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; MR]) {
     debug_assert!(std::arch::is_x86_feature_detected!("avx512f"));
     unsafe { accumulate_f32_impl(apan, bpan, acc) }
@@ -40,34 +40,4 @@ unsafe fn accumulate_f32_impl(apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; 
     for i in 0..MR {
         _mm512_storeu_ps(acc[i].as_mut_ptr(), tile[i]);
     }
-}
-
-/// Safe wrapper; same soundness argument as [`accumulate_f32`].
-pub(super) fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert!(std::arch::is_x86_feature_detected!("avx512f"));
-    debug_assert!(std::arch::is_x86_feature_detected!("avx512bw"));
-    debug_assert_eq!(a.len(), b.len());
-    unsafe { dot_i8_impl(a, b) }
-}
-
-/// 32 i8 lanes per step: sign-extend to i16, `vpmaddwd` into 16 i32
-/// lanes, reduce at the end. Exact integer arithmetic — bit-identical
-/// to the scalar kernel in any order.
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn dot_i8_impl(a: &[i8], b: &[i8]) -> i32 {
-    let n = a.len();
-    let mut acc = _mm512_setzero_si512();
-    let mut p = 0;
-    while p + 32 <= n {
-        let av = _mm512_cvtepi8_epi16(_mm256_loadu_si256(a.as_ptr().add(p).cast()));
-        let bv = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b.as_ptr().add(p).cast()));
-        acc = _mm512_add_epi32(acc, _mm512_madd_epi16(av, bv));
-        p += 32;
-    }
-    let mut total = _mm512_reduce_add_epi32(acc);
-    while p < n {
-        total += i32::from(a[p]) * i32::from(b[p]);
-        p += 1;
-    }
-    total
 }

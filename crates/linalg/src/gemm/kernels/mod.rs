@@ -15,13 +15,7 @@
 //! - [`KernelVariant::Avx2`]: AVX2 + FMA intrinsics, 12 `ymm`
 //!   accumulators (6 rows × two 8-lane halves of the 16-wide tile).
 //! - [`KernelVariant::Avx512`]: AVX-512F intrinsics, 6 `zmm`
-//!   accumulators (the 16-wide tile row is exactly one `zmm`). The
-//!   quantized i8 kernel additionally needs AVX-512BW, so the variant
-//!   requires both.
-//!
-//! Each variant also carries an exact-integer i8 dot-product kernel for
-//! the quantized path (i32 accumulation is associative, so those are
-//! bit-identical across variants by construction).
+//!   accumulators (the 16-wide tile row is exactly one `zmm`).
 //!
 //! Selection happens **once per process**: the first GEMM call detects
 //! CPU features (`is_x86_feature_detected!`) and caches the winner in a
@@ -58,7 +52,7 @@ pub enum KernelVariant {
     Scalar,
     /// AVX2 + FMA intrinsics (x86-64 with `avx2` and `fma`).
     Avx2,
-    /// AVX-512 intrinsics (x86-64 with `avx512f` and `avx512bw`).
+    /// AVX-512F intrinsics (x86-64 with `avx512f`).
     Avx512,
 }
 
@@ -99,10 +93,7 @@ impl KernelVariant {
                     && std::arch::is_x86_feature_detected!("fma")
             }
             #[cfg(target_arch = "x86_64")]
-            KernelVariant::Avx512 => {
-                std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("avx512bw")
-            }
+            KernelVariant::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -126,28 +117,23 @@ pub(crate) struct Kernels {
     /// panels, every product-add a correctly-rounded fused multiply-add
     /// in fixed per-element k-order (the bit-identity contract).
     pub(crate) accumulate_f32: fn(&[f32], &[f32], &mut [[f32; NR]; MR]),
-    /// Exact i32 dot product of two i8 slices of equal length.
-    pub(crate) dot_i8: fn(&[i8], &[i8]) -> i32,
 }
 
 const SCALAR_KERNELS: Kernels = Kernels {
     variant: KernelVariant::Scalar,
     accumulate_f32: scalar::accumulate_f32,
-    dot_i8: scalar::dot_i8,
 };
 
 #[cfg(target_arch = "x86_64")]
 const AVX2_KERNELS: Kernels = Kernels {
     variant: KernelVariant::Avx2,
     accumulate_f32: avx2::accumulate_f32,
-    dot_i8: avx2::dot_i8,
 };
 
 #[cfg(target_arch = "x86_64")]
 const AVX512_KERNELS: Kernels = Kernels {
     variant: KernelVariant::Avx512,
     accumulate_f32: avx512::accumulate_f32,
-    dot_i8: avx512::dot_i8,
 };
 
 /// The table for an explicitly requested variant.
@@ -292,24 +278,6 @@ mod tests {
             }
             // All variants available: exercise the same panic message.
             None => panic!("kernel variant `none` is not available on this CPU"),
-        }
-    }
-
-    #[test]
-    fn dot_i8_agrees_across_available_variants() {
-        // Integer accumulation is exact, so every variant must return
-        // the identical i32 for identical inputs — including ragged
-        // lengths that exercise each kernel's tail loop.
-        let a: Vec<i8> = (0..259)
-            .map(|i| ((i * 37 + 11) % 255) as u8 as i8)
-            .collect();
-        let b: Vec<i8> = (0..259).map(|i| ((i * 91 + 3) % 255) as u8 as i8).collect();
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 64, 100, 259] {
-            let reference = (scalar::dot_i8)(&a[..len], &b[..len]);
-            for v in available_kernel_variants() {
-                let got = (kernels_for(v).dot_i8)(&a[..len], &b[..len]);
-                assert_eq!(got, reference, "variant {} at len {len}", v.label());
-            }
         }
     }
 

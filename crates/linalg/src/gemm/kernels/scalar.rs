@@ -27,15 +27,3 @@ pub(super) fn accumulate_f32(apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; M
         }
     }
 }
-
-/// Exact i32 dot product of two i8 slices (quantized GEMM inner loop).
-///
-/// Integer arithmetic is exact, so any evaluation order yields the same
-/// result — the SIMD variants are bit-identical by construction.
-pub(super) fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| i32::from(x) * i32::from(y))
-        .sum()
-}

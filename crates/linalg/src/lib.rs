@@ -12,10 +12,9 @@
 //!   micro-kernels ([`KernelVariant`]: AVX2+FMA, AVX-512, portable
 //!   scalar — selected once per process, bit-identical across variants,
 //!   pinnable via `LINALG_FORCE_KERNEL`),
-//! - [`QuantizedMatrix`] / [`matmul_quantized_into`]: symmetric
-//!   per-channel int8 weights with dynamic activation quantization,
-//!   exact i32 accumulation, and f32 dequant-at-epilogue — the serving
-//!   crate's int8 inference path,
+//! - [`QuantizedMatrix`]: symmetric per-channel int8 codes of a weight
+//!   matrix — a *storage* form (the snapshot codec's int8 slot), with
+//!   `quantize`/`dequantize` and nothing that computes in int8,
 //! - [`CsrMatrix`]: compressed sparse row matrices with sparse × dense
 //!   multiplication ([`CsrMatrix::spmm`]) — the message-passing kernel of
 //!   every GCN layer (`Â · H`),
@@ -68,6 +67,6 @@ pub use gemm::{
     matmul_at_b_into_ws, matmul_fused, matmul_fused_into_ws, matmul_into, matmul_naive,
     matmul_packed, matmul_threaded, matmul_with, Epilogue, GemmOp, GemmStrategy,
 };
-pub use quant::{matmul_quantized_into, matmul_quantized_into_with_variant, QuantizedMatrix};
+pub use quant::QuantizedMatrix;
 pub use sparse::{CsrMatrix, SpmmStrategy};
 pub use workspace::Workspace;

@@ -1,31 +1,31 @@
-//! Int8 quantized weight storage and the quantized GEMM path.
+//! Int8 weight storage: the sealed form of a projection weight.
 //!
-//! The serving-side quantization scheme is symmetric per-output-channel
-//! int8:
+//! Symmetric per-output-channel int8: an `in_dim × out_dim` f32 weight
+//! becomes a [`QuantizedMatrix`] of i8 codes, stored **transposed**
+//! (`out_dim × in_dim`, row-major) so each output channel's codes are
+//! one contiguous row sharing one scale `s_j = max|W[·][j]| / 127`.
 //!
-//! - **Weights** (`in_dim × out_dim` f32) are quantized offline into a
-//!   [`QuantizedMatrix`]: stored **transposed** (`out_dim × in_dim`,
-//!   row-major i8) so each output channel's weights are one contiguous
-//!   row sharing one scale `s_j = max|W[·][j]| / 127` — the layout the
-//!   dot-product micro-kernels stream directly.
-//! - **Activations** are quantized dynamically per row at inference
-//!   time with the same symmetric rule (`s_r = max|H[r][·]| / 127`).
-//! - The product accumulates in **i32** — exact, since
-//!   `|q_a·q_w| ≤ 127²` and realistic inner dimensions keep the sum far
-//!   from overflow — and dequantizes at the epilogue:
-//!   `C[r][j] = (Σ_k qH[r][k]·qW[j][k]) · s_r·s_j`, then the ordinary
-//!   fused [`Epilogue`] (bias, bias+ReLU) in f32.
-//!
-//! Because the i32 accumulation is exact, the quantized path is
-//! **bit-identical across every dispatch variant** by construction —
-//! integer adds commute. (The f32 path earns the same guarantee the
-//! hard way, via fixed-order correctly-rounded FMA.)
+//! Nothing here computes in int8. The `gnnvault` snapshot codec
+//! quantizes a weight when it writes an int8 image and dequantizes it
+//! when it reads one; every forward pass runs the f32 GEMM over the
+//! dequantized ("grid") weights. What the codec relies on is that the
+//! grid is a **fixed point**: `quantize(dequantize(q)) == q` for every
+//! `q` that [`QuantizedMatrix::quantize`] returns, so a restored vault
+//! re-seals to the bytes it was restored from. That holds because a
+//! channel's largest weight always takes code ±127 and
+//! `fl(fl(127·s)/127) == s` for every normal `s` — checked for every
+//! f32 mantissa in `tests::the_int8_grid_is_a_fixed_point`. The two
+//! ends of the range are handled explicitly: a channel too small for a
+//! normal scale is stored as zeros (see
+//! [`QuantizedMatrix::quantize`]), and the one channel maximum whose
+//! grid overflows, `f32::MAX` itself (`127·s = inf`), dequantizes to a
+//! non-finite weight the snapshot decoder rejects.
 
-use crate::gemm::kernels::{self, Kernels};
-use crate::{DenseMatrix, Epilogue, KernelVariant, LinalgError};
+use crate::{DenseMatrix, LinalgError};
 
 /// An int8 weight matrix with per-output-channel scales, stored
-/// transposed (`out_dim × in_dim`) for contiguous dot products.
+/// transposed (`out_dim × in_dim`): one contiguous row of codes per
+/// channel.
 ///
 /// # Examples
 ///
@@ -59,6 +59,13 @@ impl QuantizedMatrix {
     /// zero codes (dequantizing back to exact zeros). Codes are
     /// round-to-nearest (ties away from zero), clamped to `[-127, 127]`
     /// — the symmetric range, never -128.
+    ///
+    /// A channel whose scale would be subnormal (`max|column| <
+    /// 127 · f32::MIN_POSITIVE ≈ 1.5e-36`) is stored as an all-zero
+    /// channel too: a subnormal scale has too few significant bits for
+    /// the grid to be a fixed point (`max|column| = 445 · 2⁻¹⁴⁹` is the
+    /// smallest of 1,119 channel maxima that re-quantize to a different
+    /// scale), and weights that small contribute nothing.
     pub fn quantize(w: &DenseMatrix) -> Self {
         let (in_dim, out_dim) = w.shape();
         let src = w.as_slice();
@@ -68,7 +75,7 @@ impl QuantizedMatrix {
             for i in 0..in_dim {
                 max_abs = max_abs.max(src[i * out_dim + j].abs());
             }
-            *scale = if max_abs == 0.0 { 0.0 } else { max_abs / 127.0 };
+            *scale = channel_scale(max_abs);
         }
         let mut data = vec![0i8; out_dim * in_dim];
         for j in 0..out_dim {
@@ -78,7 +85,7 @@ impl QuantizedMatrix {
             }
             let row = &mut data[j * in_dim..(j + 1) * in_dim];
             for (i, q) in row.iter_mut().enumerate() {
-                *q = (src[i * out_dim + j] / scale).round().clamp(-127.0, 127.0) as i8;
+                *q = code(src[i * out_dim + j], scale);
             }
         }
         Self {
@@ -142,21 +149,9 @@ impl QuantizedMatrix {
         &self.scales
     }
 
-    /// One output channel's contiguous codes.
-    fn channel(&self, j: usize) -> &[i8] {
-        &self.data[j * self.in_dim..(j + 1) * self.in_dim]
-    }
-
-    /// Heap bytes of the quantized representation (codes + scales) —
-    /// what the sealed-snapshot accounting compares against
-    /// `in·out · 4` bytes of f32.
-    pub fn nbytes(&self) -> usize {
-        self.data.len() + self.scales.len() * std::mem::size_of::<f32>()
-    }
-
     /// Dequantizes back to the logical `in_dim × out_dim` f32 matrix
-    /// (`W'[i][j] = code[j][i] · s_j`) — the weights an f32 forward
-    /// pass over a quantized snapshot uses.
+    /// (`W'[i][j] = code[j][i] · s_j`) — the grid weights every forward
+    /// pass of an int8 deployment runs over.
     pub fn dequantize(&self) -> DenseMatrix {
         DenseMatrix::from_fn(self.in_dim, self.out_dim, |i, j| {
             f32::from(self.data[j * self.in_dim + i]) * self.scales[j]
@@ -164,116 +159,25 @@ impl QuantizedMatrix {
     }
 }
 
-/// Quantized-weight GEMM with dynamic activation quantization:
-/// `out = epilogue(dequant(quant(a) · wᵀ))`, `a` being `m × in_dim` f32
-/// and `out` `m × out_dim` (overwritten).
-///
-/// Uses the process-wide dispatched micro-kernel (see
-/// [`crate::kernel_variant`]); results are bit-identical across every
-/// variant because the i32 accumulation is exact.
-///
-/// # Errors
-///
-/// [`LinalgError::ShapeMismatch`] when `a.cols() != w.in_dim()`, `out`
-/// is not `m × out_dim`, or the epilogue bias length differs from
-/// `out_dim`.
-pub fn matmul_quantized_into(
-    a: &DenseMatrix,
-    w: &QuantizedMatrix,
-    out: &mut DenseMatrix,
-    epilogue: Epilogue<'_>,
-) -> Result<(), LinalgError> {
-    matmul_quantized_kern(kernels::active(), a, w, out, epilogue)
-}
-
-/// [`matmul_quantized_into`] with an explicitly pinned kernel variant
-/// (in-process A/B verification; see
-/// [`crate::gemm_into_ws_with_variant`]).
-///
-/// # Panics
-///
-/// Panics when `variant` is not available on this CPU.
-///
-/// # Errors
-///
-/// Same conditions as [`matmul_quantized_into`].
-pub fn matmul_quantized_into_with_variant(
-    variant: KernelVariant,
-    a: &DenseMatrix,
-    w: &QuantizedMatrix,
-    out: &mut DenseMatrix,
-    epilogue: Epilogue<'_>,
-) -> Result<(), LinalgError> {
-    matmul_quantized_kern(kernels::kernels_for(variant), a, w, out, epilogue)
-}
-
-fn matmul_quantized_kern(
-    kern: &'static Kernels,
-    a: &DenseMatrix,
-    w: &QuantizedMatrix,
-    out: &mut DenseMatrix,
-    epilogue: Epilogue<'_>,
-) -> Result<(), LinalgError> {
-    let (m, k) = a.shape();
-    let n = w.out_dim();
-    if k != w.in_dim() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "matmul_quantized",
-            lhs: a.shape(),
-            rhs: (w.out_dim(), w.in_dim()),
-        });
-    }
-    if out.shape() != (m, n) {
-        return Err(LinalgError::ShapeMismatch {
-            op: "matmul_quantized_into",
-            lhs: (m, n),
-            rhs: out.shape(),
-        });
-    }
-    if let Epilogue::Bias(bias) | Epilogue::BiasRelu(bias) = epilogue {
-        if bias.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matmul_quantized_epilogue",
-                lhs: (m, n),
-                rhs: (1, bias.len()),
-            });
-        }
-    }
-    let mut qrow = vec![0i8; k];
-    let od = out.as_mut_slice();
-    for r in 0..m {
-        let sa = quantize_row(a.row(r), &mut qrow);
-        let orow = &mut od[r * n..(r + 1) * n];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let acc = (kern.dot_i8)(&qrow, w.channel(j));
-            // Fixed dequant evaluation order (scale product first) so
-            // the f32 rounding sequence is identical everywhere.
-            *o = acc as f32 * (sa * w.scales[j]);
-        }
-        epilogue.apply_to_row(orow, 0);
-    }
-    Ok(())
-}
-
-/// Symmetric per-row dynamic quantization; returns the row's scale.
-fn quantize_row(row: &[f32], q: &mut [i8]) -> f32 {
-    let max_abs = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    if max_abs == 0.0 {
-        q.fill(0);
-        return 0.0;
-    }
+/// A channel's scale from its largest magnitude; 0 marks a channel
+/// stored as zeros (see [`QuantizedMatrix::quantize`]).
+fn channel_scale(max_abs: f32) -> f32 {
     let scale = max_abs / 127.0;
-    for (dst, &v) in q.iter_mut().zip(row) {
-        *dst = (v / scale).round().clamp(-127.0, 127.0) as i8;
+    if scale < f32::MIN_POSITIVE {
+        0.0
+    } else {
+        scale
     }
-    scale
+}
+
+/// A weight's code on a channel's (non-zero) scale.
+fn code(w: f32, scale: f32) -> i8 {
+    (w / scale).round().clamp(-127.0, 127.0) as i8
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{available_kernel_variants, matmul_fused};
-    use proptest::prelude::*;
 
     fn small(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
@@ -308,16 +212,72 @@ mod tests {
     }
 
     #[test]
-    fn quantize_requantize_is_a_fixed_point() {
-        // The max element of every channel quantizes to ±127, so the
-        // recovered scale — and therefore every code — is reproduced
-        // exactly when re-quantizing the dequantized weights. This is
-        // what lets a restored vault rebuild the identical quantized
-        // model from dequantized f32 parameters.
-        let w = small(24, 9, 17);
+    fn the_int8_grid_is_a_fixed_point() {
+        // What lets a restored vault re-seal to the bytes it came from:
+        // re-quantizing dequantized weights reproduces every scale and
+        // every code. Per channel that is three facts about the largest
+        // magnitude M and its scale s = fl(M/127): M takes code 127,
+        // fl(fl(127·s)/127) == s, and every code c survives
+        // round(fl(c·s)/s).
+        //
+        // The first two are checked for every one of the 2²³ mantissas
+        // of three binades of M: the one the zero-channel threshold
+        // falls in (the smallest scales there are), [1, 2), and the
+        // largest finite one. Rounding of normal f32s does not depend
+        // on the binade, so [1, 2) stands for every binade between the
+        // other two.
+        let threshold = 127.0 * f32::MIN_POSITIVE;
+        let binade_of = |v: f32| v.to_bits() & 0x7f80_0000;
+        for binade in [threshold, 1.0, f32::MAX].map(binade_of) {
+            for mantissa in 0..1u32 << 23 {
+                let m = f32::from_bits(binade | mantissa);
+                let s = channel_scale(m);
+                if m < threshold {
+                    assert_eq!(s, 0.0, "M = {m:e} is below the threshold");
+                    continue;
+                }
+                assert!(s.is_normal(), "M = {m:e}");
+                assert_eq!(code(m, s), 127, "M = {m:e}");
+                let top = 127.0 * s;
+                if m == f32::MAX {
+                    // The one maximum whose grid leaves the finite
+                    // range; the snapshot decoder refuses such a slot.
+                    assert!(top.is_infinite());
+                    continue;
+                }
+                assert_eq!(channel_scale(top), s, "M = {m:e}");
+                // The codes on a sample of the scales (both ends of the
+                // binade and a stride through it): the two roundings
+                // move c by at most 127·2⁻²³, nowhere near the 0.5 it
+                // would take, so this needs no exhaustive sweep.
+                if mantissa % 4099 == 0 || !(64..(1 << 23) - 64).contains(&mantissa) {
+                    for c in -127i8..=127 {
+                        assert_eq!(code(f32::from(c) * s, s), c, "M = {m:e}");
+                    }
+                }
+            }
+        }
+        // Below the threshold a scale would be subnormal, and a scale of
+        // a few significant bits is not a fixed point: for M = 445·2⁻¹⁴⁹
+        // it would be 4·2⁻¹⁴⁹, M would take code 111, and
+        // fl(111·4/127) = 3. Such channels are stored as zeros instead.
+        for tiny in [f32::from_bits(1), f32::from_bits(445), f32::MIN_POSITIVE] {
+            assert_eq!(channel_scale(tiny), 0.0);
+        }
+
+        // On a whole matrix: the grid re-quantizes to itself, and the
+        // parts a snapshot stores rebuild the same value.
+        let mut w = small(24, 9, 17);
+        w.set(3, 4, 445.0 * f32::from_bits(1)); // lost in a normal channel
+        for r in 0..24 {
+            w.set(r, 8, f32::from_bits(r as u32 * 700)); // a sub-threshold channel
+        }
         let q = QuantizedMatrix::quantize(&w);
-        let q2 = QuantizedMatrix::quantize(&q.dequantize());
-        assert_eq!(q, q2);
+        assert_eq!(q.scales()[8], 0.0);
+        assert_eq!(QuantizedMatrix::quantize(&q.dequantize()), q);
+        let (data, scales) = (q.data().to_vec(), q.scales().to_vec());
+        let rebuilt = QuantizedMatrix::from_parts(q.out_dim(), q.in_dim(), data, scales);
+        assert_eq!(rebuilt.unwrap(), q);
     }
 
     #[test]
@@ -327,10 +287,7 @@ mod tests {
         assert_eq!(q.scales(), &[0.0, 0.0]);
         assert_eq!(q.dequantize(), w);
         let empty = QuantizedMatrix::quantize(&DenseMatrix::zeros(0, 0));
-        assert_eq!(empty.nbytes(), 0);
-        let a = DenseMatrix::zeros(3, 0);
-        let mut out = DenseMatrix::filled(3, 0, 1.0);
-        matmul_quantized_into(&a, &empty, &mut out, Epilogue::None).unwrap();
+        assert!(empty.data().is_empty() && empty.scales().is_empty());
     }
 
     #[test]
@@ -338,69 +295,5 @@ mod tests {
         assert!(QuantizedMatrix::from_parts(2, 3, vec![0; 5], vec![1.0; 2]).is_err());
         assert!(QuantizedMatrix::from_parts(2, 3, vec![0; 6], vec![1.0; 3]).is_err());
         assert!(QuantizedMatrix::from_parts(2, 3, vec![0; 6], vec![1.0; 2]).is_ok());
-    }
-
-    #[test]
-    fn shape_errors_are_typed() {
-        let w = QuantizedMatrix::quantize(&small(4, 3, 1));
-        let a = small(2, 5, 2); // wrong inner dim
-        let mut out = DenseMatrix::zeros(2, 3);
-        assert!(matmul_quantized_into(&a, &w, &mut out, Epilogue::None).is_err());
-        let a = small(2, 4, 2);
-        let mut bad = DenseMatrix::zeros(2, 4); // wrong output shape
-        assert!(matmul_quantized_into(&a, &w, &mut bad, Epilogue::None).is_err());
-        let mut out = DenseMatrix::zeros(2, 3);
-        assert!(
-            matmul_quantized_into(&a, &w, &mut out, Epilogue::Bias(&[0.0; 2])).is_err(),
-            "bias length must match out_dim"
-        );
-    }
-
-    #[test]
-    fn quantized_bytes_undercut_f32() {
-        let w = small(64, 32, 5);
-        let q = QuantizedMatrix::quantize(&w);
-        assert!(q.nbytes() < 64 * 32 * 4);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Quantized GEMM approximates the f32 product within the
-        /// accumulated quantization error bound, and every available
-        /// dispatch variant returns bit-identical results (exact i32
-        /// accumulation).
-        #[test]
-        fn quantized_gemm_approximates_f32_and_variants_agree(
-            m in 0usize..16, k in 0usize..24, n in 0usize..16, seed in 0u64..1000
-        ) {
-            let a = small(m, k, seed);
-            let w = small(k, n, seed.wrapping_add(1));
-            let bias: Vec<f32> = (0..n).map(|j| j as f32 / 8.0 - 0.5).collect();
-            let q = QuantizedMatrix::quantize(&w);
-
-            let mut reference = DenseMatrix::filled(m, n, f32::NAN);
-            matmul_quantized_into_with_variant(
-                KernelVariant::Scalar, &a, &q, &mut reference, Epilogue::Bias(&bias),
-            ).unwrap();
-            for variant in available_kernel_variants() {
-                let mut out = DenseMatrix::filled(m, n, f32::NAN);
-                matmul_quantized_into_with_variant(
-                    variant, &a, &q, &mut out, Epilogue::Bias(&bias),
-                ).unwrap();
-                prop_assert_eq!(&out, &reference, "variant {}", variant.label());
-            }
-
-            // Error bound: with symmetric int8 on both operands, each
-            // product term errs by at most ~(|a|·sw + |w|·sa)/2 + small;
-            // k terms accumulate linearly. Generous envelope: inputs
-            // are bounded by 2, so 2·2·k/127 covers it with margin.
-            let exact = matmul_fused(&a, &w, Epilogue::Bias(&bias)).unwrap();
-            let tolerance = 4.0 * (k as f32).max(1.0) / 127.0 + 1e-5;
-            prop_assert!(
-                reference.approx_eq(&exact, tolerance),
-                "quantized vs f32 beyond error envelope {tolerance}"
-            );
-        }
     }
 }

@@ -1,6 +1,4 @@
-use crate::{
-    GatForward, GatLayer, GcnForward, GcnLayer, NnError, Projection, SageForward, SageLayer,
-};
+use crate::{GatForward, GatLayer, GcnForward, GcnLayer, NnError, SageForward, SageLayer};
 use linalg::{CsrMatrix, DenseMatrix, Workspace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -166,37 +164,10 @@ impl ConvLayer {
         fuse_relu: bool,
         ws: &mut Workspace,
     ) -> Result<ConvForward, NnError> {
-        let weight = Projection::F32(&self.weight().value);
-        self.forward_with(weight, adj, input, fuse_relu, ws)
-    }
-
-    /// [`ConvLayer::forward_fused`] with the layer's one dense product
-    /// taken through `weight` — int8 serving hands in
-    /// [`Projection::Int8`] codes of [`ConvLayer::weight`]; everything
-    /// else (and the returned cache type) is the f32 layer's.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Linalg`] on shape inconsistencies, including
-    /// a `weight` whose shape is not this layer's.
-    pub fn forward_with(
-        &self,
-        weight: Projection<'_>,
-        adj: &CsrMatrix,
-        input: &DenseMatrix,
-        fuse_relu: bool,
-        ws: &mut Workspace,
-    ) -> Result<ConvForward, NnError> {
         Ok(match self {
-            ConvLayer::Gcn(l) => {
-                ConvForward::Gcn(l.forward_with(weight, adj, input, fuse_relu, ws)?)
-            }
-            ConvLayer::Sage(l) => {
-                ConvForward::Sage(l.forward_with(weight, adj, input, fuse_relu, ws)?)
-            }
-            ConvLayer::Gat(l) => {
-                ConvForward::Gat(l.forward_with(weight, adj, input, fuse_relu, ws)?)
-            }
+            ConvLayer::Gcn(l) => ConvForward::Gcn(l.forward_fused(adj, input, fuse_relu, ws)?),
+            ConvLayer::Sage(l) => ConvForward::Sage(l.forward_fused(adj, input, fuse_relu, ws)?),
+            ConvLayer::Gat(l) => ConvForward::Gat(l.forward_fused(adj, input, fuse_relu, ws)?),
         })
     }
 
@@ -239,17 +210,6 @@ impl ConvLayer {
             _ => Err(NnError::InvalidArchitecture {
                 reason: "forward cache does not match this layer's architecture".into(),
             }),
-        }
-    }
-
-    /// The projection weight — the first of [`ConvLayer::params`] for
-    /// every architecture, and the only parameter int8 serving
-    /// quantizes.
-    pub fn weight(&self) -> &crate::Param {
-        match self {
-            ConvLayer::Gcn(l) => l.weight(),
-            ConvLayer::Sage(l) => l.weight(),
-            ConvLayer::Gat(l) => l.weight(),
         }
     }
 

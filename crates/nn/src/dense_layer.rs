@@ -1,5 +1,8 @@
-use crate::{glorot_uniform, NnError, Param, Projection};
-use linalg::{matmul_a_bt_into_ws, matmul_at_b_into_ws, DenseMatrix, Epilogue, Workspace};
+use crate::{glorot_uniform, NnError, Param};
+use linalg::{
+    matmul_a_bt_into_ws, matmul_at_b_into_ws, matmul_fused_into_ws, DenseMatrix, Epilogue,
+    Workspace,
+};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -106,22 +109,6 @@ impl DenseLayer {
         fuse_relu: bool,
         ws: &mut Workspace,
     ) -> Result<DenseForward, NnError> {
-        self.forward_with(Projection::F32(&self.weight.value), input, fuse_relu, ws)
-    }
-
-    /// [`DenseLayer::forward_fused`] with `H W` taken through `weight`
-    /// (see [`Projection`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`DenseLayer::forward`], plus a `weight` not `in_dim × out_dim`.
-    pub fn forward_with(
-        &self,
-        weight: Projection<'_>,
-        input: &DenseMatrix,
-        fuse_relu: bool,
-        ws: &mut Workspace,
-    ) -> Result<DenseForward, NnError> {
         let bias = self.bias.value.row(0);
         let epilogue = if fuse_relu {
             Epilogue::BiasRelu(bias)
@@ -129,7 +116,7 @@ impl DenseLayer {
             Epilogue::Bias(bias)
         };
         let mut output = ws.take_for_overwrite(input.rows(), self.out_dim);
-        weight.matmul_into(input, &mut output, epilogue, ws)?;
+        matmul_fused_into_ws(input, &self.weight.value, &mut output, epilogue, ws)?;
         Ok(DenseForward { output })
     }
 

@@ -1,6 +1,7 @@
-use crate::{glorot_uniform, NnError, Param, Projection};
+use crate::{glorot_uniform, NnError, Param};
 use linalg::{
-    matmul_a_bt_into_ws, matmul_at_b_into_ws, CsrMatrix, DenseMatrix, Epilogue, Workspace,
+    matmul_a_bt_into_ws, matmul_at_b_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix,
+    Epilogue, Workspace,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -184,30 +185,6 @@ impl GatLayer {
         fuse_relu: bool,
         ws: &mut Workspace,
     ) -> Result<GatForward, NnError> {
-        self.forward_with(
-            Projection::F32(&self.weight.value),
-            adj,
-            input,
-            fuse_relu,
-            ws,
-        )
-    }
-
-    /// [`GatLayer::forward_fused`] with `W H` taken through `weight`
-    /// (see [`Projection`]); attention, softmax, aggregation, and the
-    /// fused bias/ReLU run the same f32 code on whatever came out.
-    ///
-    /// # Errors
-    ///
-    /// As [`GatLayer::forward`], plus a `weight` not `in_dim × out_dim`.
-    pub fn forward_with(
-        &self,
-        weight: Projection<'_>,
-        adj: &CsrMatrix,
-        input: &DenseMatrix,
-        fuse_relu: bool,
-        ws: &mut Workspace,
-    ) -> Result<GatForward, NnError> {
         if adj.rows() != input.rows() || adj.cols() != input.rows() {
             return Err(NnError::Linalg(linalg::LinalgError::ShapeMismatch {
                 op: "gat_forward",
@@ -217,7 +194,7 @@ impl GatLayer {
         }
         let n = input.rows();
         let mut wh = ws.take_for_overwrite(n, self.out_dim);
-        weight.matmul_into(input, &mut wh, Epilogue::None, ws)?;
+        matmul_fused_into_ws(input, &self.weight.value, &mut wh, Epilogue::None, ws)?;
         let (a_src, a_dst) = (self.attn_src.value.row(0), self.attn_dst.value.row(0));
         let bias = self.bias.value.row(0);
         // s_i = a_src · wh_i, t_j = a_dst · wh_j.

@@ -1,6 +1,7 @@
-use crate::{glorot_uniform, NnError, Param, Projection};
+use crate::{glorot_uniform, NnError, Param};
 use linalg::{
-    matmul_a_bt_into_ws, matmul_at_b_into_ws, CsrMatrix, DenseMatrix, Epilogue, Workspace,
+    matmul_a_bt_into_ws, matmul_at_b_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix,
+    Epilogue, Workspace,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -138,31 +139,8 @@ impl GcnLayer {
         fuse_relu: bool,
         ws: &mut Workspace,
     ) -> Result<GcnForward, NnError> {
-        self.forward_with(
-            Projection::F32(&self.weight.value),
-            adj,
-            input,
-            fuse_relu,
-            ws,
-        )
-    }
-
-    /// [`GcnLayer::forward_fused`] with `H W` taken through `weight`
-    /// (see [`Projection`]); bias and aggregation are this layer's.
-    ///
-    /// # Errors
-    ///
-    /// As [`GcnLayer::forward`], plus a `weight` not `in_dim × out_dim`.
-    pub fn forward_with(
-        &self,
-        weight: Projection<'_>,
-        adj: &CsrMatrix,
-        input: &DenseMatrix,
-        fuse_relu: bool,
-        ws: &mut Workspace,
-    ) -> Result<GcnForward, NnError> {
         let mut xw = ws.take_for_overwrite(input.rows(), self.out_dim);
-        weight.matmul_into(input, &mut xw, Epilogue::None, ws)?;
+        matmul_fused_into_ws(input, &self.weight.value, &mut xw, Epilogue::None, ws)?;
         let bias = self.bias.value.row(0);
         let epilogue = if fuse_relu {
             Epilogue::BiasRelu(bias)

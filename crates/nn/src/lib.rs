@@ -14,11 +14,13 @@
 //! - [`GcnNetwork`] / [`MlpNetwork`]: sequential containers with a
 //!   full-batch training loop, parameter counting (the `θ` columns of
 //!   Table II), and per-layer embedding export (needed by the rectifier
-//!   taps and by the link-stealing attack surface),
-//! - [`Projection`]: the borrowed weight view (`F32` or `Int8`) every
-//!   layer's `forward_with` takes, so int8 serving is the *same*
-//!   layers handed quantized codes of their weights — precision is data
-//!   a caller holds beside the f32 model, not a second type hierarchy.
+//!   taps and by the link-stealing attack surface).
+//!
+//! Every forward pass here is f32. Int8 is a *sealed form* of the
+//! projection weights (`linalg::QuantizedMatrix`, written and read by
+//! the `gnnvault` snapshot codec), not a compute path: a vault serving
+//! at `Precision::Int8` runs these same layers over weights already
+//! snapped onto their int8 grid.
 //!
 //! # Examples
 //!
@@ -54,7 +56,6 @@ pub mod loss;
 mod network;
 mod optim;
 mod param;
-mod projection;
 mod sage;
 
 pub use conv::{ConvForward, ConvKind, ConvLayer};
@@ -66,5 +67,4 @@ pub use init::glorot_uniform;
 pub use network::{GcnNetwork, MlpNetwork, TrainConfig, TrainReport};
 pub use optim::Adam;
 pub use param::Param;
-pub use projection::{check_int8_count, Projection};
 pub use sage::{SageForward, SageLayer};

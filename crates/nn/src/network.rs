@@ -1,5 +1,5 @@
-use crate::{check_int8_count, loss, Adam, DenseLayer, GcnLayer, NnError, Projection};
-use linalg::{ops, CsrMatrix, DenseMatrix, QuantizedMatrix, Workspace};
+use crate::{loss, Adam, DenseLayer, GcnLayer, NnError};
+use linalg::{ops, CsrMatrix, DenseMatrix, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -159,26 +159,6 @@ impl GcnNetwork {
         adj: &CsrMatrix,
         x: &DenseMatrix,
     ) -> Result<Vec<DenseMatrix>, NnError> {
-        self.forward_embeddings_at(adj, x, None)
-    }
-
-    /// [`GcnNetwork::forward_embeddings`] at a serving precision: with
-    /// `int8`, layer `i`'s product runs through `int8[i]` (codes of that
-    /// layer's weight, see [`Projection`]) — same layer stack, same
-    /// fused-ReLU schedule, same f32 biases and aggregation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Linalg`] on shape inconsistencies and
-    /// [`NnError::InvalidArchitecture`] when `int8` is not one matrix
-    /// per layer.
-    pub fn forward_embeddings_at(
-        &self,
-        adj: &CsrMatrix,
-        x: &DenseMatrix,
-        int8: Option<&[QuantizedMatrix]>,
-    ) -> Result<Vec<DenseMatrix>, NnError> {
-        check_int8_count(int8, self.layers.len())?;
         // Hidden activations come out of the fused forward already
         // ReLU-ed (applied in the aggregation epilogue) — no separate
         // activation pass, no copies. The workspace recycles GEMM
@@ -187,9 +167,8 @@ impl GcnNetwork {
         let mut embeddings: Vec<DenseMatrix> = Vec::with_capacity(self.layers.len());
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let weight = Projection::select(&layer.weight().value, int8, i);
             let input = embeddings.last().unwrap_or(x);
-            let out = layer.forward_with(weight, adj, input, i != last, &mut ws)?;
+            let out = layer.forward_fused(adj, input, i != last, &mut ws)?;
             embeddings.push(out.output);
         }
         Ok(embeddings)
@@ -405,31 +384,13 @@ impl MlpNetwork {
     ///
     /// Returns [`NnError::Linalg`] on shape inconsistencies.
     pub fn forward_embeddings(&self, x: &DenseMatrix) -> Result<Vec<DenseMatrix>, NnError> {
-        self.forward_embeddings_at(x, None)
-    }
-
-    /// [`MlpNetwork::forward_embeddings`] at a serving precision (see
-    /// [`GcnNetwork::forward_embeddings_at`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Linalg`] on shape inconsistencies and
-    /// [`NnError::InvalidArchitecture`] when `int8` is not one matrix
-    /// per layer.
-    pub fn forward_embeddings_at(
-        &self,
-        x: &DenseMatrix,
-        int8: Option<&[QuantizedMatrix]>,
-    ) -> Result<Vec<DenseMatrix>, NnError> {
-        check_int8_count(int8, self.layers.len())?;
-        // Fused bias + ReLU epilogues; see GcnNetwork::forward_embeddings_at.
+        // Fused bias + ReLU epilogues; see GcnNetwork::forward_embeddings.
         let mut ws = Workspace::new();
         let mut embeddings: Vec<DenseMatrix> = Vec::with_capacity(self.layers.len());
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let weight = Projection::select(&layer.weight().value, int8, i);
             let input = embeddings.last().unwrap_or(x);
-            let out = layer.forward_with(weight, input, i != last, &mut ws)?;
+            let out = layer.forward_fused(input, i != last, &mut ws)?;
             embeddings.push(out.output);
         }
         Ok(embeddings)

@@ -1,6 +1,7 @@
-use crate::{glorot_uniform, NnError, Param, Projection};
+use crate::{glorot_uniform, NnError, Param};
 use linalg::{
-    matmul_a_bt_into_ws, matmul_at_b_into_ws, CsrMatrix, DenseMatrix, Epilogue, Workspace,
+    matmul_a_bt_into_ws, matmul_at_b_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix,
+    Epilogue, Workspace,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -117,30 +118,6 @@ impl SageLayer {
         fuse_relu: bool,
         ws: &mut Workspace,
     ) -> Result<SageForward, NnError> {
-        self.forward_with(
-            Projection::F32(&self.weight.value),
-            adj,
-            input,
-            fuse_relu,
-            ws,
-        )
-    }
-
-    /// [`SageLayer::forward_fused`] with `[H ‖ Ā H] W` taken through
-    /// `weight` (see [`Projection`]); aggregation and concatenation
-    /// stay f32.
-    ///
-    /// # Errors
-    ///
-    /// As [`SageLayer::forward`], plus a `weight` not `2·in_dim × out_dim`.
-    pub fn forward_with(
-        &self,
-        weight: Projection<'_>,
-        adj: &CsrMatrix,
-        input: &DenseMatrix,
-        fuse_relu: bool,
-        ws: &mut Workspace,
-    ) -> Result<SageForward, NnError> {
         let mut aggregated = ws.take_for_overwrite(adj.rows(), input.cols());
         adj.spmm_into(input, &mut aggregated)?;
         let mut concat = ws.take_for_overwrite(input.rows(), 2 * input.cols());
@@ -153,7 +130,7 @@ impl SageLayer {
             Epilogue::Bias(bias)
         };
         let mut output = ws.take_for_overwrite(input.rows(), self.out_dim);
-        weight.matmul_into(&concat, &mut output, epilogue, ws)?;
+        matmul_fused_into_ws(&concat, &self.weight.value, &mut output, epilogue, ws)?;
         Ok(SageForward {
             output,
             cached_concat: concat,

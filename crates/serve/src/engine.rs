@@ -203,13 +203,15 @@ pub struct ServeConfig {
     /// way, every successful answer is bit-identical to sequential
     /// [`Vault::infer`].
     pub topology: Topology,
-    /// Numeric precision installed on the vault before shard fan-out
-    /// ([`Vault::set_precision`]). Under [`Precision::Int8`] every
-    /// shard — replica or partition — serves the same quantized model:
-    /// the snapshot fan-out carries the stored int8 codes verbatim, so
-    /// shards stay bit-identical to each other and to a reference
-    /// int8 [`Vault::infer`]. Later [`ServingEngine::deploy`] calls
-    /// install their snapshot's own precision.
+    /// Sealed form installed on the vault before shard fan-out
+    /// ([`Vault::set_precision`]). Under [`Precision::Int8`] the
+    /// projection weights are snapped onto their int8 grid once and
+    /// every image the fan-out ships — replica or partition — is the
+    /// smaller int8 form; shards restore the same grid weights, so
+    /// they stay bit-identical to each other and to a reference int8
+    /// [`Vault::infer`]. Compute is the f32 path at both settings.
+    /// Later [`ServingEngine::deploy`] calls install their snapshot's
+    /// own precision.
     pub precision: Precision,
     /// Per-request queue-time budget: a request that has already waited
     /// longer than this when its batch is flushed is answered
@@ -1056,8 +1058,8 @@ impl ServingEngine {
         }
         // Install the configured precision on the full vault before any
         // fan-out: replicas restore from its snapshot and partitions are
-        // carved from it, so every shard inherits the exact same int8
-        // codes (or stays f32) without a per-shard re-quantization.
+        // carved from it, so every shard inherits the exact same grid
+        // weights (or stays f32).
         let mut vault = vault;
         vault
             .set_precision(config.precision)
