@@ -428,7 +428,6 @@ fn bench_serving_sharded(c: &mut Criterion) {
                     max_queue_requests: 8192,
                     ..BatchPolicy::default()
                 },
-                sessions: 2,
                 cache_capacity: 0,
                 shards,
                 ..ServeConfig::default()
@@ -502,7 +501,6 @@ fn bench_serving_partitioned(c: &mut Criterion) {
                     max_queue_requests: 8192,
                     ..BatchPolicy::default()
                 },
-                sessions: 2,
                 cache_capacity: 0,
                 shards,
                 topology: Topology::Partitioned,
@@ -530,89 +528,6 @@ fn bench_serving_partitioned(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_client_storm(c: &mut Criterion) {
-    // Tail latency of a client hammering already-hot nodes, measured in
-    // latency mode (every submit→wait round trip timed individually, so
-    // the JSON rows carry p50/p99/p999). Both rows run the identical
-    // single-node stream over a warmed 512-node corpus at 2 shards:
-    //
-    //   queued_hit    — fast cache off; every hit still pays queue
-    //                   admission, the cross-thread hop into the shard
-    //                   worker (bounded below by the 1 ms batch
-    //                   deadline for a lone request), and a wakeup back
-    //   fast_path_hit — fast cache on; the submit thread probes the
-    //                   lock-free table and resolves in place
-    //
-    // The gap between the two p50s is printed, not asserted: the
-    // queued row is dominated by the 1 ms batch deadline a lone request
-    // waits out on an idle shard, so a ratio gate would measure a config
-    // constant on whatever box runs it.
-    let (vault, x) = serving_vault(512);
-    let mut group = c.benchmark_group("client_storm");
-    for &(label, fast_cache_slots) in &[("queued_hit", 0usize), ("fast_path_hit", 4096)] {
-        let engine = ServingEngine::start(
-            vault.spawn_replica().expect("replica"),
-            x.clone(),
-            ServeConfig {
-                policy: BatchPolicy {
-                    max_batch_nodes: 64,
-                    max_delay: std::time::Duration::from_millis(1),
-                    max_queue_requests: 8192,
-                    ..BatchPolicy::default()
-                },
-                sessions: 2,
-                cache_capacity: 512,
-                fast_cache_slots,
-                shards: 2,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("engine start");
-        let handle = engine.handle();
-        // Warm every node once: the waits guarantee each label is in
-        // the per-shard LRU — and published to the fast cache — before
-        // the storm starts, so both rows measure pure hits.
-        handle
-            .submit((0..512).collect())
-            .expect("warm admission")
-            .wait()
-            .expect("warm inference");
-        let mut k = 0usize;
-        group.bench_function(label, |bencher| {
-            bencher.iter_latency(|| {
-                k = (k + 97) % 512;
-                handle
-                    .submit_one(k)
-                    .expect("admission")
-                    .wait()
-                    .expect("hit")
-            })
-        });
-        let (_, stats) = engine.shutdown();
-        if fast_cache_slots > 0 && std::env::var_os("SERVE_DISABLE_FAST_CACHE").is_none() {
-            assert!(
-                stats.fast_path_hits > 0,
-                "the fast-path row must actually resolve on the submit thread"
-            );
-        }
-    }
-    group.finish();
-    let p50_of = |id: &str| {
-        c.records()
-            .iter()
-            .find(|r| r.id == id)
-            .and_then(|r| r.p50_ns)
-            .expect("latency-mode row records p50")
-    };
-    let queued = p50_of("client_storm/queued_hit");
-    let fast = p50_of("client_storm/fast_path_hit");
-    eprintln!(
-        "client_storm: queued-hit p50 {queued:.0} ns vs fast-path-hit p50 {fast:.0} ns \
-         ({:.1}x)",
-        queued / fast
-    );
-}
-
 criterion_group!(
     benches,
     record_machine_metadata,
@@ -628,7 +543,6 @@ criterion_group!(
     bench_pairwise_gram,
     bench_serving_batch,
     bench_serving_sharded,
-    bench_serving_partitioned,
-    bench_client_storm
+    bench_serving_partitioned
 );
 criterion_main!(benches);

@@ -237,9 +237,19 @@ impl Rectifier {
     /// expects from the real graph: symmetric GCN normalization for
     /// `Gcn`/`Gat`, row normalization for `Sage`.
     pub fn preferred_adjacency(&self, real_graph: &graph::Graph) -> CsrMatrix {
+        self.adjacency(real_graph, &real_graph.degrees())
+    }
+
+    /// [`Rectifier::preferred_adjacency`] for a `graph` that may be an
+    /// induced piece of the real graph ([`graph::subgraph::Closure`]),
+    /// normalized with each node's degree in the *full* graph — the one
+    /// place a [`ConvKind`] is mapped to an operator, for training and
+    /// for every operator a deployed vault builds.
+    pub fn adjacency(&self, graph: &graph::Graph, full_graph_degrees: &[usize]) -> CsrMatrix {
+        use graph::normalization::{gcn_normalize_with_degrees, row_normalize_with_degrees};
         match self.conv {
-            ConvKind::Sage => graph::normalization::row_normalize(real_graph),
-            ConvKind::Gcn | ConvKind::Gat => graph::normalization::gcn_normalize(real_graph),
+            ConvKind::Sage => row_normalize_with_degrees(graph, full_graph_degrees),
+            ConvKind::Gcn | ConvKind::Gat => gcn_normalize_with_degrees(graph, full_graph_degrees),
         }
     }
 

@@ -39,8 +39,8 @@
 //!            | per layer (count u64, projection, count-1 matrices)
 //! scope:     full image:      real graph
 //!            partition image: part u64 | parts u64 | owned (global ids)
-//!                             | local_ids (global ids) | original_degrees
-//!                             | local graph
+//!                             | closure ids (global ids) | closure degrees
+//!                             | closure graph
 //! ```
 //!
 //! where `network` is `input_dim u64 | layers u64 | per layer (in u64,
@@ -72,6 +72,7 @@
 
 use crate::{Backbone, Precision, Rectifier, RectifierKind, SubstituteKind, VaultError};
 use graph::partition::GraphPartition;
+use graph::subgraph::Closure;
 use graph::Graph;
 use linalg::{DenseMatrix, QuantizedMatrix};
 use nn::{ConvKind, GcnNetwork, MlpNetwork};
@@ -179,45 +180,30 @@ impl VaultSnapshot {
 }
 
 /// Ownership maps of one partition: what a partition image's scope
-/// section carries, what the decoder returns, and what a partition
-/// replica keeps resident. `part`/`parts` are public routing metadata;
-/// the closure (`local_ids`, whose tail reveals halo membership and
-/// therefore cross-partition adjacency) stays enclave-private like the
-/// rest of the graph state.
+/// section carries beside the partition's [`Closure`], what the decoder
+/// returns, and what a partition replica keeps resident. All of it is
+/// public routing metadata — ownership is a pure function of the node
+/// id; the closure (whose id list reveals halo membership and therefore
+/// cross-partition adjacency) stays enclave-private like the rest of
+/// the graph state.
 #[derive(Debug, Clone)]
 pub(crate) struct PartitionMaps {
     /// Which partition of how many — the clear stamp its snapshots carry.
     pub stamp: SnapshotPartition,
-    /// Node count of the whole deployment (the query id space).
-    pub num_global_nodes: usize,
     /// Global ids owned by this partition, strictly ascending.
     pub owned: Vec<usize>,
-    /// Global ids of the closure (`owned ∪ halo`), strictly ascending;
-    /// the index in this list is the local id in the partition's graph.
-    pub local_ids: Vec<usize>,
-    /// Full-graph degree per local id — the normalization degrees that
-    /// make local aggregation bit-identical to the full graph.
-    pub original_degrees: Vec<usize>,
 }
 
 impl PartitionMaps {
-    /// The maps of a partition just cut from a `num_global_nodes`-node
-    /// graph.
-    pub(crate) fn of(gp: &GraphPartition, num_global_nodes: usize) -> Self {
-        Self {
-            stamp: SnapshotPartition {
-                part: gp.part(),
-                parts: gp.num_parts(),
-            },
-            num_global_nodes,
-            owned: gp.owned().to_vec(),
-            local_ids: gp.local_ids().to_vec(),
-            original_degrees: gp.original_degrees().to_vec(),
-        }
-    }
-
-    pub(crate) fn local_id(&self, global: usize) -> Option<usize> {
-        self.local_ids.binary_search(&global).ok()
+    /// Splits a partition just cut from the graph into its maps and
+    /// its closure.
+    pub(crate) fn of(gp: GraphPartition) -> (Self, Closure) {
+        let stamp = SnapshotPartition {
+            part: gp.part(),
+            parts: gp.num_parts(),
+        };
+        let (owned, closure) = gp.into_owned_and_closure();
+        (Self { stamp, owned }, closure)
     }
 
     pub(crate) fn owns(&self, global: usize) -> bool {
@@ -225,10 +211,13 @@ impl PartitionMaps {
     }
 }
 
-/// Everything of a deployment that is the same in every scope: what
-/// [`encode`] writes ahead of the scope section.
+/// Everything of a deployment that is the same whichever share of the
+/// private graph an image carries: what [`encode`] writes ahead of the
+/// scope section.
 pub(crate) struct Header<'a> {
     pub epoch: u64,
+    /// Node count of the whole deployment (the query id space).
+    pub num_nodes: usize,
     pub epc_budget: usize,
     pub cost: &'a CostModel,
     pub policy: OverBudgetPolicy,
@@ -239,22 +228,18 @@ pub(crate) struct Header<'a> {
     pub precision: Precision,
 }
 
-/// How much of the private graph an image carries.
-pub(crate) enum Scope<'a> {
-    /// The whole real graph (a replica image).
-    Full(&'a Graph),
-    /// One partition: its ownership maps and induced local graph.
-    Partition(&'a PartitionMaps, &'a Graph),
-}
-
 /// The owned parts of one deployment: what [`decode`] returns and what
 /// the vault installs, whether they came from a payload
 /// ([`Vault::restore`](crate::Vault::restore)) or from training
-/// ([`Vault::deploy`](crate::Vault::deploy)). On a partition replica
-/// `real_graph` is the induced *local* graph and `partition` carries
-/// the ownership maps.
+/// ([`Vault::deploy`](crate::Vault::deploy)). `resident` is the private
+/// graph state the vault holds: the whole real graph
+/// ([`Closure::whole`]) or, with `partition` carrying the ownership
+/// maps, one partition's closure.
 pub(crate) struct Deployment {
     pub epoch: u64,
+    /// Node count of the whole deployment (the query id space), which
+    /// on a partition replica is not the resident graph's.
+    pub num_nodes: usize,
     pub epc_budget: usize,
     pub cost: CostModel,
     pub policy: OverBudgetPolicy,
@@ -263,19 +248,8 @@ pub(crate) struct Deployment {
     /// The sealed form. Decoded from an int8 payload, `backbone` and
     /// `rectifier` hold the dequantized weights.
     pub precision: Precision,
-    pub real_graph: Graph,
+    pub resident: Closure,
     pub partition: Option<PartitionMaps>,
-}
-
-impl Deployment {
-    /// Node count of the whole deployment (the query id space), which
-    /// on a partition replica is not the local graph's.
-    pub(crate) fn num_global_nodes(&self) -> usize {
-        match &self.partition {
-            Some(maps) => maps.num_global_nodes,
-            None => self.real_graph.num_nodes(),
-        }
-    }
 }
 
 /// Shorthand for decode failures.
@@ -513,20 +487,24 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------
 
 /// Encodes a deployment into the deterministic snapshot payload
-/// (pre-sealing): the shared header, then the scope's section.
-pub(crate) fn encode(h: &Header<'_>, scope: &Scope<'_>) -> Vec<u8> {
+/// (pre-sealing): the shared header, then the scope section — all of
+/// `resident` as one partition's closure when `partition` carries its
+/// ownership maps (a partition image), else just its graph, the whole
+/// real graph (a replica image).
+pub(crate) fn encode(
+    h: &Header<'_>,
+    partition: Option<&PartitionMaps>,
+    resident: &Closure,
+) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u64(MAGIC);
-    let (partition_flag, num_global_nodes) = match scope {
-        Scope::Full(graph) => (0, graph.num_nodes()),
-        Scope::Partition(maps, _) => (FLAG_PARTITION, maps.num_global_nodes),
-    };
+    let partition_flag = partition.map_or(0, |_| FLAG_PARTITION);
     w.put_u8(match h.precision {
         Precision::F32 => partition_flag,
         Precision::Int8 => partition_flag | FLAG_INT8,
     });
     w.put_u64(h.epoch);
-    w.put_usize(num_global_nodes);
+    w.put_usize(h.num_nodes);
 
     w.put_usize(h.epc_budget);
     w.put_u64(h.cost.transition_ns);
@@ -541,17 +519,14 @@ pub(crate) fn encode(h: &Header<'_>, scope: &Scope<'_>) -> Vec<u8> {
     encode_backbone(&mut w, h.backbone, h.precision);
     encode_rectifier(&mut w, h.rectifier, h.precision);
 
-    match scope {
-        Scope::Full(graph) => w.put_graph(graph),
-        Scope::Partition(maps, local_graph) => {
-            w.put_usize(maps.stamp.part);
-            w.put_usize(maps.stamp.parts);
-            w.put_usizes(&maps.owned);
-            w.put_usizes(&maps.local_ids);
-            w.put_usizes(&maps.original_degrees);
-            w.put_graph(local_graph);
-        }
+    if let Some(maps) = partition {
+        w.put_usize(maps.stamp.part);
+        w.put_usize(maps.stamp.parts);
+        w.put_usizes(&maps.owned);
+        w.put_usizes(&resident.ids);
+        w.put_usizes(&resident.degrees);
     }
+    w.put_graph(&resident.graph);
     w.buf
 }
 
@@ -700,7 +675,7 @@ pub(crate) fn decode(payload: &[u8]) -> Result<Deployment, VaultError> {
     let backbone = decode_backbone(&mut r, precision)?;
     let rectifier = decode_rectifier(&mut r, &backbone, precision)?;
 
-    let (real_graph, partition) = if flags & FLAG_PARTITION != 0 {
+    let (resident, partition) = if flags & FLAG_PARTITION != 0 {
         decode_partition_scope(&mut r, num_global_nodes)?
     } else {
         let graph = r.get_graph()?;
@@ -710,19 +685,20 @@ pub(crate) fn decode(payload: &[u8]) -> Result<Deployment, VaultError> {
                 graph.num_nodes()
             )));
         }
-        (graph, None)
+        (Closure::whole(graph), None)
     };
     r.finish()?;
 
     Ok(Deployment {
         epoch,
+        num_nodes: num_global_nodes,
         epc_budget,
         cost,
         policy,
         backbone,
         rectifier,
         precision,
-        real_graph,
+        resident,
         partition,
     })
 }
@@ -730,7 +706,7 @@ pub(crate) fn decode(payload: &[u8]) -> Result<Deployment, VaultError> {
 fn decode_partition_scope(
     r: &mut Reader<'_>,
     num_global_nodes: usize,
-) -> Result<(Graph, Option<PartitionMaps>), VaultError> {
+) -> Result<(Closure, Option<PartitionMaps>), VaultError> {
     let part = r.get_usize()?;
     let parts = r.get_usize()?;
     if part >= parts {
@@ -770,12 +746,14 @@ fn decode_partition_scope(
     }
     let maps = PartitionMaps {
         stamp: SnapshotPartition { part, parts },
-        num_global_nodes,
         owned,
-        local_ids,
-        original_degrees,
     };
-    Ok((local_graph, Some(maps)))
+    let closure = Closure {
+        ids: local_ids,
+        graph: local_graph,
+        degrees: original_degrees,
+    };
+    Ok((closure, Some(maps)))
 }
 
 /// Rejects id lists that are not strictly ascending within bounds — the

@@ -1,14 +1,15 @@
-use crate::snapshot::{self, Deployment, PartitionMaps, Scope};
+use crate::snapshot::{self, Deployment, PartitionMaps};
 use crate::{Backbone, Rectifier, VaultError, VaultSnapshot};
-use graph::partition::PartitionSpec;
-use graph::{normalization, Graph};
+use graph::partition::{GraphPartition, PartitionSpec};
+use graph::subgraph::{self, Closure};
+use graph::Graph;
 use linalg::{CsrMatrix, DenseMatrix};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tee::{
     codec, AllocationId, ClassLabel, CostModel, EnclaveSession, EnclaveSim, Meter,
-    OverBudgetPolicy, Phase, SealKey, Sealed, SessionId, UntrustedToEnclave,
+    OverBudgetPolicy, Phase, SealKey, Sealed, SessionId,
 };
 
 /// Process-wide deployment counter behind [`Vault::epoch`]: every
@@ -90,20 +91,18 @@ impl Precision {
 /// real graph (COO + precomputed degrees) sealed inside a simulated SGX
 /// enclave.
 ///
-/// Besides full-graph [`Vault::infer`], the threat model's per-node
-/// query ("query the GNN model with any chosen node") is served by
-/// [`Vault::infer_node`], which extracts the node's k-hop ego graph
-/// *inside the enclave* — the private neighbourhood never leaves — and
-/// rectifies only that subgraph.
-///
-/// [`Vault::infer`] runs the split pipeline: backbone in the normal
+/// Every query runs the one split pipeline: backbone in the normal
 /// world, tap embeddings marshalled one-way into the enclave, rectifier
-/// inside, and *label-only* output ([`ClassLabel`]) — logits never leave.
-///
-/// For serving traffic, [`Vault::infer_batch`] answers many node
-/// queries with a single enclave transition set per batch through a
-/// reusable [`EnclaveSession`]; the `serve` crate builds its admission
-/// queue, caching, and scheduling on top of that entry point.
+/// inside, and *label-only* output ([`ClassLabel`]) — logits never
+/// leave. The three entry points differ only in which nodes they ask
+/// about and in the [`Field`] the enclave rectifies to answer them:
+/// [`Vault::infer`] asks for every node and [`Vault::infer_batch`] for
+/// a batch (through a reusable [`EnclaveSession`]; the `serve` crate
+/// builds its admission queue, caching, and scheduling on top of it),
+/// both over everything resident; [`Vault::infer_node`] — the threat
+/// model's "query the GNN model with any chosen node" — rectifies only
+/// the node's receptive field, extracted *inside the enclave* so the
+/// private neighbourhood never leaves.
 ///
 /// # Examples
 ///
@@ -113,18 +112,26 @@ impl Precision {
 pub struct Vault {
     backbone: Backbone,
     epoch: u64,
+    /// Node count of the whole deployment — the query id space, which
+    /// on a partition replica is not the resident graph's.
+    num_nodes: usize,
     next_session: u64,
     epc_budget: usize,
     policy: OverBudgetPolicy,
-    /// `Some` on a partition replica: `real_graph` is then the induced
-    /// local closure and queries are answerable only for owned nodes.
+    /// `Some` on a partition replica: `resident` is then one
+    /// partition's closure and queries are answerable only for owned
+    /// nodes.
     partition: Option<PartitionMaps>,
     // --- enclave-private state (never exposed by any accessor) ---
     rectifier: Rectifier,
     /// The sealed form of the projection weights; under `Int8` the
     /// weights above already sit on the int8 grid.
     precision: Precision,
-    real_graph: Graph,
+    /// The private graph state: the whole real graph on a full vault,
+    /// one partition's closure on a partition replica — either way the
+    /// graph, its rows' global ids, and their full-graph degrees.
+    resident: Closure,
+    /// The rectifier's operator over all of `resident`, built once.
     real_adj: CsrMatrix,
     enclave: EnclaveSim,
     sealed_artifacts: Vec<(String, Sealed)>,
@@ -154,13 +161,14 @@ impl Vault {
     ) -> Result<Vault, VaultError> {
         let fresh = Deployment {
             epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
+            num_nodes: real_graph.num_nodes(),
             epc_budget,
             cost,
             policy,
             backbone,
             rectifier,
             precision: Precision::F32,
-            real_graph: real_graph.clone(),
+            resident: Closure::whole(real_graph.clone()),
             partition: None,
         };
         Self::install(fresh, seal_key)
@@ -168,37 +176,34 @@ impl Vault {
 
     /// Deployment body shared by [`Vault::deploy`] (fresh epoch) and
     /// [`Vault::restore`] (the snapshot's epoch, so replicas of one
-    /// snapshot share a cache identity). With `partition`, `real_graph`
-    /// is the partition's induced closure and normalization uses the
-    /// recorded full-graph degrees — the resident set (COO, degree
-    /// vector, CSR) shrinks to the closure size, which is the memory
-    /// win of partitioned sharding.
+    /// snapshot share a cache identity). With `partition`, `resident`
+    /// is the partition's closure and normalization uses its recorded
+    /// full-graph degrees — the resident set (COO, degree vector, CSR)
+    /// shrinks to the closure size, which is the memory win of
+    /// partitioned sharding.
     fn install(deployment: Deployment, seal_key: SealKey) -> Result<Vault, VaultError> {
         let Deployment {
             epoch,
+            num_nodes,
             epc_budget,
             cost,
             policy,
             backbone,
             rectifier,
             precision,
-            real_graph,
+            resident,
             partition,
         } = deployment;
         let mut enclave = EnclaveSim::new(epc_budget, cost, policy);
 
         // Resident enclave set, mirroring §IV-E's storage plan.
         enclave.alloc("rectifier parameters", rectifier.nbytes())?;
-        enclave.alloc("real graph (COO)", real_graph.coo_nbytes())?;
+        enclave.alloc("real graph (COO)", resident.graph.coo_nbytes())?;
         enclave.alloc(
             "degree vector",
-            real_graph.num_nodes() * std::mem::size_of::<u32>(),
+            resident.degrees.len() * std::mem::size_of::<u32>(),
         )?;
-        let degrees = match &partition {
-            Some(p) => p.original_degrees.clone(),
-            None => real_graph.degrees(),
-        };
-        let real_adj = normalization::gcn_normalize_with_degrees(&real_graph, &degrees);
+        let real_adj = rectifier.adjacency(&resident.graph, &resident.degrees);
         enclave.alloc("normalized adjacency (CSR)", real_adj.nbytes())?;
 
         // Seal deployment artifacts (simulated SGX sealing).
@@ -211,8 +216,8 @@ impl Vault {
             "rectifier-shape".to_owned(),
             Sealed::seal(seal_key.derive("rectifier-shape"), &weight_bytes),
         ));
-        let mut edge_bytes = Vec::with_capacity(real_graph.num_edges() * 8);
-        for &(u, v) in real_graph.edges() {
+        let mut edge_bytes = Vec::with_capacity(resident.graph.num_edges() * 8);
+        for &(u, v) in resident.graph.edges() {
             edge_bytes.extend_from_slice(&(u as u32).to_le_bytes());
             edge_bytes.extend_from_slice(&(v as u32).to_le_bytes());
         }
@@ -224,13 +229,14 @@ impl Vault {
         Ok(Vault {
             backbone,
             epoch,
+            num_nodes,
             next_session: 0,
             epc_budget,
             policy,
             partition,
             rectifier,
             precision,
-            real_graph,
+            resident,
             real_adj,
             enclave,
             sealed_artifacts,
@@ -264,12 +270,9 @@ impl Vault {
     /// # }
     /// ```
     pub fn snapshot(&self) -> VaultSnapshot {
-        match &self.partition {
-            None => self.seal_scope(&Scope::Full(&self.real_graph)),
-            // A partition replica re-snapshots as a partition image, so
-            // its recovery handle restores the same partial vault.
-            Some(maps) => self.seal_scope(&Scope::Partition(maps, &self.real_graph)),
-        }
+        // A partition replica re-snapshots as a partition image, so
+        // its recovery handle restores the same partial vault.
+        self.seal(self.partition.as_ref(), &self.resident)
     }
 
     /// Seals *one partition* of this deployment: the shared backbone
@@ -297,8 +300,8 @@ impl Vault {
         part: usize,
     ) -> Result<VaultSnapshot, VaultError> {
         let hops = self.partition_halo_hops()?;
-        let gp = graph::partition::partition_one(&self.real_graph, spec, part, hops)?;
-        Ok(self.seal_graph_partition(&gp))
+        let gp = graph::partition::partition_one(&self.resident.graph, spec, part, hops)?;
+        Ok(self.seal_graph_partition(gp))
     }
 
     /// Seals every partition of `spec` in one pass (the full-graph
@@ -313,9 +316,9 @@ impl Vault {
         spec: &PartitionSpec,
     ) -> Result<Vec<VaultSnapshot>, VaultError> {
         let hops = self.partition_halo_hops()?;
-        let parts = graph::partition::partition(&self.real_graph, spec, hops)?;
+        let parts = graph::partition::partition(&self.resident.graph, spec, hops)?;
         Ok(parts
-            .iter()
+            .into_iter()
             .map(|gp| self.seal_graph_partition(gp))
             .collect())
     }
@@ -348,18 +351,20 @@ impl Vault {
     }
 
     /// Seals one partition just cut from this (full) vault's graph.
-    fn seal_graph_partition(&self, gp: &graph::partition::GraphPartition) -> VaultSnapshot {
-        let maps = PartitionMaps::of(gp, self.real_graph.num_nodes());
-        self.seal_scope(&Scope::Partition(&maps, gp.graph()))
+    fn seal_graph_partition(&self, gp: GraphPartition) -> VaultSnapshot {
+        let (maps, closure) = PartitionMaps::of(gp);
+        self.seal(Some(&maps), &closure)
     }
 
-    /// Encodes this deployment's shared header plus `scope`'s share of
-    /// the private graph, seals the payload under the deployment key,
-    /// and stamps it with the clear routing metadata — the one body
-    /// behind every snapshot form.
-    fn seal_scope(&self, scope: &Scope<'_>) -> VaultSnapshot {
+    /// Encodes this deployment's shared header plus one share of the
+    /// private graph (`resident`: a partition's closure when
+    /// `partition` is given, else the whole graph), seals the payload
+    /// under the deployment key, and stamps it with the clear routing
+    /// metadata — the one body behind every snapshot form.
+    fn seal(&self, partition: Option<&PartitionMaps>, resident: &Closure) -> VaultSnapshot {
         let header = snapshot::Header {
             epoch: self.epoch,
+            num_nodes: self.num_nodes,
             epc_budget: self.epc_budget,
             cost: self.enclave.cost_model(),
             policy: self.policy,
@@ -367,13 +372,10 @@ impl Vault {
             rectifier: &self.rectifier,
             precision: self.precision,
         };
-        let payload = snapshot::encode(&header, scope);
+        let payload = snapshot::encode(&header, partition, resident);
         let sealed = Sealed::seal(self.seal_key.derive("vault-snapshot"), &payload);
-        let (num_nodes, stamp) = match scope {
-            Scope::Full(graph) => (graph.num_nodes(), None),
-            Scope::Partition(maps, _) => (maps.num_global_nodes, Some(maps.stamp)),
-        };
-        VaultSnapshot::new(self.epoch, num_nodes, stamp, sealed)
+        let stamp = partition.map(|maps| maps.stamp);
+        VaultSnapshot::new(self.epoch, self.num_nodes, stamp, sealed)
     }
 
     /// Rehydrates a replica from a sealed snapshot.
@@ -398,7 +400,7 @@ impl Vault {
             .sealed()
             .unseal(seal_key.derive("vault-snapshot"))?;
         let decoded = snapshot::decode(&payload)?;
-        if decoded.epoch != snapshot.epoch() || decoded.num_global_nodes() != snapshot.num_nodes() {
+        if decoded.epoch != snapshot.epoch() || decoded.num_nodes != snapshot.num_nodes() {
             return Err(VaultError::Snapshot {
                 reason: "snapshot metadata disagrees with its sealed payload".into(),
             });
@@ -477,10 +479,7 @@ impl Vault {
     /// id space are shared with every other partition — even though it
     /// only answers its owned subset.
     pub fn num_nodes(&self) -> usize {
-        match &self.partition {
-            Some(p) => p.num_global_nodes,
-            None => self.real_graph.num_nodes(),
-        }
+        self.num_nodes
     }
 
     /// `Some((part, parts))` on a partition replica, `None` on a full
@@ -575,33 +574,6 @@ impl Vault {
         Ok(())
     }
 
-    /// Opens one inference's accounting: a reset meter and the
-    /// transition count [`Vault::finish_report`] takes the delta from.
-    fn begin_report(&self) -> (Meter, u64) {
-        let meter = self.enclave.meter();
-        meter.reset();
-        (meter, self.enclave.transitions())
-    }
-
-    /// Closes one inference's accounting into its report.
-    fn finish_report(
-        &self,
-        meter: &Meter,
-        transitions_before: u64,
-        transferred_bytes: usize,
-    ) -> InferenceReport {
-        let breakdown = meter.breakdown();
-        let get = |phase: Phase| breakdown.get(&phase).copied().unwrap_or_default();
-        InferenceReport {
-            backbone_ns: get(Phase::Backbone).total_ns(),
-            transfer_ns: get(Phase::Transfer).total_ns(),
-            rectifier_ns: get(Phase::Enclave).total_ns() + get(Phase::PageSwap).total_ns(),
-            transferred_bytes,
-            transitions: self.enclave.transitions() - transitions_before,
-            peak_enclave_bytes: self.enclave.peak_usage(),
-        }
-    }
-
     /// Total enclave transitions (ECALLs) charged over the vault's
     /// lifetime — the counter behind each report's per-call
     /// [`InferenceReport::transitions`] delta. Serving tests use it to
@@ -674,8 +646,8 @@ impl Vault {
         }
         // Full-graph inference is one batch on a channel nobody reuses.
         let mut one_shot = EnclaveSession::new(SessionId::default());
-        let (classes, report) = self.full_pass(&mut one_shot, features)?;
-        Ok((classes.into_iter().map(ClassLabel).collect(), report))
+        let every_node: Vec<usize> = (0..self.num_nodes).collect();
+        self.pass(&mut one_shot, features, &every_node, Field::Resident)
     }
 
     /// Runs one batched inference for `nodes` through an open enclave
@@ -751,144 +723,7 @@ impl Vault {
                 reason: "empty batch: at least one query node is required".into(),
             });
         }
-        self.check_query(nodes)?;
-        let (classes, report) = self.full_pass(session, features)?;
-        // Label-only egress for exactly the queried nodes (global ids
-        // translate to closure rows on a partition replica).
-        let labels = match &self.partition {
-            Some(p) => nodes
-                .iter()
-                .map(|&n| {
-                    let local = p.local_id(n).expect("ownership was validated above");
-                    ClassLabel(classes[local])
-                })
-                .collect(),
-            None => nodes.iter().map(|&n| ClassLabel(classes[n])).collect(),
-        };
-        Ok((labels, report))
-    }
-
-    /// One pass of the split pipeline over everything this vault holds
-    /// — the body of both [`Vault::infer`] and [`Vault::infer_batch`],
-    /// which differ only in which rows they let out. Returns the
-    /// predicted class of every row of the vault's graph (global ids on
-    /// a full vault, closure-local ids on a partition replica); the
-    /// callers wrap the ones they release in [`ClassLabel`] — logits
-    /// never leave.
-    fn full_pass(
-        &mut self,
-        session: &mut EnclaveSession,
-        features: &DenseMatrix,
-    ) -> Result<(Vec<usize>, InferenceReport), VaultError> {
-        let (meter, transitions_before) = self.begin_report();
-
-        // 1. One public backbone forward in the untrusted world.
-        let embeddings = meter.time(Phase::Backbone, || self.backbone.embeddings(features))?;
-
-        // 2. One-way transfer of exactly the tapped embeddings, through
-        //    the session's channel.
-        let taps = self.rectifier.tap_indices();
-        session.begin_batch();
-        for &t in &taps {
-            session.send(&mut self.enclave, codec::encode_dense(&embeddings[t]))?;
-        }
-        let transferred_bytes = session.batch_bytes();
-        let payloads = session.drain();
-        let enclave_embeddings = Self::decode_tap_embeddings(&taps, &payloads, &embeddings)?;
-
-        // Partition replica: select the closure's rows *inside* the
-        // enclave. The untrusted world ships the same full tap set as
-        // always — halo membership is derived from the private edges
-        // and never crosses the boundary.
-        let enclave_embeddings = match &self.partition {
-            Some(p) => {
-                let mut local = Vec::with_capacity(enclave_embeddings.len());
-                for e in &enclave_embeddings {
-                    local.push(e.select_rows(&p.local_ids)?);
-                }
-                local
-            }
-            None => enclave_embeddings,
-        };
-
-        // 3. One rectifier pass inside the enclave; transient
-        //    activations are allocated (and EPC-accounted) once, not
-        //    once per query, and freed even when the forward fails — a
-        //    long-lived serving enclave must not leak EPC on a failed
-        //    batch. On a partition replica the buffers shrink to the
-        //    closure's row count.
-        let forward_rows = match &self.partition {
-            Some(p) => p.local_ids.len(),
-            None => features.rows(),
-        };
-        let transient = self.alloc_transient_activations(forward_rows)?;
-        let forward_result = self
-            .enclave
-            .run(|| self.rectifier.forward(&self.real_adj, &enclave_embeddings));
-        for id in transient {
-            self.enclave.free(id)?;
-        }
-        let forward = forward_result?;
-
-        // 4. Argmax inside the enclave.
-        let classes = linalg::ops::argmax_rows(forward.logits());
-        let report = self.finish_report(&meter, transitions_before, transferred_bytes);
-        Ok((classes, report))
-    }
-
-    /// Decodes world-crossing tap payloads back into the full embedding
-    /// list the rectifier wiring expects. Non-tapped slots are never
-    /// read, so zero-row placeholders stand in; slots a shallow-backbone
-    /// fallback rule could touch are padded to full height.
-    fn decode_tap_embeddings<P: AsRef<[u8]>>(
-        taps: &[usize],
-        payloads: &[P],
-        embeddings: &[DenseMatrix],
-    ) -> Result<Vec<DenseMatrix>, VaultError> {
-        let mut enclave_embeddings: Vec<DenseMatrix> = embeddings
-            .iter()
-            .map(|e| DenseMatrix::zeros(0, e.cols()))
-            .collect();
-        for (&t, payload) in taps.iter().zip(payloads) {
-            enclave_embeddings[t] = codec::decode_dense(payload.as_ref())?;
-        }
-        for (slot, original) in enclave_embeddings.iter_mut().zip(embeddings) {
-            if slot.rows() == 0 && original.rows() != 0 {
-                *slot = DenseMatrix::zeros(original.rows(), original.cols());
-            }
-        }
-        Ok(enclave_embeddings)
-    }
-
-    /// Accounts the rectifier's transient per-layer activation buffers
-    /// for an `n`-row forward against the EPC, returning the allocation
-    /// ids to free once logits have been produced. On a mid-sequence
-    /// rejection the already-made allocations are rolled back, so a
-    /// failed inference leaves the enclave ledger exactly as it found
-    /// it.
-    fn alloc_transient_activations(&mut self, n: usize) -> Result<Vec<AllocationId>, VaultError> {
-        let mut transient = Vec::new();
-        for (in_dim, out_dim) in self
-            .rectifier
-            .input_dims()
-            .into_iter()
-            .zip(self.rectifier.channel_dims())
-        {
-            match self.enclave.alloc(
-                "layer activation",
-                n * (in_dim + out_dim) * std::mem::size_of::<f32>(),
-            ) {
-                Ok(id) => transient.push(id),
-                Err(e) => {
-                    // Fresh ids: free cannot fail here.
-                    for id in transient {
-                        let _ = self.enclave.free(id);
-                    }
-                    return Err(e.into());
-                }
-            }
-        }
-        Ok(transient)
+        self.pass(session, features, nodes, Field::Resident)
     }
 
     /// Answers a single-node query (the threat model's query interface).
@@ -899,7 +734,8 @@ impl Vault {
     /// extracted (k = rectifier depth), normalized with the original
     /// degrees so the centre's embedding is exact, and only that
     /// subgraph is rectified. Enclave compute and transient memory
-    /// shrink to the neighbourhood size.
+    /// (accounted against the EPC like every pass's) shrink to the
+    /// neighbourhood size.
     ///
     /// # Errors
     ///
@@ -911,62 +747,173 @@ impl Vault {
         features: &DenseMatrix,
         node: usize,
     ) -> Result<(ClassLabel, InferenceReport), VaultError> {
-        self.check_query(&[node])?;
-        let (meter, transitions_before) = self.begin_report();
-
-        let embeddings = meter.time(Phase::Backbone, || self.backbone.embeddings(features))?;
-        let taps = self.rectifier.tap_indices();
-        let mut channel = UntrustedToEnclave::new();
-        for &t in &taps {
-            channel.send(&mut self.enclave, codec::encode_dense(&embeddings[t]))?;
-        }
-        let transferred_bytes = channel.total_bytes();
-        let payloads = channel.drain();
-
-        // --- enclave side: ego extraction + subgraph rectification ---
-        let hops = self.rectifier.num_layers();
-        let partition = self.partition.as_ref();
-        let label = self.enclave.run(|| -> Result<ClassLabel, VaultError> {
-            // On a partition replica the ego expansion runs on the
-            // local closure. Distances up to `hops` agree with the
-            // full graph because the closure spans the owned set's
-            // whole receptive field.
-            let center = match partition {
-                Some(p) => p.local_id(node).expect("ownership was validated above"),
-                None => node,
-            };
-            let ego = graph::subgraph::ego_graph(&self.real_graph, center, hops)?;
-            let degrees: Vec<usize> = match partition {
-                Some(p) => ego
-                    .original_ids
-                    .iter()
-                    .map(|&l| p.original_degrees[l])
-                    .collect(),
-                None => ego.original_degrees.clone(),
-            };
-            let ego_adj = graph::normalization::gcn_normalize_with_degrees(&ego.graph, &degrees);
-            // Rows to pull from the full decoded tap payloads are
-            // *global* ids; a partition's ego ids are local.
-            let global_rows: Vec<usize> = match partition {
-                Some(p) => ego.original_ids.iter().map(|&l| p.local_ids[l]).collect(),
-                None => ego.original_ids.clone(),
-            };
-            let mut ego_embeddings: Vec<DenseMatrix> = embeddings
-                .iter()
-                .map(|e| DenseMatrix::zeros(ego.graph.num_nodes(), e.cols()))
-                .collect();
-            for (&t, payload) in taps.iter().zip(&payloads) {
-                let full = codec::decode_dense(payload)?;
-                ego_embeddings[t] = full.select_rows(&global_rows)?;
-            }
-            let forward = self.rectifier.forward(&ego_adj, &ego_embeddings)?;
-            let preds = linalg::ops::argmax_rows(forward.logits());
-            Ok(ClassLabel(preds[ego.center]))
-        })?;
-
-        let report = self.finish_report(&meter, transitions_before, transferred_bytes);
-        Ok((label, report))
+        let mut one_shot = EnclaveSession::new(SessionId::default());
+        let (labels, report) = self.pass(&mut one_shot, features, &[node], Field::Receptive)?;
+        Ok((labels[0], report))
     }
+
+    /// One pass of the split pipeline — the body of [`Vault::infer`],
+    /// [`Vault::infer_batch`] and [`Vault::infer_node`] — answering
+    /// `nodes` (global ids) by rectifying `field`. Either field gives
+    /// every queried node its whole receptive field and normalizes with
+    /// full-graph degrees, so the labels are bit-identical between them.
+    fn pass(
+        &mut self,
+        session: &mut EnclaveSession,
+        features: &DenseMatrix,
+        nodes: &[usize],
+        field: Field,
+    ) -> Result<(Vec<ClassLabel>, InferenceReport), VaultError> {
+        self.check_query(nodes)?;
+        let meter = self.enclave.meter();
+        meter.reset();
+        let transitions_before = self.enclave.transitions();
+
+        // 1. One public backbone forward in the untrusted world.
+        let embeddings = meter.time(Phase::Backbone, || self.backbone.embeddings(features))?;
+
+        // 2. One-way transfer of exactly the tapped embeddings, whole,
+        //    through the session's channel. Which of their rows the
+        //    enclave goes on to read is derived from the private edges
+        //    and never crosses the boundary.
+        let taps = self.rectifier.tap_indices();
+        session.begin_batch();
+        for &t in &taps {
+            session.send(&mut self.enclave, codec::encode_dense(&embeddings[t]))?;
+        }
+        let transferred_bytes = session.batch_bytes();
+        let payloads = session.drain();
+
+        // 3. Inside the enclave: the global ids of the rows to rectify
+        //    (ascending) and the operator over them.
+        let receptive;
+        let (rows, adj) = match field {
+            Field::Resident => (&self.resident.ids, &self.real_adj),
+            Field::Receptive => {
+                receptive = self.enclave.run(|| self.receptive_field(nodes))?;
+                (&receptive.0, &receptive.1)
+            }
+        };
+        // Ascending ids that count every node are all rows in order:
+        // the tap itself, no copy.
+        let whole = rows.len() == self.num_nodes;
+        let mut enclave_embeddings = Vec::with_capacity(embeddings.len());
+        for (slot, public) in embeddings.iter().enumerate() {
+            enclave_embeddings.push(match taps.iter().position(|&t| t == slot) {
+                Some(i) if whole => codec::decode_dense(&payloads[i])?,
+                Some(i) => codec::decode_dense(&payloads[i])?.select_rows(rows)?,
+                // The wiring never reads a slot it did not tap; a
+                // placeholder of the right shape stands in.
+                None => DenseMatrix::zeros(rows.len(), public.cols()),
+            });
+        }
+
+        // 4. One rectifier pass; transient activations are sized to the
+        //    rows actually rectified, allocated (and EPC-accounted) once
+        //    per pass, and freed even when the forward fails — a
+        //    long-lived serving enclave must not leak EPC on a failed
+        //    batch.
+        let transient =
+            Self::alloc_transient_activations(&mut self.enclave, &self.rectifier, rows.len())?;
+        let forward_result = self
+            .enclave
+            .run(|| self.rectifier.forward(adj, &enclave_embeddings));
+        for id in transient {
+            self.enclave.free(id)?;
+        }
+
+        // 5. Argmax inside the enclave; label-only egress for exactly
+        //    the queried nodes.
+        let classes = linalg::ops::argmax_rows(forward_result?.logits());
+        let row_of = |n| {
+            rows.binary_search(n)
+                .expect("a queried node is in its field")
+        };
+        let labels = nodes
+            .iter()
+            .map(|n| ClassLabel(classes[row_of(n)]))
+            .collect();
+        let breakdown = meter.breakdown();
+        let spent = |phase| breakdown.get(&phase).map_or(0, |t| t.total_ns());
+        let report = InferenceReport {
+            backbone_ns: spent(Phase::Backbone),
+            transfer_ns: spent(Phase::Transfer),
+            rectifier_ns: spent(Phase::Enclave) + spent(Phase::PageSwap),
+            transferred_bytes,
+            transitions: self.enclave.transitions() - transitions_before,
+            peak_enclave_bytes: self.enclave.peak_usage(),
+        };
+        Ok((labels, report))
+    }
+
+    /// The receptive field of `nodes` inside the resident graph: their
+    /// k-hop closure (k = rectifier depth) as ascending global ids,
+    /// plus the rectifier's operator over it. Distances up to k agree
+    /// with the full graph even on a partition replica, whose resident
+    /// closure spans the owned set's whole receptive field; degrees are
+    /// the resident (full-graph) ones, so every seed's output is exact.
+    fn receptive_field(&self, nodes: &[usize]) -> Result<(Vec<usize>, CsrMatrix), VaultError> {
+        let resident = &self.resident;
+        let seeds: Vec<usize> = nodes
+            .iter()
+            .map(|&n| resident.local_id(n).expect("check_query admitted the node"))
+            .collect();
+        let field = subgraph::closure(
+            &resident.graph,
+            &subgraph::adjacency_lists(&resident.graph),
+            &seeds,
+            self.rectifier.num_layers(),
+        )?;
+        let degrees: Vec<usize> = field.ids.iter().map(|&l| resident.degrees[l]).collect();
+        let adj = self.rectifier.adjacency(&field.graph, &degrees);
+        let global_ids = field.ids.iter().map(|&l| resident.ids[l]).collect();
+        Ok((global_ids, adj))
+    }
+
+    /// Accounts the rectifier's transient per-layer activation buffers
+    /// for an `n`-row forward against the EPC, returning the allocation
+    /// ids to free once logits have been produced. On a mid-sequence
+    /// rejection the already-made allocations are rolled back, so a
+    /// failed inference leaves the enclave ledger exactly as it found
+    /// it.
+    fn alloc_transient_activations(
+        enclave: &mut EnclaveSim,
+        rectifier: &Rectifier,
+        n: usize,
+    ) -> Result<Vec<AllocationId>, VaultError> {
+        let mut transient = Vec::new();
+        for (in_dim, out_dim) in rectifier
+            .input_dims()
+            .into_iter()
+            .zip(rectifier.channel_dims())
+        {
+            match enclave.alloc(
+                "layer activation",
+                n * (in_dim + out_dim) * std::mem::size_of::<f32>(),
+            ) {
+                Ok(id) => transient.push(id),
+                Err(e) => {
+                    // Fresh ids: free cannot fail here.
+                    for id in transient {
+                        let _ = enclave.free(id);
+                    }
+                    return Err(e.into());
+                }
+            }
+        }
+        Ok(transient)
+    }
+}
+
+/// What one [`Vault::pass`] rectifies to answer its queried nodes.
+#[derive(Debug, Clone, Copy)]
+enum Field {
+    /// Everything resident — the whole graph, or a partition replica's
+    /// closure — over the operator built at install.
+    Resident,
+    /// Only the queried nodes' receptive field: their k-hop closure
+    /// inside the resident graph, cut and normalized per pass.
+    Receptive,
 }
 
 /// A self-contained recipe for rebuilding one vault replica: a sealed
@@ -1037,12 +984,15 @@ impl std::fmt::Debug for RecoveryHandle {
 mod tests {
     use super::*;
     use crate::{RectifierKind, SubstituteKind};
-    use nn::TrainConfig;
+    use nn::{ConvKind, TrainConfig};
+
+    const CONVS: [ConvKind; 3] = [ConvKind::Gcn, ConvKind::Sage, ConvKind::Gat];
 
     fn toy_vault(kind: RectifierKind) -> (Vault, DenseMatrix, Vec<usize>) {
         toy_vault_with_budget(kind, tee::SGX_EPC_BYTES)
     }
 
+    /// Two triangles, one per class.
     fn toy_vault_with_budget(
         kind: RectifierKind,
         epc_budget: usize,
@@ -1056,9 +1006,34 @@ mod tests {
             &[0.2, 1.0],
         ])
         .unwrap();
-        let labels = vec![0, 0, 0, 1, 1, 1];
-        let train = vec![0, 1, 3, 4];
         let real = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]).unwrap();
+        deployed(x, &real, kind, ConvKind::Gcn, epc_budget)
+    }
+
+    /// A 24-node ring with three chords: sparse enough that a few
+    /// nodes' 3-hop receptive field is a strict part of the graph.
+    fn ring_vault(kind: RectifierKind, conv: ConvKind) -> (Vault, DenseMatrix, Vec<usize>) {
+        let n = 24;
+        let mut edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        edges.extend([(0, 9), (4, 17), (12, 21)]);
+        let real = Graph::from_edges(n, &edges).unwrap();
+        let x = DenseMatrix::from_fn(n, 2, |r, c| ((r * 2 + c) as f32 * 0.7).sin());
+        deployed(x, &real, kind, conv, tee::SGX_EPC_BYTES)
+    }
+
+    /// Trains and deploys a three-layer vault over `real`: the first
+    /// half of the nodes is class 0, two nodes in three are training
+    /// nodes.
+    fn deployed(
+        x: DenseMatrix,
+        real: &Graph,
+        kind: RectifierKind,
+        conv: ConvKind,
+        epc_budget: usize,
+    ) -> (Vault, DenseMatrix, Vec<usize>) {
+        let n = x.rows();
+        let labels: Vec<usize> = (0..n).map(|i| 2 * i / n).collect();
+        let train: Vec<usize> = (0..n).filter(|i| i % 3 != 2).collect();
         let cfg = TrainConfig {
             epochs: 60,
             lr: 0.05,
@@ -1077,8 +1052,9 @@ mod tests {
             1,
         )
         .unwrap();
-        let mut rectifier = Rectifier::new(kind, &[8, 4, 2], &backbone.channel_dims(), 2).unwrap();
-        let real_adj = graph::normalization::gcn_normalize(&real);
+        let mut rectifier =
+            Rectifier::new_with_conv(kind, conv, &[8, 4, 2], &backbone.channel_dims(), 2).unwrap();
+        let real_adj = rectifier.preferred_adjacency(real);
         let embs = backbone.embeddings(&x).unwrap();
         rectifier
             .fit(&real_adj, &embs, &labels, &train, &cfg)
@@ -1086,7 +1062,7 @@ mod tests {
         let vault = Vault::deploy(
             backbone,
             rectifier,
-            &real,
+            real,
             epc_budget,
             CostModel::default(),
             OverBudgetPolicy::Fail,
@@ -1250,6 +1226,96 @@ mod tests {
         }
         assert!(tight.infer(&x).is_err());
         assert_eq!(tight.enclave_in_use_bytes(), before);
+
+        // `infer_node` accounts its transients like every other pass.
+        // Node 0's receptive field is its triangle: the peak rises by
+        // three rows of activations and everything is freed again...
+        let (mut roomy, x, _) = toy_vault(RectifierKind::Series);
+        let (_, report) = roomy.infer_node(&x, 0).unwrap();
+        let ego_transients: usize = dims.iter().map(|(i, o)| 3 * (i + o) * 4).sum();
+        assert!(report.peak_enclave_bytes >= resident + ego_transients);
+        assert_eq!(roomy.enclave_in_use_bytes(), resident);
+        // ...so with no headroom for them the query is refused, and the
+        // refusal leaks nothing.
+        let (mut full, x, _) = toy_vault_with_budget(RectifierKind::Series, resident + 16);
+        assert!(matches!(
+            full.infer_node(&x, 0),
+            Err(VaultError::Tee(tee::TeeError::EpcExhausted { .. }))
+        ));
+        assert_eq!(full.enclave_in_use_bytes(), resident);
+    }
+
+    #[test]
+    fn install_builds_the_operator_the_rectifier_was_fitted_on() {
+        for conv in CONVS {
+            let (vault, _, _) = ring_vault(RectifierKind::Series, conv);
+            let fitted_on = vault.rectifier.preferred_adjacency(&vault.resident.graph);
+            assert_eq!(vault.real_adj, fitted_on, "{conv:?}");
+            // Sage's is the row-normalized operator, not the GCN one.
+            let gcn_operator = graph::normalization::gcn_normalize(&vault.resident.graph);
+            assert_eq!(vault.real_adj == gcn_operator, conv != ConvKind::Sage);
+        }
+    }
+
+    #[test]
+    fn receptive_field_pass_is_bit_identical_to_infer_for_any_seed_set() {
+        // Rectifying only a seed set's receptive field answers the seeds
+        // exactly as rectifying everything does — on a full vault and on
+        // partition replicas, for every wiring and convolution.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for kind in RectifierKind::ALL {
+            for conv in CONVS {
+                let (mut vault, x, _) = ring_vault(kind, conv);
+                let n = x.rows();
+                let (full, _) = vault.infer(&x).unwrap();
+                let (field, _) = vault.receptive_field(&[6]).unwrap();
+                assert!(
+                    field.len() < n,
+                    "{kind:?}/{conv:?}: a strict part of the graph"
+                );
+                let spec = PartitionSpec::block(n, 3).unwrap();
+                let mut replicas = vault.spawn_partitions(&spec).unwrap();
+                let mut session = vault.open_session();
+                for _ in 0..10 {
+                    let seeds: Vec<usize> = (0..1 + next(4)).map(|_| next(n)).collect();
+                    let expected: Vec<ClassLabel> = seeds.iter().map(|&s| full[s]).collect();
+                    let (labels, report) = vault
+                        .pass(&mut session, &x, &seeds, Field::Receptive)
+                        .unwrap();
+                    assert_eq!(labels, expected, "{kind:?}/{conv:?}: seeds {seeds:?}");
+                    assert_eq!(
+                        report.transitions,
+                        vault.rectifier.tap_indices().len() as u64
+                    );
+
+                    for replica in &mut replicas {
+                        let (part, _) = replica.partition_info().unwrap();
+                        let owned: Vec<usize> = seeds
+                            .iter()
+                            .copied()
+                            .filter(|&s| spec.owner_of(s) == part)
+                            .collect();
+                        if owned.is_empty() {
+                            continue;
+                        }
+                        let expected: Vec<ClassLabel> = owned.iter().map(|&s| full[s]).collect();
+                        let (labels, _) = replica
+                            .pass(&mut session, &x, &owned, Field::Receptive)
+                            .unwrap();
+                        assert_eq!(
+                            labels, expected,
+                            "{kind:?}/{conv:?}: partition {part}, seeds {owned:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

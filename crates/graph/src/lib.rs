@@ -10,6 +10,9 @@
 //! - [`substitute`]: the three substitute-graph constructions of §IV-C —
 //!   KNN over feature similarity, cosine-similarity thresholding
 //!   (Eq. 2), and random graphs with a target edge budget,
+//! - [`subgraph`]: the k-hop closure of a node set as an induced
+//!   subgraph with full-graph degrees — one routine behind ego graphs
+//!   and partitions,
 //! - [`partition`]: deterministic edge-cut partitioning with halos, the
 //!   substrate for sharded deployments that split (rather than
 //!   replicate) the private graph,

@@ -59,8 +59,19 @@ pub fn gcn_normalize_with_degrees(graph: &Graph, degrees: &[usize]) -> CsrMatrix
 /// Row-normalized mean aggregator `D̃^-1 (A + I)`, used by the
 /// GraphSAGE-style extension layers (paper §VI future work).
 pub fn row_normalize(graph: &Graph) -> CsrMatrix {
+    row_normalize_with_degrees(graph, &graph.degrees())
+}
+
+/// [`row_normalize`] from a precomputed (self-loop-free) degree vector:
+/// like [`gcn_normalize_with_degrees`], what makes an induced
+/// subgraph's rows agree with the full graph's.
+///
+/// # Panics
+///
+/// Panics if `degrees.len() != graph.num_nodes()`.
+pub fn row_normalize_with_degrees(graph: &Graph, degrees: &[usize]) -> CsrMatrix {
     let n = graph.num_nodes();
-    let degrees = graph.degrees();
+    assert_eq!(degrees.len(), n, "degree vector length mismatch");
     let inv: Vec<f32> = degrees.iter().map(|&d| 1.0 / (d as f32 + 1.0)).collect();
     let mut triplets = Vec::with_capacity(graph.num_edges() * 2 + n);
     for (i, &w) in inv.iter().enumerate() {

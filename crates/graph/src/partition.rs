@@ -12,12 +12,12 @@
 //! Combined with full-graph degrees
 //! ([`crate::normalization::gcn_normalize_with_degrees`]), a partition
 //! with an `L`-hop halo computes each owned node's `L`-layer GCN
-//! propagation bit-identically to the full graph — the same closure
-//! argument as [`crate::subgraph::ego_graph`], applied to a node *set*
-//! instead of a single center (verified by this module's tests).
+//! propagation bit-identically to the full graph — it is the
+//! [`crate::subgraph::closure`] of the owned set (verified by this
+//! module's tests).
 
+use crate::subgraph::{adjacency_lists, closure, Closure};
 use crate::{Graph, GraphError};
-use std::collections::{BTreeSet, VecDeque};
 
 /// How nodes are assigned to partitions.
 ///
@@ -146,12 +146,8 @@ impl PartitionSpec {
 }
 
 /// One partition of a graph: the owned nodes, their halo, and the
-/// induced local subgraph with full-graph degrees.
-///
-/// Local (dense) ids preserve ascending global-id order, so a local
-/// normalized adjacency built from this partition accumulates each row
-/// in exactly the order the full-graph adjacency would — the key to
-/// bit-identical aggregation.
+/// [`Closure`] of the owned set (induced local subgraph, ascending
+/// global ids, full-graph degrees).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphPartition {
     part: usize,
@@ -162,12 +158,7 @@ pub struct GraphPartition {
     /// node but owned elsewhere), sorted ascending, disjoint from
     /// `owned`.
     halo: Vec<usize>,
-    /// `local_ids[local] = global` over `owned ∪ halo`, sorted ascending.
-    local_ids: Vec<usize>,
-    /// Induced subgraph over `local_ids`, with dense local ids.
-    graph: Graph,
-    /// Full-graph degree of each selected node, indexed by local id.
-    original_degrees: Vec<usize>,
+    closure: Closure,
 }
 
 impl GraphPartition {
@@ -192,31 +183,22 @@ impl GraphPartition {
         &self.halo
     }
 
-    /// `local_ids()[local] = global` over the partition's closure
-    /// (`owned ∪ halo`), sorted ascending.
-    pub fn local_ids(&self) -> &[usize] {
-        &self.local_ids
-    }
-
-    /// The induced local subgraph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// Full-graph degree per local id — required for exact GCN
-    /// normalization of the induced subgraph.
-    pub fn original_degrees(&self) -> &[usize] {
-        &self.original_degrees
-    }
-
-    /// Translates a global node id into this partition's dense local id.
-    pub fn local_id(&self, global: usize) -> Option<usize> {
-        self.local_ids.binary_search(&global).ok()
+    /// The partition's closure (`owned ∪ halo`): the induced local
+    /// subgraph, its local-to-global id map, and the full-graph degree
+    /// per local id that exact GCN normalization needs.
+    pub fn closure(&self) -> &Closure {
+        &self.closure
     }
 
     /// Whether this partition owns `global`.
     pub fn owns(&self, global: usize) -> bool {
         self.owned.binary_search(&global).is_ok()
+    }
+
+    /// Gives up the owned list and the closure — what a sealed
+    /// partition image carries — without copying either.
+    pub fn into_owned_and_closure(self) -> (Vec<usize>, Closure) {
+        (self.owned, self.closure)
     }
 }
 
@@ -238,16 +220,7 @@ pub fn partition_one(
     part: usize,
     halo_hops: usize,
 ) -> Result<GraphPartition, GraphError> {
-    if spec.num_nodes() != graph.num_nodes() {
-        return Err(GraphError::InvalidParameter {
-            name: "spec",
-            reason: format!(
-                "spec covers {} nodes but the graph has {}",
-                spec.num_nodes(),
-                graph.num_nodes()
-            ),
-        });
-    }
+    check_spec(graph, spec)?;
     if part >= spec.num_parts() {
         return Err(GraphError::InvalidParameter {
             name: "part",
@@ -257,16 +230,12 @@ pub fn partition_one(
             ),
         });
     }
-    let mut adjacency = vec![Vec::new(); graph.num_nodes()];
-    for &(u, v) in graph.edges() {
-        adjacency[u].push(v);
-        adjacency[v].push(u);
-    }
-    extract(graph, &adjacency, spec, part, halo_hops)
+    extract(graph, &adjacency_lists(graph), spec, part, halo_hops)
 }
 
 /// Partitions `graph` into `spec.num_parts()` partitions, each with a
-/// `halo_hops`-hop halo. See [`partition_one`].
+/// `halo_hops`-hop halo (the adjacency lists are built once for all of
+/// them). See [`partition_one`].
 ///
 /// # Errors
 ///
@@ -292,6 +261,14 @@ pub fn partition(
     spec: &PartitionSpec,
     halo_hops: usize,
 ) -> Result<Vec<GraphPartition>, GraphError> {
+    check_spec(graph, spec)?;
+    let adjacency = adjacency_lists(graph);
+    (0..spec.num_parts())
+        .map(|part| extract(graph, &adjacency, spec, part, halo_hops))
+        .collect()
+}
+
+fn check_spec(graph: &Graph, spec: &PartitionSpec) -> Result<(), GraphError> {
     if spec.num_nodes() != graph.num_nodes() {
         return Err(GraphError::InvalidParameter {
             name: "spec",
@@ -302,18 +279,11 @@ pub fn partition(
             ),
         });
     }
-    let mut adjacency = vec![Vec::new(); graph.num_nodes()];
-    for &(u, v) in graph.edges() {
-        adjacency[u].push(v);
-        adjacency[v].push(u);
-    }
-    (0..spec.num_parts())
-        .map(|part| extract(graph, &adjacency, spec, part, halo_hops))
-        .collect()
+    Ok(())
 }
 
-/// Multi-source BFS from the owned set out to `halo_hops`, then the
-/// induced subgraph — `ego_graph` generalized to a node set.
+/// The closure of `part`'s owned set out to `halo_hops`, split into
+/// owned and halo.
 fn extract(
     graph: &Graph,
     adjacency: &[Vec<usize>],
@@ -324,40 +294,19 @@ fn extract(
     let owned: Vec<usize> = (0..graph.num_nodes())
         .filter(|&n| spec.owner_of(n) == part)
         .collect();
-    let mut selected: BTreeSet<usize> = owned.iter().copied().collect();
-    let mut queue: VecDeque<(usize, usize)> = owned.iter().map(|&n| (n, 0usize)).collect();
-    while let Some((u, depth)) = queue.pop_front() {
-        if depth == halo_hops {
-            continue;
-        }
-        for &v in &adjacency[u] {
-            if selected.insert(v) {
-                queue.push_back((v, depth + 1));
-            }
-        }
-    }
-    let local_ids: Vec<usize> = selected.iter().copied().collect();
-    let halo: Vec<usize> = local_ids
+    let closure = closure(graph, adjacency, &owned, halo_hops)?;
+    let halo = closure
+        .ids
         .iter()
         .copied()
         .filter(|n| owned.binary_search(n).is_err())
         .collect();
-    let mut edges = Vec::new();
-    for &(u, v) in graph.edges() {
-        if let (Ok(lu), Ok(lv)) = (local_ids.binary_search(&u), local_ids.binary_search(&v)) {
-            edges.push((lu, lv));
-        }
-    }
-    let sub = Graph::from_edges(local_ids.len(), &edges)?;
-    let original_degrees = local_ids.iter().map(|&old| adjacency[old].len()).collect();
     Ok(GraphPartition {
         part,
         parts: spec.num_parts(),
         owned,
         halo,
-        local_ids,
-        graph: sub,
-        original_degrees,
+        closure,
     })
 }
 
@@ -430,13 +379,13 @@ mod tests {
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].owned(), &[0, 1, 2]);
         assert_eq!(parts[0].halo(), &[3, 5]);
-        assert_eq!(parts[0].local_ids(), &[0, 1, 2, 3, 5]);
+        assert_eq!(parts[0].closure().ids, &[0, 1, 2, 3, 5]);
         assert_eq!(parts[1].owned(), &[3, 4, 5]);
         assert_eq!(parts[1].halo(), &[0, 2]);
         // Local graph keeps the induced edges; degrees come from the ring.
-        assert_eq!(parts[0].original_degrees(), &[2, 2, 2, 2, 2]);
-        assert!(parts[0].graph().has_edge(2, 3)); // local 2-3 edge
-        assert_eq!(parts[0].local_id(5), Some(4));
+        assert_eq!(parts[0].closure().degrees, &[2, 2, 2, 2, 2]);
+        assert!(parts[0].closure().graph.has_edge(2, 3)); // local 2-3 edge
+        assert_eq!(parts[0].closure().local_id(5), Some(4));
         assert!(parts[0].owns(1) && !parts[0].owns(4));
     }
 
@@ -457,7 +406,7 @@ mod tests {
         let parts = partition(&g, &spec, 1).unwrap();
         assert_eq!(parts[0].owned(), &[0]);
         assert!(parts[0].halo().is_empty());
-        assert_eq!(parts[0].graph().num_nodes(), 1);
+        assert_eq!(parts[0].closure().graph.num_nodes(), 1);
     }
 
     #[test]
@@ -466,7 +415,7 @@ mod tests {
         let spec = PartitionSpec::block(8, 4).unwrap();
         for p in partition(&g, &spec, 3).unwrap() {
             assert!(p.halo().is_empty());
-            assert_eq!(p.graph().num_edges(), 0);
+            assert_eq!(p.closure().graph.num_edges(), 0);
             assert_eq!(p.owned().len(), 2);
         }
     }
@@ -479,8 +428,8 @@ mod tests {
         let parts = partition(&g, &spec, 2).unwrap();
         assert!(parts[0].halo().is_empty());
         assert!(parts[1].halo().is_empty());
-        assert_eq!(parts[0].graph().num_edges(), 3);
-        assert_eq!(parts[1].graph().num_edges(), 3);
+        assert_eq!(parts[0].closure().graph.num_edges(), 3);
+        assert_eq!(parts[1].closure().graph.num_edges(), 3);
     }
 
     #[test]
@@ -515,14 +464,14 @@ mod tests {
             PartitionSpec::hash(9, 2, 42).unwrap(),
         ] {
             for p in partition(&g, &spec, 2).unwrap() {
-                let local_x = x.select_rows(p.local_ids()).unwrap();
+                let local_x = x.select_rows(&p.closure().ids).unwrap();
                 let local_adj = crate::normalization::gcn_normalize_with_degrees(
-                    p.graph(),
-                    p.original_degrees(),
+                    &p.closure().graph,
+                    &p.closure().degrees,
                 );
                 let local = local_adj.spmm(&local_adj.spmm(&local_x).unwrap()).unwrap();
                 for &global in p.owned() {
-                    let l = p.local_id(global).unwrap();
+                    let l = p.closure().local_id(global).unwrap();
                     for c in 0..3 {
                         assert_eq!(
                             full.get(global, c).to_bits(),
@@ -579,7 +528,7 @@ mod tests {
                 let halo: BTreeSet<usize> = p.halo().iter().copied().collect();
                 prop_assert!(owned.is_disjoint(&halo));
                 let union: Vec<usize> = owned.union(&halo).copied().collect();
-                prop_assert_eq!(&union[..], p.local_ids());
+                prop_assert_eq!(&union[..], p.closure().ids);
             }
             prop_assert!(owner_count.iter().all(|&c| c == 1));
         }
@@ -619,15 +568,15 @@ mod tests {
             let mut edges = BTreeSet::new();
             for p in &parts {
                 nodes.extend(p.owned().iter().copied());
-                for &(lu, lv) in p.graph().edges() {
-                    let (gu, gv) = (p.local_ids()[lu], p.local_ids()[lv]);
+                for &(lu, lv) in p.closure().graph.edges() {
+                    let (gu, gv) = (p.closure().ids[lu], p.closure().ids[lv]);
                     edges.insert((gu.min(gv), gu.max(gv)));
                 }
                 // Degrees are the full-graph degrees.
                 let full_deg = g.degrees();
-                for (l, &global) in p.local_ids().iter().enumerate() {
-                    prop_assert_eq!(p.original_degrees()[l], full_deg[global]);
-                    prop_assert!(p.graph().degree(l) <= full_deg[global]);
+                for (l, &global) in p.closure().ids.iter().enumerate() {
+                    prop_assert_eq!(p.closure().degrees[l], full_deg[global]);
+                    prop_assert!(p.closure().graph.degree(l) <= full_deg[global]);
                 }
             }
             let all: Vec<usize> = nodes.into_iter().collect();

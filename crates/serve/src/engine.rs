@@ -12,7 +12,7 @@
 //! shards answer from bit-identical weights under the *same epoch*.
 //! Each shard runs the full single-vault stack — its own
 //! [`AdmissionQueue`], its own epoch-keyed [`LruCache`], and its own
-//! set of [`tee::EnclaveSession`]s — and a [`Router`] in every
+//! [`tee::EnclaveSession`] — and a [`Router`] in every
 //! [`ServeHandle`] assigns each queried node to a shard by a
 //! deterministic hash of its id, so repeat queries for a node always
 //! land on the same shard and that shard's cache stays effective.
@@ -37,11 +37,11 @@
 //! Each [`Vault`] replica (and its simulated enclave) is owned by a
 //! single shard worker thread — the analogue of the SGX rule that
 //! enclave state is touched only through controlled entry points.
-//! Concurrency comes from four places: any number of client threads
+//! Concurrency comes from three places: any number of client threads
 //! submit through cloned [`ServeHandle`]s; shards execute batches
-//! independently; inside each batch the backbone forward fans out over
-//! the shared `linalg` pool; and each shard multiplexes its batches
-//! across enclave sessions, picking the least meter-accounted one.
+//! independently; and inside each batch the backbone forward fans out
+//! over the shared `linalg` pool. A shard runs one batch at a time
+//! through its one enclave session.
 //!
 //! ## Determinism
 //!
@@ -177,10 +177,6 @@ pub struct ServeConfig {
     pub sentinel: SentinelConfig,
     /// Batching and admission-control knobs, applied per shard.
     pub policy: BatchPolicy,
-    /// Enclave sessions *per shard* to multiplex batches across
-    /// (clamped to ≥ 1). Each is a long-lived `tee` channel reused for
-    /// every batch it serves.
-    pub sessions: usize,
     /// LRU result-cache entries *per shard*, keyed
     /// `(vault epoch, node id)`; 0 disables caching.
     pub cache_capacity: usize,
@@ -188,10 +184,7 @@ pub struct ServeConfig {
     /// on the submit path (rounded up to a power of two; each slot is
     /// 16 bytes). 0 — the default — disables the fast path entirely:
     /// every request takes the queued path, which keeps per-shard
-    /// request counts deterministic. Setting the
-    /// `SERVE_DISABLE_FAST_CACHE` environment variable forces the fast
-    /// path off even when this knob is set (CI uses it to prove both
-    /// paths serve bit-identical labels).
+    /// request counts deterministic.
     pub fast_cache_slots: usize,
     /// Worker shards (clamped to ≥ 1). Under [`Topology::Replicated`]
     /// each owns a full vault replica and node ids are hash-routed, so
@@ -242,8 +235,7 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// Default policy, one shard, two enclave sessions, 4096 cached
-    /// results, the submit-path fast cache off (`fast_cache_slots` =
+    /// Default policy, one shard, 4096 cached results, the submit-path fast cache off (`fast_cache_slots` =
     /// 0), no request timeout, 1 ms base restart backoff with 5
     /// attempts, 3 install attempts per shard per deploy, and the
     /// sentinel in shadow mode with default thresholds.
@@ -251,7 +243,6 @@ impl Default for ServeConfig {
         Self {
             sentinel: SentinelConfig::default(),
             policy: BatchPolicy::default(),
-            sessions: 2,
             cache_capacity: 4096,
             fast_cache_slots: 0,
             shards: 1,
@@ -272,7 +263,6 @@ impl Default for ServeConfig {
 /// `fault-injection` feature).
 #[derive(Debug, Clone, Copy)]
 struct WorkerConfig {
-    sessions: usize,
     cache_capacity: usize,
     request_timeout: Duration,
     restart_backoff: Duration,
@@ -283,7 +273,6 @@ struct WorkerConfig {
 impl WorkerConfig {
     fn from_config(config: &ServeConfig) -> Self {
         Self {
-            sessions: config.sessions.max(1),
             cache_capacity: config.cache_capacity,
             request_timeout: config.request_timeout,
             restart_backoff: config.restart_backoff.max(Duration::from_micros(100)),
@@ -471,27 +460,9 @@ impl Router {
     }
 }
 
-/// Per-session accounting, aggregated from each batch's
-/// [`InferenceReport`] (itself produced by the enclave's meter).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// The vault-minted session id ([`tee::SessionId`] value). Ids keep
-    /// counting across engines sharing one vault, so they need not
-    /// start at 0 — use this field, not the position in
-    /// [`ServeStats::sessions`], to identify a session.
-    pub id: u64,
-    /// Batches this session executed.
-    pub batches: u64,
-    /// Total report time (wall + simulated) charged to this session's
-    /// batches, in nanoseconds — the quantity the scheduler balances.
-    pub accounted_ns: u64,
-    /// Payload bytes this session marshalled into the enclave.
-    pub transferred_bytes: u64,
-}
-
 /// Per-shard serving statistics: the [`FlushReason`] balance, batch,
-/// failure, and recovery counts, hot-swap installs, and this shard's
-/// session breakdown. One entry per shard lands in
+/// failure, and recovery counts, and hot-swap installs. One entry per
+/// shard lands in
 /// [`ServeStats::shards`], so operators can see deadline-vs-size flush
 /// balance (and load skew) per worker instead of only in aggregate.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -538,9 +509,6 @@ pub struct ShardStats {
     /// Submit-to-respond latency of every node query this shard
     /// answered successfully through the queued (enclave) path.
     pub latency: LatencyHistogram,
-    /// This shard's enclave sessions (sessions opened by a hot-swapped
-    /// or restored replica are appended after the original vault's).
-    pub sessions: Vec<SessionStats>,
 }
 
 /// Aggregate serving statistics, returned by
@@ -614,9 +582,6 @@ pub struct ServeStats {
     pub transfer_ns: u64,
     /// See [`ServeStats::backbone_ns`].
     pub rectifier_ns: u64,
-    /// Per-session breakdown, flattened in shard order (each entry
-    /// carries its vault-minted [`SessionStats::id`]).
-    pub sessions: Vec<SessionStats>,
     /// Per-shard breakdown, in shard order.
     pub shards: Vec<ShardStats>,
     /// The abuse sentinel's aggregate counters and per-client-session
@@ -653,17 +618,13 @@ impl ServeStats {
         self.cache_misses as f64 / self.enclave_batches as f64
     }
 
-    fn absorb_report(&mut self, report: &InferenceReport, session: usize) {
+    fn absorb_report(&mut self, report: &InferenceReport) {
         self.enclave_batches += 1;
         self.enclave_transitions += report.transitions;
         self.transferred_bytes += report.transferred_bytes as u64;
         self.backbone_ns += report.backbone_ns;
         self.transfer_ns += report.transfer_ns;
         self.rectifier_ns += report.rectifier_ns;
-        let slot = &mut self.sessions[session];
-        slot.batches += 1;
-        slot.accounted_ns += report.total_ns();
-        slot.transferred_bytes += report.transferred_bytes as u64;
     }
 
     /// Folds one shard's run into the engine-wide aggregate.
@@ -692,7 +653,6 @@ impl ServeStats {
         self.backbone_ns += shard.backbone_ns;
         self.transfer_ns += shard.transfer_ns;
         self.rectifier_ns += shard.rectifier_ns;
-        self.sessions.extend(shard.sessions);
         self.shards.extend(shard.shards);
     }
 }
@@ -715,8 +675,7 @@ pub struct ServeHandle {
     front: Arc<FrontStats>,
     sentinel: Arc<Sentinel>,
     /// The engine-wide submit-path fast cache (`None` when
-    /// [`ServeConfig::fast_cache_slots`] is 0 or the
-    /// `SERVE_DISABLE_FAST_CACHE` environment variable is set).
+    /// [`ServeConfig::fast_cache_slots`] is 0).
     fast: Option<Arc<FastCache>>,
 }
 
@@ -1078,11 +1037,8 @@ impl ServingEngine {
         // The submit-path fast cache: one lock-free table shared by
         // every handle and worker. Minting and publishing the first
         // install generation here means entries are probeable from the
-        // first completed batch on. `SERVE_DISABLE_FAST_CACHE` forces
-        // the knob off so CI can run the same suite down both paths.
-        let fast = if config.fast_cache_slots > 0
-            && std::env::var_os("SERVE_DISABLE_FAST_CACHE").is_none()
-        {
+        // first completed batch on.
+        let fast = if config.fast_cache_slots > 0 {
             let fast = Arc::new(FastCache::new(config.fast_cache_slots));
             let tag = fast.mint_tag();
             fast.set_current(tag);
@@ -1444,18 +1400,16 @@ impl ServingEngine {
 }
 
 /// The state owned by one shard's worker thread: the vault replica (or
-/// `None` while crashed/permanently down), its enclave sessions, the
+/// `None` while crashed/permanently down), its enclave session, the
 /// epoch-keyed result cache, the retained recovery snapshot, and
 /// shard-local statistics.
 struct ShardWorker {
     shard: usize,
     vault: Option<Vault>,
     features: Arc<DenseMatrix>,
-    sessions: Vec<tee::EnclaveSession>,
-    /// Maps the live session index to its slot in `stats.sessions`
-    /// (hot-swapped or restored replicas append new slots; old ones
-    /// stay for the final report).
-    session_slots: Vec<usize>,
+    /// The long-lived ingress channel every batch of the current
+    /// replica goes through; reopened whenever a replica is adopted.
+    session: tee::EnclaveSession,
     cache: LruCache<(u64, usize), ClassLabel>,
     epoch: u64,
     /// The snapshot this shard restores from after a crash — replaced
@@ -1490,7 +1444,7 @@ impl ShardWorker {
     #[allow(clippy::too_many_arguments)]
     fn new(
         shard: usize,
-        vault: Vault,
+        mut vault: Vault,
         features: Arc<DenseMatrix>,
         wcfg: WorkerConfig,
         health: Arc<HealthBoard>,
@@ -1499,14 +1453,13 @@ impl ShardWorker {
         initial_tag: u64,
         #[cfg(feature = "fault-injection")] faults: ShardFaults,
     ) -> Self {
-        let mut worker = Self {
+        Self {
             shard,
-            vault: None,
+            session: vault.open_session(),
+            epoch: vault.epoch(),
+            vault: Some(vault),
             features,
-            sessions: Vec::new(),
-            session_slots: Vec::new(),
             cache: LruCache::new(wcfg.cache_capacity),
-            epoch: 0,
             retained,
             previous: None,
             batch_seq: 0,
@@ -1519,29 +1472,15 @@ impl ShardWorker {
             #[cfg(feature = "fault-injection")]
             faults,
             stats: ServeStats::default(),
-        };
-        worker.adopt(vault);
-        worker
+        }
     }
 
-    /// Swaps `vault` in as this shard's serving replica: opens fresh
-    /// enclave sessions (appending their stat slots), clears the result
-    /// cache, and adopts the vault's epoch. Used at startup, on
-    /// hot-swap install, on rollback, and on supervisor restore.
+    /// Swaps `vault` in as this shard's serving replica: opens a fresh
+    /// enclave session on it, clears the result cache, and adopts the
+    /// vault's epoch. Used on hot-swap install, on rollback, and on
+    /// supervisor restore.
     fn adopt(&mut self, mut vault: Vault) {
-        let sessions: Vec<tee::EnclaveSession> = (0..self.wcfg.sessions)
-            .map(|_| vault.open_session())
-            .collect();
-        self.session_slots = sessions
-            .iter()
-            .map(|s| {
-                self.stats.sessions.push(SessionStats {
-                    id: s.id().0,
-                    ..Default::default()
-                });
-                self.stats.sessions.len() - 1
-            })
-            .collect();
+        self.session = vault.open_session();
         // Epoch numbers are only unique within the process that minted
         // them; a snapshot shipped in from another worker could carry
         // an epoch this cache already holds entries for — under a
@@ -1552,7 +1491,6 @@ impl ShardWorker {
         self.cache.clear();
         self.epoch = vault.epoch();
         self.vault = Some(vault);
-        self.sessions = sessions;
     }
 
     /// The shard main loop: service control between batches, process
@@ -1604,7 +1542,6 @@ impl ShardWorker {
             rollbacks: self.stats.deploy_rollbacks,
             timed_out: self.stats.timed_out_requests,
             deploys: self.deploys,
-            sessions: self.stats.sessions.clone(),
         };
         self.stats.shards = vec![shard_stats];
         (self.vault.take(), self.stats)
@@ -1841,8 +1778,6 @@ impl ShardWorker {
     fn recover(&mut self) {
         self.health.set(self.shard, ShardHealth::Down);
         self.vault = None;
-        self.sessions.clear();
-        self.session_slots.clear();
         self.cache.clear();
         let mut backoff = self.wcfg.restart_backoff;
         for _ in 0..self.wcfg.max_restart_attempts {
@@ -1861,8 +1796,8 @@ impl ShardWorker {
     }
 
     /// Computes one batch's per-request results: resolve cached nodes,
-    /// run the unique remainder through the least-loaded enclave
-    /// session. Pure compute — responding is the caller's job, so a
+    /// run the unique remainder through the shard's enclave session.
+    /// Pure compute — responding is the caller's job, so a
     /// panic in here can never strand the batch's tickets.
     fn compute(&mut self, batch: &[PendingRequest]) -> Vec<Result<Vec<ClassLabel>, ServeError>> {
         let vault = self.vault.as_mut().expect("compute requires a live vault");
@@ -1890,13 +1825,8 @@ impl ShardWorker {
             }
         }
         if !need.is_empty() {
-            // Enclave-budget-aware scheduling: hand the batch to the
-            // session with the least accounted time.
-            let session = (0..self.sessions.len())
-                .min_by_key(|&s| self.stats.sessions[self.session_slots[s]].accounted_ns)
-                .expect("at least one session");
             let transitions_before = vault.enclave_transitions();
-            match vault.infer_batch(&mut self.sessions[session], &self.features, &need) {
+            match vault.infer_batch(&mut self.session, &self.features, &need) {
                 Ok((labels, report)) => {
                     for (&node, label) in need.iter().zip(labels) {
                         resolved.insert(node, label);
@@ -1909,8 +1839,7 @@ impl ShardWorker {
                             fast.publish(self.tag, node, label);
                         }
                     }
-                    let slot = self.session_slots[session];
-                    self.stats.absorb_report(&report, slot);
+                    self.stats.absorb_report(&report);
                 }
                 Err(error) => {
                     // The batch failed, but requests whose nodes were
@@ -2012,7 +1941,6 @@ pub fn bulk_config(corpus_nodes: usize) -> ServeConfig {
             max_queue_requests: 65_536,
             shed_high_water: 65_536,
         },
-        sessions: 2,
         cache_capacity: corpus_nodes,
         shards: 1,
         ..ServeConfig::default()

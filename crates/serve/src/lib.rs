@@ -30,9 +30,9 @@
 //! 5. **Execution** ([`ServingEngine`]): cache misses run through
 //!    [`Vault::infer_batch`](gnnvault::Vault::infer_batch) — one
 //!    backbone forward on the shared `linalg` pool and one enclave
-//!    transition set per *batch* — multiplexed across reusable
-//!    [`tee::EnclaveSession`]s, with each batch accounted by the
-//!    enclave's meter and handed to the least-loaded session.
+//!    transition set per *batch* — through the shard's one reusable
+//!    [`tee::EnclaveSession`], with each batch accounted by the
+//!    enclave's meter.
 //!
 //! Routing, batching, and caching change cost, never answers: served
 //! labels are bit-identical to what per-node
@@ -101,7 +101,6 @@
 //!         max_queue_requests: 1024,
 //!         ..BatchPolicy::default()
 //!     },
-//!     sessions: 2,
 //!     cache_capacity: 1024,
 //!     shards: 2, // two workers, each owning a snapshot replica
 //!     ..ServeConfig::default()
@@ -147,7 +146,7 @@ pub use batcher::{AdmissionQueue, BatchPolicy, BatchPoll, FlushReason, PendingRe
 pub use cache::LruCache;
 pub use engine::{
     bulk_config, serve_once, HealthBoard, Router, ServeConfig, ServeHandle, ServeStats,
-    ServingEngine, SessionStats, ShardHealth, ShardStats, Topology,
+    ServingEngine, ShardHealth, ShardStats, Topology,
 };
 pub use error::ServeError;
 pub use fastcache::FastCache;

@@ -213,7 +213,6 @@ fn seeded_chaos_plan_answers_everything_and_counts_exactly() {
         fix.features.clone(),
         ServeConfig {
             policy: one_request_per_batch_policy(),
-            sessions: 2,
             cache_capacity: 64,
             shards,
             restart_backoff: Duration::from_millis(1),
@@ -326,7 +325,6 @@ fn killed_worker_mid_batch_fails_the_ticket_and_recovers() {
         fix.features.clone(),
         ServeConfig {
             policy: one_request_per_batch_policy(),
-            sessions: 1,
             cache_capacity: 0,
             shards: 1,
             restart_backoff: Duration::from_millis(1),
@@ -374,7 +372,6 @@ fn requests_reroute_around_a_down_shard() {
         fix.features.clone(),
         ServeConfig {
             policy: one_request_per_batch_policy(),
-            sessions: 1,
             cache_capacity: 0,
             shards,
             // A long first backoff holds shard 1 down while the test
@@ -445,7 +442,6 @@ fn partitioned_down_shard_queries_wait_for_their_owner_not_a_neighbour() {
         fix.features.clone(),
         ServeConfig {
             policy: one_request_per_batch_policy(),
-            sessions: 1,
             cache_capacity: 0,
             shards: 2,
             topology: Topology::Partitioned,
@@ -512,7 +508,6 @@ fn slow_batch_times_out_only_the_requests_queued_behind_it() {
         fix.features.clone(),
         ServeConfig {
             policy: one_request_per_batch_policy(),
-            sessions: 1,
             cache_capacity: 0,
             shards: 1,
             request_timeout: Duration::from_millis(100),
@@ -569,7 +564,6 @@ proptest! {
             fix.features.clone(),
             ServeConfig {
                 policy: one_request_per_batch_policy(),
-                sessions: 2,
                 cache_capacity: 32,
                 shards,
                 restart_backoff: Duration::from_millis(1),

@@ -39,7 +39,6 @@ fn cell_config(shards: usize, topology: Topology) -> ServeConfig {
             max_queue_requests: 256,
             ..BatchPolicy::default()
         },
-        sessions: 2,
         cache_capacity: 64,
         shards,
         topology,
@@ -151,7 +150,7 @@ fn fast_cache_labels_are_bit_identical_across_the_topology_matrix() {
                 );
             }
             let (_, stats) = engine.shutdown();
-            if fast_cache_slots > 0 && std::env::var_os("SERVE_DISABLE_FAST_CACHE").is_none() {
+            if fast_cache_slots > 0 {
                 // Every requery node was warm, so the whole second pass
                 // resolves on the submit thread.
                 assert!(

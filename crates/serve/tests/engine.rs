@@ -33,7 +33,6 @@ fn batched_serving_is_bit_identical_to_sequential_infer() {
                     max_queue_requests: 256,
                     ..BatchPolicy::default()
                 },
-                sessions: 3,
                 cache_capacity: 64,
                 shards: 1,
                 ..ServeConfig::default()
@@ -79,7 +78,6 @@ fn batching_amortizes_enclave_transitions_below_per_node_cost() {
                 max_queue_requests: 64,
                 ..BatchPolicy::default()
             },
-            sessions: 1,
             cache_capacity: 0, // isolate batching from caching
             shards: 1,
             ..ServeConfig::default()
@@ -114,7 +112,6 @@ fn cache_hits_skip_enclave_transitions() {
                 max_queue_requests: 256,
                 ..BatchPolicy::default()
             },
-            sessions: 2,
             cache_capacity: 256,
             shards: 1,
             ..ServeConfig::default()
@@ -156,7 +153,6 @@ fn deadline_flush_fires_on_a_partial_batch() {
                 max_queue_requests: 256,
                 ..BatchPolicy::default()
             },
-            sessions: 1,
             cache_capacity: 0,
             shards: 1,
             ..ServeConfig::default()
@@ -191,7 +187,6 @@ fn concurrent_clients_get_consistent_answers() {
                 max_queue_requests: 4096,
                 ..BatchPolicy::default()
             },
-            sessions: 4,
             cache_capacity: 512,
             shards: 1,
             ..ServeConfig::default()
@@ -220,12 +215,6 @@ fn concurrent_clients_get_consistent_answers() {
     // 24 distinct nodes, 240 queries: caching must have absorbed most.
     assert_eq!(stats.cache_misses, 24);
     assert_eq!(stats.cache_hits, 216);
-    // Multiplexing used the sessions it was given.
-    assert_eq!(stats.sessions.len(), 4);
-    assert_eq!(
-        stats.sessions.iter().map(|s| s.batches).sum::<u64>(),
-        stats.enclave_batches
-    );
 }
 
 #[test]
@@ -284,7 +273,6 @@ fn load_shedding_turns_overload_into_typed_retry_hints() {
                 max_queue_requests: 64,
                 shed_high_water: 2,
             },
-            sessions: 1,
             cache_capacity: 0,
             shards: 1,
             ..ServeConfig::default()
@@ -333,7 +321,6 @@ fn request_timeout_drops_stale_requests_with_a_typed_error() {
                 max_queue_requests: 256,
                 ..BatchPolicy::default()
             },
-            sessions: 1,
             cache_capacity: 0,
             shards: 1,
             request_timeout: timeout,
@@ -425,7 +412,6 @@ fn stats_account_every_batch_through_the_meter() {
                 max_queue_requests: 256,
                 ..BatchPolicy::default()
             },
-            sessions: 2,
             cache_capacity: 0, // every batch enters the enclave
             shards: 1,
             ..ServeConfig::default()
@@ -442,12 +428,6 @@ fn stats_account_every_batch_through_the_meter() {
     assert!(stats.backbone_ns > 0);
     assert!(stats.transfer_ns > 0);
     assert!(stats.rectifier_ns > 0);
-    // The least-loaded scheduler spread work across both sessions.
-    assert!(stats.sessions.iter().all(|s| s.batches > 0));
-    assert_eq!(
-        stats.sessions.iter().map(|s| s.accounted_ns).sum::<u64>(),
-        stats.backbone_ns + stats.transfer_ns + stats.rectifier_ns
-    );
 }
 
 #[test]
@@ -478,7 +458,6 @@ fn sharded_engine_is_bit_identical_to_sequential_infer() {
                     max_queue_requests: 256,
                     ..BatchPolicy::default()
                 },
-                sessions: 2,
                 cache_capacity: 64,
                 shards,
                 ..ServeConfig::default()
@@ -518,7 +497,6 @@ fn client_storm_routes_across_shards_consistently() {
                 max_queue_requests: 4096,
                 ..BatchPolicy::default()
             },
-            sessions: 2,
             cache_capacity: 512,
             shards: 4,
             ..ServeConfig::default()
@@ -562,7 +540,6 @@ fn client_storm_routes_across_shards_consistently() {
         stats.shards.iter().map(|s| s.batches).sum::<u64>(),
         stats.batches
     );
-    assert_eq!(stats.sessions.len(), 4 * 2);
 }
 
 #[test]
@@ -578,7 +555,6 @@ fn per_shard_stats_expose_flush_reason_balance() {
                 max_queue_requests: 256,
                 ..BatchPolicy::default()
             },
-            sessions: 1,
             cache_capacity: 0,
             shards: 2,
             ..ServeConfig::default()
@@ -645,7 +621,6 @@ fn shutdown_under_load_answers_every_admitted_request() {
                     max_queue_requests: 4096,
                     ..BatchPolicy::default()
                 },
-                sessions: 2,
                 cache_capacity: 64,
                 shards,
                 ..ServeConfig::default()
@@ -725,7 +700,6 @@ fn hot_swap_deploys_new_epoch_without_dropping_or_mixing_responses() {
                 max_queue_requests: 4096,
                 ..BatchPolicy::default()
             },
-            sessions: 2,
             cache_capacity: 256,
             shards: 2,
             ..ServeConfig::default()
@@ -788,9 +762,6 @@ fn hot_swap_deploys_new_epoch_without_dropping_or_mixing_responses() {
             shard.shard
         );
         assert_eq!(shard.rollbacks, 0, "a clean deploy rolls nothing back");
-        // The swap reopened sessions: old and new generations are both
-        // reported.
-        assert_eq!(shard.sessions.len(), 4);
     }
     // Nothing was dropped: every submission above was answered.
     assert_eq!(stats.answered_nodes, 4 * 120 + n as u64);
@@ -867,7 +838,6 @@ fn install_drops_the_cache_even_under_an_epoch_collision() {
                 max_queue_requests: 256,
                 ..BatchPolicy::default()
             },
-            sessions: 1,
             cache_capacity: 256,
             shards: 1,
             ..ServeConfig::default()

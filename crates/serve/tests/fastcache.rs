@@ -15,12 +15,6 @@ use tee::SealKey;
 
 const N: usize = 24;
 
-/// Whether the environment forces the fast path off (the CI
-/// disabled-path run) — hit-count assertions flip accordingly.
-fn fast_path_enabled() -> bool {
-    std::env::var_os("SERVE_DISABLE_FAST_CACHE").is_none()
-}
-
 fn fast_config(shards: usize, fast_cache_slots: usize) -> ServeConfig {
     ServeConfig {
         policy: BatchPolicy {
@@ -29,7 +23,6 @@ fn fast_config(shards: usize, fast_cache_slots: usize) -> ServeConfig {
             max_queue_requests: 256,
             ..BatchPolicy::default()
         },
-        sessions: 2,
         cache_capacity: 64,
         fast_cache_slots,
         shards,
@@ -64,19 +57,13 @@ fn warm_requeries_resolve_on_the_submit_thread() {
         );
     }
     let (_, stats) = engine.shutdown();
-    if fast_path_enabled() {
-        assert_eq!(
-            stats.fast_path_hits, N as u64,
-            "whole second pass fast-hits"
-        );
-        assert_eq!(stats.requests, N as u64, "the shard saw only the warm pass");
-        assert_eq!(stats.fast_path_latency.count(), N as u64);
-        assert!(stats.fast_path_latency.p99().is_some());
-    } else {
-        assert_eq!(stats.fast_path_hits, 0);
-        assert_eq!(stats.requests, 2 * N as u64);
-        assert!(stats.fast_path_latency.is_empty());
-    }
+    assert_eq!(
+        stats.fast_path_hits, N as u64,
+        "whole second pass fast-hits"
+    );
+    assert_eq!(stats.requests, N as u64, "the shard saw only the warm pass");
+    assert_eq!(stats.fast_path_latency.count(), N as u64);
+    assert!(stats.fast_path_latency.p99().is_some());
     // Queued-path telemetry covers every successfully answered request
     // either way, and the queue gauges are exported per shard.
     assert_eq!(stats.queued_latency.count(), stats.requests);
@@ -172,10 +159,8 @@ fn deploy_mid_storm_never_serves_a_pre_swap_label() {
         handle.submit_one(n).unwrap().wait().unwrap();
     }
     let (_, stats) = engine.shutdown();
-    if fast_path_enabled() {
-        assert!(
-            stats.fast_path_hits > 0,
-            "post-deploy requeries must fast-hit under the new tag"
-        );
-    }
+    assert!(
+        stats.fast_path_hits > 0,
+        "post-deploy requeries must fast-hit under the new tag"
+    );
 }

@@ -89,7 +89,6 @@ fn engine_config(sentinel: SentinelConfig, shards: usize) -> ServeConfig {
             max_queue_requests: 8192,
             shed_high_water: 8192, // shedding off: isolate sentinel behaviour
         },
-        sessions: 2,
         cache_capacity: 256,
         shards,
         ..ServeConfig::default()
@@ -313,22 +312,17 @@ fn probe_stream_is_quarantined_even_at_full_fast_cache_hit_rate() {
 
     let (_, stats) = engine.shutdown();
     assert_eq!(stats.sentinel.quarantined_sessions, 1);
-    if std::env::var_os("SERVE_DISABLE_FAST_CACHE").is_none() {
-        // Conservation: every admitted probe either fast-hit or became
-        // exactly one shard request (the +1 is the warm request). The
-        // cache is direct-mapped, so a colliding node pair may keep
-        // evicting each other — the hit rate stays near-total, not
-        // necessarily perfect.
-        assert_eq!(stats.requests, 1 + (admitted - stats.fast_path_hits));
-        assert!(
-            stats.fast_path_hits * 10 >= admitted * 9,
-            "hit rate collapsed: {} fast hits of {admitted} admitted",
-            stats.fast_path_hits
-        );
-    } else {
-        assert_eq!(stats.fast_path_hits, 0);
-        assert_eq!(stats.requests, 1 + admitted);
-    }
+    // Conservation: every admitted probe either fast-hit or became
+    // exactly one shard request (the +1 is the warm request). The
+    // cache is direct-mapped, so a colliding node pair may keep
+    // evicting each other — the hit rate stays near-total, not
+    // necessarily perfect.
+    assert_eq!(stats.requests, 1 + (admitted - stats.fast_path_hits));
+    assert!(
+        stats.fast_path_hits * 10 >= admitted * 9,
+        "hit rate collapsed: {} fast hits of {admitted} admitted",
+        stats.fast_path_hits
+    );
     let attacker_stats = stats
         .sentinel
         .sessions

@@ -1,14 +1,14 @@
 //! Reusable enclave sessions for batched serving.
 //!
-//! [`Vault::infer`](../gnnvault) creates a fresh
-//! [`UntrustedToEnclave`] channel per call; a serving deployment that
-//! answers thousands of batches per second wants the real-SGX shape
-//! instead: a worker thread opens an enclave session once, then keeps
-//! issuing ECALLs through it. [`EnclaveSession`] models that handle —
-//! one long-lived ingress channel whose queue is recycled batch after
-//! batch, plus per-session accounting (batches served, bytes moved in
-//! the current batch and over the session lifetime) that a scheduler
-//! can balance on.
+//! Every vault inference moves its taps through an [`EnclaveSession`].
+//! [`Vault::infer`](../gnnvault) opens a one-shot session per call; a
+//! serving deployment that answers thousands of batches per second
+//! wants the real-SGX shape instead: a worker thread opens an enclave
+//! session once, then keeps issuing ECALLs through it.
+//! [`EnclaveSession`] models that handle — one long-lived ingress
+//! channel whose queue is recycled batch after batch, plus per-session
+//! accounting (batches served, bytes moved in the current batch and
+//! over the session lifetime).
 
 use crate::{EnclaveSim, TeeError, TransferReceipt, UntrustedToEnclave};
 use bytes::Bytes;
@@ -27,11 +27,10 @@ pub struct SessionId(pub u64);
 /// A long-lived enclave ingress session: a reusable
 /// [`UntrustedToEnclave`] channel plus batch bookkeeping.
 ///
-/// A session is the unit a serving engine schedules on: each worker
-/// lane holds one session and pushes every batch it executes through
-/// the same channel, so steady-state serving allocates no per-batch
-/// channel state and the per-session receipt log gives the scheduler an
-/// exact record of what each lane has cost so far.
+/// Each serving worker holds one session and pushes every batch it
+/// executes through the same channel, so steady-state serving allocates
+/// no per-batch channel state and the session's counters are an exact
+/// record of what the worker has moved so far.
 ///
 /// The one-way guarantee of [`UntrustedToEnclave`] is preserved:
 /// payloads go *in*, and nothing this type exposes moves enclave data

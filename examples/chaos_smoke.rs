@@ -102,7 +102,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 max_queue_requests: 4096,
                 shed_high_water: 4096,
             },
-            sessions: 2,
             cache_capacity: 0,
             shards: SHARDS,
             restart_backoff: Duration::from_millis(1),

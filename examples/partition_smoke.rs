@@ -158,7 +158,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 max_queue_requests: 4096,
                 ..BatchPolicy::default()
             },
-            sessions: 2,
             cache_capacity: 64,
             shards: PARTS,
             topology: Topology::Partitioned,

@@ -98,7 +98,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 max_queue_requests: 8192,
                 ..BatchPolicy::default()
             },
-            sessions: 2,
             cache_capacity,
             fast_cache_slots,
             shards,
@@ -192,15 +191,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 shard.full_flushes,
                 shard.deadline_flushes,
                 shard.drain_flushes,
-            );
-        }
-        for session in &stats.sessions {
-            println!(
-                "  session {}: {} batches, {:.2} ms accounted, {} KiB transferred",
-                session.id,
-                session.batches,
-                session.accounted_ns as f64 / 1e6,
-                session.transferred_bytes / 1024,
             );
         }
     }
