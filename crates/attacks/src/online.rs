@@ -33,44 +33,24 @@ use graph::Graph;
 use linalg::DenseMatrix;
 use serve::{ClientId, ServeError, ServeHandle, Ticket};
 
+/// The serving identity every audit probes under.
+const AUDIT_CLIENT: ClientId = ClientId(0xA0D17);
+
+/// Probes submitted before their tickets are awaited. Pipelining keeps
+/// the engine's batches full; it never changes what is scored.
+const WAVE: usize = 256;
+
 /// An online link-stealing audit: one offline attack instance (metric,
-/// pair budget, seed) plus the serving identity to probe under and the
-/// pipelining width.
+/// pair budget, seed) run through a serving engine as client `0xA0D17`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineLinkAudit {
     attack: LinkStealingAttack,
-    client: ClientId,
-    wave: usize,
 }
 
 impl OnlineLinkAudit {
-    /// Wraps an offline attack for online execution, probing as client
-    /// `0xA0D17` with 256-probe waves.
+    /// Wraps an offline attack for online execution.
     pub fn new(attack: LinkStealingAttack) -> Self {
-        Self {
-            attack,
-            client: ClientId(0xA0D17),
-            wave: 256,
-        }
-    }
-
-    /// Sets the [`ClientId`] the probe session runs under.
-    pub fn with_client(mut self, client: ClientId) -> Self {
-        self.client = client;
-        self
-    }
-
-    /// Sets how many probes are submitted before their tickets are
-    /// awaited (clamped to ≥ 1). Pipelining keeps the engine's batches
-    /// full; it never changes what is scored.
-    pub fn with_wave(mut self, wave: usize) -> Self {
-        self.wave = wave.max(1);
-        self
-    }
-
-    /// The wrapped offline attack.
-    pub fn attack(&self) -> &LinkStealingAttack {
-        &self.attack
+        Self { attack }
     }
 
     /// Runs the audit: samples the offline attack's probe set against
@@ -123,10 +103,10 @@ impl OnlineLinkAudit {
 
         // (u, v, is_edge, served labels agreed) for every answered probe.
         let mut answered: Vec<(usize, usize, bool, bool)> = Vec::with_capacity(pairs.len());
-        'waves: for wave in pairs.chunks(self.wave) {
+        'waves: for wave in pairs.chunks(WAVE) {
             let mut tickets: Vec<(usize, usize, bool, Ticket)> = Vec::with_capacity(wave.len());
             for &(u, v, is_edge) in wave {
-                match handle.submit_as(self.client, vec![u, v]) {
+                match handle.submit_as(AUDIT_CLIENT, vec![u, v]) {
                     Ok(ticket) => tickets.push((u, v, is_edge, ticket)),
                     Err(ServeError::RateLimited { .. }) => outcome.rate_limited += 1,
                     Err(ServeError::Quarantined { .. }) => {

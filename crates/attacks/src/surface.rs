@@ -14,7 +14,7 @@
 use crate::AttackError;
 use gnnvault::{Backbone, OriginalGnn, VaultError};
 use linalg::DenseMatrix;
-use nn::MlpNetwork;
+use nn::Network;
 
 fn wrap(e: VaultError) -> AttackError {
     AttackError::InvalidInput {
@@ -49,18 +49,19 @@ pub fn gnnvault_surface(
     backbone.embeddings(features).map_err(wrap)
 }
 
-/// `Mbase`: embeddings of a feature-only MLP.
+/// `Mbase`: embeddings of a feature-only MLP — `model` run with no
+/// propagation operator.
 ///
 /// # Errors
 ///
 /// Returns [`AttackError::InvalidInput`] when the network rejects the
 /// features.
 pub fn baseline_surface(
-    model: &MlpNetwork,
+    model: &Network,
     features: &DenseMatrix,
 ) -> Result<Vec<DenseMatrix>, AttackError> {
     model
-        .forward_embeddings(features)
+        .forward_embeddings(None, features)
         .map_err(|e| AttackError::InvalidInput {
             reason: format!("surface construction failed: {e}"),
         })
@@ -96,8 +97,9 @@ mod tests {
         let trained = pipeline::train(&data, &cfg).unwrap();
         let original = trained.original.as_ref().unwrap();
 
-        let mut mlp = MlpNetwork::new(data.num_features(), &[32, 16, 7], 0).unwrap();
+        let mut mlp = Network::new(data.num_features(), &[32, 16, 7], 0).unwrap();
         mlp.fit(
+            None,
             &data.features,
             &data.labels,
             &data.train_mask,

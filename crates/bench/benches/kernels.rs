@@ -29,7 +29,7 @@ use linalg::{
     matmul_a_bt, matmul_at_b, matmul_fused, matmul_naive, matmul_packed, matmul_threaded, pairwise,
     DenseMatrix, Epilogue, GemmOp, GemmStrategy, SpmmStrategy, Workspace,
 };
-use nn::{GcnNetwork, TrainConfig};
+use nn::{Network, TrainConfig};
 use serve::{BatchPolicy, ServeConfig, ServingEngine, Topology};
 
 /// Bytes moved by one `m×k · k×n` GEMM call (read A and B, write C).
@@ -188,7 +188,7 @@ fn bench_train_epoch(c: &mut Criterion) {
     let labels: Vec<usize> = (0..n).map(|r| usize::from(r >= n / 2)).collect();
     let train: Vec<usize> = (0..n).step_by(2).collect();
     let adj = normalization::gcn_normalize(&ring_graph(n, 2));
-    let base = GcnNetwork::new(64, &[128, 32, 7], 5).expect("network");
+    let base = Network::new(64, &[128, 32, 7], 5).expect("network");
     let cfg = TrainConfig {
         epochs: 1,
         lr: 0.01,
@@ -212,7 +212,8 @@ fn bench_train_epoch(c: &mut Criterion) {
         |bencher| {
             bencher.iter(|| {
                 let mut net = base.clone();
-                net.fit(&adj, &x, &labels, &train, &cfg).expect("fit epoch")
+                net.fit(Some(&adj), &x, &labels, &train, &cfg)
+                    .expect("fit epoch")
             })
         },
     );

@@ -11,7 +11,7 @@ use attacks::{surface, LinkStealingAttack, SimilarityMetric};
 use bench::{model_for, HarnessArgs};
 use datasets::DatasetSpec;
 use gnnvault::{Backbone, OriginalGnn, SubstituteKind};
-use nn::{MlpNetwork, TrainConfig};
+use nn::{Network, TrainConfig};
 
 fn main() {
     let args = HarnessArgs::from_env();
@@ -55,9 +55,9 @@ fn main() {
             args.seed,
         )
         .expect("backbone training");
-        let mut mlp = MlpNetwork::new(data.num_features(), &model.backbone_channels, args.seed)
+        let mut mlp = Network::new(data.num_features(), &model.backbone_channels, args.seed)
             .expect("mlp construction");
-        mlp.fit(&data.features, &data.labels, &data.train_mask, &cfg)
+        mlp.fit(None, &data.features, &data.labels, &data.train_mask, &cfg)
             .expect("mlp training");
 
         let m_org = surface::original_surface(&original, &data.features).expect("Morg");

@@ -1,15 +1,16 @@
 use crate::{SubstituteKind, VaultError};
 use graph::{normalization, Graph};
 use linalg::{CsrMatrix, DenseMatrix};
-use nn::{GcnNetwork, MlpNetwork, TrainConfig};
+use nn::{Network, TrainConfig};
 use serde::{Deserialize, Serialize};
 
 /// The public backbone model deployed in the untrusted world (§IV-C).
 ///
-/// Either a GCN trained on a substitute graph, or — for the Table III
-/// "DNN" baseline — an MLP that ignores graph structure entirely. The
-/// backbone (and, for GCN variants, its substitute graph) is what an
-/// attacker with full control of the normal world can inspect.
+/// One network, run over a substitute graph built from public features
+/// — or over nothing: with no substitute it is the structure-free MLP of
+/// Table III's "DNN" column ([`SubstituteKind::Dnn`]). The backbone and
+/// its substitute graph are what an attacker with full control of the
+/// normal world can inspect.
 ///
 /// # Examples
 ///
@@ -36,23 +37,29 @@ use serde::{Deserialize, Serialize};
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Backbone {
-    /// GCN over a substitute adjacency.
-    Gcn {
-        /// The trained network.
-        network: GcnNetwork,
-        /// The public substitute graph (deployed alongside the model).
-        substitute_graph: Graph,
-        /// Normalized substitute adjacency used at inference time.
-        substitute_adj: CsrMatrix,
-        /// How the substitute was constructed (metadata for reports).
-        kind: SubstituteKind,
-    },
-    /// Structure-free MLP (Table III "DNN" backbone).
-    Mlp {
-        /// The trained network.
-        network: MlpNetwork,
-    },
+pub struct Backbone {
+    /// The trained network.
+    pub(crate) network: Network,
+    /// What the network propagates over; `None` is the DNN backbone.
+    pub(crate) substitute: Option<Substitute>,
+}
+
+/// The public substitute graph deployed alongside a backbone.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct Substitute {
+    pub(crate) graph: Graph,
+    /// Normalized adjacency of `graph`, the operator every pass uses.
+    pub(crate) adj: CsrMatrix,
+    /// How `graph` was constructed (metadata for reports).
+    pub(crate) kind: SubstituteKind,
+}
+
+impl Substitute {
+    /// Wraps a substitute graph with its normalized adjacency.
+    pub(crate) fn new(graph: Graph, kind: SubstituteKind) -> Self {
+        let adj = normalization::gcn_normalize(&graph);
+        Self { graph, adj, kind }
+    }
 }
 
 impl Backbone {
@@ -76,42 +83,28 @@ impl Backbone {
         cfg: &TrainConfig,
         seed: u64,
     ) -> Result<Backbone, VaultError> {
-        match kind.build(features, real_edges, seed)? {
-            None => {
-                let mut network = MlpNetwork::new(features.cols(), channels, seed)?;
-                network.fit(features, labels, train_mask, cfg)?;
-                Ok(Backbone::Mlp { network })
-            }
-            Some(substitute_graph) => {
-                let substitute_adj = normalization::gcn_normalize(&substitute_graph);
-                let mut network = GcnNetwork::new(features.cols(), channels, seed)?;
-                network.fit(&substitute_adj, features, labels, train_mask, cfg)?;
-                Ok(Backbone::Gcn {
-                    network,
-                    substitute_graph,
-                    substitute_adj,
-                    kind,
-                })
-            }
-        }
+        let substitute = kind
+            .build(features, real_edges, seed)?
+            .map(|graph| Substitute::new(graph, kind));
+        let mut network = Network::new(features.cols(), channels, seed)?;
+        let adj = substitute.as_ref().map(|s| &s.adj);
+        network.fit(adj, features, labels, train_mask, cfg)?;
+        Ok(Backbone {
+            network,
+            substitute,
+        })
     }
 
-    /// Per-layer embeddings on the *public* data path (substitute
-    /// adjacency for GCN backbones, none for the MLP) — the intermediate
-    /// data visible to the attacker and consumed by the rectifier.
+    /// Per-layer embeddings on the *public* data path (over the
+    /// substitute adjacency when there is one) — the intermediate data
+    /// visible to the attacker and consumed by the rectifier.
     ///
     /// # Errors
     ///
     /// Returns [`VaultError::Nn`] on shape inconsistencies.
     pub fn embeddings(&self, features: &DenseMatrix) -> Result<Vec<DenseMatrix>, VaultError> {
-        Ok(match self {
-            Backbone::Gcn {
-                network,
-                substitute_adj,
-                ..
-            } => network.forward_embeddings(substitute_adj, features)?,
-            Backbone::Mlp { network } => network.forward_embeddings(features)?,
-        })
+        let adj = self.substitute.as_ref().map(|s| &s.adj);
+        Ok(self.network.forward_embeddings(adj, features)?)
     }
 
     /// Final-layer logits on the public data path.
@@ -138,36 +131,22 @@ impl Backbone {
 
     /// Output widths of every layer.
     pub fn channel_dims(&self) -> Vec<usize> {
-        match self {
-            Backbone::Gcn { network, .. } => network.channel_dims(),
-            Backbone::Mlp { network } => network.channel_dims(),
-        }
+        self.network.channel_dims()
     }
 
     /// Trainable parameter count (`θbb`).
     pub fn param_count(&self) -> usize {
-        match self {
-            Backbone::Gcn { network, .. } => network.param_count(),
-            Backbone::Mlp { network } => network.param_count(),
-        }
+        self.network.param_count()
     }
 
     /// Number of layers.
     pub fn num_layers(&self) -> usize {
-        match self {
-            Backbone::Gcn { network, .. } => network.num_layers(),
-            Backbone::Mlp { network } => network.num_layers(),
-        }
+        self.network.num_layers()
     }
 
     /// The substitute graph, when one exists.
     pub fn substitute_graph(&self) -> Option<&Graph> {
-        match self {
-            Backbone::Gcn {
-                substitute_graph, ..
-            } => Some(substitute_graph),
-            Backbone::Mlp { .. } => None,
-        }
+        self.substitute.as_ref().map(|s| &s.graph)
     }
 }
 

@@ -1,7 +1,7 @@
 use crate::VaultError;
 use graph::{normalization, Graph};
 use linalg::{CsrMatrix, DenseMatrix};
-use nn::{GcnNetwork, TrainConfig};
+use nn::{Network, TrainConfig};
 use serde::{Deserialize, Serialize};
 
 /// The unprotected reference GNN (`porg` in the paper's tables): same
@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OriginalGnn {
-    network: GcnNetwork,
+    network: Network,
     real_adj: CsrMatrix,
 }
 
@@ -49,8 +49,8 @@ impl OriginalGnn {
         seed: u64,
     ) -> Result<OriginalGnn, VaultError> {
         let real_adj = normalization::gcn_normalize(real_graph);
-        let mut network = GcnNetwork::new(features.cols(), channels, seed)?;
-        network.fit(&real_adj, features, labels, train_mask, cfg)?;
+        let mut network = Network::new(features.cols(), channels, seed)?;
+        network.fit(Some(&real_adj), features, labels, train_mask, cfg)?;
         Ok(OriginalGnn { network, real_adj })
     }
 
@@ -60,7 +60,9 @@ impl OriginalGnn {
     ///
     /// Returns [`VaultError::Nn`] on shape inconsistencies.
     pub fn embeddings(&self, features: &DenseMatrix) -> Result<Vec<DenseMatrix>, VaultError> {
-        Ok(self.network.forward_embeddings(&self.real_adj, features)?)
+        Ok(self
+            .network
+            .forward_embeddings(Some(&self.real_adj), features)?)
     }
 
     /// Predicted classes.
@@ -69,17 +71,12 @@ impl OriginalGnn {
     ///
     /// Returns [`VaultError::Nn`] on shape inconsistencies.
     pub fn predict(&self, features: &DenseMatrix) -> Result<Vec<usize>, VaultError> {
-        Ok(self.network.predict(&self.real_adj, features)?)
+        Ok(self.network.predict(Some(&self.real_adj), features)?)
     }
 
     /// Trainable parameter count.
     pub fn param_count(&self) -> usize {
         self.network.param_count()
-    }
-
-    /// The trained network (read-only).
-    pub fn network(&self) -> &GcnNetwork {
-        &self.network
     }
 }
 

@@ -457,11 +457,15 @@ impl Rectifier {
 
     /// Trains the rectifier on frozen backbone embeddings with masked
     /// cross-entropy (§IV-D: "we freeze the pre-trained GNN backbone and
-    /// adjust the rectifier parameters").
+    /// adjust the rectifier parameters"). No dropout is applied:
+    /// `cfg.dropout` is range-checked but otherwise unused, and
+    /// `cfg.seed` is never read.
     ///
     /// # Errors
     ///
-    /// Propagates wiring and label/mask failures.
+    /// Returns [`nn::NnError::InvalidTrainConfig`] (as
+    /// [`VaultError::Nn`]) for a `cfg` that [`TrainConfig::validate`]
+    /// rejects; propagates wiring and label/mask failures.
     pub fn fit(
         &mut self,
         real_adj: &CsrMatrix,
@@ -470,6 +474,7 @@ impl Rectifier {
         train_mask: &[usize],
         cfg: &TrainConfig,
     ) -> Result<nn::TrainReport, VaultError> {
+        cfg.validate()?;
         let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
         let mut final_loss = f32::NAN;
         // Shared across epochs: epoch N's activations, concatenations,
@@ -684,7 +689,8 @@ mod tests {
     #[test]
     fn parallel_gradient_matches_finite_differences() {
         // End-to-end gradient check through the concat wiring, using
-        // fit's own backward path via a single zero-lr epoch.
+        // fit's own backward path via a single epoch at a vanishing
+        // learning rate.
         for conv in [ConvKind::Gcn, ConvKind::Sage, ConvKind::Gat] {
             let n = 8;
             let embs = fake_embeddings(n);
@@ -695,16 +701,17 @@ mod tests {
                 Rectifier::new_with_conv(RectifierKind::Parallel, conv, &[6, 4, 2], &[8, 4, 2], 2)
                     .unwrap();
 
-            // One epoch with lr = 0 leaves weights unchanged but fills
-            // the gradient accumulators through fit's backward pass.
-            let zero_lr = TrainConfig {
+            // An Adam step is at most ~lr (1e-38 here), so the epoch
+            // leaves the weights where they were but fills the gradient
+            // accumulators through fit's backward pass.
+            let still_lr = TrainConfig {
                 epochs: 1,
-                lr: 0.0,
+                lr: f32::MIN_POSITIVE,
                 weight_decay: 0.0,
                 dropout: 0.0,
                 seed: 0,
             };
-            rect.fit(&adj, &embs, &labels, &mask, &zero_lr).unwrap();
+            rect.fit(&adj, &embs, &labels, &mask, &still_lr).unwrap();
             let analytic = first_weight(&mut rect).grad.get(0, 0);
 
             let eps = 1e-3f32;
@@ -725,6 +732,29 @@ mod tests {
                 (numeric - analytic).abs() < 2e-2 * numeric.abs().max(0.5),
                 "{conv:?}: numeric {numeric} vs analytic {analytic}"
             );
+        }
+    }
+
+    #[test]
+    fn fit_rejects_out_of_range_hyperparameters() {
+        let n = 6;
+        let (embs, adj) = (fake_embeddings(n), real_adj(n));
+        let labels: Vec<usize> = (0..n).map(|i| i % 2).collect();
+        let fresh = Rectifier::new(RectifierKind::Series, &[4, 2], &[8, 4, 2], 0).unwrap();
+        // Dropout is rejected although this fit applies none: the same
+        // config trains the backbone, where it would mis-train silently.
+        for (dropout, lr) in [(1.0, 0.01), (f32::NAN, 0.01), (0.0, 0.0), (0.0, f32::NAN)] {
+            let cfg = TrainConfig {
+                dropout,
+                lr,
+                ..TrainConfig::default()
+            };
+            let mut rect = fresh.clone();
+            assert!(matches!(
+                rect.fit(&adj, &embs, &labels, &[0, 1], &cfg),
+                Err(VaultError::Nn(nn::NnError::InvalidTrainConfig { .. }))
+            ));
+            assert_eq!(rect, fresh);
         }
     }
 

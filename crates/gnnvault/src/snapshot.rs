@@ -32,9 +32,9 @@
 //! epoch u64 | num_global_nodes u64
 //! config:    epc_budget u64 | cost{transition,per_byte,page_swap,slowdown} u64×4
 //!            | policy u8
-//! backbone:  tag u8 (0 GCN, 1 MLP)
-//!              GCN: substitute kind (tag u8 + payload) | substitute graph | network
-//!              MLP: network
+//! backbone:  tag u8 (0 with substitute, 1 without — the DNN backbone)
+//!              0: substitute kind (tag u8 + payload) | substitute graph
+//!            | network
 //! rectifier: kind u8 | conv u8 | backbone_dims | channels | taps
 //!            | per layer (count u64, projection, count-1 matrices)
 //! scope:     full image:      real graph
@@ -70,12 +70,13 @@
 //! vault, because the closure spans the rectifier's receptive field and
 //! normalization uses the original degrees.
 
+use crate::backbone::Substitute;
 use crate::{Backbone, Precision, Rectifier, RectifierKind, SubstituteKind, VaultError};
 use graph::partition::GraphPartition;
 use graph::subgraph::Closure;
 use graph::Graph;
 use linalg::{DenseMatrix, QuantizedMatrix};
-use nn::{ConvKind, GcnNetwork, MlpNetwork};
+use nn::{ConvKind, Network};
 use tee::{CostModel, OverBudgetPolicy, Sealed};
 
 /// Format marker at offset 0 of every snapshot payload.
@@ -531,40 +532,24 @@ pub(crate) fn encode(
 }
 
 fn encode_backbone(w: &mut Writer, backbone: &Backbone, precision: Precision) {
-    // Both architectures store a sequential network as per-layer
-    // `(weight, bias)` values behind their own tag and preamble.
-    let (input_dim, layers): (usize, Vec<_>) = match backbone {
-        Backbone::Gcn {
-            network,
-            substitute_graph,
-            kind,
-            ..
-        } => {
+    // The tag says whether a substitute precedes the network.
+    match &backbone.substitute {
+        Some(substitute) => {
             w.put_u8(0);
-            encode_substitute_kind(w, kind);
-            w.put_graph(substitute_graph);
-            let layers = network.layers().iter();
-            (
-                network.input_dim(),
-                layers.map(|l| (l.weight(), l.bias())).collect(),
-            )
+            encode_substitute_kind(w, &substitute.kind);
+            w.put_graph(&substitute.graph);
         }
-        Backbone::Mlp { network } => {
-            w.put_u8(1);
-            let layers = network.layers().iter();
-            (
-                network.input_dim(),
-                layers.map(|l| (l.weight(), l.bias())).collect(),
-            )
-        }
-    };
-    w.put_usize(input_dim);
-    w.put_usize(layers.len());
-    for (weight, bias) in layers {
-        w.put_usize(weight.value.rows());
-        w.put_usize(weight.value.cols());
-        w.put_projection(&weight.value, precision);
-        w.put_matrix(&bias.value);
+        None => w.put_u8(1),
+    }
+    let network = &backbone.network;
+    w.put_usize(network.input_dim());
+    w.put_usize(network.num_layers());
+    for layer in network.layers() {
+        let (weight, bias) = (&layer.weight().value, &layer.bias().value);
+        w.put_usize(weight.rows());
+        w.put_usize(weight.cols());
+        w.put_projection(weight, precision);
+        w.put_matrix(bias);
     }
 }
 
@@ -600,16 +585,8 @@ fn encode_rectifier(w: &mut Writer, rectifier: &Rectifier, precision: Precision)
 /// every replica of its images.
 pub(crate) fn snap_to_int8_grid(backbone: &mut Backbone, rectifier: &mut Rectifier) {
     let snap = |p: &mut nn::Param| p.value = QuantizedMatrix::quantize(&p.value).dequantize();
-    match backbone {
-        Backbone::Gcn { network, .. } => {
-            let layers = network.layers_mut().iter_mut();
-            layers.for_each(|l| snap(l.weight_mut()));
-        }
-        Backbone::Mlp { network } => {
-            let layers = network.layers_mut().iter_mut();
-            layers.for_each(|l| snap(l.weight_mut()));
-        }
-    }
+    let layers = backbone.network.layers_mut().iter_mut();
+    layers.for_each(|l| snap(l.weight_mut()));
     for layer in rectifier.layers_mut() {
         // Param 0, as in `encode_rectifier`.
         snap(layer.params_mut().swap_remove(0));
@@ -786,34 +763,17 @@ fn expect_shape(
 }
 
 fn decode_backbone(r: &mut Reader<'_>, precision: Precision) -> Result<Backbone, VaultError> {
-    Ok(match r.get_u8()? {
+    let substitute = match r.get_u8()? {
         0 => {
             let kind = decode_substitute_kind(r)?;
-            let substitute_graph = r.get_graph()?;
-            let net = decode_network(r, precision)?;
-            let mut network = GcnNetwork::new(net.input_dim, &net.channels, 0)?;
-            for (layer, (weight, bias)) in network.layers_mut().iter_mut().zip(net.params) {
-                restore_value(layer.weight_mut(), weight, "backbone weight")?;
-                restore_value(layer.bias_mut(), bias, "backbone bias")?;
-            }
-            let substitute_adj = graph::normalization::gcn_normalize(&substitute_graph);
-            Backbone::Gcn {
-                network,
-                substitute_graph,
-                substitute_adj,
-                kind,
-            }
+            Some(Substitute::new(r.get_graph()?, kind))
         }
-        1 => {
-            let net = decode_network(r, precision)?;
-            let mut network = MlpNetwork::new(net.input_dim, &net.channels, 0)?;
-            for (layer, (weight, bias)) in network.layers_mut().iter_mut().zip(net.params) {
-                restore_value(layer.weight_mut(), weight, "backbone weight")?;
-                restore_value(layer.bias_mut(), bias, "backbone bias")?;
-            }
-            Backbone::Mlp { network }
-        }
+        1 => None,
         t => return Err(bad(format!("unknown backbone tag {t}"))),
+    };
+    Ok(Backbone {
+        network: decode_network(r, precision)?,
+        substitute,
     })
 }
 
@@ -911,23 +871,13 @@ fn decode_substitute_kind(r: &mut Reader<'_>) -> Result<SubstituteKind, VaultErr
     })
 }
 
-/// One decoded sequential network: its architecture and per-layer
-/// `(weight, bias)` values (the weight dequantized for an int8
-/// payload).
-struct DecodedNetwork {
-    input_dim: usize,
-    channels: Vec<usize>,
-    params: Vec<(DenseMatrix, DenseMatrix)>,
-}
-
-fn decode_network(r: &mut Reader<'_>, precision: Precision) -> Result<DecodedNetwork, VaultError> {
+/// Decodes one sequential network: its architecture, then per-layer
+/// `(weight, bias)` values (the weight dequantized for an int8 payload).
+fn decode_network(r: &mut Reader<'_>, precision: Precision) -> Result<Network, VaultError> {
     let input_dim = r.get_usize()?;
     let num_layers = r.get_count(8, "layer")?;
-    let mut net = DecodedNetwork {
-        input_dim,
-        channels: Vec::with_capacity(num_layers),
-        params: Vec::with_capacity(num_layers),
-    };
+    let mut channels = Vec::with_capacity(num_layers);
+    let mut params = Vec::with_capacity(num_layers);
     let mut prev = input_dim;
     for _ in 0..num_layers {
         let in_dim = r.get_usize()?;
@@ -941,11 +891,16 @@ fn decode_network(r: &mut Reader<'_>, precision: Precision) -> Result<DecodedNet
         expect_shape("backbone weight", (in_dim, out_dim), &weight)?;
         let bias = r.get_matrix()?;
         expect_shape("backbone bias", (1, out_dim), &bias)?;
-        net.channels.push(out_dim);
-        net.params.push((weight, bias));
+        channels.push(out_dim);
+        params.push((weight, bias));
         prev = out_dim;
     }
-    Ok(net)
+    let mut network = Network::new(input_dim, &channels, 0)?;
+    for (layer, (weight, bias)) in network.layers_mut().iter_mut().zip(params) {
+        restore_value(layer.weight_mut(), weight, "backbone weight")?;
+        restore_value(layer.bias_mut(), bias, "backbone bias")?;
+    }
+    Ok(network)
 }
 
 /// Overwrites a freshly initialized parameter's value with a decoded

@@ -95,7 +95,7 @@ impl Precision {
 /// world, tap embeddings marshalled one-way into the enclave, rectifier
 /// inside, and *label-only* output ([`ClassLabel`]) — logits never
 /// leave. The three entry points differ only in which nodes they ask
-/// about and in the [`Field`] the enclave rectifies to answer them:
+/// about and in the `Field` the enclave rectifies to answer them:
 /// [`Vault::infer`] asks for every node and [`Vault::infer_batch`] for
 /// a batch (through a reusable [`EnclaveSession`]; the `serve` crate
 /// builds its admission queue, caching, and scheduling on top of it),

@@ -239,25 +239,19 @@ impl DenseMatrix {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if shapes differ.
     pub fn add(&self, other: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-        self.zip_with(other, "add", |a, b| a + b)
-    }
-
-    /// Elementwise subtraction (`self - other`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if shapes differ.
-    pub fn sub(&self, other: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-        self.zip_with(other, "sub", |a, b| a - b)
-    }
-
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if shapes differ.
-    pub fn hadamard(&self, other: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-        self.zip_with(other, "hadamard", |a, b| a * b)
+        if self.shape() != other.shape() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "add",
+                lhs: self.shape(),
+                rhs: other.shape(),
+            });
+        }
+        let data = self.data.iter().zip(&other.data).map(|(a, b)| a + b);
+        Ok(DenseMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: data.collect(),
+        })
     }
 
     /// In-place `self += scale * other` (axpy-style accumulation).
@@ -322,30 +316,7 @@ impl DenseMatrix {
         Ok(out)
     }
 
-    /// Adds `bias` (a length-`cols` vector) to every row in place —
-    /// the allocation-free sibling of [`DenseMatrix::add_row_broadcast`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `bias.len() != cols`.
-    pub fn add_row_broadcast_inplace(&mut self, bias: &[f32]) -> Result<(), LinalgError> {
-        if bias.len() != self.cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "add_row_broadcast",
-                lhs: self.shape(),
-                rhs: (1, bias.len()),
-            });
-        }
-        for row in self.data.chunks_exact_mut(self.cols) {
-            for (v, b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
-        Ok(())
-    }
-
-    /// Multiplies elementwise by `other` in place — the allocation-free
-    /// sibling of [`DenseMatrix::hadamard`].
+    /// Multiplies elementwise (Hadamard product) by `other` in place.
     ///
     /// # Errors
     ///
@@ -532,37 +503,6 @@ impl DenseMatrix {
     pub fn nbytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
     }
-
-    fn zip_with(
-        &self,
-        other: &DenseMatrix,
-        op: &'static str,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<DenseMatrix, LinalgError> {
-        if self.shape() != other.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op,
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        Ok(DenseMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        })
-    }
-}
-
-impl Default for DenseMatrix {
-    fn default() -> Self {
-        Self::zeros(0, 0)
-    }
 }
 
 #[cfg(test)]
@@ -615,13 +555,12 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_hadamard() {
+    fn add_and_hadamard() {
         let m = sample();
         let sum = m.add(&m).unwrap();
         assert_eq!(sum.get(1, 2), 12.0);
-        let zero = m.sub(&m).unwrap();
-        assert_eq!(zero.sum(), 0.0);
-        let sq = m.hadamard(&m).unwrap();
+        let mut sq = m.clone();
+        sq.hadamard_inplace(&m).unwrap();
         assert_eq!(sq.get(1, 0), 16.0);
     }
 

@@ -165,7 +165,9 @@ impl ConvLayer {
         ws: &mut Workspace,
     ) -> Result<ConvForward, NnError> {
         Ok(match self {
-            ConvLayer::Gcn(l) => ConvForward::Gcn(l.forward_fused(adj, input, fuse_relu, ws)?),
+            ConvLayer::Gcn(l) => {
+                ConvForward::Gcn(l.forward_fused(Some(adj), input, fuse_relu, ws)?)
+            }
             ConvLayer::Sage(l) => ConvForward::Sage(l.forward_fused(adj, input, fuse_relu, ws)?),
             ConvLayer::Gat(l) => ConvForward::Gat(l.forward_fused(adj, input, fuse_relu, ws)?),
         })
@@ -204,7 +206,9 @@ impl ConvLayer {
         ws: &mut Workspace,
     ) -> Result<DenseMatrix, NnError> {
         match (self, cache) {
-            (ConvLayer::Gcn(l), ConvForward::Gcn(_)) => l.backward_ws(input, adj, d_output, ws),
+            (ConvLayer::Gcn(l), ConvForward::Gcn(_)) => {
+                l.backward_ws(input, Some(adj), d_output, ws)
+            }
             (ConvLayer::Sage(l), ConvForward::Sage(c)) => l.backward_ws(c, adj, d_output, ws),
             (ConvLayer::Gat(l), ConvForward::Gat(c)) => l.backward_ws(c, input, adj, d_output, ws),
             _ => Err(NnError::InvalidArchitecture {

@@ -16,6 +16,11 @@ pub enum NnError {
         /// Description of the problem.
         reason: String,
     },
+    /// A training hyperparameter was outside its valid range.
+    InvalidTrainConfig {
+        /// Description of the problem.
+        reason: String,
+    },
 }
 
 impl fmt::Display for NnError {
@@ -26,6 +31,9 @@ impl fmt::Display for NnError {
                 write!(f, "invalid architecture: {reason}")
             }
             NnError::InvalidLabels { reason } => write!(f, "invalid labels: {reason}"),
+            NnError::InvalidTrainConfig { reason } => {
+                write!(f, "invalid training configuration: {reason}")
+            }
         }
     }
 }

@@ -6,8 +6,13 @@ use linalg::{
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// One graph-convolution layer: `Z = Â (H W) + b` (paper Eq. 1, without
-/// the activation, which the network container applies between layers).
+/// One layer `Z = Â (H W) + b` (paper Eq. 1, without the activation,
+/// which the network container applies between layers).
+///
+/// The propagation operator `Â` is optional at every call: with `None`
+/// the layer is the fully-connected `Z = H W + b` of Table III's
+/// structure-free "DNN" backbone — one GEMM with the bias fused into
+/// its epilogue, no sparse product.
 ///
 /// The forward pass never copies its input: [`GcnLayer::backward`]
 /// takes the layer input explicitly (training loops already own every
@@ -25,8 +30,9 @@ use serde::{Deserialize, Serialize};
 /// let g = graph::Graph::from_edges(3, &[(0, 1), (1, 2)])?;
 /// let adj = graph::normalization::gcn_normalize(&g);
 /// let h = linalg::DenseMatrix::zeros(3, 4);
-/// let out = layer.forward(&adj, &h)?;
+/// let out = layer.forward(Some(&adj), &h)?;
 /// assert_eq!(out.output.shape(), (3, 2));
+/// assert_eq!(layer.forward(None, &h)?.output.shape(), (3, 2));
 /// # Ok(())
 /// # }
 /// ```
@@ -99,13 +105,8 @@ impl GcnLayer {
         [&mut self.weight, &mut self.bias]
     }
 
-    /// Size in bytes of the layer's parameters, for enclave memory
-    /// accounting.
-    pub fn nbytes(&self) -> usize {
-        (self.weight.len() + self.bias.len()) * std::mem::size_of::<f32>()
-    }
-
-    /// Forward pass `Z = Â (H W) + b`.
+    /// Forward pass `Z = Â (H W) + b`, or `Z = H W + b` without an
+    /// operator.
     ///
     /// `H W` is computed first so the sparse multiply runs on the
     /// (usually narrower) projected matrix — the same ordering PyG uses.
@@ -114,16 +115,21 @@ impl GcnLayer {
     ///
     /// Returns [`NnError::Linalg`] if `adj`, `input`, and the layer
     /// dimensions are inconsistent.
-    pub fn forward(&self, adj: &CsrMatrix, input: &DenseMatrix) -> Result<GcnForward, NnError> {
+    pub fn forward(
+        &self,
+        adj: Option<&CsrMatrix>,
+        input: &DenseMatrix,
+    ) -> Result<GcnForward, NnError> {
         self.forward_fused(adj, input, false, &mut Workspace::new())
     }
 
     /// Forward pass with the bias — and, when `fuse_relu` is set, the
-    /// ReLU activation — fused into the sparse aggregation's epilogue,
+    /// ReLU activation — fused into the epilogue of the last product
+    /// (the sparse aggregation, or the GEMM when there is no operator),
     /// so no separate broadcast or activation pass touches the output.
     ///
     /// With `fuse_relu` the returned output is *post-activation*; the
-    /// network containers feed it to the next layer directly instead of
+    /// network container feeds it to the next layer directly instead of
     /// copying and ReLU-ing it. The projection scratch (`H W`), the
     /// output, and the GEMM packing buffers come from `ws`, so a
     /// training loop that gives buffers back each epoch runs
@@ -134,19 +140,23 @@ impl GcnLayer {
     /// Same conditions as [`GcnLayer::forward`].
     pub fn forward_fused(
         &self,
-        adj: &CsrMatrix,
+        adj: Option<&CsrMatrix>,
         input: &DenseMatrix,
         fuse_relu: bool,
         ws: &mut Workspace,
     ) -> Result<GcnForward, NnError> {
-        let mut xw = ws.take_for_overwrite(input.rows(), self.out_dim);
-        matmul_fused_into_ws(input, &self.weight.value, &mut xw, Epilogue::None, ws)?;
         let bias = self.bias.value.row(0);
         let epilogue = if fuse_relu {
             Epilogue::BiasRelu(bias)
         } else {
             Epilogue::Bias(bias)
         };
+        let mut xw = ws.take_for_overwrite(input.rows(), self.out_dim);
+        let Some(adj) = adj else {
+            matmul_fused_into_ws(input, &self.weight.value, &mut xw, epilogue, ws)?;
+            return Ok(GcnForward { output: xw });
+        };
+        matmul_fused_into_ws(input, &self.weight.value, &mut xw, Epilogue::None, ws)?;
         let mut output = ws.take_for_overwrite(adj.rows(), self.out_dim);
         adj.spmm_fused_into(&xw, &mut output, epilogue)?;
         ws.give(xw);
@@ -159,7 +169,8 @@ impl GcnLayer {
     ///
     /// Derivation: with `Z = Â H W + b`,
     /// `∂L/∂(HW) = Âᵀ ∂L/∂Z`, `∂L/∂W = Hᵀ Âᵀ ∂L/∂Z`,
-    /// `∂L/∂H = (Âᵀ ∂L/∂Z) Wᵀ`, `∂L/∂b = Σ_rows ∂L/∂Z`.
+    /// `∂L/∂H = (Âᵀ ∂L/∂Z) Wᵀ`, `∂L/∂b = Σ_rows ∂L/∂Z`; without an
+    /// operator `∂L/∂(HW)` is `∂L/∂Z` itself.
     ///
     /// Both transposed products run through the packed engine's
     /// transpose-free views ([`linalg::matmul_at_b`] /
@@ -172,7 +183,7 @@ impl GcnLayer {
     pub fn backward(
         &mut self,
         input: &DenseMatrix,
-        adj: &CsrMatrix,
+        adj: Option<&CsrMatrix>,
         d_output: &DenseMatrix,
     ) -> Result<DenseMatrix, NnError> {
         self.backward_ws(input, adj, d_output, &mut Workspace::new())
@@ -188,23 +199,62 @@ impl GcnLayer {
     pub fn backward_ws(
         &mut self,
         input: &DenseMatrix,
-        adj: &CsrMatrix,
+        adj: Option<&CsrMatrix>,
         d_output: &DenseMatrix,
         ws: &mut Workspace,
     ) -> Result<DenseMatrix, NnError> {
+        let propagated = self.accumulate_grads(input, adj, d_output, ws)?;
+        let mut d_input = ws.take_for_overwrite(input.rows(), self.in_dim);
+        let d_xw = propagated.as_ref().unwrap_or(d_output);
+        matmul_a_bt_into_ws(d_xw, &self.weight.value, &mut d_input, ws)?;
+        if let Some(d_xw) = propagated {
+            ws.give(d_xw);
+        }
+        Ok(d_input)
+    }
+
+    /// The parameter half of [`GcnLayer::backward_ws`]: accumulates
+    /// `∂L/∂W` and `∂L/∂b` and stops. A network's first layer uses
+    /// this — nothing reads the gradient of the feature matrix, and
+    /// `∂L/∂H` there is the widest product of the whole backward pass.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`GcnLayer::backward`].
+    pub fn param_grads_ws(
+        &mut self,
+        input: &DenseMatrix,
+        adj: Option<&CsrMatrix>,
+        d_output: &DenseMatrix,
+        ws: &mut Workspace,
+    ) -> Result<(), NnError> {
+        if let Some(d_xw) = self.accumulate_grads(input, adj, d_output, ws)? {
+            ws.give(d_xw);
+        }
+        Ok(())
+    }
+
+    /// Accumulates both parameter gradients and hands back
+    /// `∂L/∂(HW) = Âᵀ ∂L/∂Z` when an operator produced it (`None`: it
+    /// is `d_output`).
+    fn accumulate_grads(
+        &mut self,
+        input: &DenseMatrix,
+        adj: Option<&CsrMatrix>,
+        d_output: &DenseMatrix,
+        ws: &mut Workspace,
+    ) -> Result<Option<DenseMatrix>, NnError> {
         // Âᵀ dZ (Â is symmetric for GCN but we use the general form).
-        let d_xw = adj.spmm_transposed(d_output)?;
+        let propagated = adj.map(|a| a.spmm_transposed(d_output)).transpose()?;
+        let d_xw = propagated.as_ref().unwrap_or(d_output);
         let mut d_w = ws.take_for_overwrite(self.in_dim, self.out_dim);
-        matmul_at_b_into_ws(input, &d_xw, &mut d_w, ws)?;
+        matmul_at_b_into_ws(input, d_xw, &mut d_w, ws)?;
         self.weight.grad.add_scaled(&d_w, 1.0)?;
         ws.give(d_w);
         let col_sums = d_output.column_sums();
         let d_b = DenseMatrix::from_vec(1, col_sums.len(), col_sums)?;
         self.bias.grad.add_scaled(&d_b, 1.0)?;
-        let mut d_input = ws.take_for_overwrite(input.rows(), self.in_dim);
-        matmul_a_bt_into_ws(&d_xw, &self.weight.value, &mut d_input, ws)?;
-        ws.give(d_xw);
-        Ok(d_input)
+        Ok(propagated)
     }
 }
 
@@ -215,6 +265,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Every test runs over this operator and over none (the
+    /// fully-connected layer).
     fn setup() -> (CsrMatrix, DenseMatrix, GcnLayer) {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]).unwrap();
         let adj = normalization::gcn_normalize(&g);
@@ -225,21 +277,23 @@ mod tests {
     }
 
     /// Scalar loss used for finite-difference checks: sum of outputs.
-    fn loss_of(layer: &GcnLayer, adj: &CsrMatrix, x: &DenseMatrix) -> f32 {
+    fn loss_of(layer: &GcnLayer, adj: Option<&CsrMatrix>, x: &DenseMatrix) -> f32 {
         layer.forward(adj, x).unwrap().output.sum()
     }
 
     #[test]
     fn forward_shape_and_bias() {
         let (adj, x, mut layer) = setup();
-        let out = layer.forward(&adj, &x).unwrap();
-        assert_eq!(out.output.shape(), (4, 3));
-        // Shifting the bias shifts every output row by the same amount.
-        let before = out.output.clone();
-        layer.bias_mut().value.set(0, 1, 10.0);
-        let after = layer.forward(&adj, &x).unwrap().output;
-        for r in 0..4 {
-            assert!((after.get(r, 1) - before.get(r, 1) - 10.0).abs() < 1e-4);
+        for op in [Some(&adj), None] {
+            layer.bias_mut().value.set(0, 1, 0.0);
+            let before = layer.forward(op, &x).unwrap().output;
+            assert_eq!(before.shape(), (4, 3));
+            // Shifting the bias shifts every output row by the same amount.
+            layer.bias_mut().value.set(0, 1, 10.0);
+            let after = layer.forward(op, &x).unwrap().output;
+            for r in 0..4 {
+                assert!((after.get(r, 1) - before.get(r, 1) - 10.0).abs() < 1e-4);
+            }
         }
     }
 
@@ -247,31 +301,35 @@ mod tests {
     fn forward_rejects_wrong_input_width() {
         let (adj, _, layer) = setup();
         let bad = DenseMatrix::zeros(4, 7);
-        assert!(layer.forward(&adj, &bad).is_err());
+        for op in [Some(&adj), None] {
+            assert!(layer.forward(op, &bad).is_err());
+        }
     }
 
     #[test]
     fn weight_gradient_matches_finite_differences() {
         let (adj, x, mut layer) = setup();
         let d_out = DenseMatrix::filled(4, 3, 1.0); // dL/dZ for L = sum(Z)
-        layer.weight_mut().zero_grad();
-        layer.bias_mut().zero_grad();
-        layer.backward(&x, &adj, &d_out).unwrap();
+        for op in [Some(&adj), None] {
+            layer.weight_mut().zero_grad();
+            layer.bias_mut().zero_grad();
+            layer.backward(&x, op, &d_out).unwrap();
 
-        let eps = 1e-3f32;
-        for (r, c) in [(0, 0), (2, 1), (4, 2)] {
-            let orig = layer.weight().value.get(r, c);
-            layer.weight_mut().value.set(r, c, orig + eps);
-            let plus = loss_of(&layer, &adj, &x);
-            layer.weight_mut().value.set(r, c, orig - eps);
-            let minus = loss_of(&layer, &adj, &x);
-            layer.weight_mut().value.set(r, c, orig);
-            let numeric = (plus - minus) / (2.0 * eps);
-            let analytic = layer.weight().grad.get(r, c);
-            assert!(
-                (numeric - analytic).abs() < 1e-2 * numeric.abs().max(1.0),
-                "dW[{r},{c}]: numeric {numeric} vs analytic {analytic}"
-            );
+            let eps = 1e-3f32;
+            for (r, c) in [(0, 0), (2, 1), (4, 2)] {
+                let orig = layer.weight().value.get(r, c);
+                layer.weight_mut().value.set(r, c, orig + eps);
+                let plus = loss_of(&layer, op, &x);
+                layer.weight_mut().value.set(r, c, orig - eps);
+                let minus = loss_of(&layer, op, &x);
+                layer.weight_mut().value.set(r, c, orig);
+                let numeric = (plus - minus) / (2.0 * eps);
+                let analytic = layer.weight().grad.get(r, c);
+                assert!(
+                    (numeric - analytic).abs() < 1e-2 * numeric.abs().max(1.0),
+                    "dW[{r},{c}]: numeric {numeric} vs analytic {analytic}"
+                );
+            }
         }
     }
 
@@ -279,11 +337,13 @@ mod tests {
     fn bias_gradient_matches_finite_differences() {
         let (adj, x, mut layer) = setup();
         let d_out = DenseMatrix::filled(4, 3, 1.0);
-        layer.bias_mut().zero_grad();
-        layer.backward(&x, &adj, &d_out).unwrap();
-        // d(sum Z)/db_j = number of rows.
-        for j in 0..3 {
-            assert!((layer.bias().grad.get(0, j) - 4.0).abs() < 1e-4);
+        for op in [Some(&adj), None] {
+            layer.bias_mut().zero_grad();
+            layer.backward(&x, op, &d_out).unwrap();
+            // d(sum Z)/db_j = number of rows.
+            for j in 0..3 {
+                assert!((layer.bias().grad.get(0, j) - 4.0).abs() < 1e-4);
+            }
         }
     }
 
@@ -291,22 +351,24 @@ mod tests {
     fn input_gradient_matches_finite_differences() {
         let (adj, mut x, mut layer) = setup();
         let d_out = DenseMatrix::filled(4, 3, 1.0);
-        let d_input = layer.backward(&x, &adj, &d_out).unwrap();
+        for op in [Some(&adj), None] {
+            let d_input = layer.backward(&x, op, &d_out).unwrap();
 
-        let eps = 1e-3f32;
-        for (r, c) in [(0, 0), (3, 4), (1, 2)] {
-            let orig = x.get(r, c);
-            x.set(r, c, orig + eps);
-            let plus = loss_of(&layer, &adj, &x);
-            x.set(r, c, orig - eps);
-            let minus = loss_of(&layer, &adj, &x);
-            x.set(r, c, orig);
-            let numeric = (plus - minus) / (2.0 * eps);
-            let analytic = d_input.get(r, c);
-            assert!(
-                (numeric - analytic).abs() < 1e-2 * numeric.abs().max(1.0),
-                "dH[{r},{c}]: numeric {numeric} vs analytic {analytic}"
-            );
+            let eps = 1e-3f32;
+            for (r, c) in [(0, 0), (3, 4), (1, 2)] {
+                let orig = x.get(r, c);
+                x.set(r, c, orig + eps);
+                let plus = loss_of(&layer, op, &x);
+                x.set(r, c, orig - eps);
+                let minus = loss_of(&layer, op, &x);
+                x.set(r, c, orig);
+                let numeric = (plus - minus) / (2.0 * eps);
+                let analytic = d_input.get(r, c);
+                assert!(
+                    (numeric - analytic).abs() < 1e-2 * numeric.abs().max(1.0),
+                    "dH[{r},{c}]: numeric {numeric} vs analytic {analytic}"
+                );
+            }
         }
     }
 
@@ -314,18 +376,36 @@ mod tests {
     fn gradients_accumulate_across_backward_calls() {
         let (adj, x, mut layer) = setup();
         let d_out = DenseMatrix::filled(4, 3, 1.0);
-        layer.weight_mut().zero_grad();
-        layer.backward(&x, &adj, &d_out).unwrap();
-        let once = layer.weight().grad.clone();
-        layer.backward(&x, &adj, &d_out).unwrap();
-        let twice = layer.weight().grad.clone();
-        assert!(twice.approx_eq(&once.scale(2.0), 1e-4));
+        for op in [Some(&adj), None] {
+            layer.weight_mut().zero_grad();
+            layer.backward(&x, op, &d_out).unwrap();
+            let once = layer.weight().grad.clone();
+            layer.backward(&x, op, &d_out).unwrap();
+            let twice = layer.weight().grad.clone();
+            assert!(twice.approx_eq(&once.scale(2.0), 1e-4));
+        }
+    }
+
+    /// The first layer of a network skips `∂L/∂H`; what it accumulates
+    /// into the parameters must not depend on that.
+    #[test]
+    fn param_grads_match_full_backward_bit_for_bit() {
+        let (adj, x, layer) = setup();
+        let mut rng = StdRng::seed_from_u64(8);
+        let d_out = crate::glorot_uniform(4, 3, &mut rng);
+        for op in [Some(&adj), None] {
+            let (mut full, mut params_only) = (layer.clone(), layer.clone());
+            let mut ws = Workspace::new();
+            full.backward_ws(&x, op, &d_out, &mut ws).unwrap();
+            params_only.param_grads_ws(&x, op, &d_out, &mut ws).unwrap();
+            assert_eq!(full, params_only);
+            assert!(full.weight().grad.as_slice().iter().any(|&g| g != 0.0));
+        }
     }
 
     #[test]
     fn param_count_formula() {
         let (_, _, layer) = setup();
         assert_eq!(layer.param_count(), 5 * 3 + 3);
-        assert_eq!(layer.nbytes(), (5 * 3 + 3) * 4);
     }
 }

@@ -5,16 +5,17 @@
 //!
 //! - [`GcnLayer`]: a graph-convolution layer computing
 //!   `Z = Â (H W) + b` (paper Eq. 1) with an explicit, finite-difference
-//!   verified backward pass,
-//! - [`DenseLayer`]: a fully-connected layer for the DNN/MLP backbone of
-//!   Table III,
+//!   verified backward pass; handed no operator it is the
+//!   fully-connected `Z = H W + b` of Table III's DNN backbone,
 //! - [`loss`]: masked softmax cross-entropy for semi-supervised node
 //!   classification (20 labelled nodes per class),
 //! - [`Adam`]: the Adam optimizer with per-parameter moment state,
-//! - [`GcnNetwork`] / [`MlpNetwork`]: sequential containers with a
-//!   full-batch training loop, parameter counting (the `θ` columns of
-//!   Table II), and per-layer embedding export (needed by the rectifier
-//!   taps and by the link-stealing attack surface).
+//! - [`Network`]: the sequential container, with one full-batch
+//!   training loop, parameter counting (the `θ` columns of Table II),
+//!   and per-layer embedding export (needed by the rectifier taps and
+//!   by the link-stealing attack surface). Every call takes the
+//!   propagation operator as `Option<&CsrMatrix>`: `Some(Â)` runs a
+//!   GCN, `None` an MLP.
 //!
 //! Every forward pass here is f32. Int8 is a *sealed form* of the
 //! projection weights (`linalg::QuantizedMatrix`, written and read by
@@ -27,18 +28,21 @@
 //! ```
 //! use graph::Graph;
 //! use linalg::DenseMatrix;
-//! use nn::{GcnNetwork, TrainConfig};
+//! use nn::{Network, TrainConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let g = Graph::from_edges(4, &[(0, 1), (2, 3)])?;
 //! let adj = graph::normalization::gcn_normalize(&g);
 //! let x = DenseMatrix::from_rows(&[&[1.0, 0.0], &[1.0, 0.1], &[0.0, 1.0], &[0.1, 1.0]])?;
 //! let labels = vec![0, 0, 1, 1];
-//! let mut net = GcnNetwork::new(2, &[8, 2], 7)?;
 //! let cfg = TrainConfig { epochs: 50, ..TrainConfig::default() };
-//! net.fit(&adj, &x, &labels, &[0, 2], &cfg)?;
-//! let preds = net.predict(&adj, &x)?;
-//! assert_eq!(preds.len(), 4);
+//! let mut gcn = Network::new(2, &[8, 2], 7)?;
+//! gcn.fit(Some(&adj), &x, &labels, &[0, 2], &cfg)?;
+//! assert_eq!(gcn.predict(Some(&adj), &x)?.len(), 4);
+//! // The structure-free baseline is the same network with no operator.
+//! let mut mlp = Network::new(2, &[8, 2], 7)?;
+//! mlp.fit(None, &x, &labels, &[0, 2], &cfg)?;
+//! assert_eq!(mlp.predict(None, &x)?.len(), 4);
 //! # Ok(())
 //! # }
 //! ```
@@ -47,7 +51,6 @@
 #![warn(missing_docs)]
 
 mod conv;
-mod dense_layer;
 mod error;
 mod gat;
 mod gcn;
@@ -59,12 +62,11 @@ mod param;
 mod sage;
 
 pub use conv::{ConvForward, ConvKind, ConvLayer};
-pub use dense_layer::{DenseForward, DenseLayer};
 pub use error::NnError;
 pub use gat::{GatForward, GatLayer};
 pub use gcn::{GcnForward, GcnLayer};
 pub use init::glorot_uniform;
-pub use network::{GcnNetwork, MlpNetwork, TrainConfig, TrainReport};
+pub use network::{Network, TrainConfig, TrainReport};
 pub use optim::Adam;
 pub use param::Param;
 pub use sage::{SageForward, SageLayer};

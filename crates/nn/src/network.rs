@@ -1,54 +1,69 @@
-use crate::{loss, Adam, DenseLayer, GcnLayer, NnError};
+use crate::{loss, Adam, GcnForward, GcnLayer, NnError};
 use linalg::{ops, CsrMatrix, DenseMatrix, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// What a layer consumed during a fit epoch's forward pass.
-///
-/// With fused ReLU, a hidden layer's output already *is* the next
-/// layer's input, so dropout-free epochs borrow it directly instead of
-/// copying; only dropout-masked inputs are owned copies. The slot is
-/// resolved against the feature matrix and the previous layer's cache
-/// at use time, which sidesteps holding borrows into the cache vector
-/// while it is still being grown.
-enum FitInput {
-    /// The caller's feature matrix `X` (layer 0, no dropout).
-    Features,
-    /// The previous layer's (post-activation) output, borrowed.
-    PrevOutput,
-    /// An owned, dropout-masked copy.
-    Owned(DenseMatrix),
-}
-
-impl FitInput {
-    /// Resolves to the tensor the layer consumed.
-    fn resolve<'a>(
-        &'a self,
-        x: &'a DenseMatrix,
-        prev_output: Option<&'a DenseMatrix>,
-    ) -> &'a DenseMatrix {
-        match self {
-            FitInput::Features => x,
-            FitInput::PrevOutput => prev_output.expect("layer > 0 has a previous output"),
-            FitInput::Owned(m) => m,
-        }
+/// The tensor layer `i` consumed during a fit epoch: its dropout-masked
+/// copy on a dropout epoch (`dropped` then holds one per layer run so
+/// far), else the features or the previous layer's output, borrowed —
+/// with fused ReLU a hidden layer's output already *is* the next
+/// layer's input.
+fn fit_input<'a>(
+    i: usize,
+    x: &'a DenseMatrix,
+    caches: &'a [GcnForward],
+    dropped: &'a [(DenseMatrix, DenseMatrix)],
+) -> &'a DenseMatrix {
+    match dropped.get(i) {
+        Some((masked, _)) => masked,
+        None if i == 0 => x,
+        None => &caches[i - 1].output,
     }
 }
 
-/// Training hyperparameters shared by [`GcnNetwork`] and [`MlpNetwork`].
+/// Training hyperparameters of [`Network::fit`].
+///
+/// `gnnvault`'s `Rectifier::fit` takes the same struct but trains
+/// without dropout: it reads `epochs`, `lr` and `weight_decay` and
+/// ignores `dropout` and `seed`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainConfig {
     /// Number of full-batch epochs.
     pub epochs: usize,
-    /// Adam learning rate.
+    /// Adam learning rate; finite and positive.
     pub lr: f32,
     /// L2 weight decay.
     pub weight_decay: f32,
-    /// Inverted-dropout probability on each layer input (0 disables).
+    /// Inverted-dropout probability on each layer input, in `[0, 1)`
+    /// (0 disables).
     pub dropout: f32,
     /// RNG seed for dropout masks.
     pub seed: u64,
+}
+
+impl TrainConfig {
+    /// Rejects values a fit would silently mis-train on: a dropout of 1
+    /// or more zeroes every mask (only biases would train), a negative
+    /// or NaN one disables dropout unasked, and a non-finite or
+    /// non-positive learning rate poisons or freezes every weight.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidTrainConfig`] naming the field.
+    pub fn validate(&self) -> Result<(), NnError> {
+        if !(0.0..1.0).contains(&self.dropout) {
+            return Err(NnError::InvalidTrainConfig {
+                reason: format!("dropout must be in [0, 1), got {}", self.dropout),
+            });
+        }
+        if !(self.lr.is_finite() && self.lr > 0.0) {
+            return Err(NnError::InvalidTrainConfig {
+                reason: format!("lr must be finite and positive, got {}", self.lr),
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Default for TrainConfig {
@@ -76,17 +91,22 @@ pub struct TrainReport {
 
 /// A sequential stack of [`GcnLayer`]s with ReLU between layers (none
 /// after the last), trained full-batch with Adam — the architecture used
-/// for both the original unprotected GNN (`porg`) and the public backbone
-/// (`pbb`) in the paper.
+/// for the original unprotected GNN (`porg`), the public backbone
+/// (`pbb`) and, run without a propagation operator, the structure-free
+/// "DNN" backbone of Table III.
+///
+/// Whether the network propagates is a property of the operator handed
+/// to each call, not of the type: `Some(Â)` is a GCN, `None` an MLP over
+/// the same weights.
 ///
 /// See the crate-level example for end-to-end usage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GcnNetwork {
+pub struct Network {
     layers: Vec<GcnLayer>,
     input_dim: usize,
 }
 
-impl GcnNetwork {
+impl Network {
     /// Builds a network mapping `input_dim` features through the given
     /// output `channels` (e.g. `&[128, 32, 7]` for the paper's M1).
     ///
@@ -138,11 +158,6 @@ impl GcnNetwork {
         self.layers.iter().map(GcnLayer::param_count).sum()
     }
 
-    /// Parameter bytes, for enclave memory accounting.
-    pub fn nbytes(&self) -> usize {
-        self.layers.iter().map(GcnLayer::nbytes).sum()
-    }
-
     /// Forward pass returning every layer's embedding in order: ReLU
     /// outputs for hidden layers and raw logits for the last layer.
     ///
@@ -156,11 +171,11 @@ impl GcnNetwork {
     /// shapes.
     pub fn forward_embeddings(
         &self,
-        adj: &CsrMatrix,
+        adj: Option<&CsrMatrix>,
         x: &DenseMatrix,
     ) -> Result<Vec<DenseMatrix>, NnError> {
         // Hidden activations come out of the fused forward already
-        // ReLU-ed (applied in the aggregation epilogue) — no separate
+        // ReLU-ed (applied in the layer's epilogue) — no separate
         // activation pass, no copies. The workspace recycles GEMM
         // packing and projection scratch across layers.
         let mut ws = Workspace::new();
@@ -179,7 +194,7 @@ impl GcnNetwork {
     /// # Errors
     ///
     /// Returns [`NnError::Linalg`] on shape inconsistencies.
-    pub fn logits(&self, adj: &CsrMatrix, x: &DenseMatrix) -> Result<DenseMatrix, NnError> {
+    pub fn logits(&self, adj: Option<&CsrMatrix>, x: &DenseMatrix) -> Result<DenseMatrix, NnError> {
         Ok(self
             .forward_embeddings(adj, x)?
             .pop()
@@ -191,24 +206,27 @@ impl GcnNetwork {
     /// # Errors
     ///
     /// Returns [`NnError::Linalg`] on shape inconsistencies.
-    pub fn predict(&self, adj: &CsrMatrix, x: &DenseMatrix) -> Result<Vec<usize>, NnError> {
+    pub fn predict(&self, adj: Option<&CsrMatrix>, x: &DenseMatrix) -> Result<Vec<usize>, NnError> {
         Ok(ops::argmax_rows(&self.logits(adj, x)?))
     }
 
-    /// Trains the network full-batch on the masked cross-entropy loss.
+    /// Trains the network full-batch on the masked cross-entropy loss,
+    /// propagating over `adj` when there is one.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidLabels`] for label/mask problems and
-    /// [`NnError::Linalg`] for shape problems.
+    /// Returns [`NnError::InvalidTrainConfig`] for a `cfg` that
+    /// [`TrainConfig::validate`] rejects, [`NnError::InvalidLabels`] for
+    /// label/mask problems and [`NnError::Linalg`] for shape problems.
     pub fn fit(
         &mut self,
-        adj: &CsrMatrix,
+        adj: Option<&CsrMatrix>,
         x: &DenseMatrix,
         labels: &[usize],
         train_mask: &[usize],
         cfg: &TrainConfig,
     ) -> Result<TrainReport, NnError> {
+        cfg.validate()?;
         let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut final_loss = f32::NAN;
@@ -223,32 +241,17 @@ impl GcnNetwork {
             // predecessor's output directly — no activation pass and no
             // input copies at all. Dropout epochs copy (the mask must
             // not corrupt the cached activation the backward reads).
-            let mut inputs: Vec<FitInput> = Vec::with_capacity(self.layers.len());
-            let mut caches: Vec<crate::GcnForward> = Vec::with_capacity(self.layers.len());
-            let mut dropout_masks: Vec<Option<DenseMatrix>> = Vec::with_capacity(self.layers.len());
+            let mut caches: Vec<GcnForward> = Vec::with_capacity(self.layers.len());
+            // Each layer's (masked input, mask); empty without dropout.
+            let mut dropped: Vec<(DenseMatrix, DenseMatrix)> = Vec::new();
             for i in 0..self.layers.len() {
-                let mut input = if cfg.dropout > 0.0 {
-                    FitInput::Owned(if i == 0 {
-                        ws.take_copy(x)
-                    } else {
-                        ws.take_copy(&caches[i - 1].output)
-                    })
-                } else if i == 0 {
-                    FitInput::Features
-                } else {
-                    FitInput::PrevOutput
-                };
-                let mask = match &mut input {
-                    FitInput::Owned(h) => apply_dropout(h, cfg.dropout, &mut rng, &mut ws),
-                    _ => None, // dropout disabled
-                };
-                dropout_masks.push(mask);
-                let cache = {
-                    let prev = caches.last().map(|c: &crate::GcnForward| &c.output);
-                    let h = input.resolve(x, prev);
-                    self.layers[i].forward_fused(adj, h, i != last, &mut ws)?
-                };
-                inputs.push(input);
+                if cfg.dropout > 0.0 {
+                    let mut h = ws.take_copy(fit_input(i, x, &caches, &[]));
+                    let mask = apply_dropout(&mut h, cfg.dropout, &mut rng, &mut ws);
+                    dropped.push((h, mask));
+                }
+                let h = fit_input(i, x, &caches, &dropped);
+                let cache = self.layers[i].forward_fused(adj, h, i != last, &mut ws)?;
                 caches.push(cache);
             }
             let logits = &caches[last].output;
@@ -261,31 +264,23 @@ impl GcnNetwork {
                 layer.bias_mut().zero_grad();
             }
             let mut d = grad;
-            for i in (0..self.layers.len()).rev() {
-                let d_input = {
-                    let prev = if i > 0 {
-                        Some(&caches[i - 1].output)
-                    } else {
-                        None
-                    };
-                    let h = inputs[i].resolve(x, prev);
-                    self.layers[i].backward_ws(h, adj, &d, &mut ws)?
-                };
-                if i > 0 {
-                    // Undo this layer's input dropout, then the previous
-                    // layer's ReLU (the post-activation output masks
-                    // identically to the pre-activation tensor).
-                    let mut d_masked = d_input;
-                    if let Some(mask) = &dropout_masks[i] {
-                        d_masked.hadamard_inplace(mask)?;
-                    }
-                    let next = ops::relu_backward(&caches[i - 1].output, &d_masked);
-                    ws.give(d_masked);
-                    ws.give(std::mem::replace(&mut d, next));
-                } else {
-                    ws.give(d_input);
+            for i in (1..self.layers.len()).rev() {
+                let h = fit_input(i, x, &caches, &dropped);
+                let mut d_masked = self.layers[i].backward_ws(h, adj, &d, &mut ws)?;
+                // Undo this layer's input dropout, then the previous
+                // layer's ReLU (the post-activation output masks
+                // identically to the pre-activation tensor).
+                if let Some((_, mask)) = dropped.get(i) {
+                    d_masked.hadamard_inplace(mask)?;
                 }
+                let next = ops::relu_backward(&caches[i - 1].output, &d_masked);
+                ws.give(d_masked);
+                ws.give(std::mem::replace(&mut d, next));
             }
+            // Nothing reads the gradient of the features, so the input
+            // layer accumulates its parameter gradients and stops.
+            let h = fit_input(0, x, &caches, &dropped);
+            self.layers[0].param_grads_ws(h, adj, &d, &mut ws)?;
             ws.give(d);
 
             // Update.
@@ -299,225 +294,12 @@ impl GcnNetwork {
             for cache in caches {
                 ws.give(cache.output);
             }
-            for input in inputs {
-                if let FitInput::Owned(h) = input {
-                    ws.give(h);
-                }
-            }
-            for mask in dropout_masks.into_iter().flatten() {
+            for (h, mask) in dropped {
+                ws.give(h);
                 ws.give(mask);
             }
         }
         let logits = self.logits(adj, x)?;
-        let train_accuracy = loss::masked_accuracy(&logits, labels, train_mask)?;
-        Ok(TrainReport {
-            final_loss,
-            train_accuracy,
-            epochs: cfg.epochs,
-        })
-    }
-}
-
-/// A sequential stack of [`DenseLayer`]s (an MLP) — the "DNN backbone"
-/// baseline of Table III, which sees node features but no graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MlpNetwork {
-    layers: Vec<DenseLayer>,
-    input_dim: usize,
-}
-
-impl MlpNetwork {
-    /// Builds an MLP mapping `input_dim` features through `channels`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidArchitecture`] when `channels` is empty
-    /// or contains a zero dimension.
-    pub fn new(input_dim: usize, channels: &[usize], seed: u64) -> Result<Self, NnError> {
-        validate_channels(input_dim, channels)?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut layers = Vec::with_capacity(channels.len());
-        let mut prev = input_dim;
-        for &c in channels {
-            layers.push(DenseLayer::new(prev, c, &mut rng));
-            prev = c;
-        }
-        Ok(Self { layers, input_dim })
-    }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Input feature dimension.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// Output dimensions of each layer in order.
-    pub fn channel_dims(&self) -> Vec<usize> {
-        self.layers.iter().map(|l| l.out_dim()).collect()
-    }
-
-    /// Borrow of the layer stack.
-    pub fn layers(&self) -> &[DenseLayer] {
-        &self.layers
-    }
-
-    /// Mutable borrow of the layer stack, for weight restoration (see
-    /// [`GcnNetwork::layers_mut`]).
-    pub fn layers_mut(&mut self) -> &mut [DenseLayer] {
-        &mut self.layers
-    }
-
-    /// Total trainable parameter count.
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(DenseLayer::param_count).sum()
-    }
-
-    /// Forward pass returning every layer's embedding (ReLU outputs for
-    /// hidden layers, raw logits last) — the `Mbase` attack surface of
-    /// Table IV.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Linalg`] on shape inconsistencies.
-    pub fn forward_embeddings(&self, x: &DenseMatrix) -> Result<Vec<DenseMatrix>, NnError> {
-        // Fused bias + ReLU epilogues; see GcnNetwork::forward_embeddings.
-        let mut ws = Workspace::new();
-        let mut embeddings: Vec<DenseMatrix> = Vec::with_capacity(self.layers.len());
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let input = embeddings.last().unwrap_or(x);
-            let out = layer.forward_fused(input, i != last, &mut ws)?;
-            embeddings.push(out.output);
-        }
-        Ok(embeddings)
-    }
-
-    /// Forward pass returning only the final logits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Linalg`] on shape inconsistencies.
-    pub fn logits(&self, x: &DenseMatrix) -> Result<DenseMatrix, NnError> {
-        Ok(self
-            .forward_embeddings(x)?
-            .pop()
-            .expect("network has at least one layer"))
-    }
-
-    /// Predicted class per node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Linalg`] on shape inconsistencies.
-    pub fn predict(&self, x: &DenseMatrix) -> Result<Vec<usize>, NnError> {
-        Ok(ops::argmax_rows(&self.logits(x)?))
-    }
-
-    /// Trains the MLP full-batch with Adam on masked cross-entropy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidLabels`] for label/mask problems and
-    /// [`NnError::Linalg`] for shape problems.
-    pub fn fit(
-        &mut self,
-        x: &DenseMatrix,
-        labels: &[usize],
-        train_mask: &[usize],
-        cfg: &TrainConfig,
-    ) -> Result<TrainReport, NnError> {
-        let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut final_loss = f32::NAN;
-        let last = self.layers.len() - 1;
-        let mut ws = Workspace::new();
-        for _ in 0..cfg.epochs {
-            // Same discipline as GcnNetwork::fit: fused epilogues, and
-            // input copies only when a dropout mask needs one.
-            let mut inputs: Vec<FitInput> = Vec::with_capacity(self.layers.len());
-            let mut caches: Vec<crate::DenseForward> = Vec::with_capacity(self.layers.len());
-            let mut dropout_masks: Vec<Option<DenseMatrix>> = Vec::with_capacity(self.layers.len());
-            for i in 0..self.layers.len() {
-                let mut input = if cfg.dropout > 0.0 {
-                    FitInput::Owned(if i == 0 {
-                        ws.take_copy(x)
-                    } else {
-                        ws.take_copy(&caches[i - 1].output)
-                    })
-                } else if i == 0 {
-                    FitInput::Features
-                } else {
-                    FitInput::PrevOutput
-                };
-                let mask = match &mut input {
-                    FitInput::Owned(h) => apply_dropout(h, cfg.dropout, &mut rng, &mut ws),
-                    _ => None, // dropout disabled
-                };
-                dropout_masks.push(mask);
-                let cache = {
-                    let prev = caches.last().map(|c: &crate::DenseForward| &c.output);
-                    let h = input.resolve(x, prev);
-                    self.layers[i].forward_fused(h, i != last, &mut ws)?
-                };
-                inputs.push(input);
-                caches.push(cache);
-            }
-            let logits = &caches[last].output;
-            let (loss_value, grad) = loss::masked_cross_entropy(logits, labels, train_mask)?;
-            final_loss = loss_value;
-
-            for layer in &mut self.layers {
-                layer.weight_mut().zero_grad();
-                layer.bias_mut().zero_grad();
-            }
-            let mut d = grad;
-            for i in (0..self.layers.len()).rev() {
-                let d_input = {
-                    let prev = if i > 0 {
-                        Some(&caches[i - 1].output)
-                    } else {
-                        None
-                    };
-                    let h = inputs[i].resolve(x, prev);
-                    self.layers[i].backward_ws(h, &d, &mut ws)?
-                };
-                if i > 0 {
-                    let mut d_masked = d_input;
-                    if let Some(mask) = &dropout_masks[i] {
-                        d_masked.hadamard_inplace(mask)?;
-                    }
-                    let next = ops::relu_backward(&caches[i - 1].output, &d_masked);
-                    ws.give(d_masked);
-                    ws.give(std::mem::replace(&mut d, next));
-                } else {
-                    ws.give(d_input);
-                }
-            }
-            ws.give(d);
-
-            opt.begin_step();
-            for layer in &mut self.layers {
-                opt.update(layer.weight_mut());
-                opt.update(layer.bias_mut());
-            }
-
-            for cache in caches {
-                ws.give(cache.output);
-            }
-            for input in inputs {
-                if let FitInput::Owned(h) = input {
-                    ws.give(h);
-                }
-            }
-            for mask in dropout_masks.into_iter().flatten() {
-                ws.give(mask);
-            }
-        }
-        let logits = self.logits(x)?;
         let train_accuracy = loss::masked_accuracy(&logits, labels, train_mask)?;
         Ok(TrainReport {
             final_loss,
@@ -546,18 +328,15 @@ fn validate_channels(input_dim: usize, channels: &[usize]) -> Result<(), NnError
     Ok(())
 }
 
-/// Applies inverted dropout in place when `p > 0`, returning the scaled
-/// keep-mask for the backward pass (`None` when disabled). The mask is
-/// drawn from `ws` so epochs recycle its allocation.
+/// Applies inverted dropout with probability `p` in place, returning
+/// the scaled keep-mask for the backward pass. The mask is drawn from
+/// `ws` so epochs recycle its allocation.
 fn apply_dropout(
     h: &mut DenseMatrix,
     p: f32,
     rng: &mut impl Rng,
     ws: &mut Workspace,
-) -> Option<DenseMatrix> {
-    if p <= 0.0 {
-        return None;
-    }
+) -> DenseMatrix {
     let keep = 1.0 - p;
     let mut mask = ws.take_for_overwrite(h.rows(), h.cols());
     for v in mask.as_mut_slice() {
@@ -569,13 +348,14 @@ fn apply_dropout(
     }
     h.hadamard_inplace(&mask)
         .expect("same shape by construction");
-    Some(mask)
+    mask
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graph::{normalization, Graph};
+    use proptest::prelude::*;
 
     /// A tiny two-cluster graph where structure matters: features of the
     /// two "bridge" nodes are ambiguous but their neighbourhoods
@@ -617,24 +397,21 @@ mod tests {
 
     #[test]
     fn rejects_invalid_architectures() {
-        assert!(GcnNetwork::new(0, &[4], 0).is_err());
-        assert!(GcnNetwork::new(4, &[], 0).is_err());
-        assert!(GcnNetwork::new(4, &[4, 0, 2], 0).is_err());
-        assert!(MlpNetwork::new(4, &[], 0).is_err());
+        assert!(Network::new(0, &[4], 0).is_err());
+        assert!(Network::new(4, &[], 0).is_err());
+        assert!(Network::new(4, &[4, 0, 2], 0).is_err());
     }
 
     #[test]
     fn param_count_matches_formula() {
-        let net = GcnNetwork::new(10, &[8, 4], 0).unwrap();
+        let net = Network::new(10, &[8, 4], 0).unwrap();
         assert_eq!(net.param_count(), 10 * 8 + 8 + 8 * 4 + 4);
-        let mlp = MlpNetwork::new(10, &[8, 4], 0).unwrap();
-        assert_eq!(mlp.param_count(), net.param_count());
     }
 
     #[test]
     fn gcn_learns_toy_problem() {
         let (adj, x, labels, train, test) = toy_problem();
-        let mut net = GcnNetwork::new(2, &[8, 2], 1).unwrap();
+        let mut net = Network::new(2, &[8, 2], 1).unwrap();
         let cfg = TrainConfig {
             epochs: 150,
             lr: 0.05,
@@ -642,13 +419,13 @@ mod tests {
             dropout: 0.0,
             seed: 1,
         };
-        let report = net.fit(&adj, &x, &labels, &train, &cfg).unwrap();
+        let report = net.fit(Some(&adj), &x, &labels, &train, &cfg).unwrap();
         assert!(
             report.train_accuracy > 0.9,
             "train acc {}",
             report.train_accuracy
         );
-        let logits = net.logits(&adj, &x).unwrap();
+        let logits = net.logits(Some(&adj), &x).unwrap();
         let acc = loss::masked_accuracy(&logits, &labels, &test).unwrap();
         assert!(acc >= 0.75, "test acc {acc}");
     }
@@ -656,24 +433,24 @@ mod tests {
     #[test]
     fn training_reduces_loss() {
         let (adj, x, labels, train, _) = toy_problem();
-        let mut net = GcnNetwork::new(2, &[8, 2], 2).unwrap();
+        let mut net = Network::new(2, &[8, 2], 2).unwrap();
         let short = TrainConfig {
             epochs: 1,
             ..TrainConfig::default()
         };
-        let first = net.fit(&adj, &x, &labels, &train, &short).unwrap();
+        let first = net.fit(Some(&adj), &x, &labels, &train, &short).unwrap();
         let long = TrainConfig {
             epochs: 100,
             ..TrainConfig::default()
         };
-        let later = net.fit(&adj, &x, &labels, &train, &long).unwrap();
+        let later = net.fit(Some(&adj), &x, &labels, &train, &long).unwrap();
         assert!(later.final_loss < first.final_loss);
     }
 
     #[test]
     fn mlp_learns_separable_features() {
         let (_, x, labels, train, test) = toy_problem();
-        let mut mlp = MlpNetwork::new(2, &[8, 2], 3).unwrap();
+        let mut mlp = Network::new(2, &[8, 2], 3).unwrap();
         let cfg = TrainConfig {
             epochs: 200,
             lr: 0.05,
@@ -681,10 +458,10 @@ mod tests {
             dropout: 0.0,
             seed: 0,
         };
-        let report = mlp.fit(&x, &labels, &train, &cfg).unwrap();
+        let report = mlp.fit(None, &x, &labels, &train, &cfg).unwrap();
         assert!(report.train_accuracy == 1.0);
         // Ambiguous nodes (3, 7) may be wrong, but separable ones must win.
-        let logits = mlp.logits(&x).unwrap();
+        let logits = mlp.logits(None, &x).unwrap();
         let acc = loss::masked_accuracy(&logits, &labels, &test).unwrap();
         assert!(acc >= 0.5, "test acc {acc}");
     }
@@ -692,21 +469,23 @@ mod tests {
     #[test]
     fn embeddings_have_expected_shapes() {
         let (adj, x, _, _, _) = toy_problem();
-        let net = GcnNetwork::new(2, &[8, 4, 2], 0).unwrap();
-        let embs = net.forward_embeddings(&adj, &x).unwrap();
-        assert_eq!(embs.len(), 3);
-        assert_eq!(embs[0].shape(), (8, 8));
-        assert_eq!(embs[1].shape(), (8, 4));
-        assert_eq!(embs[2].shape(), (8, 2));
-        // Hidden embeddings are post-ReLU (non-negative); logits are not.
-        assert!(embs[0].as_slice().iter().all(|&v| v >= 0.0));
-        assert!(embs[1].as_slice().iter().all(|&v| v >= 0.0));
+        let net = Network::new(2, &[8, 4, 2], 0).unwrap();
+        for op in [Some(&adj), None] {
+            let embs = net.forward_embeddings(op, &x).unwrap();
+            assert_eq!(embs.len(), 3);
+            assert_eq!(embs[0].shape(), (8, 8));
+            assert_eq!(embs[1].shape(), (8, 4));
+            assert_eq!(embs[2].shape(), (8, 2));
+            // Hidden embeddings are post-ReLU (non-negative); logits are not.
+            assert!(embs[0].as_slice().iter().all(|&v| v >= 0.0));
+            assert!(embs[1].as_slice().iter().all(|&v| v >= 0.0));
+        }
     }
 
     #[test]
     fn dropout_training_still_learns() {
         let (adj, x, labels, train, _) = toy_problem();
-        let mut net = GcnNetwork::new(2, &[16, 2], 4).unwrap();
+        let mut net = Network::new(2, &[16, 2], 4).unwrap();
         let cfg = TrainConfig {
             epochs: 200,
             lr: 0.05,
@@ -714,7 +493,7 @@ mod tests {
             dropout: 0.3,
             seed: 9,
         };
-        let report = net.fit(&adj, &x, &labels, &train, &cfg).unwrap();
+        let report = net.fit(Some(&adj), &x, &labels, &train, &cfg).unwrap();
         assert!(
             report.train_accuracy >= 0.75,
             "train acc {}",
@@ -729,19 +508,101 @@ mod tests {
             epochs: 30,
             ..TrainConfig::default()
         };
-        let mut a = GcnNetwork::new(2, &[8, 2], 7).unwrap();
-        let mut b = GcnNetwork::new(2, &[8, 2], 7).unwrap();
-        a.fit(&adj, &x, &labels, &train, &cfg).unwrap();
-        b.fit(&adj, &x, &labels, &train, &cfg).unwrap();
+        let mut a = Network::new(2, &[8, 2], 7).unwrap();
+        let mut b = Network::new(2, &[8, 2], 7).unwrap();
+        a.fit(Some(&adj), &x, &labels, &train, &cfg).unwrap();
+        b.fit(Some(&adj), &x, &labels, &train, &cfg).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn predict_returns_one_class_per_node() {
         let (adj, x, _, _, _) = toy_problem();
-        let net = GcnNetwork::new(2, &[4, 3], 0).unwrap();
-        let preds = net.predict(&adj, &x).unwrap();
+        let net = Network::new(2, &[4, 3], 0).unwrap();
+        let preds = net.predict(Some(&adj), &x).unwrap();
         assert_eq!(preds.len(), 8);
         assert!(preds.iter().all(|&c| c < 3));
+    }
+
+    /// `fit` refuses a configuration it would silently mis-train on,
+    /// before touching a weight.
+    #[test]
+    fn fit_rejects_out_of_range_hyperparameters() {
+        let (adj, x, labels, train, _) = toy_problem();
+        let fresh = Network::new(2, &[4, 2], 0).unwrap();
+        let cfg = |dropout, lr| TrainConfig {
+            epochs: 1,
+            dropout,
+            lr,
+            ..TrainConfig::default()
+        };
+        for (field, bad) in [
+            ("dropout", cfg(1.0, 0.01)),
+            ("dropout", cfg(1.5, 0.01)),
+            ("dropout", cfg(-0.1, 0.01)),
+            ("dropout", cfg(f32::NAN, 0.01)),
+            ("lr", cfg(0.0, 0.0)),
+            ("lr", cfg(0.0, -0.01)),
+            ("lr", cfg(0.0, f32::NAN)),
+            ("lr", cfg(0.0, f32::INFINITY)),
+        ] {
+            let mut net = fresh.clone();
+            match net.fit(Some(&adj), &x, &labels, &train, &bad) {
+                Err(NnError::InvalidTrainConfig { reason }) => {
+                    assert!(reason.starts_with(field), "{reason}")
+                }
+                other => panic!("{bad:?}: {other:?}"),
+            }
+            assert_eq!(net, fresh);
+        }
+        // The range is open at the top: dropping almost everything is
+        // a legitimate, if unwise, request.
+        let mut net = fresh.clone();
+        assert!(net.fit(None, &x, &labels, &train, &cfg(0.99, 0.01)).is_ok());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The oracle for the no-operator path: an identity operator
+        /// multiplies by exactly 1 and adds exactly 0, so a network
+        /// fitted over it must agree with one fitted over nothing in
+        /// every bit — loss, weights, biases, Adam moments, embeddings —
+        /// and draw the same dropout stream.
+        #[test]
+        fn no_operator_equals_identity_operator(
+            n in 2usize..40,
+            input_dim in 1usize..24,
+            channels in collection::vec(1usize..20, 1..4),
+            dropout_on in any::<bool>(),
+            seed in 0u64..1000,
+        ) {
+            let x = crate::glorot_uniform(n, input_dim, &mut StdRng::seed_from_u64(seed));
+            let classes = *channels.last().unwrap();
+            let labels: Vec<usize> = (0..n).map(|i| (i * 7 + seed as usize) % classes).collect();
+            let train: Vec<usize> = (0..n).step_by(2).collect();
+            let identity: Vec<(usize, usize, f32)> = (0..n).map(|i| (i, i, 1.0)).collect();
+            let identity = CsrMatrix::from_triplets(n, n, &identity).unwrap();
+            let cfg = TrainConfig {
+                epochs: 5,
+                lr: 0.02,
+                weight_decay: 5e-4,
+                dropout: if dropout_on { 0.5 } else { 0.0 },
+                seed,
+            };
+
+            let mut plain = Network::new(input_dim, &channels, seed).unwrap();
+            let mut over_identity = plain.clone();
+            let a = plain.fit(None, &x, &labels, &train, &cfg).unwrap();
+            let b = over_identity.fit(Some(&identity), &x, &labels, &train, &cfg).unwrap();
+
+            prop_assert_eq!(a.final_loss.to_bits(), b.final_loss.to_bits());
+            prop_assert_eq!(a.train_accuracy, b.train_accuracy);
+            prop_assert_eq!(&plain, &over_identity);
+            prop_assert_eq!(
+                plain.forward_embeddings(None, &x).unwrap(),
+                plain.forward_embeddings(Some(&identity), &x).unwrap()
+            );
+        }
     }
 }

@@ -1890,59 +1890,3 @@ impl ShardWorker {
             .collect()
     }
 }
-
-/// Convenience: serves `requests` against a freshly started engine and
-/// shuts it down again, returning per-request results (admission
-/// rejections and vault failures land in their request's slot) plus the
-/// vault and the run's stats. The engine is always shut down and joined
-/// before returning, so no worker thread can outlive the call. Useful
-/// for tests and offline (batch-file) scoring; long-running deployments
-/// should drive [`ServingEngine`] directly.
-///
-/// # Errors
-///
-/// Propagates [`ServingEngine::start`] failures.
-///
-/// # Panics
-///
-/// Panics if every shard died permanently during the run (possible only
-/// with an injected fault plan) — the vault to return no longer exists.
-#[allow(clippy::type_complexity)]
-pub fn serve_once(
-    vault: Vault,
-    features: DenseMatrix,
-    config: ServeConfig,
-    requests: &[Vec<usize>],
-) -> Result<(Vec<Result<Vec<ClassLabel>, ServeError>>, Vault, ServeStats), ServeError> {
-    let engine = ServingEngine::start(vault, features, config)?;
-    let handle = engine.handle();
-    let tickets: Vec<Result<Ticket, ServeError>> = requests
-        .iter()
-        .map(|nodes| handle.submit(nodes.clone()))
-        .collect();
-    let results = tickets
-        .into_iter()
-        .map(|ticket| ticket.and_then(Ticket::wait))
-        .collect();
-    let (vault, stats) = engine.shutdown();
-    let vault = vault.expect("serve_once engine kept at least one shard alive");
-    Ok((results, vault, stats))
-}
-
-/// Builds a [`ServeConfig`] tuned for latency-insensitive bulk scoring:
-/// large batches, a generous deadline, one shard (maximal per-batch
-/// amortization), a cache sized to the corpus, and load shedding
-/// disabled (bulk submitters would rather queue than retry).
-pub fn bulk_config(corpus_nodes: usize) -> ServeConfig {
-    ServeConfig {
-        policy: BatchPolicy {
-            max_batch_nodes: 512,
-            max_delay: Duration::from_millis(20),
-            max_queue_requests: 65_536,
-            shed_high_water: 65_536,
-        },
-        cache_capacity: corpus_nodes,
-        shards: 1,
-        ..ServeConfig::default()
-    }
-}

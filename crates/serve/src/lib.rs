@@ -145,8 +145,8 @@ pub mod sentinel;
 pub use batcher::{AdmissionQueue, BatchPolicy, BatchPoll, FlushReason, PendingRequest, Ticket};
 pub use cache::LruCache;
 pub use engine::{
-    bulk_config, serve_once, HealthBoard, Router, ServeConfig, ServeHandle, ServeStats,
-    ServingEngine, ShardHealth, ShardStats, Topology,
+    HealthBoard, Router, ServeConfig, ServeHandle, ServeStats, ServingEngine, ShardHealth,
+    ShardStats, Topology,
 };
 pub use error::ServeError;
 pub use fastcache::FastCache;

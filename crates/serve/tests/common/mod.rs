@@ -8,6 +8,7 @@ use gnnvault::{Backbone, Rectifier, RectifierKind, SubstituteKind, Vault};
 use graph::Graph;
 use linalg::DenseMatrix;
 use nn::TrainConfig;
+use serve::{ServeConfig, ServeError, ServeStats, ServingEngine, Ticket};
 use tee::{ClassLabel, CostModel, OverBudgetPolicy, SealKey};
 
 /// Trains and deploys the toy two-cluster vault: `n` nodes (even,
@@ -107,4 +108,29 @@ pub fn toy_vault_flipped(n: usize, seal_key: SealKey) -> (Vault, DenseMatrix) {
 pub fn sequential_labels(vault: &mut Vault, x: &DenseMatrix) -> Vec<ClassLabel> {
     let (labels, _) = vault.infer(x).unwrap();
     labels
+}
+
+/// Serves `requests` against a freshly started engine and shuts it down
+/// again, returning per-request results (admission rejections and vault
+/// failures land in their request's slot), the vault and the run's stats.
+#[allow(clippy::type_complexity)]
+pub fn serve_once(
+    vault: Vault,
+    features: DenseMatrix,
+    config: ServeConfig,
+    requests: &[Vec<usize>],
+) -> Result<(Vec<Result<Vec<ClassLabel>, ServeError>>, Vault, ServeStats), ServeError> {
+    let engine = ServingEngine::start(vault, features, config)?;
+    let handle = engine.handle();
+    let tickets: Vec<Result<Ticket, ServeError>> = requests
+        .iter()
+        .map(|nodes| handle.submit(nodes.clone()))
+        .collect();
+    let results = tickets
+        .into_iter()
+        .map(|ticket| ticket.and_then(Ticket::wait))
+        .collect();
+    let (vault, stats) = engine.shutdown();
+    let vault = vault.expect("serve_once engine kept at least one shard alive");
+    Ok((results, vault, stats))
 }

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{sequential_labels, toy_vault, toy_vault_flipped};
+use common::{sequential_labels, serve_once, toy_vault, toy_vault_flipped};
 use gnnvault::RectifierKind;
 use serve::{
     BatchPolicy, ClientId, Precision, SentinelStats, ServeConfig, ServingEngine, Topology,
@@ -63,7 +63,7 @@ fn labels_are_bit_identical_across_the_topology_matrix() {
         vec![13],
     ];
     for (shards, topology) in matrix() {
-        let (results, _survivor, stats) = serve::serve_once(
+        let (results, _survivor, stats) = serve_once(
             vault.spawn_replica().unwrap(),
             x.clone(),
             cell_config(shards, topology),
@@ -93,7 +93,7 @@ fn cache_accounting_is_identical_across_the_topology_matrix() {
     let warm = [1usize, 7, 13, 20];
     let requests: Vec<Vec<usize>> = warm.iter().chain(warm.iter()).map(|&n| vec![n]).collect();
     for (shards, topology) in matrix() {
-        let (results, _survivor, stats) = serve::serve_once(
+        let (results, _survivor, stats) = serve_once(
             vault.spawn_replica().unwrap(),
             x.clone(),
             cell_config(shards, topology),
@@ -289,7 +289,7 @@ fn int8_serving_matches_f32_labels_across_kinds_and_topologies() {
                 let mut config = cell_config(shards, topology);
                 config.precision = Precision::Int8;
                 let (results, survivor, stats) =
-                    serve::serve_once(vault.spawn_replica().unwrap(), x.clone(), config, &requests)
+                    serve_once(vault.spawn_replica().unwrap(), x.clone(), config, &requests)
                         .unwrap();
                 for (request, result) in requests.iter().zip(&results) {
                     let labels = result

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{sequential_labels, toy_vault, toy_vault_flipped, toy_vault_with_budget};
+use common::{sequential_labels, serve_once, toy_vault, toy_vault_flipped, toy_vault_with_budget};
 use gnnvault::RectifierKind;
 use linalg::DenseMatrix;
 use serve::{BatchPolicy, ServeConfig, ServeError, ServingEngine, ShardHealth};
@@ -68,7 +68,7 @@ fn batching_amortizes_enclave_transitions_below_per_node_cost() {
     assert!(per_node_transitions >= 1);
 
     // Serve the same 32 nodes as one 32-node request (batch ≥ 16).
-    let (results, _vault, stats) = serve::serve_once(
+    let (results, _vault, stats) = serve_once(
         vault,
         x.clone(),
         ServeConfig {
@@ -402,7 +402,7 @@ fn failed_batches_error_cleanly_and_stay_meter_exact() {
 #[test]
 fn stats_account_every_batch_through_the_meter() {
     let (vault, x, _) = toy_vault(16, RectifierKind::Series);
-    let (results, vault, stats) = serve::serve_once(
+    let (results, vault, stats) = serve_once(
         vault,
         x.clone(),
         ServeConfig {
@@ -448,7 +448,7 @@ fn sharded_engine_is_bit_identical_to_sequential_infer() {
     ];
     let mut reference: Option<Vec<Result<Vec<ClassLabel>, ServeError>>> = None;
     for shards in [1usize, 2, 4] {
-        let (results, _vault, stats) = serve::serve_once(
+        let (results, _vault, stats) = serve_once(
             vault.spawn_replica().unwrap(),
             x.clone(),
             ServeConfig {

@@ -9,7 +9,7 @@
 use attacks::{surface, LinkStealingAttack, SimilarityMetric, SupervisedLinkAttack};
 use datasets::{DatasetSpec, SyntheticPlanetoid};
 use gnnvault::{pipeline, ModelConfig, RectifierKind, SubstituteKind};
-use nn::{MlpNetwork, TrainConfig};
+use nn::{Network, TrainConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = SyntheticPlanetoid::new(DatasetSpec::CORA)
@@ -36,8 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .as_ref()
         .expect("pipeline trains the reference by default");
 
-    let mut mlp = MlpNetwork::new(data.num_features(), &config.model.backbone_channels, 0)?;
+    let mut mlp = Network::new(data.num_features(), &config.model.backbone_channels, 0)?;
     mlp.fit(
+        None,
         &data.features,
         &data.labels,
         &data.train_mask,
