@@ -323,19 +323,24 @@ impl Vault {
             .collect())
     }
 
-    /// Restores one partial vault per partition of `spec` — the
-    /// partitioned analogue of [`Vault::spawn_replicas`]. Each result
-    /// shares this vault's epoch and answers only its owned nodes.
+    /// [`Vault::partition_snapshots`] bundled with the deployment key:
+    /// element `i` is the [`RecoveryHandle`] partition `i`'s shard both
+    /// starts from ([`RecoveryHandle::restore`]) and retains — the
+    /// partitioned analogue of [`Vault::recovery_handle`], one
+    /// encode/seal pass per partition.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Vault::snapshot_partition`], plus
-    /// [`Vault::restore`] failures on the rebuild.
-    pub fn spawn_partitions(&self, spec: &PartitionSpec) -> Result<Vec<Vault>, VaultError> {
-        self.partition_snapshots(spec)?
-            .iter()
-            .map(|s| Self::restore(s, self.seal_key))
-            .collect()
+    /// Same conditions as [`Vault::snapshot_partition`].
+    pub fn partition_recovery_handles(
+        &self,
+        spec: &PartitionSpec,
+    ) -> Result<Vec<RecoveryHandle>, VaultError> {
+        Ok(self
+            .partition_snapshots(spec)?
+            .into_iter()
+            .map(|snapshot| RecoveryHandle::new(snapshot, self.seal_key))
+            .collect())
     }
 
     /// The halo depth partitions of this vault are cut at — the
@@ -434,29 +439,13 @@ impl Vault {
         Self::restore(&self.snapshot(), self.seal_key)
     }
 
-    /// Spawns `count` independent replicas from a *single* snapshot —
-    /// the encode/seal pass runs once, not once per replica, so fanning
-    /// a large model out across many shards costs one serialization
-    /// plus `count` restores.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Vault::spawn_replica`].
-    pub fn spawn_replicas(&self, count: usize) -> Result<Vec<Vault>, VaultError> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let snapshot = self.snapshot();
-        (0..count)
-            .map(|_| Self::restore(&snapshot, self.seal_key))
-            .collect()
-    }
-
     /// Bundles a sealed snapshot of this vault's *current* model with
     /// the deployment key into a [`RecoveryHandle`], the unit a
     /// supervisor retains per worker so a crashed replica can be
     /// restored without reaching back to the original vault (which may
-    /// live on another thread — or not exist any more).
+    /// live on another thread — or not exist any more). Restoring the
+    /// same handle N times fans one model out over N shards for one
+    /// encode/seal pass.
     pub fn recovery_handle(&self) -> RecoveryHandle {
         RecoveryHandle::new(self.snapshot(), self.seal_key)
     }
@@ -1280,7 +1269,9 @@ mod tests {
                     "{kind:?}/{conv:?}: a strict part of the graph"
                 );
                 let spec = PartitionSpec::block(n, 3).unwrap();
-                let mut replicas = vault.spawn_partitions(&spec).unwrap();
+                let handles = vault.partition_recovery_handles(&spec).unwrap();
+                let mut replicas: Vec<Vault> =
+                    handles.iter().map(|h| h.restore().unwrap()).collect();
                 let mut session = vault.open_session();
                 for _ in 0..10 {
                     let seeds: Vec<usize> = (0..1 + next(4)).map(|_| next(n)).collect();
@@ -1316,20 +1307,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn spawn_replicas_shares_one_snapshot_and_answers_identically() {
-        let (mut vault, x, _) = toy_vault(RectifierKind::Series);
-        let (labels, _) = vault.infer(&x).unwrap();
-        let replicas = vault.spawn_replicas(2).unwrap();
-        assert_eq!(replicas.len(), 2);
-        for mut replica in replicas {
-            assert_eq!(replica.epoch(), vault.epoch(), "same model, same epoch");
-            let (replica_labels, _) = replica.infer(&x).unwrap();
-            assert_eq!(replica_labels, labels);
-        }
-        assert!(vault.spawn_replicas(0).unwrap().is_empty());
     }
 
     #[test]

@@ -210,7 +210,7 @@ impl DenseMatrix {
     /// rows and the destination columns of a tile stay resident,
     /// instead of striding the full destination once per source row.
     /// The training hot paths no longer materialize transposes at all
-    /// (see [`crate::matmul_at_b`] / [`crate::matmul_a_bt`]); this
+    /// (see [`crate::GemmOp::AtB`] / [`crate::GemmOp::ABt`]); this
     /// remains for cold paths like dataset preparation.
     pub fn transpose(&self) -> DenseMatrix {
         /// Tile edge: two 64×64 f32 tiles (src + dst) are 32 KiB,

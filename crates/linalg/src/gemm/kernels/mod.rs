@@ -22,9 +22,9 @@
 //! [`OnceLock`]. The `LINALG_FORCE_KERNEL=scalar|avx2|avx512`
 //! environment variable pins a variant instead (tests, benches, A/B
 //! measurements); forcing an unavailable or unknown variant panics
-//! loudly rather than silently running the wrong kernel. In-process
-//! tests that need to exercise *several* variants side by side bypass
-//! the cache via [`crate::gemm_into_ws_with_variant`].
+//! loudly rather than silently running the wrong kernel. This crate's
+//! own tests, which need to exercise *several* variants side by side in
+//! one process, bypass the cache through `kernels_for`.
 
 use std::sync::OnceLock;
 

@@ -12,20 +12,14 @@
 //! bias + ReLU) is applied while the output tile is still
 //! register-resident, replacing separate broadcast/activation passes.
 //!
-//! Three strategies share identical semantics:
-//!
-//! - [`GemmStrategy::Naive`]: reference triple loop (property-test oracle),
-//! - [`GemmStrategy::Packed`]: the single-threaded packed-panel engine,
-//! - [`GemmStrategy::Threaded`]: the same engine with A's row panels
-//!   partitioned across the shared [`crate::pool`]. Every output element
-//!   is produced by exactly one worker with the same k-accumulation
-//!   order as the single-threaded engine, so results are **bit-identical
-//!   at any pool width**.
-//!
-//! [`GemmStrategy::Auto`] picks per call: the threaded path only when
-//! the problem is large *and* the pool actually has more than one
-//! worker — at pool width 1 it always takes the single-thread packed
-//! path, never paying dispatch overhead for no parallelism.
+//! How a product runs is decided here and nowhere else. The engine runs
+//! on the caller's thread, or — only when the problem is large *and* the
+//! shared [`crate::pool`] actually has more than one worker — with A's
+//! row panels partitioned across the pool. Every output element is
+//! produced by exactly one worker with the same k-accumulation order as
+//! the single-threaded engine, so results are **bit-identical at any
+//! pool width** and no caller has a reason to choose; at pool width 1
+//! the engine never pays dispatch overhead for no parallelism.
 //!
 //! The micro-kernel itself is **runtime-dispatched** (see [`kernels`]):
 //! explicit AVX2+FMA, AVX-512, and portable-scalar implementations,
@@ -37,9 +31,9 @@
 //! binaries ship without `-C target-cpu=native` and still run the FMA
 //! path on hardware that has it.
 //!
-//! Packing buffers are drawn from a [`Workspace`] by the `_ws` variants
-//! so training loops recycle them across calls; the plain variants
-//! allocate and free per call.
+//! Packing buffers are drawn from the caller's [`Workspace`] so training
+//! loops recycle them across calls; the allocating [`matmul`] brings a
+//! throwaway one.
 
 use crate::{pool, DenseMatrix, LinalgError, Workspace};
 
@@ -67,29 +61,24 @@ const KC: usize = 256;
 /// the inner loops sweep every B panel.
 const MC: usize = 126;
 
-/// FLOP threshold (`m·k·n` multiply-adds) above which [`GemmStrategy::Auto`]
-/// switches to the threaded engine when the pool has more than 1 worker.
+/// FLOP threshold (`m·k·n` multiply-adds) above which the engine
+/// partitions A's row panels over the pool, when it has more than 1 worker.
 const THREADED_FLOP_THRESHOLD: usize = 1 << 22;
 
-/// Strategy selector for [`matmul_with`] and [`gemm_into_ws`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum GemmStrategy {
-    /// Let the library choose based on problem size and pool width.
-    ///
-    /// Picks [`GemmStrategy::Threaded`] only when the problem exceeds
-    /// the flop threshold **and** the pool has more than one worker;
-    /// with a 1-worker pool it always resolves to
-    /// [`GemmStrategy::Packed`] (the threaded path would be pure
-    /// dispatch overhead).
-    #[default]
+/// How one product runs. Callers never pick — [`gemm_into_ws`] always
+/// passes `Auto`; the pinned values exist so this module's tests can
+/// hold the paths to each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(test), allow(dead_code))]
+enum GemmStrategy {
+    /// Threaded only when the problem exceeds the flop threshold **and**
+    /// the pool has more than one worker (at width 1 the threaded path
+    /// is pure dispatch overhead).
     Auto,
-    /// Reference triple-loop kernel (no packing, no fusion benefits —
-    /// the epilogue runs as a separate pass).
-    Naive,
     /// Single-threaded packed-panel engine.
     Packed,
     /// Packed-panel engine, A row panels partitioned over the shared
-    /// pool. Bit-identical to [`GemmStrategy::Packed`] at any width.
+    /// pool. Bit-identical to `Packed` at any width.
     Threaded,
 }
 
@@ -115,7 +104,7 @@ pub enum GemmOp {
 /// Replaces the separate `add_row_broadcast` + ReLU passes a layer
 /// forward would otherwise run over the whole output matrix.
 ///
-/// Results are **bit-identical** to running the same strategy unfused
+/// Results are **bit-identical** to running the product unfused
 /// and then applying the broadcast/ReLU passes afterwards: the epilogue
 /// performs the same `+ bias[j]` / `max(0, ·)` operations on the same
 /// fully-accumulated sums, just without a round trip through memory.
@@ -123,12 +112,14 @@ pub enum GemmOp {
 /// # Examples
 ///
 /// ```
-/// use linalg::{matmul_fused, DenseMatrix, Epilogue};
+/// use linalg::{gemm_into_ws, DenseMatrix, Epilogue, GemmOp, Workspace};
 ///
 /// # fn main() -> Result<(), linalg::LinalgError> {
 /// let a = DenseMatrix::from_rows(&[&[1.0, -1.0]])?;
 /// let i = DenseMatrix::identity(2);
-/// let z = matmul_fused(&a, &i, Epilogue::BiasRelu(&[0.5, 0.5]))?;
+/// let mut z = DenseMatrix::zeros(1, 2);
+/// let epilogue = Epilogue::BiasRelu(&[0.5, 0.5]);
+/// gemm_into_ws(GemmOp::AB, &a, &i, &mut z, epilogue, &mut Workspace::new())?;
 /// assert_eq!(z.row(0), &[1.5, 0.0]);
 /// # Ok(())
 /// # }
@@ -178,7 +169,7 @@ impl Epilogue<'_> {
     }
 }
 
-/// Multiplies `a × b` choosing a kernel by [`GemmStrategy::Auto`] rules.
+/// Multiplies `a × b` into a freshly allocated matrix.
 ///
 /// # Errors
 ///
@@ -197,83 +188,15 @@ impl Epilogue<'_> {
 /// # }
 /// ```
 pub fn matmul(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-    matmul_with(a, b, GemmStrategy::Auto)
-}
-
-/// Multiplies `a × b` with an explicit strategy.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if `a.cols() != b.rows()`.
-pub fn matmul_with(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    strategy: GemmStrategy,
-) -> Result<DenseMatrix, LinalgError> {
     let mut out = DenseMatrix::zeros(a.rows(), b.cols());
-    gemm_into_ws(
-        GemmOp::AB,
-        a,
-        b,
-        &mut out,
-        Epilogue::None,
-        strategy,
-        &mut Workspace::new(),
-    )?;
-    Ok(out)
-}
-
-/// Multiplies `a × b` into `out`, overwriting it, using Auto strategy.
-///
-/// `out` must already have shape `(a.rows(), b.cols())`; pair with
-/// [`crate::Workspace::take`] to recycle output buffers across calls.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if `a.cols() != b.rows()` or
-/// `out` has the wrong shape.
-pub fn matmul_into(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    out: &mut DenseMatrix,
-) -> Result<(), LinalgError> {
-    gemm_into_ws(
-        GemmOp::AB,
-        a,
-        b,
-        out,
-        Epilogue::None,
-        GemmStrategy::Auto,
-        &mut Workspace::new(),
-    )
-}
-
-/// Multiplies `a × b` with a fused [`Epilogue`].
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if `a.cols() != b.rows()` or
-/// the epilogue bias length differs from `b.cols()`.
-pub fn matmul_fused(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    epilogue: Epilogue<'_>,
-) -> Result<DenseMatrix, LinalgError> {
-    let mut out = DenseMatrix::zeros(a.rows(), b.cols());
-    gemm_into_ws(
-        GemmOp::AB,
-        a,
-        b,
-        &mut out,
-        epilogue,
-        GemmStrategy::Auto,
-        &mut Workspace::new(),
-    )?;
+    let mut ws = Workspace::new();
+    gemm_into_ws(GemmOp::AB, a, b, &mut out, Epilogue::None, &mut ws)?;
     Ok(out)
 }
 
 /// Multiplies `a × b` into `out` with a fused [`Epilogue`], drawing
-/// packing buffers from `ws` — the layer-forward hot path.
+/// packing buffers from `ws` — the layer-forward hot path
+/// ([`gemm_into_ws`] with [`GemmOp::AB`]).
 ///
 /// # Errors
 ///
@@ -302,222 +225,55 @@ pub fn matmul_fused_into_ws(
     epilogue: Epilogue<'_>,
     ws: &mut Workspace,
 ) -> Result<(), LinalgError> {
-    gemm_into_ws(GemmOp::AB, a, b, out, epilogue, GemmStrategy::Auto, ws)
+    gemm_into_ws(GemmOp::AB, a, b, out, epilogue, ws)
 }
 
-/// Computes `aᵀ × b` without materializing the transpose — the packing
-/// stage reads `a` column-wise instead.
+/// The dense product: `out = epilogue(op(a, b))`, packing buffers drawn
+/// from `ws`.
 ///
-/// This is the gradient-of-weights shape `∂L/∂W = Hᵀ · ∂L/∂Z`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if `a.rows() != b.rows()`.
-///
-/// # Examples
-///
-/// ```
-/// use linalg::{matmul_at_b, matmul_naive, DenseMatrix};
-///
-/// # fn main() -> Result<(), linalg::LinalgError> {
-/// let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]])?;
-/// let b = DenseMatrix::from_rows(&[&[1.0], &[0.0], &[1.0]])?;
-/// let fast = matmul_at_b(&a, &b)?;
-/// let reference = matmul_naive(&a.transpose(), &b)?;
-/// assert!(fast.approx_eq(&reference, 1e-5));
-/// # Ok(())
-/// # }
-/// ```
-pub fn matmul_at_b(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-    let mut out = DenseMatrix::zeros(a.cols(), b.cols());
-    gemm_into_ws(
-        GemmOp::AtB,
-        a,
-        b,
-        &mut out,
-        Epilogue::None,
-        GemmStrategy::Auto,
-        &mut Workspace::new(),
-    )?;
-    Ok(out)
-}
-
-/// [`matmul_at_b`] into a caller-provided output, drawing packing
-/// buffers from `ws` — the backward-pass hot path.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if `a.rows() != b.rows()` or
-/// `out` is not `(a.cols(), b.cols())`.
-pub fn matmul_at_b_into_ws(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    out: &mut DenseMatrix,
-    ws: &mut Workspace,
-) -> Result<(), LinalgError> {
-    gemm_into_ws(
-        GemmOp::AtB,
-        a,
-        b,
-        out,
-        Epilogue::None,
-        GemmStrategy::Auto,
-        ws,
-    )
-}
-
-/// Computes `a × bᵀ` without materializing the transpose — the packing
-/// stage reads `b` column-wise instead.
-///
-/// This is the gradient-of-input shape `∂L/∂H = ∂L/∂Z · Wᵀ`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if `a.cols() != b.cols()`.
-///
-/// # Examples
-///
-/// ```
-/// use linalg::{matmul_a_bt, matmul_naive, DenseMatrix};
-///
-/// # fn main() -> Result<(), linalg::LinalgError> {
-/// let a = DenseMatrix::from_rows(&[&[1.0, 2.0, 3.0]])?;
-/// let b = DenseMatrix::from_rows(&[&[1.0, 0.0, 1.0], &[0.0, 1.0, 0.0]])?;
-/// let fast = matmul_a_bt(&a, &b)?;
-/// let reference = matmul_naive(&a, &b.transpose())?;
-/// assert!(fast.approx_eq(&reference, 1e-5));
-/// # Ok(())
-/// # }
-/// ```
-pub fn matmul_a_bt(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-    let mut out = DenseMatrix::zeros(a.rows(), b.rows());
-    gemm_into_ws(
-        GemmOp::ABt,
-        a,
-        b,
-        &mut out,
-        Epilogue::None,
-        GemmStrategy::Auto,
-        &mut Workspace::new(),
-    )?;
-    Ok(out)
-}
-
-/// [`matmul_a_bt`] into a caller-provided output, drawing packing
-/// buffers from `ws` — the backward-pass hot path.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if `a.cols() != b.cols()` or
-/// `out` is not `(a.rows(), b.rows())`.
-pub fn matmul_a_bt_into_ws(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    out: &mut DenseMatrix,
-    ws: &mut Workspace,
-) -> Result<(), LinalgError> {
-    gemm_into_ws(
-        GemmOp::ABt,
-        a,
-        b,
-        out,
-        Epilogue::None,
-        GemmStrategy::Auto,
-        ws,
-    )
-}
-
-/// Reference triple-loop multiplication.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if `a.cols() != b.rows()`.
-pub fn matmul_naive(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-    matmul_with(a, b, GemmStrategy::Naive)
-}
-
-/// Single-threaded packed-panel multiplication.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if `a.cols() != b.rows()`.
-pub fn matmul_packed(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-    matmul_with(a, b, GemmStrategy::Packed)
-}
-
-/// Packed-panel multiplication with A's row panels partitioned over the
-/// shared pool (bit-identical to [`matmul_packed`] at any pool width).
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] if `a.cols() != b.rows()`.
-pub fn matmul_threaded(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-    matmul_with(a, b, GemmStrategy::Threaded)
-}
-
-/// The full-control entry point: `out = epilogue(op(a, b))` with an
-/// explicit strategy and Workspace-recycled packing buffers.
-///
-/// `out` is overwritten (it need not be zeroed). All the `matmul_*`
-/// functions are thin wrappers over this.
+/// `out` is overwritten (it need not be zeroed). [`GemmOp::AtB`] is the
+/// gradient-of-weights shape `∂L/∂W = Hᵀ · ∂L/∂Z` and [`GemmOp::ABt`]
+/// the gradient-of-input shape `∂L/∂H = ∂L/∂Z · Wᵀ`; neither
+/// materializes a transpose. Whether the product runs on the caller's
+/// thread or across the pool is chosen from the problem size and the
+/// pool width, and changes no bit of the result.
 ///
 /// # Errors
 ///
 /// Returns [`LinalgError::ShapeMismatch`] when the operand shapes are
 /// inconsistent under `op`, when `out` has the wrong shape, or when the
 /// epilogue bias length differs from the output column count.
+///
+/// # Examples
+///
+/// ```
+/// use linalg::{gemm_into_ws, matmul, DenseMatrix, Epilogue, GemmOp, Workspace};
+///
+/// # fn main() -> Result<(), linalg::LinalgError> {
+/// let mut ws = Workspace::new();
+/// let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]])?;
+/// let b = DenseMatrix::from_rows(&[&[1.0], &[0.0], &[1.0]])?;
+/// let mut at_b = DenseMatrix::zeros(2, 1);
+/// gemm_into_ws(GemmOp::AtB, &a, &b, &mut at_b, Epilogue::None, &mut ws)?;
+/// assert_eq!(at_b, matmul(&a.transpose(), &b)?);
+/// # Ok(())
+/// # }
+/// ```
 pub fn gemm_into_ws(
     op: GemmOp,
     a: &DenseMatrix,
     b: &DenseMatrix,
     out: &mut DenseMatrix,
     epilogue: Epilogue<'_>,
-    strategy: GemmStrategy,
     ws: &mut Workspace,
 ) -> Result<(), LinalgError> {
-    gemm_with_kernels(kernels::active(), op, a, b, out, epilogue, strategy, ws)
+    let kern = kernels::active();
+    gemm_with_kernels(kern, op, a, b, out, epilogue, GemmStrategy::Auto, ws)
 }
 
-/// [`gemm_into_ws`] with an explicitly pinned micro-kernel variant,
-/// bypassing the process-wide cached dispatch.
-///
-/// This exists for in-process A/B verification: the cached dispatch
-/// (and its `LINALG_FORCE_KERNEL` override) is decided once per
-/// process, so a test that wants to compare several variants side by
-/// side pins each one here instead. Results are bit-identical across
-/// variants for every op, epilogue, and strategy.
-///
-/// # Panics
-///
-/// Panics when `variant` is not available on this CPU — an explicit
-/// request must never silently degrade.
-///
-/// # Errors
-///
-/// Same conditions as [`gemm_into_ws`].
-#[allow(clippy::too_many_arguments)] // deliberate superset of gemm_into_ws
-pub fn gemm_into_ws_with_variant(
-    variant: kernels::KernelVariant,
-    op: GemmOp,
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    out: &mut DenseMatrix,
-    epilogue: Epilogue<'_>,
-    strategy: GemmStrategy,
-    ws: &mut Workspace,
-) -> Result<(), LinalgError> {
-    gemm_with_kernels(
-        kernels::kernels_for(variant),
-        op,
-        a,
-        b,
-        out,
-        epilogue,
-        strategy,
-        ws,
-    )
-}
-
+/// [`gemm_into_ws`] with the micro-kernel table and the strategy pinned:
+/// the hook this module's tests use to hold every variant and both
+/// engine paths to each other inside one process.
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing, not API
 fn gemm_with_kernels(
     kern: &'static Kernels,
@@ -556,11 +312,8 @@ fn gemm_with_kernels(
         apply_epilogue_rows(out.as_mut_slice(), n, epilogue);
         return Ok(());
     }
-    match resolve(strategy, m, k, n) {
-        Kernel::Naive => naive(op, a, b, out, epilogue),
-        Kernel::Packed => packed(kern, op, a, b, out, epilogue, false, ws),
-        Kernel::Threaded => packed(kern, op, a, b, out, epilogue, true, ws),
-    }
+    let threaded = resolve_for_pool(strategy, m, k, n, pool::num_threads()) == Kernel::Threaded;
+    packed(kern, op, a, b, out, epilogue, threaded, ws);
     Ok(())
 }
 
@@ -585,23 +338,18 @@ fn check_shapes(
     Ok((m, k, n))
 }
 
-/// The concrete kernel a strategy resolves to for a given problem.
+/// The engine path a strategy resolves to for a given problem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kernel {
-    Naive,
     Packed,
     Threaded,
 }
 
 /// Resolves a strategy against problem size and the *actual* pool
-/// width. With a 1-worker pool, `Auto` (and even an explicit
-/// `Threaded`) resolves to the single-thread packed engine: the
-/// threaded path with one worker runs the same code plus dispatch
-/// overhead, which the `gemm_256` bench showed to be pure loss.
-fn resolve(strategy: GemmStrategy, m: usize, k: usize, n: usize) -> Kernel {
-    resolve_for_pool(strategy, m, k, n, pool::num_threads())
-}
-
+/// width. With a 1-worker pool, `Auto` (and even a pinned `Threaded`)
+/// resolves to the single-thread packed engine: the threaded path with
+/// one worker runs the same code plus dispatch overhead, which the
+/// `gemm_256` bench showed to be pure loss.
 fn resolve_for_pool(
     strategy: GemmStrategy,
     m: usize,
@@ -611,7 +359,6 @@ fn resolve_for_pool(
 ) -> Kernel {
     let can_thread = workers > 1 && m > MR;
     match strategy {
-        GemmStrategy::Naive => Kernel::Naive,
         GemmStrategy::Packed => Kernel::Packed,
         GemmStrategy::Threaded => {
             if can_thread {
@@ -631,7 +378,7 @@ fn resolve_for_pool(
 }
 
 /// Applies an epilogue to a whole row-major buffer (the unfused path,
-/// used by the naive reference and the `k == 0` edge case).
+/// used by the `k == 0` edge case).
 fn apply_epilogue_rows(data: &mut [f32], n: usize, epilogue: Epilogue<'_>) {
     if matches!(epilogue, Epilogue::None) {
         return;
@@ -641,35 +388,24 @@ fn apply_epilogue_rows(data: &mut [f32], n: usize, epilogue: Epilogue<'_>) {
     }
 }
 
-/// Reference kernel: triple loop over the logical (possibly transposed)
-/// views, then an unfused epilogue pass. The property-test oracle.
-fn naive(op: GemmOp, a: &DenseMatrix, b: &DenseMatrix, out: &mut DenseMatrix, epi: Epilogue<'_>) {
-    let (m, k, n) = check_shapes(op, a, b).expect("caller validated shapes");
-    let (ad, asc) = (a.as_slice(), a.cols());
-    let (bd, bsc) = (b.as_slice(), b.cols());
-    let at = |i: usize, p: usize| match op {
-        GemmOp::AB | GemmOp::ABt => ad[i * asc + p],
-        GemmOp::AtB => ad[p * asc + i],
-    };
-    let bt = |p: usize, j: usize| match op {
-        GemmOp::AB | GemmOp::AtB => bd[p * bsc + j],
-        GemmOp::ABt => bd[j * bsc + p],
-    };
-    let od = out.as_mut_slice();
-    od.fill(0.0);
+/// Reference triple loop: the oracle this crate's tests hold every
+/// product to (transposed operands are materialized by the caller).
+#[cfg(test)]
+pub(crate) fn matmul_naive(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
+    let (m, k, n) = check_shapes(GemmOp::AB, a, b)?;
+    let mut out = DenseMatrix::zeros(m, n);
     for i in 0..m {
         for p in 0..k {
-            let av = at(i, p);
+            let av = a.get(i, p);
             if av == 0.0 {
                 continue;
             }
-            let orow = &mut od[i * n..(i + 1) * n];
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o += av * bt(p, j);
+            for (o, bv) in out.row_mut(i).iter_mut().zip(b.row(p)) {
+                *o += av * bv;
             }
         }
     }
-    apply_epilogue_rows(od, n, epi);
+    Ok(out)
 }
 
 /// The packed-panel engine. Packs both operands (absorbing `op`'s
@@ -881,6 +617,7 @@ fn micro_tile(
 
 #[cfg(test)]
 mod tests {
+    use super::GemmStrategy::{Packed, Threaded};
     use super::*;
     use proptest::prelude::*;
 
@@ -897,6 +634,48 @@ mod tests {
 
     fn bias_vec(n: usize, seed: u64) -> Vec<f32> {
         small(1, n.max(1), seed).as_slice()[..n].to_vec()
+    }
+
+    /// `epilogue(op(a, b))` through the private hook, with the kernel
+    /// table and the strategy pinned.
+    fn pinned(
+        variant: kernels::KernelVariant,
+        strategy: GemmStrategy,
+        op: GemmOp,
+        a: &DenseMatrix,
+        b: &DenseMatrix,
+        epilogue: Epilogue<'_>,
+    ) -> Result<DenseMatrix, LinalgError> {
+        let (m, _, n) = check_shapes(op, a, b)?;
+        // Start from a dirty buffer: every path must overwrite it.
+        let mut out = DenseMatrix::filled(m, n, f32::NAN);
+        let kern = kernels::kernels_for(variant);
+        let mut ws = Workspace::new();
+        gemm_with_kernels(kern, op, a, b, &mut out, epilogue, strategy, &mut ws)?;
+        Ok(out)
+    }
+
+    /// Plain `a × b` on the process's kernel variant, strategy pinned.
+    fn ab(
+        strategy: GemmStrategy,
+        a: &DenseMatrix,
+        b: &DenseMatrix,
+    ) -> Result<DenseMatrix, LinalgError> {
+        let variant = kernels::kernel_variant();
+        pinned(variant, strategy, GemmOp::AB, a, b, Epilogue::None)
+    }
+
+    /// The public entry point for any op and epilogue, allocating.
+    fn product(
+        op: GemmOp,
+        a: &DenseMatrix,
+        b: &DenseMatrix,
+        epilogue: Epilogue<'_>,
+    ) -> Result<DenseMatrix, LinalgError> {
+        let (m, _, n) = check_shapes(op, a, b)?;
+        let mut out = DenseMatrix::filled(m, n, f32::NAN);
+        gemm_into_ws(op, a, b, &mut out, epilogue, &mut Workspace::new())?;
+        Ok(out)
     }
 
     #[test]
@@ -920,16 +699,13 @@ mod tests {
     fn mismatched_inner_dimension_is_error() {
         let a = DenseMatrix::zeros(2, 3);
         let b = DenseMatrix::zeros(2, 2);
-        for strat in [
-            GemmStrategy::Naive,
-            GemmStrategy::Packed,
-            GemmStrategy::Threaded,
-            GemmStrategy::Auto,
-        ] {
-            assert!(matmul_with(&a, &b, strat).is_err());
-        }
-        assert!(matmul_at_b(&DenseMatrix::zeros(3, 2), &b).is_err());
-        assert!(matmul_a_bt(&a, &DenseMatrix::zeros(2, 2)).is_err());
+        assert!(matmul_naive(&a, &b).is_err());
+        assert!(ab(Packed, &a, &b).is_err());
+        assert!(ab(Threaded, &a, &b).is_err());
+        assert!(matmul(&a, &b).is_err());
+        let none = Epilogue::None;
+        assert!(product(GemmOp::AtB, &DenseMatrix::zeros(3, 2), &b, none).is_err());
+        assert!(product(GemmOp::ABt, &a, &DenseMatrix::zeros(2, 2), none).is_err());
     }
 
     #[test]
@@ -937,8 +713,8 @@ mod tests {
         let a = small(33, 71, 1);
         let b = small(71, 17, 2);
         let reference = matmul_naive(&a, &b).unwrap();
-        assert!(matmul_packed(&a, &b).unwrap().approx_eq(&reference, 1e-3));
-        assert!(matmul_threaded(&a, &b).unwrap().approx_eq(&reference, 1e-3));
+        assert!(ab(Packed, &a, &b).unwrap().approx_eq(&reference, 1e-3));
+        assert!(ab(Threaded, &a, &b).unwrap().approx_eq(&reference, 1e-3));
     }
 
     #[test]
@@ -947,62 +723,21 @@ mod tests {
         // order, so this holds exactly, not just within tolerance.
         let a = small(67, 130, 5);
         let b = small(130, 29, 6);
-        assert_eq!(
-            matmul_packed(&a, &b).unwrap(),
-            matmul_threaded(&a, &b).unwrap()
-        );
+        assert_eq!(ab(Packed, &a, &b).unwrap(), ab(Threaded, &a, &b).unwrap());
         // The fused epilogue and the transposed views share the same
         // guarantee (run under LINALG_NUM_THREADS=4 in CI, this is a
         // real cross-thread assertion; at width 1 it pins the inline
         // fallback).
         let bias = bias_vec(29, 7);
-        let mut ws = Workspace::new();
-        let mut fused_p = DenseMatrix::zeros(67, 29);
-        let mut fused_t = DenseMatrix::zeros(67, 29);
-        gemm_into_ws(
-            GemmOp::AB,
-            &a,
-            &b,
-            &mut fused_p,
-            Epilogue::BiasRelu(&bias),
-            GemmStrategy::Packed,
-            &mut ws,
-        )
-        .unwrap();
-        gemm_into_ws(
-            GemmOp::AB,
-            &a,
-            &b,
-            &mut fused_t,
-            Epilogue::BiasRelu(&bias),
-            GemmStrategy::Threaded,
-            &mut ws,
-        )
-        .unwrap();
+        let variant = kernels::kernel_variant();
+        let both = |op, a: &DenseMatrix, b: &DenseMatrix, epi| {
+            [Packed, Threaded].map(|strategy| pinned(variant, strategy, op, a, b, epi).unwrap())
+        };
+        let [fused_p, fused_t] = both(GemmOp::AB, &a, &b, Epilogue::BiasRelu(&bias));
         assert_eq!(fused_p, fused_t);
-        let mut at_b_p = DenseMatrix::zeros(130, 29);
-        let mut at_b_t = DenseMatrix::zeros(130, 29);
         let b_short = small(67, 29, 8);
-        gemm_into_ws(
-            GemmOp::AtB,
-            &a,
-            &b_short,
-            &mut at_b_p,
-            Epilogue::None,
-            GemmStrategy::Packed,
-            &mut ws,
-        )
-        .unwrap();
-        gemm_into_ws(
-            GemmOp::AtB,
-            &a,
-            &b_short,
-            &mut at_b_t,
-            Epilogue::None,
-            GemmStrategy::Threaded,
-            &mut ws,
-        )
-        .unwrap();
+        let [at_b_p, at_b_t] = both(GemmOp::AtB, &a, &b_short, Epilogue::None);
+        assert_eq!(at_b_p.shape(), (130, 29));
         assert_eq!(at_b_p, at_b_t);
     }
 
@@ -1037,7 +772,7 @@ mod tests {
         let a = small(1, 16, 4);
         let b = small(16, 8, 5);
         let reference = matmul_naive(&a, &b).unwrap();
-        assert!(matmul_threaded(&a, &b).unwrap().approx_eq(&reference, 1e-4));
+        assert!(ab(Threaded, &a, &b).unwrap().approx_eq(&reference, 1e-4));
     }
 
     #[test]
@@ -1052,20 +787,14 @@ mod tests {
         assert_eq!(c.sum(), 0.0);
         let a = DenseMatrix::zeros(3, 2);
         let b = DenseMatrix::zeros(2, 0);
-        assert_eq!(matmul_threaded(&a, &b).unwrap().shape(), (3, 0));
+        assert_eq!(ab(Threaded, &a, &b).unwrap().shape(), (3, 0));
         // Transposed views on empty shapes.
-        assert_eq!(
-            matmul_at_b(&DenseMatrix::zeros(0, 3), &DenseMatrix::zeros(0, 2))
-                .unwrap()
-                .shape(),
-            (3, 2)
-        );
-        assert_eq!(
-            matmul_a_bt(&DenseMatrix::zeros(2, 0), &DenseMatrix::zeros(3, 0))
-                .unwrap()
-                .shape(),
-            (2, 3)
-        );
+        let (z03, z02) = (DenseMatrix::zeros(0, 3), DenseMatrix::zeros(0, 2));
+        let at_b = product(GemmOp::AtB, &z03, &z02, Epilogue::None).unwrap();
+        assert_eq!(at_b, DenseMatrix::zeros(3, 2));
+        let (z20, z30) = (DenseMatrix::zeros(2, 0), DenseMatrix::zeros(3, 0));
+        let a_bt = product(GemmOp::ABt, &z20, &z30, Epilogue::None).unwrap();
+        assert_eq!(a_bt, DenseMatrix::zeros(2, 3));
     }
 
     #[test]
@@ -1073,40 +802,41 @@ mod tests {
         let a = DenseMatrix::zeros(2, 0);
         let b = DenseMatrix::zeros(0, 3);
         let bias = [1.0, 2.0, 3.0];
-        let z = matmul_fused(&a, &b, Epilogue::Bias(&bias)).unwrap();
+        let z = product(GemmOp::AB, &a, &b, Epilogue::Bias(&bias)).unwrap();
         assert_eq!(z.row(0), &bias);
         assert_eq!(z.row(1), &bias);
     }
 
     #[test]
-    fn matmul_into_reuses_buffers() {
+    fn gemm_into_ws_overwrites_dirty_buffers() {
         let a = small(9, 13, 6);
         let b = small(13, 5, 7);
         let reference = matmul_naive(&a, &b).unwrap();
+        let mut ws = Workspace::new();
         // Start from a dirty buffer to prove it is overwritten.
         let mut out = DenseMatrix::filled(9, 5, 123.0);
-        matmul_into(&a, &b, &mut out).unwrap();
+        matmul_fused_into_ws(&a, &b, &mut out, Epilogue::None, &mut ws).unwrap();
         assert!(out.approx_eq(&reference, 1e-4));
         // Wrong output shape is an error, not a silent resize.
         let mut bad = DenseMatrix::zeros(9, 6);
-        assert!(matmul_into(&a, &b, &mut bad).is_err());
+        assert!(matmul_fused_into_ws(&a, &b, &mut bad, Epilogue::None, &mut ws).is_err());
     }
 
     #[test]
     fn fused_epilogue_matches_unfused_bit_exactly() {
         // The epilogue performs identical float operations on identical
-        // sums, so fused output equals unfused-same-strategy output
+        // sums, so fused output equals unfused same-path output
         // exactly — not merely within tolerance.
         let a = small(21, 34, 8);
         let b = small(34, 19, 9);
         let bias = bias_vec(19, 10);
-        let unfused = matmul_packed(&a, &b)
+        let unfused = ab(Packed, &a, &b)
             .unwrap()
             .add_row_broadcast(&bias)
             .unwrap();
-        let fused = matmul_fused(&a, &b, Epilogue::Bias(&bias)).unwrap();
+        let fused = product(GemmOp::AB, &a, &b, Epilogue::Bias(&bias)).unwrap();
         assert_eq!(fused, unfused);
-        let fused_relu = matmul_fused(&a, &b, Epilogue::BiasRelu(&bias)).unwrap();
+        let fused_relu = product(GemmOp::AB, &a, &b, Epilogue::BiasRelu(&bias)).unwrap();
         let mut unfused_relu = unfused;
         unfused_relu.map_inplace(|v| v.max(0.0));
         assert_eq!(fused_relu, unfused_relu);
@@ -1116,8 +846,8 @@ mod tests {
     fn epilogue_bias_length_is_checked() {
         let a = small(3, 4, 11);
         let b = small(4, 5, 12);
-        assert!(matmul_fused(&a, &b, Epilogue::Bias(&[1.0, 2.0])).is_err());
-        assert!(matmul_fused(&a, &b, Epilogue::BiasRelu(&[0.0; 6])).is_err());
+        assert!(product(GemmOp::AB, &a, &b, Epilogue::Bias(&[1.0, 2.0])).is_err());
+        assert!(product(GemmOp::AB, &a, &b, Epilogue::BiasRelu(&[0.0; 6])).is_err());
     }
 
     #[test]
@@ -1133,7 +863,7 @@ mod tests {
         let cached_before = ws.cached_elements();
         let b2 = small(17, 11, 15);
         let mut out2 = ws.take_for_overwrite(23, 11);
-        matmul_at_b_into_ws(&a, &b2, &mut out2, &mut ws).unwrap();
+        gemm_into_ws(GemmOp::AtB, &a, &b2, &mut out2, Epilogue::None, &mut ws).unwrap();
         // Steady state: no new allocations beyond the first call's.
         assert!(ws.cached_elements() <= cached_before.max(1));
     }
@@ -1148,11 +878,11 @@ mod tests {
             let a = small(m, k, seed);
             let b = small(k, n, seed.wrapping_add(1));
             let reference = matmul_naive(&a, &b).unwrap();
-            prop_assert!(matmul_packed(&a, &b).unwrap().approx_eq(&reference, 1e-3));
-            prop_assert!(matmul_threaded(&a, &b).unwrap().approx_eq(&reference, 1e-3));
+            prop_assert!(ab(Packed, &a, &b).unwrap().approx_eq(&reference, 1e-3));
+            prop_assert!(ab(Threaded, &a, &b).unwrap().approx_eq(&reference, 1e-3));
         }
 
-        /// `matmul_at_b`/`matmul_a_bt` against the materialized
+        /// `GemmOp::AtB`/`GemmOp::ABt` against the materialized
         /// `transpose() + matmul_naive` reference, over random
         /// non-square shapes including empty and single-row operands.
         /// Agreement is to 1e-3 absolute (the packed engine's k-block
@@ -1164,17 +894,19 @@ mod tests {
             let a = small(k, m, seed); // stored (k×m): logical Aᵀ is (m×k)
             let b = small(k, n, seed.wrapping_add(1));
             let reference = matmul_naive(&a.transpose(), &b).unwrap();
-            prop_assert!(matmul_at_b(&a, &b).unwrap().approx_eq(&reference, 1e-3));
+            let at_b = product(GemmOp::AtB, &a, &b, Epilogue::None).unwrap();
+            prop_assert!(at_b.approx_eq(&reference, 1e-3));
 
             let a2 = small(m, k, seed.wrapping_add(2));
             let b2 = small(n, k, seed.wrapping_add(3)); // stored (n×k): logical Bᵀ is (k×n)
             let reference = matmul_naive(&a2, &b2.transpose()).unwrap();
-            prop_assert!(matmul_a_bt(&a2, &b2).unwrap().approx_eq(&reference, 1e-3));
+            let a_bt = product(GemmOp::ABt, &a2, &b2, Epilogue::None).unwrap();
+            prop_assert!(a_bt.approx_eq(&reference, 1e-3));
         }
 
         /// Every epilogue variant against the unfused
         /// matmul + broadcast + ReLU reference: bit-exact against the
-        /// same packed strategy, 1e-3 against the naive kernel.
+        /// same packed path, 1e-3 against the naive kernel.
         #[test]
         fn epilogues_match_unfused_reference(
             m in 1usize..20, k in 1usize..20, n in 1usize..20, seed in 0u64..1000
@@ -1182,17 +914,17 @@ mod tests {
             let a = small(m, k, seed);
             let b = small(k, n, seed.wrapping_add(1));
             let bias = bias_vec(n, seed.wrapping_add(2));
-            let packed_plain = matmul_packed(&a, &b).unwrap();
+            let packed_plain = ab(Packed, &a, &b).unwrap();
             let naive_plain = matmul_naive(&a, &b).unwrap();
 
-            let fused_none = matmul_fused(&a, &b, Epilogue::None).unwrap();
+            let fused_none = product(GemmOp::AB, &a, &b, Epilogue::None).unwrap();
             prop_assert_eq!(&fused_none, &packed_plain);
 
-            let fused_bias = matmul_fused(&a, &b, Epilogue::Bias(&bias)).unwrap();
+            let fused_bias = product(GemmOp::AB, &a, &b, Epilogue::Bias(&bias)).unwrap();
             prop_assert_eq!(&fused_bias, &packed_plain.add_row_broadcast(&bias).unwrap());
             prop_assert!(fused_bias.approx_eq(&naive_plain.add_row_broadcast(&bias).unwrap(), 1e-3));
 
-            let fused_relu = matmul_fused(&a, &b, Epilogue::BiasRelu(&bias)).unwrap();
+            let fused_relu = product(GemmOp::AB, &a, &b, Epilogue::BiasRelu(&bias)).unwrap();
             let mut unfused_relu = packed_plain.add_row_broadcast(&bias).unwrap();
             unfused_relu.map_inplace(|v| v.max(0.0));
             prop_assert_eq!(&fused_relu, &unfused_relu);
@@ -1214,7 +946,6 @@ mod tests {
         fn dispatch_variants_bit_identical_to_scalar(
             m in 0usize..24, k in 0usize..24, n in 0usize..24, seed in 0u64..1000
         ) {
-            let mut ws = Workspace::new();
             let bias = bias_vec(n, seed.wrapping_add(9));
             // (op, a, b) triples covering every packing orientation.
             let cases = [
@@ -1229,18 +960,12 @@ mod tests {
                     } else {
                         Epilogue::None
                     };
-                    let mut reference = DenseMatrix::filled(m, n, f32::NAN);
-                    gemm_into_ws_with_variant(
-                        kernels::KernelVariant::Scalar,
-                        op, &a, &b, &mut reference, epi,
-                        GemmStrategy::Packed, &mut ws,
+                    let reference = pinned(
+                        kernels::KernelVariant::Scalar, GemmStrategy::Packed, op, &a, &b, epi,
                     ).unwrap();
                     for variant in kernels::available_kernel_variants() {
-                        for strategy in [GemmStrategy::Packed, GemmStrategy::Threaded] {
-                            let mut out = DenseMatrix::filled(m, n, f32::NAN);
-                            gemm_into_ws_with_variant(
-                                variant, op, &a, &b, &mut out, epi, strategy, &mut ws,
-                            ).unwrap();
+                        for strategy in [Packed, Threaded] {
+                            let out = pinned(variant, strategy, op, &a, &b, epi).unwrap();
                             prop_assert_eq!(
                                 &out, &reference,
                                 "variant {} strategy {:?} op {:?} bias {}",

@@ -5,10 +5,11 @@
 //!
 //! - [`DenseMatrix`]: a row-major `f32` matrix with elementwise and
 //!   reduction operations,
-//! - [`matmul`]: a packed-panel GEMM engine (BLIS-style register-tiled
-//!   micro-kernel over packed operand panels) with transpose-free
-//!   variants ([`matmul_at_b`], [`matmul_a_bt`]), fused output
-//!   epilogues ([`Epilogue`]: bias, bias + ReLU), and runtime-dispatched
+//! - [`gemm_into_ws`] (and the allocating [`matmul`]): a packed-panel
+//!   GEMM engine (BLIS-style register-tiled micro-kernel over packed
+//!   operand panels) with transpose-free operand views ([`GemmOp`]:
+//!   `AᵀB`, `ABᵀ`), fused output epilogues ([`Epilogue`]: bias,
+//!   bias + ReLU), and runtime-dispatched
 //!   micro-kernels ([`KernelVariant`]: AVX2+FMA, AVX-512, portable
 //!   scalar — selected once per process, bit-identical across variants,
 //!   pinnable via `LINALG_FORCE_KERNEL`),
@@ -23,6 +24,11 @@
 //! - [`pairwise`]: the tiled pool-parallel pairwise-similarity engine
 //!   (Gram panels, streaming row tiles, bounded top-k selection) behind
 //!   substitute graphs, silhouette, and attack scoring.
+//!
+//! How either product runs — on the caller's thread or across the shared
+//! [`pool`], through which micro-kernel — is decided inside this crate
+//! from the problem size, the pool width and the CPU, and never changes a
+//! bit of the result; there is no strategy argument.
 //!
 //! # Examples
 //!
@@ -62,11 +68,9 @@ pub use error::LinalgError;
 pub use gemm::kernels::{
     available_kernel_variants, detected_cpu_features, kernel_variant, KernelVariant,
 };
-pub use gemm::{
-    gemm_into_ws, gemm_into_ws_with_variant, matmul, matmul_a_bt, matmul_a_bt_into_ws, matmul_at_b,
-    matmul_at_b_into_ws, matmul_fused, matmul_fused_into_ws, matmul_into, matmul_naive,
-    matmul_packed, matmul_threaded, matmul_with, Epilogue, GemmOp, GemmStrategy,
-};
+#[cfg(test)]
+pub(crate) use gemm::matmul_naive;
+pub use gemm::{gemm_into_ws, matmul, matmul_fused_into_ws, Epilogue, GemmOp};
 pub use quant::QuantizedMatrix;
-pub use sparse::{CsrMatrix, SpmmStrategy};
+pub use sparse::CsrMatrix;
 pub use workspace::Workspace;

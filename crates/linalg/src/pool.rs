@@ -1,7 +1,7 @@
 //! A shared, lazily-initialized worker pool for the parallel kernels.
 //!
 //! The previous design spawned fresh OS threads inside every
-//! `matmul_threaded` call; at GCN-layer sizes the spawn/join cost was a
+//! threaded GEMM call; at GCN-layer sizes the spawn/join cost was a
 //! measurable fraction of the kernel itself. This pool starts its
 //! workers once (first parallel kernel call) and dispatches borrowed
 //! closures to them, rayon-style, so steady-state parallel calls cost

@@ -1,19 +1,20 @@
 use crate::{pool, DenseMatrix, Epilogue, LinalgError};
 use serde::{Deserialize, Serialize};
 
-/// FLOP threshold (`nnz × rhs.cols()` multiply-adds) above which
-/// [`SpmmStrategy::Auto`] parallelizes, provided the shared pool has
-/// more than one worker. Below it the dispatch overhead (one channel
-/// send + two atomics per chunk) is not worth amortizing.
+/// FLOP threshold (`nnz × rhs.cols()` multiply-adds) above which a
+/// product is row-partitioned over the shared pool, provided it has more
+/// than one worker. Below it the dispatch overhead (one channel send +
+/// two atomics per chunk) is not worth amortizing.
 const SPMM_PARALLEL_FLOP_THRESHOLD: usize = 1 << 21;
 
-/// Strategy selector for [`CsrMatrix::spmm_with`], mirroring
-/// [`crate::GemmStrategy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SpmmStrategy {
-    /// Choose by nonzero count: parallel when `nnz × n` crosses the
-    /// crate's flop threshold (2²¹) and the pool has >1 worker.
-    #[default]
+/// How one sparse product runs. Callers never pick — every public entry
+/// passes `Auto`; the pinned values exist so this module's tests can
+/// hold the two paths to each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(test), allow(dead_code))]
+enum SpmmStrategy {
+    /// Parallel when `nnz × n` crosses the flop threshold and the pool
+    /// has more than one worker.
     Auto,
     /// Single-threaded row loop (the reference kernel).
     Sequential,
@@ -219,61 +220,16 @@ impl CsrMatrix {
     /// Sparse × dense multiplication: `self (r×c) × rhs (c×n) -> r×n`.
     ///
     /// This is the message-passing kernel `Â · H` at the heart of every
-    /// GCN layer (paper Eq. 1).
+    /// GCN layer (paper Eq. 1). Large products are row-partitioned over
+    /// the shared pool; each output row is produced by exactly one worker
+    /// with the same accumulation order as the single-threaded loop, so
+    /// the result is bit-identical at any pool width.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
     pub fn spmm(&self, rhs: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-        self.spmm_with(rhs, SpmmStrategy::Auto)
-    }
-
-    /// Sparse × dense multiplication with an explicit strategy.
-    ///
-    /// Each output row is produced by exactly one worker with the same
-    /// accumulation order as the sequential kernel, so parallel results
-    /// are bit-identical to sequential ones.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn spmm_with(
-        &self,
-        rhs: &DenseMatrix,
-        strategy: SpmmStrategy,
-    ) -> Result<DenseMatrix, LinalgError> {
-        let mut out = DenseMatrix::zeros(self.rows, rhs.cols());
-        self.spmm_dispatch(rhs, &mut out, strategy, Epilogue::None)?;
-        Ok(out)
-    }
-
-    /// Sparse × dense multiplication over the shared worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn spmm_parallel(&self, rhs: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-        self.spmm_with(rhs, SpmmStrategy::Parallel)
-    }
-
-    /// Sparse × dense multiplication into a caller-provided output,
-    /// overwriting it. Pair with [`crate::Workspace::take`] to recycle
-    /// the output allocation across calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`
-    /// or `out` has the wrong shape.
-    pub fn spmm_into(&self, rhs: &DenseMatrix, out: &mut DenseMatrix) -> Result<(), LinalgError> {
-        if out.shape() != (self.rows, rhs.cols()) {
-            return Err(LinalgError::ShapeMismatch {
-                op: "spmm_into",
-                lhs: (self.rows, rhs.cols()),
-                rhs: out.shape(),
-            });
-        }
-        out.as_mut_slice().fill(0.0);
-        self.spmm_dispatch(rhs, out, SpmmStrategy::Auto, Epilogue::None)
+        self.spmm_fused(rhs, Epilogue::None)
     }
 
     /// Sparse × dense multiplication with a fused [`Epilogue`] applied
@@ -437,8 +393,9 @@ impl CsrMatrix {
         bounds
     }
 
-    /// Transpose-multiply: `selfᵀ (c×r) × rhs (r×n) -> c×n` without
-    /// materializing the transpose.
+    /// Transpose-multiply: `selfᵀ (c×r) × rhs (r×n) -> c×n`, which is
+    /// [`CsrMatrix::spmm`] on the cached [`CsrMatrix::transposed`] — one
+    /// kernel, one selection rule.
     ///
     /// Used in GCN backward passes. For symmetric `Â` this equals
     /// [`CsrMatrix::spmm`], but the rectifier's gradient path uses the
@@ -448,72 +405,7 @@ impl CsrMatrix {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
     pub fn spmm_transposed(&self, rhs: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-        self.spmm_transposed_with(rhs, SpmmStrategy::Auto)
-    }
-
-    /// Transpose-multiply with an explicit strategy.
-    ///
-    /// The sequential kernel scatters into output rows without
-    /// materializing anything. The parallel kernel builds the transpose
-    /// (O(nnz) counting sort) and runs the row-parallel [`CsrMatrix::spmm`]
-    /// on it, which reorders each output row's accumulation — results
-    /// agree with the sequential kernel to f32 rounding (≤1e-5 relative),
-    /// not bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
-    pub fn spmm_transposed_with(
-        &self,
-        rhs: &DenseMatrix,
-        strategy: SpmmStrategy,
-    ) -> Result<DenseMatrix, LinalgError> {
-        if self.rows != rhs.rows() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "spmm_transposed",
-                lhs: (self.cols, self.rows),
-                rhs: rhs.shape(),
-            });
-        }
-        let n = rhs.cols();
-        let parallel = match strategy {
-            SpmmStrategy::Sequential => false,
-            SpmmStrategy::Parallel => pool::num_threads() > 1 && self.cols > 1 && n > 0,
-            SpmmStrategy::Auto => {
-                self.nnz() * n >= SPMM_PARALLEL_FLOP_THRESHOLD
-                    && pool::num_threads() > 1
-                    && self.cols > 1
-                    && n > 0
-            }
-        };
-        if parallel {
-            // Shape check already passed: the cached transpose swaps
-            // dims, so transposed().cols == self.rows == rhs.rows.
-            return self.transposed().spmm_with(rhs, SpmmStrategy::Parallel);
-        }
-        let mut out = DenseMatrix::zeros(self.cols, n);
-        for r in 0..self.rows {
-            let span = self.row_ptr[r]..self.row_ptr[r + 1];
-            let (cols, vals) = (&self.col_idx[span.clone()], &self.values[span]);
-            let brow = rhs.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let orow = out.row_mut(c);
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += v * bv;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Transpose-multiply over the shared worker pool (see
-    /// [`CsrMatrix::spmm_transposed_with`] for the accuracy contract).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
-    pub fn spmm_transposed_parallel(&self, rhs: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-        self.spmm_transposed_with(rhs, SpmmStrategy::Parallel)
+        self.transposed().spmm(rhs)
     }
 
     /// Cached borrow of the transpose, built once on first use.
@@ -669,7 +561,8 @@ mod tests {
         let x = DenseMatrix::from_rows(&[&[1.0], &[2.0]]).unwrap();
         let fused = m.spmm_transposed(&x).unwrap();
         let explicit = m.transpose().spmm(&x).unwrap();
-        assert!(fused.approx_eq(&explicit, 1e-6));
+        assert_eq!(fused, explicit);
+        assert!(m.spmm_transposed(&DenseMatrix::zeros(3, 1)).is_err());
     }
 
     #[test]
@@ -720,15 +613,15 @@ mod tests {
     }
 
     #[test]
-    fn spmm_into_overwrites_dirty_buffers() {
+    fn spmm_fused_into_overwrites_dirty_buffers() {
         let a = path3();
         let x = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
         let expected = a.spmm(&x).unwrap();
         let mut out = DenseMatrix::filled(3, 2, 42.0);
-        a.spmm_into(&x, &mut out).unwrap();
+        a.spmm_fused_into(&x, &mut out, Epilogue::None).unwrap();
         assert!(out.approx_eq(&expected, 0.0));
         let mut bad = DenseMatrix::zeros(3, 3);
-        assert!(a.spmm_into(&x, &mut bad).is_err());
+        assert!(a.spmm_fused_into(&x, &mut bad, Epilogue::None).is_err());
     }
 
     #[test]
@@ -826,6 +719,14 @@ mod strategy_tests {
         })
     }
 
+    /// `m × rhs` through the private dispatch with the strategy pinned.
+    fn pinned(m: &CsrMatrix, rhs: &DenseMatrix, strategy: SpmmStrategy) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(m.rows(), rhs.cols());
+        m.spmm_dispatch(rhs, &mut out, strategy, Epilogue::None)
+            .unwrap();
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -844,18 +745,20 @@ mod strategy_tests {
             let triplets = random_triplets(rows, cols, count, seed);
             let m = CsrMatrix::from_triplets(rows, cols, &triplets).unwrap();
             let rhs = random_dense(cols, n, seed ^ 0xABCD);
-            let sequential = m.spmm_with(&rhs, SpmmStrategy::Sequential).unwrap();
-            let parallel = m.spmm_with(&rhs, SpmmStrategy::Parallel).unwrap();
+            let sequential = pinned(&m, &rhs, SpmmStrategy::Sequential);
+            let parallel = pinned(&m, &rhs, SpmmStrategy::Parallel);
             prop_assert_eq!(&sequential, &parallel);
             let auto = m.spmm(&rhs).unwrap();
             prop_assert_eq!(&sequential, &auto);
         }
 
-        /// The parallel transpose-multiply routes through an explicit
-        /// transpose; it visits each output row's contributions in the
-        /// same source-row order as the sequential scatter, so results
-        /// also match exactly. The tolerance check documents the actual
-        /// contract (≤1e-5 relative) should a future kernel reorder.
+        /// There is one transposed-product kernel: `spmm_transposed` is
+        /// the row kernel over the cached transpose, so it equals a
+        /// fresh `transpose()` run through the sequential row kernel bit
+        /// for bit, on the pool path too (CI repeats this under
+        /// `LINALG_NUM_THREADS=4`). Values span 40 binades, so visiting
+        /// an output row's contributions in any other order than
+        /// ascending source row would change low bits.
         #[test]
         fn parallel_spmm_transposed_matches_sequential(
             rows in 1usize..48,
@@ -864,23 +767,30 @@ mod strategy_tests {
             count in 0usize..250,
             seed in 0u64..10_000,
         ) {
-            let triplets = random_triplets(rows, cols, count, seed);
+            let binade = |i: usize| 2f32.powi(((seed as usize + i * 7919) % 41) as i32 - 20);
+            let triplets: Vec<_> = random_triplets(rows, cols, count, seed)
+                .into_iter()
+                .enumerate()
+                .map(|(i, (r, c, v))| (r, c, v * binade(i)))
+                .collect();
             let m = CsrMatrix::from_triplets(rows, cols, &triplets).unwrap();
-            let rhs = random_dense(rows, n, seed ^ 0x1234);
-            let sequential =
-                m.spmm_transposed_with(&rhs, SpmmStrategy::Sequential).unwrap();
-            let parallel = m.spmm_transposed_parallel(&rhs).unwrap();
-            let scale = sequential
+            let mut rhs = random_dense(rows, n, seed ^ 0x1234);
+            for (i, v) in rhs.as_mut_slice().iter_mut().enumerate() {
+                *v *= binade(i + 13);
+            }
+            let sequential = pinned(&m.transpose(), &rhs, SpmmStrategy::Sequential);
+            prop_assert_eq!(&m.spmm_transposed(&rhs).unwrap(), &sequential);
+            prop_assert_eq!(&pinned(m.transposed(), &rhs, SpmmStrategy::Parallel), &sequential);
+            // And the kernel agrees with the dense oracle.
+            let dense_ref = crate::matmul_naive(&m.to_dense().transpose(), &rhs).unwrap();
+            let scale = dense_ref
                 .as_slice()
                 .iter()
                 .fold(1.0f32, |acc, v| acc.max(v.abs()));
             prop_assert!(
-                parallel.approx_eq(&sequential, 1e-5 * scale),
-                "max |seq| = {scale}"
+                sequential.approx_eq(&dense_ref, 1e-5 * scale),
+                "max |dense| = {scale}"
             );
-            // And both agree with the explicit-transpose reference.
-            let explicit = m.transpose().spmm_with(&rhs, SpmmStrategy::Sequential).unwrap();
-            prop_assert!(explicit.approx_eq(&sequential, 1e-5 * scale));
         }
 
         /// spmm against the dense reference (matmul) on small shapes.
@@ -905,9 +815,7 @@ mod strategy_tests {
                 SpmmStrategy::Sequential,
                 SpmmStrategy::Parallel,
             ] {
-                prop_assert!(
-                    m.spmm_with(&rhs, strategy).unwrap().approx_eq(&dense_ref, 1e-4 * scale)
-                );
+                prop_assert!(pinned(&m, &rhs, strategy).approx_eq(&dense_ref, 1e-4 * scale));
             }
         }
     }

@@ -37,7 +37,7 @@ impl Workspace {
     /// Returns a `rows × cols` matrix with **arbitrary contents** —
     /// for callers that fully overwrite it (the `*_into` kernels zero
     /// or assign every element themselves). Skipping the memset here
-    /// is what keeps `take` + `matmul_into`/`spmm_into` from paying
+    /// is what keeps `take` + `gemm_into_ws`/`spmm_fused_into` from paying
     /// two zeroing passes per buffer in the training hot loop.
     pub fn take_for_overwrite(&mut self, rows: usize, cols: usize) -> DenseMatrix {
         let len = rows * cols;

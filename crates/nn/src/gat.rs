@@ -1,7 +1,6 @@
 use crate::{glorot_uniform, NnError, Param};
 use linalg::{
-    matmul_a_bt_into_ws, matmul_at_b_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix,
-    Epilogue, Workspace,
+    gemm_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix, Epilogue, GemmOp, Workspace,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -351,14 +350,21 @@ impl GatLayer {
             .add_scaled(&DenseMatrix::from_vec(1, out_dim, d_a_dst)?, 1.0)?;
 
         let mut d_w = ws.take_for_overwrite(self.in_dim, out_dim);
-        matmul_at_b_into_ws(input, &d_wh, &mut d_w, ws)?;
+        gemm_into_ws(GemmOp::AtB, input, &d_wh, &mut d_w, Epilogue::None, ws)?;
         self.weight.grad.add_scaled(&d_w, 1.0)?;
         ws.give(d_w);
         let col_sums = d_output.column_sums();
         let d_b = DenseMatrix::from_vec(1, col_sums.len(), col_sums)?;
         self.bias.grad.add_scaled(&d_b, 1.0)?;
         let mut d_input = ws.take_for_overwrite(n, self.in_dim);
-        matmul_a_bt_into_ws(&d_wh, &self.weight.value, &mut d_input, ws)?;
+        gemm_into_ws(
+            GemmOp::ABt,
+            &d_wh,
+            &self.weight.value,
+            &mut d_input,
+            Epilogue::None,
+            ws,
+        )?;
         ws.give(d_wh);
         Ok(d_input)
     }

@@ -1,7 +1,6 @@
 use crate::{glorot_uniform, NnError, Param};
 use linalg::{
-    matmul_a_bt_into_ws, matmul_at_b_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix,
-    Epilogue, Workspace,
+    gemm_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix, Epilogue, GemmOp, Workspace,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -173,8 +172,8 @@ impl GcnLayer {
     /// operator `∂L/∂(HW)` is `∂L/∂Z` itself.
     ///
     /// Both transposed products run through the packed engine's
-    /// transpose-free views ([`linalg::matmul_at_b`] /
-    /// [`linalg::matmul_a_bt`]) — no transpose is materialized.
+    /// transpose-free views ([`GemmOp::AtB`] / [`GemmOp::ABt`]) — no
+    /// transpose is materialized.
     ///
     /// # Errors
     ///
@@ -206,7 +205,14 @@ impl GcnLayer {
         let propagated = self.accumulate_grads(input, adj, d_output, ws)?;
         let mut d_input = ws.take_for_overwrite(input.rows(), self.in_dim);
         let d_xw = propagated.as_ref().unwrap_or(d_output);
-        matmul_a_bt_into_ws(d_xw, &self.weight.value, &mut d_input, ws)?;
+        gemm_into_ws(
+            GemmOp::ABt,
+            d_xw,
+            &self.weight.value,
+            &mut d_input,
+            Epilogue::None,
+            ws,
+        )?;
         if let Some(d_xw) = propagated {
             ws.give(d_xw);
         }
@@ -248,7 +254,7 @@ impl GcnLayer {
         let propagated = adj.map(|a| a.spmm_transposed(d_output)).transpose()?;
         let d_xw = propagated.as_ref().unwrap_or(d_output);
         let mut d_w = ws.take_for_overwrite(self.in_dim, self.out_dim);
-        matmul_at_b_into_ws(input, d_xw, &mut d_w, ws)?;
+        gemm_into_ws(GemmOp::AtB, input, d_xw, &mut d_w, Epilogue::None, ws)?;
         self.weight.grad.add_scaled(&d_w, 1.0)?;
         ws.give(d_w);
         let col_sums = d_output.column_sums();

@@ -1,7 +1,6 @@
 use crate::{glorot_uniform, NnError, Param};
 use linalg::{
-    matmul_a_bt_into_ws, matmul_at_b_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix,
-    Epilogue, Workspace,
+    gemm_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix, Epilogue, GemmOp, Workspace,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -119,7 +118,7 @@ impl SageLayer {
         ws: &mut Workspace,
     ) -> Result<SageForward, NnError> {
         let mut aggregated = ws.take_for_overwrite(adj.rows(), input.cols());
-        adj.spmm_into(input, &mut aggregated)?;
+        adj.spmm_fused_into(input, &mut aggregated, Epilogue::None)?;
         let mut concat = ws.take_for_overwrite(input.rows(), 2 * input.cols());
         DenseMatrix::hconcat_into(&[input, &aggregated], &mut concat)?;
         ws.give(aggregated);
@@ -168,7 +167,14 @@ impl SageLayer {
         ws: &mut Workspace,
     ) -> Result<DenseMatrix, NnError> {
         let mut d_w = ws.take_for_overwrite(2 * self.in_dim, self.out_dim);
-        matmul_at_b_into_ws(&cache.cached_concat, d_output, &mut d_w, ws)?;
+        gemm_into_ws(
+            GemmOp::AtB,
+            &cache.cached_concat,
+            d_output,
+            &mut d_w,
+            Epilogue::None,
+            ws,
+        )?;
         self.weight.grad.add_scaled(&d_w, 1.0)?;
         ws.give(d_w);
         let col_sums = d_output.column_sums();
@@ -176,7 +182,14 @@ impl SageLayer {
         self.bias.grad.add_scaled(&d_b, 1.0)?;
 
         let mut d_concat = ws.take_for_overwrite(d_output.rows(), 2 * self.in_dim);
-        matmul_a_bt_into_ws(d_output, &self.weight.value, &mut d_concat, ws)?;
+        gemm_into_ws(
+            GemmOp::ABt,
+            d_output,
+            &self.weight.value,
+            &mut d_concat,
+            Epilogue::None,
+            ws,
+        )?;
         let d_self = d_concat.slice_cols(0, self.in_dim)?;
         let d_agg = d_concat.slice_cols(self.in_dim, 2 * self.in_dim)?;
         ws.give(d_concat);

@@ -8,7 +8,7 @@
 //! [`ServingEngine::start`] spawns [`ServeConfig::shards`] worker
 //! threads. Under the default [`Topology::Replicated`], shard 0 owns
 //! the vault it was given; every other shard owns a replica restored
-//! from one shared sealed snapshot ([`Vault::spawn_replicas`]), so all
+//! from one shared sealed snapshot ([`Vault::recovery_handle`]), so all
 //! shards answer from bit-identical weights under the *same epoch*.
 //! Each shard runs the full single-vault stack — its own
 //! [`AdmissionQueue`], its own epoch-keyed [`LruCache`], and its own
@@ -18,7 +18,7 @@
 //! land on the same shard and that shard's cache stays effective.
 //!
 //! Under [`Topology::Partitioned`] the private graph is *partitioned*
-//! instead of replicated ([`Vault::spawn_partitions`]): shard `i` owns
+//! instead of replicated ([`Vault::partition_recovery_handles`]): shard `i` owns
 //! partition `i` of a contiguous-block layout — its owned nodes, their
 //! L-hop halo (L = rectifier depth), and nothing else — so N shards
 //! hold ~1/N of the private state each instead of N full copies, and
@@ -156,7 +156,7 @@ pub enum Topology {
     #[default]
     Replicated,
     /// The private graph is edge-cut partitioned
-    /// ([`Vault::spawn_partitions`]): shard `i` owns partition `i` of a
+    /// ([`Vault::partition_recovery_handles`]): shard `i` owns partition `i` of a
     /// contiguous-block [`PartitionSpec`] and holds only its owned
     /// nodes plus an L-hop halo — ~1/N of the private state instead of
     /// N full copies. Routing becomes an owner lookup
@@ -970,16 +970,16 @@ impl ServingEngine {
     /// backbone was meant to serve).
     ///
     /// Under [`Topology::Replicated`], shard 0 takes ownership of
-    /// `vault`; shards `1..N` each own a replica restored from one
-    /// shared sealed snapshot ([`Vault::spawn_replicas`] — one
-    /// encode/seal pass however many shards), sharing the vault's
-    /// epoch, and every shard retains a [`RecoveryHandle`] of that
-    /// snapshot as the supervisor's restore source. Under
+    /// `vault`; shards `1..N` each own a replica restored from the one
+    /// [`RecoveryHandle`] ([`Vault::recovery_handle`] — one encode/seal
+    /// pass however many shards) that every shard also retains as the
+    /// supervisor's restore source, sharing the vault's epoch. Under
     /// [`Topology::Partitioned`], the private graph is block-partitioned
-    /// across the shards instead ([`Vault::spawn_partitions`]): shard
-    /// `i` owns partition `i` — its owned nodes, their L-hop halo, and
-    /// nothing else — and retains its *own* per-partition snapshot for
-    /// recovery, while the full vault is parked engine-side (it is what
+    /// across the shards instead
+    /// ([`Vault::partition_recovery_handles`] — one encode/seal pass per
+    /// partition): shard `i` is restored from, and retains, partition
+    /// `i`'s snapshot — its owned nodes, their L-hop halo, and nothing
+    /// else — while the full vault is parked engine-side (it is what
     /// [`shutdown`](Self::shutdown) returns).
     ///
     /// # Errors
@@ -1050,29 +1050,36 @@ impl ServingEngine {
 
         let (router, parked, vaults, retained) = match config.topology {
             Topology::Replicated => {
-                // One sealed snapshot of the starting model serves as
-                // every shard's retained recovery source until a deploy
+                // One sealed snapshot of the starting model is every
+                // shard's retained recovery source until a deploy
                 // replaces it. Shard 0 serves the original; 1..N serve
-                // replicas restored from that shared snapshot (one
+                // replicas restored from that same handle (one
                 // encode/seal pass, N-1 restores).
                 let handle = vault.recovery_handle();
-                let mut vaults = vault
-                    .spawn_replicas(shard_count - 1)
-                    .map_err(ServeError::Vault)?;
-                vaults.insert(0, vault);
+                let mut vaults = vec![vault];
+                for _ in 1..shard_count {
+                    vaults.push(handle.restore().map_err(ServeError::Vault)?);
+                }
                 let retained = vec![handle; shard_count];
                 (Router::new(shard_count), None, vaults, retained)
             }
             Topology::Partitioned => {
                 // Shard i serves partition i of a contiguous-block
-                // layout; its retained recovery source is its own
-                // per-partition snapshot (each strictly smaller than a
-                // full-replica snapshot). The full vault is parked for
+                // layout, restored from the very per-partition snapshot
+                // it retains as its recovery source (each strictly
+                // smaller than a full-replica snapshot; one encode/seal
+                // pass per partition). The full vault is parked for
                 // shutdown.
                 let spec = PartitionSpec::block(num_nodes, shard_count)
                     .map_err(|e| ServeError::Vault(e.into()))?;
-                let vaults = vault.spawn_partitions(&spec).map_err(ServeError::Vault)?;
-                let retained = vaults.iter().map(Vault::recovery_handle).collect();
+                let retained = vault
+                    .partition_recovery_handles(&spec)
+                    .map_err(ServeError::Vault)?;
+                let vaults = retained
+                    .iter()
+                    .map(RecoveryHandle::restore)
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(ServeError::Vault)?;
                 (Router::partitioned(spec), Some(vault), vaults, retained)
             }
         };
