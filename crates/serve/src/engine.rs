@@ -63,18 +63,22 @@
 //! [`ServeError::ShardFailed`] — then the shard discards the
 //! (possibly poisoned) replica, marks itself [`ShardHealth::Down`] on
 //! the engine's [`HealthBoard`], and restores a fresh replica from its
-//! retained [`RecoveryHandle`] under capped exponential backoff.
-//! Replicated, handles route *new* requests around `Down` shards
-//! (trading cache affinity for availability, counted in
-//! [`ServeStats::rerouted_subrequests`]); partitioned, a `Down` shard's
-//! nodes have no other holder, so their requests stay home and resolve
-//! to the typed `ShardFailed` until the owner recovers or a deploy
-//! resurrects it — never a silently misrouted answer. Overload sheds at the
-//! admission high-water mark ([`ServeError::Overloaded`]), stale
-//! requests are dropped by the per-request timeout
-//! ([`ServeError::TimedOut`]), and [`ServingEngine::deploy`] is
-//! all-or-nothing: per-shard install retries with backoff, and rollback
-//! to the previously installed epoch when any shard still fails.
+//! retained [`RecoveryHandle`] — once, with no sleep: a restore is a
+//! pure function of (sealed bytes, key), so a retry could only repeat
+//! its answer. If that restore fails the shard stays `Down` until a
+//! deploy resurrects it. Replicated, handles route *new* requests
+//! around `Down` shards (trading cache affinity for availability,
+//! counted in [`ServeStats::rerouted_subrequests`]); partitioned, a
+//! `Down` shard's nodes have no other holder, so their requests stay
+//! home and resolve to the typed `ShardFailed` until the owner recovers
+//! or a deploy resurrects it — never a silently misrouted answer.
+//! Overload sheds at the admission high-water mark
+//! ([`ServeError::Overloaded`]), stale requests are dropped by the
+//! per-request timeout ([`ServeError::TimedOut`]), and
+//! [`ServingEngine::deploy`] is all-or-nothing: one install per shard,
+//! and rollback to the previously installed epoch when any shard fails.
+//! Install, rollback and restart all restore through one worker
+//! function, the single hook for [`Fault::FailRestore`](crate::Fault).
 //!
 //! ## Hot swap
 //!
@@ -110,7 +114,6 @@
 //! [`ServingEngine::deploy`] optionally grants amnesty
 //! ([`SentinelConfig::reset_on_deploy`]).
 
-#[cfg(feature = "fault-injection")]
 use crate::faults::{FaultPlan, ShardFaults};
 use crate::latency::AtomicLatency;
 use crate::sentinel::Sentinel;
@@ -133,18 +136,6 @@ use tee::{ClassLabel, SealKey};
 /// its control channel. [`AdmissionQueue::notify`] cuts the wait short,
 /// so this is a liveness backstop, not a latency bound.
 const CONTROL_POLL: Duration = Duration::from_millis(50);
-
-/// Ceiling for the supervisor's doubling restart backoff: however many
-/// attempts [`ServeConfig::max_restart_attempts`] allows, no single
-/// wait exceeds this.
-const RESTART_BACKOFF_CAP: Duration = Duration::from_millis(250);
-
-/// Base wait between per-shard snapshot-install retries inside
-/// [`ServingEngine::deploy`] (doubles per retry, capped).
-const DEPLOY_RETRY_BACKOFF: Duration = Duration::from_millis(1);
-
-/// Ceiling for the deploy retry backoff.
-const DEPLOY_RETRY_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
 /// How the private real graph is distributed across worker shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -170,7 +161,6 @@ pub enum Topology {
 
 /// Configuration for [`ServingEngine::start`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(not(feature = "fault-injection"), derive(Copy))]
 pub struct ServeConfig {
     /// Abuse-sentinel thresholds and mode (see
     /// [`SentinelConfig`]); defaults to shadow-mode observation.
@@ -212,33 +202,16 @@ pub struct ServeConfig {
     /// stalling shutdown or deploy behind it). `Duration::ZERO`
     /// disables the check.
     pub request_timeout: Duration,
-    /// Base supervisor backoff before the first restore attempt after a
-    /// shard panic; doubles per failed attempt, capped at 250 ms.
-    pub restart_backoff: Duration,
-    /// Restore attempts the supervisor makes before declaring the shard
-    /// permanently down (clamped to ≥ 1). A permanently down shard
-    /// answers everything routed at it with [`ServeError::ShardFailed`]
-    /// and is routed around; a later successful
-    /// [`ServingEngine::deploy`] resurrects it.
-    pub max_restart_attempts: u32,
-    /// Snapshot-install attempts per shard inside one
-    /// [`ServingEngine::deploy`] (clamped to ≥ 1), with doubling
-    /// backoff between attempts.
-    pub deploy_retries: u32,
     /// Deterministic fault schedule for chaos testing (see
-    /// [`faults`](crate::faults)); `None` injects nothing. Only present
-    /// under the `fault-injection` cargo feature — without it,
-    /// `ServeConfig` is `Copy` and the engine compiles with no
-    /// injection hooks at all.
-    #[cfg(feature = "fault-injection")]
+    /// [`faults`](crate::faults)); `None` injects nothing.
     pub fault_plan: Option<FaultPlan>,
 }
 
 impl Default for ServeConfig {
-    /// Default policy, one shard, 4096 cached results, the submit-path fast cache off (`fast_cache_slots` =
-    /// 0), no request timeout, 1 ms base restart backoff with 5
-    /// attempts, 3 install attempts per shard per deploy, and the
-    /// sentinel in shadow mode with default thresholds.
+    /// Default policy, one shard, 4096 cached results, the submit-path
+    /// fast cache off (`fast_cache_slots` = 0), no request timeout, no
+    /// fault plan, and the sentinel in shadow mode with default
+    /// thresholds.
     fn default() -> Self {
         Self {
             sentinel: SentinelConfig::default(),
@@ -249,35 +222,7 @@ impl Default for ServeConfig {
             topology: Topology::Replicated,
             precision: Precision::F32,
             request_timeout: Duration::ZERO,
-            restart_backoff: Duration::from_millis(1),
-            max_restart_attempts: 5,
-            deploy_retries: 3,
-            #[cfg(feature = "fault-injection")]
             fault_plan: None,
-        }
-    }
-}
-
-/// The copyable per-worker slice of [`ServeConfig`] a shard thread
-/// carries (the full config may hold a non-`Copy` fault plan under the
-/// `fault-injection` feature).
-#[derive(Debug, Clone, Copy)]
-struct WorkerConfig {
-    cache_capacity: usize,
-    request_timeout: Duration,
-    restart_backoff: Duration,
-    max_restart_attempts: u32,
-    deploy_retries: u32,
-}
-
-impl WorkerConfig {
-    fn from_config(config: &ServeConfig) -> Self {
-        Self {
-            cache_capacity: config.cache_capacity,
-            request_timeout: config.request_timeout,
-            restart_backoff: config.restart_backoff.max(Duration::from_micros(100)),
-            max_restart_attempts: config.max_restart_attempts.max(1),
-            deploy_retries: config.deploy_retries.max(1),
         }
     }
 }
@@ -290,9 +235,10 @@ pub enum ShardHealth {
     /// Recovered from a failure (or resurrected by a deploy) but has
     /// not served a batch since; routed to normally.
     Degraded,
-    /// Crashed and not yet restored (or permanently failed): handles
-    /// route new requests around it, and anything still queued at it is
-    /// answered [`ServeError::ShardFailed`] until it comes back.
+    /// Crashed and not yet restored (or its restore failed, until a
+    /// deploy resurrects it): handles route new requests around it,
+    /// and anything still queued at it is answered
+    /// [`ServeError::ShardFailed`] until it comes back.
     Down,
 }
 
@@ -886,8 +832,7 @@ enum ShardControl {
     /// publishes under it from the moment the install succeeds, and
     /// the engine makes it current only once *every* shard has acked.
     Deploy {
-        snapshot: Arc<VaultSnapshot>,
-        seal_key: SealKey,
+        source: RecoveryHandle,
         tag: u64,
         ack: Sender<Result<u64, ServeError>>,
     },
@@ -1033,7 +978,6 @@ impl ServingEngine {
         // from public data anyway.
         let substitute = vault.backbone().substitute_graph().cloned().map(Arc::new);
         let sentinel = Arc::new(Sentinel::new(config.sentinel, num_nodes, substitute));
-        let wcfg = WorkerConfig::from_config(&config);
         // The submit-path fast cache: one lock-free table shared by
         // every handle and worker. Minting and publishing the first
         // install generation here means entries are probeable from the
@@ -1092,7 +1036,6 @@ impl ServingEngine {
             let worker_features = Arc::clone(&features);
             let worker_health = Arc::clone(&health);
             let worker_fast = fast.clone();
-            #[cfg(feature = "fault-injection")]
             let worker_faults = config
                 .fault_plan
                 .as_ref()
@@ -1105,12 +1048,12 @@ impl ServingEngine {
                         index,
                         vault,
                         worker_features,
-                        wcfg,
+                        config.cache_capacity,
+                        config.request_timeout,
                         worker_health,
                         worker_retained,
                         worker_fast,
                         initial_tag,
-                        #[cfg(feature = "fault-injection")]
                         worker_faults,
                     )
                     .run(&worker_queue, &control_rx)
@@ -1196,17 +1139,17 @@ impl ServingEngine {
 
     /// Installs a new model epoch across all shards with zero downtime
     /// and returns the new epoch. All-or-nothing: when any shard fails
-    /// all its install attempts, every shard that *did* install is
-    /// rolled back to the previously retained epoch and the first
-    /// error is returned — the engine never serves two models at once
-    /// past the call.
+    /// its one install, every shard that *did* install is rolled back
+    /// to the previously retained epoch and the first error is
+    /// returned — the engine never serves two models at once past the
+    /// call.
     ///
     /// `snapshot` is a sealed [`VaultSnapshot`] (from
     /// [`Vault::snapshot`] on the retrained vault) and `seal_key` the
     /// deployment key it was sealed under. Admission never pauses:
     /// each shard finishes its in-flight batch on the old epoch,
-    /// restores the replica between batches (retrying up to
-    /// [`ServeConfig::deploy_retries`] times with backoff), and
+    /// restores the replica between batches (once — a restore is a
+    /// pure function of its inputs, so nothing retries it), and
     /// answers every later batch from the new epoch. Each shard drops
     /// its result cache at install — epoch keying alone could not rule
     /// out an epoch-number collision with a snapshot minted in another
@@ -1285,8 +1228,7 @@ impl ServingEngine {
             shard
                 .control
                 .send(ShardControl::Deploy {
-                    snapshot: Arc::clone(&per_shard[index]),
-                    seal_key,
+                    source: RecoveryHandle::from_shared(Arc::clone(&per_shard[index]), seal_key),
                     tag,
                     ack,
                 })
@@ -1407,15 +1349,14 @@ impl ServingEngine {
 }
 
 /// The state owned by one shard's worker thread: the vault replica (or
-/// `None` while crashed/permanently down), its enclave session, the
-/// epoch-keyed result cache, the retained recovery snapshot, and
-/// shard-local statistics.
+/// `None` while down), its enclave session, the epoch-keyed result
+/// cache, the retained recovery snapshot, and shard-local statistics.
 struct ShardWorker {
     shard: usize,
     vault: Option<Vault>,
     features: Arc<DenseMatrix>,
     /// The long-lived ingress channel every batch of the current
-    /// replica goes through; reopened whenever a replica is adopted.
+    /// replica goes through; reopened at every restore.
     session: tee::EnclaveSession,
     cache: LruCache<(u64, usize), ClassLabel>,
     epoch: u64,
@@ -1426,8 +1367,13 @@ struct ShardWorker {
     /// target of an all-or-nothing deploy.
     previous: Option<RecoveryHandle>,
     /// Per-shard flushed-batch ordinal (1-based), the time axis of a
-    /// [`FaultPlan`](crate::faults::FaultPlan).
+    /// [`FaultPlan`]'s batch faults.
     batch_seq: u64,
+    /// Per-shard restore ordinal (1-based) over installs, rollbacks and
+    /// restarts, the time axis of [`Fault::FailRestore`].
+    ///
+    /// [`Fault::FailRestore`]: crate::Fault::FailRestore
+    restore_seq: u64,
     deploys: u64,
     /// The engine-wide submit-path fast cache this worker publishes
     /// completed labels into (`None` when disabled).
@@ -1440,9 +1386,8 @@ struct ShardWorker {
     /// The tag before the last install — reverted to on rollback, just
     /// like the retained snapshot.
     previous_tag: u64,
-    wcfg: WorkerConfig,
+    request_timeout: Duration,
     health: Arc<HealthBoard>,
-    #[cfg(feature = "fault-injection")]
     faults: ShardFaults,
     stats: ServeStats,
 }
@@ -1453,12 +1398,13 @@ impl ShardWorker {
         shard: usize,
         mut vault: Vault,
         features: Arc<DenseMatrix>,
-        wcfg: WorkerConfig,
+        cache_capacity: usize,
+        request_timeout: Duration,
         health: Arc<HealthBoard>,
         retained: RecoveryHandle,
         fast: Option<Arc<FastCache>>,
         initial_tag: u64,
-        #[cfg(feature = "fault-injection")] faults: ShardFaults,
+        faults: ShardFaults,
     ) -> Self {
         Self {
             shard,
@@ -1466,27 +1412,43 @@ impl ShardWorker {
             epoch: vault.epoch(),
             vault: Some(vault),
             features,
-            cache: LruCache::new(wcfg.cache_capacity),
+            cache: LruCache::new(cache_capacity),
             retained,
             previous: None,
             batch_seq: 0,
+            restore_seq: 0,
             deploys: 0,
             fast,
             tag: initial_tag,
             previous_tag: initial_tag,
-            wcfg,
+            request_timeout,
             health,
-            #[cfg(feature = "fault-injection")]
             faults,
             stats: ServeStats::default(),
         }
     }
 
-    /// Swaps `vault` in as this shard's serving replica: opens a fresh
-    /// enclave session on it, clears the result cache, and adopts the
-    /// vault's epoch. Used on hot-swap install, on rollback, and on
-    /// supervisor restore.
-    fn adopt(&mut self, mut vault: Vault) {
+    /// The shard's one restore: unseals `source` into a fresh replica
+    /// and swaps it in — a fresh enclave session, a cleared result
+    /// cache, the replica's epoch — resurrecting a `Down` shard as
+    /// `Degraded`. Install, rollback and supervised restart each call
+    /// it exactly once: a restore is a pure function of (sealed bytes,
+    /// key), so a retry could only repeat its answer. On failure the
+    /// current replica (or its absence) is left untouched. Every call
+    /// advances the ordinal [`Fault::FailRestore`] is addressed by.
+    ///
+    /// [`Fault::FailRestore`]: crate::Fault::FailRestore
+    fn restore(&mut self, source: &RecoveryHandle) -> Result<(), ServeError> {
+        self.restore_seq += 1;
+        if self.faults.should_fail_restore(self.restore_seq) {
+            return Err(ServeError::Vault(gnnvault::VaultError::Snapshot {
+                reason: format!(
+                    "injected fault: FailRestore {{ shard: {}, restore_n: {} }}",
+                    self.shard, self.restore_seq
+                ),
+            }));
+        }
+        let mut vault = source.restore().map_err(ServeError::Vault)?;
         self.session = vault.open_session();
         // Epoch numbers are only unique within the process that minted
         // them; a snapshot shipped in from another worker could carry
@@ -1497,7 +1459,10 @@ impl ShardWorker {
         // weight anyway.
         self.cache.clear();
         self.epoch = vault.epoch();
-        self.vault = Some(vault);
+        if self.vault.replace(vault).is_none() {
+            self.health.set(self.shard, ShardHealth::Degraded);
+        }
+        Ok(())
     }
 
     /// The shard main loop: service control between batches, process
@@ -1557,13 +1522,8 @@ impl ShardWorker {
     /// Services one control message, acking the outcome.
     fn control(&mut self, message: ShardControl) {
         match message {
-            ShardControl::Deploy {
-                snapshot,
-                seal_key,
-                tag,
-                ack,
-            } => {
-                let _ = ack.send(self.install(&snapshot, seal_key, tag));
+            ShardControl::Deploy { source, tag, ack } => {
+                let _ = ack.send(self.install(source, tag));
             }
             ShardControl::Rollback { ack } => {
                 let _ = ack.send(self.rollback());
@@ -1571,65 +1531,22 @@ impl ShardWorker {
         }
     }
 
-    /// Restores the snapshot into a fresh replica (retrying per
-    /// [`ServeConfig::deploy_retries`] with doubling backoff) and swaps
-    /// it in, retaining it for crash recovery and keeping the previous
-    /// handle as the rollback target. On failure the old replica keeps
-    /// serving untouched. Installing into a down shard resurrects it.
-    fn install(
-        &mut self,
-        snapshot: &Arc<VaultSnapshot>,
-        seal_key: SealKey,
-        tag: u64,
-    ) -> Result<u64, ServeError> {
-        let mut attempts_left = self.wcfg.deploy_retries;
-        let mut backoff = DEPLOY_RETRY_BACKOFF;
-        loop {
-            let restored = self.try_restore(snapshot, seal_key);
-            match restored {
-                Ok(vault) => {
-                    let was_down = self.vault.is_none();
-                    self.previous = Some(self.retained.clone());
-                    self.retained = RecoveryHandle::from_shared(Arc::clone(snapshot), seal_key);
-                    // Publish new-model labels under the deploy's fast-
-                    // cache generation from here on; they stay
-                    // unprobeable until the engine flips the current
-                    // tag after every shard acks.
-                    self.previous_tag = self.tag;
-                    self.tag = tag;
-                    self.adopt(vault);
-                    self.deploys += 1;
-                    if was_down {
-                        self.health.set(self.shard, ShardHealth::Degraded);
-                    }
-                    return Ok(self.epoch);
-                }
-                Err(error) => {
-                    attempts_left -= 1;
-                    if attempts_left == 0 {
-                        return Err(ServeError::Vault(error));
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(DEPLOY_RETRY_BACKOFF_CAP);
-                }
-            }
-        }
-    }
-
-    /// One snapshot-restore attempt, with the fault-injection hook for
-    /// scheduled install failures.
-    fn try_restore(
-        &mut self,
-        snapshot: &Arc<VaultSnapshot>,
-        seal_key: SealKey,
-    ) -> Result<Vault, gnnvault::VaultError> {
-        #[cfg(feature = "fault-injection")]
-        if self.faults.take_deploy_failure() {
-            return Err(gnnvault::VaultError::Snapshot {
-                reason: format!("injected fault: FailDeploy on shard {}", self.shard),
-            });
-        }
-        Vault::restore(snapshot, seal_key)
+    /// Installs the epoch `source` seals, retaining it for crash
+    /// recovery and keeping the previous handle as the rollback target.
+    /// On failure the old replica keeps serving untouched. Installing
+    /// into a down shard resurrects it.
+    fn install(&mut self, source: RecoveryHandle, tag: u64) -> Result<u64, ServeError> {
+        // The last deploy's rollback target is stale once a new one
+        // begins; free it before restoring the new replica.
+        self.previous = None;
+        self.restore(&source)?;
+        self.previous = Some(std::mem::replace(&mut self.retained, source));
+        // Publish new-model labels under the deploy's fast-cache
+        // generation from here on; they stay unprobeable until the
+        // engine flips the current tag after every shard acks.
+        self.previous_tag = std::mem::replace(&mut self.tag, tag);
+        self.deploys += 1;
+        Ok(self.epoch)
     }
 
     /// Reinstalls the epoch retained before the last install — the
@@ -1637,31 +1554,18 @@ impl ShardWorker {
     /// rollback target: a deploy that never installed here has nothing
     /// to roll back (acked as an error, which the engine ignores).
     fn rollback(&mut self) -> Result<u64, ServeError> {
-        let Some(previous) = self.previous.take() else {
-            return Err(ServeError::Rejected {
-                reason: format!("shard {} has no previous epoch to roll back to", self.shard),
-            });
-        };
-        match previous.restore() {
-            Ok(vault) => {
-                let was_down = self.vault.is_none();
-                self.retained = previous;
-                // Publish under the pre-install generation again; the
-                // failed deploy's tag never becomes current, so any
-                // entries published under it are unreachable forever.
-                self.tag = self.previous_tag;
-                self.adopt(vault);
-                self.stats.deploy_rollbacks += 1;
-                if was_down {
-                    self.health.set(self.shard, ShardHealth::Degraded);
-                }
-                Ok(self.epoch)
-            }
-            Err(error) => {
-                self.previous = Some(previous);
-                Err(ServeError::Vault(error))
-            }
-        }
+        let previous = self.previous.clone().ok_or_else(|| ServeError::Rejected {
+            reason: format!("shard {} has no previous epoch to roll back to", self.shard),
+        })?;
+        self.restore(&previous)?;
+        self.previous = None;
+        self.retained = previous;
+        // Publish under the pre-install generation again; the failed
+        // deploy's tag never becomes current, so any entries published
+        // under it are unreachable forever.
+        self.tag = self.previous_tag;
+        self.stats.deploy_rollbacks += 1;
+        Ok(self.epoch)
     }
 
     /// Executes one flushed batch under supervision: shed stale
@@ -1689,8 +1593,8 @@ impl ShardWorker {
 
         // Per-request timeout: a request that already overstayed its
         // budget is dropped *before* spending enclave work on it.
-        if self.wcfg.request_timeout > Duration::ZERO {
-            let timeout = self.wcfg.request_timeout;
+        if self.request_timeout > Duration::ZERO {
+            let timeout = self.request_timeout;
             let mut live = Vec::with_capacity(batch.len());
             for request in batch {
                 let waited = request.waited();
@@ -1710,18 +1614,15 @@ impl ShardWorker {
 
         // Injected stall: simulates slow enclave compute (after
         // admission filtering, like the real thing).
-        #[cfg(feature = "fault-injection")]
         if let Some(delay) = self.faults.slow_delay(self.batch_seq) {
             std::thread::sleep(delay);
         }
-        #[cfg(feature = "fault-injection")]
         let inject_panic = self.faults.should_panic(self.batch_seq);
 
         // Supervision boundary: the computation may panic (a vault bug,
         // or an injected fault); responding happens outside it, so the
         // batch's requests are never lost with the unwound stack.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(feature = "fault-injection")]
             if inject_panic {
                 panic!(
                     "injected fault: PanicAt {{ shard: {}, batch_n: {} }}",
@@ -1733,15 +1634,17 @@ impl ShardWorker {
         match outcome {
             Ok(results) => {
                 debug_assert_eq!(results.len(), batch.len());
-                #[cfg_attr(not(feature = "fault-injection"), allow(unused_mut))]
-                let mut responses: Vec<(
-                    PendingRequest,
-                    Result<Vec<ClassLabel>, ServeError>,
-                )> = batch.into_iter().zip(results).collect();
+                // A completed batch proves a recovered shard out —
+                // flipped before responding, so a client holding this
+                // batch's answer sees the shard healthy.
+                if self.health.state(self.shard) == ShardHealth::Degraded {
+                    self.health.set(self.shard, ShardHealth::Healthy);
+                }
+                let mut responses: Vec<(PendingRequest, Result<Vec<ClassLabel>, ServeError>)> =
+                    batch.into_iter().zip(results).collect();
                 // Injected answer drop: the work was done, but the
                 // first response is lost — its client's ticket resolves
                 // through the disconnect path.
-                #[cfg(feature = "fault-injection")]
                 if self.faults.should_drop(self.batch_seq) && !responses.is_empty() {
                     let (request, _lost) = responses.remove(0);
                     self.stats.requests += 1;
@@ -1757,47 +1660,28 @@ impl ShardWorker {
                     }
                     request.respond(result);
                 }
-                // A completed batch proves a recovered shard out.
-                if self.health.state(self.shard) == ShardHealth::Degraded {
-                    self.health.set(self.shard, ShardHealth::Healthy);
-                }
             }
             Err(_) => {
-                // The replica's invariants may be torn mid-batch:
-                // answer the batch with a typed failure, discard the
-                // replica, and restore from the retained snapshot.
+                // The replica's invariants may be torn mid-batch: mark
+                // the shard down and discard the replica *before*
+                // answering the batch with a typed failure, so a client
+                // holding the failure sees the shard down.
+                self.health.set(self.shard, ShardHealth::Down);
+                self.vault = None;
                 self.stats.panics_caught += 1;
                 self.stats.failed_batches += 1;
                 for request in batch {
                     self.stats.requests += 1;
                     request.respond(Err(ServeError::ShardFailed { shard: self.shard }));
                 }
-                self.recover();
-            }
-        }
-    }
-
-    /// The supervisor's restart path: mark the shard down, discard the
-    /// poisoned replica, and restore from the retained snapshot under
-    /// capped exponential backoff. Exhausting the attempts leaves the
-    /// shard permanently down (routed around; queued requests answer
-    /// [`ServeError::ShardFailed`]) until a deploy resurrects it.
-    fn recover(&mut self) {
-        self.health.set(self.shard, ShardHealth::Down);
-        self.vault = None;
-        self.cache.clear();
-        let mut backoff = self.wcfg.restart_backoff;
-        for _ in 0..self.wcfg.max_restart_attempts {
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(RESTART_BACKOFF_CAP);
-            match self.retained.restore() {
-                Ok(vault) => {
-                    self.adopt(vault);
+                // Supervised restart: one restore from the retained
+                // snapshot, no sleep. If it fails the shard stays down
+                // (routed around; queued requests answer `ShardFailed`)
+                // until a deploy resurrects it.
+                let retained = self.retained.clone();
+                if self.restore(&retained).is_ok() {
                     self.stats.shard_restarts += 1;
-                    self.health.set(self.shard, ShardHealth::Degraded);
-                    return;
                 }
-                Err(_) => continue,
             }
         }
     }

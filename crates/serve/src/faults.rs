@@ -1,24 +1,23 @@
-//! Deterministic fault injection for chaos-testing the serving runtime
-//! (compiled only under the `fault-injection` cargo feature).
+//! Deterministic fault injection for chaos-testing the serving runtime.
 //!
 //! A [`FaultPlan`] is a *schedule*, not a probability: each entry names
-//! the shard and the batch ordinal (a per-shard counter starting at 1)
-//! it fires on, so a chaos run is reproducible bit-for-bit — the same
-//! plan against the same request stream injects the same faults in the
-//! same places. Plans are built explicitly ([`FaultPlan::with_fault`]),
-//! generated from a seed ([`FaultPlan::random`]), and serialize to a
-//! deterministic little-endian byte format ([`FaultPlan::to_bytes`])
-//! so a failing schedule can be stored alongside the bug report that
-//! cites it.
+//! the shard and the per-shard ordinal (a counter starting at 1) it
+//! fires on — the shard's n-th flushed batch, or its n-th restore — so
+//! a chaos run is reproducible bit-for-bit: the same plan against the
+//! same request stream injects the same faults in the same places.
+//! Plans are built explicitly ([`FaultPlan::with_fault`]) or generated
+//! from a seed ([`FaultPlan::random`]); either way the constructor
+//! calls are the reproduction.
 //!
-//! The hooks live inside the shard worker and the deploy path of
-//! [`ServingEngine`](crate::ServingEngine); without the feature the
-//! engine compiles with no injection code at all.
+//! The module is always compiled. The hooks live inside the shard
+//! worker of [`ServingEngine`](crate::ServingEngine): three ordinal
+//! checks per batch and one per restore, each on an empty list unless
+//! [`ServeConfig::fault_plan`](crate::ServeConfig::fault_plan) is set.
 
 use std::time::Duration;
 
-/// One injected fault: where (shard), when (per-shard batch ordinal or
-/// deploy attempt), and what.
+/// One injected fault: where (shard), when (per-shard batch or restore
+/// ordinal), and what.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
     /// Panic inside the shard's batch execution — exercises the
@@ -39,14 +38,16 @@ pub enum Fault {
         /// How long the batch execution is delayed.
         delay: Duration,
     },
-    /// Fail the shard's next `attempts` snapshot-install attempts —
-    /// exercises deploy retry, all-or-nothing rollback, and recovery.
-    FailDeploy {
-        /// Shard whose installs fail.
+    /// Fail the shard's `restore_n`-th snapshot restore — exercises
+    /// all-or-nothing deploy rollback (an install), a rollback that
+    /// cannot reinstall, and a shard left `Down` until a deploy
+    /// resurrects it (a supervised restart).
+    FailRestore {
+        /// Shard whose restore fails.
         shard: usize,
-        /// How many consecutive install attempts fail (set it above
-        /// the engine's deploy retry budget to fail the deploy).
-        attempts: u32,
+        /// Per-shard restore ordinal (1-based), counting installs,
+        /// rollbacks and supervised restarts alike.
+        restore_n: u64,
     },
     /// Drop one computed answer after the batch executed — the client's
     /// ticket sees the responder disconnect, exercising the
@@ -60,19 +61,13 @@ pub enum Fault {
     },
 }
 
-/// A seeded, serializable schedule of injected faults.
-///
-/// Threaded into the engine through
-/// [`ServeConfig::fault_plan`](crate::ServeConfig) (present only under
-/// the `fault-injection` feature).
+/// A seeded schedule of injected faults, threaded into the engine
+/// through [`ServeConfig::fault_plan`](crate::ServeConfig::fault_plan).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
     faults: Vec<Fault>,
 }
-
-/// Serialization magic: `"FPL1"` little-endian.
-const MAGIC: u32 = 0x314C_5046;
 
 /// SplitMix64 — the same generator family the router's hash uses, here
 /// as a stream for [`FaultPlan::random`].
@@ -104,22 +99,12 @@ impl FaultPlan {
         self
     }
 
-    /// The seed this plan was built from (or labelled with).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The scheduled faults, in insertion order.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
     /// Generates a reproducible schedule for a `shards`-shard engine
     /// from `seed`: every shard gets one panic at a batch ordinal in
     /// `1..=horizon`, about half the shards get a short (1–3 ms) slow
     /// batch, about a quarter get a dropped ticket, and exactly one
-    /// shard gets a burst of install failures. The same `(seed, shards,
-    /// horizon)` always yields the same plan.
+    /// shard gets one failed restore among its first three. The same
+    /// `(seed, shards, horizon)` always yields the same plan.
     pub fn random(seed: u64, shards: usize, horizon: u64) -> Self {
         let shards = shards.max(1);
         let horizon = horizon.max(1);
@@ -144,90 +129,11 @@ impl FaultPlan {
                 });
             }
         }
-        plan.faults.push(Fault::FailDeploy {
+        plan.faults.push(Fault::FailRestore {
             shard: (rng.next() % shards as u64) as usize,
-            attempts: 1 + (rng.next() % 3) as u32,
+            restore_n: 1 + rng.next() % 3,
         });
         plan
-    }
-
-    /// Serializes the plan to a deterministic little-endian byte
-    /// format (round-trips through [`FaultPlan::from_bytes`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&(self.faults.len() as u64).to_le_bytes());
-        for fault in &self.faults {
-            match fault {
-                Fault::PanicAt { shard, batch_n } => {
-                    out.push(0);
-                    out.extend_from_slice(&(*shard as u64).to_le_bytes());
-                    out.extend_from_slice(&batch_n.to_le_bytes());
-                }
-                Fault::SlowBatch {
-                    shard,
-                    batch_n,
-                    delay,
-                } => {
-                    out.push(1);
-                    out.extend_from_slice(&(*shard as u64).to_le_bytes());
-                    out.extend_from_slice(&batch_n.to_le_bytes());
-                    out.extend_from_slice(&(delay.as_nanos() as u64).to_le_bytes());
-                }
-                Fault::FailDeploy { shard, attempts } => {
-                    out.push(2);
-                    out.extend_from_slice(&(*shard as u64).to_le_bytes());
-                    out.extend_from_slice(&attempts.to_le_bytes());
-                }
-                Fault::DropTicket { shard, batch_n } => {
-                    out.push(3);
-                    out.extend_from_slice(&(*shard as u64).to_le_bytes());
-                    out.extend_from_slice(&batch_n.to_le_bytes());
-                }
-            }
-        }
-        out
-    }
-
-    /// Decodes a plan serialized by [`FaultPlan::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason when the bytes are truncated, carry the
-    /// wrong magic, or contain an unknown fault tag.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut reader = Reader { bytes, at: 0 };
-        if reader.u32()? != MAGIC {
-            return Err("fault plan bytes carry the wrong magic".into());
-        }
-        let seed = reader.u64()?;
-        let count = reader.u64()?;
-        let mut faults = Vec::new();
-        for _ in 0..count {
-            let fault = match reader.u8()? {
-                0 => Fault::PanicAt {
-                    shard: reader.u64()? as usize,
-                    batch_n: reader.u64()?,
-                },
-                1 => Fault::SlowBatch {
-                    shard: reader.u64()? as usize,
-                    batch_n: reader.u64()?,
-                    delay: Duration::from_nanos(reader.u64()?),
-                },
-                2 => Fault::FailDeploy {
-                    shard: reader.u64()? as usize,
-                    attempts: reader.u32()?,
-                },
-                3 => Fault::DropTicket {
-                    shard: reader.u64()? as usize,
-                    batch_n: reader.u64()?,
-                },
-                tag => return Err(format!("unknown fault tag {tag}")),
-            };
-            faults.push(fault);
-        }
-        Ok(Self { seed, faults })
     }
 
     /// Extracts the faults aimed at one shard — the bundle a worker
@@ -242,9 +148,10 @@ impl FaultPlan {
                     batch_n,
                     delay,
                 } if s == shard => faults.slows.push((batch_n, delay)),
-                Fault::FailDeploy { shard: s, attempts } if s == shard => {
-                    faults.fail_deploys += attempts;
-                }
+                Fault::FailRestore {
+                    shard: s,
+                    restore_n,
+                } if s == shard => faults.failed_restores.push(restore_n),
                 Fault::DropTicket { shard: s, batch_n } if s == shard => faults.drops.push(batch_n),
                 _ => {}
             }
@@ -253,48 +160,14 @@ impl FaultPlan {
     }
 }
 
-/// Bounds-checked little-endian reader over a byte slice.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err("fault plan bytes are truncated".into());
-        };
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-}
-
-/// The slice of a [`FaultPlan`] one shard worker carries: per-ordinal
-/// triggers plus a consumable install-failure budget.
+/// The slice of a [`FaultPlan`] one shard worker carries: triggers
+/// keyed by per-shard batch or restore ordinal.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardFaults {
     panics: Vec<u64>,
     slows: Vec<(u64, Duration)>,
     drops: Vec<u64>,
-    fail_deploys: u32,
+    failed_restores: Vec<u64>,
 }
 
 impl ShardFaults {
@@ -320,58 +193,15 @@ impl ShardFaults {
         self.drops.contains(&n)
     }
 
-    /// Consumes one install-failure credit; `true` means this install
-    /// attempt must fail.
-    pub(crate) fn take_deploy_failure(&mut self) -> bool {
-        if self.fail_deploys == 0 {
-            return false;
-        }
-        self.fail_deploys -= 1;
-        true
+    /// Whether restore ordinal `n` is scheduled to fail.
+    pub(crate) fn should_fail_restore(&self, n: u64) -> bool {
+        self.failed_restores.contains(&n)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn byte_codec_round_trips() {
-        let plan = FaultPlan::new(42)
-            .with_fault(Fault::PanicAt {
-                shard: 1,
-                batch_n: 3,
-            })
-            .with_fault(Fault::SlowBatch {
-                shard: 0,
-                batch_n: 2,
-                delay: Duration::from_millis(7),
-            })
-            .with_fault(Fault::FailDeploy {
-                shard: 2,
-                attempts: 4,
-            })
-            .with_fault(Fault::DropTicket {
-                shard: 3,
-                batch_n: 1,
-            });
-        let bytes = plan.to_bytes();
-        assert_eq!(FaultPlan::from_bytes(&bytes).unwrap(), plan);
-    }
-
-    #[test]
-    fn decoder_rejects_malformed_bytes() {
-        assert!(FaultPlan::from_bytes(&[]).is_err());
-        assert!(FaultPlan::from_bytes(b"not a fault plan").is_err());
-        let mut bytes = FaultPlan::new(1)
-            .with_fault(Fault::PanicAt {
-                shard: 0,
-                batch_n: 1,
-            })
-            .to_bytes();
-        bytes.truncate(bytes.len() - 1);
-        assert!(FaultPlan::from_bytes(&bytes).is_err(), "truncated payload");
-    }
 
     #[test]
     fn random_plans_are_seed_deterministic() {
@@ -382,18 +212,21 @@ mod tests {
         // Every shard is scheduled to panic at least once.
         for shard in 0..4 {
             assert!(a
-                .faults()
+                .faults
                 .iter()
                 .any(|f| matches!(f, Fault::PanicAt { shard: s, .. } if *s == shard)));
         }
-        // Exactly one install-failure burst.
-        assert_eq!(
-            a.faults()
-                .iter()
-                .filter(|f| matches!(f, Fault::FailDeploy { .. }))
-                .count(),
-            1
-        );
+        // Exactly one failed restore, among the shard's first three.
+        let failed: Vec<u64> = a
+            .faults
+            .iter()
+            .filter_map(|f| match f {
+                Fault::FailRestore { restore_n, .. } => Some(*restore_n),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(failed.len(), 1);
+        assert!((1..=3).contains(&failed[0]));
     }
 
     #[test]
@@ -413,24 +246,27 @@ mod tests {
                 batch_n: 2,
                 delay: Duration::from_millis(2),
             })
-            .with_fault(Fault::FailDeploy {
+            .with_fault(Fault::FailRestore {
                 shard: 1,
-                attempts: 2,
+                restore_n: 2,
             })
             .with_fault(Fault::DropTicket {
                 shard: 0,
                 batch_n: 5,
             });
-        let mut one = plan.shard_faults(1);
+        let one = plan.shard_faults(1);
         assert!(one.should_panic(2) && !one.should_panic(1));
         assert_eq!(one.slow_delay(2), Some(Duration::from_millis(3)));
         assert_eq!(one.slow_delay(3), None);
         assert!(!one.should_drop(5), "drop belongs to shard 0");
-        assert!(one.take_deploy_failure());
-        assert!(one.take_deploy_failure());
-        assert!(!one.take_deploy_failure(), "budget consumed");
+        assert!(one.should_fail_restore(2));
+        assert!(!one.should_fail_restore(1) && !one.should_fail_restore(3));
         let zero = plan.shard_faults(0);
         assert!(zero.should_drop(5));
         assert!(!zero.should_panic(2));
+        assert!(
+            !zero.should_fail_restore(2),
+            "restore fault belongs to shard 1"
+        );
     }
 }

@@ -41,20 +41,21 @@
 //! `{1, 2, 4} × {replicated, partitioned}` matrix in
 //! `tests/conformance.rs`). A retrained model hot-swaps in with zero downtime through
 //! [`ServingEngine::deploy`], which installs a sealed snapshot across
-//! all shards between batches — all-or-nothing, with per-shard retries
+//! all shards between batches — all-or-nothing: one install per shard,
 //! and rollback on partial failure.
 //!
 //! The engine is *supervised*: a shard that panics mid-batch fails only
 //! the batch in flight (typed [`ServeError::ShardFailed`]), is marked
-//! down on the shared [`HealthBoard`], restores itself from a retained
-//! sealed snapshot under capped exponential backoff, and is routed
-//! around until it comes back. Overload sheds at a high-water mark
-//! ([`ServeError::Overloaded`] with a retry hint) and stale requests
-//! are dropped by a per-request timeout ([`ServeError::TimedOut`]), so
-//! every admitted request resolves — labels or a typed error, never a
-//! hang. The `faults` module (behind the `fault-injection` cargo
-//! feature) injects deterministic failure schedules to prove all of
-//! this under test.
+//! down on the shared [`HealthBoard`], restores itself once from a
+//! retained sealed snapshot, and is routed around while down. A restore
+//! is a pure function of (sealed bytes, key), so nothing retries it: a
+//! shard whose restore fails stays down until a deploy resurrects it.
+//! Overload sheds at a high-water mark ([`ServeError::Overloaded`] with
+//! a retry hint) and stale requests are dropped by a per-request
+//! timeout ([`ServeError::TimedOut`]), so every admitted request
+//! resolves — labels or a typed error, never a hang. The [`faults`]
+//! module injects deterministic failure schedules to prove all of this
+//! under test.
 //!
 //! The engine is also *defended*: before routing, every submission
 //! passes the [`sentinel`] — per-session ([`ClientId`]) sliding-window
@@ -137,7 +138,6 @@ mod cache;
 mod engine;
 mod error;
 mod fastcache;
-#[cfg(feature = "fault-injection")]
 pub mod faults;
 mod latency;
 pub mod sentinel;
@@ -150,7 +150,6 @@ pub use engine::{
 };
 pub use error::ServeError;
 pub use fastcache::FastCache;
-#[cfg(feature = "fault-injection")]
 pub use faults::{Fault, FaultPlan};
 pub use gnnvault::Precision;
 pub use latency::LatencyHistogram;

@@ -1,18 +1,20 @@
 //! Chaos coverage for the fault-tolerant serving runtime, driven by the
-//! deterministic `serve::faults` injection harness (compiled only under
-//! the `fault-injection` feature).
+//! deterministic `serve::faults` injection harness.
 //!
 //! The contract under test: **every admitted request resolves** —
 //! labels or a typed [`ServeError`] — no matter which shards panic,
-//! stall, drop answers, or refuse a deploy; every *successful* answer
+//! stall, drop answers, or fail a restore; every *successful* answer
 //! is bit-identical to sequential [`Vault::infer`]; and the recovery
 //! counters in [`ServeStats`] report exactly the injected faults.
-#![cfg(feature = "fault-injection")]
+//! Every fault is addressed by (shard, ordinal), so a shard is held
+//! `Down` by construction — a panic plus a failed restart — never by a
+//! clock.
 
-use gnnvault::{Backbone, Rectifier, RectifierKind, SubstituteKind, Vault, VaultSnapshot};
-use graph::Graph;
+mod common;
+
+use common::{toy_vault, toy_vault_flipped};
+use gnnvault::{RectifierKind, Vault, VaultSnapshot};
 use linalg::DenseMatrix;
-use nn::TrainConfig;
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use serve::faults::{Fault, FaultPlan};
 use serve::{
@@ -20,9 +22,10 @@ use serve::{
 };
 use std::sync::{Once, OnceLock};
 use std::time::{Duration, Instant};
-use tee::{ClassLabel, CostModel, OverBudgetPolicy, SealKey};
+use tee::{ClassLabel, SealKey};
 
 const N: usize = 16;
+/// The key `common::toy_vault` seals model A under.
 const KEY_A: SealKey = SealKey(7);
 const KEY_B: SealKey = SealKey(99);
 
@@ -47,7 +50,8 @@ fn quiet_injected_panics() {
 /// Trained-once fixture shared by every chaos test: a sealed snapshot
 /// of model A (restored per test — training dominates the cost, restore
 /// is cheap), its corpus and sequential labels, and a distinguishable
-/// flipped-label model B for deploy/rollback tests.
+/// flipped-label model B for deploy/rollback tests. Both come from the
+/// suite-wide `tests/common` builders.
 struct Fixture {
     snapshot_a: VaultSnapshot,
     snapshot_b: VaultSnapshot,
@@ -58,10 +62,16 @@ struct Fixture {
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let (mut vault_a, features) = train_toy_vault(false, KEY_A);
-        let (mut vault_b, _) = train_toy_vault(true, KEY_B);
+        let (mut vault_a, features, _) = toy_vault(N, RectifierKind::Series);
+        let (mut vault_b, _) = toy_vault_flipped(N, KEY_B);
         let (expected_a, _) = vault_a.infer(&features).unwrap();
         let (expected_b, _) = vault_b.infer(&features).unwrap();
+        // The labels this suite's former private fixture produced:
+        // model A labels each ring cluster by its training label.
+        let clusters: Vec<ClassLabel> = (0..N)
+            .map(|r| ClassLabel(usize::from(r >= N / 2)))
+            .collect();
+        assert_eq!(expected_a, clusters, "model A's labels are unchanged");
         assert_ne!(
             expected_a, expected_b,
             "the two models must answer differently for rollback proofs to bite"
@@ -78,71 +88,6 @@ fn fixture() -> &'static Fixture {
 /// A fresh replica of model A (the fixture's serving model).
 fn fresh_vault() -> Vault {
     Vault::restore(&fixture().snapshot_a, KEY_A).unwrap()
-}
-
-/// Trains and deploys the two-cluster toy model over `N` nodes;
-/// `flipped` inverts the training labels to produce a distinguishable
-/// second model over the same corpus.
-fn train_toy_vault(flipped: bool, seal_key: SealKey) -> (Vault, DenseMatrix) {
-    let half = N / 2;
-    let x = DenseMatrix::from_fn(N, 2, |r, c| {
-        let in_first = r < half;
-        let base = if (c == 0) == in_first { 1.0 } else { 0.0 };
-        base + 0.05 * ((r * 7 + c) % 5) as f32
-    });
-    let labels: Vec<usize> = (0..N)
-        .map(|r| usize::from((r >= half) != flipped))
-        .collect();
-    let train: Vec<usize> = (0..N).step_by(2).collect();
-    let mut edges = Vec::new();
-    for cluster in 0..2 {
-        let offset = cluster * half;
-        for i in 0..half {
-            edges.push((offset + i, offset + (i + 1) % half));
-        }
-    }
-    let real = Graph::from_edges(N, &edges).unwrap();
-    let cfg = TrainConfig {
-        epochs: 60,
-        lr: 0.05,
-        weight_decay: 0.0,
-        dropout: 0.0,
-        seed: 0,
-    };
-    let backbone = Backbone::train(
-        &x,
-        &labels,
-        &train,
-        SubstituteKind::Knn { k: 2 },
-        &[8, 4, 2],
-        real.num_edges(),
-        &cfg,
-        1,
-    )
-    .unwrap();
-    let mut rectifier = Rectifier::new(
-        RectifierKind::Series,
-        &[8, 4, 2],
-        &backbone.channel_dims(),
-        2,
-    )
-    .unwrap();
-    let real_adj = graph::normalization::gcn_normalize(&real);
-    let embs = backbone.embeddings(&x).unwrap();
-    rectifier
-        .fit(&real_adj, &embs, &labels, &train, &cfg)
-        .unwrap();
-    let vault = Vault::deploy(
-        backbone,
-        rectifier,
-        &real,
-        tee::SGX_EPC_BYTES,
-        CostModel::default(),
-        OverBudgetPolicy::Fail,
-        seal_key,
-    )
-    .unwrap();
-    (vault, x)
 }
 
 /// One node homed to each of `shards` shards by the engine's router —
@@ -183,8 +128,8 @@ fn one_request_per_batch_policy() -> BatchPolicy {
     }
 }
 
-/// The issue's acceptance scenario: a seeded plan panics each of four
-/// shards exactly once and fails one shard's deploy; 100% of admitted
+/// The acceptance scenario: a seeded plan panics each of four shards
+/// exactly once and fails one shard's deploy install; 100% of admitted
 /// requests are answered (labels or typed error, zero hangs), every
 /// successful label is bit-identical to sequential inference, and the
 /// stats report the injected panic/restart/rollback counts *exactly*.
@@ -195,7 +140,8 @@ fn seeded_chaos_plan_answers_everything_and_counts_exactly() {
     let shards = 4;
     let homes = node_per_shard(shards);
 
-    // Batch 2 of every shard panics; shard 2 refuses every install.
+    // Batch 2 of every shard panics. Shard 2's restore 1 is its
+    // post-panic restart; restore 2 is the deploy's install, refused.
     let mut plan = FaultPlan::new(0xC4A05);
     for s in 0..shards {
         plan = plan.with_fault(Fault::PanicAt {
@@ -203,9 +149,9 @@ fn seeded_chaos_plan_answers_everything_and_counts_exactly() {
             batch_n: 2,
         });
     }
-    plan = plan.with_fault(Fault::FailDeploy {
+    plan = plan.with_fault(Fault::FailRestore {
         shard: 2,
-        attempts: 99,
+        restore_n: 2,
     });
 
     let engine = ServingEngine::start(
@@ -215,9 +161,6 @@ fn seeded_chaos_plan_answers_everything_and_counts_exactly() {
             policy: one_request_per_batch_policy(),
             cache_capacity: 64,
             shards,
-            restart_backoff: Duration::from_millis(1),
-            max_restart_attempts: 5,
-            deploy_retries: 2,
             fault_plan: Some(plan),
             ..ServeConfig::default()
         },
@@ -255,13 +198,17 @@ fn seeded_chaos_plan_answers_everything_and_counts_exactly() {
         );
     }
 
-    // All-or-nothing deploy of model B: shard 2's injected failures
-    // outlast the retry budget, so the three shards that installed are
-    // rolled back and the error surfaces the injected cause.
+    // All-or-nothing deploy of model B: shard 2's one install attempt
+    // is refused, so the three shards that installed are rolled back
+    // and the error surfaces the injected cause. Restore 2 failing the
+    // deploy proves there was no second attempt — restore 3 would have
+    // succeeded.
     match engine.deploy(&fix.snapshot_b, KEY_B) {
-        Err(ServeError::Vault(e)) => {
-            assert!(e.to_string().contains("injected fault"), "{e}")
-        }
+        Err(ServeError::Vault(e)) => assert!(
+            e.to_string()
+                .contains("injected fault: FailRestore { shard: 2, restore_n: 2 }"),
+            "{e}"
+        ),
         other => panic!("partially failing deploy must error, got {other:?}"),
     }
     // After rollback the *old* model answers everywhere — one request
@@ -327,7 +274,6 @@ fn killed_worker_mid_batch_fails_the_ticket_and_recovers() {
             policy: one_request_per_batch_policy(),
             cache_capacity: 0,
             shards: 1,
-            restart_backoff: Duration::from_millis(1),
             fault_plan: Some(plan),
             ..ServeConfig::default()
         },
@@ -353,20 +299,29 @@ fn killed_worker_mid_batch_fails_the_ticket_and_recovers() {
     assert_eq!(stats.shard_restarts, 1);
 }
 
+/// Holds shard `shard` `Down` by construction: its first batch panics
+/// and its restart — restore 1 — fails, so it stays down until a
+/// deploy's install (restore 2) resurrects it. No clock is involved.
+fn down_until_deploy(seed: u64, shard: usize) -> FaultPlan {
+    FaultPlan::new(seed)
+        .with_fault(Fault::PanicAt { shard, batch_n: 1 })
+        .with_fault(Fault::FailRestore {
+            shard,
+            restore_n: 1,
+        })
+}
+
 /// While a shard is down, handles route its nodes to a live shard: the
 /// request is answered immediately — with the identical label, since
-/// every replica serves the same model — instead of queueing behind the
-/// restart backoff.
+/// every replica serves the same model. A failed restart is not
+/// retried; a deploy resurrects the shard (`Down` → `Degraded`, then
+/// `Healthy` after its next batch) and its nodes go home again.
 #[test]
 fn requests_reroute_around_a_down_shard() {
     quiet_injected_panics();
     let fix = fixture();
     let shards = 2;
     let homes = node_per_shard(shards);
-    let plan = FaultPlan::new(2).with_fault(Fault::PanicAt {
-        shard: 1,
-        batch_n: 1,
-    });
     let engine = ServingEngine::start(
         fresh_vault(),
         fix.features.clone(),
@@ -374,58 +329,64 @@ fn requests_reroute_around_a_down_shard() {
             policy: one_request_per_batch_policy(),
             cache_capacity: 0,
             shards,
-            // A long first backoff holds shard 1 down while the test
-            // observes rerouting.
-            restart_backoff: Duration::from_millis(500),
-            max_restart_attempts: 2,
-            fault_plan: Some(plan),
+            fault_plan: Some(down_until_deploy(2, 1)),
             ..ServeConfig::default()
         },
     )
     .unwrap();
     let handle = engine.handle();
+    let wait = |ticket: Ticket| {
+        ticket
+            .wait_timeout(Duration::from_secs(30))
+            .expect("no hang")
+    };
 
-    // Trip shard 1's batch-1 panic.
-    let result = handle
-        .submit_one(homes[1])
-        .unwrap()
-        .wait_timeout(Duration::from_secs(30))
-        .expect("no hang");
-    assert_eq!(result, Err(ServeError::ShardFailed { shard: 1 }));
-    // Wait until the supervisor has flagged the shard down.
-    let start = Instant::now();
-    while engine.health().state(1) != ShardHealth::Down {
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "shard 1 never went down"
-        );
-        std::thread::sleep(Duration::from_micros(200));
-    }
+    // Trip shard 1's batch-1 panic. The worker marks itself down
+    // before answering, and its one restart fails.
+    assert_eq!(
+        wait(handle.submit_one(homes[1]).unwrap()),
+        Err(ServeError::ShardFailed { shard: 1 })
+    );
+    assert_eq!(engine.health().state(1), ShardHealth::Down);
 
-    // A shard-1-homed request is now served by shard 0 — same label,
-    // answered well inside the 500 ms backoff window.
-    let labels = handle
-        .submit_one(homes[1])
-        .unwrap()
-        .wait_timeout(Duration::from_secs(10))
-        .expect("rerouted request must not wait for the down shard")
-        .unwrap();
-    assert_eq!(labels, vec![fix.expected_a[homes[1]]]);
+    // A shard-1-homed request is now served by shard 0 — same label.
+    assert_eq!(
+        wait(handle.submit_one(homes[1]).unwrap()).unwrap(),
+        vec![fix.expected_a[homes[1]]]
+    );
+    assert_eq!(engine.health().state(1), ShardHealth::Down);
+
+    // The deploy's install is shard 1's restore 2: it succeeds and
+    // resurrects the shard.
+    engine.deploy(&fix.snapshot_a, KEY_A).unwrap();
+    assert_eq!(engine.health().state(1), ShardHealth::Degraded);
+    // Its node goes home again, and the batch proves the shard out.
+    assert_eq!(
+        wait(handle.submit_one(homes[1]).unwrap()).unwrap(),
+        vec![fix.expected_a[homes[1]]]
+    );
+    assert_eq!(engine.health().state(1), ShardHealth::Healthy);
 
     let (_, stats) = engine.shutdown();
-    assert_eq!(stats.rerouted_subrequests, 1);
+    assert_eq!(
+        stats.rerouted_subrequests, 1,
+        "only the request sent while down"
+    );
     assert_eq!(stats.panics_caught, 1);
-    // Shard 0 answered its neighbour's node.
+    assert_eq!(stats.shard_restarts, 0, "the one restart failed");
+    // Shard 0 answered its neighbour's node once; shard 1 answered it
+    // after resurrection.
     assert_eq!(stats.shards[0].answered_nodes, 1);
+    assert_eq!(stats.shards[1].answered_nodes, 1);
+    assert_eq!(stats.shards[1].deploys, 1);
 }
 
 /// The partitioned counterpart of
 /// [`requests_reroute_around_a_down_shard`]: a partition's nodes have
-/// exactly one holder, so when their owner goes down they are *not*
-/// handed to a neighbour (which could only misroute them). The
-/// panicked batch fails with the typed [`ServeError::ShardFailed`],
-/// later queries for the dead owner's nodes wait for its supervised
-/// recovery and are then answered bit-identically — and the other
+/// exactly one holder, so when their owner is down they are *not*
+/// handed to a neighbour (which could only misroute them). They resolve
+/// to the typed [`ServeError::ShardFailed`] until a deploy resurrects
+/// the owner, and are then answered bit-identically — and the other
 /// shard answers none of them.
 #[test]
 fn partitioned_down_shard_queries_wait_for_their_owner_not_a_neighbour() {
@@ -433,10 +394,6 @@ fn partitioned_down_shard_queries_wait_for_their_owner_not_a_neighbour() {
     let fix = fixture();
     // Block layout over N=16, 2 parts: shard 0 owns 0..8, shard 1 owns
     // 8..16.
-    let plan = FaultPlan::new(4).with_fault(Fault::PanicAt {
-        shard: 1,
-        batch_n: 1,
-    });
     let engine = ServingEngine::start(
         fresh_vault(),
         fix.features.clone(),
@@ -445,40 +402,47 @@ fn partitioned_down_shard_queries_wait_for_their_owner_not_a_neighbour() {
             cache_capacity: 0,
             shards: 2,
             topology: Topology::Partitioned,
-            restart_backoff: Duration::from_millis(100),
-            max_restart_attempts: 5,
-            fault_plan: Some(plan),
+            fault_plan: Some(down_until_deploy(4, 1)),
             ..ServeConfig::default()
         },
     )
     .unwrap();
     let handle = engine.handle();
     assert!(handle.router().is_partitioned());
+    let wait = |ticket: Ticket| {
+        ticket
+            .wait_timeout(Duration::from_secs(30))
+            .expect("no hang")
+    };
 
     // Trip shard 1's batch-1 panic with one of its owned nodes: the
     // in-flight batch resolves to the typed failure, never to a label
     // from the wrong partition.
-    let result = handle
-        .submit_one(8)
-        .unwrap()
-        .wait_timeout(Duration::from_secs(30))
-        .expect("no hang");
-    assert_eq!(result, Err(ServeError::ShardFailed { shard: 1 }));
+    assert_eq!(
+        wait(handle.submit_one(8).unwrap()),
+        Err(ServeError::ShardFailed { shard: 1 })
+    );
+    assert_eq!(engine.health().state(1), ShardHealth::Down);
 
-    // Another shard-1-owned node: no reroute happens, the request
-    // queues at its owner and is answered after supervised recovery —
-    // with the label sequential inference would give.
-    let labels = handle
-        .submit_one(9)
-        .unwrap()
-        .wait_timeout(Duration::from_secs(30))
-        .expect("owner recovery must answer the queued request")
-        .unwrap();
-    assert_eq!(labels, vec![fix.expected_a[9]]);
+    // Another shard-1-owned node: no reroute happens, and the owner is
+    // down, so it fails typed too.
+    assert_eq!(
+        wait(handle.submit_one(9).unwrap()),
+        Err(ServeError::ShardFailed { shard: 1 })
+    );
+
+    // A deploy brings the owner back; now the node is answered with
+    // the label sequential inference would give.
+    engine.deploy(&fix.snapshot_a, KEY_A).unwrap();
+    assert_eq!(engine.health().state(1), ShardHealth::Degraded);
+    assert_eq!(
+        wait(handle.submit_one(9).unwrap()).unwrap(),
+        vec![fix.expected_a[9]]
+    );
 
     let (_, stats) = engine.shutdown();
     assert_eq!(stats.panics_caught, 1);
-    assert_eq!(stats.shard_restarts, 1);
+    assert_eq!(stats.shard_restarts, 0, "the one restart failed");
     assert_eq!(
         stats.rerouted_subrequests, 0,
         "partitioned routing never trades ownership for availability"
@@ -547,7 +511,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Property: under a *random* seeded fault plan (panics, stalls,
-    /// dropped answers, failing deploys across 4 shards), every
+    /// dropped answers, a failed restore across 4 shards), every
     /// admitted request resolves — labels or a typed error, zero hangs
     /// — and every successful label is bit-identical to sequential
     /// inference. Deploying the engine's own snapshot mid-storm keeps
@@ -566,9 +530,6 @@ proptest! {
                 policy: one_request_per_batch_policy(),
                 cache_capacity: 32,
                 shards,
-                restart_backoff: Duration::from_millis(1),
-                max_restart_attempts: 5,
-                deploy_retries: 2,
                 fault_plan: Some(plan),
                 ..ServeConfig::default()
             },

@@ -5,8 +5,7 @@
 //! bound must flush partial batches, and the graceful-degradation
 //! paths (load shedding, per-request timeouts, start failures) must
 //! resolve with typed errors. Crash/recovery behaviour is exercised
-//! separately in `tests/chaos.rs` behind the `fault-injection`
-//! feature.
+//! separately in `tests/chaos.rs` under seeded fault plans.
 
 mod common;
 
@@ -781,9 +780,6 @@ fn deploy_rejects_bad_snapshots_and_keeps_serving() {
         x.clone(),
         ServeConfig {
             shards: 2,
-            // One install attempt per shard: this test wants the
-            // failure itself, not the retry ladder.
-            deploy_retries: 1,
             ..ServeConfig::default()
         },
     )

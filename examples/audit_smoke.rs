@@ -17,7 +17,7 @@
 //!    storm on the same engine is never throttled.
 //!
 //! Any violation panics, so CI runs this binary exactly like
-//! `chaos_smoke`.
+//! `partition_smoke`.
 
 use gnnvault_suite::attacks::{surface, LinkStealingAttack, OnlineLinkAudit, SimilarityMetric};
 use gnnvault_suite::datasets::{DatasetSpec, SyntheticPlanetoid};
