@@ -61,7 +61,7 @@ pub fn baseline_surface(
     features: &DenseMatrix,
 ) -> Result<Vec<DenseMatrix>, AttackError> {
     model
-        .forward_embeddings(None, features)
+        .forward_embeddings(None, std::slice::from_ref(features))
         .map_err(|e| AttackError::InvalidInput {
             reason: format!("surface construction failed: {e}"),
         })
@@ -100,7 +100,7 @@ mod tests {
         let mut mlp = Network::new(data.num_features(), &[32, 16, 7], 0).unwrap();
         mlp.fit(
             None,
-            &data.features,
+            std::slice::from_ref(&data.features),
             &data.labels,
             &data.train_mask,
             &TrainConfig {

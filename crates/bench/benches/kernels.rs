@@ -156,7 +156,7 @@ fn bench_train_epoch(c: &mut Criterion) {
         |bencher| {
             bencher.iter(|| {
                 let mut net = base.clone();
-                net.fit(Some(&adj), &x, &labels, &train, &cfg)
+                net.fit(Some(&adj), std::slice::from_ref(&x), &labels, &train, &cfg)
                     .expect("fit epoch")
             })
         },

@@ -97,7 +97,7 @@ fn main() {
         .expect("rectifier forward");
     let one_way = surface::gnnvault_surface(&trained.backbone, &data.features).expect("Mgv");
     let mut two_way = one_way.clone();
-    two_way.extend(rect_fwd.activations().cloned());
+    two_way.extend(rect_fwd);
     println!("{:<30} {:>8}", "attack surface", "AUC");
     for (label, surface) in [
         ("one-way (deployed GNNVault)", &one_way),

@@ -100,7 +100,7 @@ fn main() {
             layer + 1,
             s(&org_embs[layer]),
             s(&embeddings[layer]),
-            s(rect_fwd.activation(layer)),
+            s(&rect_fwd[layer]),
         );
     }
     println!(

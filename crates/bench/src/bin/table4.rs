@@ -57,8 +57,14 @@ fn main() {
         .expect("backbone training");
         let mut mlp = Network::new(data.num_features(), &model.backbone_channels, args.seed)
             .expect("mlp construction");
-        mlp.fit(None, &data.features, &data.labels, &data.train_mask, &cfg)
-            .expect("mlp training");
+        mlp.fit(
+            None,
+            std::slice::from_ref(&data.features),
+            &data.labels,
+            &data.train_mask,
+            &cfg,
+        )
+        .expect("mlp training");
 
         let m_org = surface::original_surface(&original, &data.features).expect("Morg");
         let m_gv = surface::gnnvault_surface(&backbone, &data.features).expect("Mgv");

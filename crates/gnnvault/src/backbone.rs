@@ -3,6 +3,7 @@ use graph::{normalization, Graph};
 use linalg::{CsrMatrix, DenseMatrix};
 use nn::{Network, TrainConfig};
 use serde::{Deserialize, Serialize};
+use std::slice::from_ref;
 
 /// The public backbone model deployed in the untrusted world (§IV-C).
 ///
@@ -88,7 +89,7 @@ impl Backbone {
             .map(|graph| Substitute::new(graph, kind));
         let mut network = Network::new(features.cols(), channels, seed)?;
         let adj = substitute.as_ref().map(|s| &s.adj);
-        network.fit(adj, features, labels, train_mask, cfg)?;
+        network.fit(adj, from_ref(features), labels, train_mask, cfg)?;
         Ok(Backbone {
             network,
             substitute,
@@ -104,7 +105,7 @@ impl Backbone {
     /// Returns [`VaultError::Nn`] on shape inconsistencies.
     pub fn embeddings(&self, features: &DenseMatrix) -> Result<Vec<DenseMatrix>, VaultError> {
         let adj = self.substitute.as_ref().map(|s| &s.adj);
-        Ok(self.network.forward_embeddings(adj, features)?)
+        Ok(self.network.forward_embeddings(adj, from_ref(features))?)
     }
 
     /// Final-layer logits on the public data path.

@@ -3,6 +3,7 @@ use graph::{normalization, Graph};
 use linalg::{CsrMatrix, DenseMatrix};
 use nn::{Network, TrainConfig};
 use serde::{Deserialize, Serialize};
+use std::slice::from_ref;
 
 /// The unprotected reference GNN (`porg` in the paper's tables): same
 /// architecture as the backbone, trained and run with the *real*
@@ -50,7 +51,7 @@ impl OriginalGnn {
     ) -> Result<OriginalGnn, VaultError> {
         let real_adj = normalization::gcn_normalize(real_graph);
         let mut network = Network::new(features.cols(), channels, seed)?;
-        network.fit(Some(&real_adj), features, labels, train_mask, cfg)?;
+        network.fit(Some(&real_adj), from_ref(features), labels, train_mask, cfg)?;
         Ok(OriginalGnn { network, real_adj })
     }
 
@@ -62,7 +63,7 @@ impl OriginalGnn {
     pub fn embeddings(&self, features: &DenseMatrix) -> Result<Vec<DenseMatrix>, VaultError> {
         Ok(self
             .network
-            .forward_embeddings(Some(&self.real_adj), features)?)
+            .forward_embeddings(Some(&self.real_adj), from_ref(features))?)
     }
 
     /// Predicted classes.
@@ -71,7 +72,9 @@ impl OriginalGnn {
     ///
     /// Returns [`VaultError::Nn`] on shape inconsistencies.
     pub fn predict(&self, features: &DenseMatrix) -> Result<Vec<usize>, VaultError> {
-        Ok(self.network.predict(Some(&self.real_adj), features)?)
+        Ok(self
+            .network
+            .predict(Some(&self.real_adj), from_ref(features))?)
     }
 
     /// Trainable parameter count.

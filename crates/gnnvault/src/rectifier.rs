@@ -1,14 +1,13 @@
 use crate::VaultError;
-use linalg::{ops, CsrMatrix, DenseMatrix, Workspace};
-use nn::{loss, Adam, ConvForward, ConvKind, ConvLayer, TrainConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use linalg::{CsrMatrix, DenseMatrix};
+use nn::{ConvKind, Network, TrainConfig};
 use serde::{Deserialize, Serialize};
 
 /// The three backbone-to-rectifier communication schemes of Fig. 3.
 ///
 /// Input-wiring rules (reconstructed from the paper's description and
-/// the θrec values of Table II; see DESIGN.md):
+/// the θrec values of Table II; see DESIGN.md), all stated by
+/// [`RectifierKind::wiring`]:
 ///
 /// - **Parallel**: rectifier layer `i` consumes the concatenation of the
 ///   previous rectifier output and backbone embedding `i` (layer 0 takes
@@ -45,118 +44,42 @@ impl RectifierKind {
         }
     }
 
-    /// Indices of the backbone embeddings this scheme transfers into the
-    /// enclave, given the backbone layer widths.
-    pub fn tap_indices(&self, backbone_dims: &[usize], rectifier_layers: usize) -> Vec<usize> {
-        match self {
-            RectifierKind::Parallel => (0..rectifier_layers.min(backbone_dims.len())).collect(),
-            RectifierKind::Cascaded => (0..backbone_dims.len()).collect(),
-            RectifierKind::Series => vec![backbone_dims.len().saturating_sub(2)],
-        }
+    /// The scheme as a [`Network::wired`] wiring: which backbone
+    /// embeddings each of `rectifier_layers` layers reads, after the
+    /// previous rectifier activation for every layer but the first.
+    /// The rectifier's tap set, its layer widths (snapshot decoding)
+    /// and its activation sizes (EPC accounting) all follow from it.
+    pub fn wiring(&self, backbone_layers: usize, rectifier_layers: usize) -> Vec<Vec<usize>> {
+        (0..rectifier_layers)
+            .map(|i| match (self, i) {
+                (RectifierKind::Parallel, i) if i < backbone_layers => vec![i],
+                (RectifierKind::Cascaded, 0) => (0..backbone_layers).collect(),
+                (RectifierKind::Series, 0) => vec![backbone_layers.saturating_sub(2)],
+                _ => Vec::new(),
+            })
+            .collect()
     }
 }
 
-/// The private GNN rectifier (§IV-D): a small stack of GCN layers over
-/// the *real* adjacency that recalibrates the public backbone's
+/// The private GNN rectifier (§IV-D): a small graph network over the
+/// *real* adjacency that recalibrates the public backbone's
 /// embeddings. Lives inside the enclave after deployment.
 ///
-/// Construct with [`Rectifier::new`], train with [`Rectifier::fit`]
-/// (backbone frozen — its embeddings enter as constants), run with
-/// [`Rectifier::forward`].
+/// It is an ordinary [`Network`] whose inputs are the backbone's
+/// per-layer embeddings, wired by its [`RectifierKind`]. Construct with
+/// [`Rectifier::new`], train with [`Rectifier::fit`] (backbone frozen —
+/// its embeddings enter as constants), run with [`Rectifier::forward`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Rectifier {
     kind: RectifierKind,
-    layers: Vec<ConvLayer>,
-    conv: ConvKind,
+    pub(crate) network: Network,
     /// Backbone layer widths this rectifier was wired against.
-    backbone_dims: Vec<usize>,
-}
-
-/// Forward-pass artifacts: per-layer caches (whose outputs *are* the
-/// post-activation tensors — hidden layers come out of the fused
-/// bias+ReLU forward already activated, the last layer holds raw
-/// logits) plus the owned layer inputs needed for training.
-#[derive(Debug, Clone)]
-pub struct RectifierForward {
-    caches: Vec<ConvForward>,
-    /// What each layer consumed: an owned concatenation, or a borrow of
-    /// a backbone tap / the previous activation (never a copy).
-    inputs: Vec<StoredInput>,
-}
-
-/// How a rectifier layer's input is stored in [`RectifierForward`].
-///
-/// Inputs that alias an existing tensor (a backbone embedding or the
-/// previous layer's activation) are recorded as references, so forward
-/// passes copy nothing; only genuine concatenations are owned.
-#[derive(Debug, Clone)]
-enum StoredInput {
-    /// A concatenated input that exists nowhere else.
-    Owned(DenseMatrix),
-    /// Backbone embedding at this index.
-    Tap(usize),
-    /// The previous rectifier layer's activation.
-    Prev,
-}
-
-impl StoredInput {
-    /// Resolves to the actual tensor, given the embeddings the forward
-    /// ran on and the layer caches produced so far.
-    fn resolve<'a>(
-        &'a self,
-        i: usize,
-        backbone_embeddings: &'a [DenseMatrix],
-        caches: &'a [ConvForward],
-    ) -> &'a DenseMatrix {
-        match self {
-            StoredInput::Owned(m) => m,
-            StoredInput::Tap(t) => &backbone_embeddings[*t],
-            StoredInput::Prev => caches[i - 1].output(),
-        }
-    }
-}
-
-impl RectifierForward {
-    /// Resolves layer `i`'s input against the embeddings it was run on.
-    fn input<'a>(&'a self, i: usize, backbone_embeddings: &'a [DenseMatrix]) -> &'a DenseMatrix {
-        self.inputs[i].resolve(i, backbone_embeddings, &self.caches)
-    }
-}
-
-impl RectifierForward {
-    /// Number of rectifier layers this forward ran.
-    pub fn num_layers(&self) -> usize {
-        self.caches.len()
-    }
-
-    /// Post-activation output of layer `i` (hidden layers ReLU-ed, last
-    /// layer raw logits). A borrow of the layer cache — the fused
-    /// forward produces the activation directly, so no copy exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= num_layers()`.
-    pub fn activation(&self, i: usize) -> &DenseMatrix {
-        self.caches[i].output()
-    }
-
-    /// Iterates the per-layer post-activation outputs in order.
-    pub fn activations(&self) -> impl Iterator<Item = &DenseMatrix> {
-        self.caches.iter().map(ConvForward::output)
-    }
-
-    /// Final-layer logits.
-    ///
-    /// # Panics
-    ///
-    /// Never in practice: rectifiers always have at least one layer.
-    pub fn logits(&self) -> &DenseMatrix {
-        self.caches.last().expect("rectifier has layers").output()
-    }
+    pub(crate) backbone_dims: Vec<usize>,
 }
 
 impl Rectifier {
-    /// Builds an untrained rectifier wired for the given backbone widths.
+    /// Builds an untrained GCN rectifier wired for the given backbone
+    /// widths.
     ///
     /// `channels` are the rectifier layer output widths (ending in the
     /// class count); `backbone_dims` are the backbone layer output
@@ -164,9 +87,10 @@ impl Rectifier {
     ///
     /// # Errors
     ///
-    /// Returns [`VaultError::InvalidConfig`] when either list is empty,
-    /// contains zeros, or (for [`RectifierKind::Parallel`]) the backbone
-    /// has fewer layers than the rectifier.
+    /// Returns [`VaultError::InvalidConfig`] when a
+    /// [`RectifierKind::Parallel`] rectifier has more layers than the
+    /// backbone, and [`VaultError::Nn`] when either list is empty or
+    /// contains zeros.
     pub fn new(
         kind: RectifierKind,
         channels: &[usize],
@@ -195,16 +119,6 @@ impl Rectifier {
         backbone_dims: &[usize],
         seed: u64,
     ) -> Result<Rectifier, VaultError> {
-        if channels.is_empty() || backbone_dims.is_empty() {
-            return Err(VaultError::InvalidConfig {
-                reason: "rectifier and backbone need at least one layer each".into(),
-            });
-        }
-        if channels.contains(&0) || backbone_dims.contains(&0) {
-            return Err(VaultError::InvalidConfig {
-                reason: "layer widths must be positive".into(),
-            });
-        }
         if kind == RectifierKind::Parallel && backbone_dims.len() < channels.len() {
             return Err(VaultError::InvalidConfig {
                 reason: format!(
@@ -214,23 +128,17 @@ impl Rectifier {
                 ),
             });
         }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut layers = Vec::with_capacity(channels.len());
-        for (i, &out) in channels.iter().enumerate() {
-            let in_dim = Self::input_dim(kind, channels, backbone_dims, i);
-            layers.push(ConvLayer::new(conv, in_dim, out, &mut rng));
-        }
+        let wiring = kind.wiring(backbone_dims.len(), channels.len());
         Ok(Rectifier {
             kind,
-            layers,
-            conv,
+            network: Network::wired(conv, backbone_dims, channels, wiring, seed)?,
             backbone_dims: backbone_dims.to_vec(),
         })
     }
 
     /// The convolution architecture of this rectifier's layers.
     pub fn conv(&self) -> ConvKind {
-        self.conv
+        self.network.layers()[0].kind()
     }
 
     /// Builds the adjacency operator this rectifier's convolution
@@ -247,44 +155,23 @@ impl Rectifier {
     /// for every operator a deployed vault builds.
     pub fn adjacency(&self, graph: &graph::Graph, full_graph_degrees: &[usize]) -> CsrMatrix {
         use graph::normalization::{gcn_normalize_with_degrees, row_normalize_with_degrees};
-        match self.conv {
+        match self.conv() {
             ConvKind::Sage => row_normalize_with_degrees(graph, full_graph_degrees),
             ConvKind::Gcn | ConvKind::Gat => gcn_normalize_with_degrees(graph, full_graph_degrees),
         }
     }
 
-    /// Input width of rectifier layer `i` under the wiring rules
+    /// Input width of each layer of a `kind` rectifier with output
+    /// `channels` over `backbone_dims`, from the wiring alone
     /// (crate-internal: snapshot decoding checks a payload's weight
     /// shapes against it before constructing anything).
-    pub(crate) fn input_dim(
+    pub(crate) fn input_widths(
         kind: RectifierKind,
         channels: &[usize],
         backbone_dims: &[usize],
-        i: usize,
-    ) -> usize {
-        match kind {
-            RectifierKind::Parallel => {
-                if i == 0 {
-                    backbone_dims[0]
-                } else {
-                    channels[i - 1] + backbone_dims.get(i).copied().unwrap_or(0)
-                }
-            }
-            RectifierKind::Cascaded => {
-                if i == 0 {
-                    backbone_dims.iter().sum()
-                } else {
-                    channels[i - 1]
-                }
-            }
-            RectifierKind::Series => {
-                if i == 0 {
-                    backbone_dims[backbone_dims.len().saturating_sub(2)]
-                } else {
-                    channels[i - 1]
-                }
-            }
-        }
+    ) -> Vec<usize> {
+        let wiring = kind.wiring(backbone_dims.len(), channels.len());
+        Network::input_widths(backbone_dims, channels, &wiring)
     }
 
     /// The communication scheme.
@@ -292,141 +179,42 @@ impl Rectifier {
         self.kind
     }
 
-    /// Backbone layer widths this rectifier was wired against
-    /// (crate-internal: snapshot encoding).
-    pub(crate) fn backbone_dims(&self) -> &[usize] {
-        &self.backbone_dims
-    }
-
-    /// Borrow of the layer stack (crate-internal: snapshot encoding).
-    pub(crate) fn layers(&self) -> &[ConvLayer] {
-        &self.layers
-    }
-
-    /// Mutable borrow of the layer stack (crate-internal: snapshot
-    /// decoding restores parameter values through it).
-    pub(crate) fn layers_mut(&mut self) -> &mut [ConvLayer] {
-        &mut self.layers
-    }
-
     /// Number of layers.
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.network.num_layers()
     }
 
     /// Trainable parameter count (`θrec` of Table II).
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(ConvLayer::param_count).sum()
+        self.network.param_count()
     }
 
     /// Parameter bytes, for enclave memory accounting.
     pub fn nbytes(&self) -> usize {
-        self.layers.iter().map(ConvLayer::nbytes).sum()
+        self.param_count() * std::mem::size_of::<f32>()
     }
 
     /// Output widths of each layer.
     pub fn channel_dims(&self) -> Vec<usize> {
-        self.layers.iter().map(|l| l.out_dim()).collect()
+        self.network.channel_dims()
     }
 
     /// Input width of each layer (drives per-layer activation memory).
     pub fn input_dims(&self) -> Vec<usize> {
-        self.layers.iter().map(|l| l.in_dim()).collect()
+        self.network.layers().iter().map(|l| l.in_dim()).collect()
     }
 
     /// Indices of the backbone embeddings this rectifier consumes — the
     /// exact tensors that must cross into the enclave.
     pub fn tap_indices(&self) -> Vec<usize> {
-        self.kind
-            .tap_indices(&self.backbone_dims, self.layers.len())
+        let mut taps: Vec<usize> = self.network.taps().concat();
+        taps.sort_unstable();
+        taps.dedup();
+        taps
     }
 
-    /// Builds the input to layer `i` from backbone taps and the previous
-    /// activation, following the wiring rules. Inputs that alias an
-    /// existing tensor are recorded as [`StoredInput::Tap`]/
-    /// [`StoredInput::Prev`] (no copy); concatenations draw their
-    /// buffer from `ws`.
-    fn layer_input(
-        &self,
-        i: usize,
-        backbone_embeddings: &[DenseMatrix],
-        prev: Option<&DenseMatrix>,
-        ws: &mut Workspace,
-    ) -> Result<StoredInput, VaultError> {
-        let input = match self.kind {
-            RectifierKind::Parallel => {
-                if i == 0 {
-                    StoredInput::Tap(0)
-                } else {
-                    let prev = prev.expect("layer > 0 has a previous activation");
-                    match backbone_embeddings.get(i) {
-                        Some(emb) => {
-                            let mut concat =
-                                ws.take_for_overwrite(prev.rows(), prev.cols() + emb.cols());
-                            DenseMatrix::hconcat_into(&[prev, emb], &mut concat)?;
-                            StoredInput::Owned(concat)
-                        }
-                        None => StoredInput::Prev,
-                    }
-                }
-            }
-            RectifierKind::Cascaded => {
-                if i == 0 {
-                    if backbone_embeddings.len() == 1 {
-                        StoredInput::Tap(0)
-                    } else {
-                        let refs: Vec<&DenseMatrix> = backbone_embeddings.iter().collect();
-                        let rows = refs[0].rows();
-                        let cols = refs.iter().map(|m| m.cols()).sum();
-                        let mut concat = ws.take_for_overwrite(rows, cols);
-                        DenseMatrix::hconcat_into(&refs, &mut concat)?;
-                        StoredInput::Owned(concat)
-                    }
-                } else {
-                    StoredInput::Prev
-                }
-            }
-            RectifierKind::Series => {
-                if i == 0 {
-                    let tap = self.backbone_dims.len().saturating_sub(2);
-                    StoredInput::Tap(tap.min(backbone_embeddings.len() - 1))
-                } else {
-                    StoredInput::Prev
-                }
-            }
-        };
-        Ok(input)
-    }
-
-    /// Forward pass over the real adjacency, given the backbone's
-    /// per-layer embeddings.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VaultError::Nn`] when the embeddings do not match the
-    /// wiring this rectifier was built for.
-    pub fn forward(
-        &self,
-        real_adj: &CsrMatrix,
-        backbone_embeddings: &[DenseMatrix],
-    ) -> Result<RectifierForward, VaultError> {
-        self.forward_ws(real_adj, backbone_embeddings, &mut Workspace::new())
-    }
-
-    /// Forward pass drawing every concatenation, projection, and
-    /// activation buffer from `ws`; [`Rectifier::fit`] recycles them
-    /// across epochs so the training loop allocates nothing in steady
-    /// state.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Rectifier::forward`].
-    pub fn forward_ws(
-        &self,
-        real_adj: &CsrMatrix,
-        backbone_embeddings: &[DenseMatrix],
-        ws: &mut Workspace,
-    ) -> Result<RectifierForward, VaultError> {
+    /// Rejects a list of backbone embeddings of the wrong length.
+    fn check_embeddings(&self, backbone_embeddings: &[DenseMatrix]) -> Result<(), VaultError> {
         if backbone_embeddings.len() != self.backbone_dims.len() {
             return Err(VaultError::InvalidConfig {
                 reason: format!(
@@ -436,30 +224,36 @@ impl Rectifier {
                 ),
             });
         }
-        let last = self.layers.len() - 1;
-        let mut caches: Vec<ConvForward> = Vec::with_capacity(self.layers.len());
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        for (i, layer) in self.layers.iter().enumerate() {
-            let prev = caches.last().map(ConvForward::output);
-            let stored = self.layer_input(i, backbone_embeddings, prev, ws)?;
-            let cache = {
-                let input = stored.resolve(i, backbone_embeddings, &caches);
-                // Hidden layers fuse bias + ReLU into the layer's
-                // output epilogue, so the cached output *is* the
-                // activation — no copy, no separate ReLU pass.
-                layer.forward_fused(real_adj, input, i != last, ws)?
-            };
-            caches.push(cache);
-            inputs.push(stored);
-        }
-        Ok(RectifierForward { caches, inputs })
+        Ok(())
+    }
+
+    /// Forward pass over the real adjacency, given the backbone's
+    /// per-layer embeddings, returning every layer's activation in
+    /// order (hidden layers ReLU-ed, the last layer raw logits) — as
+    /// [`Network::forward_embeddings`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VaultError::InvalidConfig`] when the embeddings do not
+    /// match the wiring this rectifier was built for, and
+    /// [`VaultError::Nn`] on shape problems.
+    pub fn forward(
+        &self,
+        real_adj: &CsrMatrix,
+        backbone_embeddings: &[DenseMatrix],
+    ) -> Result<Vec<DenseMatrix>, VaultError> {
+        self.check_embeddings(backbone_embeddings)?;
+        Ok(self
+            .network
+            .forward_embeddings(Some(real_adj), backbone_embeddings)?)
     }
 
     /// Trains the rectifier on frozen backbone embeddings with masked
     /// cross-entropy (§IV-D: "we freeze the pre-trained GNN backbone and
-    /// adjust the rectifier parameters"). No dropout is applied:
-    /// `cfg.dropout` is range-checked but otherwise unused, and
-    /// `cfg.seed` is never read.
+    /// adjust the rectifier parameters") through [`Network::fit`], at
+    /// dropout 0: `cfg` is validated as given (pipeline and bins pass
+    /// the backbone's dropout), then its `dropout` is ignored, and with
+    /// it `seed`.
     ///
     /// # Errors
     ///
@@ -475,69 +269,18 @@ impl Rectifier {
         cfg: &TrainConfig,
     ) -> Result<nn::TrainReport, VaultError> {
         cfg.validate()?;
-        let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-        let mut final_loss = f32::NAN;
-        // Shared across epochs: epoch N's activations, concatenations,
-        // and gradients become epoch N+1's buffers.
-        let mut ws = Workspace::new();
-        for _ in 0..cfg.epochs {
-            let fwd = self.forward_ws(real_adj, backbone_embeddings, &mut ws)?;
-            let (loss_value, grad) = loss::masked_cross_entropy(fwd.logits(), labels, train_mask)?;
-            final_loss = loss_value;
-
-            for layer in &mut self.layers {
-                for param in layer.params_mut() {
-                    param.zero_grad();
-                }
-            }
-            let mut d = grad;
-            for i in (0..self.layers.len()).rev() {
-                let d_input = {
-                    let input = fwd.input(i, backbone_embeddings);
-                    self.layers[i].backward_ws(&fwd.caches[i], input, real_adj, &d, &mut ws)?
-                };
-                if i > 0 {
-                    // Keep only the slice of the gradient that flows into
-                    // the previous rectifier layer; gradients w.r.t. the
-                    // frozen backbone embeddings are discarded.
-                    let prev_width = self.layers[i - 1].out_dim();
-                    let d_prev = d_input.slice_cols(0, prev_width)?;
-                    let next = ops::relu_backward(fwd.caches[i - 1].output(), &d_prev);
-                    ws.give(d_input);
-                    ws.give(d_prev);
-                    ws.give(std::mem::replace(&mut d, next));
-                } else {
-                    ws.give(d_input);
-                }
-            }
-            ws.give(d);
-
-            opt.begin_step();
-            for layer in &mut self.layers {
-                for param in layer.params_mut() {
-                    opt.update(param);
-                }
-            }
-
-            // Recycle this epoch's tensors.
-            for cache in fwd.caches {
-                for buf in cache.into_buffers() {
-                    ws.give(buf);
-                }
-            }
-            for input in fwd.inputs {
-                if let StoredInput::Owned(m) = input {
-                    ws.give(m);
-                }
-            }
-        }
-        let fwd = self.forward_ws(real_adj, backbone_embeddings, &mut ws)?;
-        let train_accuracy = loss::masked_accuracy(fwd.logits(), labels, train_mask)?;
-        Ok(nn::TrainReport {
-            final_loss,
-            train_accuracy,
-            epochs: cfg.epochs,
-        })
+        self.check_embeddings(backbone_embeddings)?;
+        let cfg = TrainConfig {
+            dropout: 0.0,
+            ..cfg.clone()
+        };
+        Ok(self.network.fit(
+            Some(real_adj),
+            backbone_embeddings,
+            labels,
+            train_mask,
+            &cfg,
+        )?)
     }
 
     /// Predicted classes (argmax of rectified logits).
@@ -550,9 +293,8 @@ impl Rectifier {
         real_adj: &CsrMatrix,
         backbone_embeddings: &[DenseMatrix],
     ) -> Result<Vec<usize>, VaultError> {
-        Ok(ops::argmax_rows(
-            self.forward(real_adj, backbone_embeddings)?.logits(),
-        ))
+        self.check_embeddings(backbone_embeddings)?;
+        Ok(self.network.predict(Some(real_adj), backbone_embeddings)?)
     }
 }
 
@@ -627,8 +369,8 @@ mod tests {
         for kind in RectifierKind::ALL {
             let rect = Rectifier::new(kind, &[6, 4, 2], &[8, 4, 2], 1).unwrap();
             let fwd = rect.forward(&adj, &embs).unwrap();
-            assert_eq!(fwd.num_layers(), 3, "{kind:?}");
-            assert_eq!(fwd.logits().shape(), (n, 2), "{kind:?}");
+            assert_eq!(fwd.len(), 3, "{kind:?}");
+            assert_eq!(fwd[2].shape(), (n, 2), "{kind:?}");
         }
     }
 
@@ -679,11 +421,7 @@ mod tests {
 
     /// Accesses the first layer's weight for the gradient check below.
     fn first_weight(rect: &mut Rectifier) -> &mut nn::Param {
-        match &mut rect.layers[0] {
-            ConvLayer::Gcn(l) => l.weight_mut(),
-            ConvLayer::Sage(l) => l.weight_mut(),
-            ConvLayer::Gat(l) => l.weight_mut(),
-        }
+        rect.network.layers_mut()[0].params_mut().swap_remove(0)
     }
 
     #[test]
@@ -716,11 +454,11 @@ mod tests {
 
             let eps = 1e-3f32;
             let orig = first_weight(&mut rect).value.get(0, 0);
+            // A fit reports the loss its epoch started from.
             let loss_at = |r: &Rectifier| {
-                let fwd = r.forward(&adj, &embs).unwrap();
-                loss::masked_cross_entropy(fwd.logits(), &labels, &mask)
-                    .unwrap()
-                    .0
+                let mut probe = r.clone();
+                let report = probe.fit(&adj, &embs, &labels, &mask, &still_lr);
+                report.unwrap().final_loss
             };
             first_weight(&mut rect).value.set(0, 0, orig + eps);
             let plus = loss_at(&rect);
@@ -795,6 +533,104 @@ mod tests {
             let preds = rect.predict(&adj, &embs).unwrap();
             let acc = metrics::accuracy(&preds, &labels).unwrap();
             assert!(acc > 0.7, "{conv:?} full acc {acc}");
+        }
+    }
+
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Pseudo-random backbone embeddings of the given widths.
+    fn embeddings_of(n: usize, dims: &[usize]) -> Vec<DenseMatrix> {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        dims.iter()
+            .map(|&d| {
+                DenseMatrix::from_fn(n, d, |_, _| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % 1000) as f32 / 500.0 - 0.5
+                })
+            })
+            .collect()
+    }
+
+    /// The rectifier's fit, pinned bit for bit to the values its own
+    /// epoch loop produced before it was folded onto `Network::fit`.
+    /// Every kind × conv cell over a 3-layer backbone reaches both
+    /// concatenating paths (Parallel layers 1–2, Cascaded's three taps)
+    /// and both single-tap ones (Parallel's tap 0, Series' tap 1); the
+    /// last three rows add Cascaded over a one-layer backbone, a single
+    /// tap read without a copy. Each row digests (FNV-1a) every `Param`'s
+    /// `Debug` form in `params()` order — value, gradient and Adam
+    /// moments at round-trip precision — then the final loss bits and
+    /// the logits bits. `cfg` asks for dropout, which the rectifier
+    /// does not apply. Holds under every kernel variant and pool width.
+    #[test]
+    fn fit_matches_the_digests_recorded_before_the_fold() {
+        use ConvKind::{Gat, Gcn, Sage};
+        use RectifierKind::{Cascaded, Parallel, Series};
+        /// kind, conv, backbone widths, then the params, loss and logits
+        /// digests.
+        type Row = (RectifierKind, ConvKind, &'static [usize], u64, u32, u64);
+        #[rustfmt::skip]
+        const TABLE: [Row; 12] = [
+            (Parallel, Gcn, &[8, 4, 2], 0xc482f37cbd024bbd, 0x3f28b125, 0x8478933ad5618c7f),
+            (Parallel, Sage, &[8, 4, 2], 0x48eb01a5a5b4439d, 0x3f0bdda6, 0x34f11b0d6cc9a820),
+            (Parallel, Gat, &[8, 4, 2], 0x42483bd03dad7fc3, 0x3f31003b, 0xa050a7f9f8bf49fa),
+            (Cascaded, Gcn, &[8, 4, 2], 0xf60f792f2b41a75e, 0x3f2c6d95, 0xdd6069fd67c3dc76),
+            (Cascaded, Sage, &[8, 4, 2], 0xdaaa97fdaf52be0e, 0x3eaa67b5, 0x78b53adfd9988e33),
+            (Cascaded, Gat, &[8, 4, 2], 0xdebc859a68b9080b, 0x3f313a0e, 0x734ad1940a587b41),
+            (Series, Gcn, &[8, 4, 2], 0x735514305d3121aa, 0x3f175b4c, 0xa679dc2045b5060b),
+            (Series, Sage, &[8, 4, 2], 0x466d80325009ff5d, 0x3d31bd65, 0x9b54654a9811f6ed),
+            (Series, Gat, &[8, 4, 2], 0x081346148e70dd0c, 0x3f2e792a, 0x795bc28e301ffc9d),
+            (Cascaded, Gcn, &[5], 0x0c510a70a1df646d, 0x3f2fc04d, 0x6f7809a0d5ee3be3),
+            (Cascaded, Sage, &[5], 0x7540c40710b16a3a, 0x3e8f343a, 0x001e4e4fc536d5bc),
+            (Cascaded, Gat, &[5], 0xd1752962695e39bb, 0x3f2e5b33, 0xcb0c85af61e730cd),
+        ];
+        let n = 10;
+        let mut edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        edges.extend([(0, 5), (2, 7), (4, 9)]);
+        let g = Graph::from_edges(n, &edges).unwrap();
+        let labels: Vec<usize> = (0..n).map(|i| (i * 7 / 3) % 2).collect();
+        let mask: Vec<usize> = (0..n).filter(|i| i % 3 != 1).collect();
+        let cfg = TrainConfig {
+            epochs: 6,
+            lr: 0.05,
+            weight_decay: 5e-4,
+            dropout: 0.5,
+            seed: 3,
+        };
+        for (kind, conv, backbone, params_digest, loss_bits, logits_digest) in TABLE {
+            let embs = embeddings_of(n, backbone);
+            let fresh = Rectifier::new_with_conv(kind, conv, &[6, 4, 2], backbone, 17).unwrap();
+            let adj = fresh.preferred_adjacency(&g);
+            let mut rect = fresh.clone();
+            let report = rect.fit(&adj, &embs, &labels, &mask, &cfg).unwrap();
+            let params: String = (rect.network.layers().iter())
+                .flat_map(|l| l.params())
+                .map(|p| format!("{p:?}"))
+                .collect();
+            let logits = rect.forward(&adj, &embs).unwrap().pop().unwrap();
+            let logits = logits
+                .as_slice()
+                .iter()
+                .flat_map(|v| v.to_bits().to_le_bytes());
+            let row = format!("{kind:?}/{conv:?} over {backbone:?}");
+            assert_eq!(fnv1a(params.bytes()), params_digest, "{row}: params");
+            assert_eq!(report.final_loss.to_bits(), loss_bits, "{row}: loss");
+            assert_eq!(fnv1a(logits), logits_digest, "{row}: logits");
+            // Neither the dropout nor the seed in `cfg` reaches the fit.
+            let mut plain = fresh;
+            let no_dropout = TrainConfig {
+                dropout: 0.0,
+                seed: 0,
+                ..cfg.clone()
+            };
+            plain.fit(&adj, &embs, &labels, &mask, &no_dropout).unwrap();
+            assert_eq!(plain, rect, "{row}");
         }
     }
 

@@ -76,7 +76,7 @@ use graph::partition::GraphPartition;
 use graph::subgraph::Closure;
 use graph::Graph;
 use linalg::{DenseMatrix, QuantizedMatrix};
-use nn::{ConvKind, Network};
+use nn::{ConvKind, Network, Param};
 use tee::{CostModel, OverBudgetPolicy, Sealed};
 
 /// Format marker at offset 0 of every snapshot payload.
@@ -327,6 +327,16 @@ impl Writer {
         }
     }
 
+    /// A layer's parameters in `params()` order: param 0, the
+    /// projection weight of every conv kind, through the projection
+    /// slot; the rest (bias, attention vectors) as f32 matrices.
+    fn put_params(&mut self, params: &[&Param], precision: Precision) {
+        self.put_projection(&params[0].value, precision);
+        for p in &params[1..] {
+            self.put_matrix(&p.value);
+        }
+    }
+
     fn put_graph(&mut self, g: &Graph) {
         self.put_usize(g.num_nodes());
         self.put_usize(g.num_edges());
@@ -472,6 +482,19 @@ impl<'a> Reader<'a> {
         Ok(weight)
     }
 
+    /// `count` parameters as [`Writer::put_params`] writes them.
+    fn get_params(
+        &mut self,
+        count: usize,
+        precision: Precision,
+    ) -> Result<Vec<DenseMatrix>, VaultError> {
+        let mut values = vec![self.get_projection(precision)?];
+        for _ in 1..count {
+            values.push(self.get_matrix()?);
+        }
+        Ok(values)
+    }
+
     fn get_graph(&mut self) -> Result<Graph, VaultError> {
         let num_nodes = self.get_usize()?;
         let num_edges = self.get_count(16, "edge")?;
@@ -541,15 +564,13 @@ fn encode_backbone(w: &mut Writer, backbone: &Backbone, precision: Precision) {
         }
         None => w.put_u8(1),
     }
-    let network = &backbone.network;
-    w.put_usize(network.input_dim());
-    w.put_usize(network.num_layers());
-    for layer in network.layers() {
-        let (weight, bias) = (&layer.weight().value, &layer.bias().value);
-        w.put_usize(weight.rows());
-        w.put_usize(weight.cols());
-        w.put_projection(weight, precision);
-        w.put_matrix(bias);
+    let layers = backbone.network.layers();
+    w.put_usize(layers[0].in_dim());
+    w.put_usize(layers.len());
+    for layer in layers {
+        w.put_usize(layer.in_dim());
+        w.put_usize(layer.out_dim());
+        w.put_params(&layer.params(), precision);
     }
 }
 
@@ -564,32 +585,26 @@ fn encode_rectifier(w: &mut Writer, rectifier: &Rectifier, precision: Precision)
         ConvKind::Sage => 1,
         ConvKind::Gat => 2,
     });
-    w.put_usizes(rectifier.backbone_dims());
+    w.put_usizes(&rectifier.backbone_dims);
     w.put_usizes(&rectifier.channel_dims());
     w.put_usizes(&rectifier.tap_indices());
-    for layer in rectifier.layers() {
-        // Param 0 is the projection weight for every conv kind; the
-        // rest (bias, attention vectors) are f32 in either form.
+    for layer in rectifier.network.layers() {
         let params = layer.params();
         w.put_usize(params.len());
-        w.put_projection(&params[0].value, precision);
-        for p in &params[1..] {
-            w.put_matrix(&p.value);
-        }
+        w.put_params(&params, precision);
     }
 }
 
-/// Moves every weight [`encode`] writes through a projection slot onto
-/// its int8 grid: the value an int8 slot written from it restores to.
-/// An int8 vault holds only grid weights, so its answers are those of
-/// every replica of its images.
+/// Moves every weight [`encode`] writes through a projection slot —
+/// param 0 of every layer of both networks — onto its int8 grid: the
+/// value an int8 slot written from it restores to. An int8 vault holds
+/// only grid weights, so its answers are those of every replica of its
+/// images.
 pub(crate) fn snap_to_int8_grid(backbone: &mut Backbone, rectifier: &mut Rectifier) {
-    let snap = |p: &mut nn::Param| p.value = QuantizedMatrix::quantize(&p.value).dequantize();
-    let layers = backbone.network.layers_mut().iter_mut();
-    layers.for_each(|l| snap(l.weight_mut()));
-    for layer in rectifier.layers_mut() {
-        // Param 0, as in `encode_rectifier`.
-        snap(layer.params_mut().swap_remove(0));
+    let backbone_layers = backbone.network.layers_mut().iter_mut();
+    for layer in backbone_layers.chain(rectifier.network.layers_mut()) {
+        let projection = layer.params_mut().swap_remove(0);
+        projection.value = QuantizedMatrix::quantize(&projection.value).dequantize();
     }
 }
 
@@ -811,11 +826,7 @@ fn decode_rectifier(
         if count == 0 {
             return Err(bad("rectifier layer has no parameters"));
         }
-        let mut values = vec![r.get_projection(precision)?];
-        for _ in 1..count {
-            values.push(r.get_matrix()?);
-        }
-        layer_values.push(values);
+        layer_values.push(r.get_params(count, precision)?);
     }
     // Widths first: only once every channel is a (non-empty, hence
     // payload-bounded) weight's column count is it safe to add them up
@@ -826,14 +837,14 @@ fn decode_rectifier(
             "rectifier channels are declared {channels:?} but the weights are {widths:?} wide"
         )));
     }
-    for (i, values) in layer_values.iter().enumerate() {
-        let in_dim = Rectifier::input_dim(kind, &channels, &backbone_dims, i);
+    let input_widths = Rectifier::input_widths(kind, &channels, &backbone_dims);
+    for ((values, in_dim), &out_dim) in layer_values.iter().zip(input_widths).zip(&channels) {
         // A SAGE weight spans the `[H ‖ Ā H]` concatenation.
         let fan_in = match conv {
             ConvKind::Sage => 2 * in_dim,
             ConvKind::Gcn | ConvKind::Gat => in_dim,
         };
-        expect_shape("rectifier weight", (fan_in, channels[i]), &values[0])?;
+        expect_shape("rectifier weight", (fan_in, out_dim), &values[0])?;
     }
 
     let mut rectifier = Rectifier::new_with_conv(kind, conv, &channels, &backbone_dims, 0)?;
@@ -842,19 +853,7 @@ fn decode_rectifier(
             "encoded tap-set disagrees with the reconstructed wiring",
         ));
     }
-    for (layer, values) in rectifier.layers_mut().iter_mut().zip(layer_values) {
-        let params = layer.params_mut();
-        if values.len() != params.len() {
-            return Err(bad(format!(
-                "rectifier layer has {} parameters, payload carries {}",
-                params.len(),
-                values.len()
-            )));
-        }
-        for (p, value) in params.into_iter().zip(values) {
-            restore_value(p, value, "rectifier parameter")?;
-        }
-    }
+    restore_params(&mut rectifier.network, layer_values, "rectifier")?;
     Ok(rectifier)
 }
 
@@ -871,13 +870,13 @@ fn decode_substitute_kind(r: &mut Reader<'_>) -> Result<SubstituteKind, VaultErr
     })
 }
 
-/// Decodes one sequential network: its architecture, then per-layer
+/// Decodes the backbone's GCN chain: its architecture, then per-layer
 /// `(weight, bias)` values (the weight dequantized for an int8 payload).
 fn decode_network(r: &mut Reader<'_>, precision: Precision) -> Result<Network, VaultError> {
     let input_dim = r.get_usize()?;
     let num_layers = r.get_count(8, "layer")?;
     let mut channels = Vec::with_capacity(num_layers);
-    let mut params = Vec::with_capacity(num_layers);
+    let mut layer_values = Vec::with_capacity(num_layers);
     let mut prev = input_dim;
     for _ in 0..num_layers {
         let in_dim = r.get_usize()?;
@@ -887,34 +886,47 @@ fn decode_network(r: &mut Reader<'_>, precision: Precision) -> Result<Network, V
                 "layer input width {in_dim} does not chain from previous width {prev}"
             )));
         }
-        let weight = r.get_projection(precision)?;
-        expect_shape("backbone weight", (in_dim, out_dim), &weight)?;
-        let bias = r.get_matrix()?;
-        expect_shape("backbone bias", (1, out_dim), &bias)?;
+        let values = r.get_params(2, precision)?;
+        expect_shape("backbone weight", (in_dim, out_dim), &values[0])?;
+        expect_shape("backbone bias", (1, out_dim), &values[1])?;
         channels.push(out_dim);
-        params.push((weight, bias));
+        layer_values.push(values);
         prev = out_dim;
     }
     let mut network = Network::new(input_dim, &channels, 0)?;
-    for (layer, (weight, bias)) in network.layers_mut().iter_mut().zip(params) {
-        restore_value(layer.weight_mut(), weight, "backbone weight")?;
-        restore_value(layer.bias_mut(), bias, "backbone bias")?;
-    }
+    restore_params(&mut network, layer_values, "backbone")?;
     Ok(network)
 }
 
-/// Overwrites a freshly initialized parameter's value with a decoded
-/// matrix, rejecting shape mismatches (gradient and optimizer moments
-/// stay zeroed — they are training state, not deployment state).
-fn restore_value(param: &mut nn::Param, value: DenseMatrix, what: &str) -> Result<(), VaultError> {
-    if param.value.shape() != value.shape() {
-        return Err(bad(format!(
-            "{what} shape {:?} does not match architecture shape {:?}",
-            value.shape(),
-            param.value.shape()
-        )));
+/// Overwrites a freshly built network's parameter values, layer by
+/// layer in `params_mut()` order, with decoded matrices, rejecting
+/// count and shape mismatches (gradients and optimizer moments stay
+/// zeroed — they are training state, not deployment state).
+fn restore_params(
+    network: &mut Network,
+    layer_values: Vec<Vec<DenseMatrix>>,
+    what: &str,
+) -> Result<(), VaultError> {
+    for (layer, values) in network.layers_mut().iter_mut().zip(layer_values) {
+        let params = layer.params_mut();
+        if values.len() != params.len() {
+            return Err(bad(format!(
+                "{what} layer has {} parameters, payload carries {}",
+                params.len(),
+                values.len()
+            )));
+        }
+        for (param, value) in params.into_iter().zip(values) {
+            if param.value.shape() != value.shape() {
+                return Err(bad(format!(
+                    "{what} parameter shape {:?} does not match architecture shape {:?}",
+                    value.shape(),
+                    param.value.shape()
+                )));
+            }
+            param.value = value;
+        }
     }
-    param.value = value;
     Ok(())
 }
 

@@ -134,17 +134,17 @@ pub struct Vault {
     /// The rectifier's operator over all of `resident`, built once.
     real_adj: CsrMatrix,
     enclave: EnclaveSim,
-    sealed_artifacts: Vec<(String, Sealed)>,
     seal_key: SealKey,
 }
 
 impl Vault {
     /// Deploys a trained backbone/rectifier pair.
     ///
-    /// The rectifier parameters and the real graph are sealed (at-rest
-    /// protection) and accounted inside the enclave: parameters, the
-    /// COO edge list, the precomputed degree vector, and the normalized
-    /// adjacency the enclave keeps resident.
+    /// The rectifier and the real graph are accounted inside the
+    /// enclave: parameters, the COO edge list, the precomputed degree
+    /// vector, and the normalized adjacency the enclave keeps resident.
+    /// Their at-rest form is the deployment's [`VaultSnapshot`], sealed
+    /// under `seal_key` ([`Vault::snapshot`]).
     ///
     /// # Errors
     ///
@@ -206,26 +206,6 @@ impl Vault {
         let real_adj = rectifier.adjacency(&resident.graph, &resident.degrees);
         enclave.alloc("normalized adjacency (CSR)", real_adj.nbytes())?;
 
-        // Seal deployment artifacts (simulated SGX sealing).
-        let mut sealed_artifacts = Vec::new();
-        let mut weight_bytes = Vec::new();
-        for dim in rectifier.channel_dims() {
-            weight_bytes.extend_from_slice(&dim.to_le_bytes());
-        }
-        sealed_artifacts.push((
-            "rectifier-shape".to_owned(),
-            Sealed::seal(seal_key.derive("rectifier-shape"), &weight_bytes),
-        ));
-        let mut edge_bytes = Vec::with_capacity(resident.graph.num_edges() * 8);
-        for &(u, v) in resident.graph.edges() {
-            edge_bytes.extend_from_slice(&(u as u32).to_le_bytes());
-            edge_bytes.extend_from_slice(&(v as u32).to_le_bytes());
-        }
-        sealed_artifacts.push((
-            "real-graph-coo".to_owned(),
-            Sealed::seal(seal_key.derive("real-graph-coo"), &edge_bytes),
-        ));
-
         Ok(Vault {
             backbone,
             epoch,
@@ -239,7 +219,6 @@ impl Vault {
             resident,
             real_adj,
             enclave,
-            sealed_artifacts,
             seal_key,
         })
     }
@@ -591,14 +570,6 @@ impl Vault {
         self.enclave.peak_usage()
     }
 
-    /// Labels of the sealed at-rest artifacts.
-    pub fn sealed_artifact_labels(&self) -> Vec<&str> {
-        self.sealed_artifacts
-            .iter()
-            .map(|(l, _)| l.as_str())
-            .collect()
-    }
-
     /// Shared meter handle (accumulates across inferences).
     pub fn meter(&self) -> Meter {
         self.enclave.meter()
@@ -813,7 +784,9 @@ impl Vault {
 
         // 5. Argmax inside the enclave; label-only egress for exactly
         //    the queried nodes.
-        let classes = linalg::ops::argmax_rows(forward_result?.logits());
+        let activations = forward_result?;
+        let logits = activations.last().expect("a rectifier has layers");
+        let classes = linalg::ops::argmax_rows(logits);
         let row_of = |n| {
             rows.binary_search(n)
                 .expect("a queried node is in its field")
@@ -1091,12 +1064,37 @@ mod tests {
         assert!(rs.transferred_bytes < rc.transferred_bytes);
     }
 
+    /// The at-rest form of a deployment is its snapshot: the private
+    /// edge list is in the payload, and neither a wrong key nor a look
+    /// at the sealed bytes gets it out.
     #[test]
     fn deploy_seals_artifacts_and_accounts_memory() {
         let (vault, _, _) = toy_vault(RectifierKind::Series);
-        let labels = vault.sealed_artifact_labels();
-        assert!(labels.contains(&"rectifier-shape"));
-        assert!(labels.contains(&"real-graph-coo"));
+        let snapshot = vault.snapshot();
+        assert!(matches!(
+            Vault::restore(&snapshot, SealKey(8)),
+            Err(VaultError::Tee(tee::TeeError::SealTampered))
+        ));
+        // The payload writes each edge as two little-endian u64s.
+        let edges: Vec<u8> = vault
+            .resident
+            .graph
+            .edges()
+            .iter()
+            .flat_map(|&(u, v)| [u as u64, v as u64])
+            .flat_map(u64::to_le_bytes)
+            .collect();
+        assert!(!edges.is_empty());
+        let payload = snapshot
+            .sealed()
+            .unseal(SealKey(7).derive("vault-snapshot"))
+            .unwrap();
+        let holds = |bytes: &[u8]| bytes.windows(edges.len()).any(|w| w == edges);
+        assert!(holds(&payload), "the snapshot carries the real graph");
+        // `Sealed` shows its ciphertext only through `Debug`.
+        let listed = format!("{edges:?}");
+        let sealed = format!("{:?}", snapshot.sealed());
+        assert!(!sealed.contains(&listed[1..listed.len() - 1]));
         assert!(vault.peak_enclave_bytes() > 0);
         assert!(vault.rectifier_param_count() > 0);
     }

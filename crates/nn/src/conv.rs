@@ -1,4 +1,7 @@
-use crate::{GatForward, GatLayer, GcnForward, GcnLayer, NnError, SageForward, SageLayer};
+use crate::gat::GatForward;
+use crate::gcn::GcnForward;
+use crate::sage::SageForward;
+use crate::{GatLayer, GcnLayer, NnError, Param, SageLayer};
 use linalg::{CsrMatrix, DenseMatrix, Workspace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -10,7 +13,8 @@ use serde::{Deserialize, Serialize};
 /// accepts a convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ConvKind {
-    /// Spectral GCN (paper Eq. 1), expects the symmetric `Â`.
+    /// Spectral GCN (paper Eq. 1), expects the symmetric `Â`; run with
+    /// no operator it is a fully-connected layer.
     #[default]
     Gcn,
     /// GraphSAGE mean aggregator with self-concatenation; expects the
@@ -32,20 +36,8 @@ impl ConvKind {
     }
 }
 
-/// A graph-convolution layer of any supported architecture, presenting
-/// the uniform forward/backward API the rectifier builds on.
-///
-/// # Examples
-///
-/// ```
-/// use nn::{ConvKind, ConvLayer};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let layer = ConvLayer::new(ConvKind::Sage, 8, 4, &mut rng);
-/// assert_eq!(layer.in_dim(), 8);
-/// assert_eq!(layer.out_dim(), 4);
-/// ```
+/// A graph-convolution layer of any supported architecture: the layer
+/// type of [`crate::Network`], which is the only thing that runs one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[allow(clippy::large_enum_variant)] // layers are long-lived; boxing buys nothing
 pub enum ConvLayer {
@@ -57,21 +49,18 @@ pub enum ConvLayer {
     Gat(GatLayer),
 }
 
-/// Forward cache for [`ConvLayer::backward`], wrapping the
+/// Forward cache for [`ConvLayer::backward_ws`], wrapping the
 /// architecture-specific cache.
 #[derive(Debug, Clone)]
-pub enum ConvForward {
-    /// GCN cache.
+pub(crate) enum ConvForward {
     Gcn(GcnForward),
-    /// GraphSAGE cache.
     Sage(SageForward),
-    /// GAT cache.
     Gat(GatForward),
 }
 
 impl ConvForward {
-    /// The layer's pre-activation output.
-    pub fn output(&self) -> &DenseMatrix {
+    /// The layer's output (post-activation when the forward fused ReLU).
+    pub(crate) fn output(&self) -> &DenseMatrix {
         match self {
             ConvForward::Gcn(f) => &f.output,
             ConvForward::Sage(f) => &f.output,
@@ -79,9 +68,18 @@ impl ConvForward {
         }
     }
 
+    /// Consumes the cache, keeping only the layer's output.
+    pub(crate) fn into_output(self) -> DenseMatrix {
+        match self {
+            ConvForward::Gcn(f) => f.output,
+            ConvForward::Sage(f) => f.output,
+            ConvForward::Gat(f) => f.output,
+        }
+    }
+
     /// Consumes the cache, returning every dense buffer it held so
     /// training loops can recycle them through a [`Workspace`].
-    pub fn into_buffers(self) -> Vec<DenseMatrix> {
+    pub(crate) fn into_buffers(self) -> Vec<DenseMatrix> {
         match self {
             ConvForward::Gcn(f) => vec![f.output],
             ConvForward::Sage(f) => vec![f.output, f.cached_concat],
@@ -90,9 +88,16 @@ impl ConvForward {
     }
 }
 
+/// The operator a message-passing layer cannot run without.
+fn operator(adj: Option<&CsrMatrix>, kind: ConvKind) -> Result<&CsrMatrix, NnError> {
+    adj.ok_or_else(|| NnError::InvalidArchitecture {
+        reason: format!("a {} layer needs a propagation operator", kind.label()),
+    })
+}
+
 impl ConvLayer {
     /// Creates a layer of the requested architecture.
-    pub fn new(kind: ConvKind, in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(kind: ConvKind, in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         match kind {
             ConvKind::Gcn => ConvLayer::Gcn(GcnLayer::new(in_dim, out_dim, rng)),
             ConvKind::Sage => ConvLayer::Sage(SageLayer::new(in_dim, out_dim, rng)),
@@ -129,111 +134,113 @@ impl ConvLayer {
 
     /// Number of trainable scalars.
     pub fn param_count(&self) -> usize {
-        match self {
-            ConvLayer::Gcn(l) => l.param_count(),
-            ConvLayer::Sage(l) => l.param_count(),
-            ConvLayer::Gat(l) => l.param_count(),
-        }
-    }
-
-    /// Parameter bytes (4 per scalar), for enclave accounting.
-    pub fn nbytes(&self) -> usize {
-        self.param_count() * std::mem::size_of::<f32>()
-    }
-
-    /// Forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Linalg`] on shape inconsistencies.
-    pub fn forward(&self, adj: &CsrMatrix, input: &DenseMatrix) -> Result<ConvForward, NnError> {
-        self.forward_fused(adj, input, false, &mut Workspace::new())
+        self.params().iter().map(|p| p.value.len()).sum()
     }
 
     /// Forward pass with the bias — and, when `fuse_relu` is set, the
     /// ReLU — fused into the layer's output epilogue instead of running
-    /// as separate passes (see [`crate::GcnLayer::forward_fused`]).
+    /// as separate passes. `None` runs a GCN layer fully connected.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Linalg`] on shape inconsistencies.
-    pub fn forward_fused(
+    /// Returns [`NnError::InvalidArchitecture`] when a GraphSAGE or GAT
+    /// layer is handed no operator, and [`NnError::Linalg`] on shape
+    /// inconsistencies.
+    pub(crate) fn forward_fused(
         &self,
-        adj: &CsrMatrix,
+        adj: Option<&CsrMatrix>,
         input: &DenseMatrix,
         fuse_relu: bool,
         ws: &mut Workspace,
     ) -> Result<ConvForward, NnError> {
         Ok(match self {
-            ConvLayer::Gcn(l) => {
-                ConvForward::Gcn(l.forward_fused(Some(adj), input, fuse_relu, ws)?)
+            ConvLayer::Gcn(l) => ConvForward::Gcn(l.forward_fused(adj, input, fuse_relu, ws)?),
+            ConvLayer::Sage(l) => {
+                let adj = operator(adj, ConvKind::Sage)?;
+                ConvForward::Sage(l.forward_fused(adj, input, fuse_relu, ws)?)
             }
-            ConvLayer::Sage(l) => ConvForward::Sage(l.forward_fused(adj, input, fuse_relu, ws)?),
-            ConvLayer::Gat(l) => ConvForward::Gat(l.forward_fused(adj, input, fuse_relu, ws)?),
+            ConvLayer::Gat(l) => {
+                let adj = operator(adj, ConvKind::Gat)?;
+                ConvForward::Gat(l.forward_fused(adj, input, fuse_relu, ws)?)
+            }
         })
     }
 
     /// Backward pass; given the layer's forward `input`, accumulates
-    /// parameter gradients and returns `∂L/∂input`.
+    /// parameter gradients and returns `∂L/∂input` (workspace-backed;
+    /// give it back when consumed).
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Linalg`] on shape or cache inconsistencies
-    /// (passing a cache from a different architecture is a logic error
-    /// reported as [`NnError::InvalidArchitecture`]).
-    pub fn backward(
+    /// Same conditions as [`ConvLayer::forward_fused`]; passing a cache
+    /// from a different architecture is a logic error reported as
+    /// [`NnError::InvalidArchitecture`].
+    pub(crate) fn backward_ws(
         &mut self,
         cache: &ConvForward,
         input: &DenseMatrix,
-        adj: &CsrMatrix,
-        d_output: &DenseMatrix,
-    ) -> Result<DenseMatrix, NnError> {
-        self.backward_ws(cache, input, adj, d_output, &mut Workspace::new())
-    }
-
-    /// [`ConvLayer::backward`] drawing gradient scratch and GEMM
-    /// packing buffers from `ws`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ConvLayer::backward`].
-    pub fn backward_ws(
-        &mut self,
-        cache: &ConvForward,
-        input: &DenseMatrix,
-        adj: &CsrMatrix,
+        adj: Option<&CsrMatrix>,
         d_output: &DenseMatrix,
         ws: &mut Workspace,
     ) -> Result<DenseMatrix, NnError> {
         match (self, cache) {
-            (ConvLayer::Gcn(l), ConvForward::Gcn(_)) => {
-                l.backward_ws(input, Some(adj), d_output, ws)
+            (ConvLayer::Gcn(l), ConvForward::Gcn(_)) => l.backward_ws(input, adj, d_output, ws),
+            (ConvLayer::Sage(l), ConvForward::Sage(c)) => {
+                l.backward_ws(c, operator(adj, ConvKind::Sage)?, d_output, ws)
             }
-            (ConvLayer::Sage(l), ConvForward::Sage(c)) => l.backward_ws(c, adj, d_output, ws),
-            (ConvLayer::Gat(l), ConvForward::Gat(c)) => l.backward_ws(c, input, adj, d_output, ws),
+            (ConvLayer::Gat(l), ConvForward::Gat(c)) => {
+                l.backward_ws(c, input, operator(adj, ConvKind::Gat)?, d_output, ws)
+            }
             _ => Err(NnError::InvalidArchitecture {
                 reason: "forward cache does not match this layer's architecture".into(),
             }),
         }
     }
 
+    /// The parameter half of [`ConvLayer::backward_ws`]: accumulates
+    /// the parameter gradients and computes no `∂L/∂input`, for a layer
+    /// whose input nothing differentiates (a network's first). GCN
+    /// skips the product; GraphSAGE and GAT run their full backward and
+    /// hand the input gradient straight back to `ws`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ConvLayer::backward_ws`].
+    pub(crate) fn param_grads_ws(
+        &mut self,
+        cache: &ConvForward,
+        input: &DenseMatrix,
+        adj: Option<&CsrMatrix>,
+        d_output: &DenseMatrix,
+        ws: &mut Workspace,
+    ) -> Result<(), NnError> {
+        if let (ConvLayer::Gcn(l), ConvForward::Gcn(_)) = (&mut *self, cache) {
+            return l.param_grads_ws(input, adj, d_output, ws);
+        }
+        let d_input = self.backward_ws(cache, input, adj, d_output, ws)?;
+        ws.give(d_input);
+        Ok(())
+    }
+
     /// Read access to every parameter, in the same order as
     /// [`ConvLayer::params_mut`] — the order a serializer must write and
-    /// a deserializer must read back.
-    pub fn params(&self) -> Vec<&crate::Param> {
+    /// a deserializer must read back. Param 0 is the projection weight
+    /// for every architecture.
+    pub fn params(&self) -> Vec<&Param> {
         match self {
-            ConvLayer::Gcn(l) => vec![l.weight(), l.bias()],
-            ConvLayer::Sage(l) => vec![l.weight(), l.bias()],
-            ConvLayer::Gat(l) => vec![l.weight(), l.attn_src(), l.attn_dst(), l.bias()],
+            ConvLayer::Gcn(l) => l.params().into(),
+            ConvLayer::Sage(l) => l.params().into(),
+            ConvLayer::Gat(l) => l.params().into(),
         }
     }
 
-    /// Mutable access to every parameter, for optimizer updates.
-    pub fn params_mut(&mut self) -> Vec<&mut crate::Param> {
+    /// Mutable access to every parameter, for optimizer updates and
+    /// weight restoration. Shapes must not be changed through it.
+    pub fn params_mut(&mut self) -> Vec<&mut Param> {
         match self {
-            ConvLayer::Gcn(l) => l.params_mut().into_iter().collect(),
-            ConvLayer::Sage(l) => l.params_mut().into_iter().collect(),
-            ConvLayer::Gat(l) => l.params_mut().into_iter().collect(),
+            ConvLayer::Gcn(l) => l.params_mut().into(),
+            ConvLayer::Sage(l) => l.params_mut().into(),
+            ConvLayer::Gat(l) => l.params_mut().into(),
         }
     }
 }
@@ -252,33 +259,90 @@ mod tests {
     #[test]
     fn uniform_api_across_kinds() {
         let mut rng = StdRng::seed_from_u64(0);
-        let x = crate::glorot_uniform(4, 6, &mut rng);
+        let x = crate::init::glorot_uniform(4, 6, &mut rng);
+        let mut ws = Workspace::new();
         for kind in [ConvKind::Gcn, ConvKind::Sage, ConvKind::Gat] {
             let mut layer = ConvLayer::new(kind, 6, 3, &mut rng);
             assert_eq!(layer.kind(), kind);
             assert_eq!(layer.in_dim(), 6);
             assert_eq!(layer.out_dim(), 3);
             assert!(layer.param_count() > 0);
-            let fwd = layer.forward(&adj(), &x).unwrap();
+            let fwd = layer
+                .forward_fused(Some(&adj()), &x, false, &mut ws)
+                .unwrap();
             assert_eq!(fwd.output().shape(), (4, 3));
             let d = DenseMatrix::filled(4, 3, 1.0);
-            let d_in = layer.backward(&fwd, &x, &adj(), &d).unwrap();
+            let d_in = layer
+                .backward_ws(&fwd, &x, Some(&adj()), &d, &mut ws)
+                .unwrap();
             assert_eq!(d_in.shape(), (4, 6));
         }
+    }
+
+    /// GraphSAGE and GAT aggregate over the operator; handed none, they
+    /// refuse typed instead of silently running fully connected.
+    #[test]
+    fn message_passing_layers_refuse_a_missing_operator() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let x = crate::init::glorot_uniform(4, 6, &mut rng);
+        let d = DenseMatrix::filled(4, 3, 1.0);
+        let mut ws = Workspace::new();
+        for kind in [ConvKind::Sage, ConvKind::Gat] {
+            let mut layer = ConvLayer::new(kind, 6, 3, &mut rng);
+            let refused = |r: Result<_, NnError>| match r {
+                Err(NnError::InvalidArchitecture { reason }) => {
+                    assert!(reason.contains(kind.label()), "{reason}")
+                }
+                other => panic!("{kind:?}: {other:?}"),
+            };
+            refused(layer.forward_fused(None, &x, false, &mut ws).map(|_| ()));
+            let fwd = layer
+                .forward_fused(Some(&adj()), &x, false, &mut ws)
+                .unwrap();
+            refused(layer.backward_ws(&fwd, &x, None, &d, &mut ws).map(|_| ()));
+            refused(layer.param_grads_ws(&fwd, &x, None, &d, &mut ws));
+        }
+        // GCN without an operator is the fully-connected layer.
+        let gcn = ConvLayer::new(ConvKind::Gcn, 6, 3, &mut rng);
+        assert!(gcn.forward_fused(None, &x, false, &mut ws).is_ok());
     }
 
     #[test]
     fn mismatched_cache_is_an_error() {
         let mut rng = StdRng::seed_from_u64(1);
-        let x = crate::glorot_uniform(4, 6, &mut rng);
+        let x = crate::init::glorot_uniform(4, 6, &mut rng);
         let gcn = ConvLayer::new(ConvKind::Gcn, 6, 3, &mut rng);
         let mut sage = ConvLayer::new(ConvKind::Sage, 6, 3, &mut rng);
-        let cache = gcn.forward(&adj(), &x).unwrap();
+        let mut ws = Workspace::new();
+        let cache = gcn.forward_fused(Some(&adj()), &x, false, &mut ws).unwrap();
         let d = DenseMatrix::filled(4, 3, 1.0);
         assert!(matches!(
-            sage.backward(&cache, &x, &adj(), &d),
+            sage.backward_ws(&cache, &x, Some(&adj()), &d, &mut ws),
             Err(NnError::InvalidArchitecture { .. })
         ));
+    }
+
+    /// What the first layer of a network accumulates must not depend on
+    /// skipping `∂L/∂input`, for any architecture.
+    #[test]
+    fn param_grads_match_full_backward_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let x = crate::init::glorot_uniform(4, 6, &mut rng);
+        let d = crate::init::glorot_uniform(4, 3, &mut rng);
+        let mut ws = Workspace::new();
+        for kind in [ConvKind::Gcn, ConvKind::Sage, ConvKind::Gat] {
+            let layer = ConvLayer::new(kind, 6, 3, &mut rng);
+            let fwd = layer
+                .forward_fused(Some(&adj()), &x, false, &mut ws)
+                .unwrap();
+            let (mut full, mut params_only) = (layer.clone(), layer);
+            full.backward_ws(&fwd, &x, Some(&adj()), &d, &mut ws)
+                .unwrap();
+            params_only
+                .param_grads_ws(&fwd, &x, Some(&adj()), &d, &mut ws)
+                .unwrap();
+            assert_eq!(full, params_only, "{kind:?}");
+        }
     }
 
     #[test]
@@ -302,6 +366,17 @@ mod tests {
                 .len(),
             4
         );
+    }
+
+    #[test]
+    fn param_count_formulas() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let count = |kind, rng: &mut StdRng| ConvLayer::new(kind, 5, 3, rng).param_count();
+        assert_eq!(count(ConvKind::Gcn, &mut rng), 5 * 3 + 3);
+        // SAGE projects the `[H ‖ Ā H]` concatenation.
+        assert_eq!(count(ConvKind::Sage, &mut rng), 2 * 5 * 3 + 3);
+        // GAT adds the two attention vectors.
+        assert_eq!(count(ConvKind::Gat, &mut rng), 5 * 3 + 3 + 3 + 3);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-use crate::{glorot_uniform, NnError, Param};
+use crate::init::glorot_uniform;
+use crate::{NnError, Param};
 use linalg::{
     gemm_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix, Epilogue, GemmOp, Workspace,
 };
@@ -20,15 +21,6 @@ const LEAKY_SLOPE: f32 = 0.2;
 /// (values ignored); pass a GCN-normalized matrix so self-loops are
 /// present. This is the second §VI future-work architecture; see
 /// [`crate::ConvLayer`].
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let layer = nn::GatLayer::new(4, 2, &mut rng);
-/// assert_eq!(layer.param_count(), 4 * 2 + 2 + 2 + 2);
-/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GatLayer {
     weight: Param,
@@ -39,13 +31,13 @@ pub struct GatLayer {
     out_dim: usize,
 }
 
-/// Forward cache for [`GatLayer::backward`]: only *derived* tensors
+/// Forward cache for [`GatLayer::backward_ws`]: only *derived* tensors
 /// (projections and attention coefficients) — the layer input itself is
-/// passed back to `backward` by the caller, which owns it.
+/// passed back to the backward pass by the caller, which owns it.
 #[derive(Debug, Clone)]
-pub struct GatForward {
-    /// Pre-activation output `Z`.
-    pub output: DenseMatrix,
+pub(crate) struct GatForward {
+    /// Layer output `Z` (post-ReLU when the forward fused it).
+    pub(crate) output: DenseMatrix,
     /// Projected features `W H`.
     wh: DenseMatrix,
     /// Per-edge attention weights as one flat `1 × nnz` buffer aligned
@@ -60,16 +52,14 @@ pub struct GatForward {
 impl GatForward {
     /// Consumes the cache, returning every dense buffer it held so
     /// training loops can recycle them through a [`Workspace`].
-    pub fn into_buffers(self) -> Vec<DenseMatrix> {
+    pub(crate) fn into_buffers(self) -> Vec<DenseMatrix> {
         vec![self.output, self.wh, self.alpha, self.pre]
     }
 
     /// Iterates the attention coefficients row by row, using `adj` (the
     /// adjacency the forward ran on) to delimit neighbourhoods.
-    pub fn attention_rows<'a>(
-        &'a self,
-        adj: &'a CsrMatrix,
-    ) -> impl Iterator<Item = &'a [f32]> + 'a {
+    #[cfg(test)]
+    fn attention_rows<'a>(&'a self, adj: &'a CsrMatrix) -> impl Iterator<Item = &'a [f32]> + 'a {
         let flat = self.alpha.as_slice();
         (0..adj.rows()).scan(0usize, move |offset, i| {
             let len = adj.row_entries(i).0.len();
@@ -83,7 +73,7 @@ impl GatForward {
 impl GatLayer {
     /// Creates a layer with Glorot-initialized projection and attention
     /// vectors, zero bias.
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         Self {
             weight: Param::new(glorot_uniform(in_dim, out_dim, rng)),
             attn_src: Param::new(glorot_uniform(1, out_dim, rng)),
@@ -95,43 +85,23 @@ impl GatLayer {
     }
 
     /// Input feature dimension.
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.in_dim
     }
 
     /// Output feature dimension.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.out_dim
     }
 
-    /// Number of trainable scalars.
-    pub fn param_count(&self) -> usize {
-        self.weight.len() + self.attn_src.len() + self.attn_dst.len() + self.bias.len()
+    /// All four parameters (weight, attention vectors, bias).
+    pub(crate) fn params(&self) -> [&Param; 4] {
+        [&self.weight, &self.attn_src, &self.attn_dst, &self.bias]
     }
 
-    /// Mutable weight access.
-    pub fn weight_mut(&mut self) -> &mut Param {
-        &mut self.weight
-    }
-
-    /// Mutable bias access.
-    pub fn bias_mut(&mut self) -> &mut Param {
-        &mut self.bias
-    }
-
-    /// Mutable source-attention access.
-    pub fn attn_src_mut(&mut self) -> &mut Param {
-        &mut self.attn_src
-    }
-
-    /// Mutable destination-attention access.
-    pub fn attn_dst_mut(&mut self) -> &mut Param {
-        &mut self.attn_dst
-    }
-
-    /// Mutable access to all parameters at once (weight, attention
-    /// vectors, bias).
-    pub fn params_mut(&mut self) -> [&mut Param; 4] {
+    /// Mutable access to all four parameters, in [`GatLayer::params`]
+    /// order.
+    pub(crate) fn params_mut(&mut self) -> [&mut Param; 4] {
         [
             &mut self.weight,
             &mut self.attn_src,
@@ -140,44 +110,14 @@ impl GatLayer {
         ]
     }
 
-    /// Read access to the weight parameter.
-    pub fn weight(&self) -> &Param {
-        &self.weight
-    }
-
-    /// Read access to the bias parameter.
-    pub fn bias(&self) -> &Param {
-        &self.bias
-    }
-
-    /// Read access to the source-attention vector.
-    pub fn attn_src(&self) -> &Param {
-        &self.attn_src
-    }
-
-    /// Read access to the destination-attention vector.
-    pub fn attn_dst(&self) -> &Param {
-        &self.attn_dst
-    }
-
-    /// Forward pass (see the type-level equation).
+    /// Forward pass (see the type-level equation) applying bias — and,
+    /// when `fuse_relu` is set, the ReLU — inside the per-node
+    /// aggregation loop while the output row is hot.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::Linalg`] on shape inconsistencies.
-    pub fn forward(&self, adj: &CsrMatrix, input: &DenseMatrix) -> Result<GatForward, NnError> {
-        self.forward_fused(adj, input, false, &mut Workspace::new())
-    }
-
-    /// Forward pass applying bias — and, when `fuse_relu` is set, the
-    /// ReLU — inside the per-node aggregation loop while the output row
-    /// is hot (the attention analogue of
-    /// [`crate::GcnLayer::forward_fused`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GatLayer::forward`].
-    pub fn forward_fused(
+    pub(crate) fn forward_fused(
         &self,
         adj: &CsrMatrix,
         input: &DenseMatrix,
@@ -256,29 +196,14 @@ impl GatLayer {
 
     /// Backward pass through attention, softmax, and projection; given
     /// the layer's forward `input`, accumulates all four parameter
-    /// gradients and returns `∂L/∂H`. The projection gradients use the
+    /// gradients and returns `∂L/∂H`, drawing gradient scratch and GEMM
+    /// packing buffers from `ws`. The projection gradients use the
     /// packed engine's transpose-free views.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::Linalg`] on shape inconsistencies.
-    pub fn backward(
-        &mut self,
-        cache: &GatForward,
-        input: &DenseMatrix,
-        adj: &CsrMatrix,
-        d_output: &DenseMatrix,
-    ) -> Result<DenseMatrix, NnError> {
-        self.backward_ws(cache, input, adj, d_output, &mut Workspace::new())
-    }
-
-    /// [`GatLayer::backward`] drawing gradient scratch and GEMM packing
-    /// buffers from `ws`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GatLayer::backward`].
-    pub fn backward_ws(
+    pub(crate) fn backward_ws(
         &mut self,
         cache: &GatForward,
         input: &DenseMatrix,
@@ -387,43 +312,48 @@ mod tests {
         (adj, x, layer)
     }
 
+    fn forward(layer: &GatLayer, adj: &CsrMatrix, x: &DenseMatrix) -> Result<GatForward, NnError> {
+        layer.forward_fused(adj, x, false, &mut Workspace::new())
+    }
+
     #[test]
     fn forward_shapes_and_attention_normalization() {
         let (adj, x, layer) = setup();
-        let fwd = layer.forward(&adj, &x).unwrap();
+        let fwd = forward(&layer, &adj, &x).unwrap();
         assert_eq!(fwd.output.shape(), (5, 3));
         for (i, row) in fwd.attention_rows(&adj).enumerate() {
             let sum: f32 = row.iter().sum();
             assert!((sum - 1.0).abs() < 1e-5, "row {i} attention sums to {sum}");
             assert!(row.iter().all(|&a| a >= 0.0));
         }
-        assert!(layer.forward(&adj, &DenseMatrix::zeros(4, 4)).is_err());
+        assert!(forward(&layer, &adj, &DenseMatrix::zeros(4, 4)).is_err());
     }
 
     #[test]
     fn all_parameter_gradients_match_finite_differences() {
         let (adj, mut x, mut layer) = setup();
-        let cache = layer.forward(&adj, &x).unwrap();
+        let cache = forward(&layer, &adj, &x).unwrap();
         let d_out = DenseMatrix::filled(5, 3, 1.0);
-        layer.weight_mut().zero_grad();
-        layer.bias_mut().zero_grad();
-        layer.attn_src_mut().zero_grad();
-        layer.attn_dst_mut().zero_grad();
-        let d_input = layer.backward(&cache, &x, &adj, &d_out).unwrap();
+        for p in layer.params_mut() {
+            p.zero_grad();
+        }
+        let d_input = layer
+            .backward_ws(&cache, &x, &adj, &d_out, &mut Workspace::new())
+            .unwrap();
 
         let eps = 1e-3f32;
-        let loss = |l: &GatLayer, x: &DenseMatrix| l.forward(&adj, x).unwrap().output.sum();
+        let loss = |l: &GatLayer, x: &DenseMatrix| forward(l, &adj, x).unwrap().output.sum();
 
         // Projection weights.
         for (r, c) in [(0usize, 0usize), (3, 2)] {
-            let orig = layer.weight().value.get(r, c);
-            layer.weight_mut().value.set(r, c, orig + eps);
+            let orig = layer.weight.value.get(r, c);
+            layer.weight.value.set(r, c, orig + eps);
             let plus = loss(&layer, &x);
-            layer.weight_mut().value.set(r, c, orig - eps);
+            layer.weight.value.set(r, c, orig - eps);
             let minus = loss(&layer, &x);
-            layer.weight_mut().value.set(r, c, orig);
+            layer.weight.value.set(r, c, orig);
             let numeric = (plus - minus) / (2.0 * eps);
-            let analytic = layer.weight().grad.get(r, c);
+            let analytic = layer.weight.grad.get(r, c);
             assert!(
                 (numeric - analytic).abs() < 2e-2 * numeric.abs().max(1.0),
                 "dW[{r},{c}]: {numeric} vs {analytic}"
@@ -466,7 +396,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let x = glorot_uniform(3, 4, &mut rng);
         let layer = GatLayer::new(4, 2, &mut rng);
-        let fwd = layer.forward(&adj, &x).unwrap();
+        let fwd = forward(&layer, &adj, &x).unwrap();
         for row in fwd.attention_rows(&adj) {
             assert_eq!(row.len(), 1);
             assert!((row[0] - 1.0).abs() < 1e-6);

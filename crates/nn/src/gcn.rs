@@ -1,4 +1,5 @@
-use crate::{glorot_uniform, NnError, Param};
+use crate::init::glorot_uniform;
+use crate::{NnError, Param};
 use linalg::{
     gemm_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix, Epilogue, GemmOp, Workspace,
 };
@@ -13,28 +14,11 @@ use serde::{Deserialize, Serialize};
 /// structure-free "DNN" backbone — one GEMM with the bias fused into
 /// its epilogue, no sparse product.
 ///
-/// The forward pass never copies its input: [`GcnLayer::backward`]
-/// takes the layer input explicitly (training loops already own every
-/// layer's input), and [`GcnLayer::forward_fused`] draws its output and
-/// scratch buffers from a [`Workspace`] so epochs reuse allocations
-/// instead of re-allocating per step.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let layer = nn::GcnLayer::new(4, 2, &mut rng);
-/// let g = graph::Graph::from_edges(3, &[(0, 1), (1, 2)])?;
-/// let adj = graph::normalization::gcn_normalize(&g);
-/// let h = linalg::DenseMatrix::zeros(3, 4);
-/// let out = layer.forward(Some(&adj), &h)?;
-/// assert_eq!(out.output.shape(), (3, 2));
-/// assert_eq!(layer.forward(None, &h)?.output.shape(), (3, 2));
-/// # Ok(())
-/// # }
-/// ```
+/// The forward pass never copies its input: the backward pass takes
+/// the layer input explicitly (training loops already own every
+/// layer's input), and the forward draws its output and scratch
+/// buffers from a [`Workspace`] so epochs reuse allocations instead of
+/// re-allocating per step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GcnLayer {
     weight: Param,
@@ -43,19 +27,19 @@ pub struct GcnLayer {
     out_dim: usize,
 }
 
-/// Result of a [`GcnLayer::forward`] call.
+/// Result of a [`GcnLayer::forward_fused`] call.
 ///
 /// Deliberately holds no copy of the input: the backward pass receives
 /// the input by reference from the caller, which owns it anyway.
 #[derive(Debug, Clone)]
-pub struct GcnForward {
-    /// Pre-activation layer output `Z`.
-    pub output: DenseMatrix,
+pub(crate) struct GcnForward {
+    /// Layer output `Z` (post-ReLU when the forward fused it).
+    pub(crate) output: DenseMatrix,
 }
 
 impl GcnLayer {
     /// Creates a layer with Glorot-initialized weights and zero bias.
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         Self {
             weight: Param::new(glorot_uniform(in_dim, out_dim, rng)),
             bias: Param::new(DenseMatrix::zeros(1, out_dim)),
@@ -65,68 +49,33 @@ impl GcnLayer {
     }
 
     /// Input feature dimension.
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.in_dim
     }
 
     /// Output feature dimension.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.out_dim
     }
 
-    /// Number of trainable scalars (`in·out + out`).
-    pub fn param_count(&self) -> usize {
-        self.weight.len() + self.bias.len()
+    /// Both parameters (weight, bias).
+    pub(crate) fn params(&self) -> [&Param; 2] {
+        [&self.weight, &self.bias]
     }
 
-    /// Read access to the weight parameter.
-    pub fn weight(&self) -> &Param {
-        &self.weight
-    }
-
-    /// Read access to the bias parameter.
-    pub fn bias(&self) -> &Param {
-        &self.bias
-    }
-
-    /// Mutable access to the weight parameter (used by optimizers).
-    pub fn weight_mut(&mut self) -> &mut Param {
-        &mut self.weight
-    }
-
-    /// Mutable access to the bias parameter (used by optimizers).
-    pub fn bias_mut(&mut self) -> &mut Param {
-        &mut self.bias
-    }
-
-    /// Mutable access to all parameters at once (weight, bias).
-    pub fn params_mut(&mut self) -> [&mut Param; 2] {
+    /// Mutable access to both parameters (weight, bias).
+    pub(crate) fn params_mut(&mut self) -> [&mut Param; 2] {
         [&mut self.weight, &mut self.bias]
     }
 
     /// Forward pass `Z = Â (H W) + b`, or `Z = H W + b` without an
-    /// operator.
+    /// operator, with the bias — and, when `fuse_relu` is set, the ReLU
+    /// activation — fused into the epilogue of the last product (the
+    /// sparse aggregation, or the GEMM when there is no operator), so
+    /// no separate broadcast or activation pass touches the output.
     ///
     /// `H W` is computed first so the sparse multiply runs on the
     /// (usually narrower) projected matrix — the same ordering PyG uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Linalg`] if `adj`, `input`, and the layer
-    /// dimensions are inconsistent.
-    pub fn forward(
-        &self,
-        adj: Option<&CsrMatrix>,
-        input: &DenseMatrix,
-    ) -> Result<GcnForward, NnError> {
-        self.forward_fused(adj, input, false, &mut Workspace::new())
-    }
-
-    /// Forward pass with the bias — and, when `fuse_relu` is set, the
-    /// ReLU activation — fused into the epilogue of the last product
-    /// (the sparse aggregation, or the GEMM when there is no operator),
-    /// so no separate broadcast or activation pass touches the output.
-    ///
     /// With `fuse_relu` the returned output is *post-activation*; the
     /// network container feeds it to the next layer directly instead of
     /// copying and ReLU-ing it. The projection scratch (`H W`), the
@@ -136,8 +85,9 @@ impl GcnLayer {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GcnLayer::forward`].
-    pub fn forward_fused(
+    /// Returns [`NnError::Linalg`] if `adj`, `input`, and the layer
+    /// dimensions are inconsistent.
+    pub(crate) fn forward_fused(
         &self,
         adj: Option<&CsrMatrix>,
         input: &DenseMatrix,
@@ -164,7 +114,10 @@ impl GcnLayer {
 
     /// Backward pass. Given the layer's forward `input` and
     /// `d_output = ∂L/∂Z`, accumulates `∂L/∂W` and `∂L/∂b` into the
-    /// layer's parameter gradients and returns `∂L/∂H`.
+    /// layer's parameter gradients and returns `∂L/∂H`, drawing every
+    /// gradient scratch buffer and the GEMM packing buffers from `ws`
+    /// (the returned `∂L/∂H` is also workspace-backed; give it back
+    /// when consumed).
     ///
     /// Derivation: with `Z = Â H W + b`,
     /// `∂L/∂(HW) = Âᵀ ∂L/∂Z`, `∂L/∂W = Hᵀ Âᵀ ∂L/∂Z`,
@@ -179,23 +132,7 @@ impl GcnLayer {
     ///
     /// Returns [`NnError::Linalg`] on shape inconsistencies between
     /// `input`, the adjacency, and `d_output`.
-    pub fn backward(
-        &mut self,
-        input: &DenseMatrix,
-        adj: Option<&CsrMatrix>,
-        d_output: &DenseMatrix,
-    ) -> Result<DenseMatrix, NnError> {
-        self.backward_ws(input, adj, d_output, &mut Workspace::new())
-    }
-
-    /// [`GcnLayer::backward`] drawing every gradient scratch buffer and
-    /// the GEMM packing buffers from `ws` (the returned `∂L/∂H` is also
-    /// workspace-backed; give it back when consumed).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GcnLayer::backward`].
-    pub fn backward_ws(
+    pub(crate) fn backward_ws(
         &mut self,
         input: &DenseMatrix,
         adj: Option<&CsrMatrix>,
@@ -221,13 +158,13 @@ impl GcnLayer {
 
     /// The parameter half of [`GcnLayer::backward_ws`]: accumulates
     /// `∂L/∂W` and `∂L/∂b` and stops. A network's first layer uses
-    /// this — nothing reads the gradient of the feature matrix, and
-    /// `∂L/∂H` there is the widest product of the whole backward pass.
+    /// this — nothing reads the gradient of its input, and `∂L/∂H`
+    /// there is the widest product of the whole backward pass.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GcnLayer::backward`].
-    pub fn param_grads_ws(
+    /// Same conditions as [`GcnLayer::backward_ws`].
+    pub(crate) fn param_grads_ws(
         &mut self,
         input: &DenseMatrix,
         adj: Option<&CsrMatrix>,
@@ -277,26 +214,47 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]).unwrap();
         let adj = normalization::gcn_normalize(&g);
         let mut rng = StdRng::seed_from_u64(3);
-        let x = crate::glorot_uniform(4, 5, &mut rng);
+        let x = glorot_uniform(4, 5, &mut rng);
         let layer = GcnLayer::new(5, 3, &mut rng);
         (adj, x, layer)
     }
 
+    fn forward(
+        layer: &GcnLayer,
+        adj: Option<&CsrMatrix>,
+        x: &DenseMatrix,
+    ) -> Result<DenseMatrix, NnError> {
+        Ok(layer
+            .forward_fused(adj, x, false, &mut Workspace::new())?
+            .output)
+    }
+
+    fn backward(
+        layer: &mut GcnLayer,
+        x: &DenseMatrix,
+        adj: Option<&CsrMatrix>,
+        d_out: &DenseMatrix,
+    ) -> DenseMatrix {
+        layer
+            .backward_ws(x, adj, d_out, &mut Workspace::new())
+            .unwrap()
+    }
+
     /// Scalar loss used for finite-difference checks: sum of outputs.
     fn loss_of(layer: &GcnLayer, adj: Option<&CsrMatrix>, x: &DenseMatrix) -> f32 {
-        layer.forward(adj, x).unwrap().output.sum()
+        forward(layer, adj, x).unwrap().sum()
     }
 
     #[test]
     fn forward_shape_and_bias() {
         let (adj, x, mut layer) = setup();
         for op in [Some(&adj), None] {
-            layer.bias_mut().value.set(0, 1, 0.0);
-            let before = layer.forward(op, &x).unwrap().output;
+            layer.bias.value.set(0, 1, 0.0);
+            let before = forward(&layer, op, &x).unwrap();
             assert_eq!(before.shape(), (4, 3));
             // Shifting the bias shifts every output row by the same amount.
-            layer.bias_mut().value.set(0, 1, 10.0);
-            let after = layer.forward(op, &x).unwrap().output;
+            layer.bias.value.set(0, 1, 10.0);
+            let after = forward(&layer, op, &x).unwrap();
             for r in 0..4 {
                 assert!((after.get(r, 1) - before.get(r, 1) - 10.0).abs() < 1e-4);
             }
@@ -308,7 +266,7 @@ mod tests {
         let (adj, _, layer) = setup();
         let bad = DenseMatrix::zeros(4, 7);
         for op in [Some(&adj), None] {
-            assert!(layer.forward(op, &bad).is_err());
+            assert!(forward(&layer, op, &bad).is_err());
         }
     }
 
@@ -317,20 +275,20 @@ mod tests {
         let (adj, x, mut layer) = setup();
         let d_out = DenseMatrix::filled(4, 3, 1.0); // dL/dZ for L = sum(Z)
         for op in [Some(&adj), None] {
-            layer.weight_mut().zero_grad();
-            layer.bias_mut().zero_grad();
-            layer.backward(&x, op, &d_out).unwrap();
+            layer.weight.zero_grad();
+            layer.bias.zero_grad();
+            backward(&mut layer, &x, op, &d_out);
 
             let eps = 1e-3f32;
             for (r, c) in [(0, 0), (2, 1), (4, 2)] {
-                let orig = layer.weight().value.get(r, c);
-                layer.weight_mut().value.set(r, c, orig + eps);
+                let orig = layer.weight.value.get(r, c);
+                layer.weight.value.set(r, c, orig + eps);
                 let plus = loss_of(&layer, op, &x);
-                layer.weight_mut().value.set(r, c, orig - eps);
+                layer.weight.value.set(r, c, orig - eps);
                 let minus = loss_of(&layer, op, &x);
-                layer.weight_mut().value.set(r, c, orig);
+                layer.weight.value.set(r, c, orig);
                 let numeric = (plus - minus) / (2.0 * eps);
-                let analytic = layer.weight().grad.get(r, c);
+                let analytic = layer.weight.grad.get(r, c);
                 assert!(
                     (numeric - analytic).abs() < 1e-2 * numeric.abs().max(1.0),
                     "dW[{r},{c}]: numeric {numeric} vs analytic {analytic}"
@@ -344,11 +302,11 @@ mod tests {
         let (adj, x, mut layer) = setup();
         let d_out = DenseMatrix::filled(4, 3, 1.0);
         for op in [Some(&adj), None] {
-            layer.bias_mut().zero_grad();
-            layer.backward(&x, op, &d_out).unwrap();
+            layer.bias.zero_grad();
+            backward(&mut layer, &x, op, &d_out);
             // d(sum Z)/db_j = number of rows.
             for j in 0..3 {
-                assert!((layer.bias().grad.get(0, j) - 4.0).abs() < 1e-4);
+                assert!((layer.bias.grad.get(0, j) - 4.0).abs() < 1e-4);
             }
         }
     }
@@ -358,7 +316,7 @@ mod tests {
         let (adj, mut x, mut layer) = setup();
         let d_out = DenseMatrix::filled(4, 3, 1.0);
         for op in [Some(&adj), None] {
-            let d_input = layer.backward(&x, op, &d_out).unwrap();
+            let d_input = backward(&mut layer, &x, op, &d_out);
 
             let eps = 1e-3f32;
             for (r, c) in [(0, 0), (3, 4), (1, 2)] {
@@ -383,11 +341,11 @@ mod tests {
         let (adj, x, mut layer) = setup();
         let d_out = DenseMatrix::filled(4, 3, 1.0);
         for op in [Some(&adj), None] {
-            layer.weight_mut().zero_grad();
-            layer.backward(&x, op, &d_out).unwrap();
-            let once = layer.weight().grad.clone();
-            layer.backward(&x, op, &d_out).unwrap();
-            let twice = layer.weight().grad.clone();
+            layer.weight.zero_grad();
+            backward(&mut layer, &x, op, &d_out);
+            let once = layer.weight.grad.clone();
+            backward(&mut layer, &x, op, &d_out);
+            let twice = layer.weight.grad.clone();
             assert!(twice.approx_eq(&once.scale(2.0), 1e-4));
         }
     }
@@ -398,20 +356,14 @@ mod tests {
     fn param_grads_match_full_backward_bit_for_bit() {
         let (adj, x, layer) = setup();
         let mut rng = StdRng::seed_from_u64(8);
-        let d_out = crate::glorot_uniform(4, 3, &mut rng);
+        let d_out = glorot_uniform(4, 3, &mut rng);
         for op in [Some(&adj), None] {
             let (mut full, mut params_only) = (layer.clone(), layer.clone());
             let mut ws = Workspace::new();
             full.backward_ws(&x, op, &d_out, &mut ws).unwrap();
             params_only.param_grads_ws(&x, op, &d_out, &mut ws).unwrap();
             assert_eq!(full, params_only);
-            assert!(full.weight().grad.as_slice().iter().any(|&g| g != 0.0));
+            assert!(full.weight.grad.as_slice().iter().any(|&g| g != 0.0));
         }
-    }
-
-    #[test]
-    fn param_count_formula() {
-        let (_, _, layer) = setup();
-        assert_eq!(layer.param_count(), 5 * 3 + 3);
     }
 }

@@ -6,18 +6,7 @@ use rand::Rng;
 ///
 /// This matches the default initialization of PyTorch-Geometric's
 /// `GCNConv`, which the paper's implementation uses.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let w = nn::glorot_uniform(64, 32, &mut rng);
-/// assert_eq!(w.shape(), (64, 32));
-/// let limit = (6.0f32 / (64.0 + 32.0)).sqrt();
-/// assert!(w.as_slice().iter().all(|v| v.abs() <= limit));
-/// ```
-pub fn glorot_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> DenseMatrix {
+pub(crate) fn glorot_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> DenseMatrix {
     let limit = (6.0f32 / (fan_in as f32 + fan_out as f32)).sqrt();
     DenseMatrix::from_fn(fan_in, fan_out, |_, _| rng.gen_range(-limit..=limit))
 }
@@ -40,6 +29,7 @@ mod tests {
     #[test]
     fn respects_limit_and_is_not_degenerate() {
         let w = glorot_uniform(100, 50, &mut StdRng::seed_from_u64(1));
+        assert_eq!(w.shape(), (100, 50));
         let limit = (6.0f32 / 150.0).sqrt();
         assert!(w.as_slice().iter().all(|v| v.abs() <= limit));
         // Should not be all zeros or all equal.

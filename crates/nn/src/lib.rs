@@ -3,19 +3,25 @@
 //! Implements the model-training stack the paper builds on PyTorch
 //! (normal world) and hand-written Eigen C++ (enclave world):
 //!
-//! - [`GcnLayer`]: a graph-convolution layer computing
-//!   `Z = Â (H W) + b` (paper Eq. 1) with an explicit, finite-difference
-//!   verified backward pass; handed no operator it is the
-//!   fully-connected `Z = H W + b` of Table III's DNN backbone,
-//! - [`loss`]: masked softmax cross-entropy for semi-supervised node
-//!   classification (20 labelled nodes per class),
-//! - [`Adam`]: the Adam optimizer with per-parameter moment state,
-//! - [`Network`]: the sequential container, with one full-batch
-//!   training loop, parameter counting (the `θ` columns of Table II),
-//!   and per-layer embedding export (needed by the rectifier taps and
-//!   by the link-stealing attack surface). Every call takes the
-//!   propagation operator as `Option<&CsrMatrix>`: `Some(Â)` runs a
-//!   GCN, `None` an MLP.
+//! - [`ConvLayer`]: a graph-convolution layer of any [`ConvKind`] — the
+//!   GCN layer `Z = Â (H W) + b` (paper Eq. 1), which handed no
+//!   operator is the fully-connected `Z = H W + b` of Table III's DNN
+//!   backbone, and the §VI GraphSAGE and GAT extensions — each with an
+//!   explicit, finite-difference verified backward pass,
+//! - [`Network`]: the one container and the one driver. Each layer's
+//!   input is wired over a list of input matrices (*taps*): the first
+//!   layer reads the concatenation of its taps, every later layer the
+//!   previous activation followed by its taps. The plain chain
+//!   ([`Network::new`]) reads the features as tap 0; `gnnvault`'s
+//!   rectifier is a [`Network::wired`] network over the frozen
+//!   backbone's per-layer embeddings. There is one forward pass
+//!   ([`Network::forward_embeddings`], whose per-layer embeddings the
+//!   rectifier taps and the link-stealing attack observes) and one
+//!   full-batch training loop ([`Network::fit`]: masked softmax
+//!   cross-entropy, Adam with per-parameter moment state, inverted
+//!   dropout). Taps are constants, so the first layer stops at its
+//!   parameter gradients. Every call takes the propagation operator
+//!   as `Option<&CsrMatrix>`: `Some(Â)` runs a GNN, `None` an MLP.
 //!
 //! Every forward pass here is f32. Int8 is a *sealed form* of the
 //! projection weights (`linalg::QuantizedMatrix`, written and read by
@@ -23,12 +29,15 @@
 //! at `Precision::Int8` runs these same layers over weights already
 //! snapped onto their int8 grid.
 //!
+//! [`CsrMatrix`]: linalg::CsrMatrix
+//!
 //! # Examples
 //!
 //! ```
 //! use graph::Graph;
 //! use linalg::DenseMatrix;
 //! use nn::{Network, TrainConfig};
+//! use std::slice::from_ref;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let g = Graph::from_edges(4, &[(0, 1), (2, 3)])?;
@@ -37,12 +46,12 @@
 //! let labels = vec![0, 0, 1, 1];
 //! let cfg = TrainConfig { epochs: 50, ..TrainConfig::default() };
 //! let mut gcn = Network::new(2, &[8, 2], 7)?;
-//! gcn.fit(Some(&adj), &x, &labels, &[0, 2], &cfg)?;
-//! assert_eq!(gcn.predict(Some(&adj), &x)?.len(), 4);
+//! gcn.fit(Some(&adj), from_ref(&x), &labels, &[0, 2], &cfg)?;
+//! assert_eq!(gcn.predict(Some(&adj), from_ref(&x))?.len(), 4);
 //! // The structure-free baseline is the same network with no operator.
 //! let mut mlp = Network::new(2, &[8, 2], 7)?;
-//! mlp.fit(None, &x, &labels, &[0, 2], &cfg)?;
-//! assert_eq!(mlp.predict(None, &x)?.len(), 4);
+//! mlp.fit(None, from_ref(&x), &labels, &[0, 2], &cfg)?;
+//! assert_eq!(mlp.predict(None, from_ref(&x))?.len(), 4);
 //! # Ok(())
 //! # }
 //! ```
@@ -55,18 +64,16 @@ mod error;
 mod gat;
 mod gcn;
 mod init;
-pub mod loss;
+mod loss;
 mod network;
 mod optim;
 mod param;
 mod sage;
 
-pub use conv::{ConvForward, ConvKind, ConvLayer};
+pub use conv::{ConvKind, ConvLayer};
 pub use error::NnError;
-pub use gat::{GatForward, GatLayer};
-pub use gcn::{GcnForward, GcnLayer};
-pub use init::glorot_uniform;
+pub use gat::GatLayer;
+pub use gcn::GcnLayer;
 pub use network::{Network, TrainConfig, TrainReport};
-pub use optim::Adam;
 pub use param::Param;
-pub use sage::{SageForward, SageLayer};
+pub use sage::SageLayer;

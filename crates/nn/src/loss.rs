@@ -19,20 +19,7 @@ use linalg::{ops, DenseMatrix};
 /// Returns [`NnError::InvalidLabels`] when `labels.len() != logits.rows()`,
 /// when the mask is empty or out of bounds, or when any masked label is
 /// `>= logits.cols()`.
-///
-/// # Examples
-///
-/// ```
-/// # use linalg::DenseMatrix;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // Perfectly confident, correct logits give near-zero loss.
-/// let logits = DenseMatrix::from_rows(&[&[100.0, 0.0], &[0.0, 100.0]])?;
-/// let (loss, _grad) = nn::loss::masked_cross_entropy(&logits, &[0, 1], &[0, 1])?;
-/// assert!(loss < 1e-4);
-/// # Ok(())
-/// # }
-/// ```
-pub fn masked_cross_entropy(
+pub(crate) fn masked_cross_entropy(
     logits: &DenseMatrix,
     labels: &[usize],
     mask: &[usize],
@@ -85,7 +72,7 @@ pub fn masked_cross_entropy(
 ///
 /// Returns [`NnError::InvalidLabels`] on length/bounds mismatches, or an
 /// empty mask.
-pub fn masked_accuracy(
+pub(crate) fn masked_accuracy(
     logits: &DenseMatrix,
     labels: &[usize],
     mask: &[usize],
@@ -118,6 +105,13 @@ pub fn masked_accuracy(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn confident_correct_logits_give_near_zero_loss() {
+        let logits = DenseMatrix::from_rows(&[&[100.0, 0.0], &[0.0, 100.0]]).unwrap();
+        let (loss, _) = masked_cross_entropy(&logits, &[0, 1], &[0, 1]).unwrap();
+        assert!(loss < 1e-4);
+    }
 
     #[test]
     fn uniform_logits_give_log_c_loss() {

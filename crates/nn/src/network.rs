@@ -1,32 +1,16 @@
-use crate::{loss, Adam, GcnForward, GcnLayer, NnError};
+use crate::conv::ConvForward;
+use crate::optim::Adam;
+use crate::{loss, ConvKind, ConvLayer, NnError};
 use linalg::{ops, CsrMatrix, DenseMatrix, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// The tensor layer `i` consumed during a fit epoch: its dropout-masked
-/// copy on a dropout epoch (`dropped` then holds one per layer run so
-/// far), else the features or the previous layer's output, borrowed —
-/// with fused ReLU a hidden layer's output already *is* the next
-/// layer's input.
-fn fit_input<'a>(
-    i: usize,
-    x: &'a DenseMatrix,
-    caches: &'a [GcnForward],
-    dropped: &'a [(DenseMatrix, DenseMatrix)],
-) -> &'a DenseMatrix {
-    match dropped.get(i) {
-        Some((masked, _)) => masked,
-        None if i == 0 => x,
-        None => &caches[i - 1].output,
-    }
-}
-
 /// Training hyperparameters of [`Network::fit`].
 ///
-/// `gnnvault`'s `Rectifier::fit` takes the same struct but trains
-/// without dropout: it reads `epochs`, `lr` and `weight_decay` and
-/// ignores `dropout` and `seed`.
+/// `gnnvault`'s `Rectifier::fit` takes the same struct, validates it,
+/// and fits through [`Network::fit`] at dropout 0: the rectifier has
+/// never applied dropout.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainConfig {
     /// Number of full-batch epochs.
@@ -89,25 +73,85 @@ pub struct TrainReport {
     pub epochs: usize,
 }
 
-/// A sequential stack of [`GcnLayer`]s with ReLU between layers (none
-/// after the last), trained full-batch with Adam — the architecture used
-/// for the original unprotected GNN (`porg`), the public backbone
-/// (`pbb`) and, run without a propagation operator, the structure-free
-/// "DNN" backbone of Table III.
+/// A stack of [`ConvLayer`]s with ReLU between layers (none after the
+/// last), trained full-batch with Adam — the one container behind the
+/// original unprotected GNN (`porg`), the public backbone (`pbb`), the
+/// structure-free "DNN" backbone of Table III and the private
+/// rectifier.
+///
+/// Every call takes a list of input matrices, the *taps*, and each
+/// layer has a fixed wiring over them: layer 0's input is the
+/// horizontal concatenation of its taps, and every later layer's is
+/// the previous layer's activation followed by its taps. An input of
+/// one part is borrowed, never copied. [`Network::new`] builds the
+/// plain chain — layer 0 reads tap 0 (the features), every later layer
+/// reads only its predecessor — so its callers pass a one-element list
+/// (`std::slice::from_ref(&x)`). [`Network::wired`] builds any other
+/// wiring, e.g. the rectifier's over the backbone's embeddings.
 ///
 /// Whether the network propagates is a property of the operator handed
-/// to each call, not of the type: `Some(Â)` is a GCN, `None` an MLP over
-/// the same weights.
+/// to each call, not of the type: `Some(Â)` is a GNN, `None` runs GCN
+/// layers fully connected (an MLP over the same weights).
 ///
 /// See the crate-level example for end-to-end usage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Network {
-    layers: Vec<GcnLayer>,
-    input_dim: usize,
+    layers: Vec<ConvLayer>,
+    /// The taps each layer's input concatenates (after the previous
+    /// activation, for every layer but the first).
+    taps: Vec<Vec<usize>>,
+}
+
+/// A layer input that is not a borrow: a concatenation, a
+/// dropout-masked copy, or both, with the mask the backward pass
+/// applies to its gradient.
+struct OwnedInput {
+    input: DenseMatrix,
+    mask: Option<DenseMatrix>,
+}
+
+/// What one forward pass leaves for the backward pass, per layer: the
+/// forward cache, whose output is the layer's activation (hidden layers
+/// come out of the fused epilogue already ReLU-ed), and the owned input
+/// when the layer did not read a borrow.
+struct Pass {
+    caches: Vec<ConvForward>,
+    owned: Vec<Option<OwnedInput>>,
+}
+
+impl Pass {
+    /// Hands every buffer of the pass back to `ws` for the next epoch.
+    fn recycle(self, ws: &mut Workspace) {
+        for buf in self.caches.into_iter().flat_map(ConvForward::into_buffers) {
+            ws.give(buf);
+        }
+        for owned in self.owned.into_iter().flatten() {
+            ws.give(owned.input);
+            if let Some(mask) = owned.mask {
+                ws.give(mask);
+            }
+        }
+    }
+}
+
+/// The tensor layer `i` read in `pass`: its owned input when it has
+/// one, else the one part its wiring names, borrowed — with fused ReLU
+/// a hidden layer's output already *is* the next layer's input.
+fn layer_input<'a>(
+    taps: &[Vec<usize>],
+    i: usize,
+    inputs: &'a [DenseMatrix],
+    pass: &'a Pass,
+) -> &'a DenseMatrix {
+    match &pass.owned[i] {
+        Some(owned) => &owned.input,
+        None if i > 0 => pass.caches[i - 1].output(),
+        None => &inputs[taps[0][0]],
+    }
 }
 
 impl Network {
-    /// Builds a network mapping `input_dim` features through the given
+    /// Builds a GCN chain mapping `input_dim` features through the given
     /// output `channels` (e.g. `&[128, 32, 7]` for the paper's M1).
     ///
     /// # Errors
@@ -115,15 +159,57 @@ impl Network {
     /// Returns [`NnError::InvalidArchitecture`] when `channels` is empty
     /// or contains a zero dimension.
     pub fn new(input_dim: usize, channels: &[usize], seed: u64) -> Result<Self, NnError> {
-        validate_channels(input_dim, channels)?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut layers = Vec::with_capacity(channels.len());
-        let mut prev = input_dim;
-        for &c in channels {
-            layers.push(GcnLayer::new(prev, c, &mut rng));
-            prev = c;
+        let mut taps = vec![Vec::new(); channels.len()];
+        if let Some(first) = taps.first_mut() {
+            first.push(0);
         }
-        Ok(Self { layers, input_dim })
+        Self::wired(ConvKind::Gcn, &[input_dim], channels, taps, seed)
+    }
+
+    /// Builds a network of `conv` layers with output `channels` over
+    /// taps of widths `tap_dims`, where `taps[i]` lists the taps layer
+    /// `i` reads (see the type docs). Layers are Glorot-initialized in
+    /// order from one `seed`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidArchitecture`] when `channels` is
+    /// empty or has a zero, a tap width is zero, `taps` does not have
+    /// one entry per layer, the first layer reads no tap, or a tap
+    /// index is out of range.
+    pub fn wired(
+        conv: ConvKind,
+        tap_dims: &[usize],
+        channels: &[usize],
+        taps: Vec<Vec<usize>>,
+        seed: u64,
+    ) -> Result<Self, NnError> {
+        validate_wiring(tap_dims, channels, &taps)?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let layers = Self::input_widths(tap_dims, channels, &taps)
+            .into_iter()
+            .zip(channels)
+            .map(|(in_dim, &out)| ConvLayer::new(conv, in_dim, out, &mut rng))
+            .collect();
+        Ok(Self { layers, taps })
+    }
+
+    /// Input width of each layer of a network wired as in
+    /// [`Network::wired`]: the previous layer's width (after the first)
+    /// plus the widths of the taps the layer reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `taps` names a tap `tap_dims` does not have, or has
+    /// more entries than `channels`.
+    pub fn input_widths(tap_dims: &[usize], channels: &[usize], taps: &[Vec<usize>]) -> Vec<usize> {
+        taps.iter()
+            .enumerate()
+            .map(|(i, layer_taps)| {
+                let prev = if i == 0 { 0 } else { channels[i - 1] };
+                prev + layer_taps.iter().map(|&t| tap_dims[t]).sum::<usize>()
+            })
+            .collect()
     }
 
     /// Number of layers.
@@ -131,72 +217,70 @@ impl Network {
         self.layers.len()
     }
 
-    /// Input feature dimension.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
     /// Output dimensions of each layer in order.
     pub fn channel_dims(&self) -> Vec<usize> {
         self.layers.iter().map(|l| l.out_dim()).collect()
     }
 
+    /// The taps each layer reads (see the type docs).
+    pub fn taps(&self) -> &[Vec<usize>] {
+        &self.taps
+    }
+
     /// Borrow of the layer stack.
-    pub fn layers(&self) -> &[GcnLayer] {
+    pub fn layers(&self) -> &[ConvLayer] {
         &self.layers
     }
 
     /// Mutable borrow of the layer stack, for weight restoration (e.g.
     /// rebuilding a network from a serialized snapshot). Layer *shapes*
     /// must not be changed through this borrow — only parameter values.
-    pub fn layers_mut(&mut self) -> &mut [GcnLayer] {
+    pub fn layers_mut(&mut self) -> &mut [ConvLayer] {
         &mut self.layers
     }
 
     /// Total trainable parameter count (the `θ` columns of Table II).
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(GcnLayer::param_count).sum()
+        self.layers.iter().map(ConvLayer::param_count).sum()
     }
 
-    /// Forward pass returning every layer's embedding in order: ReLU
-    /// outputs for hidden layers and raw logits for the last layer.
+    /// Forward pass over the taps `inputs`, returning every layer's
+    /// embedding in order: ReLU outputs for hidden layers and raw
+    /// logits for the last layer.
     ///
-    /// These per-layer embeddings are exactly the intermediate data the
-    /// rectifier taps (Fig. 3) and the attacker observes in the
-    /// untrusted world (§V-D).
+    /// A backbone's per-layer embeddings are exactly the intermediate
+    /// data the rectifier taps (Fig. 3) and the attacker observes in
+    /// the untrusted world (§V-D).
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Linalg`] if `x` or `adj` have inconsistent
-    /// shapes.
+    /// Returns [`NnError::InvalidArchitecture`] when the wiring reads a
+    /// tap `inputs` does not have (or a GraphSAGE/GAT layer gets no
+    /// operator), and [`NnError::Linalg`] when the inputs or `adj` have
+    /// inconsistent shapes.
     pub fn forward_embeddings(
         &self,
         adj: Option<&CsrMatrix>,
-        x: &DenseMatrix,
+        inputs: &[DenseMatrix],
     ) -> Result<Vec<DenseMatrix>, NnError> {
-        // Hidden activations come out of the fused forward already
-        // ReLU-ed (applied in the layer's epilogue) — no separate
-        // activation pass, no copies. The workspace recycles GEMM
-        // packing and projection scratch across layers.
-        let mut ws = Workspace::new();
-        let mut embeddings: Vec<DenseMatrix> = Vec::with_capacity(self.layers.len());
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let input = embeddings.last().unwrap_or(x);
-            let out = layer.forward_fused(adj, input, i != last, &mut ws)?;
-            embeddings.push(out.output);
-        }
-        Ok(embeddings)
+        // The workspace recycles GEMM packing and projection scratch
+        // across layers.
+        let pass = self.forward_pass(adj, inputs, None, &mut Workspace::new())?;
+        Ok(pass
+            .caches
+            .into_iter()
+            .map(ConvForward::into_output)
+            .collect())
     }
 
     /// Forward pass returning only the final logits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Linalg`] on shape inconsistencies.
-    pub fn logits(&self, adj: Option<&CsrMatrix>, x: &DenseMatrix) -> Result<DenseMatrix, NnError> {
+    fn logits(
+        &self,
+        adj: Option<&CsrMatrix>,
+        inputs: &[DenseMatrix],
+    ) -> Result<DenseMatrix, NnError> {
         Ok(self
-            .forward_embeddings(adj, x)?
+            .forward_embeddings(adj, inputs)?
             .pop()
             .expect("network has at least one layer"))
     }
@@ -205,23 +289,79 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Linalg`] on shape inconsistencies.
-    pub fn predict(&self, adj: Option<&CsrMatrix>, x: &DenseMatrix) -> Result<Vec<usize>, NnError> {
-        Ok(ops::argmax_rows(&self.logits(adj, x)?))
+    /// Same conditions as [`Network::forward_embeddings`].
+    pub fn predict(
+        &self,
+        adj: Option<&CsrMatrix>,
+        inputs: &[DenseMatrix],
+    ) -> Result<Vec<usize>, NnError> {
+        Ok(ops::argmax_rows(&self.logits(adj, inputs)?))
     }
 
-    /// Trains the network full-batch on the masked cross-entropy loss,
-    /// propagating over `adj` when there is one.
+    /// The one forward pass: each layer's input resolved per the wiring
+    /// (a borrow when it is one part, else a concatenation drawn from
+    /// `ws`), dropout-masked when `dropout` is given, then run through
+    /// the layer's fused forward (bias and hidden-layer ReLU in the
+    /// output epilogue — no activation pass and no input copy).
+    fn forward_pass(
+        &self,
+        adj: Option<&CsrMatrix>,
+        inputs: &[DenseMatrix],
+        mut dropout: Option<(f32, &mut StdRng)>,
+        ws: &mut Workspace,
+    ) -> Result<Pass, NnError> {
+        if let Some(t) = self.taps.iter().flatten().find(|&&t| t >= inputs.len()) {
+            return Err(NnError::InvalidArchitecture {
+                reason: format!("a layer reads input {t}, but {} were given", inputs.len()),
+            });
+        }
+        let last = self.layers.len() - 1;
+        let mut pass = Pass {
+            caches: Vec::with_capacity(self.layers.len()),
+            owned: Vec::with_capacity(self.layers.len()),
+        };
+        for (i, layer) in self.layers.iter().enumerate() {
+            let parts: Vec<&DenseMatrix> = (pass.caches.last().map(ConvForward::output))
+                .into_iter()
+                .chain(self.taps[i].iter().map(|&t| &inputs[t]))
+                .collect();
+            let owned = match parts[..] {
+                // Dropout must not corrupt a tensor someone else owns.
+                [one] => dropout.is_some().then(|| ws.take_copy(one)),
+                _ => {
+                    let cols = parts.iter().map(|p| p.cols()).sum();
+                    let mut concat = ws.take_for_overwrite(parts[0].rows(), cols);
+                    DenseMatrix::hconcat_into(&parts, &mut concat)?;
+                    Some(concat)
+                }
+            };
+            pass.owned.push(owned.map(|mut input| {
+                let mask = (dropout.as_mut())
+                    .map(|(p, rng)| apply_dropout(&mut input, *p, &mut **rng, ws));
+                OwnedInput { input, mask }
+            }));
+            let input = layer_input(&self.taps, i, inputs, &pass);
+            let cache = layer.forward_fused(adj, input, i != last, ws)?;
+            pass.caches.push(cache);
+        }
+        Ok(pass)
+    }
+
+    /// Trains the network full-batch on the masked cross-entropy loss
+    /// over the taps `inputs`, propagating over `adj` when there is one.
+    /// Taps are constants: no gradient flows into them, so the first
+    /// layer accumulates its parameter gradients and stops.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidTrainConfig`] for a `cfg` that
     /// [`TrainConfig::validate`] rejects, [`NnError::InvalidLabels`] for
-    /// label/mask problems and [`NnError::Linalg`] for shape problems.
+    /// label/mask problems, and otherwise the conditions of
+    /// [`Network::forward_embeddings`].
     pub fn fit(
         &mut self,
         adj: Option<&CsrMatrix>,
-        x: &DenseMatrix,
+        inputs: &[DenseMatrix],
         labels: &[usize],
         train_mask: &[usize],
         cfg: &TrainConfig,
@@ -230,10 +370,10 @@ impl Network {
         let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut final_loss = f32::NAN;
-        let last = self.layers.len() - 1;
         // One workspace for the whole run: epoch N's activations,
-        // gradients, and GEMM packing buffers are recycled as epoch
-        // N+1's, so the steady state allocates nothing per step.
+        // concatenations, gradients, and GEMM packing buffers are
+        // recycled as epoch N+1's, so the steady state allocates nothing
+        // per step.
         // The backward pass multiplies by Âᵀ, which the operator builds
         // once and keeps. Build it now: the cache outlives this call,
         // and allocated inside the first backward pass it would sit
@@ -244,70 +384,51 @@ impl Network {
         }
         let mut ws = Workspace::new();
         for _ in 0..cfg.epochs {
-            // Forward. Hidden layers fuse bias + ReLU into their output
-            // epilogue, so with dropout off each layer borrows its
-            // predecessor's output directly — no activation pass and no
-            // input copies at all. Dropout epochs copy (the mask must
-            // not corrupt the cached activation the backward reads).
-            let mut caches: Vec<GcnForward> = Vec::with_capacity(self.layers.len());
-            // Each layer's (masked input, mask); empty without dropout.
-            let mut dropped: Vec<(DenseMatrix, DenseMatrix)> = Vec::new();
-            for i in 0..self.layers.len() {
-                if cfg.dropout > 0.0 {
-                    let mut h = ws.take_copy(fit_input(i, x, &caches, &[]));
-                    let mask = apply_dropout(&mut h, cfg.dropout, &mut rng, &mut ws);
-                    dropped.push((h, mask));
-                }
-                let h = fit_input(i, x, &caches, &dropped);
-                let cache = self.layers[i].forward_fused(adj, h, i != last, &mut ws)?;
-                caches.push(cache);
-            }
-            let logits = &caches[last].output;
+            let dropout = (cfg.dropout > 0.0).then_some((cfg.dropout, &mut rng));
+            let pass = self.forward_pass(adj, inputs, dropout, &mut ws)?;
+            let logits = pass.caches[pass.caches.len() - 1].output();
             let (loss_value, grad) = loss::masked_cross_entropy(logits, labels, train_mask)?;
             final_loss = loss_value;
 
             // Backward.
-            for layer in &mut self.layers {
-                layer.weight_mut().zero_grad();
-                layer.bias_mut().zero_grad();
+            let Network { layers, taps } = self;
+            for param in layers.iter_mut().flat_map(ConvLayer::params_mut) {
+                param.zero_grad();
             }
             let mut d = grad;
-            for i in (1..self.layers.len()).rev() {
-                let h = fit_input(i, x, &caches, &dropped);
-                let mut d_masked = self.layers[i].backward_ws(h, adj, &d, &mut ws)?;
-                // Undo this layer's input dropout, then the previous
-                // layer's ReLU (the post-activation output masks
-                // identically to the pre-activation tensor).
-                if let Some((_, mask)) = dropped.get(i) {
-                    d_masked.hadamard_inplace(mask)?;
+            for i in (1..layers.len()).rev() {
+                let input = layer_input(taps, i, inputs, &pass);
+                let mut d_input =
+                    layers[i].backward_ws(&pass.caches[i], input, adj, &d, &mut ws)?;
+                // Undo this layer's input dropout, keep the columns of
+                // the previous activation (it leads the input; the taps
+                // after it are frozen), then undo the previous layer's
+                // ReLU (the post-activation output masks identically to
+                // the pre-activation tensor).
+                if let Some(mask) = pass.owned[i].as_ref().and_then(|o| o.mask.as_ref()) {
+                    d_input.hadamard_inplace(mask)?;
                 }
-                let next = ops::relu_backward(&caches[i - 1].output, &d_masked);
-                ws.give(d_masked);
+                let prev = pass.caches[i - 1].output();
+                if !taps[i].is_empty() {
+                    let d_prev = d_input.slice_cols(0, prev.cols())?;
+                    ws.give(std::mem::replace(&mut d_input, d_prev));
+                }
+                let next = ops::relu_backward(prev, &d_input);
+                ws.give(d_input);
                 ws.give(std::mem::replace(&mut d, next));
             }
-            // Nothing reads the gradient of the features, so the input
-            // layer accumulates its parameter gradients and stops.
-            let h = fit_input(0, x, &caches, &dropped);
-            self.layers[0].param_grads_ws(h, adj, &d, &mut ws)?;
+            let input = layer_input(taps, 0, inputs, &pass);
+            layers[0].param_grads_ws(&pass.caches[0], input, adj, &d, &mut ws)?;
             ws.give(d);
 
             // Update.
             opt.begin_step();
-            for layer in &mut self.layers {
-                opt.update(layer.weight_mut());
-                opt.update(layer.bias_mut());
+            for param in layers.iter_mut().flat_map(ConvLayer::params_mut) {
+                opt.update(param);
             }
-
-            // Recycle this epoch's buffers for the next one.
-            for cache in caches {
-                ws.give(cache.output);
-            }
-            for (h, mask) in dropped {
-                ws.give(h);
-                ws.give(mask);
-            }
+            pass.recycle(&mut ws);
         }
-        let logits = self.logits(adj, x)?;
+        let logits = self.logits(adj, inputs)?;
         let train_accuracy = loss::masked_accuracy(&logits, labels, train_mask)?;
         Ok(TrainReport {
             final_loss,
@@ -317,21 +438,36 @@ impl Network {
     }
 }
 
-fn validate_channels(input_dim: usize, channels: &[usize]) -> Result<(), NnError> {
-    if input_dim == 0 {
-        return Err(NnError::InvalidArchitecture {
-            reason: "input dimension must be positive".into(),
-        });
+fn validate_wiring(
+    tap_dims: &[usize],
+    channels: &[usize],
+    taps: &[Vec<usize>],
+) -> Result<(), NnError> {
+    let invalid = |reason: String| Err(NnError::InvalidArchitecture { reason });
+    if tap_dims.contains(&0) {
+        return invalid("input dimension must be positive".into());
     }
     if channels.is_empty() {
-        return Err(NnError::InvalidArchitecture {
-            reason: "at least one layer is required".into(),
-        });
+        return invalid("at least one layer is required".into());
     }
     if channels.contains(&0) {
-        return Err(NnError::InvalidArchitecture {
-            reason: "channel dimensions must be positive".into(),
-        });
+        return invalid("channel dimensions must be positive".into());
+    }
+    if taps.len() != channels.len() {
+        return invalid(format!(
+            "{} layers but {} tap lists",
+            channels.len(),
+            taps.len()
+        ));
+    }
+    if taps[0].is_empty() {
+        return invalid("the first layer must read at least one input".into());
+    }
+    if let Some(t) = taps.iter().flatten().find(|&&t| t >= tap_dims.len()) {
+        return invalid(format!(
+            "tap {t} out of range for {} inputs",
+            tap_dims.len()
+        ));
     }
     Ok(())
 }
@@ -364,6 +500,7 @@ mod tests {
     use super::*;
     use graph::{normalization, Graph};
     use proptest::prelude::*;
+    use std::slice::from_ref;
 
     /// A tiny two-cluster graph where structure matters: features of the
     /// two "bridge" nodes are ambiguous but their neighbourhoods
@@ -427,13 +564,15 @@ mod tests {
             dropout: 0.0,
             seed: 1,
         };
-        let report = net.fit(Some(&adj), &x, &labels, &train, &cfg).unwrap();
+        let report = net
+            .fit(Some(&adj), from_ref(&x), &labels, &train, &cfg)
+            .unwrap();
         assert!(
             report.train_accuracy > 0.9,
             "train acc {}",
             report.train_accuracy
         );
-        let logits = net.logits(Some(&adj), &x).unwrap();
+        let logits = net.logits(Some(&adj), from_ref(&x)).unwrap();
         let acc = loss::masked_accuracy(&logits, &labels, &test).unwrap();
         assert!(acc >= 0.75, "test acc {acc}");
     }
@@ -446,12 +585,16 @@ mod tests {
             epochs: 1,
             ..TrainConfig::default()
         };
-        let first = net.fit(Some(&adj), &x, &labels, &train, &short).unwrap();
+        let first = net
+            .fit(Some(&adj), from_ref(&x), &labels, &train, &short)
+            .unwrap();
         let long = TrainConfig {
             epochs: 100,
             ..TrainConfig::default()
         };
-        let later = net.fit(Some(&adj), &x, &labels, &train, &long).unwrap();
+        let later = net
+            .fit(Some(&adj), from_ref(&x), &labels, &train, &long)
+            .unwrap();
         assert!(later.final_loss < first.final_loss);
     }
 
@@ -466,10 +609,10 @@ mod tests {
             dropout: 0.0,
             seed: 0,
         };
-        let report = mlp.fit(None, &x, &labels, &train, &cfg).unwrap();
+        let report = mlp.fit(None, from_ref(&x), &labels, &train, &cfg).unwrap();
         assert!(report.train_accuracy == 1.0);
         // Ambiguous nodes (3, 7) may be wrong, but separable ones must win.
-        let logits = mlp.logits(None, &x).unwrap();
+        let logits = mlp.logits(None, from_ref(&x)).unwrap();
         let acc = loss::masked_accuracy(&logits, &labels, &test).unwrap();
         assert!(acc >= 0.5, "test acc {acc}");
     }
@@ -479,7 +622,7 @@ mod tests {
         let (adj, x, _, _, _) = toy_problem();
         let net = Network::new(2, &[8, 4, 2], 0).unwrap();
         for op in [Some(&adj), None] {
-            let embs = net.forward_embeddings(op, &x).unwrap();
+            let embs = net.forward_embeddings(op, from_ref(&x)).unwrap();
             assert_eq!(embs.len(), 3);
             assert_eq!(embs[0].shape(), (8, 8));
             assert_eq!(embs[1].shape(), (8, 4));
@@ -501,7 +644,9 @@ mod tests {
             dropout: 0.3,
             seed: 9,
         };
-        let report = net.fit(Some(&adj), &x, &labels, &train, &cfg).unwrap();
+        let report = net
+            .fit(Some(&adj), from_ref(&x), &labels, &train, &cfg)
+            .unwrap();
         assert!(
             report.train_accuracy >= 0.75,
             "train acc {}",
@@ -518,8 +663,10 @@ mod tests {
         };
         let mut a = Network::new(2, &[8, 2], 7).unwrap();
         let mut b = Network::new(2, &[8, 2], 7).unwrap();
-        a.fit(Some(&adj), &x, &labels, &train, &cfg).unwrap();
-        b.fit(Some(&adj), &x, &labels, &train, &cfg).unwrap();
+        a.fit(Some(&adj), from_ref(&x), &labels, &train, &cfg)
+            .unwrap();
+        b.fit(Some(&adj), from_ref(&x), &labels, &train, &cfg)
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -527,7 +674,7 @@ mod tests {
     fn predict_returns_one_class_per_node() {
         let (adj, x, _, _, _) = toy_problem();
         let net = Network::new(2, &[4, 3], 0).unwrap();
-        let preds = net.predict(Some(&adj), &x).unwrap();
+        let preds = net.predict(Some(&adj), from_ref(&x)).unwrap();
         assert_eq!(preds.len(), 8);
         assert!(preds.iter().all(|&c| c < 3));
     }
@@ -555,7 +702,7 @@ mod tests {
             ("lr", cfg(0.0, f32::INFINITY)),
         ] {
             let mut net = fresh.clone();
-            match net.fit(Some(&adj), &x, &labels, &train, &bad) {
+            match net.fit(Some(&adj), from_ref(&x), &labels, &train, &bad) {
                 Err(NnError::InvalidTrainConfig { reason }) => {
                     assert!(reason.starts_with(field), "{reason}")
                 }
@@ -566,7 +713,125 @@ mod tests {
         // The range is open at the top: dropping almost everything is
         // a legitimate, if unwise, request.
         let mut net = fresh.clone();
-        assert!(net.fit(None, &x, &labels, &train, &cfg(0.99, 0.01)).is_ok());
+        assert!(net
+            .fit(None, from_ref(&x), &labels, &train, &cfg(0.99, 0.01))
+            .is_ok());
+    }
+
+    /// A first layer reading two taps is a chain over their
+    /// concatenation: same Glorot draws, same forward, same fit — with
+    /// dropout masking the concatenation — bit for bit.
+    #[test]
+    fn first_layer_concat_equals_a_chain_over_the_concatenated_taps() {
+        let (adj, x, labels, train, _) = toy_problem();
+        let extra = crate::init::glorot_uniform(8, 3, &mut StdRng::seed_from_u64(1));
+        let mut joined = DenseMatrix::zeros(8, 5);
+        DenseMatrix::hconcat_into(&[&x, &extra], &mut joined).unwrap();
+        let mut wired =
+            Network::wired(ConvKind::Gcn, &[2, 3], &[6, 2], vec![vec![0, 1], vec![]], 4).unwrap();
+        let mut chain = Network::new(5, &[6, 2], 4).unwrap();
+        assert_eq!(wired.layers(), chain.layers());
+        let taps = [x, extra];
+        let cfg = TrainConfig {
+            epochs: 12,
+            dropout: 0.5,
+            seed: 2,
+            ..TrainConfig::default()
+        };
+        let a = wired.fit(Some(&adj), &taps, &labels, &train, &cfg).unwrap();
+        let b = chain
+            .fit(Some(&adj), from_ref(&joined), &labels, &train, &cfg)
+            .unwrap();
+        assert_eq!(a.final_loss.to_bits(), b.final_loss.to_bits());
+        assert_eq!(wired.layers(), chain.layers());
+        assert_eq!(
+            wired.forward_embeddings(Some(&adj), &taps).unwrap(),
+            chain
+                .forward_embeddings(Some(&adj), from_ref(&joined))
+                .unwrap()
+        );
+    }
+
+    /// Gradients reach the first layer through later layers whose input
+    /// is the previous activation concatenated with taps.
+    #[test]
+    fn gradient_flows_through_concatenated_inputs() {
+        let (adj, x, labels, train, _) = toy_problem();
+        let tap = crate::init::glorot_uniform(8, 3, &mut StdRng::seed_from_u64(6));
+        let taps = [x, tap];
+        let wiring = vec![vec![0], vec![1], vec![0, 1]];
+        let mut net = Network::wired(ConvKind::Gcn, &[2, 3], &[5, 4, 2], wiring, 9).unwrap();
+        assert_eq!(
+            net.layers()
+                .iter()
+                .map(ConvLayer::in_dim)
+                .collect::<Vec<_>>(),
+            [2, 5 + 3, 4 + 2 + 3]
+        );
+        // An Adam step is at most ~lr (1e-38 here): the epoch fills the
+        // gradient accumulators and leaves the weights where they were.
+        let still = TrainConfig {
+            epochs: 1,
+            lr: f32::MIN_POSITIVE,
+            weight_decay: 0.0,
+            ..TrainConfig::default()
+        };
+        net.fit(Some(&adj), &taps, &labels, &train, &still).unwrap();
+        let loss_at = |net: &Network| {
+            let logits = net.logits(Some(&adj), &taps).unwrap();
+            loss::masked_cross_entropy(&logits, &labels, &train)
+                .unwrap()
+                .0
+        };
+        fn weight(net: &mut Network) -> &mut crate::Param {
+            net.layers_mut()[0].params_mut().swap_remove(0)
+        }
+        let eps = 1e-3f32;
+        for (r, c) in [(0, 0), (1, 3)] {
+            let analytic = weight(&mut net).grad.get(r, c);
+            let orig = weight(&mut net).value.get(r, c);
+            weight(&mut net).value.set(r, c, orig + eps);
+            let plus = loss_at(&net);
+            weight(&mut net).value.set(r, c, orig - eps);
+            let minus = loss_at(&net);
+            weight(&mut net).value.set(r, c, orig);
+            let numeric = (plus - minus) / (2.0 * eps);
+            assert!(
+                (numeric - analytic).abs() < 2e-2 * numeric.abs().max(0.05),
+                "dW[{r},{c}]: numeric {numeric} vs analytic {analytic}"
+            );
+        }
+    }
+
+    #[test]
+    fn wiring_is_validated() {
+        let wired = |taps| Network::wired(ConvKind::Gcn, &[4, 3], &[4, 2], taps, 0);
+        assert!(wired(vec![vec![0], vec![1]]).is_ok());
+        // One tap list per layer, a first layer that reads something,
+        // and taps that exist.
+        for bad in [vec![vec![0]], vec![vec![], vec![1]], vec![vec![0], vec![2]]] {
+            assert!(
+                matches!(wired(bad.clone()), Err(NnError::InvalidArchitecture { .. })),
+                "{bad:?}"
+            );
+        }
+        // A call handing fewer inputs than the wiring reads is refused
+        // typed, not with an out-of-bounds panic.
+        let (adj, x, labels, train, _) = toy_problem();
+        let mut net =
+            Network::wired(ConvKind::Gcn, &[2, 2], &[4, 2], vec![vec![0], vec![1]], 0).unwrap();
+        assert!(matches!(
+            net.forward_embeddings(Some(&adj), from_ref(&x)),
+            Err(NnError::InvalidArchitecture { .. })
+        ));
+        let cfg = TrainConfig {
+            epochs: 1,
+            ..TrainConfig::default()
+        };
+        assert!(matches!(
+            net.fit(Some(&adj), from_ref(&x), &labels, &train, &cfg),
+            Err(NnError::InvalidArchitecture { .. })
+        ));
     }
 
     proptest! {
@@ -585,7 +850,7 @@ mod tests {
             dropout_on in any::<bool>(),
             seed in 0u64..1000,
         ) {
-            let x = crate::glorot_uniform(n, input_dim, &mut StdRng::seed_from_u64(seed));
+            let x = crate::init::glorot_uniform(n, input_dim, &mut StdRng::seed_from_u64(seed));
             let classes = *channels.last().unwrap();
             let labels: Vec<usize> = (0..n).map(|i| (i * 7 + seed as usize) % classes).collect();
             let train: Vec<usize> = (0..n).step_by(2).collect();
@@ -601,15 +866,15 @@ mod tests {
 
             let mut plain = Network::new(input_dim, &channels, seed).unwrap();
             let mut over_identity = plain.clone();
-            let a = plain.fit(None, &x, &labels, &train, &cfg).unwrap();
-            let b = over_identity.fit(Some(&identity), &x, &labels, &train, &cfg).unwrap();
+            let a = plain.fit(None, from_ref(&x), &labels, &train, &cfg).unwrap();
+            let b = over_identity.fit(Some(&identity), from_ref(&x), &labels, &train, &cfg).unwrap();
 
             prop_assert_eq!(a.final_loss.to_bits(), b.final_loss.to_bits());
             prop_assert_eq!(a.train_accuracy, b.train_accuracy);
             prop_assert_eq!(&plain, &over_identity);
             prop_assert_eq!(
-                plain.forward_embeddings(None, &x).unwrap(),
-                plain.forward_embeddings(Some(&identity), &x).unwrap()
+                plain.forward_embeddings(None, from_ref(&x)).unwrap(),
+                plain.forward_embeddings(Some(&identity), from_ref(&x)).unwrap()
             );
         }
     }

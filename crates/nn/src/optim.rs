@@ -1,5 +1,4 @@
 use crate::Param;
-use serde::{Deserialize, Serialize};
 
 /// Adam optimizer (Kingma & Ba) with bias correction and optional L2
 /// weight decay, matching PyTorch's `torch.optim.Adam` semantics used by
@@ -7,40 +6,27 @@ use serde::{Deserialize, Serialize};
 ///
 /// The moment buffers live inside each [`Param`]; `Adam` only tracks the
 /// hyperparameters and the global step count, so a single optimizer can
-/// drive any set of parameters.
-///
-/// # Examples
-///
-/// ```
-/// use linalg::DenseMatrix;
-/// use nn::{Adam, Param};
-///
-/// let mut p = Param::new(DenseMatrix::filled(1, 1, 1.0));
-/// p.grad = DenseMatrix::filled(1, 1, 0.5);
-/// let mut opt = Adam::new(0.01);
-/// opt.begin_step();
-/// opt.update(&mut p);
-/// assert!(p.value.get(0, 0) < 1.0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Adam {
+/// drive any set of parameters. [`crate::Network::fit`] is its one
+/// user.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Adam {
     /// Learning rate.
-    pub lr: f32,
+    lr: f32,
     /// Exponential decay for the first moment.
-    pub beta1: f32,
+    beta1: f32,
     /// Exponential decay for the second moment.
-    pub beta2: f32,
+    beta2: f32,
     /// Numerical-stability epsilon.
-    pub eps: f32,
+    eps: f32,
     /// L2 weight decay coefficient.
-    pub weight_decay: f32,
+    weight_decay: f32,
     step: u64,
 }
 
 impl Adam {
     /// Creates an optimizer with the given learning rate and PyTorch
     /// default betas/eps, no weight decay.
-    pub fn new(lr: f32) -> Self {
+    pub(crate) fn new(lr: f32) -> Self {
         Self {
             lr,
             beta1: 0.9,
@@ -52,20 +38,15 @@ impl Adam {
     }
 
     /// Sets the weight-decay coefficient, builder-style.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
+    pub(crate) fn with_weight_decay(mut self, weight_decay: f32) -> Self {
         self.weight_decay = weight_decay;
         self
     }
 
     /// Advances the global step counter. Call once per optimization step,
     /// before updating the step's parameters.
-    pub fn begin_step(&mut self) {
+    pub(crate) fn begin_step(&mut self) {
         self.step += 1;
-    }
-
-    /// Number of completed [`Adam::begin_step`] calls.
-    pub fn step_count(&self) -> u64 {
-        self.step
     }
 
     /// Applies the Adam update to one parameter using its accumulated
@@ -75,7 +56,7 @@ impl Adam {
     /// # Panics
     ///
     /// Panics (debug) if called before any [`Adam::begin_step`].
-    pub fn update(&self, param: &mut Param) {
+    pub(crate) fn update(&self, param: &mut Param) {
         debug_assert!(self.step >= 1, "call begin_step before update");
         param.adam_step(
             self.lr,
@@ -112,6 +93,16 @@ mod tests {
     fn weight_decay_builder() {
         let opt = Adam::new(0.01).with_weight_decay(5e-4);
         assert_eq!(opt.weight_decay, 5e-4);
-        assert_eq!(opt.step_count(), 0);
+        assert_eq!(opt.step, 0);
+    }
+
+    #[test]
+    fn one_step_moves_against_the_gradient() {
+        let mut p = Param::new(DenseMatrix::filled(1, 1, 1.0));
+        p.grad = DenseMatrix::filled(1, 1, 0.5);
+        let mut opt = Adam::new(0.01);
+        opt.begin_step();
+        opt.update(&mut p);
+        assert!(p.value.get(0, 0) < 1.0);
     }
 }

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 /// Keeping the optimizer state adjacent to the value avoids the borrow
 /// gymnastics of a central parameter registry and makes freezing a layer
 /// (the backbone during rectifier training, §IV-D) as simple as never
-/// calling [`Param::adam_step`] on it.
+/// stepping it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Param {
     /// Current value.
@@ -21,7 +21,7 @@ pub struct Param {
 
 impl Param {
     /// Wraps an initial value with zeroed gradient and moments.
-    pub fn new(value: DenseMatrix) -> Self {
+    pub(crate) fn new(value: DenseMatrix) -> Self {
         let (r, c) = value.shape();
         Self {
             value,
@@ -31,18 +31,8 @@ impl Param {
         }
     }
 
-    /// Number of scalar parameters.
-    pub fn len(&self) -> usize {
-        self.value.len()
-    }
-
-    /// Whether the parameter is empty.
-    pub fn is_empty(&self) -> bool {
-        self.value.is_empty()
-    }
-
     /// Resets the gradient accumulator to zero.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.grad.map_inplace(|_| 0.0);
     }
 
@@ -51,7 +41,7 @@ impl Param {
     /// `t` is the 1-based global step count; `weight_decay` is L2 decay
     /// applied to the gradient (decoupled from the moments, i.e. vanilla
     /// Adam with L2, matching PyTorch's `Adam(weight_decay=..)`).
-    pub fn adam_step(
+    pub(crate) fn adam_step(
         &mut self,
         lr: f32,
         beta1: f32,

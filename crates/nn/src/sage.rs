@@ -1,4 +1,5 @@
-use crate::{glorot_uniform, NnError, Param};
+use crate::init::glorot_uniform;
+use crate::{NnError, Param};
 use linalg::{
     gemm_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix, Epilogue, GemmOp, Workspace,
 };
@@ -14,18 +15,6 @@ use serde::{Deserialize, Serialize};
 /// GCN layer.
 ///
 /// [`graph::normalization::row_normalize`]: ../graph/normalization/fn.row_normalize.html
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let layer = nn::SageLayer::new(4, 2, &mut rng);
-/// assert_eq!(layer.param_count(), 2 * 4 * 2 + 2);
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SageLayer {
     weight: Param,
@@ -34,18 +23,18 @@ pub struct SageLayer {
     out_dim: usize,
 }
 
-/// Forward cache for [`SageLayer::backward`].
+/// Forward cache for [`SageLayer::backward_ws`].
 #[derive(Debug, Clone)]
-pub struct SageForward {
-    /// Pre-activation output `Z`.
-    pub output: DenseMatrix,
+pub(crate) struct SageForward {
+    /// Layer output `Z` (post-ReLU when the forward fused it).
+    pub(crate) output: DenseMatrix,
     /// Cached concatenated input `[H ‖ Ā H]`.
-    pub cached_concat: DenseMatrix,
+    pub(crate) cached_concat: DenseMatrix,
 }
 
 impl SageLayer {
     /// Creates a layer with Glorot-initialized weights (fan-in `2·in`).
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         Self {
             weight: Param::new(glorot_uniform(2 * in_dim, out_dim, rng)),
             bias: Param::new(DenseMatrix::zeros(1, out_dim)),
@@ -55,62 +44,32 @@ impl SageLayer {
     }
 
     /// Input feature dimension.
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.in_dim
     }
 
     /// Output feature dimension.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.out_dim
     }
 
-    /// Number of trainable scalars (`2·in·out + out`).
-    pub fn param_count(&self) -> usize {
-        self.weight.len() + self.bias.len()
+    /// Both parameters (weight, bias).
+    pub(crate) fn params(&self) -> [&Param; 2] {
+        [&self.weight, &self.bias]
     }
 
-    /// Mutable weight access (for optimizers).
-    pub fn weight_mut(&mut self) -> &mut Param {
-        &mut self.weight
-    }
-
-    /// Mutable bias access (for optimizers).
-    pub fn bias_mut(&mut self) -> &mut Param {
-        &mut self.bias
-    }
-
-    /// Mutable access to all parameters at once (weight, bias).
-    pub fn params_mut(&mut self) -> [&mut Param; 2] {
+    /// Mutable access to both parameters (weight, bias).
+    pub(crate) fn params_mut(&mut self) -> [&mut Param; 2] {
         [&mut self.weight, &mut self.bias]
     }
 
-    /// Read access to the bias parameter.
-    pub fn bias(&self) -> &Param {
-        &self.bias
-    }
-
-    /// Read access to the weight parameter.
-    pub fn weight(&self) -> &Param {
-        &self.weight
-    }
-
-    /// Forward pass `Z = [H ‖ Ā H] W + b`.
+    /// Forward pass `Z = [H ‖ Ā H] W + b` with the bias — and, when
+    /// `fuse_relu` is set, the ReLU — fused into the GEMM epilogue.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::Linalg`] on shape inconsistencies.
-    pub fn forward(&self, adj: &CsrMatrix, input: &DenseMatrix) -> Result<SageForward, NnError> {
-        self.forward_fused(adj, input, false, &mut Workspace::new())
-    }
-
-    /// Forward pass with the bias — and, when `fuse_relu` is set, the
-    /// ReLU — fused into the GEMM epilogue (see
-    /// [`crate::GcnLayer::forward_fused`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SageLayer::forward`].
-    pub fn forward_fused(
+    pub(crate) fn forward_fused(
         &self,
         adj: &CsrMatrix,
         input: &DenseMatrix,
@@ -137,29 +96,15 @@ impl SageLayer {
     }
 
     /// Backward pass; accumulates parameter gradients and returns
-    /// `∂L/∂H = (∂L/∂C)_self + Āᵀ (∂L/∂C)_agg` where `C = [H ‖ Ā H]`.
+    /// `∂L/∂H = (∂L/∂C)_self + Āᵀ (∂L/∂C)_agg` where `C = [H ‖ Ā H]`,
+    /// drawing gradient scratch and GEMM packing buffers from `ws`.
     /// Both transposed products use the packed engine's transpose-free
     /// views.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::Linalg`] on shape inconsistencies.
-    pub fn backward(
-        &mut self,
-        cache: &SageForward,
-        adj: &CsrMatrix,
-        d_output: &DenseMatrix,
-    ) -> Result<DenseMatrix, NnError> {
-        self.backward_ws(cache, adj, d_output, &mut Workspace::new())
-    }
-
-    /// [`SageLayer::backward`] drawing gradient scratch and GEMM
-    /// packing buffers from `ws`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SageLayer::backward`].
-    pub fn backward_ws(
+    pub(crate) fn backward_ws(
         &mut self,
         cache: &SageForward,
         adj: &CsrMatrix,
@@ -216,13 +161,21 @@ mod tests {
         (adj, x, layer)
     }
 
+    fn forward(
+        layer: &SageLayer,
+        adj: &CsrMatrix,
+        x: &DenseMatrix,
+    ) -> Result<SageForward, NnError> {
+        layer.forward_fused(adj, x, false, &mut Workspace::new())
+    }
+
     #[test]
     fn forward_shapes_and_validation() {
         let (adj, x, layer) = setup();
-        let out = layer.forward(&adj, &x).unwrap();
+        let out = forward(&layer, &adj, &x).unwrap();
         assert_eq!(out.output.shape(), (5, 3));
         assert_eq!(out.cached_concat.shape(), (5, 8));
-        assert!(layer.forward(&adj, &DenseMatrix::zeros(5, 9)).is_err());
+        assert!(forward(&layer, &adj, &DenseMatrix::zeros(5, 9)).is_err());
     }
 
     #[test]
@@ -234,30 +187,32 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let x = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let layer = SageLayer::new(2, 2, &mut rng);
-        let fwd = layer.forward(&adj, &x).unwrap();
+        let fwd = forward(&layer, &adj, &x).unwrap();
         assert_eq!(fwd.cached_concat.row(0), &[1.0, 2.0, 1.0, 2.0]);
     }
 
     #[test]
     fn gradients_match_finite_differences() {
         let (adj, mut x, mut layer) = setup();
-        let cache = layer.forward(&adj, &x).unwrap();
+        let cache = forward(&layer, &adj, &x).unwrap();
         let d_out = DenseMatrix::filled(5, 3, 1.0);
-        layer.weight_mut().zero_grad();
-        layer.bias_mut().zero_grad();
-        let d_input = layer.backward(&cache, &adj, &d_out).unwrap();
+        layer.weight.zero_grad();
+        layer.bias.zero_grad();
+        let d_input = layer
+            .backward_ws(&cache, &adj, &d_out, &mut Workspace::new())
+            .unwrap();
 
         let eps = 1e-3f32;
-        let loss = |l: &SageLayer, x: &DenseMatrix| l.forward(&adj, x).unwrap().output.sum();
+        let loss = |l: &SageLayer, x: &DenseMatrix| forward(l, &adj, x).unwrap().output.sum();
         for (r, c) in [(0usize, 0usize), (7, 2), (3, 1)] {
-            let orig = layer.weight().value.get(r, c);
-            layer.weight_mut().value.set(r, c, orig + eps);
+            let orig = layer.weight.value.get(r, c);
+            layer.weight.value.set(r, c, orig + eps);
             let plus = loss(&layer, &x);
-            layer.weight_mut().value.set(r, c, orig - eps);
+            layer.weight.value.set(r, c, orig - eps);
             let minus = loss(&layer, &x);
-            layer.weight_mut().value.set(r, c, orig);
+            layer.weight.value.set(r, c, orig);
             let numeric = (plus - minus) / (2.0 * eps);
-            let analytic = layer.weight().grad.get(r, c);
+            let analytic = layer.weight.grad.get(r, c);
             assert!(
                 (numeric - analytic).abs() < 1e-2 * numeric.abs().max(1.0),
                 "dW[{r},{c}]: {numeric} vs {analytic}"

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mlp = Network::new(data.num_features(), &config.model.backbone_channels, 0)?;
     mlp.fit(
         None,
-        &data.features,
+        std::slice::from_ref(&data.features),
         &data.labels,
         &data.train_mask,
         &TrainConfig {

@@ -4,7 +4,7 @@
 
 use attacks::{surface, LinkStealingAttack, SimilarityMetric};
 use datasets::{DatasetSpec, SyntheticPlanetoid};
-use gnnvault::{pipeline, ModelConfig, RectifierKind, SubstituteKind};
+use gnnvault::{pipeline, ModelConfig, RectifierKind, SubstituteKind, Vault, VaultError};
 use tee::{SealKey, Sealed, TeeError};
 
 fn trained_pair() -> (pipeline::TrainedGnnVault, datasets::CitationDataset) {
@@ -73,8 +73,7 @@ fn rectifier_activations_would_leak_if_exposed() {
             &surface::gnnvault_surface(&trained.backbone, &data.features).expect("Mgv"),
         )
         .expect("attack");
-    let rect_activations: Vec<_> = rect_fwd.activations().cloned().collect();
-    let auc_rectifier = attack.run(&data.graph, &rect_activations).expect("attack");
+    let auc_rectifier = attack.run(&data.graph, &rect_fwd).expect("attack");
     assert!(
         auc_rectifier > auc_backbone + 0.05,
         "rectifier activations ({auc_rectifier:.3}) carry more edge signal than the \
@@ -109,16 +108,37 @@ fn sealed_artifacts_resist_tampering_and_wrong_keys() {
     assert!(a.unseal(key.derive("weights")).is_ok());
 }
 
+/// A deployment's at-rest form is its snapshot: only the deployment
+/// key opens it, and its sealed bytes do not carry the private edge
+/// list in the clear.
 #[test]
 fn deployment_records_sealed_private_artifacts() {
     let (trained, data) = trained_pair();
-    let vault = pipeline::deploy(trained, &data).expect("deployment");
-    let labels = vault.sealed_artifact_labels();
+    let mut vault = pipeline::deploy(trained, &data).expect("deployment");
+    let snapshot = vault.snapshot();
+    assert!(matches!(
+        Vault::restore(&snapshot, SealKey(pipeline::DEPLOY_SEAL_KEY.0 ^ 1)),
+        Err(VaultError::Tee(TeeError::SealTampered))
+    ));
+    let mut replica = Vault::restore(&snapshot, pipeline::DEPLOY_SEAL_KEY).expect("restore");
+    assert_eq!(
+        replica.infer(&data.features).expect("replica").0,
+        vault.infer(&data.features).expect("vault").0,
+        "the snapshot carries the whole deployment, real graph included"
+    );
+
+    // The payload writes each edge as two little-endian u64s; `Sealed`
+    // shows its ciphertext only through `Debug`, as a byte list.
+    let edges: Vec<u8> = (data.graph.edges().iter())
+        .flat_map(|&(u, v)| [u as u64, v as u64])
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    assert!(!edges.is_empty());
+    let listed = format!("{edges:?}");
     assert!(
-        labels.contains(&"real-graph-coo"),
+        !format!("{snapshot:?}").contains(&listed[1..listed.len() - 1]),
         "graph must be sealed at rest"
     );
-    assert!(labels.contains(&"rectifier-shape"));
 }
 
 #[test]
