@@ -530,10 +530,21 @@ impl AdmissionQueue {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Arc;
     use std::time::Duration;
+
+    /// A request for `nodes`, admitted now but outside any queue — how
+    /// the shard state-machine tests hand batches to a core directly.
+    pub(crate) fn request(nodes: Vec<usize>) -> PendingRequest {
+        PendingRequest {
+            nodes,
+            client: ClientId::ANONYMOUS,
+            enqueued_at: Instant::now(),
+            responder: channel().0,
+        }
+    }
 
     fn policy(max_nodes: usize, delay_ms: u64, cap: usize) -> BatchPolicy {
         BatchPolicy {

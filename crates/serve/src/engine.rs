@@ -11,7 +11,8 @@
 //! from one shared sealed snapshot ([`Vault::recovery_handle`]), so all
 //! shards answer from bit-identical weights under the *same epoch*.
 //! Each shard runs the full single-vault stack — its own
-//! [`AdmissionQueue`], its own epoch-keyed [`LruCache`], and its own
+//! [`AdmissionQueue`], its own epoch-keyed
+//! [`LruCache`](crate::LruCache), and its own
 //! [`tee::EnclaveSession`] — and a [`Router`] in every
 //! [`ServeHandle`] assigns each queried node to a shard by a
 //! deterministic hash of its id, so repeat queries for a node always
@@ -34,14 +35,19 @@
 //!
 //! ## Threading model
 //!
-//! Each [`Vault`] replica (and its simulated enclave) is owned by a
-//! single shard worker thread — the analogue of the SGX rule that
-//! enclave state is touched only through controlled entry points.
-//! Concurrency comes from three places: any number of client threads
-//! submit through cloned [`ServeHandle`]s; shards execute batches
-//! independently; and inside each batch the backbone forward fans out
-//! over the shared `linalg` pool. A shard runs one batch at a time
-//! through its one enclave session.
+//! Each [`Vault`] replica (and its simulated enclave) is owned by one
+//! shard's state machine, `ShardCore` (`worker.rs`), whose whole
+//! behaviour is three calls: serve a flushed batch, install an epoch,
+//! roll the last install back — the analogue of the SGX rule that
+//! enclave state is touched only through controlled entry points. The
+//! core has no thread, channel, queue or sleep of its own. One worker
+//! thread per shard drives it: poll the shard's admission queue, apply
+//! any pending control messages, call the core, ack. Concurrency comes
+//! from three places: any number of client threads submit through
+//! cloned [`ServeHandle`]s; shards execute batches independently; and
+//! inside each batch the backbone forward fans out over the shared
+//! `linalg` pool. A shard runs one batch at a time through its one
+//! enclave session.
 //!
 //! ## Determinism
 //!
@@ -57,18 +63,20 @@
 //!
 //! ## Failure model
 //!
-//! Each shard worker wraps batch execution in
+//! Each shard wraps batch execution in
 //! [`catch_unwind`](std::panic::catch_unwind). A panic fails only the
-//! batch in flight — its requests resolve to
-//! [`ServeError::ShardFailed`] — then the shard discards the
-//! (possibly poisoned) replica, marks itself [`ShardHealth::Down`] on
-//! the engine's [`HealthBoard`], and restores a fresh replica from its
-//! retained [`RecoveryHandle`] — once, with no sleep: a restore is a
-//! pure function of (sealed bytes, key), so a retry could only repeat
-//! its answer. If that restore fails the shard stays `Down` until a
-//! deploy resurrects it. Replicated, handles route *new* requests
-//! around `Down` shards (trading cache affinity for availability,
-//! counted in [`ServeStats::rerouted_subrequests`]); partitioned, a
+//! batch in flight: the shard marks itself [`ShardHealth::Down`] on the
+//! engine's [`HealthBoard`], discards the (possibly poisoned) replica,
+//! restores a fresh one from its retained [`RecoveryHandle`] — once,
+//! with no sleep: a restore is a pure function of (sealed bytes, key),
+//! so a retry could only repeat its answer — and only then answers the
+//! batch's requests with [`ServeError::ShardFailed`]. A client holding
+//! the failure therefore already sees the shard's final health:
+//! `Degraded` after a good restart, `Down` if it failed, in which case
+//! the shard stays `Down` until a deploy resurrects it. Replicated,
+//! handles route *new* requests around `Down` shards (trading cache
+//! affinity for availability, counted in
+//! [`ServeStats::rerouted_subrequests`]); partitioned, a
 //! `Down` shard's nodes have no other holder, so their requests stay
 //! home and resolve to the typed `ShardFailed` until the owner recovers
 //! or a deploy resurrects it — never a silently misrouted answer.
@@ -77,8 +85,9 @@
 //! per-request timeout ([`ServeError::TimedOut`]), and
 //! [`ServingEngine::deploy`] is all-or-nothing: one install per shard,
 //! and rollback to the previously installed epoch when any shard fails.
-//! Install, rollback and restart all restore through one worker
-//! function, the single hook for [`Fault::FailRestore`](crate::Fault).
+//! Install, rollback and restart all restore through one core
+//! function, the single hook for
+//! [`Fault::FailRestore`](crate::Fault::FailRestore).
 //!
 //! ## Hot swap
 //!
@@ -108,31 +117,34 @@
 //! before any shard, cache, or enclave sees the request. Attribute
 //! traffic with [`ServeHandle::submit_as`]; unattributed
 //! [`submit`](ServeHandle::submit) calls share the
-//! [`ClientId::ANONYMOUS`] session. The sentinel is engine-global
-//! (shared by all handles), its counters land in
+//! [`ClientId::ANONYMOUS`](crate::ClientId::ANONYMOUS) session. The
+//! sentinel is engine-global (shared by all handles), its counters land in
 //! [`ServeStats::sentinel`] at shutdown, and a successful
 //! [`ServingEngine::deploy`] optionally grants amnesty
 //! ([`SentinelConfig::reset_on_deploy`]).
 
-use crate::faults::{FaultPlan, ShardFaults};
-use crate::latency::AtomicLatency;
+use crate::faults::FaultPlan;
+use crate::router::FrontStats;
+// The engine's public surface: the crate root re-exports these types
+// together with the engine's own.
+pub use crate::router::{HealthBoard, Router, ServeHandle, ShardHealth};
 use crate::sentinel::Sentinel;
+pub use crate::stats::{ServeStats, ShardStats};
+use crate::worker::ShardCore;
 use crate::{
-    AdmissionQueue, BatchPolicy, BatchPoll, ClientId, FastCache, FlushReason, LatencyHistogram,
-    LruCache, PendingRequest, SentinelConfig, SentinelStats, ServeError, Ticket,
+    AdmissionQueue, BatchPolicy, BatchPoll, FastCache, PendingRequest, SentinelConfig,
+    SentinelStats, ServeError,
 };
-use gnnvault::{InferenceReport, Precision, RecoveryHandle, Vault, VaultSnapshot};
+use gnnvault::{Precision, RecoveryHandle, Vault, VaultSnapshot};
 use graph::partition::PartitionSpec;
 use linalg::DenseMatrix;
-use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tee::{ClassLabel, SealKey};
+use tee::SealKey;
 
-/// How long a shard worker waits in one queue poll before re-checking
+/// How long a shard's driver waits in one queue poll before re-checking
 /// its control channel. [`AdmissionQueue::notify`] cuts the wait short,
 /// so this is a liveness backstop, not a latency bound.
 const CONTROL_POLL: Duration = Duration::from_millis(50);
@@ -227,605 +239,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Health of one worker shard, as tracked on the [`HealthBoard`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardHealth {
-    /// Serving normally.
-    Healthy,
-    /// Recovered from a failure (or resurrected by a deploy) but has
-    /// not served a batch since; routed to normally.
-    Degraded,
-    /// Crashed and not yet restored (or its restore failed, until a
-    /// deploy resurrects it): handles route new requests around it,
-    /// and anything still queued at it is answered
-    /// [`ServeError::ShardFailed`] until it comes back.
-    Down,
-}
-
-impl ShardHealth {
-    fn as_u8(self) -> u8 {
-        match self {
-            ShardHealth::Healthy => 0,
-            ShardHealth::Degraded => 1,
-            ShardHealth::Down => 2,
-        }
-    }
-
-    fn from_u8(value: u8) -> Self {
-        match value {
-            0 => ShardHealth::Healthy,
-            1 => ShardHealth::Degraded,
-            _ => ShardHealth::Down,
-        }
-    }
-}
-
-/// Lock-free per-shard health states (one `AtomicU8` per shard), shared
-/// by the engine, its workers, and every [`ServeHandle`].
-///
-/// Workers flip their own entry (`Down` on panic, `Degraded` after a
-/// successful restore or deploy-resurrection, `Healthy` after the next
-/// successfully served batch); handles read it on every multi-shard
-/// submission to route around `Down` shards.
-#[derive(Debug)]
-pub struct HealthBoard {
-    states: Vec<AtomicU8>,
-}
-
-impl HealthBoard {
-    fn new(shards: usize) -> Self {
-        Self {
-            states: (0..shards.max(1))
-                .map(|_| AtomicU8::new(ShardHealth::Healthy.as_u8()))
-                .collect(),
-        }
-    }
-
-    /// Number of shards tracked.
-    pub fn num_shards(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Current health of `shard`.
-    pub fn state(&self, shard: usize) -> ShardHealth {
-        ShardHealth::from_u8(self.states[shard].load(Ordering::Acquire))
-    }
-
-    /// Snapshot of every shard's health, in shard order.
-    pub fn states(&self) -> Vec<ShardHealth> {
-        (0..self.states.len()).map(|s| self.state(s)).collect()
-    }
-
-    fn set(&self, shard: usize, health: ShardHealth) {
-        self.states[shard].store(health.as_u8(), Ordering::Release);
-    }
-}
-
-/// Handle-side telemetry the workers never see: shed submissions,
-/// re-routed sub-requests, and submit-path fast-cache hits (with their
-/// latency histogram), folded into [`ServeStats`] at shutdown.
-#[derive(Debug, Default)]
-struct FrontStats {
-    shed: AtomicU64,
-    rerouted: AtomicU64,
-    fast_hits: AtomicU64,
-    fast_latency: AtomicLatency,
-}
-
-/// Deterministic node-id → shard router.
-///
-/// In the replicated topology ([`Router::new`]) it applies the
-/// SplitMix64 finalizer to the node id, so the mapping is a pure
-/// function of `(node, shard count)`: every handle routes the same node
-/// to the same shard, which keeps that shard's `(epoch, node)` result
-/// cache effective and makes routing reproducible across runs. In the
-/// partitioned topology ([`Router::partitioned`]) hashing is replaced
-/// by the partition owner lookup — shard `i` is the *only* holder of
-/// partition `i`'s private state, so `shard_of` is ownership, not load
-/// spreading.
-///
-/// Either way the router needs no private data: block and hash
-/// ownership are pure functions of the node id, never of the private
-/// edges.
-///
-/// # Examples
-///
-/// ```
-/// use graph::partition::PartitionSpec;
-/// use serve::Router;
-///
-/// let router = Router::new(4);
-/// assert_eq!(router.num_shards(), 4);
-/// let shard = router.shard_of(17);
-/// assert_eq!(shard, router.shard_of(17), "routing is deterministic");
-/// assert!(shard < 4);
-/// assert_eq!(Router::new(1).shard_of(17), 0);
-///
-/// // Partitioned: owner lookup replaces the hash.
-/// let spec = PartitionSpec::block(100, 4).unwrap();
-/// let router = Router::partitioned(spec);
-/// assert!(router.is_partitioned());
-/// assert_eq!(router.shard_of(0), 0, "block partitions are contiguous");
-/// assert_eq!(router.shard_of(99), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Router {
-    shards: usize,
-    spec: Option<PartitionSpec>,
-}
-
-impl Router {
-    /// A hash router over `shards` full-replica shards (clamped to
-    /// ≥ 1).
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: shards.max(1),
-            spec: None,
-        }
-    }
-
-    /// An owner-lookup router for a partitioned deployment: shard `i`
-    /// answers exactly the nodes `spec` assigns to partition `i`.
-    pub fn partitioned(spec: PartitionSpec) -> Self {
-        Self {
-            shards: spec.num_parts(),
-            spec: Some(spec),
-        }
-    }
-
-    /// Number of shards this router spreads nodes across.
-    pub fn num_shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Whether this router maps nodes by partition ownership instead of
-    /// by hash.
-    pub fn is_partitioned(&self) -> bool {
-        self.spec.is_some()
-    }
-
-    /// The partition layout behind an owner-lookup router (`None` for a
-    /// hash router).
-    pub fn partition_spec(&self) -> Option<PartitionSpec> {
-        self.spec
-    }
-
-    /// The shard that owns `node`'s queries.
-    pub fn shard_of(&self, node: usize) -> usize {
-        if let Some(spec) = &self.spec {
-            return spec.owner_of(node);
-        }
-        if self.shards == 1 {
-            return 0;
-        }
-        let mut z = (node as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z % self.shards as u64) as usize
-    }
-}
-
-/// Per-shard serving statistics: the [`FlushReason`] balance, batch,
-/// failure, and recovery counts, and hot-swap installs. One entry per
-/// shard lands in
-/// [`ServeStats::shards`], so operators can see deadline-vs-size flush
-/// balance (and load skew) per worker instead of only in aggregate.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardStats {
-    /// Shard index (also the routing target of
-    /// [`Router::shard_of`]).
-    pub shard: usize,
-    /// Sub-requests this shard answered.
-    pub requests: u64,
-    /// Node queries this shard answered.
-    pub answered_nodes: u64,
-    /// Batches flushed from this shard's admission queue.
-    pub batches: u64,
-    /// Batches that reached this shard's enclave.
-    pub enclave_batches: u64,
-    /// Batches flushed because the size bound was reached.
-    pub full_flushes: u64,
-    /// Partial batches flushed by the deadline.
-    pub deadline_flushes: u64,
-    /// Batches flushed while draining at shutdown.
-    pub drain_flushes: u64,
-    /// Batches that failed inside this shard's vault (typed vault
-    /// errors) or died in a panic.
-    pub failed_batches: u64,
-    /// Panics this shard's supervision caught mid-batch.
-    pub panics_caught: u64,
-    /// Successful supervisor restores after a caught panic.
-    pub restarts: u64,
-    /// Installs rolled back after a partially failed
-    /// [`ServingEngine::deploy`].
-    pub rollbacks: u64,
-    /// Requests this shard dropped for exceeding
-    /// [`ServeConfig::request_timeout`].
-    pub timed_out: u64,
-    /// Model epochs hot-swapped in via [`ServingEngine::deploy`].
-    pub deploys: u64,
-    /// Queue depth (requests still pending) when the worker exited —
-    /// non-zero only if the drain was cut short.
-    pub queue_depth: usize,
-    /// Deepest this shard's admission queue ever got, in requests —
-    /// the operator's backlog-headroom gauge against
-    /// `max_queue_requests` / `shed_high_water`.
-    pub queue_high_water: usize,
-    /// Submit-to-respond latency of every node query this shard
-    /// answered successfully through the queued (enclave) path.
-    pub latency: LatencyHistogram,
-}
-
-/// Aggregate serving statistics, returned by
-/// [`ServingEngine::shutdown`].
-///
-/// Aggregates are summed across shards; [`ServeStats::shards`] holds
-/// the per-shard breakdown. With more than one shard, a multi-node
-/// client request is split into one sub-request per shard its nodes
-/// hash to, and [`ServeStats::requests`] counts those *sub-requests* —
-/// for single-node request streams the two notions coincide.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServeStats {
-    /// Sub-requests answered (successfully or with a typed error).
-    pub requests: u64,
-    /// Node queries answered across all requests.
-    pub answered_nodes: u64,
-    /// Node queries resolved without new enclave work (LRU hit, or
-    /// duplicate of a node already in the same batch).
-    pub cache_hits: u64,
-    /// Unique node queries that entered an enclave.
-    pub cache_misses: u64,
-    /// Batches flushed from the admission queues.
-    pub batches: u64,
-    /// Batches that reached an enclave (all-hit batches don't).
-    pub enclave_batches: u64,
-    /// Batches flushed because the size bound was reached.
-    pub full_flushes: u64,
-    /// Partial batches flushed by the deadline.
-    pub deadline_flushes: u64,
-    /// Batches flushed while draining at shutdown.
-    pub drain_flushes: u64,
-    /// Batches that failed inside a vault or died in a panic.
-    pub failed_batches: u64,
-    /// Panics caught by shard supervision (each fails one batch, never
-    /// the engine).
-    pub panics_caught: u64,
-    /// Successful supervisor restores of crashed shards.
-    pub shard_restarts: u64,
-    /// Installs rolled back by all-or-nothing [`ServingEngine::deploy`]
-    /// after another shard failed to install.
-    pub deploy_rollbacks: u64,
-    /// Requests dropped for exceeding
-    /// [`ServeConfig::request_timeout`].
-    pub timed_out_requests: u64,
-    /// Submissions shed at the admission high-water mark
-    /// ([`ServeError::Overloaded`]).
-    pub requests_shed: u64,
-    /// Sub-requests routed away from their home shard because it was
-    /// [`ShardHealth::Down`] — the degraded-mode availability trade.
-    pub rerouted_subrequests: u64,
-    /// Node queries answered in place on the submit thread by the
-    /// lock-free [`FastCache`] — zero queue, zero cross-thread traffic
-    /// (not counted in [`ServeStats::requests`] or
-    /// [`ServeStats::cache_hits`], which describe the queued path).
-    pub fast_path_hits: u64,
-    /// Submit-to-resolve latency of fast-path requests (probe plus
-    /// histogram bookkeeping; no queue, no enclave).
-    pub fast_path_latency: LatencyHistogram,
-    /// Submit-to-respond latency of node queries answered through the
-    /// queued (enclave) path, merged bucket-wise across shards —
-    /// deterministic for a fixed trace at any shard count.
-    pub queued_latency: LatencyHistogram,
-    /// Enclave transitions (ECALLs) across all batches and shards.
-    pub enclave_transitions: u64,
-    /// Bytes marshalled into the enclaves across all batches.
-    pub transferred_bytes: u64,
-    /// Aggregate backbone / transfer / rectifier time over all enclave
-    /// batches, in nanoseconds (wall + simulated, from the meters).
-    pub backbone_ns: u64,
-    /// See [`ServeStats::backbone_ns`].
-    pub transfer_ns: u64,
-    /// See [`ServeStats::backbone_ns`].
-    pub rectifier_ns: u64,
-    /// Per-shard breakdown, in shard order.
-    pub shards: Vec<ShardStats>,
-    /// The abuse sentinel's aggregate counters and per-client-session
-    /// breakdown (filled at [`ServingEngine::shutdown`]; per-shard
-    /// stats leave it empty — the sentinel fronts the whole engine).
-    pub sentinel: SentinelStats,
-}
-
-impl ServeStats {
-    /// Fraction of node queries served without new enclave work.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.cache_hits as f64 / total as f64
-    }
-
-    /// Enclave transitions per answered node query — the amortization
-    /// headline (per-node [`Vault::infer`] pays the full tap count for
-    /// every single query).
-    pub fn transitions_per_node(&self) -> f64 {
-        if self.answered_nodes == 0 {
-            return 0.0;
-        }
-        self.enclave_transitions as f64 / self.answered_nodes as f64
-    }
-
-    /// Mean unique nodes per enclave batch.
-    pub fn mean_enclave_batch_nodes(&self) -> f64 {
-        if self.enclave_batches == 0 {
-            return 0.0;
-        }
-        self.cache_misses as f64 / self.enclave_batches as f64
-    }
-
-    fn absorb_report(&mut self, report: &InferenceReport) {
-        self.enclave_batches += 1;
-        self.enclave_transitions += report.transitions;
-        self.transferred_bytes += report.transferred_bytes as u64;
-        self.backbone_ns += report.backbone_ns;
-        self.transfer_ns += report.transfer_ns;
-        self.rectifier_ns += report.rectifier_ns;
-    }
-
-    /// Folds one shard's run into the engine-wide aggregate.
-    fn merge(&mut self, shard: ServeStats) {
-        self.requests += shard.requests;
-        self.answered_nodes += shard.answered_nodes;
-        self.cache_hits += shard.cache_hits;
-        self.cache_misses += shard.cache_misses;
-        self.batches += shard.batches;
-        self.enclave_batches += shard.enclave_batches;
-        self.full_flushes += shard.full_flushes;
-        self.deadline_flushes += shard.deadline_flushes;
-        self.drain_flushes += shard.drain_flushes;
-        self.failed_batches += shard.failed_batches;
-        self.panics_caught += shard.panics_caught;
-        self.shard_restarts += shard.shard_restarts;
-        self.deploy_rollbacks += shard.deploy_rollbacks;
-        self.timed_out_requests += shard.timed_out_requests;
-        self.requests_shed += shard.requests_shed;
-        self.rerouted_subrequests += shard.rerouted_subrequests;
-        self.fast_path_hits += shard.fast_path_hits;
-        self.fast_path_latency.merge(&shard.fast_path_latency);
-        self.queued_latency.merge(&shard.queued_latency);
-        self.enclave_transitions += shard.enclave_transitions;
-        self.transferred_bytes += shard.transferred_bytes;
-        self.backbone_ns += shard.backbone_ns;
-        self.transfer_ns += shard.transfer_ns;
-        self.rectifier_ns += shard.rectifier_ns;
-        self.shards.extend(shard.shards);
-    }
-}
-
-/// Cloneable client handle onto a running engine: the router plus one
-/// admission queue per shard, consulting the [`HealthBoard`] to route
-/// around [`ShardHealth::Down`] shards.
-///
-/// Node ids are validated at admission against the deployment's corpus
-/// size, so a bad id is rejected immediately instead of failing the
-/// batch it would have ridden in. With more than one shard, a
-/// multi-node request is split into per-shard sub-requests; the
-/// returned [`Ticket`] reassembles the labels into request order.
-#[derive(Debug, Clone)]
-pub struct ServeHandle {
-    queues: Vec<Arc<AdmissionQueue>>,
-    router: Router,
-    num_nodes: usize,
-    health: Arc<HealthBoard>,
-    front: Arc<FrontStats>,
-    sentinel: Arc<Sentinel>,
-    /// The engine-wide submit-path fast cache (`None` when
-    /// [`ServeConfig::fast_cache_slots`] is 0).
-    fast: Option<Arc<FastCache>>,
-}
-
-impl ServeHandle {
-    /// Submits an *unattributed* multi-node inference request — booked
-    /// under the shared [`ClientId::ANONYMOUS`] sentinel session. See
-    /// [`submit_as`](Self::submit_as), which attributed deployments
-    /// should prefer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit_as`](Self::submit_as).
-    pub fn submit(&self, nodes: Vec<usize>) -> Result<Ticket, ServeError> {
-        self.submit_as(ClientId::ANONYMOUS, nodes)
-    }
-
-    /// Submits a multi-node inference request on behalf of `client`;
-    /// blocks nowhere. The returned labels (via [`Ticket::wait`]) are
-    /// in request order.
-    ///
-    /// The submission first passes the engine's abuse sentinel — which
-    /// updates `client`'s detector state on this thread, *before*
-    /// routing, so sentinel statistics for a fixed trace are identical
-    /// at any shard count — and the client identity is stamped into
-    /// every per-shard sub-request
-    /// ([`PendingRequest::client`](crate::PendingRequest::client)), so
-    /// each one stays attributable wherever it lands.
-    ///
-    /// With [`ServeConfig::fast_cache_slots`] > 0, a request whose
-    /// nodes *all* hit the lock-free [`FastCache`] under the current
-    /// install tag resolves right here on the submit thread — no
-    /// queue, no worker wakeup, no enclave — and its ticket is already
-    /// ready. Any miss sends the whole request down the queued path.
-    /// The sentinel has already accounted the submission either way.
-    ///
-    /// Under [`Topology::Replicated`], nodes whose home shard is
-    /// [`ShardHealth::Down`] are routed to the next live shard (every
-    /// replica serves the same model, so the answer is unchanged — only
-    /// that shard's cache affinity is lost). Under
-    /// [`Topology::Partitioned`] no other shard holds the home's
-    /// partition, so its nodes are *never* re-routed: while the owner
-    /// is down they resolve to the typed [`ServeError::ShardFailed`]
-    /// instead of a silently wrong shard, and are answerable again once
-    /// recovery or a [`ServingEngine::deploy`] brings the owner back.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Rejected`] on empty/out-of-range node lists or a
-    /// full shard queue; [`ServeError::Overloaded`] when the shard is
-    /// shedding load; [`ServeError::RateLimited`] /
-    /// [`ServeError::Quarantined`] when the sentinel (in
-    /// [`SentinelMode::Enforce`](crate::SentinelMode)) rejects the
-    /// session's traffic; [`ServeError::Closed`] after shutdown began.
-    /// When a multi-shard submission fails part-way, already-admitted
-    /// sub-requests are still answered by their shards, but into a
-    /// dropped ticket — the request as a whole fails.
-    pub fn submit_as(&self, client: ClientId, nodes: Vec<usize>) -> Result<Ticket, ServeError> {
-        if nodes.is_empty() {
-            return Err(ServeError::Rejected {
-                reason: "request contains no query nodes".into(),
-            });
-        }
-        if let Some(&bad) = nodes.iter().find(|&&n| n >= self.num_nodes) {
-            return Err(ServeError::Rejected {
-                reason: format!("query node {bad} out of range for {} nodes", self.num_nodes),
-            });
-        }
-        self.sentinel.admit(client, &nodes)?;
-        // Fast path: probe the lock-free cache on this thread, strictly
-        // *after* sentinel accounting (a replayed hot node still climbs
-        // the abuse ladder) and *before* any queue admission.
-        // All-or-nothing: the request resolves here only if every node
-        // hits under the current install tag; otherwise the whole
-        // request takes the queued path unchanged, so per-shard request
-        // semantics never depend on partial fast hits.
-        if let Some(fast) = &self.fast {
-            let started = Instant::now();
-            let tag = fast.current_tag();
-            let mut labels = Vec::with_capacity(nodes.len());
-            for &node in &nodes {
-                match fast.probe(tag, node) {
-                    Some(label) => labels.push(label),
-                    None => {
-                        labels.clear();
-                        break;
-                    }
-                }
-            }
-            if labels.len() == nodes.len() {
-                self.front
-                    .fast_hits
-                    .fetch_add(nodes.len() as u64, Ordering::Relaxed);
-                self.front.fast_latency.record(started.elapsed());
-                return Ok(Ticket::ready(labels));
-            }
-        }
-        if self.router.num_shards() == 1 {
-            return self.track_shed(self.queues[0].submit_as(client, nodes));
-        }
-        let total = nodes.len();
-        let mut per_shard: Vec<(Vec<usize>, Vec<usize>, bool)> =
-            vec![(Vec::new(), Vec::new(), false); self.router.num_shards()];
-        for (position, &node) in nodes.iter().enumerate() {
-            let home = self.router.shard_of(node);
-            // A partition's nodes have exactly one holder: routing a
-            // query away from a Down owner could only misroute it, so
-            // partitioned mode keeps it home and lets the worker answer
-            // the typed `ShardFailed` instead.
-            let target = if self.router.is_partitioned() {
-                home
-            } else {
-                self.route_around_down(home)
-            };
-            let (shard_nodes, positions, rerouted) = &mut per_shard[target];
-            shard_nodes.push(node);
-            positions.push(position);
-            *rerouted |= target != home;
-        }
-        let mut parts = Vec::new();
-        for (shard, (shard_nodes, positions, rerouted)) in per_shard.into_iter().enumerate() {
-            if shard_nodes.is_empty() {
-                continue;
-            }
-            let ticket = self.track_shed(self.queues[shard].submit_as(client, shard_nodes))?;
-            if rerouted {
-                self.front.rerouted.fetch_add(1, Ordering::Relaxed);
-            }
-            parts.push((ticket, positions));
-        }
-        Ok(Ticket::from_routed_parts(parts, total))
-    }
-
-    /// Submits a single-node request (routed to the node's shard),
-    /// unattributed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ServeHandle::submit`].
-    pub fn submit_one(&self, node: usize) -> Result<Ticket, ServeError> {
-        self.submit(vec![node])
-    }
-
-    /// Submits a single-node request on behalf of `client`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ServeHandle::submit_as`].
-    pub fn submit_one_as(&self, client: ClientId, node: usize) -> Result<Ticket, ServeError> {
-        self.submit_as(client, vec![node])
-    }
-
-    /// Live snapshot of the engine's sentinel counters (also available
-    /// from [`ServingEngine::sentinel_stats`] and, at shutdown, in
-    /// [`ServeStats::sentinel`]).
-    pub fn sentinel_stats(&self) -> SentinelStats {
-        self.sentinel.stats()
-    }
-
-    /// Number of nodes in the served deployment (valid ids are
-    /// `0..num_nodes`).
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// The node-id router this handle submits through.
-    pub fn router(&self) -> Router {
-        self.router
-    }
-
-    /// The engine's live per-shard health board.
-    pub fn health(&self) -> &HealthBoard {
-        &self.health
-    }
-
-    /// Picks the serving shard for a sub-request whose home is `home`:
-    /// the home itself unless it is `Down`, otherwise the next live
-    /// shard (wrapping). With every shard down the home keeps the
-    /// request — its worker answers a typed [`ServeError::ShardFailed`]
-    /// rather than letting anything hang.
-    fn route_around_down(&self, home: usize) -> usize {
-        if self.health.state(home) != ShardHealth::Down {
-            return home;
-        }
-        let shards = self.router.num_shards();
-        for offset in 1..shards {
-            let candidate = (home + offset) % shards;
-            if self.health.state(candidate) != ShardHealth::Down {
-                return candidate;
-            }
-        }
-        home
-    }
-
-    /// Counts [`ServeError::Overloaded`] admissions for the shutdown
-    /// stats while passing the result through.
-    fn track_shed(&self, result: Result<Ticket, ServeError>) -> Result<Ticket, ServeError> {
-        if matches!(result, Err(ServeError::Overloaded { .. })) {
-            self.front.shed.fetch_add(1, Ordering::Relaxed);
-        }
-        result
-    }
-}
-
-/// Control messages the engine sends to a shard worker between batches.
+/// Control messages the engine sends to a shard's driver, applied
+/// between batches.
 enum ShardControl {
     /// Install a new model epoch from a sealed snapshot. `tag` is the
     /// fast-cache install generation minted for this deploy: the shard
@@ -843,26 +258,13 @@ enum ShardControl {
     },
 }
 
-/// One worker shard: its queue, its control channel, and the worker
-/// thread owning its vault replica.
+/// One shard: its queue, its control channel, and the worker thread
+/// driving the [`ShardCore`] that owns its vault replica.
+#[derive(Debug)]
 struct Shard {
     queue: Arc<AdmissionQueue>,
     control: Sender<ShardControl>,
     worker: Option<std::thread::JoinHandle<(Option<Vault>, ServeStats)>>,
-}
-
-/// The set of worker shards behind a running engine.
-struct ShardSet {
-    shards: Vec<Shard>,
-}
-
-impl ShardSet {
-    /// Closes every shard queue (idempotent).
-    fn close(&self) {
-        for shard in &self.shards {
-            shard.queue.close();
-        }
-    }
 }
 
 /// A running sharded vault-serving engine: a [`Router`] over per-shard
@@ -875,7 +277,7 @@ impl ShardSet {
 /// can, and exit — but the vaults they own are then dropped with them.
 #[derive(Debug)]
 pub struct ServingEngine {
-    set: ShardSet,
+    shards: Vec<Shard>,
     router: Router,
     num_nodes: usize,
     health: Arc<HealthBoard>,
@@ -893,19 +295,11 @@ pub struct ServingEngine {
     parked: Mutex<Option<Vault>>,
 }
 
-impl std::fmt::Debug for ShardSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardSet")
-            .field("shards", &self.shards.len())
-            .finish()
-    }
-}
-
 impl Drop for ServingEngine {
     /// Closes every queue so an abandoned engine's workers unblock,
     /// drain, and exit instead of parking forever on their condvars.
     fn drop(&mut self) {
-        self.set.close();
+        self.shards.iter().for_each(|shard| shard.queue.close());
     }
 }
 
@@ -990,7 +384,6 @@ impl ServingEngine {
         } else {
             None
         };
-        let initial_tag = fast.as_ref().map_or(0, |fast| fast.current_tag());
 
         let (router, parked, vaults, retained) = match config.topology {
             Topology::Replicated => {
@@ -1029,35 +422,22 @@ impl ServingEngine {
         };
 
         let mut shards: Vec<Shard> = Vec::with_capacity(shard_count);
-        for (index, (vault, worker_retained)) in vaults.into_iter().zip(retained).enumerate() {
+        for (index, (vault, retained)) in vaults.into_iter().zip(retained).enumerate() {
             let queue = Arc::new(AdmissionQueue::for_shard(config.policy, index));
             let (control, control_rx) = channel();
+            let core = ShardCore::new(
+                index,
+                vault,
+                retained,
+                Arc::clone(&features),
+                &config,
+                Arc::clone(&health),
+                fast.clone(),
+            );
             let worker_queue = Arc::clone(&queue);
-            let worker_features = Arc::clone(&features);
-            let worker_health = Arc::clone(&health);
-            let worker_fast = fast.clone();
-            let worker_faults = config
-                .fault_plan
-                .as_ref()
-                .map(|plan| plan.shard_faults(index))
-                .unwrap_or_default();
             let spawned = std::thread::Builder::new()
                 .name(format!("vault-serve-shard-{index}"))
-                .spawn(move || {
-                    ShardWorker::new(
-                        index,
-                        vault,
-                        worker_features,
-                        config.cache_capacity,
-                        config.request_timeout,
-                        worker_health,
-                        worker_retained,
-                        worker_fast,
-                        initial_tag,
-                        worker_faults,
-                    )
-                    .run(&worker_queue, &control_rx)
-                });
+                .spawn(move || drive(core, &worker_queue, &control_rx));
             match spawned {
                 Ok(worker) => shards.push(Shard {
                     queue,
@@ -1067,9 +447,7 @@ impl ServingEngine {
                 Err(e) => {
                     // Unwind cleanly: close the queues so the already
                     // spawned workers drain and exit on their own.
-                    for shard in &shards {
-                        shard.queue.close();
-                    }
+                    shards.iter().for_each(|shard| shard.queue.close());
                     return Err(ServeError::StartFailed {
                         reason: format!("spawn worker thread for shard {index}: {e}"),
                     });
@@ -1077,7 +455,7 @@ impl ServingEngine {
             }
         }
         Ok(Self {
-            set: ShardSet { shards },
+            shards,
             router,
             num_nodes,
             health,
@@ -1092,7 +470,6 @@ impl ServingEngine {
     pub fn handle(&self) -> ServeHandle {
         ServeHandle {
             queues: self
-                .set
                 .shards
                 .iter()
                 .map(|shard| Arc::clone(&shard.queue))
@@ -1134,7 +511,7 @@ impl ServingEngine {
     /// Number of queued (not yet batched) sub-requests right now,
     /// summed over shards.
     pub fn queued_requests(&self) -> usize {
-        self.set.shards.iter().map(|shard| shard.queue.len()).sum()
+        self.shards.iter().map(|shard| shard.queue.len()).sum()
     }
 
     /// Installs a new model epoch across all shards with zero downtime
@@ -1205,7 +582,7 @@ impl ServingEngine {
                 // One shared allocation, deliberately: every replica
                 // installs the same full snapshot.
                 let shared = Arc::new(snapshot.clone());
-                (vec![shared; self.set.shards.len()], None)
+                (vec![shared; self.shards.len()], None)
             }
             Some(spec) => {
                 let full = Vault::restore(snapshot, seal_key).map_err(ServeError::Vault)?;
@@ -1222,8 +599,8 @@ impl ServingEngine {
         // permanently unmatchable. Tags are minted monotonically and
         // never reused, so no flush pass is ever needed.
         let tag = self.fast.as_ref().map_or(0, |fast| fast.mint_tag());
-        let mut acks = Vec::with_capacity(self.set.shards.len());
-        for (index, shard) in self.set.shards.iter().enumerate() {
+        let mut acks = Vec::with_capacity(self.shards.len());
+        for (index, shard) in self.shards.iter().enumerate() {
             let (ack, ack_rx) = channel();
             shard
                 .control
@@ -1288,7 +665,7 @@ impl ServingEngine {
                 continue;
             }
             let (ack, ack_rx) = channel();
-            let shard = &self.set.shards[*index];
+            let shard = &self.shards[*index];
             if shard.control.send(ShardControl::Rollback { ack }).is_ok() {
                 shard.queue.notify();
                 rollback_acks.push(ack_rx);
@@ -1317,10 +694,10 @@ impl ServingEngine {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .take();
-        self.set.close();
+        self.shards.iter().for_each(|shard| shard.queue.close());
         let mut merged = ServeStats::default();
         let mut first_vault = None;
-        for shard in &mut self.set.shards {
+        for shard in &mut self.shards {
             let Some(worker) = shard.worker.take() else {
                 continue;
             };
@@ -1348,436 +725,40 @@ impl ServingEngine {
     }
 }
 
-/// The state owned by one shard's worker thread: the vault replica (or
-/// `None` while down), its enclave session, the epoch-keyed result
-/// cache, the retained recovery snapshot, and shard-local statistics.
-struct ShardWorker {
-    shard: usize,
-    vault: Option<Vault>,
-    features: Arc<DenseMatrix>,
-    /// The long-lived ingress channel every batch of the current
-    /// replica goes through; reopened at every restore.
-    session: tee::EnclaveSession,
-    cache: LruCache<(u64, usize), ClassLabel>,
-    epoch: u64,
-    /// The snapshot this shard restores from after a crash — replaced
-    /// on every successful install.
-    retained: RecoveryHandle,
-    /// The epoch retained before the last install — the rollback
-    /// target of an all-or-nothing deploy.
-    previous: Option<RecoveryHandle>,
-    /// Per-shard flushed-batch ordinal (1-based), the time axis of a
-    /// [`FaultPlan`]'s batch faults.
-    batch_seq: u64,
-    /// Per-shard restore ordinal (1-based) over installs, rollbacks and
-    /// restarts, the time axis of [`Fault::FailRestore`].
-    ///
-    /// [`Fault::FailRestore`]: crate::Fault::FailRestore
-    restore_seq: u64,
-    deploys: u64,
-    /// The engine-wide submit-path fast cache this worker publishes
-    /// completed labels into (`None` when disabled).
-    fast: Option<Arc<FastCache>>,
-    /// The fast-cache install generation this worker's current model
-    /// publishes under. Captured at install: a worker that hasn't
-    /// installed a racing deploy yet keeps publishing under its old
-    /// (still correct for its model) tag.
-    tag: u64,
-    /// The tag before the last install — reverted to on rollback, just
-    /// like the retained snapshot.
-    previous_tag: u64,
-    request_timeout: Duration,
-    health: Arc<HealthBoard>,
-    faults: ShardFaults,
-    stats: ServeStats,
-}
-
-impl ShardWorker {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        shard: usize,
-        mut vault: Vault,
-        features: Arc<DenseMatrix>,
-        cache_capacity: usize,
-        request_timeout: Duration,
-        health: Arc<HealthBoard>,
-        retained: RecoveryHandle,
-        fast: Option<Arc<FastCache>>,
-        initial_tag: u64,
-        faults: ShardFaults,
-    ) -> Self {
-        Self {
-            shard,
-            session: vault.open_session(),
-            epoch: vault.epoch(),
-            vault: Some(vault),
-            features,
-            cache: LruCache::new(cache_capacity),
-            retained,
-            previous: None,
-            batch_seq: 0,
-            restore_seq: 0,
-            deploys: 0,
-            fast,
-            tag: initial_tag,
-            previous_tag: initial_tag,
-            request_timeout,
-            health,
-            faults,
-            stats: ServeStats::default(),
-        }
-    }
-
-    /// The shard's one restore: unseals `source` into a fresh replica
-    /// and swaps it in — a fresh enclave session, a cleared result
-    /// cache, the replica's epoch — resurrecting a `Down` shard as
-    /// `Degraded`. Install, rollback and supervised restart each call
-    /// it exactly once: a restore is a pure function of (sealed bytes,
-    /// key), so a retry could only repeat its answer. On failure the
-    /// current replica (or its absence) is left untouched. Every call
-    /// advances the ordinal [`Fault::FailRestore`] is addressed by.
-    ///
-    /// [`Fault::FailRestore`]: crate::Fault::FailRestore
-    fn restore(&mut self, source: &RecoveryHandle) -> Result<(), ServeError> {
-        self.restore_seq += 1;
-        if self.faults.should_fail_restore(self.restore_seq) {
-            return Err(ServeError::Vault(gnnvault::VaultError::Snapshot {
-                reason: format!(
-                    "injected fault: FailRestore {{ shard: {}, restore_n: {} }}",
-                    self.shard, self.restore_seq
-                ),
-            }));
-        }
-        let mut vault = source.restore().map_err(ServeError::Vault)?;
-        self.session = vault.open_session();
-        // Epoch numbers are only unique within the process that minted
-        // them; a snapshot shipped in from another worker could carry
-        // an epoch this cache already holds entries for — under a
-        // different model. Dropping the cache outright (instead of
-        // trusting the epoch key) makes the no-stale-answer guarantee
-        // unconditional; post-swap entries for the old epoch were dead
-        // weight anyway.
-        self.cache.clear();
-        self.epoch = vault.epoch();
-        if self.vault.replace(vault).is_none() {
-            self.health.set(self.shard, ShardHealth::Degraded);
-        }
-        Ok(())
-    }
-
-    /// The shard main loop: service control between batches, process
-    /// batches until the queue is closed and drained, then return the
-    /// vault (if the shard is alive) and this shard's statistics (with
-    /// its [`ShardStats`] entry filled in).
-    fn run(
-        mut self,
-        queue: &AdmissionQueue,
-        control: &Receiver<ShardControl>,
-    ) -> (Option<Vault>, ServeStats) {
-        loop {
-            // Hot-swap deploys and rollbacks install strictly *between*
-            // batches: whatever was in flight drained on the old epoch.
-            while let Ok(message) = control.try_recv() {
-                self.control(message);
-            }
-            match queue.poll_batch(CONTROL_POLL) {
-                BatchPoll::Batch(batch, reason) => self.handle_batch(batch, reason),
-                BatchPoll::Idle => continue,
-                BatchPoll::Drained => break,
-            }
-        }
-        // Late control messages that arrived after the drain finished
-        // cannot be honoured; fail them instead of leaving the caller
-        // hanging.
+/// A shard's worker thread: the driver around its [`ShardCore`].
+/// Control messages are applied strictly *between* batches, so whatever
+/// was in flight at a deploy drained on the old epoch; each flushed
+/// batch is served as of the instant it left the queue. Runs until the
+/// queue is closed and drained, fails any control message that arrives
+/// after that, and returns the core's vault and statistics.
+fn drive(
+    mut core: ShardCore,
+    queue: &AdmissionQueue,
+    control: &Receiver<ShardControl>,
+) -> (Option<Vault>, ServeStats) {
+    loop {
         while let Ok(message) = control.try_recv() {
             match message {
-                ShardControl::Deploy { ack, .. } | ShardControl::Rollback { ack } => {
-                    let _ = ack.send(Err(ServeError::Closed));
+                ShardControl::Deploy { source, tag, ack } => {
+                    let _ = ack.send(core.install(source, tag));
+                }
+                ShardControl::Rollback { ack } => {
+                    let _ = ack.send(core.rollback());
                 }
             }
         }
-        let shard_stats = ShardStats {
-            shard: self.shard,
-            queue_depth: queue.len(),
-            queue_high_water: queue.high_water(),
-            latency: self.stats.queued_latency.clone(),
-            requests: self.stats.requests,
-            answered_nodes: self.stats.answered_nodes,
-            batches: self.stats.batches,
-            enclave_batches: self.stats.enclave_batches,
-            full_flushes: self.stats.full_flushes,
-            deadline_flushes: self.stats.deadline_flushes,
-            drain_flushes: self.stats.drain_flushes,
-            failed_batches: self.stats.failed_batches,
-            panics_caught: self.stats.panics_caught,
-            restarts: self.stats.shard_restarts,
-            rollbacks: self.stats.deploy_rollbacks,
-            timed_out: self.stats.timed_out_requests,
-            deploys: self.deploys,
-        };
-        self.stats.shards = vec![shard_stats];
-        (self.vault.take(), self.stats)
-    }
-
-    /// Services one control message, acking the outcome.
-    fn control(&mut self, message: ShardControl) {
-        match message {
-            ShardControl::Deploy { source, tag, ack } => {
-                let _ = ack.send(self.install(source, tag));
+        match queue.poll_batch(CONTROL_POLL) {
+            BatchPoll::Batch(batch, reason) => {
+                core.serve(batch, reason, Instant::now(), PendingRequest::respond);
             }
-            ShardControl::Rollback { ack } => {
-                let _ = ack.send(self.rollback());
-            }
+            BatchPoll::Idle => {}
+            BatchPoll::Drained => break,
         }
     }
-
-    /// Installs the epoch `source` seals, retaining it for crash
-    /// recovery and keeping the previous handle as the rollback target.
-    /// On failure the old replica keeps serving untouched. Installing
-    /// into a down shard resurrects it.
-    fn install(&mut self, source: RecoveryHandle, tag: u64) -> Result<u64, ServeError> {
-        // The last deploy's rollback target is stale once a new one
-        // begins; free it before restoring the new replica.
-        self.previous = None;
-        self.restore(&source)?;
-        self.previous = Some(std::mem::replace(&mut self.retained, source));
-        // Publish new-model labels under the deploy's fast-cache
-        // generation from here on; they stay unprobeable until the
-        // engine flips the current tag after every shard acks.
-        self.previous_tag = std::mem::replace(&mut self.tag, tag);
-        self.deploys += 1;
-        Ok(self.epoch)
+    while let Ok(ShardControl::Deploy { ack, .. } | ShardControl::Rollback { ack }) =
+        control.try_recv()
+    {
+        let _ = ack.send(Err(ServeError::Closed));
     }
-
-    /// Reinstalls the epoch retained before the last install — the
-    /// compensation step of an all-or-nothing deploy. Consumes the
-    /// rollback target: a deploy that never installed here has nothing
-    /// to roll back (acked as an error, which the engine ignores).
-    fn rollback(&mut self) -> Result<u64, ServeError> {
-        let previous = self.previous.clone().ok_or_else(|| ServeError::Rejected {
-            reason: format!("shard {} has no previous epoch to roll back to", self.shard),
-        })?;
-        self.restore(&previous)?;
-        self.previous = None;
-        self.retained = previous;
-        // Publish under the pre-install generation again; the failed
-        // deploy's tag never becomes current, so any entries published
-        // under it are unreachable forever.
-        self.tag = self.previous_tag;
-        self.stats.deploy_rollbacks += 1;
-        Ok(self.epoch)
-    }
-
-    /// Executes one flushed batch under supervision: shed stale
-    /// requests, run the computation inside `catch_unwind`, respond to
-    /// every request with labels or a typed error, and recover the
-    /// shard if the computation panicked.
-    fn handle_batch(&mut self, mut batch: Vec<PendingRequest>, reason: FlushReason) {
-        self.batch_seq += 1;
-        self.stats.batches += 1;
-        match reason {
-            FlushReason::Full => self.stats.full_flushes += 1,
-            FlushReason::Deadline => self.stats.deadline_flushes += 1,
-            FlushReason::Drain => self.stats.drain_flushes += 1,
-        }
-
-        // A down shard answers typed failures immediately — queued
-        // requests drain fast instead of hanging behind a dead vault.
-        if self.vault.is_none() {
-            for request in batch {
-                self.stats.requests += 1;
-                request.respond(Err(ServeError::ShardFailed { shard: self.shard }));
-            }
-            return;
-        }
-
-        // Per-request timeout: a request that already overstayed its
-        // budget is dropped *before* spending enclave work on it.
-        if self.request_timeout > Duration::ZERO {
-            let timeout = self.request_timeout;
-            let mut live = Vec::with_capacity(batch.len());
-            for request in batch {
-                let waited = request.waited();
-                if waited > timeout {
-                    self.stats.requests += 1;
-                    self.stats.timed_out_requests += 1;
-                    request.respond(Err(ServeError::TimedOut { waited }));
-                } else {
-                    live.push(request);
-                }
-            }
-            batch = live;
-            if batch.is_empty() {
-                return;
-            }
-        }
-
-        // Injected stall: simulates slow enclave compute (after
-        // admission filtering, like the real thing).
-        if let Some(delay) = self.faults.slow_delay(self.batch_seq) {
-            std::thread::sleep(delay);
-        }
-        let inject_panic = self.faults.should_panic(self.batch_seq);
-
-        // Supervision boundary: the computation may panic (a vault bug,
-        // or an injected fault); responding happens outside it, so the
-        // batch's requests are never lost with the unwound stack.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                panic!(
-                    "injected fault: PanicAt {{ shard: {}, batch_n: {} }}",
-                    self.shard, self.batch_seq
-                );
-            }
-            self.compute(&batch)
-        }));
-        match outcome {
-            Ok(results) => {
-                debug_assert_eq!(results.len(), batch.len());
-                // A completed batch proves a recovered shard out —
-                // flipped before responding, so a client holding this
-                // batch's answer sees the shard healthy.
-                if self.health.state(self.shard) == ShardHealth::Degraded {
-                    self.health.set(self.shard, ShardHealth::Healthy);
-                }
-                let mut responses: Vec<(PendingRequest, Result<Vec<ClassLabel>, ServeError>)> =
-                    batch.into_iter().zip(results).collect();
-                // Injected answer drop: the work was done, but the
-                // first response is lost — its client's ticket resolves
-                // through the disconnect path.
-                if self.faults.should_drop(self.batch_seq) && !responses.is_empty() {
-                    let (request, _lost) = responses.remove(0);
-                    self.stats.requests += 1;
-                    drop(request);
-                }
-                for (request, result) in responses {
-                    self.stats.requests += 1;
-                    if let Ok(labels) = &result {
-                        self.stats.answered_nodes += labels.len() as u64;
-                        // Queued-path tail latency: submit to respond,
-                        // recorded per successfully answered request.
-                        self.stats.queued_latency.record(request.waited());
-                    }
-                    request.respond(result);
-                }
-            }
-            Err(_) => {
-                // The replica's invariants may be torn mid-batch: mark
-                // the shard down and discard the replica *before*
-                // answering the batch with a typed failure, so a client
-                // holding the failure sees the shard down.
-                self.health.set(self.shard, ShardHealth::Down);
-                self.vault = None;
-                self.stats.panics_caught += 1;
-                self.stats.failed_batches += 1;
-                for request in batch {
-                    self.stats.requests += 1;
-                    request.respond(Err(ServeError::ShardFailed { shard: self.shard }));
-                }
-                // Supervised restart: one restore from the retained
-                // snapshot, no sleep. If it fails the shard stays down
-                // (routed around; queued requests answer `ShardFailed`)
-                // until a deploy resurrects it.
-                let retained = self.retained.clone();
-                if self.restore(&retained).is_ok() {
-                    self.stats.shard_restarts += 1;
-                }
-            }
-        }
-    }
-
-    /// Computes one batch's per-request results: resolve cached nodes,
-    /// run the unique remainder through the shard's enclave session.
-    /// Pure compute — responding is the caller's job, so a
-    /// panic in here can never strand the batch's tickets.
-    fn compute(&mut self, batch: &[PendingRequest]) -> Vec<Result<Vec<ClassLabel>, ServeError>> {
-        let vault = self.vault.as_mut().expect("compute requires a live vault");
-        // Resolve what the cache already knows; collect the unique
-        // remainder for the enclave.
-        let mut resolved: HashMap<usize, ClassLabel> = HashMap::new();
-        let mut needed: HashSet<usize> = HashSet::new();
-        let mut need: Vec<usize> = Vec::new();
-        let mut occurrences = 0u64;
-        for request in batch {
-            for &node in request.nodes() {
-                occurrences += 1;
-                if resolved.contains_key(&node) || needed.contains(&node) {
-                    continue;
-                }
-                match self.cache.get(&(self.epoch, node)) {
-                    Some(&label) => {
-                        resolved.insert(node, label);
-                    }
-                    None => {
-                        needed.insert(node);
-                        need.push(node);
-                    }
-                }
-            }
-        }
-        if !need.is_empty() {
-            let transitions_before = vault.enclave_transitions();
-            match vault.infer_batch(&mut self.session, &self.features, &need) {
-                Ok((labels, report)) => {
-                    for (&node, label) in need.iter().zip(labels) {
-                        resolved.insert(node, label);
-                        self.cache.insert((self.epoch, node), label);
-                        // Publish to the submit-path fast cache under
-                        // this worker's captured install generation, so
-                        // later probes for the node resolve with zero
-                        // cross-thread traffic.
-                        if let Some(fast) = &self.fast {
-                            fast.publish(self.tag, node, label);
-                        }
-                    }
-                    self.stats.absorb_report(&report);
-                }
-                Err(error) => {
-                    // The batch failed, but requests whose nodes were
-                    // fully resolved from the cache are still
-                    // answerable — only the requests that needed the
-                    // enclave see the error. Hit/miss stats count
-                    // answered queries only. ECALLs the failed attempt
-                    // already charged stay accounted, keeping the
-                    // transition stats meter-exact.
-                    self.stats.failed_batches += 1;
-                    self.stats.enclave_transitions +=
-                        vault.enclave_transitions() - transitions_before;
-                    return batch
-                        .iter()
-                        .map(|request| {
-                            let labels: Option<Vec<ClassLabel>> = request
-                                .nodes()
-                                .iter()
-                                .map(|node| resolved.get(node).copied())
-                                .collect();
-                            match labels {
-                                Some(labels) => {
-                                    self.stats.cache_hits += labels.len() as u64;
-                                    Ok(labels)
-                                }
-                                None => Err(ServeError::Vault(error.clone())),
-                            }
-                        })
-                        .collect();
-                }
-            }
-        }
-
-        // Hit/miss accounting describes answered queries: the unique
-        // nodes that entered the enclave are the misses, everything
-        // else was cache- or batch-local.
-        self.stats.cache_misses += need.len() as u64;
-        self.stats.cache_hits += occurrences - need.len() as u64;
-        batch
-            .iter()
-            .map(|request| {
-                Ok(request
-                    .nodes()
-                    .iter()
-                    .map(|node| resolved[node])
-                    .collect::<Vec<_>>())
-            })
-            .collect()
-    }
+    core.finish(queue.len(), queue.high_water())
 }

@@ -9,12 +9,14 @@
 //! from a seed ([`FaultPlan::random`]); either way the constructor
 //! calls are the reproduction.
 //!
-//! The module is always compiled. The hooks live inside the shard
-//! worker of [`ServingEngine`](crate::ServingEngine): three ordinal
-//! checks per batch and one per restore, each on an empty list unless
+//! Both faults change shard state — a panic takes the shard down, a
+//! failed restore keeps it down or refuses an install — so every
+//! health transition of the shard state machine can be reached on
+//! purpose, with no clock. The module is always compiled. The hooks
+//! live in each shard's state machine behind
+//! [`ServingEngine`](crate::ServingEngine): one ordinal check per batch
+//! and one per restore, each on an empty list unless
 //! [`ServeConfig::fault_plan`](crate::ServeConfig::fault_plan) is set.
-
-use std::time::Duration;
 
 /// One injected fault: where (shard), when (per-shard batch or restore
 /// ordinal), and what.
@@ -28,16 +30,6 @@ pub enum Fault {
         /// Per-shard batch ordinal (1-based) that panics.
         batch_n: u64,
     },
-    /// Stall the shard's batch execution by `delay` — exercises
-    /// per-request timeouts and deploy-under-load behaviour.
-    SlowBatch {
-        /// Shard the stall fires on.
-        shard: usize,
-        /// Per-shard batch ordinal (1-based) that stalls.
-        batch_n: u64,
-        /// How long the batch execution is delayed.
-        delay: Duration,
-    },
     /// Fail the shard's `restore_n`-th snapshot restore — exercises
     /// all-or-nothing deploy rollback (an install), a rollback that
     /// cannot reinstall, and a shard left `Down` until a deploy
@@ -49,23 +41,12 @@ pub enum Fault {
         /// rollbacks and supervised restarts alike.
         restore_n: u64,
     },
-    /// Drop one computed answer after the batch executed — the client's
-    /// ticket sees the responder disconnect, exercising the
-    /// dropped-responder → `ShardFailed` path.
-    DropTicket {
-        /// Shard the drop fires on.
-        shard: usize,
-        /// Per-shard batch ordinal (1-based) whose first request's
-        /// answer is dropped.
-        batch_n: u64,
-    },
 }
 
-/// A seeded schedule of injected faults, threaded into the engine
-/// through [`ServeConfig::fault_plan`](crate::ServeConfig::fault_plan).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A schedule of injected faults, threaded into the engine through
+/// [`ServeConfig::fault_plan`](crate::ServeConfig::fault_plan).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    seed: u64,
     faults: Vec<Fault>,
 }
 
@@ -84,13 +65,9 @@ impl SplitMix64 {
 }
 
 impl FaultPlan {
-    /// An empty plan carrying `seed` (a label for provenance; an empty
-    /// plan injects nothing).
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            faults: Vec::new(),
-        }
+    /// An empty plan: it injects nothing.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Builder: appends one fault to the schedule.
@@ -101,33 +78,19 @@ impl FaultPlan {
 
     /// Generates a reproducible schedule for a `shards`-shard engine
     /// from `seed`: every shard gets one panic at a batch ordinal in
-    /// `1..=horizon`, about half the shards get a short (1–3 ms) slow
-    /// batch, about a quarter get a dropped ticket, and exactly one
-    /// shard gets one failed restore among its first three. The same
-    /// `(seed, shards, horizon)` always yields the same plan.
+    /// `1..=horizon`, and exactly one shard gets one failed restore
+    /// among its first three. The same `(seed, shards, horizon)` always
+    /// yields the same plan.
     pub fn random(seed: u64, shards: usize, horizon: u64) -> Self {
         let shards = shards.max(1);
         let horizon = horizon.max(1);
         let mut rng = SplitMix64(seed);
-        let mut plan = Self::new(seed);
+        let mut plan = Self::new();
         for shard in 0..shards {
             plan.faults.push(Fault::PanicAt {
                 shard,
                 batch_n: 1 + rng.next() % horizon,
             });
-            if rng.next().is_multiple_of(2) {
-                plan.faults.push(Fault::SlowBatch {
-                    shard,
-                    batch_n: 1 + rng.next() % horizon,
-                    delay: Duration::from_millis(1 + rng.next() % 3),
-                });
-            }
-            if rng.next().is_multiple_of(4) {
-                plan.faults.push(Fault::DropTicket {
-                    shard,
-                    batch_n: 1 + rng.next() % horizon,
-                });
-            }
         }
         plan.faults.push(Fault::FailRestore {
             shard: (rng.next() % shards as u64) as usize,
@@ -136,23 +99,17 @@ impl FaultPlan {
         plan
     }
 
-    /// Extracts the faults aimed at one shard — the bundle a worker
-    /// thread carries so firing a hook never touches shared state.
+    /// Extracts the faults aimed at one shard — the bundle a shard
+    /// carries so firing a hook never touches shared state.
     pub(crate) fn shard_faults(&self, shard: usize) -> ShardFaults {
         let mut faults = ShardFaults::default();
         for fault in &self.faults {
             match *fault {
                 Fault::PanicAt { shard: s, batch_n } if s == shard => faults.panics.push(batch_n),
-                Fault::SlowBatch {
-                    shard: s,
-                    batch_n,
-                    delay,
-                } if s == shard => faults.slows.push((batch_n, delay)),
                 Fault::FailRestore {
                     shard: s,
                     restore_n,
                 } if s == shard => faults.failed_restores.push(restore_n),
-                Fault::DropTicket { shard: s, batch_n } if s == shard => faults.drops.push(batch_n),
                 _ => {}
             }
         }
@@ -160,13 +117,11 @@ impl FaultPlan {
     }
 }
 
-/// The slice of a [`FaultPlan`] one shard worker carries: triggers
-/// keyed by per-shard batch or restore ordinal.
+/// The slice of a [`FaultPlan`] one shard carries: triggers keyed by
+/// per-shard batch or restore ordinal.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardFaults {
     panics: Vec<u64>,
-    slows: Vec<(u64, Duration)>,
-    drops: Vec<u64>,
     failed_restores: Vec<u64>,
 }
 
@@ -174,23 +129,6 @@ impl ShardFaults {
     /// Whether batch ordinal `n` is scheduled to panic.
     pub(crate) fn should_panic(&self, n: u64) -> bool {
         self.panics.contains(&n)
-    }
-
-    /// The injected stall for batch ordinal `n`, if any (multiple
-    /// entries for one ordinal add up).
-    pub(crate) fn slow_delay(&self, n: u64) -> Option<Duration> {
-        let total: Duration = self
-            .slows
-            .iter()
-            .filter(|(at, _)| *at == n)
-            .map(|(_, delay)| *delay)
-            .sum();
-        (total > Duration::ZERO).then_some(total)
-    }
-
-    /// Whether batch ordinal `n` drops its first answer.
-    pub(crate) fn should_drop(&self, n: u64) -> bool {
-        self.drops.contains(&n)
     }
 
     /// Whether restore ordinal `n` is scheduled to fail.
@@ -231,38 +169,20 @@ mod tests {
 
     #[test]
     fn shard_faults_filter_and_consume() {
-        let plan = FaultPlan::new(0)
+        let plan = FaultPlan::new()
             .with_fault(Fault::PanicAt {
                 shard: 1,
                 batch_n: 2,
             })
-            .with_fault(Fault::SlowBatch {
-                shard: 1,
-                batch_n: 2,
-                delay: Duration::from_millis(1),
-            })
-            .with_fault(Fault::SlowBatch {
-                shard: 1,
-                batch_n: 2,
-                delay: Duration::from_millis(2),
-            })
             .with_fault(Fault::FailRestore {
                 shard: 1,
                 restore_n: 2,
-            })
-            .with_fault(Fault::DropTicket {
-                shard: 0,
-                batch_n: 5,
             });
         let one = plan.shard_faults(1);
         assert!(one.should_panic(2) && !one.should_panic(1));
-        assert_eq!(one.slow_delay(2), Some(Duration::from_millis(3)));
-        assert_eq!(one.slow_delay(3), None);
-        assert!(!one.should_drop(5), "drop belongs to shard 0");
         assert!(one.should_fail_restore(2));
         assert!(!one.should_fail_restore(1) && !one.should_fail_restore(3));
         let zero = plan.shard_faults(0);
-        assert!(zero.should_drop(5));
         assert!(!zero.should_panic(2));
         assert!(
             !zero.should_fail_restore(2),

@@ -44,13 +44,16 @@
 //! all shards between batches — all-or-nothing: one install per shard,
 //! and rollback on partial failure.
 //!
-//! The engine is *supervised*: a shard that panics mid-batch fails only
-//! the batch in flight (typed [`ServeError::ShardFailed`]), is marked
+//! The engine is *supervised*: a shard that panics mid-batch is marked
 //! down on the shared [`HealthBoard`], restores itself once from a
-//! retained sealed snapshot, and is routed around while down. A restore
-//! is a pure function of (sealed bytes, key), so nothing retries it: a
-//! shard whose restore fails stays down until a deploy resurrects it.
-//! Overload sheds at a high-water mark ([`ServeError::Overloaded`] with
+//! retained sealed snapshot, and only then fails the batch in flight
+//! (typed [`ServeError::ShardFailed`]); it is routed around while down.
+//! A restore is a pure function of (sealed bytes, key), so nothing
+//! retries it: a shard whose restore fails stays down until a deploy
+//! resurrects it. Each shard is a thread-free state machine — serve a
+//! batch, install an epoch, roll back — driven by one worker thread, so
+//! its transitions are unit-tested over every short input word without
+//! a thread or a sleep. Overload sheds at a high-water mark ([`ServeError::Overloaded`] with
 //! a retry hint) and stale requests are dropped by a per-request
 //! timeout ([`ServeError::TimedOut`]), so every admitted request
 //! resolves — labels or a typed error, never a hang. The [`faults`]
@@ -140,7 +143,10 @@ mod error;
 mod fastcache;
 pub mod faults;
 mod latency;
+mod router;
 pub mod sentinel;
+mod stats;
+mod worker;
 
 pub use batcher::{AdmissionQueue, BatchPolicy, BatchPoll, FlushReason, PendingRequest, Ticket};
 pub use cache::LruCache;

@@ -1,0 +1,419 @@
+//! The client side of the engine: the deterministic node → shard
+//! [`Router`], the shared per-shard [`HealthBoard`], and the cloneable
+//! [`ServeHandle`] that submits through both.
+
+use crate::latency::AtomicLatency;
+use crate::sentinel::Sentinel;
+use crate::{AdmissionQueue, ClientId, FastCache, SentinelStats, ServeError, Ticket};
+use graph::partition::PartitionSpec;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Health of one shard, as tracked on the [`HealthBoard`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardHealth {
+    /// Serving normally.
+    Healthy,
+    /// Recovered from a failure (or resurrected by a deploy) but has
+    /// not served a batch since; routed to normally.
+    Degraded,
+    /// Crashed and not yet restored (or its restore failed, until a
+    /// deploy resurrects it): handles route new requests around it,
+    /// and anything still queued at it is answered
+    /// [`ServeError::ShardFailed`] until it comes back.
+    Down,
+}
+
+impl ShardHealth {
+    fn as_u8(self) -> u8 {
+        match self {
+            ShardHealth::Healthy => 0,
+            ShardHealth::Degraded => 1,
+            ShardHealth::Down => 2,
+        }
+    }
+
+    fn from_u8(value: u8) -> Self {
+        match value {
+            0 => ShardHealth::Healthy,
+            1 => ShardHealth::Degraded,
+            _ => ShardHealth::Down,
+        }
+    }
+}
+
+/// Lock-free per-shard health states (one `AtomicU8` per shard), shared
+/// by the engine, its shards, and every [`ServeHandle`].
+///
+/// Shards flip their own entry (`Down` on panic, `Degraded` after a
+/// successful restore or deploy-resurrection, `Healthy` after the next
+/// successfully served batch); handles read it on every multi-shard
+/// submission to route around `Down` shards.
+#[derive(Debug)]
+pub struct HealthBoard {
+    states: Vec<AtomicU8>,
+}
+
+impl HealthBoard {
+    pub(crate) fn new(shards: usize) -> Self {
+        Self {
+            states: (0..shards.max(1))
+                .map(|_| AtomicU8::new(ShardHealth::Healthy.as_u8()))
+                .collect(),
+        }
+    }
+
+    /// Number of shards tracked.
+    pub fn num_shards(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Current health of `shard`.
+    pub fn state(&self, shard: usize) -> ShardHealth {
+        ShardHealth::from_u8(self.states[shard].load(Ordering::Acquire))
+    }
+
+    /// Snapshot of every shard's health, in shard order.
+    pub fn states(&self) -> Vec<ShardHealth> {
+        (0..self.states.len()).map(|s| self.state(s)).collect()
+    }
+
+    pub(crate) fn set(&self, shard: usize, health: ShardHealth) {
+        self.states[shard].store(health.as_u8(), Ordering::Release);
+    }
+}
+
+/// Handle-side telemetry the shards never see: shed submissions,
+/// re-routed sub-requests, and submit-path fast-cache hits (with their
+/// latency histogram), folded into [`ServeStats`](crate::ServeStats)
+/// at shutdown.
+#[derive(Debug, Default)]
+pub(crate) struct FrontStats {
+    pub(crate) shed: AtomicU64,
+    pub(crate) rerouted: AtomicU64,
+    pub(crate) fast_hits: AtomicU64,
+    pub(crate) fast_latency: AtomicLatency,
+}
+
+/// Deterministic node-id → shard router.
+///
+/// In the replicated topology ([`Router::new`]) it applies the
+/// SplitMix64 finalizer to the node id, so the mapping is a pure
+/// function of `(node, shard count)`: every handle routes the same node
+/// to the same shard, which keeps that shard's `(epoch, node)` result
+/// cache effective and makes routing reproducible across runs. In the
+/// partitioned topology ([`Router::partitioned`]) hashing is replaced
+/// by the partition owner lookup — shard `i` is the *only* holder of
+/// partition `i`'s private state, so `shard_of` is ownership, not load
+/// spreading.
+///
+/// Either way the router needs no private data: block and hash
+/// ownership are pure functions of the node id, never of the private
+/// edges.
+///
+/// # Examples
+///
+/// ```
+/// use graph::partition::PartitionSpec;
+/// use serve::Router;
+///
+/// let router = Router::new(4);
+/// assert_eq!(router.num_shards(), 4);
+/// let shard = router.shard_of(17);
+/// assert_eq!(shard, router.shard_of(17), "routing is deterministic");
+/// assert!(shard < 4);
+/// assert_eq!(Router::new(1).shard_of(17), 0);
+///
+/// // Partitioned: owner lookup replaces the hash.
+/// let spec = PartitionSpec::block(100, 4).unwrap();
+/// let router = Router::partitioned(spec);
+/// assert!(router.is_partitioned());
+/// assert_eq!(router.shard_of(0), 0, "block partitions are contiguous");
+/// assert_eq!(router.shard_of(99), 3);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Router {
+    shards: usize,
+    spec: Option<PartitionSpec>,
+}
+
+impl Router {
+    /// A hash router over `shards` full-replica shards (clamped to
+    /// ≥ 1).
+    pub fn new(shards: usize) -> Self {
+        Self {
+            shards: shards.max(1),
+            spec: None,
+        }
+    }
+
+    /// An owner-lookup router for a partitioned deployment: shard `i`
+    /// answers exactly the nodes `spec` assigns to partition `i`.
+    pub fn partitioned(spec: PartitionSpec) -> Self {
+        Self {
+            shards: spec.num_parts(),
+            spec: Some(spec),
+        }
+    }
+
+    /// Number of shards this router spreads nodes across.
+    pub fn num_shards(&self) -> usize {
+        self.shards
+    }
+
+    /// Whether this router maps nodes by partition ownership instead of
+    /// by hash.
+    pub fn is_partitioned(&self) -> bool {
+        self.spec.is_some()
+    }
+
+    /// The partition layout behind an owner-lookup router (`None` for a
+    /// hash router).
+    pub fn partition_spec(&self) -> Option<PartitionSpec> {
+        self.spec
+    }
+
+    /// The shard that owns `node`'s queries.
+    pub fn shard_of(&self, node: usize) -> usize {
+        if let Some(spec) = &self.spec {
+            return spec.owner_of(node);
+        }
+        if self.shards == 1 {
+            return 0;
+        }
+        let mut z = (node as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        (z % self.shards as u64) as usize
+    }
+}
+
+/// Cloneable client handle onto a running engine: the router plus one
+/// admission queue per shard, consulting the [`HealthBoard`] to route
+/// around [`ShardHealth::Down`] shards.
+///
+/// Node ids are validated at admission against the deployment's corpus
+/// size, so a bad id is rejected immediately instead of failing the
+/// batch it would have ridden in. With more than one shard, a
+/// multi-node request is split into per-shard sub-requests; the
+/// returned [`Ticket`] reassembles the labels into request order.
+#[derive(Debug, Clone)]
+pub struct ServeHandle {
+    pub(crate) queues: Vec<Arc<AdmissionQueue>>,
+    pub(crate) router: Router,
+    pub(crate) num_nodes: usize,
+    pub(crate) health: Arc<HealthBoard>,
+    pub(crate) front: Arc<FrontStats>,
+    pub(crate) sentinel: Arc<Sentinel>,
+    /// The engine-wide submit-path fast cache (`None` when
+    /// [`ServeConfig::fast_cache_slots`](crate::ServeConfig::fast_cache_slots) is 0).
+    pub(crate) fast: Option<Arc<FastCache>>,
+}
+
+impl ServeHandle {
+    /// Submits an *unattributed* multi-node inference request — booked
+    /// under the shared [`ClientId::ANONYMOUS`] sentinel session. See
+    /// [`submit_as`](Self::submit_as), which attributed deployments
+    /// should prefer.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`submit_as`](Self::submit_as).
+    pub fn submit(&self, nodes: Vec<usize>) -> Result<Ticket, ServeError> {
+        self.submit_as(ClientId::ANONYMOUS, nodes)
+    }
+
+    /// Submits a multi-node inference request on behalf of `client`;
+    /// blocks nowhere. The returned labels (via [`Ticket::wait`]) are
+    /// in request order.
+    ///
+    /// The submission first passes the engine's abuse sentinel — which
+    /// updates `client`'s detector state on this thread, *before*
+    /// routing, so sentinel statistics for a fixed trace are identical
+    /// at any shard count — and the client identity is stamped into
+    /// every per-shard sub-request
+    /// ([`PendingRequest::client`](crate::PendingRequest::client)), so
+    /// each one stays attributable wherever it lands.
+    ///
+    /// When
+    /// [`ServeConfig::fast_cache_slots`](crate::ServeConfig::fast_cache_slots)
+    /// is above 0, a request whose nodes *all* hit the lock-free
+    /// [`FastCache`] under the current install tag resolves right here
+    /// on the submit thread — no queue, no shard wakeup, no enclave —
+    /// and its ticket is already ready. Any miss sends the whole
+    /// request down the queued path. The sentinel has already accounted
+    /// the submission either way.
+    ///
+    /// Under [`Topology::Replicated`](crate::Topology::Replicated),
+    /// nodes whose home shard is [`ShardHealth::Down`] are routed to the
+    /// next live shard (every replica serves the same model, so the
+    /// answer is unchanged — only that shard's cache affinity is lost).
+    /// Under [`Topology::Partitioned`](crate::Topology::Partitioned) no
+    /// other shard holds the home's partition, so its nodes are *never*
+    /// re-routed: while the owner is down they resolve to the typed
+    /// [`ServeError::ShardFailed`] instead of a silently wrong shard,
+    /// and are answerable again once recovery or a
+    /// [`ServingEngine::deploy`](crate::ServingEngine::deploy) brings
+    /// the owner back.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Rejected`] on empty/out-of-range node lists or a
+    /// full shard queue; [`ServeError::Overloaded`] when the shard is
+    /// shedding load; [`ServeError::RateLimited`] /
+    /// [`ServeError::Quarantined`] when the sentinel (in
+    /// [`SentinelMode::Enforce`](crate::SentinelMode)) rejects the
+    /// session's traffic; [`ServeError::Closed`] after shutdown began.
+    /// When a multi-shard submission fails part-way, already-admitted
+    /// sub-requests are still answered by their shards, but into a
+    /// dropped ticket — the request as a whole fails.
+    pub fn submit_as(&self, client: ClientId, nodes: Vec<usize>) -> Result<Ticket, ServeError> {
+        if nodes.is_empty() {
+            return Err(ServeError::Rejected {
+                reason: "request contains no query nodes".into(),
+            });
+        }
+        if let Some(&bad) = nodes.iter().find(|&&n| n >= self.num_nodes) {
+            return Err(ServeError::Rejected {
+                reason: format!("query node {bad} out of range for {} nodes", self.num_nodes),
+            });
+        }
+        self.sentinel.admit(client, &nodes)?;
+        // Fast path: probe the lock-free cache on this thread, strictly
+        // *after* sentinel accounting (a replayed hot node still climbs
+        // the abuse ladder) and *before* any queue admission.
+        // All-or-nothing: the request resolves here only if every node
+        // hits under the current install tag; otherwise the whole
+        // request takes the queued path unchanged, so per-shard request
+        // semantics never depend on partial fast hits.
+        if let Some(fast) = &self.fast {
+            let started = Instant::now();
+            let tag = fast.current_tag();
+            let mut labels = Vec::with_capacity(nodes.len());
+            for &node in &nodes {
+                match fast.probe(tag, node) {
+                    Some(label) => labels.push(label),
+                    None => {
+                        labels.clear();
+                        break;
+                    }
+                }
+            }
+            if labels.len() == nodes.len() {
+                self.front
+                    .fast_hits
+                    .fetch_add(nodes.len() as u64, Ordering::Relaxed);
+                self.front.fast_latency.record(started.elapsed());
+                return Ok(Ticket::ready(labels));
+            }
+        }
+        if self.router.num_shards() == 1 {
+            return self.track_shed(self.queues[0].submit_as(client, nodes));
+        }
+        let total = nodes.len();
+        let mut per_shard: Vec<(Vec<usize>, Vec<usize>, bool)> =
+            vec![(Vec::new(), Vec::new(), false); self.router.num_shards()];
+        for (position, &node) in nodes.iter().enumerate() {
+            let home = self.router.shard_of(node);
+            // A partition's nodes have exactly one holder: routing a
+            // query away from a Down owner could only misroute it, so
+            // partitioned mode keeps it home and lets the worker answer
+            // the typed `ShardFailed` instead.
+            let target = if self.router.is_partitioned() {
+                home
+            } else {
+                self.route_around_down(home)
+            };
+            let (shard_nodes, positions, rerouted) = &mut per_shard[target];
+            shard_nodes.push(node);
+            positions.push(position);
+            *rerouted |= target != home;
+        }
+        let mut parts = Vec::new();
+        for (shard, (shard_nodes, positions, rerouted)) in per_shard.into_iter().enumerate() {
+            if shard_nodes.is_empty() {
+                continue;
+            }
+            let ticket = self.track_shed(self.queues[shard].submit_as(client, shard_nodes))?;
+            if rerouted {
+                self.front.rerouted.fetch_add(1, Ordering::Relaxed);
+            }
+            parts.push((ticket, positions));
+        }
+        Ok(Ticket::from_routed_parts(parts, total))
+    }
+
+    /// Submits a single-node request (routed to the node's shard),
+    /// unattributed.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ServeHandle::submit`].
+    pub fn submit_one(&self, node: usize) -> Result<Ticket, ServeError> {
+        self.submit(vec![node])
+    }
+
+    /// Submits a single-node request on behalf of `client`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ServeHandle::submit_as`].
+    pub fn submit_one_as(&self, client: ClientId, node: usize) -> Result<Ticket, ServeError> {
+        self.submit_as(client, vec![node])
+    }
+
+    /// Live snapshot of the engine's sentinel counters (also available
+    /// from
+    /// [`ServingEngine::sentinel_stats`](crate::ServingEngine::sentinel_stats)
+    /// and, at shutdown, in
+    /// [`ServeStats::sentinel`](crate::ServeStats::sentinel)).
+    pub fn sentinel_stats(&self) -> SentinelStats {
+        self.sentinel.stats()
+    }
+
+    /// Number of nodes in the served deployment (valid ids are
+    /// `0..num_nodes`).
+    pub fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    /// The node-id router this handle submits through.
+    pub fn router(&self) -> Router {
+        self.router
+    }
+
+    /// The engine's live per-shard health board.
+    pub fn health(&self) -> &HealthBoard {
+        &self.health
+    }
+
+    /// Picks the serving shard for a sub-request whose home is `home`:
+    /// the home itself unless it is `Down`, otherwise the next live
+    /// shard (wrapping). With every shard down the home keeps the
+    /// request — its worker answers a typed [`ServeError::ShardFailed`]
+    /// rather than letting anything hang.
+    fn route_around_down(&self, home: usize) -> usize {
+        if self.health.state(home) != ShardHealth::Down {
+            return home;
+        }
+        let shards = self.router.num_shards();
+        for offset in 1..shards {
+            let candidate = (home + offset) % shards;
+            if self.health.state(candidate) != ShardHealth::Down {
+                return candidate;
+            }
+        }
+        home
+    }
+
+    /// Counts [`ServeError::Overloaded`] admissions for the shutdown
+    /// stats while passing the result through.
+    fn track_shed(&self, result: Result<Ticket, ServeError>) -> Result<Ticket, ServeError> {
+        if matches!(result, Err(ServeError::Overloaded { .. })) {
+            self.front.shed.fetch_add(1, Ordering::Relaxed);
+        }
+        result
+    }
+}

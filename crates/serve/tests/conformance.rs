@@ -62,8 +62,9 @@ fn labels_are_bit_identical_across_the_topology_matrix() {
         (0..N).rev().collect(),
         vec![13],
     ];
+    let queried: usize = requests.iter().map(Vec::len).sum();
     for (shards, topology) in matrix() {
-        let (results, _survivor, stats) = serve_once(
+        let (results, survivor, stats) = serve_once(
             vault.spawn_replica().unwrap(),
             x.clone(),
             cell_config(shards, topology),
@@ -79,6 +80,15 @@ fn labels_are_bit_identical_across_the_topology_matrix() {
         }
         assert_eq!(stats.shards.len(), shards);
         assert_eq!(stats.failed_batches, 0, "{shards} shards, {topology:?}");
+        assert_eq!(
+            stats.answered_nodes, queried as u64,
+            "{shards} shards, {topology:?}"
+        );
+        assert_eq!(
+            survivor.partition_info(),
+            None,
+            "the shutdown survivor is a full vault, {shards} shards, {topology:?}"
+        );
     }
 }
 

@@ -16,8 +16,7 @@
 //!    must end quarantined before it completes, while a benign client
 //!    storm on the same engine is never throttled.
 //!
-//! Any violation panics, so CI runs this binary exactly like
-//! `partition_smoke`.
+//! Any violation panics, so CI runs this binary as a pass/fail gate.
 
 use gnnvault_suite::attacks::{surface, LinkStealingAttack, OnlineLinkAudit, SimilarityMetric};
 use gnnvault_suite::datasets::{DatasetSpec, SyntheticPlanetoid};
