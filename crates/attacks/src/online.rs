@@ -22,11 +22,10 @@
 //! - the enforcement the probe stream provoked: rate-limited probes and
 //!   whether the auditing session ended quarantined.
 //!
-//! Run it in CI against a deployed engine (see
-//! `examples/audit_smoke.rs`) to continuously check both halves of the
-//! protection claim: the served AUC stays within ε of the offline vault
-//! AUC and well below the unprotected baseline, *and* the probing
-//! session itself is caught by the sentinel.
+//! Run it against a deployed engine (as `tests/online_audit.rs` does)
+//! to check both halves of the protection claim: the served AUC equals
+//! the offline vault AUC and sits well below the unprotected baseline,
+//! *and* the probing session itself is caught by the sentinel.
 
 use crate::{AttackError, LinkStealingAttack, PairScorer};
 use graph::Graph;

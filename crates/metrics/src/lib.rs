@@ -5,9 +5,7 @@
 //! - [`roc_auc`]: rank-based ROC-AUC for the link-stealing attack
 //!   (Table IV),
 //! - [`silhouette_score`]: clustering quality of embeddings (Fig. 4's
-//!   line chart),
-//! - [`shannon_entropy_bits`] / [`normalized_entropy`]: query-stream
-//!   uniformity, the serving sentinel's extraction-sweep detector.
+//!   line chart).
 //!
 //! # Examples
 //!
@@ -22,11 +20,9 @@
 #![warn(missing_docs)]
 
 mod auc;
-mod entropy;
 mod silhouette;
 
 pub use auc::{roc_auc, MetricError};
-pub use entropy::{normalized_entropy, shannon_entropy_bits};
 pub use silhouette::{silhouette_score, silhouette_score_sampled};
 
 /// Fraction of positions where `predictions[i] == labels[i]`.

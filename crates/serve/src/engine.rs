@@ -120,8 +120,8 @@
 //! [`ClientId::ANONYMOUS`](crate::ClientId::ANONYMOUS) session. The
 //! sentinel is engine-global (shared by all handles), its counters land in
 //! [`ServeStats::sentinel`] at shutdown, and a successful
-//! [`ServingEngine::deploy`] optionally grants amnesty
-//! ([`SentinelConfig::reset_on_deploy`]).
+//! [`ServingEngine::deploy`] grants amnesty: a new model epoch starts
+//! every session at the bottom of the ladder.
 
 use crate::faults::FaultPlan;
 use crate::router::FrontStats;
@@ -491,8 +491,7 @@ impl ServingEngine {
 
     /// Clears every sentinel session's detector state, strikes,
     /// verdicts, and token buckets — the operator's amnesty lever (also
-    /// pulled automatically by a successful [`deploy`](Self::deploy)
-    /// when [`SentinelConfig::reset_on_deploy`] is set). Aggregate
+    /// pulled by every successful [`deploy`](Self::deploy)). Aggregate
     /// counters are monotonic and survive.
     pub fn reset_sentinel(&self) {
         self.sentinel.reset();
@@ -645,9 +644,7 @@ impl ServingEngine {
             // Deploy-time amnesty: a new epoch starts every session at
             // the bottom of the ladder. Failed (rolled back) deploys
             // deliberately grant nothing.
-            if self.sentinel.config().reset_on_deploy {
-                self.sentinel.reset();
-            }
+            self.sentinel.reset();
             // Partitioned: the new full vault supersedes the parked
             // one, so shutdown returns the model actually serving.
             if let Some(full) = full {

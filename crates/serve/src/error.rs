@@ -59,9 +59,8 @@ pub enum ServeError {
     /// ([`SentinelVerdict::Quarantined`](crate::SentinelVerdict)): its
     /// query pattern sustained an extraction signature through rate
     /// limiting. Every request is rejected before any routing, caching,
-    /// or enclave work until an operator resets the sentinel (or a
-    /// deploy does, with
-    /// [`SentinelConfig::reset_on_deploy`](crate::SentinelConfig)).
+    /// or enclave work until an operator resets the sentinel or a
+    /// successful deploy does.
     Quarantined {
         /// The session the verdict applies to.
         client: ClientId,

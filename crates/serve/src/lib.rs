@@ -63,8 +63,8 @@
 //! The engine is also *defended*: before routing, every submission
 //! passes the [`sentinel`] — per-session ([`ClientId`]) sliding-window
 //! detectors that score the query stream for link-stealing signatures
-//! (fresh-node sweep rate, off-substitute-graph pair probing, window
-//! entropy) and escalate abusive sessions Observe → RateLimited →
+//! (fresh-node sweep rate, off-substitute-graph pair probing) and
+//! escalate abusive sessions Observe → RateLimited →
 //! Quarantined ([`ServeError::RateLimited`] /
 //! [`ServeError::Quarantined`], both issued before any enclave work).
 //! The default [`SentinelMode::Observe`] only watches and counts;
