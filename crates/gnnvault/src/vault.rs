@@ -1038,17 +1038,41 @@ mod tests {
     fn infer_returns_labels_and_report() {
         for kind in RectifierKind::ALL {
             let (mut vault, x, labels) = toy_vault(kind);
+            // Every pass ships each tap whole: one ECALL per tap, each
+            // a 16-byte header plus the tap's f32s, charged at the
+            // deployment's cost model.
+            let dims = vault.backbone.channel_dims();
+            let payloads: Vec<usize> = vault
+                .rectifier
+                .tap_indices()
+                .iter()
+                .map(|&t| 16 + 4 * x.rows() * dims[t])
+                .collect();
+            let cost = *vault.enclave.cost_model();
+            let transfer_ns: u64 = payloads.iter().map(|&b| cost.transfer_ns(b)).sum();
+            let check = |report: &InferenceReport, path: &str| {
+                assert_eq!(report.transitions, payloads.len() as u64, "{kind:?} {path}");
+                assert_eq!(
+                    report.transferred_bytes,
+                    payloads.iter().sum::<usize>(),
+                    "{kind:?} {path}"
+                );
+                assert_eq!(report.transfer_ns, transfer_ns, "{kind:?} {path}");
+                assert!(report.peak_enclave_bytes > 0, "{kind:?} {path}");
+            };
+
             let (preds, report) = vault.infer(&x).unwrap();
             assert_eq!(preds.len(), 6, "{kind:?}");
             let acc = preds.iter().zip(&labels).filter(|(p, &l)| p.0 == l).count() as f32 / 6.0;
             assert!(acc >= 0.5, "{kind:?} acc {acc}");
-            assert!(report.transferred_bytes > 0);
-            assert!(report.transfer_ns > 0);
-            assert!(report.peak_enclave_bytes > 0);
-            assert_eq!(
-                report.transitions,
-                vault.rectifier.tap_indices().len() as u64
-            );
+            check(&report, "infer");
+            let mut session = vault.open_session();
+            for _ in 0..2 {
+                let (_, report) = vault.infer_batch(&mut session, &x, &[0, 4]).unwrap();
+                check(&report, "infer_batch");
+            }
+            let (_, report) = vault.infer_node(&x, 3).unwrap();
+            check(&report, "infer_node");
         }
     }
 

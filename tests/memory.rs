@@ -67,7 +67,10 @@ fn paging_policy_charges_swap_costs_where_strict_fails() {
         .alloc("too big", budget + 8192)
         .expect("paging accepts");
     assert_eq!(paging.swapped_pages(), 2);
-    assert!(paging.meter().total().simulated_ns > 0);
+    assert_eq!(
+        paging.meter().total().simulated_ns,
+        CostModel::default().swap_ns(2)
+    );
 }
 
 #[test]
