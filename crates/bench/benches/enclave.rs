@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks for the TEE-boundary costs behind Fig. 6's
-//! "transfer" bars: codec marshalling, one-way channel sends, and
+//! "transfer" bars: codec marshalling, one-way session sends, and
 //! sealing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use linalg::DenseMatrix;
-use tee::{codec, CostModel, EnclaveSim, OverBudgetPolicy, SealKey, Sealed, UntrustedToEnclave};
+use tee::{codec, CostModel, EnclaveSession, EnclaveSim, OverBudgetPolicy, SealKey, Sealed};
 
 fn embedding(rows: usize, cols: usize) -> DenseMatrix {
     let mut state = 77u64;
@@ -44,10 +44,9 @@ fn bench_channel_send(c: &mut Criterion) {
                 CostModel::default(),
                 OverBudgetPolicy::Swap,
             );
-            let mut chan = UntrustedToEnclave::new();
-            chan.send(&mut enclave, codec::encode_dense(&m))
-                .expect("send");
-            chan.drain()
+            let mut session = EnclaveSession::default();
+            session.send(&mut enclave, codec::encode_dense(&m));
+            session.drain()
         })
     });
 }

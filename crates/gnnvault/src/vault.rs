@@ -7,9 +7,10 @@ use linalg::{CsrMatrix, DenseMatrix};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 use tee::{
-    codec, AllocationId, ClassLabel, CostModel, EnclaveSession, EnclaveSim, Meter,
-    OverBudgetPolicy, Phase, SealKey, Sealed, SessionId,
+    codec, AllocationId, ClassLabel, CostModel, EnclaveSession, EnclaveSim, OverBudgetPolicy,
+    SealKey, Sealed,
 };
 
 /// Process-wide deployment counter behind [`Vault::epoch`]: every
@@ -22,7 +23,7 @@ static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 /// Per-inference report: the Fig. 6 measurables.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InferenceReport {
-    /// Wall-clock + simulated time per phase.
+    /// Backbone time (wall clock, untrusted world).
     pub backbone_ns: u64,
     /// Transfer time (simulated SGX marshalling).
     pub transfer_ns: u64,
@@ -115,7 +116,6 @@ pub struct Vault {
     /// Node count of the whole deployment — the query id space, which
     /// on a partition replica is not the resident graph's.
     num_nodes: usize,
-    next_session: u64,
     epc_budget: usize,
     policy: OverBudgetPolicy,
     /// `Some` on a partition replica: `resident` is then one
@@ -196,21 +196,19 @@ impl Vault {
         } = deployment;
         let mut enclave = EnclaveSim::new(epc_budget, cost, policy);
 
-        // Resident enclave set, mirroring §IV-E's storage plan.
-        enclave.alloc("rectifier parameters", rectifier.nbytes())?;
-        enclave.alloc("real graph (COO)", resident.graph.coo_nbytes())?;
-        enclave.alloc(
-            "degree vector",
-            resident.degrees.len() * std::mem::size_of::<u32>(),
-        )?;
+        // Resident enclave set, mirroring §IV-E's storage plan: the
+        // rectifier parameters, the real graph's COO, its degree vector
+        // and the normalized adjacency (CSR).
+        enclave.alloc(rectifier.nbytes())?;
+        enclave.alloc(resident.graph.coo_nbytes())?;
+        enclave.alloc(resident.degrees.len() * std::mem::size_of::<u32>())?;
         let real_adj = rectifier.adjacency(&resident.graph, &resident.degrees);
-        enclave.alloc("normalized adjacency (CSR)", real_adj.nbytes())?;
+        enclave.alloc(real_adj.nbytes())?;
 
         Ok(Vault {
             backbone,
             epoch,
             num_nodes,
-            next_session: 0,
             epc_budget,
             policy,
             partition,
@@ -406,7 +404,7 @@ impl Vault {
     /// this vault's own seal key — the path a sharded serving runtime
     /// uses to fan one trained vault out across worker shards. The
     /// replica shares this vault's epoch (same model, same answers) but
-    /// owns its own enclave, meter, and session-id space.
+    /// owns its own enclave and its counters.
     ///
     /// # Errors
     ///
@@ -475,11 +473,9 @@ impl Vault {
 
     /// Opens a new enclave session for batched inference
     /// ([`Vault::infer_batch`]): a long-lived ingress channel a serving
-    /// worker reuses across batches. Session ids are unique per vault.
+    /// worker reuses across batches.
     pub fn open_session(&mut self) -> EnclaveSession {
-        let id = SessionId(self.next_session);
-        self.next_session += 1;
-        EnclaveSession::new(id)
+        EnclaveSession::default()
     }
 
     /// Chooses the form this vault's projection weights are sealed in
@@ -570,20 +566,16 @@ impl Vault {
         self.enclave.peak_usage()
     }
 
-    /// Shared meter handle (accumulates across inferences).
-    pub fn meter(&self) -> Meter {
-        self.enclave.meter()
-    }
-
     /// Runs one full-graph inference through the split pipeline and
     /// returns per-node class labels plus the timing report.
     ///
     /// Step by step (Fig. 6's decomposition):
-    /// 1. backbone forward in the untrusted world (wall-clock metered),
+    /// 1. backbone forward in the untrusted world (wall-clock timed),
     /// 2. tap embeddings encoded and sent over the one-way channel
     ///    (simulated marshalling cost),
-    /// 3. rectifier forward inside the enclave (wall-clock metered,
-    ///    transient activations accounted against the EPC),
+    /// 3. rectifier forward inside the enclave (wall clock plus the
+    ///    slowdown surcharge, transient activations accounted against
+    ///    the EPC),
     /// 4. argmax inside the enclave; only [`ClassLabel`]s exit.
     ///
     /// # Errors
@@ -605,7 +597,7 @@ impl Vault {
             });
         }
         // Full-graph inference is one batch on a channel nobody reuses.
-        let mut one_shot = EnclaveSession::new(SessionId::default());
+        let mut one_shot = EnclaveSession::default();
         let every_node: Vec<usize> = (0..self.num_nodes).collect();
         self.pass(&mut one_shot, features, &every_node, Field::Resident)
     }
@@ -707,7 +699,7 @@ impl Vault {
         features: &DenseMatrix,
         node: usize,
     ) -> Result<(ClassLabel, InferenceReport), VaultError> {
-        let mut one_shot = EnclaveSession::new(SessionId::default());
+        let mut one_shot = EnclaveSession::default();
         let (labels, report) = self.pass(&mut one_shot, features, &[node], Field::Receptive)?;
         Ok((labels[0], report))
     }
@@ -725,21 +717,23 @@ impl Vault {
         field: Field,
     ) -> Result<(Vec<ClassLabel>, InferenceReport), VaultError> {
         self.check_query(nodes)?;
-        let meter = self.enclave.meter();
-        meter.reset();
+        // The report is the delta of the enclave's own counters.
         let transitions_before = self.enclave.transitions();
+        let transfer_before = self.enclave.transfer_ns();
+        let rectifier_before = self.enclave.enclave_ns() + self.enclave.page_swap_ns();
 
         // 1. One public backbone forward in the untrusted world.
-        let embeddings = meter.time(Phase::Backbone, || self.backbone.embeddings(features))?;
+        let started = Instant::now();
+        let embeddings = self.backbone.embeddings(features)?;
+        let backbone_ns = started.elapsed().as_nanos() as u64;
 
         // 2. One-way transfer of exactly the tapped embeddings, whole,
         //    through the session's channel. Which of their rows the
         //    enclave goes on to read is derived from the private edges
         //    and never crosses the boundary.
         let taps = self.rectifier.tap_indices();
-        session.begin_batch();
         for &t in &taps {
-            session.send(&mut self.enclave, codec::encode_dense(&embeddings[t]))?;
+            session.send(&mut self.enclave, codec::encode_dense(&embeddings[t]));
         }
         let transferred_bytes = session.batch_bytes();
         let payloads = session.drain();
@@ -795,12 +789,11 @@ impl Vault {
             .iter()
             .map(|n| ClassLabel(classes[row_of(n)]))
             .collect();
-        let breakdown = meter.breakdown();
-        let spent = |phase| breakdown.get(&phase).map_or(0, |t| t.total_ns());
         let report = InferenceReport {
-            backbone_ns: spent(Phase::Backbone),
-            transfer_ns: spent(Phase::Transfer),
-            rectifier_ns: spent(Phase::Enclave) + spent(Phase::PageSwap),
+            backbone_ns,
+            transfer_ns: self.enclave.transfer_ns() - transfer_before,
+            rectifier_ns: self.enclave.enclave_ns() + self.enclave.page_swap_ns()
+                - rectifier_before,
             transferred_bytes,
             transitions: self.enclave.transitions() - transitions_before,
             peak_enclave_bytes: self.enclave.peak_usage(),
@@ -849,10 +842,7 @@ impl Vault {
             .into_iter()
             .zip(rectifier.channel_dims())
         {
-            match enclave.alloc(
-                "layer activation",
-                n * (in_dim + out_dim) * std::mem::size_of::<f32>(),
-            ) {
+            match enclave.alloc(n * (in_dim + out_dim) * std::mem::size_of::<f32>()) {
                 Ok(id) => transient.push(id),
                 Err(e) => {
                     // Fresh ids: free cannot fail here.
@@ -1157,7 +1147,6 @@ mod tests {
             // Duplicate and subset queries read the same logits.
             let (dup, _) = vault.infer_batch(&mut session, &x, &[2, 2, 5]).unwrap();
             assert_eq!(dup, vec![full[2], full[2], full[5]], "{kind:?}");
-            assert_eq!(session.batches_served(), 2);
         }
     }
 
@@ -1352,14 +1341,11 @@ mod tests {
     }
 
     #[test]
-    fn epochs_and_session_ids_are_unique() {
-        let (mut v1, _, _) = toy_vault(RectifierKind::Series);
+    fn epochs_are_unique() {
+        let (v1, _, _) = toy_vault(RectifierKind::Series);
         let (v2, _, _) = toy_vault(RectifierKind::Series);
         assert_ne!(v1.epoch(), v2.epoch());
         assert!(v1.epoch() > 0 && v2.epoch() > 0);
-        let s0 = v1.open_session();
-        let s1 = v1.open_session();
-        assert_ne!(s0.id(), s1.id());
     }
 
     #[test]

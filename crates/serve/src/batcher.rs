@@ -5,12 +5,10 @@
 //! the pending node count reaches [`BatchPolicy::max_batch_nodes`]
 //! (size bound) or when the oldest pending request has waited
 //! [`BatchPolicy::max_delay`] (deadline bound — a lone request is never
-//! stranded waiting for peers). Admission control degrades overload in
-//! two stages: past [`BatchPolicy::shed_high_water`] pending requests
-//! the queue *sheds* new arrivals with [`ServeError::Overloaded`] and a
-//! retry-after hint, and at the hard cap
-//! [`BatchPolicy::max_queue_requests`] it rejects outright — either way
-//! latency stays bounded instead of growing without limit.
+//! stranded waiting for peers). Admission control sheds overload: at
+//! [`BatchPolicy::max_queue_requests`] pending requests the queue turns
+//! new arrivals away with [`ServeError::Overloaded`] and a retry-after
+//! hint, so latency stays bounded instead of growing without limit.
 
 use crate::sentinel::ClientId;
 use crate::ServeError;
@@ -30,26 +28,20 @@ pub struct BatchPolicy {
     /// Flush a partial batch once its oldest request has waited this
     /// long (the serving latency bound under light load).
     pub max_delay: Duration,
-    /// Reject new requests once this many are already queued.
+    /// Admission bound: once this many requests are pending, new
+    /// submissions fail fast with [`ServeError::Overloaded`] (carrying
+    /// a retry-after hint) instead of deepening the backlog.
     pub max_queue_requests: usize,
-    /// Load-shedding high-water mark: once this many requests are
-    /// pending, new submissions fail fast with
-    /// [`ServeError::Overloaded`] (carrying a retry-after hint) instead
-    /// of queueing toward the hard cap. Set it at or above
-    /// [`BatchPolicy::max_queue_requests`] to disable shedding (the cap
-    /// check fires first).
-    pub shed_high_water: usize,
 }
 
 impl Default for BatchPolicy {
-    /// 64-node batches, a 2 ms flush deadline, a 4096-request queue,
-    /// and shedding from 3072 pending requests (3/4 of the cap).
+    /// 64-node batches, a 2 ms flush deadline, and shedding from 3072
+    /// pending requests.
     fn default() -> Self {
         Self {
             max_batch_nodes: 64,
             max_delay: Duration::from_millis(2),
-            max_queue_requests: 4096,
-            shed_high_water: 3072,
+            max_queue_requests: 3072,
         }
     }
 }
@@ -280,7 +272,6 @@ struct QueueState {
 ///     max_batch_nodes: 4,
 ///     max_delay: Duration::from_millis(1),
 ///     max_queue_requests: 16,
-///     shed_high_water: 16, // at the cap: shedding disabled
 /// });
 /// let t1 = queue.submit(vec![0, 1]).unwrap();
 /// let t2 = queue.submit(vec![2, 3]).unwrap();
@@ -324,7 +315,6 @@ impl AdmissionQueue {
                 max_batch_nodes: policy.max_batch_nodes.max(1),
                 max_delay: policy.max_delay,
                 max_queue_requests: policy.max_queue_requests.max(1),
-                shed_high_water: policy.shed_high_water.max(1),
             },
             shard,
             state: Mutex::new(QueueState::default()),
@@ -348,7 +338,7 @@ impl AdmissionQueue {
     }
 
     /// Deepest the queue has ever been, in requests — a backlog
-    /// headroom gauge against `max_queue_requests`/`shed_high_water`.
+    /// headroom gauge against `max_queue_requests`.
     pub fn high_water(&self) -> usize {
         self.state.lock().expect("queue lock").high_water
     }
@@ -358,10 +348,10 @@ impl AdmissionQueue {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Rejected`] for an empty node list or a full queue;
-    /// [`ServeError::Overloaded`] (with a retry-after hint) past the
-    /// shedding high-water mark; [`ServeError::Closed`] after
-    /// [`close`](Self::close).
+    /// [`ServeError::Rejected`] for an empty node list;
+    /// [`ServeError::Overloaded`] (with a retry-after hint) once
+    /// [`BatchPolicy::max_queue_requests`] are pending;
+    /// [`ServeError::Closed`] after [`close`](Self::close).
     pub fn submit(&self, nodes: Vec<usize>) -> Result<Ticket, ServeError> {
         self.submit_as(ClientId::ANONYMOUS, nodes)
     }
@@ -386,15 +376,6 @@ impl AdmissionQueue {
                 return Err(ServeError::Closed);
             }
             if state.pending.len() >= self.policy.max_queue_requests {
-                return Err(ServeError::Rejected {
-                    reason: format!(
-                        "queue full: {} requests pending (cap {})",
-                        state.pending.len(),
-                        self.policy.max_queue_requests
-                    ),
-                });
-            }
-            if state.pending.len() >= self.policy.shed_high_water {
                 return Err(ServeError::Overloaded {
                     queued: state.pending.len(),
                     retry_after: self.drain_hint(&state),
@@ -551,7 +532,6 @@ pub(crate) mod tests {
             max_batch_nodes: max_nodes,
             max_delay: Duration::from_millis(delay_ms),
             max_queue_requests: cap,
-            shed_high_water: cap, // shedding off unless a test opts in
         }
     }
 
@@ -610,14 +590,24 @@ pub(crate) mod tests {
         let queue = AdmissionQueue::new(policy(100, 1, 2));
         let _a = queue.submit(vec![0]).unwrap();
         let _b = queue.submit(vec![1]).unwrap();
-        assert!(matches!(
-            queue.submit(vec![2]),
-            Err(ServeError::Rejected { .. })
-        ));
+        match queue.submit(vec![2]) {
+            Err(ServeError::Overloaded {
+                queued,
+                retry_after,
+            }) => {
+                assert_eq!(queued, 2);
+                assert!(retry_after > Duration::ZERO, "hint must be actionable");
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
         assert!(matches!(
             queue.submit(vec![]),
             Err(ServeError::Rejected { .. })
         ));
+        // Shedding is a load condition: draining reopens admission.
+        let (batch, _) = queue.next_batch().unwrap();
+        assert_eq!(batch.len(), 2);
+        assert!(queue.submit(vec![2]).is_ok());
     }
 
     #[test]
@@ -661,30 +651,6 @@ pub(crate) mod tests {
         let (batch, _) = queue.next_batch().unwrap();
         drop(batch); // worker dies without responding
         assert_eq!(ticket.wait(), Err(ServeError::ShardFailed { shard: 3 }));
-    }
-
-    #[test]
-    fn high_water_mark_sheds_with_a_retry_hint() {
-        let queue = AdmissionQueue::new(BatchPolicy {
-            shed_high_water: 2,
-            ..policy(100, 1, 10)
-        });
-        let _a = queue.submit(vec![0]).unwrap();
-        let _b = queue.submit(vec![1]).unwrap();
-        match queue.submit(vec![2]) {
-            Err(ServeError::Overloaded {
-                queued,
-                retry_after,
-            }) => {
-                assert_eq!(queued, 2);
-                assert!(retry_after > Duration::ZERO, "hint must be actionable");
-            }
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        // Shedding is softer than the cap: draining reopens admission.
-        let (batch, _) = queue.next_batch().unwrap();
-        assert_eq!(batch.len(), 2);
-        assert!(queue.submit(vec![2]).is_ok());
     }
 
     #[test]

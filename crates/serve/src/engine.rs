@@ -80,7 +80,7 @@
 //! `Down` shard's nodes have no other holder, so their requests stay
 //! home and resolve to the typed `ShardFailed` until the owner recovers
 //! or a deploy resurrects it — never a silently misrouted answer.
-//! Overload sheds at the admission high-water mark
+//! Overload sheds at the admission bound
 //! ([`ServeError::Overloaded`]), stale requests are dropped by the
 //! per-request timeout ([`ServeError::TimedOut`]), and
 //! [`ServingEngine::deploy`] is all-or-nothing: one install per shard,
@@ -135,7 +135,7 @@ use crate::{
     AdmissionQueue, BatchPolicy, BatchPoll, FastCache, PendingRequest, SentinelConfig,
     SentinelStats, ServeError,
 };
-use gnnvault::{Precision, RecoveryHandle, Vault, VaultSnapshot};
+use gnnvault::{RecoveryHandle, Vault, VaultSnapshot};
 use graph::partition::PartitionSpec;
 use linalg::DenseMatrix;
 use std::sync::atomic::Ordering;
@@ -198,16 +198,6 @@ pub struct ServeConfig {
     /// way, every successful answer is bit-identical to sequential
     /// [`Vault::infer`].
     pub topology: Topology,
-    /// Sealed form installed on the vault before shard fan-out
-    /// ([`Vault::set_precision`]). Under [`Precision::Int8`] the
-    /// projection weights are snapped onto their int8 grid once and
-    /// every image the fan-out ships — replica or partition — is the
-    /// smaller int8 form; shards restore the same grid weights, so
-    /// they stay bit-identical to each other and to a reference int8
-    /// [`Vault::infer`]. Compute is the f32 path at both settings.
-    /// Later [`ServingEngine::deploy`] calls install their snapshot's
-    /// own precision.
-    pub precision: Precision,
     /// Per-request queue-time budget: a request that has already waited
     /// longer than this when its batch is flushed is answered
     /// [`ServeError::TimedOut`] instead of stale labels (and instead of
@@ -232,7 +222,6 @@ impl Default for ServeConfig {
             fast_cache_slots: 0,
             shards: 1,
             topology: Topology::Replicated,
-            precision: Precision::F32,
             request_timeout: Duration::ZERO,
             fault_plan: None,
         }
@@ -319,7 +308,10 @@ impl ServingEngine {
     /// partition): shard `i` is restored from, and retains, partition
     /// `i`'s snapshot — its owned nodes, their L-hop halo, and nothing
     /// else — while the full vault is parked engine-side (it is what
-    /// [`shutdown`](Self::shutdown) returns).
+    /// [`shutdown`](Self::shutdown) returns). Replicas and partitions
+    /// are sealed at the vault's own precision, so every shard answers
+    /// like it: to serve the int8 grid, call [`Vault::set_precision`]
+    /// before `start`.
     ///
     /// # Errors
     ///
@@ -354,14 +346,6 @@ impl ServingEngine {
                 ),
             });
         }
-        // Install the configured precision on the full vault before any
-        // fan-out: replicas restore from its snapshot and partitions are
-        // carved from it, so every shard inherits the exact same grid
-        // weights (or stays f32).
-        let mut vault = vault;
-        vault
-            .set_precision(config.precision)
-            .map_err(ServeError::Vault)?;
         let shard_count = config.shards.max(1);
         let num_nodes = vault.num_nodes();
         let features = Arc::new(features);

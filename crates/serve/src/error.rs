@@ -15,23 +15,23 @@ use std::time::Duration;
 /// answered).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// Admission control refused the request (queue full, empty node
-    /// list, out-of-range node id, …). The request never entered the
-    /// batch queue.
+    /// Admission control refused the request (empty node list,
+    /// out-of-range node id, …). The request never entered the batch
+    /// queue.
     Rejected {
         /// Why the request was refused.
         reason: String,
     },
-    /// Load shedding: the shard's queue depth crossed its high-water
-    /// mark ([`BatchPolicy::shed_high_water`](crate::BatchPolicy)), so
-    /// the request was turned away *before* the hard cap to keep
-    /// latency bounded. Unlike [`ServeError::Rejected`], this is purely
-    /// a load condition — retry after the hint.
+    /// Load shedding: the shard's queue depth reached its admission
+    /// bound ([`BatchPolicy::max_queue_requests`](crate::BatchPolicy)),
+    /// so the request was turned away to keep latency bounded. Unlike
+    /// [`ServeError::Rejected`], this is purely a load condition — retry
+    /// after the hint.
     Overloaded {
         /// Requests pending on the shard when the request was shed.
         queued: usize,
-        /// Estimated time until the backlog drains below the high-water
-        /// mark — a hint, not a guarantee.
+        /// Estimated time until the backlog drains below the bound — a
+        /// hint, not a guarantee.
         retry_after: Duration,
     },
     /// The request waited in the queue longer than the engine's
@@ -144,9 +144,9 @@ mod tests {
     #[test]
     fn display_and_sources() {
         let e = ServeError::Rejected {
-            reason: "queue full".into(),
+            reason: "empty request".into(),
         };
-        assert!(e.to_string().contains("queue full"));
+        assert!(e.to_string().contains("empty request"));
         assert!(Error::source(&e).is_none());
 
         assert!(ServeError::Closed.to_string().contains("closed"));

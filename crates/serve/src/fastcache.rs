@@ -131,8 +131,10 @@ pub struct FastCache {
 
 impl FastCache {
     /// Builds a cache with `slots` packed entries, rounded up to a
-    /// power of two (minimum 1). Each slot is 16 bytes; the default
-    /// engine knob of 16 384 slots costs 256 KiB.
+    /// power of two (minimum 1). Each slot is 16 bytes, so 16 384
+    /// slots cost 256 KiB. The engine builds none at its default
+    /// [`ServeConfig::fast_cache_slots`](crate::ServeConfig::fast_cache_slots)
+    /// of 0.
     pub fn new(slots: usize) -> Self {
         let capacity = slots.max(1).next_power_of_two();
         Self {

@@ -31,8 +31,8 @@
 //!    [`Vault::infer_batch`](gnnvault::Vault::infer_batch) — one
 //!    backbone forward on the shared `linalg` pool and one enclave
 //!    transition set per *batch* — through the shard's one reusable
-//!    [`tee::EnclaveSession`], with each batch accounted by the
-//!    enclave's meter.
+//!    [`tee::EnclaveSession`], with each batch's cost read off the
+//!    enclave's own counters into its report.
 //!
 //! Routing, batching, and caching change cost, never answers: served
 //! labels are bit-identical to what per-node
@@ -53,12 +53,12 @@
 //! resurrects it. Each shard is a thread-free state machine — serve a
 //! batch, install an epoch, roll back — driven by one worker thread, so
 //! its transitions are unit-tested over every short input word without
-//! a thread or a sleep. Overload sheds at a high-water mark ([`ServeError::Overloaded`] with
-//! a retry hint) and stale requests are dropped by a per-request
-//! timeout ([`ServeError::TimedOut`]), so every admitted request
-//! resolves — labels or a typed error, never a hang. The [`faults`]
-//! module injects deterministic failure schedules to prove all of this
-//! under test.
+//! a thread or a sleep. Overload sheds at the admission bound
+//! ([`ServeError::Overloaded`] with a retry hint) and stale requests
+//! are dropped by a per-request timeout ([`ServeError::TimedOut`]), so
+//! every admitted request resolves — labels or a typed error, never a
+//! hang. The [`faults`] module injects deterministic failure schedules
+//! to prove all of this under test.
 //!
 //! The engine is also *defended*: before routing, every submission
 //! passes the [`sentinel`] — per-session ([`ClientId`]) sliding-window
@@ -103,7 +103,6 @@
 //!         max_batch_nodes: 16,
 //!         max_delay: Duration::from_millis(1),
 //!         max_queue_requests: 1024,
-//!         ..BatchPolicy::default()
 //!     },
 //!     cache_capacity: 1024,
 //!     shards: 2, // two workers, each owning a snapshot replica
@@ -157,7 +156,6 @@ pub use engine::{
 pub use error::ServeError;
 pub use fastcache::FastCache;
 pub use faults::{Fault, FaultPlan};
-pub use gnnvault::Precision;
 pub use latency::LatencyHistogram;
 pub use sentinel::{
     ClientId, SentinelConfig, SentinelMode, SentinelSessionStats, SentinelStats, SentinelVerdict,

@@ -260,9 +260,9 @@ impl ServeHandle {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Rejected`] on empty/out-of-range node lists or a
-    /// full shard queue; [`ServeError::Overloaded`] when the shard is
-    /// shedding load; [`ServeError::RateLimited`] /
+    /// [`ServeError::Rejected`] on empty/out-of-range node lists;
+    /// [`ServeError::Overloaded`] when the shard's queue is at its
+    /// admission bound; [`ServeError::RateLimited`] /
     /// [`ServeError::Quarantined`] when the sentinel (in
     /// [`SentinelMode::Enforce`](crate::SentinelMode)) rejects the
     /// session's traffic; [`ServeError::Closed`] after shutdown began.

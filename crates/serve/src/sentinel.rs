@@ -49,8 +49,7 @@ use std::time::{Duration, Instant};
 /// Client/session identity carried by every serving submission.
 ///
 /// In production this is whatever the transport authenticates (an API
-/// key hash, a TLS session, a `tee::SessionId` value for
-/// enclave-to-enclave calls); the sentinel only needs it to be stable
+/// key hash, a TLS session); the sentinel only needs it to be stable
 /// per client. `Hash + Ord` let it key detector and accounting maps,
 /// and the serde derives let it appear in serialized statistics.
 #[derive(

@@ -50,7 +50,7 @@ pub struct ShardStats {
     pub queue_depth: usize,
     /// Deepest this shard's admission queue ever got, in requests —
     /// the operator's backlog-headroom gauge against
-    /// `max_queue_requests` / `shed_high_water`.
+    /// `max_queue_requests`.
     pub queue_high_water: usize,
     /// Submit-to-respond latency of every node query this shard
     /// answered successfully through the queued (enclave) path.
@@ -100,7 +100,7 @@ pub struct ServeStats {
     /// Requests dropped for exceeding
     /// [`ServeConfig::request_timeout`](crate::ServeConfig::request_timeout).
     pub timed_out_requests: u64,
-    /// Submissions shed at the admission high-water mark
+    /// Submissions shed at the admission bound
     /// ([`ServeError::Overloaded`](crate::ServeError::Overloaded)).
     pub requests_shed: u64,
     /// Sub-requests routed away from their home shard because it was

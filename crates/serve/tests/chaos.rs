@@ -97,7 +97,6 @@ fn one_request_per_batch_policy() -> BatchPolicy {
         max_batch_nodes: 1,
         max_delay: Duration::from_secs(3600),
         max_queue_requests: 1024,
-        shed_high_water: 1024,
     }
 }
 

@@ -9,10 +9,8 @@
 mod common;
 
 use common::{sequential_labels, serve_once, toy_vault, toy_vault_flipped};
-use gnnvault::RectifierKind;
-use serve::{
-    BatchPolicy, ClientId, Precision, SentinelStats, ServeConfig, ServingEngine, Topology,
-};
+use gnnvault::{Precision, RectifierKind};
+use serve::{BatchPolicy, ClientId, SentinelStats, ServeConfig, ServingEngine, Topology};
 use std::time::Duration;
 use tee::SealKey;
 
@@ -37,7 +35,6 @@ fn cell_config(shards: usize, topology: Topology) -> ServeConfig {
             max_batch_nodes: 8,
             max_delay: Duration::from_millis(1),
             max_queue_requests: 256,
-            ..BatchPolicy::default()
         },
         cache_capacity: 64,
         shards,
@@ -270,13 +267,13 @@ fn shutdown_drains_every_admitted_request_across_the_topology_matrix() {
 #[test]
 fn int8_serving_matches_f32_labels_across_kinds_and_topologies() {
     // The sealed-form contract, end to end: for every rectifier kind,
-    // an engine started with `ServeConfig::precision = Int8` answers the
-    // full corpus with exactly the labels a sequential `Vault::infer`
-    // on an int8 reference vault assigns — at 1 and 4 shards, in both
-    // topologies, every shard having been restored from an int8 image —
-    // and the shutdown survivor still seals int8. Those labels are the
-    // grid weights'; that they also track the f32 model's is fidelity,
-    // not contract, and is held to 99 %.
+    // an engine started from an int8 vault (`Vault::set_precision`)
+    // answers the full corpus with exactly the labels a sequential
+    // `Vault::infer` on an int8 reference vault assigns — at 1 and 4
+    // shards, in both topologies, every shard having been restored from
+    // an int8 image — and the shutdown survivor still seals int8. Those
+    // labels are the grid weights'; that they also track the f32
+    // model's is fidelity, not contract, and is held to 99 %.
     for kind in RectifierKind::ALL {
         let (mut vault, x, _) = toy_vault(N, kind);
         let f32_labels = sequential_labels(&mut vault, &x);
@@ -296,11 +293,11 @@ fn int8_serving_matches_f32_labels_across_kinds_and_topologies() {
             vec![(0..N).collect(), vec![0], vec![23, 5, 5, 11], vec![13]];
         for shards in [1usize, 4] {
             for topology in [Topology::Replicated, Topology::Partitioned] {
-                let mut config = cell_config(shards, topology);
-                config.precision = Precision::Int8;
+                let mut int8 = vault.spawn_replica().unwrap();
+                int8.set_precision(Precision::Int8).unwrap();
+                let config = cell_config(shards, topology);
                 let (results, survivor, stats) =
-                    serve_once(vault.spawn_replica().unwrap(), x.clone(), config, &requests)
-                        .unwrap();
+                    serve_once(int8, x.clone(), config, &requests).unwrap();
                 for (request, result) in requests.iter().zip(&results) {
                     let labels = result
                         .as_ref()

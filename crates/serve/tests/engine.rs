@@ -30,7 +30,6 @@ fn batched_serving_is_bit_identical_to_sequential_infer() {
                     max_batch_nodes: 8,
                     max_delay: Duration::from_millis(1),
                     max_queue_requests: 256,
-                    ..BatchPolicy::default()
                 },
                 cache_capacity: 64,
                 shards: 1,
@@ -75,7 +74,6 @@ fn batching_amortizes_enclave_transitions_below_per_node_cost() {
                 max_batch_nodes: 32,
                 max_delay: Duration::from_millis(1),
                 max_queue_requests: 64,
-                ..BatchPolicy::default()
             },
             cache_capacity: 0, // isolate batching from caching
             shards: 1,
@@ -109,7 +107,6 @@ fn cache_hits_skip_enclave_transitions() {
                 max_batch_nodes: 4,
                 max_delay: Duration::from_millis(1),
                 max_queue_requests: 256,
-                ..BatchPolicy::default()
             },
             cache_capacity: 256,
             shards: 1,
@@ -150,7 +147,6 @@ fn deadline_flush_fires_on_a_partial_batch() {
                 max_batch_nodes: 10_000,
                 max_delay: Duration::from_millis(25),
                 max_queue_requests: 256,
-                ..BatchPolicy::default()
             },
             cache_capacity: 0,
             shards: 1,
@@ -184,7 +180,6 @@ fn concurrent_clients_get_consistent_answers() {
                 max_batch_nodes: 16,
                 max_delay: Duration::from_millis(2),
                 max_queue_requests: 4096,
-                ..BatchPolicy::default()
             },
             cache_capacity: 512,
             shards: 1,
@@ -269,8 +264,7 @@ fn load_shedding_turns_overload_into_typed_retry_hints() {
                 // Nothing flushes until shutdown: the queue only grows.
                 max_batch_nodes: 10_000,
                 max_delay: Duration::from_secs(3600),
-                max_queue_requests: 64,
-                shed_high_water: 2,
+                max_queue_requests: 2,
             },
             cache_capacity: 0,
             shards: 1,
@@ -281,7 +275,7 @@ fn load_shedding_turns_overload_into_typed_retry_hints() {
     let handle = engine.handle();
     let a = handle.submit_one(0).unwrap();
     let b = handle.submit_one(1).unwrap();
-    // Queue depth is at the high-water mark: the next submission is
+    // Queue depth is at the admission bound: the next submission is
     // shed with a retry hint instead of deepening the backlog.
     match handle.submit_one(2) {
         Err(ServeError::Overloaded {
@@ -318,7 +312,6 @@ fn request_timeout_drops_stale_requests_with_a_typed_error() {
                 max_batch_nodes: 10_000,
                 max_delay: Duration::from_secs(3600),
                 max_queue_requests: 256,
-                ..BatchPolicy::default()
             },
             cache_capacity: 0,
             shards: 1,
@@ -409,7 +402,6 @@ fn stats_account_every_batch_through_the_meter() {
                 max_batch_nodes: 4,
                 max_delay: Duration::from_millis(1),
                 max_queue_requests: 256,
-                ..BatchPolicy::default()
             },
             cache_capacity: 0, // every batch enters the enclave
             shards: 1,
@@ -455,7 +447,6 @@ fn sharded_engine_is_bit_identical_to_sequential_infer() {
                     max_batch_nodes: 8,
                     max_delay: Duration::from_millis(1),
                     max_queue_requests: 256,
-                    ..BatchPolicy::default()
                 },
                 cache_capacity: 64,
                 shards,
@@ -494,7 +485,6 @@ fn client_storm_routes_across_shards_consistently() {
                 max_batch_nodes: 16,
                 max_delay: Duration::from_millis(2),
                 max_queue_requests: 4096,
-                ..BatchPolicy::default()
             },
             cache_capacity: 512,
             shards: 4,
@@ -552,7 +542,6 @@ fn per_shard_stats_expose_flush_reason_balance() {
                 max_batch_nodes: 4,
                 max_delay: Duration::from_millis(1),
                 max_queue_requests: 256,
-                ..BatchPolicy::default()
             },
             cache_capacity: 0,
             shards: 2,
@@ -618,7 +607,6 @@ fn shutdown_under_load_answers_every_admitted_request() {
                     max_batch_nodes: 10_000,
                     max_delay: Duration::from_secs(3600),
                     max_queue_requests: 4096,
-                    ..BatchPolicy::default()
                 },
                 cache_capacity: 64,
                 shards,
@@ -697,7 +685,6 @@ fn hot_swap_deploys_new_epoch_without_dropping_or_mixing_responses() {
                 max_batch_nodes: 8,
                 max_delay: Duration::from_millis(1),
                 max_queue_requests: 4096,
-                ..BatchPolicy::default()
             },
             cache_capacity: 256,
             shards: 2,
@@ -832,7 +819,6 @@ fn install_drops_the_cache_even_under_an_epoch_collision() {
                 max_batch_nodes: 4,
                 max_delay: Duration::from_millis(1),
                 max_queue_requests: 256,
-                ..BatchPolicy::default()
             },
             cache_capacity: 256,
             shards: 1,

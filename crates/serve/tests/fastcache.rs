@@ -21,7 +21,6 @@ fn fast_config(shards: usize, fast_cache_slots: usize) -> ServeConfig {
             max_batch_nodes: 8,
             max_delay: Duration::from_millis(1),
             max_queue_requests: 256,
-            ..BatchPolicy::default()
         },
         cache_capacity: 64,
         fast_cache_slots,
@@ -116,7 +115,7 @@ fn deploy_mid_storm_never_serves_a_pre_swap_label() {
                 while !stop.load(Ordering::Relaxed) {
                     let n = i % N;
                     i += 7;
-                    // Admission rejections (e.g. a full queue) are not
+                    // Admission refusals (e.g. a shed request) are not
                     // label errors; only served labels are checked.
                     let Ok(ticket) = handle.submit_one(n) else {
                         continue;

@@ -86,8 +86,7 @@ fn engine_config(sentinel: SentinelConfig, shards: usize) -> ServeConfig {
         policy: BatchPolicy {
             max_batch_nodes: 16,
             max_delay: Duration::from_millis(1),
-            max_queue_requests: 8192,
-            shed_high_water: 8192, // shedding off: isolate sentinel behaviour
+            max_queue_requests: 8192, // never reached: isolate sentinel behaviour
         },
         cache_capacity: 256,
         shards,

@@ -1,107 +1,71 @@
-use crate::{EnclaveSim, TeeError};
+use crate::EnclaveSim;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-
-/// Receipt for one ingress transfer: how many bytes crossed and the
-/// simulated cost charged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TransferReceipt {
-    /// Payload size in bytes.
-    pub bytes: usize,
-    /// Simulated nanoseconds charged for the crossing.
-    pub simulated_ns: u64,
-}
 
 /// The label-only egress type of a GNNVault enclave (§IV-E): logits stay
 /// sealed inside; only the predicted class index leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ClassLabel(pub usize);
 
-/// One-way data channel from the untrusted world into the enclave.
+/// The one ingress into the enclave: a one-way channel reused batch
+/// after batch.
 ///
 /// This is the structural encoding of the paper's "only one-way
 /// communication from the untrusted environment to the enclave"
-/// (§IV-B): the channel can [`send`](Self::send) byte payloads *in* and
-/// hand out the received payloads *inside* the enclave context
+/// (§IV-B): a session can [`send`](Self::send) byte payloads *in* and
+/// hand the received payloads out *inside* the enclave context
 /// ([`drain`](Self::drain)), but exposes no API for moving enclave data
 /// back out — the only egress anywhere in this crate is [`ClassLabel`].
+///
+/// A batch is every payload sent since the last `drain`. Each serving
+/// worker holds one session and pushes every batch it executes through
+/// it; what a batch cost is charged to the [`EnclaveSim`]'s counters,
+/// not kept here.
 ///
 /// # Examples
 ///
 /// ```
-/// use tee::{EnclaveSim, UntrustedToEnclave};
+/// use tee::{EnclaveSession, EnclaveSim};
 ///
-/// # fn main() -> Result<(), tee::TeeError> {
 /// let mut enclave = EnclaveSim::with_defaults();
-/// let mut chan = UntrustedToEnclave::new();
-/// let receipt = chan.send(&mut enclave, bytes::Bytes::from(vec![1u8, 2, 3]))?;
-/// assert_eq!(receipt.bytes, 3);
-/// let delivered = chan.drain();
-/// assert_eq!(delivered.len(), 1);
-/// # Ok(())
-/// # }
+/// let mut session = EnclaveSession::default();
+///
+/// // Batch 1: two payloads in, then the enclave side drains them.
+/// session.send(&mut enclave, bytes::Bytes::from(vec![0u8; 64]));
+/// session.send(&mut enclave, bytes::Bytes::from(vec![0u8; 32]));
+/// assert_eq!(session.batch_bytes(), 96);
+/// assert_eq!(session.drain().len(), 2);
+///
+/// // Batch 2 reuses the same session.
+/// session.send(&mut enclave, bytes::Bytes::from(vec![0u8; 8]));
+/// assert_eq!(session.batch_bytes(), 8);
+/// assert_eq!(enclave.transitions(), 3, "every send is one ECALL");
 /// ```
 #[derive(Debug, Default)]
-pub struct UntrustedToEnclave {
+pub struct EnclaveSession {
     queue: Vec<Bytes>,
-    receipts: Vec<TransferReceipt>,
+    batch_bytes: usize,
 }
 
-impl UntrustedToEnclave {
-    /// Creates an empty channel.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marshals a payload into the enclave, charging transition and
-    /// per-byte costs to the enclave's meter.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible in the simulator, but returns `Result` so
-    /// real backends (e.g. an SGX ECALL) can fail; callers must handle
-    /// the error path today.
-    pub fn send(
-        &mut self,
-        enclave: &mut EnclaveSim,
-        payload: Bytes,
-    ) -> Result<TransferReceipt, TeeError> {
-        let bytes = payload.len();
-        let simulated_ns = enclave.charge_ingress(bytes);
+impl EnclaveSession {
+    /// Marshals a payload into the enclave, charging one transition
+    /// plus per-byte marshalling to the enclave's transfer counter.
+    pub fn send(&mut self, enclave: &mut EnclaveSim, payload: Bytes) {
+        enclave.charge_ingress(payload.len());
+        self.batch_bytes += payload.len();
         self.queue.push(payload);
-        let receipt = TransferReceipt {
-            bytes,
-            simulated_ns,
-        };
-        self.receipts.push(receipt);
-        Ok(receipt)
     }
 
-    /// Takes all delivered payloads, in arrival order (enclave side).
+    /// Takes the current batch's payloads, in arrival order (enclave
+    /// side), and closes the batch.
     pub fn drain(&mut self) -> Vec<Bytes> {
+        self.batch_bytes = 0;
         std::mem::take(&mut self.queue)
     }
 
-    /// All receipts issued so far (untrusted side bookkeeping).
-    pub fn receipts(&self) -> &[TransferReceipt] {
-        &self.receipts
-    }
-
-    /// Takes (and clears) the receipt log. Long-lived holders — e.g. a
-    /// serving session reusing one channel for thousands of batches —
-    /// call this at batch boundaries and fold the drained receipts into
-    /// counters, so the log stays bounded by one batch's sends.
-    pub fn take_receipts(&mut self) -> Vec<TransferReceipt> {
-        std::mem::take(&mut self.receipts)
-    }
-
-    /// Total payload bytes across the current receipt log — every send
-    /// since construction, or since the log was last cleared with
-    /// [`take_receipts`](Self::take_receipts). Holders that window the
-    /// log must carry lifetime totals themselves (as
-    /// [`EnclaveSession`](crate::EnclaveSession) does).
-    pub fn total_bytes(&self) -> usize {
-        self.receipts.iter().map(|r| r.bytes).sum()
+    /// Payload bytes sent since the last [`drain`](Self::drain).
+    pub fn batch_bytes(&self) -> usize {
+        self.batch_bytes
     }
 }
 
@@ -113,30 +77,37 @@ mod tests {
     #[test]
     fn send_charges_and_queues() {
         let mut enclave = EnclaveSim::with_defaults();
-        let mut chan = UntrustedToEnclave::new();
-        let r1 = chan
-            .send(&mut enclave, Bytes::from(vec![0u8; 100]))
-            .unwrap();
-        let r2 = chan.send(&mut enclave, Bytes::from(vec![0u8; 50])).unwrap();
-        assert_eq!(r1.bytes, 100);
-        assert_eq!(r1.simulated_ns, CostModel::default().transfer_ns(100));
-        assert_eq!(r2.bytes, 50);
-        assert_eq!(chan.total_bytes(), 150);
+        let mut s = EnclaveSession::default();
+        s.send(&mut enclave, Bytes::from(vec![0u8; 100]));
+        s.send(&mut enclave, Bytes::from(vec![0u8; 50]));
+        assert_eq!(s.batch_bytes(), 150);
         assert_eq!(enclave.transitions(), 2);
+        let cost = CostModel::default();
+        assert_eq!(
+            enclave.transfer_ns(),
+            cost.transfer_ns(100) + cost.transfer_ns(50)
+        );
 
-        let delivered = chan.drain();
+        let delivered = s.drain();
         assert_eq!(delivered.len(), 2);
         assert_eq!(delivered[0].len(), 100);
-        assert!(chan.drain().is_empty(), "drain empties the queue");
-        assert_eq!(chan.receipts().len(), 2, "receipts persist");
+        assert!(s.drain().is_empty(), "drain empties the queue");
     }
 
     #[test]
-    fn class_label_is_the_only_egress() {
-        // Compile-time property documented as a test: the channel type
-        // exposes no method returning enclave data to the untrusted
-        // world. We assert the egress type is a bare class index.
-        let label = ClassLabel(3);
-        assert_eq!(label.0, 3);
+    fn drain_closes_the_batch() {
+        let mut enclave = EnclaveSim::new(1 << 20, CostModel::free(), Default::default());
+        let mut s = EnclaveSession::default();
+        s.send(&mut enclave, Bytes::from(vec![1u8; 10]));
+        s.send(&mut enclave, Bytes::from(vec![2u8; 20]));
+        assert_eq!(s.drain().len(), 2);
+        assert_eq!(s.batch_bytes(), 0, "an empty batch accounts zero bytes");
+
+        s.send(&mut enclave, Bytes::from(vec![3u8; 5]));
+        assert_eq!(s.batch_bytes(), 5, "per-batch window moved");
+        let delivered = s.drain();
+        assert_eq!(delivered.len(), 1);
+        assert_eq!(delivered[0][0], 3, "the previous batch is not redelivered");
+        assert_eq!(enclave.transitions(), 3, "every send is one ECALL");
     }
 }

@@ -1,5 +1,7 @@
-use crate::{CostModel, Meter, Phase, TeeError, PAGE_BYTES, SGX_EPC_BYTES};
+use crate::{CostModel, TeeError, PAGE_BYTES, SGX_EPC_BYTES};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Handle to one live enclave allocation; returned by
 /// [`EnclaveSim::alloc`] and consumed by [`EnclaveSim::free`].
@@ -19,14 +21,18 @@ pub enum OverBudgetPolicy {
     Fail,
 }
 
-/// Software model of one SGX enclave: an allocation ledger against the
-/// EPC budget plus cost/metering hooks.
+/// Software model of one SGX enclave and its one ledger: live
+/// allocations against the EPC budget, plus cumulative counters of
+/// what the boundary has cost — transitions, and simulated transfer,
+/// in-enclave and page-swap nanoseconds (Fig. 6's breakdown). A caller
+/// that wants the cost of one inference reads the counters before and
+/// after it.
 ///
 /// The simulator does not execute code "inside" anything — isolation is
 /// modelled structurally: the [`gnnvault`](../gnnvault) deployment keeps
 /// private data in types that never cross back out (see
-/// [`UntrustedToEnclave`](crate::UntrustedToEnclave)); this type makes
-/// the *resource* constraints of that placement measurable.
+/// [`EnclaveSession`](crate::EnclaveSession)); this type makes the
+/// *resource* constraints of that placement measurable.
 ///
 /// # Examples
 ///
@@ -35,8 +41,8 @@ pub enum OverBudgetPolicy {
 ///
 /// # fn main() -> Result<(), tee::TeeError> {
 /// let mut enclave = EnclaveSim::new(8 * MB, Default::default(), OverBudgetPolicy::Fail);
-/// let a = enclave.alloc("adjacency", 6 * MB)?;
-/// assert!(enclave.alloc("too big", 4 * MB).is_err());
+/// let a = enclave.alloc(6 * MB)?;
+/// assert!(enclave.alloc(4 * MB).is_err());
 /// enclave.free(a)?;
 /// # Ok(())
 /// # }
@@ -46,19 +52,17 @@ pub struct EnclaveSim {
     epc_budget: usize,
     policy: OverBudgetPolicy,
     cost: CostModel,
-    meter: Meter,
-    ledger: HashMap<u64, Allocation>,
+    /// Live allocations: id → bytes.
+    ledger: HashMap<u64, usize>,
     next_id: u64,
     in_use: usize,
     peak: usize,
     swapped_pages: u64,
     transitions: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Allocation {
-    label: String,
-    bytes: usize,
+    transfer_ns: u64,
+    page_swap_ns: u64,
+    /// Charged by [`EnclaveSim::run`], which takes `&self`.
+    enclave_ns: AtomicU64,
 }
 
 impl EnclaveSim {
@@ -69,13 +73,15 @@ impl EnclaveSim {
             epc_budget,
             policy,
             cost,
-            meter: Meter::new(),
             ledger: HashMap::new(),
             next_id: 0,
             in_use: 0,
             peak: 0,
             swapped_pages: 0,
             transitions: 0,
+            transfer_ns: 0,
+            page_swap_ns: 0,
+            enclave_ns: AtomicU64::new(0),
         }
     }
 
@@ -115,9 +121,23 @@ impl EnclaveSim {
         self.transitions
     }
 
-    /// Shared handle to the enclave's meter.
-    pub fn meter(&self) -> Meter {
-        self.meter.clone()
+    /// Simulated nanoseconds charged for marshalling data in, over the
+    /// enclave's lifetime (one transition plus per-byte cost per send).
+    pub fn transfer_ns(&self) -> u64 {
+        self.transfer_ns
+    }
+
+    /// Nanoseconds of in-enclave work over the enclave's lifetime: each
+    /// [`run`](Self::run)'s wall clock plus the cost model's slowdown
+    /// surcharge on it.
+    pub fn enclave_ns(&self) -> u64 {
+        self.enclave_ns.load(Ordering::Relaxed)
+    }
+
+    /// Simulated nanoseconds charged for EPC page swaps over the
+    /// enclave's lifetime (only under [`OverBudgetPolicy::Swap`]).
+    pub fn page_swap_ns(&self) -> u64 {
+        self.page_swap_ns
     }
 
     /// The enclave's cost model.
@@ -125,7 +145,7 @@ impl EnclaveSim {
         &self.cost
     }
 
-    /// Allocates `bytes` inside the enclave under a diagnostic label.
+    /// Allocates `bytes` inside the enclave.
     ///
     /// # Errors
     ///
@@ -133,7 +153,7 @@ impl EnclaveSim {
     /// [`TeeError::EpcExhausted`] when the allocation would exceed the
     /// budget. Under [`OverBudgetPolicy::Swap`] it always succeeds and
     /// charges swap costs for pages beyond the budget.
-    pub fn alloc(&mut self, label: &str, bytes: usize) -> Result<AllocationId, TeeError> {
+    pub fn alloc(&mut self, bytes: usize) -> Result<AllocationId, TeeError> {
         let new_total = self.in_use + bytes;
         if new_total > self.epc_budget {
             match self.policy {
@@ -148,20 +168,13 @@ impl EnclaveSim {
                     let overflow = new_total - self.epc_budget.max(self.in_use);
                     let pages = overflow.div_ceil(PAGE_BYTES);
                     self.swapped_pages += pages as u64;
-                    self.meter
-                        .record_simulated(Phase::PageSwap, self.cost.swap_ns(pages));
+                    self.page_swap_ns += self.cost.swap_ns(pages);
                 }
             }
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.ledger.insert(
-            id,
-            Allocation {
-                label: label.to_owned(),
-                bytes,
-            },
-        );
+        self.ledger.insert(id, bytes);
         self.in_use = new_total;
         self.peak = self.peak.max(self.in_use);
         Ok(AllocationId(id))
@@ -174,48 +187,29 @@ impl EnclaveSim {
     /// Returns [`TeeError::UnknownAllocation`] on double-free or a stale
     /// id.
     pub fn free(&mut self, id: AllocationId) -> Result<(), TeeError> {
-        let alloc = self
+        let bytes = self
             .ledger
             .remove(&id.0)
             .ok_or(TeeError::UnknownAllocation { id: id.0 })?;
-        self.in_use -= alloc.bytes;
+        self.in_use -= bytes;
         Ok(())
     }
 
     /// Charges one ECALL transition plus marshalling for `bytes` of
-    /// ingress data, recording it under [`Phase::Transfer`]. Returns the
-    /// simulated nanoseconds charged.
-    pub fn charge_ingress(&mut self, bytes: usize) -> u64 {
+    /// ingress data to the transfer counter.
+    pub(crate) fn charge_ingress(&mut self, bytes: usize) {
         self.transitions += 1;
-        let ns = self.cost.transfer_ns(bytes);
-        self.meter.record_simulated(Phase::Transfer, ns);
-        ns
+        self.transfer_ns += self.cost.transfer_ns(bytes);
     }
 
-    /// Runs enclave-side work, timing its wall clock under
-    /// [`Phase::Enclave`] and charging the cost model's in-enclave
-    /// compute surcharge on top.
+    /// Runs enclave-side work, charging its wall clock plus the cost
+    /// model's in-enclave compute surcharge to the enclave counter.
     pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let out = f();
-        let elapsed = start.elapsed();
-        self.meter.record_wall(Phase::Enclave, elapsed);
-        self.meter.record_simulated(
-            Phase::Enclave,
-            self.cost.enclave_surcharge_ns(elapsed.as_nanos() as u64),
-        );
-        out
-    }
-
-    /// Current allocations as `(label, bytes)` pairs, sorted by label;
-    /// useful for memory-usage reports.
-    pub fn allocations(&self) -> Vec<(String, usize)> {
-        let mut out: Vec<(String, usize)> = self
-            .ledger
-            .values()
-            .map(|a| (a.label.clone(), a.bytes))
-            .collect();
-        out.sort();
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        let charged = wall_ns + self.cost.enclave_surcharge_ns(wall_ns);
+        self.enclave_ns.fetch_add(charged, Ordering::Relaxed);
         out
     }
 }
@@ -228,8 +222,8 @@ mod tests {
     #[test]
     fn alloc_free_roundtrip_updates_usage() {
         let mut e = EnclaveSim::with_defaults();
-        let a = e.alloc("x", MB).unwrap();
-        let b = e.alloc("y", 2 * MB).unwrap();
+        let a = e.alloc(MB).unwrap();
+        let b = e.alloc(2 * MB).unwrap();
         assert_eq!(e.current_usage(), 3 * MB);
         e.free(a).unwrap();
         assert_eq!(e.current_usage(), 2 * MB);
@@ -241,7 +235,7 @@ mod tests {
     #[test]
     fn double_free_is_an_error() {
         let mut e = EnclaveSim::with_defaults();
-        let a = e.alloc("x", 10).unwrap();
+        let a = e.alloc(10).unwrap();
         e.free(a).unwrap();
         assert!(matches!(e.free(a), Err(TeeError::UnknownAllocation { .. })));
     }
@@ -249,47 +243,49 @@ mod tests {
     #[test]
     fn fail_policy_rejects_over_budget() {
         let mut e = EnclaveSim::new(MB, CostModel::free(), OverBudgetPolicy::Fail);
-        assert!(e.alloc("big", 2 * MB).is_err());
-        let _ = e.alloc("fits", MB / 2).unwrap();
-        assert!(e.alloc("overflow", MB).is_err());
+        assert!(e.alloc(2 * MB).is_err());
+        let _ = e.alloc(MB / 2).unwrap();
+        assert!(e.alloc(MB).is_err());
     }
 
     #[test]
     fn swap_policy_charges_pages_beyond_budget() {
         let mut e = EnclaveSim::new(MB, CostModel::default(), OverBudgetPolicy::Swap);
-        let _ = e.alloc("fits", MB).unwrap();
+        let _ = e.alloc(MB).unwrap();
         assert_eq!(e.swapped_pages(), 0);
-        let _ = e.alloc("spills", 8192).unwrap();
+        let _ = e.alloc(8192).unwrap();
         assert_eq!(e.swapped_pages(), 2);
-        let swap = e.meter().breakdown()[&Phase::PageSwap];
-        assert_eq!(swap.simulated_ns, CostModel::default().swap_ns(2));
+        assert_eq!(e.page_swap_ns(), CostModel::default().swap_ns(2));
     }
 
     #[test]
     fn ingress_counts_transitions_and_cost() {
         let mut e = EnclaveSim::with_defaults();
-        let ns = e.charge_ingress(1000);
-        assert_eq!(ns, CostModel::default().transfer_ns(1000));
+        let cost = CostModel::default();
+        e.charge_ingress(1000);
+        assert_eq!(e.transfer_ns(), cost.transfer_ns(1000));
         assert_eq!(e.transitions(), 1);
         e.charge_ingress(0);
         assert_eq!(e.transitions(), 2);
+        assert_eq!(
+            e.transfer_ns(),
+            cost.transfer_ns(1000) + cost.transfer_ns(0)
+        );
     }
 
     #[test]
-    fn run_meters_enclave_phase() {
+    fn run_charges_the_enclave_counter() {
         let e = EnclaveSim::with_defaults();
-        let v = e.run(|| 1 + 1);
+        let v = e.run(|| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            1 + 1
+        });
         assert_eq!(v, 2);
-        assert!(e.meter().breakdown().contains_key(&Phase::Enclave));
-    }
-
-    #[test]
-    fn allocations_report_sorted_labels() {
-        let mut e = EnclaveSim::with_defaults();
-        e.alloc("weights", 8).unwrap();
-        e.alloc("adjacency", 4).unwrap();
-        let allocs = e.allocations();
-        assert_eq!(allocs[0].0, "adjacency");
-        assert_eq!(allocs[1], ("weights".to_string(), 8));
+        // The default model doubles in-enclave time.
+        assert!(e.enclave_ns() >= 4_000_000, "{}", e.enclave_ns());
+        let free = EnclaveSim::new(MB, CostModel::free(), OverBudgetPolicy::Swap);
+        free.run(|| std::thread::sleep(std::time::Duration::from_millis(2)));
+        assert!(free.enclave_ns() >= 2_000_000, "{}", free.enclave_ns());
+        assert_eq!(free.transfer_ns() + free.page_swap_ns(), 0);
     }
 }

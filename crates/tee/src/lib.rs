@@ -11,16 +11,17 @@
 //!   Processor Reserved Memory; exceeding it either fails
 //!   ([`OverBudgetPolicy::Fail`]) or pays a simulated page-swap
 //!   (EWB/ELDU encrypt-evict) cost ([`OverBudgetPolicy::Swap`]),
-//! - **World-switch overhead**: ECALL/OCALL transitions and per-byte
-//!   marshalling costs are charged through a calibrated [`CostModel`]
-//!   and recorded in a [`Meter`] (Fig. 6's time breakdown),
-//! - **One-way communication** (§IV-B): [`UntrustedToEnclave`] is the
-//!   only ingress type and carries data *into* the enclave only; the
-//!   sole egress is [`ClassLabel`]s — the label-only output rule of
-//!   §IV-E is enforced by the type system rather than by convention,
-//! - **Sessions**: [`EnclaveSession`] is a long-lived ingress handle
-//!   whose channel is recycled batch after batch — the unit a serving
-//!   engine (the `serve` crate) schedules enclave work on,
+//! - **World-switch overhead**: ECALL transitions, per-byte marshalling
+//!   and the in-enclave slowdown are charged through a calibrated
+//!   [`CostModel`] to [`EnclaveSim`]'s cumulative counters — the
+//!   transfer, rectifier and page-swap terms of Fig. 6's time
+//!   breakdown, read as before/after deltas around an inference,
+//! - **One-way communication** (§IV-B): [`EnclaveSession`] is the only
+//!   ingress type and carries data *into* the enclave only, batch after
+//!   batch — the unit a serving engine (the `serve` crate) pushes each
+//!   shard's work through; the sole egress is [`ClassLabel`]s — the
+//!   label-only output rule of §IV-E is enforced by the type system
+//!   rather than by convention,
 //! - **Sealing**: [`Sealed`] provides tamper-evident at-rest protection
 //!   for deployment artifacts (a keystream simulation, *not* real
 //!   cryptography — documented on the type).
@@ -32,7 +33,7 @@
 //!
 //! # fn main() -> Result<(), tee::TeeError> {
 //! let mut enclave = EnclaveSim::with_defaults();
-//! let weights = enclave.alloc("rectifier weights", 2 * MB)?;
+//! let weights = enclave.alloc(2 * MB)?;
 //! assert!(enclave.current_usage() >= 2 * MB);
 //! enclave.free(weights)?;
 //! # Ok(())
@@ -47,17 +48,13 @@ pub mod codec;
 mod cost;
 mod enclave;
 mod error;
-mod meter;
 mod seal;
-mod session;
 
-pub use channel::{ClassLabel, TransferReceipt, UntrustedToEnclave};
+pub use channel::{ClassLabel, EnclaveSession};
 pub use cost::CostModel;
 pub use enclave::{AllocationId, EnclaveSim, OverBudgetPolicy};
 pub use error::TeeError;
-pub use meter::{Meter, Phase, TimeBreakdown};
 pub use seal::{SealKey, Sealed};
-pub use session::{EnclaveSession, SessionId};
 
 /// One kibibyte.
 pub const KB: usize = 1024;

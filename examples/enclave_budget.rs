@@ -63,17 +63,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Demonstrate the strict policy rejecting an over-budget enclave.
     println!("\nstrict-policy demonstration:");
     let mut tiny = EnclaveSim::new(MB, CostModel::default(), OverBudgetPolicy::Fail);
-    match tiny.alloc("oversized model", 2 * MB) {
+    match tiny.alloc(2 * MB) {
         Err(e) => println!("  1 MB enclave refused a 2 MB model: {e}"),
         Ok(_) => unreachable!("allocation must fail"),
     }
     // And the paging policy charging swap costs instead.
     let mut paging = EnclaveSim::new(MB, CostModel::default(), OverBudgetPolicy::Swap);
-    paging.alloc("oversized model", 2 * MB)?;
+    paging.alloc(2 * MB)?;
     println!(
         "  paging enclave accepted it but swapped {} pages (simulated {:.2} ms penalty)",
         paging.swapped_pages(),
-        paging.meter().total().simulated_ns as f64 / 1e6
+        paging.page_swap_ns() as f64 / 1e6
     );
     Ok(())
 }

@@ -96,7 +96,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 max_batch_nodes: 64,
                 max_delay: Duration::from_millis(2),
                 max_queue_requests: 8192,
-                ..BatchPolicy::default()
             },
             cache_capacity,
             fast_cache_slots,

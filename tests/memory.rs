@@ -60,17 +60,12 @@ fn every_model_config_fits_strict_epc() {
 fn paging_policy_charges_swap_costs_where_strict_fails() {
     let budget = 64 * 1024; // 64 KiB toy EPC
     let mut strict = EnclaveSim::new(budget, CostModel::default(), OverBudgetPolicy::Fail);
-    assert!(strict.alloc("too big", budget + 1).is_err());
+    assert!(strict.alloc(budget + 1).is_err());
 
     let mut paging = EnclaveSim::new(budget, CostModel::default(), OverBudgetPolicy::Swap);
-    paging
-        .alloc("too big", budget + 8192)
-        .expect("paging accepts");
+    paging.alloc(budget + 8192).expect("paging accepts");
     assert_eq!(paging.swapped_pages(), 2);
-    assert_eq!(
-        paging.meter().total().simulated_ns,
-        CostModel::default().swap_ns(2)
-    );
+    assert_eq!(paging.page_swap_ns(), CostModel::default().swap_ns(2));
 }
 
 #[test]
