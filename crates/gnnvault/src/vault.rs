@@ -399,30 +399,11 @@ impl Vault {
         Self::install(decoded, seal_key)
     }
 
-    /// Spawns an independent replica of this deployment by round-
-    /// tripping through [`Vault::snapshot`] / [`Vault::restore`] with
-    /// this vault's own seal key — the path a sharded serving runtime
-    /// uses to fan one trained vault out across worker shards. The
-    /// replica shares this vault's epoch (same model, same answers) but
-    /// owns its own enclave and its counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Vault::restore`] failures; with a self-produced
-    /// snapshot these only occur when the deployment cannot be rebuilt
-    /// (e.g. the EPC budget race-changed — impossible here — or an
-    /// internal encoding bug).
-    pub fn spawn_replica(&self) -> Result<Vault, VaultError> {
-        Self::restore(&self.snapshot(), self.seal_key)
-    }
-
     /// Bundles a sealed snapshot of this vault's *current* model with
     /// the deployment key into a [`RecoveryHandle`], the unit a
     /// supervisor retains per worker so a crashed replica can be
     /// restored without reaching back to the original vault (which may
-    /// live on another thread — or not exist any more). Restoring the
-    /// same handle N times fans one model out over N shards for one
-    /// encode/seal pass.
+    /// live on another thread — or not exist any more).
     pub fn recovery_handle(&self) -> RecoveryHandle {
         RecoveryHandle::new(self.snapshot(), self.seal_key)
     }
@@ -892,13 +873,10 @@ pub struct RecoveryHandle {
 impl RecoveryHandle {
     /// Wraps a snapshot and the key it was sealed under.
     pub fn new(snapshot: VaultSnapshot, seal_key: SealKey) -> Self {
-        Self::from_shared(Arc::new(snapshot), seal_key)
-    }
-
-    /// Like [`RecoveryHandle::new`], but reuses an already-shared
-    /// snapshot (no payload copy).
-    pub fn from_shared(snapshot: Arc<VaultSnapshot>, seal_key: SealKey) -> Self {
-        Self { snapshot, seal_key }
+        Self {
+            snapshot: Arc::new(snapshot),
+            seal_key,
+        }
     }
 
     /// The epoch this handle restores to.

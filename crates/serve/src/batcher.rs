@@ -131,9 +131,9 @@ struct TicketPart {
 /// worker(s) answer.
 ///
 /// A ticket from a single queue carries one part; a ticket from a
-/// sharded router carries one part per shard the request's nodes hash
-/// to, and [`Ticket::wait`] reassembles the labels back into the
-/// client's request order.
+/// partitioned engine carries one part per shard that owns some of the
+/// request's nodes, and [`Ticket::wait`] reassembles the labels back
+/// into the client's request order.
 #[derive(Debug)]
 pub struct Ticket {
     parts: Vec<TicketPart>,

@@ -1,41 +1,36 @@
-//! The sharded serving runtime: N supervised worker shards, each owning
-//! a vault replica restored from one sealed snapshot, fronted by a
-//! health-aware deterministic node-hash router, with zero-downtime
-//! model hot-swap and automatic crash recovery.
+//! The serving runtime: supervised worker shards, each owning one
+//! vault restored from a sealed snapshot, behind per-shard admission
+//! queues, with zero-downtime model hot-swap and automatic crash
+//! recovery.
 //!
 //! ## Topology
 //!
-//! [`ServingEngine::start`] spawns [`ServeConfig::shards`] worker
-//! threads. Under the default [`Topology::Replicated`], shard 0 owns
-//! the vault it was given; every other shard owns a replica restored
-//! from one shared sealed snapshot ([`Vault::recovery_handle`]), so all
-//! shards answer from bit-identical weights under the *same epoch*.
-//! Each shard runs the full single-vault stack — its own
-//! [`AdmissionQueue`], its own epoch-keyed
-//! [`LruCache`](crate::LruCache), and its own
-//! [`tee::EnclaveSession`] — and a [`Router`] in every
-//! [`ServeHandle`] assigns each queried node to a shard by a
-//! deterministic hash of its id, so repeat queries for a node always
-//! land on the same shard and that shard's cache stays effective.
+//! Under the default [`Topology::Replicated`], [`ServingEngine::start`]
+//! spawns exactly one worker shard, which owns the vault it was given
+//! and retains a sealed snapshot of it ([`Vault::recovery_handle`]) as
+//! its restore source. The shard runs the full single-vault stack: its
+//! [`AdmissionQueue`], its epoch-keyed [`LruCache`](crate::LruCache)
+//! and its [`tee::EnclaveSession`]. A second full replica would only
+//! contend for the same cores and the same `linalg` pool, so `start`
+//! rejects `Replicated` with [`ServeConfig::shards`] above 1.
 //!
-//! Under [`Topology::Partitioned`] the private graph is *partitioned*
-//! instead of replicated ([`Vault::partition_recovery_handles`]): shard `i` owns
-//! partition `i` of a contiguous-block layout — its owned nodes, their
-//! L-hop halo (L = rectifier depth), and nothing else — so N shards
-//! hold ~1/N of the private state each instead of N full copies, and
-//! each shard's retained recovery snapshot is its own (strictly
-//! smaller) per-partition snapshot. The router becomes an *owner
-//! lookup* over the same [`graph::partition::PartitionSpec`]; because
-//! ownership is a pure function of the node id (never of the private
-//! edges), routing still needs no private data. Labels stay
-//! bit-identical to sequential inference — the halo gives every owned
-//! node its full L-hop receptive field — but a Down shard's nodes have
-//! no substitute holder, so they fail typed instead of re-routing (see
-//! the failure model below).
+//! [`Topology::Partitioned`] is the one multi-shard mode
+//! ([`Vault::partition_recovery_handles`]): shard `i` owns partition
+//! `i` of a contiguous-block layout — its owned nodes, their L-hop halo
+//! (L = rectifier depth), and nothing else — so N shards hold ~1/N of
+//! the private state each, and each shard's retained recovery snapshot
+//! is its own per-partition snapshot. Every [`ServeHandle`] routes a
+//! node by owner lookup over the same
+//! [`graph::partition::PartitionSpec`]; ownership is a pure function of
+//! the node id (never of the private edges), so routing needs no
+//! private data. The halo gives every owned node its full L-hop
+//! receptive field, so labels stay bit-identical to sequential
+//! inference, and a Down shard's nodes have no other holder, so they
+//! fail typed (see the failure model below).
 //!
 //! ## Threading model
 //!
-//! Each [`Vault`] replica (and its simulated enclave) is owned by one
+//! Each shard's [`Vault`] (and its simulated enclave) is owned by the
 //! shard's state machine, `ShardCore` (`worker.rs`), whose whole
 //! behaviour is three calls: serve a flushed batch, install an epoch,
 //! roll the last install back — the analogue of the SGX rule that
@@ -52,34 +47,31 @@
 //! ## Determinism
 //!
 //! Results never depend on batching, caching, routing, or shard count.
-//! Every replica runs the same full-graph rectification with the same
-//! weights, so an N-shard engine's labels are bit-identical to a
-//! single-shard engine's — and to sequential [`Vault::infer`] — for any
-//! request stream (asserted in `tests/engine.rs`). Supervision keeps
-//! the invariant: a restored shard serves the same retained snapshot,
-//! and a re-routed request is answered by a replica of the same model,
-//! so every *successful* answer is bit-identical to sequential
-//! inference no matter what failed around it.
+//! A partition's shard rectifies its owned nodes over their whole
+//! receptive field with the same weights, so an N-shard engine's labels
+//! are bit-identical to a single-shard engine's — and to sequential
+//! [`Vault::infer`] — for any request stream (asserted in
+//! `tests/conformance.rs`). Supervision keeps the invariant: a restored
+//! shard serves the same retained snapshot, and a node is only ever
+//! answered by its owner, so every *successful* answer is bit-identical
+//! to sequential inference no matter what failed around it.
 //!
 //! ## Failure model
 //!
 //! Each shard wraps batch execution in
 //! [`catch_unwind`](std::panic::catch_unwind). A panic fails only the
 //! batch in flight: the shard marks itself [`ShardHealth::Down`] on the
-//! engine's [`HealthBoard`], discards the (possibly poisoned) replica,
+//! engine's [`HealthBoard`], discards the (possibly poisoned) vault,
 //! restores a fresh one from its retained [`RecoveryHandle`] — once,
 //! with no sleep: a restore is a pure function of (sealed bytes, key),
 //! so a retry could only repeat its answer — and only then answers the
 //! batch's requests with [`ServeError::ShardFailed`]. A client holding
 //! the failure therefore already sees the shard's final health:
 //! `Degraded` after a good restart, `Down` if it failed, in which case
-//! the shard stays `Down` until a deploy resurrects it. Replicated,
-//! handles route *new* requests around `Down` shards (trading cache
-//! affinity for availability, counted in
-//! [`ServeStats::rerouted_subrequests`]); partitioned, a
-//! `Down` shard's nodes have no other holder, so their requests stay
-//! home and resolve to the typed `ShardFailed` until the owner recovers
-//! or a deploy resurrects it — never a silently misrouted answer.
+//! the shard stays `Down` until a deploy resurrects it. No other shard
+//! holds what a `Down` shard serves, so requests for its nodes resolve
+//! to the typed `ShardFailed` until it recovers or a deploy resurrects
+//! it — never a silently misrouted answer.
 //! Overload sheds at the admission bound
 //! ([`ServeError::Overloaded`]), stale requests are dropped by the
 //! per-request timeout ([`ServeError::TimedOut`]), and
@@ -94,7 +86,7 @@
 //! [`ServingEngine::deploy`] installs a new model epoch from a sealed
 //! [`VaultSnapshot`] across all shards with zero downtime: admission
 //! never pauses, each shard finishes (drains) its in-flight batch on
-//! the old epoch, installs the replica between batches, and answers
+//! the old epoch, installs its new vault between batches, and answers
 //! everything after that from the new epoch. Each shard's result cache
 //! is dropped at install (epoch numbers are process-local, so keying
 //! alone could not rule out a collision with a foreign snapshot), so a
@@ -127,7 +119,7 @@ use crate::faults::FaultPlan;
 use crate::router::FrontStats;
 // The engine's public surface: the crate root re-exports these types
 // together with the engine's own.
-pub use crate::router::{HealthBoard, Router, ServeHandle, ShardHealth};
+pub use crate::router::{HealthBoard, ServeHandle, ShardHealth};
 use crate::sentinel::Sentinel;
 pub use crate::stats::{ServeStats, ShardStats};
 use crate::worker::ShardCore;
@@ -152,22 +144,19 @@ const CONTROL_POLL: Duration = Duration::from_millis(50);
 /// How the private real graph is distributed across worker shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Topology {
-    /// Every shard owns a full vault replica restored from one shared
-    /// sealed snapshot. Any shard can answer any node, so the router
-    /// hashes node ids across shards and a [`ShardHealth::Down`] shard
-    /// is routed around without changing any answer.
+    /// One shard owns the full vault. [`ServingEngine::start`] rejects
+    /// this topology with more than one shard: a second replica of the
+    /// whole vault only contends for the same cores.
     #[default]
     Replicated,
     /// The private graph is edge-cut partitioned
     /// ([`Vault::partition_recovery_handles`]): shard `i` owns partition `i` of a
     /// contiguous-block [`PartitionSpec`] and holds only its owned
-    /// nodes plus an L-hop halo — ~1/N of the private state instead of
-    /// N full copies. Routing becomes an owner lookup
-    /// ([`PartitionSpec::owner_of`]), and because no other shard can
-    /// answer a partition's nodes, a `Down` owner is *not* routed
-    /// around: its queries fail with the typed
-    /// [`ServeError::ShardFailed`] until recovery or a deploy
-    /// resurrects it.
+    /// nodes plus an L-hop halo — ~1/N of the private state. Routing is
+    /// an owner lookup ([`PartitionSpec::owner_of`]), and because no
+    /// other shard can answer a partition's nodes, a `Down` owner's
+    /// queries fail with the typed [`ServeError::ShardFailed`] until
+    /// recovery or a deploy resurrects it.
     Partitioned,
 }
 
@@ -188,15 +177,13 @@ pub struct ServeConfig {
     /// every request takes the queued path, which keeps per-shard
     /// request counts deterministic.
     pub fast_cache_slots: usize,
-    /// Worker shards (clamped to ≥ 1). Under [`Topology::Replicated`]
-    /// each owns a full vault replica and node ids are hash-routed, so
-    /// raising this scales enclave throughput without changing any
-    /// answer; under [`Topology::Partitioned`] each owns one graph
-    /// partition and answers exactly its owned nodes.
+    /// Worker shards (clamped to ≥ 1). Under [`Topology::Partitioned`]
+    /// each owns one graph partition and answers exactly its owned
+    /// nodes; [`Topology::Replicated`] takes only 1.
     pub shards: usize,
-    /// Whether shards hold full replicas or graph partitions. Either
-    /// way, every successful answer is bit-identical to sequential
-    /// [`Vault::infer`].
+    /// Whether one shard holds the full vault or each shard holds a
+    /// graph partition. Either way, every successful answer is
+    /// bit-identical to sequential [`Vault::infer`].
     pub topology: Topology,
     /// Per-request queue-time budget: a request that has already waited
     /// longer than this when its batch is flushed is answered
@@ -248,7 +235,7 @@ enum ShardControl {
 }
 
 /// One shard: its queue, its control channel, and the worker thread
-/// driving the [`ShardCore`] that owns its vault replica.
+/// driving the [`ShardCore`] that owns its vault.
 #[derive(Debug)]
 struct Shard {
     queue: Arc<AdmissionQueue>,
@@ -256,8 +243,8 @@ struct Shard {
     worker: Option<std::thread::JoinHandle<(Option<Vault>, ServeStats)>>,
 }
 
-/// A running sharded vault-serving engine: a [`Router`] over per-shard
-/// admission queues, caches, and supervised enclave workers.
+/// A running vault-serving engine: per-shard admission queues, caches,
+/// and supervised enclave workers.
 ///
 /// See the crate-level example for the serving quickstart. End a run
 /// with [`shutdown`](Self::shutdown) to get a surviving vault and the
@@ -267,7 +254,8 @@ struct Shard {
 #[derive(Debug)]
 pub struct ServingEngine {
     shards: Vec<Shard>,
-    router: Router,
+    /// The partition layout (`None` under [`Topology::Replicated`]).
+    spec: Option<PartitionSpec>,
     num_nodes: usize,
     health: Arc<HealthBoard>,
     front: Arc<FrontStats>,
@@ -293,25 +281,23 @@ impl Drop for ServingEngine {
 }
 
 impl ServingEngine {
-    /// Deploys `vault` behind a sharded serving runtime over the corpus
+    /// Deploys `vault` behind a serving runtime over the corpus
     /// `features` (one row per node, the same matrix the vault's
     /// backbone was meant to serve).
     ///
-    /// Under [`Topology::Replicated`], shard 0 takes ownership of
-    /// `vault`; shards `1..N` each own a replica restored from the one
-    /// [`RecoveryHandle`] ([`Vault::recovery_handle`] — one encode/seal
-    /// pass however many shards) that every shard also retains as the
-    /// supervisor's restore source, sharing the vault's epoch. Under
-    /// [`Topology::Partitioned`], the private graph is block-partitioned
-    /// across the shards instead
+    /// Under [`Topology::Replicated`], the one shard takes ownership of
+    /// `vault` and retains its [`RecoveryHandle`]
+    /// ([`Vault::recovery_handle`]) as the supervisor's restore source.
+    /// Under [`Topology::Partitioned`], the private graph is
+    /// block-partitioned across the shards
     /// ([`Vault::partition_recovery_handles`] — one encode/seal pass per
     /// partition): shard `i` is restored from, and retains, partition
     /// `i`'s snapshot — its owned nodes, their L-hop halo, and nothing
     /// else — while the full vault is parked engine-side (it is what
-    /// [`shutdown`](Self::shutdown) returns). Replicas and partitions
-    /// are sealed at the vault's own precision, so every shard answers
-    /// like it: to serve the int8 grid, call [`Vault::set_precision`]
-    /// before `start`.
+    /// [`shutdown`](Self::shutdown) returns). Snapshots are sealed at
+    /// the vault's own precision, so every shard answers like it: to
+    /// serve the int8 grid, call [`Vault::set_precision`] before
+    /// `start`.
     ///
     /// # Errors
     ///
@@ -319,12 +305,13 @@ impl ServingEngine {
     /// count than the vault's deployed graph (the corpus and the graph
     /// must describe the same nodes — catching the mismatch here keeps
     /// admission validation aligned with what [`Vault::infer_batch`]
-    /// will accept) or when `vault` is itself a partition replica (an
-    /// engine always starts from the full deployment),
-    /// [`ServeError::Vault`] when a replica or partition cannot be
-    /// spawned, and [`ServeError::StartFailed`] when a worker thread
-    /// cannot be spawned. Start failures leave nothing running: any
-    /// worker spawned before the failure drains and exits.
+    /// will accept), when `vault` is itself a partition replica (an
+    /// engine always starts from the full deployment) or when
+    /// [`Topology::Replicated`] asks for more than one shard,
+    /// [`ServeError::Vault`] when a partition cannot be restored, and
+    /// [`ServeError::StartFailed`] when a worker thread cannot be
+    /// spawned. Start failures leave nothing running: any worker
+    /// spawned before the failure drains and exits.
     pub fn start(
         vault: Vault,
         features: DenseMatrix,
@@ -343,6 +330,14 @@ impl ServingEngine {
             return Err(ServeError::Rejected {
                 reason: format!(
                     "vault is partition replica {part}/{parts}; start the engine from the full vault"
+                ),
+            });
+        }
+        if config.topology == Topology::Replicated && config.shards > 1 {
+            return Err(ServeError::Rejected {
+                reason: format!(
+                    "Topology::Replicated runs one shard, not {}; use Topology::Partitioned for more",
+                    config.shards
                 ),
             });
         }
@@ -369,20 +364,12 @@ impl ServingEngine {
             None
         };
 
-        let (router, parked, vaults, retained) = match config.topology {
+        let (spec, parked, vaults, retained) = match config.topology {
             Topology::Replicated => {
-                // One sealed snapshot of the starting model is every
-                // shard's retained recovery source until a deploy
-                // replaces it. Shard 0 serves the original; 1..N serve
-                // replicas restored from that same handle (one
-                // encode/seal pass, N-1 restores).
-                let handle = vault.recovery_handle();
-                let mut vaults = vec![vault];
-                for _ in 1..shard_count {
-                    vaults.push(handle.restore().map_err(ServeError::Vault)?);
-                }
-                let retained = vec![handle; shard_count];
-                (Router::new(shard_count), None, vaults, retained)
+                // The one shard serves the original and retains a sealed
+                // snapshot of it until a deploy replaces it.
+                let retained = vec![vault.recovery_handle()];
+                (None, None, vec![vault], retained)
             }
             Topology::Partitioned => {
                 // Shard i serves partition i of a contiguous-block
@@ -401,7 +388,7 @@ impl ServingEngine {
                     .map(RecoveryHandle::restore)
                     .collect::<Result<Vec<_>, _>>()
                     .map_err(ServeError::Vault)?;
-                (Router::partitioned(spec), Some(vault), vaults, retained)
+                (Some(spec), Some(vault), vaults, retained)
             }
         };
 
@@ -440,7 +427,7 @@ impl ServingEngine {
         }
         Ok(Self {
             shards,
-            router,
+            spec,
             num_nodes,
             health,
             front,
@@ -458,7 +445,7 @@ impl ServingEngine {
                 .iter()
                 .map(|shard| Arc::clone(&shard.queue))
                 .collect(),
-            router: self.router,
+            spec: self.spec,
             num_nodes: self.num_nodes,
             health: Arc::clone(&self.health),
             front: Arc::clone(&self.front),
@@ -483,7 +470,7 @@ impl ServingEngine {
 
     /// Number of shards serving this deployment.
     pub fn num_shards(&self) -> usize {
-        self.router.num_shards()
+        self.shards.len()
     }
 
     /// The live per-shard health board (shared with every handle).
@@ -508,7 +495,7 @@ impl ServingEngine {
     /// [`Vault::snapshot`] on the retrained vault) and `seal_key` the
     /// deployment key it was sealed under. Admission never pauses:
     /// each shard finishes its in-flight batch on the old epoch,
-    /// restores the replica between batches (once — a restore is a
+    /// restores its new vault between batches (once — a restore is a
     /// pure function of its inputs, so nothing retries it), and
     /// answers every later batch from the new epoch. Each shard drops
     /// its result cache at install — epoch keying alone could not rule
@@ -560,17 +547,16 @@ impl ServingEngine {
         // Partitioned topology: restore the new model engine-side and
         // cut its private graph with the engine's own layout, failing
         // fast (before any shard is touched) on a bad snapshot or key.
-        let (per_shard, full) = match self.router.partition_spec() {
-            None => {
-                // One shared allocation, deliberately: every replica
-                // installs the same full snapshot.
-                let shared = Arc::new(snapshot.clone());
-                (vec![shared; self.shards.len()], None)
-            }
+        let (sources, full) = match self.spec {
+            None => (vec![RecoveryHandle::new(snapshot.clone(), seal_key)], None),
             Some(spec) => {
                 let full = Vault::restore(snapshot, seal_key).map_err(ServeError::Vault)?;
                 let parts = full.partition_snapshots(&spec).map_err(ServeError::Vault)?;
-                (parts.into_iter().map(Arc::new).collect(), Some(full))
+                let sources = parts
+                    .into_iter()
+                    .map(|part| RecoveryHandle::new(part, seal_key))
+                    .collect();
+                (sources, Some(full))
             }
         };
         // One fast-cache install generation for the whole deploy:
@@ -583,15 +569,11 @@ impl ServingEngine {
         // never reused, so no flush pass is ever needed.
         let tag = self.fast.as_ref().map_or(0, |fast| fast.mint_tag());
         let mut acks = Vec::with_capacity(self.shards.len());
-        for (index, shard) in self.shards.iter().enumerate() {
+        for ((index, shard), source) in self.shards.iter().enumerate().zip(sources) {
             let (ack, ack_rx) = channel();
             shard
                 .control
-                .send(ShardControl::Deploy {
-                    source: RecoveryHandle::from_shared(Arc::clone(&per_shard[index]), seal_key),
-                    tag,
-                    ack,
-                })
+                .send(ShardControl::Deploy { source, tag, ack })
                 .map_err(|_| ServeError::Closed)?;
             // Wake the worker if it is idling in a queue poll.
             shard.queue.notify();
@@ -664,29 +646,25 @@ impl ServingEngine {
     /// Stops admission, drains and answers every already-admitted
     /// request on all shards, and joins the workers; returns a
     /// surviving vault and the run's aggregate statistics. Replicated,
-    /// the vault is the lowest-numbered live shard's (`None` only if
-    /// every shard died permanently); partitioned, it is the parked
-    /// *full* vault of the serving epoch — the shards' partial vaults
-    /// each answer only one partition and are dropped with their
-    /// workers.
+    /// the vault is the one shard's (`None` only if it died
+    /// permanently); partitioned, it is the parked *full* vault of the
+    /// serving epoch — the shards' partial vaults each answer only one
+    /// partition and are dropped with their workers.
     pub fn shutdown(mut self) -> (Option<Vault>, ServeStats) {
-        let parked = self
+        let mut survivor = self
             .parked
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .take();
         self.shards.iter().for_each(|shard| shard.queue.close());
         let mut merged = ServeStats::default();
-        let mut first_vault = None;
         for shard in &mut self.shards {
             let Some(worker) = shard.worker.take() else {
                 continue;
             };
             match worker.join() {
                 Ok((vault, stats)) => {
-                    if first_vault.is_none() {
-                        first_vault = vault;
-                    }
+                    survivor = survivor.or(vault);
                     merged.merge(stats);
                 }
                 // A panic that escaped supervision (e.g. during drain
@@ -696,13 +674,12 @@ impl ServingEngine {
             }
         }
         merged.requests_shed += self.front.shed.load(Ordering::Relaxed);
-        merged.rerouted_subrequests += self.front.rerouted.load(Ordering::Relaxed);
         merged.fast_path_hits += self.front.fast_hits.load(Ordering::Relaxed);
         merged
             .fast_path_latency
             .merge(&self.front.fast_latency.snapshot());
         merged.sentinel = self.sentinel.stats();
-        (parked.or(first_vault), merged)
+        (survivor, merged)
     }
 }
 

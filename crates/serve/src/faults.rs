@@ -50,8 +50,7 @@ pub struct FaultPlan {
     faults: Vec<Fault>,
 }
 
-/// SplitMix64 — the same generator family the router's hash uses, here
-/// as a stream for [`FaultPlan::random`].
+/// SplitMix64, as a seeded stream for [`FaultPlan::random`].
 struct SplitMix64(u64);
 
 impl SplitMix64 {

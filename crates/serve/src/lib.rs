@@ -4,15 +4,12 @@
 //! answering one call at a time; this crate turns that vault into a
 //! *service*. Incoming node queries pass through five stages:
 //!
-//! 1. **Routing** ([`Router`]): each queried node is routed to one of
-//!    [`ServeConfig::shards`] worker shards — by deterministic hash
-//!    under [`Topology::Replicated`] (every shard owns a full vault
-//!    replica restored from one sealed
-//!    [`VaultSnapshot`](gnnvault::VaultSnapshot)), or by partition
-//!    *owner lookup* under [`Topology::Partitioned`] (each shard owns
-//!    one edge-cut partition of the private graph, ~1/N of the private
-//!    state). Deterministic routing keeps each shard's result cache
-//!    effective,
+//! 1. **Routing** ([`ServeHandle`]): under the default
+//!    [`Topology::Replicated`] one shard owns the full vault and takes
+//!    every query; under [`Topology::Partitioned`] each of
+//!    [`ServeConfig::shards`] shards owns one edge-cut partition of the
+//!    private graph (~1/N of the private state), and each queried node
+//!    goes to its partition's owner,
 //! 2. **Admission** ([`AdmissionQueue`], [`BatchPolicy`]): requests are
 //!    accepted from any number of client threads, capped per shard so
 //!    overload degrades into fast rejections,
@@ -37,9 +34,8 @@
 //! Routing, batching, and caching change cost, never answers: served
 //! labels are bit-identical to what per-node
 //! [`Vault::infer`](gnnvault::Vault::infer) would return, at any shard
-//! count and in *either topology* (asserted across the whole
-//! `{1, 2, 4} × {replicated, partitioned}` matrix in
-//! `tests/conformance.rs`). A retrained model hot-swaps in with zero downtime through
+//! count and in *either topology* (asserted for one replicated shard
+//! and `{1, 2, 4}` partitioned shards in `tests/conformance.rs`). A retrained model hot-swaps in with zero downtime through
 //! [`ServingEngine::deploy`], which installs a sealed snapshot across
 //! all shards between batches — all-or-nothing: one install per shard,
 //! and rollback on partial failure.
@@ -47,8 +43,8 @@
 //! The engine is *supervised*: a shard that panics mid-batch is marked
 //! down on the shared [`HealthBoard`], restores itself once from a
 //! retained sealed snapshot, and only then fails the batch in flight
-//! (typed [`ServeError::ShardFailed`]); it is routed around while down.
-//! A restore is a pure function of (sealed bytes, key), so nothing
+//! (typed [`ServeError::ShardFailed`]), and so does every request for
+//! its nodes while it is down. A restore is a pure function of (sealed bytes, key), so nothing
 //! retries it: a shard whose restore fails stays down until a deploy
 //! resurrects it. Each shard is a thread-free state machine — serve a
 //! batch, install an epoch, roll back — driven by one worker thread, so
@@ -80,7 +76,7 @@
 //! ```
 //! use datasets::{DatasetSpec, SyntheticPlanetoid};
 //! use gnnvault::{pipeline, ModelConfig, RectifierKind, SubstituteKind};
-//! use serve::{BatchPolicy, ServeConfig, ServingEngine};
+//! use serve::{BatchPolicy, ServeConfig, ServingEngine, Topology};
 //! use std::time::Duration;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -105,7 +101,8 @@
 //!         max_queue_requests: 1024,
 //!     },
 //!     cache_capacity: 1024,
-//!     shards: 2, // two workers, each owning a snapshot replica
+//!     shards: 2, // two workers, each owning half of the private graph
+//!     topology: Topology::Partitioned,
 //!     ..ServeConfig::default()
 //! };
 //! let engine = ServingEngine::start(vault, data.features.clone(), config)?;
@@ -117,13 +114,11 @@
 //! assert_eq!(a.wait()?.len(), 3);
 //! assert_eq!(b.wait()?.len(), 1);
 //!
-//! // `shutdown` hands back a surviving vault (`None` only if every
-//! // supervised shard died permanently — impossible without injected
-//! // faults).
+//! // `shutdown` hands back the full vault it parked at `start`.
 //! let (vault, stats) = engine.shutdown();
 //! assert!(vault.is_some());
-//! // `requests` counts per-shard sub-requests: the routed 3-node
-//! // request may have split across both shards.
+//! // `requests` counts per-shard sub-requests: a request whose nodes
+//! // span both partitions counts once per shard.
 //! assert!(stats.requests >= 2 && stats.requests <= 3);
 //! assert_eq!(stats.answered_nodes, 4);
 //! assert_eq!(stats.shards.len(), 2);
@@ -150,8 +145,8 @@ mod worker;
 pub use batcher::{AdmissionQueue, BatchPolicy, BatchPoll, FlushReason, PendingRequest, Ticket};
 pub use cache::LruCache;
 pub use engine::{
-    HealthBoard, Router, ServeConfig, ServeHandle, ServeStats, ServingEngine, ShardHealth,
-    ShardStats, Topology,
+    HealthBoard, ServeConfig, ServeHandle, ServeStats, ServingEngine, ShardHealth, ShardStats,
+    Topology,
 };
 pub use error::ServeError;
 pub use fastcache::FastCache;

@@ -1,6 +1,6 @@
-//! The client side of the engine: the deterministic node → shard
-//! [`Router`], the shared per-shard [`HealthBoard`], and the cloneable
-//! [`ServeHandle`] that submits through both.
+//! The client side of the engine: the shared per-shard
+//! [`HealthBoard`] and the cloneable [`ServeHandle`], which routes each
+//! queried node to the shard that owns it.
 
 use crate::latency::AtomicLatency;
 use crate::sentinel::Sentinel;
@@ -19,8 +19,8 @@ pub enum ShardHealth {
     /// not served a batch since; routed to normally.
     Degraded,
     /// Crashed and not yet restored (or its restore failed, until a
-    /// deploy resurrects it): handles route new requests around it,
-    /// and anything still queued at it is answered
+    /// deploy resurrects it): no other shard holds what it serves, so
+    /// every request queued at it is answered
     /// [`ServeError::ShardFailed`] until it comes back.
     Down,
 }
@@ -48,8 +48,8 @@ impl ShardHealth {
 ///
 /// Shards flip their own entry (`Down` on panic, `Degraded` after a
 /// successful restore or deploy-resurrection, `Healthy` after the next
-/// successfully served batch); handles read it on every multi-shard
-/// submission to route around `Down` shards.
+/// successfully served batch); operators read it from the engine or
+/// any handle.
 #[derive(Debug)]
 pub struct HealthBoard {
     states: Vec<AtomicU8>,
@@ -84,125 +84,32 @@ impl HealthBoard {
     }
 }
 
-/// Handle-side telemetry the shards never see: shed submissions,
-/// re-routed sub-requests, and submit-path fast-cache hits (with their
-/// latency histogram), folded into [`ServeStats`](crate::ServeStats)
-/// at shutdown.
+/// Handle-side telemetry the shards never see: shed submissions and
+/// submit-path fast-cache hits (with their latency histogram), folded
+/// into [`ServeStats`](crate::ServeStats) at shutdown.
 #[derive(Debug, Default)]
 pub(crate) struct FrontStats {
     pub(crate) shed: AtomicU64,
-    pub(crate) rerouted: AtomicU64,
     pub(crate) fast_hits: AtomicU64,
     pub(crate) fast_latency: AtomicLatency,
 }
 
-/// Deterministic node-id → shard router.
-///
-/// In the replicated topology ([`Router::new`]) it applies the
-/// SplitMix64 finalizer to the node id, so the mapping is a pure
-/// function of `(node, shard count)`: every handle routes the same node
-/// to the same shard, which keeps that shard's `(epoch, node)` result
-/// cache effective and makes routing reproducible across runs. In the
-/// partitioned topology ([`Router::partitioned`]) hashing is replaced
-/// by the partition owner lookup — shard `i` is the *only* holder of
-/// partition `i`'s private state, so `shard_of` is ownership, not load
-/// spreading.
-///
-/// Either way the router needs no private data: block and hash
-/// ownership are pure functions of the node id, never of the private
-/// edges.
-///
-/// # Examples
-///
-/// ```
-/// use graph::partition::PartitionSpec;
-/// use serve::Router;
-///
-/// let router = Router::new(4);
-/// assert_eq!(router.num_shards(), 4);
-/// let shard = router.shard_of(17);
-/// assert_eq!(shard, router.shard_of(17), "routing is deterministic");
-/// assert!(shard < 4);
-/// assert_eq!(Router::new(1).shard_of(17), 0);
-///
-/// // Partitioned: owner lookup replaces the hash.
-/// let spec = PartitionSpec::block(100, 4).unwrap();
-/// let router = Router::partitioned(spec);
-/// assert!(router.is_partitioned());
-/// assert_eq!(router.shard_of(0), 0, "block partitions are contiguous");
-/// assert_eq!(router.shard_of(99), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Router {
-    shards: usize,
-    spec: Option<PartitionSpec>,
-}
-
-impl Router {
-    /// A hash router over `shards` full-replica shards (clamped to
-    /// ≥ 1).
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: shards.max(1),
-            spec: None,
-        }
-    }
-
-    /// An owner-lookup router for a partitioned deployment: shard `i`
-    /// answers exactly the nodes `spec` assigns to partition `i`.
-    pub fn partitioned(spec: PartitionSpec) -> Self {
-        Self {
-            shards: spec.num_parts(),
-            spec: Some(spec),
-        }
-    }
-
-    /// Number of shards this router spreads nodes across.
-    pub fn num_shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Whether this router maps nodes by partition ownership instead of
-    /// by hash.
-    pub fn is_partitioned(&self) -> bool {
-        self.spec.is_some()
-    }
-
-    /// The partition layout behind an owner-lookup router (`None` for a
-    /// hash router).
-    pub fn partition_spec(&self) -> Option<PartitionSpec> {
-        self.spec
-    }
-
-    /// The shard that owns `node`'s queries.
-    pub fn shard_of(&self, node: usize) -> usize {
-        if let Some(spec) = &self.spec {
-            return spec.owner_of(node);
-        }
-        if self.shards == 1 {
-            return 0;
-        }
-        let mut z = (node as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z % self.shards as u64) as usize
-    }
-}
-
-/// Cloneable client handle onto a running engine: the router plus one
-/// admission queue per shard, consulting the [`HealthBoard`] to route
-/// around [`ShardHealth::Down`] shards.
+/// Cloneable client handle onto a running engine: one admission queue
+/// per shard, and the partition layout that says which shard owns a
+/// node.
 ///
 /// Node ids are validated at admission against the deployment's corpus
 /// size, so a bad id is rejected immediately instead of failing the
 /// batch it would have ridden in. With more than one shard, a
-/// multi-node request is split into per-shard sub-requests; the
+/// multi-node request is split into per-partition sub-requests; the
 /// returned [`Ticket`] reassembles the labels into request order.
 #[derive(Debug, Clone)]
 pub struct ServeHandle {
     pub(crate) queues: Vec<Arc<AdmissionQueue>>,
-    pub(crate) router: Router,
+    /// The engine's partition layout (`None` for the one replicated
+    /// shard): [`PartitionSpec::owner_of`] names the only shard that
+    /// can answer a node.
+    pub(crate) spec: Option<PartitionSpec>,
     pub(crate) num_nodes: usize,
     pub(crate) health: Arc<HealthBoard>,
     pub(crate) front: Arc<FrontStats>,
@@ -246,15 +153,11 @@ impl ServeHandle {
     /// request down the queued path. The sentinel has already accounted
     /// the submission either way.
     ///
-    /// Under [`Topology::Replicated`](crate::Topology::Replicated),
-    /// nodes whose home shard is [`ShardHealth::Down`] are routed to the
-    /// next live shard (every replica serves the same model, so the
-    /// answer is unchanged — only that shard's cache affinity is lost).
-    /// Under [`Topology::Partitioned`](crate::Topology::Partitioned) no
-    /// other shard holds the home's partition, so its nodes are *never*
-    /// re-routed: while the owner is down they resolve to the typed
-    /// [`ServeError::ShardFailed`] instead of a silently wrong shard,
-    /// and are answerable again once recovery or a
+    /// Under [`Topology::Partitioned`](crate::Topology::Partitioned)
+    /// each node goes to the shard that owns its partition, and to no
+    /// other: while the owner is [`ShardHealth::Down`] its nodes
+    /// resolve to the typed [`ServeError::ShardFailed`], and are
+    /// answerable again once recovery or a
     /// [`ServingEngine::deploy`](crate::ServingEngine::deploy) brings
     /// the owner back.
     ///
@@ -309,37 +212,24 @@ impl ServeHandle {
                 return Ok(Ticket::ready(labels));
             }
         }
-        if self.router.num_shards() == 1 {
-            return self.track_shed(self.queues[0].submit_as(client, nodes));
-        }
+        let spec = match self.spec {
+            Some(spec) if self.queues.len() > 1 => spec,
+            _ => return self.track_shed(self.queues[0].submit_as(client, nodes)),
+        };
         let total = nodes.len();
-        let mut per_shard: Vec<(Vec<usize>, Vec<usize>, bool)> =
-            vec![(Vec::new(), Vec::new(), false); self.router.num_shards()];
+        let mut per_shard: Vec<(Vec<usize>, Vec<usize>)> =
+            vec![(Vec::new(), Vec::new()); self.queues.len()];
         for (position, &node) in nodes.iter().enumerate() {
-            let home = self.router.shard_of(node);
-            // A partition's nodes have exactly one holder: routing a
-            // query away from a Down owner could only misroute it, so
-            // partitioned mode keeps it home and lets the worker answer
-            // the typed `ShardFailed` instead.
-            let target = if self.router.is_partitioned() {
-                home
-            } else {
-                self.route_around_down(home)
-            };
-            let (shard_nodes, positions, rerouted) = &mut per_shard[target];
+            let (shard_nodes, positions) = &mut per_shard[spec.owner_of(node)];
             shard_nodes.push(node);
             positions.push(position);
-            *rerouted |= target != home;
         }
         let mut parts = Vec::new();
-        for (shard, (shard_nodes, positions, rerouted)) in per_shard.into_iter().enumerate() {
+        for (shard, (shard_nodes, positions)) in per_shard.into_iter().enumerate() {
             if shard_nodes.is_empty() {
                 continue;
             }
             let ticket = self.track_shed(self.queues[shard].submit_as(client, shard_nodes))?;
-            if rerouted {
-                self.front.rerouted.fetch_add(1, Ordering::Relaxed);
-            }
             parts.push((ticket, positions));
         }
         Ok(Ticket::from_routed_parts(parts, total))
@@ -379,33 +269,9 @@ impl ServeHandle {
         self.num_nodes
     }
 
-    /// The node-id router this handle submits through.
-    pub fn router(&self) -> Router {
-        self.router
-    }
-
     /// The engine's live per-shard health board.
     pub fn health(&self) -> &HealthBoard {
         &self.health
-    }
-
-    /// Picks the serving shard for a sub-request whose home is `home`:
-    /// the home itself unless it is `Down`, otherwise the next live
-    /// shard (wrapping). With every shard down the home keeps the
-    /// request — its worker answers a typed [`ServeError::ShardFailed`]
-    /// rather than letting anything hang.
-    fn route_around_down(&self, home: usize) -> usize {
-        if self.health.state(home) != ShardHealth::Down {
-            return home;
-        }
-        let shards = self.router.num_shards();
-        for offset in 1..shards {
-            let candidate = (home + offset) % shards;
-            if self.health.state(candidate) != ShardHealth::Down {
-                return candidate;
-            }
-        }
-        home
     }
 
     /// Counts [`ServeError::Overloaded`] admissions for the shutdown

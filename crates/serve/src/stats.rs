@@ -12,8 +12,7 @@ use gnnvault::InferenceReport;
 /// balance (and load skew) per shard instead of only in aggregate.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardStats {
-    /// Shard index (also the routing target of
-    /// [`Router::shard_of`](crate::Router::shard_of)).
+    /// Shard index (partitioned, also the partition it owns).
     pub shard: usize,
     /// Sub-requests this shard answered.
     pub requests: u64,
@@ -62,8 +61,8 @@ pub struct ShardStats {
 ///
 /// Aggregates are summed across shards; [`ServeStats::shards`] holds
 /// the per-shard breakdown. With more than one shard, a multi-node
-/// client request is split into one sub-request per shard its nodes
-/// hash to, and [`ServeStats::requests`] counts those *sub-requests* —
+/// client request is split into one sub-request per shard that owns
+/// some of its nodes, and [`ServeStats::requests`] counts those *sub-requests* —
 /// for single-node request streams the two notions coincide.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
@@ -103,10 +102,6 @@ pub struct ServeStats {
     /// Submissions shed at the admission bound
     /// ([`ServeError::Overloaded`](crate::ServeError::Overloaded)).
     pub requests_shed: u64,
-    /// Sub-requests routed away from their home shard because it was
-    /// [`ShardHealth::Down`](crate::ShardHealth::Down) — the
-    /// degraded-mode availability trade.
-    pub rerouted_subrequests: u64,
     /// Node queries answered in place on the submit thread by the
     /// lock-free [`FastCache`](crate::FastCache) — zero queue, zero
     /// cross-thread traffic (not counted in [`ServeStats::requests`] or
@@ -194,7 +189,6 @@ impl ServeStats {
         self.deploy_rollbacks += shard.deploy_rollbacks;
         self.timed_out_requests += shard.timed_out_requests;
         self.requests_shed += shard.requests_shed;
-        self.rerouted_subrequests += shard.rerouted_subrequests;
         self.fast_path_hits += shard.fast_path_hits;
         self.fast_path_latency.merge(&shard.fast_path_latency);
         self.queued_latency.merge(&shard.queued_latency);

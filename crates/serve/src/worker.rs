@@ -184,12 +184,11 @@ impl ShardCore {
                 results
             }
             Err(_) => {
-                // The replica's invariants may be torn mid-batch: mark
-                // the shard down and discard the replica, then restart
+                // The vault's invariants may be torn mid-batch: mark
+                // the shard down and discard the vault, then restart
                 // once from the retained snapshot, right away. If that
-                // fails the shard stays down (routed around; queued
-                // requests answer `ShardFailed`) until a deploy
-                // resurrects it.
+                // fails the shard stays down (its requests answer
+                // `ShardFailed`) until a deploy resurrects it.
                 self.health.set(self.shard, ShardHealth::Down);
                 self.vault = None;
                 self.stats.panics_caught += 1;
@@ -435,7 +434,7 @@ mod tests {
     /// Model A and model B (trained on flipped labels), trained once for
     /// every test here.
     struct Fixture {
-        snapshots: [Arc<VaultSnapshot>; 2],
+        snapshots: [VaultSnapshot; 2],
         features: Arc<DenseMatrix>,
         labels: [Vec<ClassLabel>; 2],
         /// One node per cluster on which A and B disagree: the request
@@ -458,7 +457,7 @@ mod tests {
                 })
                 .collect();
             Fixture {
-                snapshots: [Arc::new(a.snapshot()), Arc::new(b.snapshot())],
+                snapshots: [a.snapshot(), b.snapshot()],
                 features: Arc::new(features),
                 labels,
                 query,
@@ -468,7 +467,7 @@ mod tests {
 
     /// A recovery handle for model `model` (0 = A, 1 = B).
     fn handle(model: usize) -> RecoveryHandle {
-        RecoveryHandle::from_shared(Arc::clone(&fixture().snapshots[model]), KEYS[model])
+        RecoveryHandle::new(fixture().snapshots[model].clone(), KEYS[model])
     }
 
     /// Shard 0 serving model A under `config`, and its health board.

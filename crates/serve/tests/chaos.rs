@@ -12,18 +12,18 @@
 //! every health assertion reads the board once, right after a ticket
 //! resolves. The same transitions are checked exhaustively, without
 //! threads, by the state-machine tests in `src/worker.rs`; this suite
-//! holds the live engine to them.
+//! holds the live engine to them. Multi-shard engines are partitioned:
+//! a replicated engine runs one shard.
 
 mod common;
 
 use common::{quiet_injected_panics, toy_vault, toy_vault_flipped};
 use gnnvault::{RectifierKind, Vault, VaultSnapshot};
+use graph::partition::PartitionSpec;
 use linalg::DenseMatrix;
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use serve::faults::{Fault, FaultPlan};
-use serve::{
-    BatchPolicy, Router, ServeConfig, ServeError, ServingEngine, ShardHealth, Ticket, Topology,
-};
+use serve::{BatchPolicy, ServeConfig, ServeError, ServingEngine, ShardHealth, Ticket, Topology};
 use std::sync::OnceLock;
 use std::time::Duration;
 use tee::{ClassLabel, SealKey};
@@ -76,15 +76,15 @@ fn fresh_vault() -> Vault {
     Vault::restore(&fixture().snapshot_a, KEY_A).unwrap()
 }
 
-/// One node homed to each of `shards` shards by the engine's router —
-/// the handle that lets a test address a specific shard's batch stream.
+/// One node owned by each of `shards` partitions — the handle that lets
+/// a test address a specific shard's batch stream.
 fn node_per_shard(shards: usize) -> Vec<usize> {
-    let router = Router::new(shards);
+    let spec = PartitionSpec::block(N, shards).unwrap();
     (0..shards)
         .map(|s| {
             (0..N)
-                .find(|&node| router.shard_of(node) == s)
-                .unwrap_or_else(|| panic!("no node of {N} routes to shard {s}; enlarge the corpus"))
+                .find(|&node| spec.owner_of(node) == s)
+                .unwrap_or_else(|| panic!("no node of {N} is owned by shard {s}"))
         })
         .collect()
 }
@@ -133,6 +133,7 @@ fn seeded_chaos_plan_answers_everything_and_counts_exactly() {
             policy: one_request_per_batch_policy(),
             cache_capacity: 64,
             shards,
+            topology: Topology::Partitioned,
             fault_plan: Some(plan),
             ..ServeConfig::default()
         },
@@ -206,10 +207,6 @@ fn seeded_chaos_plan_answers_everything_and_counts_exactly() {
     assert_eq!(stats.failed_batches, 4, "only the panicked batches failed");
     assert_eq!(stats.timed_out_requests, 0);
     assert_eq!(stats.requests_shed, 0);
-    assert_eq!(
-        stats.rerouted_subrequests, 0,
-        "no request was submitted while a shard was down"
-    );
     for shard in &stats.shards {
         assert_eq!(shard.panics_caught, 1, "shard {}", shard.shard);
         assert_eq!(shard.restarts, 1, "shard {}", shard.shard);
@@ -284,83 +281,13 @@ fn down_until_deploy(shard: usize) -> FaultPlan {
         })
 }
 
-/// While a shard is down, handles route its nodes to a live shard: the
-/// request is answered immediately — with the identical label, since
-/// every replica serves the same model. A failed restart is not
-/// retried; a deploy resurrects the shard (`Down` → `Degraded`, then
-/// `Healthy` after its next batch) and its nodes go home again.
-#[test]
-fn requests_reroute_around_a_down_shard() {
-    quiet_injected_panics();
-    let fix = fixture();
-    let shards = 2;
-    let homes = node_per_shard(shards);
-    let engine = ServingEngine::start(
-        fresh_vault(),
-        fix.features.clone(),
-        ServeConfig {
-            policy: one_request_per_batch_policy(),
-            cache_capacity: 0,
-            shards,
-            fault_plan: Some(down_until_deploy(1)),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let handle = engine.handle();
-    let wait = |ticket: Ticket| {
-        ticket
-            .wait_timeout(Duration::from_secs(30))
-            .expect("no hang")
-    };
-
-    // Trip shard 1's batch-1 panic. Its one restart fails before it
-    // answers, so the client holding the failure sees it down.
-    assert_eq!(
-        wait(handle.submit_one(homes[1]).unwrap()),
-        Err(ServeError::ShardFailed { shard: 1 })
-    );
-    assert_eq!(engine.health().state(1), ShardHealth::Down);
-
-    // A shard-1-homed request is now served by shard 0 — same label.
-    assert_eq!(
-        wait(handle.submit_one(homes[1]).unwrap()).unwrap(),
-        vec![fix.expected_a[homes[1]]]
-    );
-    assert_eq!(engine.health().state(1), ShardHealth::Down);
-
-    // The deploy's install is shard 1's restore 2: it succeeds and
-    // resurrects the shard.
-    engine.deploy(&fix.snapshot_a, KEY_A).unwrap();
-    assert_eq!(engine.health().state(1), ShardHealth::Degraded);
-    // Its node goes home again, and the batch proves the shard out.
-    assert_eq!(
-        wait(handle.submit_one(homes[1]).unwrap()).unwrap(),
-        vec![fix.expected_a[homes[1]]]
-    );
-    assert_eq!(engine.health().state(1), ShardHealth::Healthy);
-
-    let (_, stats) = engine.shutdown();
-    assert_eq!(
-        stats.rerouted_subrequests, 1,
-        "only the request sent while down"
-    );
-    assert_eq!(stats.panics_caught, 1);
-    assert_eq!(stats.shard_restarts, 0, "the one restart failed");
-    // Shard 0 answered its neighbour's node once; shard 1 answered it
-    // after resurrection.
-    assert_eq!(stats.shards[0].answered_nodes, 1);
-    assert_eq!(stats.shards[1].answered_nodes, 1);
-    assert_eq!(stats.shards[1].deploys, 1);
-}
-
-/// The partitioned counterpart of
-/// [`requests_reroute_around_a_down_shard`]: a partition's nodes have
-/// exactly one holder, so when their owner is down they are *not*
-/// handed to a neighbour (which could only misroute them). They resolve
-/// to the typed [`ServeError::ShardFailed`] until a deploy resurrects
-/// the owner, and are then answered bit-identically — and the other
-/// shard answers none of them.
+/// A partition's nodes have exactly one holder, so when their owner is
+/// down they are *not* handed to a neighbour (which could only misroute
+/// them). They resolve to the typed [`ServeError::ShardFailed`]; the
+/// failed restart is not retried. A deploy resurrects the owner
+/// (`Down` → `Degraded`, then `Healthy` after its next batch), its nodes
+/// are then answered bit-identically, and the other shard answers none
+/// of them.
 #[test]
 fn partitioned_down_shard_queries_wait_for_their_owner_not_a_neighbour() {
     quiet_injected_panics();
@@ -381,7 +308,6 @@ fn partitioned_down_shard_queries_wait_for_their_owner_not_a_neighbour() {
     )
     .unwrap();
     let handle = engine.handle();
-    assert!(handle.router().is_partitioned());
     let wait = |ticket: Ticket| {
         ticket
             .wait_timeout(Duration::from_secs(30))
@@ -397,7 +323,7 @@ fn partitioned_down_shard_queries_wait_for_their_owner_not_a_neighbour() {
     );
     assert_eq!(engine.health().state(1), ShardHealth::Down);
 
-    // Another shard-1-owned node: no reroute happens, and the owner is
+    // Another shard-1-owned node: it stays with its owner, which is
     // down, so it fails typed too.
     assert_eq!(
         wait(handle.submit_one(9).unwrap()),
@@ -412,26 +338,24 @@ fn partitioned_down_shard_queries_wait_for_their_owner_not_a_neighbour() {
         wait(handle.submit_one(9).unwrap()).unwrap(),
         vec![fix.expected_a[9]]
     );
+    assert_eq!(engine.health().state(1), ShardHealth::Healthy);
 
     let (_, stats) = engine.shutdown();
     assert_eq!(stats.panics_caught, 1);
     assert_eq!(stats.shard_restarts, 0, "the one restart failed");
     assert_eq!(
-        stats.rerouted_subrequests, 0,
-        "partitioned routing never trades ownership for availability"
-    );
-    assert_eq!(
         stats.shards[0].answered_nodes, 0,
         "shard 0 must not answer shard 1's nodes"
     );
     assert_eq!(stats.shards[1].answered_nodes, 1);
+    assert_eq!(stats.shards[1].deploys, 1);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Property: under a *random* seeded fault plan (a panic per shard
-    /// and a failed restore across 4 shards), every
+    /// and a failed restore across 4 partitioned shards), every
     /// admitted request resolves — labels or a typed error, zero hangs
     /// — and every successful label is bit-identical to sequential
     /// inference. Deploying the engine's own snapshot mid-storm keeps
@@ -450,6 +374,7 @@ proptest! {
                 policy: one_request_per_batch_policy(),
                 cache_capacity: 32,
                 shards,
+                topology: Topology::Partitioned,
                 fault_plan: Some(plan),
                 ..ServeConfig::default()
             },

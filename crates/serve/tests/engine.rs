@@ -10,9 +10,9 @@
 mod common;
 
 use common::{sequential_labels, serve_once, toy_vault, toy_vault_flipped, toy_vault_with_budget};
-use gnnvault::RectifierKind;
+use gnnvault::{RectifierKind, Vault};
 use linalg::DenseMatrix;
-use serve::{BatchPolicy, ServeConfig, ServeError, ServingEngine, ShardHealth};
+use serve::{BatchPolicy, ServeConfig, ServeError, ServingEngine, ShardHealth, Topology};
 use std::time::Duration;
 use tee::{ClassLabel, SealKey};
 
@@ -235,11 +235,12 @@ fn admission_control_and_validation_reject_cleanly() {
 }
 
 #[test]
-fn start_rejects_a_mismatched_corpus_with_a_typed_error() {
+fn start_rejects_a_bad_corpus_or_topology_with_a_typed_error() {
     // A corpus whose row count disagrees with the deployed graph used
     // to panic the engine at startup; it must now surface as a typed,
     // recoverable error with nothing left running.
-    let (vault, _, _) = toy_vault(6, RectifierKind::Series);
+    let (vault, x, _) = toy_vault(6, RectifierKind::Series);
+    let snapshot = vault.snapshot();
     let wrong_corpus = DenseMatrix::from_fn(4, 2, |r, c| (r + c) as f32);
     let result = ServingEngine::start(vault, wrong_corpus, ServeConfig::default());
     match result {
@@ -247,6 +248,23 @@ fn start_rejects_a_mismatched_corpus_with_a_typed_error() {
             assert!(
                 reason.contains("4") && reason.contains("6"),
                 "rejection names both sizes: {reason}"
+            );
+        }
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    // A replicated engine has one shard; asking for two is a config
+    // error, refused before any worker is spawned, and the reason names
+    // the topology that does take several.
+    let two_replicas = ServeConfig {
+        shards: 2,
+        ..ServeConfig::default()
+    };
+    let vault = Vault::restore(&snapshot, SealKey(7)).unwrap();
+    match ServingEngine::start(vault, x, two_replicas) {
+        Err(ServeError::Rejected { reason }) => {
+            assert!(
+                reason.contains("Topology::Partitioned"),
+                "rejection points at partitioning: {reason}"
             );
         }
         other => panic!("expected Rejected, got {other:?}"),
@@ -424,7 +442,7 @@ fn stats_account_every_batch_through_the_meter() {
 #[test]
 fn sharded_engine_is_bit_identical_to_sequential_infer() {
     // The determinism headline: at every shard count, a mixed stream of
-    // multi-node requests (whose nodes hash across shards and must be
+    // multi-node requests (whose nodes span partitions and must be
     // reassembled into request order) answers exactly what sequential
     // full-graph inference answers.
     let (mut vault, x, _) = toy_vault(24, RectifierKind::Series);
@@ -438,9 +456,13 @@ fn sharded_engine_is_bit_identical_to_sequential_infer() {
         vec![13],
     ];
     let mut reference: Option<Vec<Result<Vec<ClassLabel>, ServeError>>> = None;
-    for shards in [1usize, 2, 4] {
+    for (shards, topology) in [
+        (1, Topology::Replicated),
+        (2, Topology::Partitioned),
+        (4, Topology::Partitioned),
+    ] {
         let (results, _vault, stats) = serve_once(
-            vault.spawn_replica().unwrap(),
+            Vault::restore(&vault.snapshot(), SealKey(7)).unwrap(),
             x.clone(),
             ServeConfig {
                 policy: BatchPolicy {
@@ -450,6 +472,7 @@ fn sharded_engine_is_bit_identical_to_sequential_infer() {
                 },
                 cache_capacity: 64,
                 shards,
+                topology,
                 ..ServeConfig::default()
             },
             &requests,
@@ -488,6 +511,7 @@ fn client_storm_routes_across_shards_consistently() {
             },
             cache_capacity: 512,
             shards: 4,
+            topology: Topology::Partitioned,
             ..ServeConfig::default()
         },
     )
@@ -512,13 +536,11 @@ fn client_storm_routes_across_shards_consistently() {
     let (_, stats) = engine.shutdown();
     assert_eq!(stats.requests, 240);
     assert_eq!(stats.answered_nodes, 240);
-    // Deterministic routing pins each node to one shard, so each of the
-    // 24 distinct nodes misses exactly once across the whole engine.
+    // Ownership pins each node to one shard, so each of the 24 distinct
+    // nodes misses exactly once across the whole engine.
     assert_eq!(stats.cache_misses, 24);
     assert_eq!(stats.cache_hits, 216);
     assert_eq!(stats.shards.len(), 4);
-    // Nothing failed, so nothing was re-routed off its home shard.
-    assert_eq!(stats.rerouted_subrequests, 0);
     assert_eq!(stats.panics_caught, 0);
     // Aggregates are exactly the sum of the per-shard breakdown.
     assert_eq!(
@@ -545,6 +567,7 @@ fn per_shard_stats_expose_flush_reason_balance() {
             },
             cache_capacity: 0,
             shards: 2,
+            topology: Topology::Partitioned,
             ..ServeConfig::default()
         },
     )
@@ -595,7 +618,7 @@ fn shutdown_under_load_answers_every_admitted_request() {
     // Regression test for shutdown-under-load: every request that was
     // *admitted* (submit returned Ok) must be answered with labels —
     // queued-but-unbatched requests drain, they are not dropped.
-    for shards in [1usize, 3] {
+    for (shards, topology) in [(1, Topology::Replicated), (3, Topology::Partitioned)] {
         let (vault, x, _) = toy_vault(16, RectifierKind::Series);
         let engine = ServingEngine::start(
             vault,
@@ -610,6 +633,7 @@ fn shutdown_under_load_answers_every_admitted_request() {
                 },
                 cache_capacity: 64,
                 shards,
+                topology,
                 ..ServeConfig::default()
             },
         )
@@ -688,6 +712,7 @@ fn hot_swap_deploys_new_epoch_without_dropping_or_mixing_responses() {
             },
             cache_capacity: 256,
             shards: 2,
+            topology: Topology::Partitioned,
             ..ServeConfig::default()
         },
     )
@@ -738,8 +763,8 @@ fn hot_swap_deploys_new_epoch_without_dropping_or_mixing_responses() {
     }
 
     let (vault, stats) = engine.shutdown();
-    let vault = vault.expect("both shards survived the swap");
-    assert_eq!(vault.epoch(), epoch_b, "shard 0 now owns the new model");
+    let vault = vault.expect("the engine parked the new full vault");
+    assert_eq!(vault.epoch(), epoch_b, "shutdown returns the new model");
     assert_eq!(stats.shards.len(), 2);
     for shard in &stats.shards {
         assert_eq!(
@@ -767,6 +792,7 @@ fn deploy_rejects_bad_snapshots_and_keeps_serving() {
         x.clone(),
         ServeConfig {
             shards: 2,
+            topology: Topology::Partitioned,
             ..ServeConfig::default()
         },
     )

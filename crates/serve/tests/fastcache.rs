@@ -6,8 +6,8 @@
 mod common;
 
 use common::{sequential_labels, toy_vault, toy_vault_flipped};
-use gnnvault::RectifierKind;
-use serve::{BatchPolicy, ServeConfig, ServingEngine};
+use gnnvault::{RectifierKind, Vault};
+use serve::{BatchPolicy, ServeConfig, ServingEngine, Topology};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,6 +25,11 @@ fn fast_config(shards: usize, fast_cache_slots: usize) -> ServeConfig {
         cache_capacity: 64,
         fast_cache_slots,
         shards,
+        topology: if shards > 1 {
+            Topology::Partitioned
+        } else {
+            Topology::Replicated
+        },
         ..ServeConfig::default()
     }
 }
@@ -39,7 +44,7 @@ fn warm_requeries_resolve_on_the_submit_thread() {
     let (mut vault, x, _) = toy_vault(N, RectifierKind::Series);
     let expected = sequential_labels(&mut vault, &x);
     let engine = ServingEngine::start(
-        vault.spawn_replica().unwrap(),
+        Vault::restore(&vault.snapshot(), SealKey(7)).unwrap(),
         x.clone(),
         fast_config(1, 256),
     )
@@ -96,8 +101,12 @@ fn deploy_mid_storm_never_serves_a_pre_swap_label() {
         "the flipped vault must disagree somewhere or the test is vacuous"
     );
     let snapshot = new.snapshot();
-    let engine =
-        ServingEngine::start(old.spawn_replica().unwrap(), x.clone(), fast_config(2, 256)).unwrap();
+    let engine = ServingEngine::start(
+        Vault::restore(&old.snapshot(), key).unwrap(),
+        x.clone(),
+        fast_config(2, 256),
+    )
+    .unwrap();
     let handle = engine.handle();
     for n in 0..N {
         handle.submit_one(n).unwrap().wait().unwrap();

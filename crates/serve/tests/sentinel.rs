@@ -11,7 +11,7 @@ use linalg::DenseMatrix;
 use nn::TrainConfig;
 use serve::{
     BatchPolicy, ClientId, SentinelConfig, SentinelMode, SentinelStats, SentinelVerdict,
-    ServeConfig, ServeError, ServingEngine,
+    ServeConfig, ServeError, ServingEngine, Topology,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,6 +90,11 @@ fn engine_config(sentinel: SentinelConfig, shards: usize) -> ServeConfig {
         },
         cache_capacity: 256,
         shards,
+        topology: if shards > 1 {
+            Topology::Partitioned
+        } else {
+            Topology::Replicated
+        },
         ..ServeConfig::default()
     }
 }
@@ -364,9 +369,9 @@ fn replay_trace(shards: usize) -> SentinelStats {
 
 /// Satellite: sentinel counters are a pure function of the request
 /// trace — bit-identical (f64 fields included, via exact `PartialEq`)
-/// at 1 vs 4 shards. The CI matrix re-runs this suite under
-/// `LINALG_NUM_THREADS=1` and `=4`, covering pool-width invariance with
-/// the same assertion.
+/// on one replicated shard and on 4 partitioned shards. Pool-width
+/// invariance is not covered here: CI runs this suite only at the
+/// default `linalg` pool width.
 #[test]
 fn sentinel_counters_are_bit_identical_across_shard_counts() {
     let one = replay_trace(1);

@@ -6,14 +6,16 @@
 //! ```
 //!
 //! Trains and deploys a GNNVault on a synthetic Cora, then compares
-//! four ways of answering the same query stream:
+//! five ways of answering the same query stream:
 //!
 //! 1. sequential per-node `Vault::infer` (the paper's single-query
 //!    deployment),
 //! 2. the serving engine with batching but **no cache**,
 //! 3. the serving engine with batching **and** the LRU result cache,
 //! 4. the same plus the **submit-path fast cache**, which answers warm
-//!    repeat queries on the client thread without touching a shard.
+//!    repeat queries on the client thread without touching a shard,
+//! 5. batching and the LRU cache on **2 partitioned shards**, each
+//!    holding half of the private graph.
 //!
 //! The interesting columns are enclave transitions per query, wall
 //! time, and the per-path latency quantiles: batching divides the
@@ -23,7 +25,7 @@
 
 use gnnvault_suite::datasets::{DatasetSpec, SyntheticPlanetoid};
 use gnnvault_suite::gnnvault::{pipeline, ModelConfig, RectifierKind, SubstituteKind};
-use gnnvault_suite::serve::{BatchPolicy, ClientId, ServeConfig, ServingEngine};
+use gnnvault_suite::serve::{BatchPolicy, ClientId, ServeConfig, ServingEngine, Topology};
 use std::time::{Duration, Instant};
 
 /// Queries per client thread.
@@ -84,12 +86,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sequential_transitions as f64 / sample.len() as f64,
     );
 
-    // --- 2..5. the serving engine: batching, + caches, + shards ---------
-    for (label, cache_capacity, shards, fast_cache_slots) in [
-        ("batching only", 0, 1, 0),
-        ("batching + LRU cache", num_nodes, 1, 0),
-        ("batching + LRU + fast cache", num_nodes, 1, 4096),
-        ("4 shards + LRU cache", num_nodes, 4, 0),
+    // --- 2..5. the serving engine: batching, + caches, + partitions -----
+    for (label, cache_capacity, topology, shards, fast_cache_slots) in [
+        ("batching only", 0, Topology::Replicated, 1, 0),
+        (
+            "batching + LRU cache",
+            num_nodes,
+            Topology::Replicated,
+            1,
+            0,
+        ),
+        (
+            "batching + LRU + fast cache",
+            num_nodes,
+            Topology::Replicated,
+            1,
+            4096,
+        ),
+        (
+            "2 partitions + LRU cache",
+            num_nodes,
+            Topology::Partitioned,
+            2,
+            0,
+        ),
     ] {
         let config = ServeConfig {
             policy: BatchPolicy {
@@ -100,6 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cache_capacity,
             fast_cache_slots,
             shards,
+            topology,
             ..ServeConfig::default()
         };
         let engine = ServingEngine::start(vault, data.features.clone(), config)?;
@@ -167,12 +188,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stats.cache_hit_rate() * 100.0,
         );
         println!(
-            "  recovery: {} panics caught, {} restarts, {} rollbacks | {} shed, {} rerouted, {} timed out",
+            "  recovery: {} panics caught, {} restarts, {} rollbacks | {} shed, {} timed out",
             stats.panics_caught,
             stats.shard_restarts,
             stats.deploy_rollbacks,
             stats.requests_shed,
-            stats.rerouted_subrequests,
             stats.timed_out_requests,
         );
         println!(
@@ -209,6 +229,7 @@ hot swap: sealed snapshot is {} KiB (epoch {})",
         data.features.clone(),
         ServeConfig {
             shards: 2,
+            topology: Topology::Partitioned,
             cache_capacity: num_nodes,
             ..ServeConfig::default()
         },

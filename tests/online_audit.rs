@@ -8,7 +8,9 @@
 use attacks::{surface, LinkStealingAttack, OnlineLinkAudit, SimilarityMetric};
 use datasets::{DatasetSpec, SyntheticPlanetoid};
 use gnnvault::{pipeline, ModelConfig, RectifierKind, SubstituteKind};
-use serve::{ClientId, SentinelConfig, SentinelMode, SentinelVerdict, ServeConfig, ServingEngine};
+use serve::{
+    ClientId, SentinelConfig, SentinelMode, SentinelVerdict, ServeConfig, ServingEngine, Topology,
+};
 
 /// Min gap between the online AUC and the unprotected model's AUC.
 const PROTECTION_MARGIN: f64 = 0.15;
@@ -53,6 +55,11 @@ fn serve_config(mode: SentinelMode, shards: usize) -> ServeConfig {
             ..SentinelConfig::default()
         },
         shards,
+        topology: if shards > 1 {
+            Topology::Partitioned
+        } else {
+            Topology::Replicated
+        },
         ..ServeConfig::default()
     }
 }
