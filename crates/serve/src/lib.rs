@@ -35,7 +35,8 @@
 //! labels are bit-identical to what per-node
 //! [`Vault::infer`](gnnvault::Vault::infer) would return, at any shard
 //! count and in *either topology* (asserted for one replicated shard
-//! and `{1, 2, 4}` partitioned shards in `tests/conformance.rs`). A retrained model hot-swaps in with zero downtime through
+//! and `{1, 2, 4}` partitioned shards in `tests/conformance.rs`). A
+//! retrained model hot-swaps in with zero downtime through
 //! [`ServingEngine::deploy`], which installs a sealed snapshot across
 //! all shards between batches — all-or-nothing: one install per shard,
 //! and rollback on partial failure.
@@ -44,12 +45,12 @@
 //! down on the shared [`HealthBoard`], restores itself once from a
 //! retained sealed snapshot, and only then fails the batch in flight
 //! (typed [`ServeError::ShardFailed`]), and so does every request for
-//! its nodes while it is down. A restore is a pure function of (sealed bytes, key), so nothing
-//! retries it: a shard whose restore fails stays down until a deploy
-//! resurrects it. Each shard is a thread-free state machine — serve a
-//! batch, install an epoch, roll back — driven by one worker thread, so
-//! its transitions are unit-tested over every short input word without
-//! a thread or a sleep. Overload sheds at the admission bound
+//! its nodes while it is down. A restore is a pure function of (sealed
+//! bytes, key), so nothing retries it: a shard whose restore fails
+//! stays down until a deploy resurrects it. Each shard is a thread-free
+//! state machine — serve a batch, install an epoch, roll back — driven
+//! by one worker thread, so its transitions are unit-tested over every
+//! short input word without a thread or a sleep. Overload sheds at the admission bound
 //! ([`ServeError::Overloaded`] with a retry hint) and stale requests
 //! are dropped by a per-request timeout ([`ServeError::TimedOut`]), so
 //! every admitted request resolves — labels or a typed error, never a

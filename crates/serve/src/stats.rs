@@ -62,8 +62,9 @@ pub struct ShardStats {
 /// Aggregates are summed across shards; [`ServeStats::shards`] holds
 /// the per-shard breakdown. With more than one shard, a multi-node
 /// client request is split into one sub-request per shard that owns
-/// some of its nodes, and [`ServeStats::requests`] counts those *sub-requests* —
-/// for single-node request streams the two notions coincide.
+/// some of its nodes, and [`ServeStats::requests`] counts those
+/// *sub-requests* — for single-node request streams the two notions
+/// coincide.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Sub-requests answered (successfully or with a typed error).

@@ -369,9 +369,9 @@ fn replay_trace(shards: usize) -> SentinelStats {
 
 /// Satellite: sentinel counters are a pure function of the request
 /// trace — bit-identical (f64 fields included, via exact `PartialEq`)
-/// on one replicated shard and on 4 partitioned shards. Pool-width
-/// invariance is not covered here: CI runs this suite only at the
-/// default `linalg` pool width.
+/// on one replicated shard and on 4 partitioned shards. CI runs this
+/// suite only at the default `linalg` pool width (once more with the
+/// scalar kernels), so pool-width invariance is not covered here.
 #[test]
 fn sentinel_counters_are_bit_identical_across_shard_counts() {
     let one = replay_trace(1);
