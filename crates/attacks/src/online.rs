@@ -8,8 +8,8 @@
 //! [`LinkStealingAttack::sample_pairs`]) through a
 //! [`serve::ServeHandle`] as attributed two-node requests, so every
 //! probe rides the production path — admission, the sentinel's
-//! detectors, batching, caching, sharding, rerouting — before anything
-//! is scored. The audit then reports:
+//! detectors, batching, caching, routing to the owning shard — before
+//! anything is scored. The audit then reports:
 //!
 //! - the **surface AUC** over the probes the engine actually answered,
 //!   scored on the observable embedding surface exactly like the

@@ -23,11 +23,11 @@
 //! There is one payload form: one magic, one flags byte, and a body
 //! whose sections the flags select (little-endian throughout, like
 //! [`tee::codec`]; both sides are always built from the same binary, so
-//! any other magic — including the retired `GV_SNAP1`–`GV_SNAP4` — and
+//! any other magic — including the retired `GV_SNAP1`–`GV_SNAP5` — and
 //! any undefined flag bit is rejected, not migrated):
 //!
 //! ```text
-//! magic u64 ("GV_SNAP5")
+//! magic u64 ("GV_SNAP6")
 //! flags u8            bit 0: partition image   bit 1: int8 projections
 //! epoch u64 | num_global_nodes u64
 //! config:    epc_budget u64 | cost{transition,per_byte,page_swap,slowdown} u64×4
@@ -38,9 +38,8 @@
 //! rectifier: kind u8 | conv u8 | backbone_dims | channels | taps
 //!            | per layer (count u64, projection, count-1 matrices)
 //! scope:     full image:      real graph
-//!            partition image: part u64 | parts u64 | owned (global ids)
-//!                             | closure ids (global ids) | closure degrees
-//!                             | closure graph
+//!            partition image: part u64 | parts u64 | closure ids (global
+//!                             ids) | closure degrees | closure graph
 //! ```
 //!
 //! where `network` is `input_dim u64 | layers u64 | per layer (in u64,
@@ -61,18 +60,28 @@
 //! bit-identically to their source and re-snapshot to identical bytes.
 //!
 //! A *partition image*
-//! ([`Vault::snapshot_partition`](crate::Vault::snapshot_partition))
+//! ([`Vault::partition_snapshots`](crate::Vault::partition_snapshots))
 //! replaces the full real graph with one partition's private state —
-//! the owned-node list, the closure's global-id map, the full-graph
-//! degree vector, and the induced local COO — while keeping the shared
-//! backbone/rectifier weights. Restoring it builds a *partial* vault
-//! that answers only its owned nodes — bit-identically to the full
-//! vault, because the closure spans the rectifier's receptive field and
-//! normalization uses the original degrees.
+//! the closure's global-id map, the full-graph degree vector, and the
+//! induced local COO — while keeping the shared backbone/rectifier
+//! weights. Its owned nodes are not stored: they are the block
+//! [`PartitionSpec::block`]`(num_global_nodes, parts)` assigns to
+//! `part`, the same function the serving router evaluates. Restoring it
+//! builds a *partial* vault that answers only that block —
+//! bit-identically to the full vault, because the closure spans the
+//! rectifier's receptive field and normalization uses the original
+//! degrees.
+//!
+//! [`decode`] takes the snapshot's clear metadata (epoch, node count,
+//! partition stamp) and rejects a payload that disagrees with it before
+//! it reads any graph section, and every graph section must declare the
+//! node count that metadata fixes (the whole deployment's, or the
+//! closure's). No allocation is sized from a count the payload alone
+//! declares.
 
 use crate::backbone::Substitute;
 use crate::{Backbone, Precision, Rectifier, RectifierKind, SubstituteKind, VaultError};
-use graph::partition::GraphPartition;
+use graph::partition::PartitionSpec;
 use graph::subgraph::Closure;
 use graph::Graph;
 use linalg::{DenseMatrix, QuantizedMatrix};
@@ -80,7 +89,7 @@ use nn::{ConvKind, Network, Param};
 use tee::{CostModel, OverBudgetPolicy, Sealed};
 
 /// Format marker at offset 0 of every snapshot payload.
-const MAGIC: u64 = 0x4756_5F53_4E41_5035; // "GV_SNAP5"
+const MAGIC: u64 = 0x4756_5F53_4E41_5036; // "GV_SNAP6"
 
 /// Flag bit: the scope section is one partition, not the full graph.
 const FLAG_PARTITION: u8 = 1 << 0;
@@ -90,12 +99,14 @@ const FLAG_INT8: u8 = 1 << 1;
 
 /// Which partition a sealed snapshot carries — clear routing metadata
 /// on a [`VaultSnapshot`], mirrored (and cross-checked) inside the
-/// sealed payload. Ownership is a pure function of the node id, so
+/// sealed payload, and all a partition replica keeps of its ownership:
+/// it owns the block [`PartitionSpec::block`]`(num_nodes, parts)`
+/// assigns to `part`. Ownership is a pure function of the node id, so
 /// exposing `part`/`parts` reveals nothing about the private edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotPartition {
-    part: usize,
-    parts: usize,
+    pub(crate) part: usize,
+    pub(crate) parts: usize,
 }
 
 impl SnapshotPartition {
@@ -159,7 +170,7 @@ impl VaultSnapshot {
 
     /// Wraps an already-sealed payload with its clear metadata
     /// (crate-internal; use [`Vault::snapshot`](crate::Vault::snapshot)
-    /// or [`Vault::snapshot_partition`](crate::Vault::snapshot_partition)).
+    /// or [`Vault::partition_snapshots`](crate::Vault::partition_snapshots)).
     pub(crate) fn new(
         epoch: u64,
         num_nodes: usize,
@@ -177,38 +188,6 @@ impl VaultSnapshot {
     /// The sealed payload (crate-internal; `Vault::restore` unseals it).
     pub(crate) fn sealed(&self) -> &Sealed {
         &self.sealed
-    }
-}
-
-/// Ownership maps of one partition: what a partition image's scope
-/// section carries beside the partition's [`Closure`], what the decoder
-/// returns, and what a partition replica keeps resident. All of it is
-/// public routing metadata — ownership is a pure function of the node
-/// id; the closure (whose id list reveals halo membership and therefore
-/// cross-partition adjacency) stays enclave-private like the rest of
-/// the graph state.
-#[derive(Debug, Clone)]
-pub(crate) struct PartitionMaps {
-    /// Which partition of how many — the clear stamp its snapshots carry.
-    pub stamp: SnapshotPartition,
-    /// Global ids owned by this partition, strictly ascending.
-    pub owned: Vec<usize>,
-}
-
-impl PartitionMaps {
-    /// Splits a partition just cut from the graph into its maps and
-    /// its closure.
-    pub(crate) fn of(gp: GraphPartition) -> (Self, Closure) {
-        let stamp = SnapshotPartition {
-            part: gp.part(),
-            parts: gp.num_parts(),
-        };
-        let (owned, closure) = gp.into_owned_and_closure();
-        (Self { stamp, owned }, closure)
-    }
-
-    pub(crate) fn owns(&self, global: usize) -> bool {
-        self.owned.binary_search(&global).is_ok()
     }
 }
 
@@ -234,8 +213,8 @@ pub(crate) struct Header<'a> {
 /// ([`Vault::restore`](crate::Vault::restore)) or from training
 /// ([`Vault::deploy`](crate::Vault::deploy)). `resident` is the private
 /// graph state the vault holds: the whole real graph
-/// ([`Closure::whole`]) or, with `partition` carrying the ownership
-/// maps, one partition's closure.
+/// ([`Closure::whole`]) or, with `partition` naming the owned block,
+/// one partition's closure.
 pub(crate) struct Deployment {
     pub epoch: u64,
     /// Node count of the whole deployment (the query id space), which
@@ -250,7 +229,7 @@ pub(crate) struct Deployment {
     /// `rectifier` hold the dequantized weights.
     pub precision: Precision,
     pub resident: Closure,
-    pub partition: Option<PartitionMaps>,
+    pub partition: Option<SnapshotPartition>,
 }
 
 /// Shorthand for decode failures.
@@ -495,8 +474,17 @@ impl<'a> Reader<'a> {
         Ok(values)
     }
 
-    fn get_graph(&mut self) -> Result<Graph, VaultError> {
-        let num_nodes = self.get_usize()?;
+    /// A graph section, which must declare `num_nodes` nodes: the count
+    /// the clear metadata (or the closure list already read) fixes, so
+    /// nothing downstream sizes a per-node allocation from the payload
+    /// alone.
+    fn get_graph(&mut self, num_nodes: usize) -> Result<Graph, VaultError> {
+        let declared = self.get_usize()?;
+        if declared != num_nodes {
+            return Err(bad(format!(
+                "graph section declares {declared} nodes where {num_nodes} are expected"
+            )));
+        }
         let num_edges = self.get_count(16, "edge")?;
         let mut pairs = Vec::with_capacity(num_edges);
         for _ in 0..num_edges {
@@ -512,12 +500,12 @@ impl<'a> Reader<'a> {
 
 /// Encodes a deployment into the deterministic snapshot payload
 /// (pre-sealing): the shared header, then the scope section — all of
-/// `resident` as one partition's closure when `partition` carries its
-/// ownership maps (a partition image), else just its graph, the whole
-/// real graph (a replica image).
+/// `resident` as one partition's closure when `partition` names it (a
+/// partition image), else just its graph, the whole real graph (a
+/// replica image).
 pub(crate) fn encode(
     h: &Header<'_>,
-    partition: Option<&PartitionMaps>,
+    partition: Option<SnapshotPartition>,
     resident: &Closure,
 ) -> Vec<u8> {
     let mut w = Writer::new();
@@ -543,10 +531,9 @@ pub(crate) fn encode(
     encode_backbone(&mut w, h.backbone, h.precision);
     encode_rectifier(&mut w, h.rectifier, h.precision);
 
-    if let Some(maps) = partition {
-        w.put_usize(maps.stamp.part);
-        w.put_usize(maps.stamp.parts);
-        w.put_usizes(&maps.owned);
+    if let Some(stamp) = partition {
+        w.put_usize(stamp.part);
+        w.put_usize(stamp.parts);
         w.put_usizes(&resident.ids);
         w.put_usizes(&resident.degrees);
     }
@@ -631,9 +618,13 @@ fn encode_substitute_kind(w: &mut Writer, kind: &SubstituteKind) {
 // Decoding
 // ---------------------------------------------------------------------
 
-/// Decodes a snapshot payload back into deployment parts, validating
-/// every shape against the reconstructed architecture.
-pub(crate) fn decode(payload: &[u8]) -> Result<Deployment, VaultError> {
+/// Decodes the payload sealed inside `clear` back into deployment
+/// parts, validating every shape against the reconstructed architecture
+/// and the payload's own copy of the clear metadata against `clear`'s:
+/// a partition image relabeled as another partition (or as a full
+/// replica), or any epoch or node count the clear side does not carry,
+/// is a forgery, rejected before any graph section is read.
+pub(crate) fn decode(payload: &[u8], clear: &VaultSnapshot) -> Result<Deployment, VaultError> {
     let mut r = Reader::new(payload);
     if r.get_u64()? != MAGIC {
         return Err(bad("bad magic: not a vault snapshot of this format"));
@@ -649,6 +640,14 @@ pub(crate) fn decode(payload: &[u8]) -> Result<Deployment, VaultError> {
     };
     let epoch = r.get_u64()?;
     let num_global_nodes = r.get_usize()?;
+    if epoch != clear.epoch() || num_global_nodes != clear.num_nodes() {
+        return Err(bad("snapshot metadata disagrees with its sealed payload"));
+    }
+    if (flags & FLAG_PARTITION != 0) != clear.partition().is_some() {
+        return Err(bad(
+            "snapshot partition stamp disagrees with its sealed payload",
+        ));
+    }
 
     let epc_budget = r.get_usize()?;
     let cost = CostModel {
@@ -664,20 +663,13 @@ pub(crate) fn decode(payload: &[u8]) -> Result<Deployment, VaultError> {
         t => return Err(bad(format!("unknown over-budget policy tag {t}"))),
     };
 
-    let backbone = decode_backbone(&mut r, precision)?;
+    let backbone = decode_backbone(&mut r, precision, num_global_nodes)?;
     let rectifier = decode_rectifier(&mut r, &backbone, precision)?;
 
-    let (resident, partition) = if flags & FLAG_PARTITION != 0 {
-        decode_partition_scope(&mut r, num_global_nodes)?
-    } else {
-        let graph = r.get_graph()?;
-        if graph.num_nodes() != num_global_nodes {
-            return Err(bad(format!(
-                "real graph spans {} nodes but the header declares {num_global_nodes}",
-                graph.num_nodes()
-            )));
-        }
-        (Closure::whole(graph), None)
+    let partition = clear.partition();
+    let resident = match partition {
+        Some(stamp) => decode_partition_scope(&mut r, num_global_nodes, stamp)?,
+        None => Closure::whole(r.get_graph(num_global_nodes)?),
     };
     r.finish()?;
 
@@ -695,25 +687,36 @@ pub(crate) fn decode(payload: &[u8]) -> Result<Deployment, VaultError> {
     })
 }
 
+/// A partition image's scope section, which must be partition `stamp`
+/// of the deployment and whose closure must hold every id of the block
+/// that stamp owns.
 fn decode_partition_scope(
     r: &mut Reader<'_>,
     num_global_nodes: usize,
-) -> Result<(Closure, Option<PartitionMaps>), VaultError> {
+    stamp: SnapshotPartition,
+) -> Result<Closure, VaultError> {
     let part = r.get_usize()?;
     let parts = r.get_usize()?;
+    if (part, parts) != (stamp.part, stamp.parts) {
+        return Err(bad(
+            "snapshot partition stamp disagrees with its sealed payload",
+        ));
+    }
     if part >= parts {
         return Err(bad(format!("partition index {part} out of {parts}")));
     }
-    let owned = r.get_usizes()?;
+    // Strictly ascending within bounds: the invariant every closure
+    // lookup (binary search) relies on.
     let local_ids = r.get_usizes()?;
-    let original_degrees = r.get_usizes()?;
-    let local_graph = r.get_graph()?;
-
-    check_ascending_ids(&owned, num_global_nodes, "owned list")?;
-    check_ascending_ids(&local_ids, num_global_nodes, "closure list")?;
-    if owned.iter().any(|n| local_ids.binary_search(n).is_err()) {
-        return Err(bad("owned node missing from the partition closure"));
+    if local_ids.iter().any(|&n| n >= num_global_nodes) {
+        return Err(bad(format!(
+            "closure list references a node beyond {num_global_nodes}"
+        )));
     }
+    if local_ids.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(bad("closure list is not strictly ascending"));
+    }
+    let original_degrees = r.get_usizes()?;
     if original_degrees.len() != local_ids.len() {
         return Err(bad(format!(
             "degree vector has {} entries for a {}-node closure",
@@ -721,12 +724,13 @@ fn decode_partition_scope(
             local_ids.len()
         )));
     }
-    if local_graph.num_nodes() != local_ids.len() {
-        return Err(bad(format!(
-            "local graph spans {} nodes but the closure lists {}",
-            local_graph.num_nodes(),
-            local_ids.len()
-        )));
+    let local_graph = r.get_graph(local_ids.len())?;
+
+    let mut owned = PartitionSpec::block(num_global_nodes, parts)
+        .map_err(|e| bad(e.to_string()))?
+        .range(part);
+    if !owned.all(|n| local_ids.binary_search(&n).is_ok()) {
+        return Err(bad("owned node missing from the partition closure"));
     }
     if local_graph
         .degrees()
@@ -736,28 +740,11 @@ fn decode_partition_scope(
     {
         return Err(bad("local degree exceeds the recorded full-graph degree"));
     }
-    let maps = PartitionMaps {
-        stamp: SnapshotPartition { part, parts },
-        owned,
-    };
-    let closure = Closure {
+    Ok(Closure {
         ids: local_ids,
         graph: local_graph,
         degrees: original_degrees,
-    };
-    Ok((closure, Some(maps)))
-}
-
-/// Rejects id lists that are not strictly ascending within bounds — the
-/// invariant every ownership/closure lookup (binary search) relies on.
-fn check_ascending_ids(ids: &[usize], bound: usize, what: &str) -> Result<(), VaultError> {
-    if ids.iter().any(|&n| n >= bound) {
-        return Err(bad(format!("{what} references a node beyond {bound}")));
-    }
-    if ids.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(bad(format!("{what} is not strictly ascending")));
-    }
-    Ok(())
+    })
 }
 
 /// Rejects a declared shape that is not the shape of a matrix actually
@@ -777,11 +764,17 @@ fn expect_shape(
     Ok(())
 }
 
-fn decode_backbone(r: &mut Reader<'_>, precision: Precision) -> Result<Backbone, VaultError> {
+/// The backbone, whose substitute graph (public, over the whole
+/// corpus) spans the deployment's `num_nodes`.
+fn decode_backbone(
+    r: &mut Reader<'_>,
+    precision: Precision,
+    num_nodes: usize,
+) -> Result<Backbone, VaultError> {
     let substitute = match r.get_u8()? {
         0 => {
             let kind = decode_substitute_kind(r)?;
-            Some(Substitute::new(r.get_graph()?, kind))
+            Some(Substitute::new(r.get_graph(num_nodes)?, kind))
         }
         1 => None,
         t => return Err(bad(format!("unknown backbone tag {t}"))),
@@ -1175,6 +1168,57 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn forged_node_counts_fail_typed_against_the_clear_count() {
+        // A full image whose header and real graph both declare 2^40
+        // nodes agrees with itself, so only the clear count can catch
+        // it — before `Closure::whole` sizes 2^40 ids and degrees from
+        // the claim. Each graph section alone must match it too.
+        const HUGE: u64 = 1 << 40;
+        let graph = random_graph(5, 600, 1);
+        let key = SealKey(77);
+        let (vault, _) = trained_vault(
+            5,
+            RectifierKind::Parallel,
+            ConvKind::Gcn,
+            SubstituteKind::Knn { k: 1 },
+            &graph,
+            2,
+            key,
+        );
+        let snapshot = vault.snapshot();
+        let payload = payload_of(&snapshot, key);
+        let count_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+        // magic u64 | flags u8 | epoch u64 | num_global_nodes u64
+        let header = 17;
+        // ... | config (41 bytes) | backbone tag u8 | KNN tag u8 | k u64
+        // | the substitute graph's num_nodes u64
+        let substitute = header + 8 + 41 + 2 + 8;
+        // The real graph closes the payload: num_nodes u64 | num_edges
+        // u64 | 16 bytes per edge.
+        let real = payload.len() - 16 * graph.num_edges() - 16;
+        for at in [header, substitute, real] {
+            assert_eq!(count_at(at), 5, "offset {at} holds a node count");
+        }
+        let restore_forged = |offsets: &[usize]| {
+            let mut forged = payload.clone();
+            for &at in offsets {
+                forged[at..at + 8].copy_from_slice(&HUGE.to_le_bytes());
+            }
+            let sealed = Sealed::seal(key.derive("vault-snapshot"), &forged);
+            let clear = VaultSnapshot::new(snapshot.epoch(), snapshot.num_nodes(), None, sealed);
+            match Vault::restore(&clear, key) {
+                Err(VaultError::Snapshot { reason }) => reason,
+                Err(other) => panic!("{offsets:?}: expected a snapshot error, got {other}"),
+                Ok(_) => panic!("{offsets:?}: must not restore"),
+            }
+        };
+        assert!(restore_forged(&[header, real]).contains("metadata"));
+        for at in [substitute, real] {
+            assert!(restore_forged(&[at]).contains("graph section declares"));
+        }
+    }
+
     /// Unsealed payload of a snapshot (test helper).
     fn payload_of(snapshot: &VaultSnapshot, key: SealKey) -> Vec<u8> {
         snapshot
@@ -1188,7 +1232,7 @@ mod tests {
     /// {f32, int8} — for one small deployment. The MLP backbone keeps
     /// the bytes ahead of the network section free of graph ids, so the
     /// forging tests below can find declared widths by value.
-    fn four_forms(conv: ConvKind) -> Vec<(&'static str, Vec<u8>)> {
+    fn four_forms(conv: ConvKind) -> Vec<(&'static str, VaultSnapshot, Vec<u8>)> {
         use graph::partition::PartitionSpec;
         let graph = random_graph(6, 500, 11);
         let key = SealKey(13);
@@ -1208,9 +1252,10 @@ mod tests {
             (crate::Precision::Int8, "full int8", "partition int8"),
         ] {
             vault.set_precision(precision).unwrap();
-            forms.push((full, payload_of(&vault.snapshot(), key)));
-            let snap = vault.snapshot_partition(&spec, 0).unwrap();
-            forms.push((partition, payload_of(&snap, key)));
+            let snap = vault.snapshot();
+            forms.push((full, snap.clone(), payload_of(&snap, key)));
+            let snap = vault.partition_snapshots(&spec).unwrap().swap_remove(0);
+            forms.push((partition, snap.clone(), payload_of(&snap, key)));
         }
         forms
     }
@@ -1230,9 +1275,10 @@ mod tests {
         forged
     }
 
-    /// The decode error's reason, or a panic if `payload` decodes.
-    fn rejection(payload: &[u8], what: &str) -> String {
-        match decode(payload) {
+    /// The decode error's reason, or a panic if `payload` decodes
+    /// under `clear`'s metadata.
+    fn rejection(payload: &[u8], clear: &VaultSnapshot, what: &str) -> String {
+        match decode(payload, clear) {
             Err(VaultError::Snapshot { reason }) => reason,
             Err(other) => panic!("{what}: expected a snapshot error, got {other}"),
             Ok(_) => panic!("{what}: must not decode"),
@@ -1243,29 +1289,34 @@ mod tests {
     fn every_strict_prefix_fails_to_decode_in_all_four_forms() {
         // GAT carries the most per-layer matrices, so its payload has
         // the most section boundaries to cut at.
-        for (form, payload) in four_forms(ConvKind::Gat) {
-            assert!(decode(&payload).is_ok(), "{form}");
+        for (form, clear, payload) in four_forms(ConvKind::Gat) {
+            assert!(decode(&payload, &clear).is_ok(), "{form}");
             for len in 0..payload.len() {
                 assert!(
-                    decode(&payload[..len]).is_err(),
+                    decode(&payload[..len], &clear).is_err(),
                     "{form}: prefix of {len} bytes must not decode"
                 );
             }
             // ...and so does a payload that runs on past its end.
             let mut long = payload.clone();
             long.push(0);
-            assert!(rejection(&long, form).contains("trailing"), "{form}");
+            assert!(
+                rejection(&long, &clear, form).contains("trailing"),
+                "{form}"
+            );
         }
     }
 
     #[test]
     fn retired_magics_and_undefined_flag_bits_are_rejected() {
-        for (form, payload) in four_forms(ConvKind::Gcn) {
-            // GV_SNAP1..4: the four forms this codec replaced.
-            for retired in 0x4756_5F53_4E41_5031u64..=0x4756_5F53_4E41_5034 {
+        for (form, clear, payload) in four_forms(ConvKind::Gcn) {
+            // GV_SNAP1..4: the four forms one codec replaced; GV_SNAP5:
+            // that codec while partition images still sealed an owned
+            // list.
+            for retired in 0x4756_5F53_4E41_5031u64..=0x4756_5F53_4E41_5035 {
                 let mut old = payload.clone();
                 old[..8].copy_from_slice(&retired.to_le_bytes());
-                assert!(rejection(&old, form).contains("magic"), "{form}");
+                assert!(rejection(&old, &clear, form).contains("magic"), "{form}");
             }
             let flags = payload[8];
             assert_eq!(flags & !(FLAG_PARTITION | FLAG_INT8), 0);
@@ -1273,7 +1324,7 @@ mod tests {
                 let mut forged = payload.clone();
                 forged[8] = flags | (1 << bit);
                 assert!(
-                    rejection(&forged, form).contains("flag"),
+                    rejection(&forged, &clear, form).contains("flag"),
                     "{form}: bit {bit}"
                 );
             }
@@ -1282,7 +1333,10 @@ mod tests {
             for bit in [FLAG_PARTITION, FLAG_INT8] {
                 let mut forged = payload.clone();
                 forged[8] = flags ^ bit;
-                assert!(decode(&forged).is_err(), "{form}: flipped {bit:#04b}");
+                assert!(
+                    decode(&forged, &clear).is_err(),
+                    "{form}: flipped {bit:#04b}"
+                );
             }
         }
     }
@@ -1295,11 +1349,11 @@ mod tests {
         // anything Glorot-allocates 2^20 × 2^20 floats from the claim.
         const HUGE: u64 = 1 << 20;
         for conv in [ConvKind::Gcn, ConvKind::Sage, ConvKind::Gat] {
-            for (form, payload) in four_forms(conv) {
+            for (form, clear, payload) in four_forms(conv) {
                 // Backbone: input_dim | layers | in | out, then the
                 // weight itself.
                 let forged = forge_u64s(&payload, &[3, 2, 3, 4], &[HUGE, 2, HUGE, HUGE]);
-                let reason = rejection(&forged, form);
+                let reason = rejection(&forged, &clear, form);
                 assert!(
                     reason.contains("backbone weight is declared"),
                     "{form}: {reason}"
@@ -1307,7 +1361,7 @@ mod tests {
                 // Only the output width forged: the weight's row count
                 // still matches, its column count does not.
                 let forged = forge_u64s(&payload, &[3, 2, 3, 4], &[3, 2, 3, HUGE]);
-                let reason = rejection(&forged, form);
+                let reason = rejection(&forged, &clear, form);
                 assert!(
                     reason.contains("backbone weight is declared"),
                     "{form}: {reason}"
@@ -1317,7 +1371,7 @@ mod tests {
                 // taps [0], each list length-prefixed.
                 let wiring = [2, 4, 2, 2, 4, 2, 1, 0];
                 let forged = forge_u64s(&payload, &wiring, &[2, 4, 2, 2, HUGE, 2, 1, 0]);
-                let reason = rejection(&forged, form);
+                let reason = rejection(&forged, &clear, form);
                 assert!(
                     reason.contains("rectifier channels are declared"),
                     "{form}: {reason}"
@@ -1325,7 +1379,7 @@ mod tests {
                 // A channel list claiming more layers than the payload
                 // carries runs out of matrices instead.
                 let forged = forge_u64s(&payload, &wiring, &[2, 4, 2, HUGE, 4, 2, 1, 0]);
-                assert!(decode(&forged).is_err(), "{form}");
+                assert!(decode(&forged, &clear).is_err(), "{form}");
 
                 // An int8 slot holding what `quantize` never writes. The
                 // first backbone slot follows its layer's declared
@@ -1342,7 +1396,7 @@ mod tests {
                 let scale0 = codes + 12;
                 let mut forged = payload.clone();
                 forged[codes] = i8::MIN as u8;
-                let reason = rejection(&forged, form);
+                let reason = rejection(&forged, &clear, form);
                 assert!(reason.contains("code -128"), "{form}: {reason}");
                 let genuine = f32::from_le_bytes(payload[scale0..scale0 + 4].try_into().unwrap());
                 for (scale, why) in [
@@ -1356,7 +1410,7 @@ mod tests {
                 ] {
                     let mut forged = payload.clone();
                     forged[scale0..scale0 + 4].copy_from_slice(&scale.to_le_bytes());
-                    let reason = rejection(&forged, form);
+                    let reason = rejection(&forged, &clear, form);
                     assert!(reason.contains(why), "{form}: scale {scale:e}: {reason}");
                 }
             }
@@ -1367,7 +1421,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         #[test]
-        fn partition_snapshot_roundtrip_answers_owned_nodes_bit_identically(
+        fn partition_snapshot_roundtrip_answers_its_block_bit_identically(
             n in 4usize..10,
             kind_idx in 0usize..3,
             density in 100u64..700,
@@ -1391,16 +1445,12 @@ mod tests {
                 let stamp = snap.partition().expect("partition snapshots carry their stamp");
                 prop_assert_eq!(stamp.part(), part);
                 prop_assert_eq!(stamp.parts(), nparts);
-                // The single-partition path seals the identical bytes.
-                prop_assert_eq!(&vault.snapshot_partition(&spec, part).unwrap(), snap);
 
                 let mut partial = Vault::restore(snap, key).unwrap();
                 prop_assert_eq!(partial.epoch(), vault.epoch());
                 prop_assert_eq!(partial.num_nodes(), n);
                 prop_assert_eq!(partial.partition_info(), Some((part, nparts)));
-                let owned: Vec<usize> =
-                    partial.owned_nodes().expect("partial vault").to_vec();
-                prop_assert!(owned.iter().all(|&o| spec.owner_of(o) == part));
+                let owned: Vec<usize> = spec.range(part).collect();
 
                 // Owned nodes answer bit-identically to the full vault,
                 // through both the batched and the per-node path.
@@ -1460,7 +1510,7 @@ mod tests {
             key,
         );
         let spec = PartitionSpec::block(6, 2).unwrap();
-        let snap = vault.snapshot_partition(&spec, 0).unwrap();
+        let snap = vault.partition_snapshots(&spec).unwrap().swap_remove(0);
         let stamp = snap.partition().unwrap();
 
         // Clear-metadata stamp disagreeing with the sealed payload is
@@ -1509,7 +1559,7 @@ mod tests {
     }
 
     #[test]
-    fn int8_partition_snapshots_answer_owned_nodes_bit_identically() {
+    fn int8_partition_snapshots_answer_their_block_bit_identically() {
         use graph::partition::PartitionSpec;
         for conv in [ConvKind::Gcn, ConvKind::Sage, ConvKind::Gat] {
             let graph = random_graph(8, 500, 17);
@@ -1527,22 +1577,15 @@ mod tests {
             let f32_snaps = vault.partition_snapshots(&spec).unwrap();
             vault.set_precision(crate::Precision::Int8).unwrap();
             let (labels, _) = vault.infer(&x).unwrap();
-            for (snap, f32_snap) in vault
-                .partition_snapshots(&spec)
-                .unwrap()
-                .iter()
-                .zip(&f32_snaps)
-            {
+            let snaps = vault.partition_snapshots(&spec).unwrap();
+            for (part, (snap, f32_snap)) in snaps.iter().zip(&f32_snaps).enumerate() {
                 assert!(
                     snap.sealed_nbytes() < f32_snap.sealed_nbytes(),
                     "{conv:?}: an int8 partition seals less than its f32 form"
                 );
                 let mut partial = Vault::restore(snap, key).unwrap();
                 assert_eq!(partial.precision(), crate::Precision::Int8);
-                let owned = partial.owned_nodes().unwrap().to_vec();
-                if owned.is_empty() {
-                    continue;
-                }
+                let owned: Vec<usize> = spec.range(part).collect();
                 let mut session = partial.open_session();
                 let (plabels, _) = partial.infer_batch(&mut session, &x, &owned).unwrap();
                 for (label, &o) in plabels.iter().zip(&owned) {
@@ -1599,12 +1642,144 @@ mod tests {
             let partial = Vault::restore(snap, key).unwrap();
             let mut recovered = partial.recovery_handle().restore().unwrap();
             assert_eq!(recovered.partition_info(), Some((part, 4)));
-            let owned = partial.owned_nodes().unwrap().to_vec();
+            let owned: Vec<usize> = spec.range(part).collect();
             let mut session = recovered.open_session();
             let (labels, _) = recovered.infer_batch(&mut session, &x, &owned).unwrap();
             for (label, &o) in labels.iter().zip(&owned) {
                 assert_eq!(*label, full_labels[o]);
             }
         }
+    }
+
+    #[test]
+    fn a_replica_answers_exactly_the_block_the_router_sends_it() {
+        // Ownership is derived, not sealed: a partition replica answers
+        // node n iff `owner_of(n)` names it — including partitions past
+        // the last node, which own nothing and still seal, restore and
+        // re-seal like any other.
+        use graph::partition::PartitionSpec;
+        let n = 5;
+        let graph = random_graph(n, 500, 3);
+        let key = SealKey(41);
+        let (mut vault, x) = trained_vault(
+            n,
+            RectifierKind::Series,
+            ConvKind::Gcn,
+            SubstituteKind::Knn { k: 1 },
+            &graph,
+            4,
+            key,
+        );
+        let (full_labels, _) = vault.infer(&x).unwrap();
+        let mut empty_images = 0;
+        for nparts in [1, 2, 3, 5, 7] {
+            let spec = PartitionSpec::block(n, nparts).unwrap();
+            for (part, snap) in vault.partition_snapshots(&spec).unwrap().iter().enumerate() {
+                let mut partial = Vault::restore(snap, key).unwrap();
+                assert_eq!(partial.partition_info(), Some((part, nparts)));
+                for (node, &expected) in full_labels.iter().enumerate() {
+                    let mut session = partial.open_session();
+                    match partial.infer_batch(&mut session, &x, &[node]) {
+                        Ok((labels, _)) => {
+                            assert_eq!(spec.owner_of(node), part, "{nparts}: node {node}");
+                            assert_eq!(labels[0], expected);
+                        }
+                        Err(VaultError::NotOwned { node: m, .. }) => {
+                            assert_ne!(spec.owner_of(node), part, "{nparts}: node {node}");
+                            assert_eq!(m, node);
+                        }
+                        Err(other) => panic!("{nparts}/{part}: node {node}: {other}"),
+                    }
+                }
+                let resealed = partial.snapshot();
+                assert_eq!(
+                    &resealed, snap,
+                    "{nparts}/{part}: re-seals byte-identically"
+                );
+                if spec.range(part).is_empty() {
+                    empty_images += 1;
+                    let again = Vault::restore(&resealed, key).unwrap();
+                    assert_eq!(again.partition_info(), Some((part, nparts)));
+                }
+            }
+        }
+        assert_eq!(
+            empty_images, 2,
+            "block(5, 7) leaves partitions 5 and 6 empty"
+        );
+    }
+
+    #[test]
+    fn a_partition_image_seals_its_closure_in_place_of_the_real_graph() {
+        // The 512-node bench graph: a ring with two chord families
+        // (sparse, with strong locality), 32 features, a [16, 8, 2]
+        // backbone and series rectifier. A partition image is the full
+        // image with the real graph swapped for `part | parts` and the
+        // closure (ids, degrees, induced graph) — no owned list: the
+        // decoder derives the owned block from `(part, parts)`.
+        use graph::partition::{partition, PartitionSpec};
+        let n = 512;
+        let mut edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        for k in 1..=2 {
+            edges.extend((0..n).map(|i| (i, (i + k * 7 + 1) % n)));
+        }
+        let graph = Graph::from_edges(n, &edges).unwrap();
+        let x = features(n, 32, 17);
+        let labels: Vec<usize> = (0..n).map(|r| usize::from(r >= n / 2)).collect();
+        let train: Vec<usize> = (0..n).step_by(2).collect();
+        let cfg = TrainConfig {
+            epochs: 10,
+            lr: 0.05,
+            weight_decay: 0.0,
+            dropout: 0.0,
+            seed: 0,
+        };
+        let channels = [16, 8, 2];
+        let backbone = crate::Backbone::train(
+            &x,
+            &labels,
+            &train,
+            SubstituteKind::Knn { k: 2 },
+            &channels,
+            graph.num_edges(),
+            &cfg,
+            1,
+        )
+        .unwrap();
+        let rectifier = Rectifier::new(
+            RectifierKind::Series,
+            &channels,
+            &backbone.channel_dims(),
+            2,
+        )
+        .unwrap();
+        let vault = Vault::deploy(
+            backbone,
+            rectifier,
+            &graph,
+            tee::SGX_EPC_BYTES,
+            tee::CostModel::default(),
+            tee::OverBudgetPolicy::Fail,
+            SealKey(3),
+        )
+        .unwrap();
+
+        let graph_bytes = |g: &Graph| 16 + 16 * g.num_edges();
+        let list_bytes = |len: usize| 8 + 8 * len;
+        let full = vault.snapshot().sealed_nbytes();
+        let spec = PartitionSpec::block(n, 4).unwrap();
+        let closures = partition(&graph, &spec, channels.len()).unwrap();
+        let images: Vec<usize> = vault
+            .partition_snapshots(&spec)
+            .unwrap()
+            .iter()
+            .map(VaultSnapshot::sealed_nbytes)
+            .collect();
+        for (image, closure) in images.iter().zip(&closures) {
+            let scope = 16 + 2 * list_bytes(closure.ids.len()) + graph_bytes(&closure.graph);
+            assert_eq!(*image, full - graph_bytes(&graph) + scope);
+            assert!(*image < full);
+        }
+        println!("{n}-node bench graph: full image {full} sealed bytes, 4-way partition images {images:?}");
     }
 }

@@ -1,6 +1,6 @@
-use crate::snapshot::{self, Deployment, PartitionMaps};
-use crate::{Backbone, Rectifier, VaultError, VaultSnapshot};
-use graph::partition::{GraphPartition, PartitionSpec};
+use crate::snapshot::{self, Deployment};
+use crate::{Backbone, Rectifier, SnapshotPartition, VaultError, VaultSnapshot};
+use graph::partition::PartitionSpec;
 use graph::subgraph::{self, Closure};
 use graph::Graph;
 use linalg::{CsrMatrix, DenseMatrix};
@@ -119,9 +119,9 @@ pub struct Vault {
     epc_budget: usize,
     policy: OverBudgetPolicy,
     /// `Some` on a partition replica: `resident` is then one
-    /// partition's closure and queries are answerable only for owned
-    /// nodes.
-    partition: Option<PartitionMaps>,
+    /// partition's closure and queries are answerable only for the
+    /// block of ids the stamp owns.
+    partition: Option<SnapshotPartition>,
     // --- enclave-private state (never exposed by any accessor) ---
     rectifier: Rectifier,
     /// The sealed form of the projection weights; under `Int8` the
@@ -249,16 +249,17 @@ impl Vault {
     pub fn snapshot(&self) -> VaultSnapshot {
         // A partition replica re-snapshots as a partition image, so
         // its recovery handle restores the same partial vault.
-        self.seal(self.partition.as_ref(), &self.resident)
+        self.seal(self.partition, &self.resident)
     }
 
-    /// Seals *one partition* of this deployment: the shared backbone
-    /// and rectifier weights plus only partition `part`'s private graph
-    /// state — its owned nodes, their halo closure at the rectifier's
-    /// receptive-field depth, the full-graph degree vector for the
-    /// closure, and the induced local COO. Restoring the result builds
-    /// a *partial* vault that answers exactly the owned nodes,
-    /// bit-identically to this vault.
+    /// Seals every partition of `spec`, element `i` partition `i`'s
+    /// snapshot: the shared backbone and rectifier weights plus only
+    /// that partition's private graph state — the closure of its owned
+    /// block at the rectifier's receptive-field depth, the full-graph
+    /// degree vector for the closure, and the induced local COO. The
+    /// full-graph adjacency scan runs once for all of them. Restoring
+    /// one builds a *partial* vault that answers exactly its owned
+    /// block, bit-identically to this vault.
     ///
     /// The sealed payload is strictly smaller than a full snapshot
     /// whenever the closure misses part of the graph, which is the
@@ -268,35 +269,24 @@ impl Vault {
     /// # Errors
     ///
     /// Returns [`VaultError::InvalidConfig`] when called on a vault
-    /// that is itself a partition replica, and
-    /// [`VaultError::Graph`] when `spec` does not match this
-    /// deployment's node count or `part` is out of range.
-    pub fn snapshot_partition(
-        &self,
-        spec: &PartitionSpec,
-        part: usize,
-    ) -> Result<VaultSnapshot, VaultError> {
-        let hops = self.partition_halo_hops()?;
-        let gp = graph::partition::partition_one(&self.resident.graph, spec, part, hops)?;
-        Ok(self.seal_graph_partition(gp))
-    }
-
-    /// Seals every partition of `spec` in one pass (the full-graph
-    /// adjacency scan runs once, not once per partition). Element `i`
-    /// is partition `i`'s snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Vault::snapshot_partition`].
+    /// that is itself a partition replica, and [`VaultError::Graph`]
+    /// when `spec` does not match this deployment's node count.
     pub fn partition_snapshots(
         &self,
         spec: &PartitionSpec,
     ) -> Result<Vec<VaultSnapshot>, VaultError> {
-        let hops = self.partition_halo_hops()?;
-        let parts = graph::partition::partition(&self.resident.graph, spec, hops)?;
-        Ok(parts
-            .into_iter()
-            .map(|gp| self.seal_graph_partition(gp))
+        if self.partition.is_some() {
+            return Err(VaultError::InvalidConfig {
+                reason: "cannot re-partition a partition replica; partition the full vault".into(),
+            });
+        }
+        let hops = self.rectifier.num_layers();
+        let closures = graph::partition::partition(&self.resident.graph, spec, hops)?;
+        let parts = spec.num_parts();
+        Ok(closures
+            .iter()
+            .enumerate()
+            .map(|(part, closure)| self.seal(Some(SnapshotPartition { part, parts }), closure))
             .collect())
     }
 
@@ -308,7 +298,7 @@ impl Vault {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Vault::snapshot_partition`].
+    /// Same conditions as [`Vault::partition_snapshots`].
     pub fn partition_recovery_handles(
         &self,
         spec: &PartitionSpec,
@@ -320,30 +310,12 @@ impl Vault {
             .collect())
     }
 
-    /// The halo depth partitions of this vault are cut at — the
-    /// rectifier's receptive field — or the refusal to cut a replica
-    /// that is itself a partition.
-    fn partition_halo_hops(&self) -> Result<usize, VaultError> {
-        if self.partition.is_some() {
-            return Err(VaultError::InvalidConfig {
-                reason: "cannot re-partition a partition replica; partition the full vault".into(),
-            });
-        }
-        Ok(self.rectifier.num_layers())
-    }
-
-    /// Seals one partition just cut from this (full) vault's graph.
-    fn seal_graph_partition(&self, gp: GraphPartition) -> VaultSnapshot {
-        let (maps, closure) = PartitionMaps::of(gp);
-        self.seal(Some(&maps), &closure)
-    }
-
     /// Encodes this deployment's shared header plus one share of the
     /// private graph (`resident`: a partition's closure when
     /// `partition` is given, else the whole graph), seals the payload
     /// under the deployment key, and stamps it with the clear routing
     /// metadata — the one body behind every snapshot form.
-    fn seal(&self, partition: Option<&PartitionMaps>, resident: &Closure) -> VaultSnapshot {
+    fn seal(&self, partition: Option<SnapshotPartition>, resident: &Closure) -> VaultSnapshot {
         let header = snapshot::Header {
             epoch: self.epoch,
             num_nodes: self.num_nodes,
@@ -356,8 +328,7 @@ impl Vault {
         };
         let payload = snapshot::encode(&header, partition, resident);
         let sealed = Sealed::seal(self.seal_key.derive("vault-snapshot"), &payload);
-        let stamp = partition.map(|maps| maps.stamp);
-        VaultSnapshot::new(self.epoch, self.num_nodes, stamp, sealed)
+        VaultSnapshot::new(self.epoch, self.num_nodes, partition, sealed)
     }
 
     /// Rehydrates a replica from a sealed snapshot.
@@ -374,29 +345,15 @@ impl Vault {
     ///
     /// Returns [`VaultError::Tee`] ([`tee::TeeError::SealTampered`])
     /// for a wrong key or corrupted payload, [`VaultError::Snapshot`]
-    /// for a payload that unseals but does not decode, and the usual
-    /// deployment failures (e.g. an EPC budget the resident set no
-    /// longer fits) from the rebuild.
+    /// for a payload that unseals but does not decode or disagrees with
+    /// the snapshot's clear metadata, and the usual deployment failures
+    /// (e.g. an EPC budget the resident set no longer fits) from the
+    /// rebuild.
     pub fn restore(snapshot: &VaultSnapshot, seal_key: SealKey) -> Result<Vault, VaultError> {
         let payload = snapshot
             .sealed()
             .unseal(seal_key.derive("vault-snapshot"))?;
-        let decoded = snapshot::decode(&payload)?;
-        if decoded.epoch != snapshot.epoch() || decoded.num_nodes != snapshot.num_nodes() {
-            return Err(VaultError::Snapshot {
-                reason: "snapshot metadata disagrees with its sealed payload".into(),
-            });
-        }
-        // The clear partition stamp must agree with the sealed payload:
-        // a partition image relabeled as another partition (or as a full
-        // replica) is a forgery, not a routing mistake.
-        let sealed_stamp = decoded.partition.as_ref().map(|maps| maps.stamp);
-        if sealed_stamp != snapshot.partition() {
-            return Err(VaultError::Snapshot {
-                reason: "snapshot partition stamp disagrees with its sealed payload".into(),
-            });
-        }
-        Self::install(decoded, seal_key)
+        Self::install(snapshot::decode(&payload, snapshot)?, seal_key)
     }
 
     /// Bundles a sealed snapshot of this vault's *current* model with
@@ -432,17 +389,7 @@ impl Vault {
     /// `Some((part, parts))` on a partition replica, `None` on a full
     /// vault. Public routing metadata.
     pub fn partition_info(&self) -> Option<(usize, usize)> {
-        self.partition
-            .as_ref()
-            .map(|p| (p.stamp.part(), p.stamp.parts()))
-    }
-
-    /// The global node ids a partition replica answers (`None` on a
-    /// full vault, which answers everything). Ownership is a pure
-    /// function of the node id — not derived from private edges — so
-    /// exposing the list leaks nothing about the private graph.
-    pub fn owned_nodes(&self) -> Option<&[usize]> {
-        self.partition.as_ref().map(|p| p.owned.as_slice())
+        self.partition.map(|p| (p.part, p.parts))
     }
 
     /// Bytes currently allocated inside the enclave (resident set plus
@@ -496,8 +443,9 @@ impl Vault {
 
     /// Rejects a query the vault cannot answer: a node id outside the
     /// deployment, or — on a partition replica — a node another
-    /// partition owns. The latter is a routing error the caller must
-    /// surface, not a silent wrong answer.
+    /// partition owns, by the block function the serving router routes
+    /// with. The latter is a routing error the caller must surface, not
+    /// a silent wrong answer.
     fn check_query(&self, nodes: &[usize]) -> Result<(), VaultError> {
         if let Some(&bad) = nodes.iter().find(|&&n| n >= self.num_nodes()) {
             return Err(VaultError::InvalidConfig {
@@ -507,13 +455,10 @@ impl Vault {
                 ),
             });
         }
-        if let Some(p) = &self.partition {
-            if let Some(&node) = nodes.iter().find(|&&n| !p.owns(n)) {
-                return Err(VaultError::NotOwned {
-                    node,
-                    part: p.stamp.part(),
-                    parts: p.stamp.parts(),
-                });
+        if let Some(SnapshotPartition { part, parts }) = self.partition {
+            let spec = PartitionSpec::block(self.num_nodes, parts)?;
+            if let Some(&node) = nodes.iter().find(|&&n| spec.owner_of(n) != part) {
+                return Err(VaultError::NotOwned { node, part, parts });
             }
         }
         Ok(())
@@ -567,13 +512,11 @@ impl Vault {
         &mut self,
         features: &DenseMatrix,
     ) -> Result<(Vec<ClassLabel>, InferenceReport), VaultError> {
-        if let Some(p) = &self.partition {
+        if let Some(SnapshotPartition { part, parts }) = self.partition {
             return Err(VaultError::InvalidConfig {
                 reason: format!(
-                    "partition replica {}/{} answers only its owned nodes; \
-                     use infer_batch or infer_node",
-                    p.stamp.part(),
-                    p.stamp.parts()
+                    "partition replica {part}/{parts} answers only its owned nodes; \
+                     use infer_batch or infer_node"
                 ),
             });
         }

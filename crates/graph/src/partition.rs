@@ -1,43 +1,33 @@
 //! Deterministic edge-cut graph partitioning with halos.
 //!
 //! A partitioned deployment splits the private real graph across shards
-//! instead of replicating it: each partition *owns* a disjoint set of
-//! nodes and carries a **halo** of out-of-partition neighbours so local
-//! aggregation sees exactly the rows a sequential full-graph pass would.
-//! Ownership is a pure function of the node id ([`PartitionSpec::owner_of`])
-//! — independent of the private edges — so a router can locate a node's
-//! shard without ever touching the private adjacency; only the halo
-//! (which stays sealed inside each partition) depends on the edges.
+//! instead of replicating it: each partition *owns* one contiguous block
+//! of node ids and carries a **halo** of out-of-partition neighbours so
+//! local aggregation sees exactly the rows a sequential full-graph pass
+//! would. Ownership is a pure function of the node id
+//! ([`PartitionSpec::owner_of`], or the whole block at once,
+//! [`PartitionSpec::range`]) — independent of the private edges — so a
+//! router can locate a node's shard, and a sealed partition can name its
+//! owned set, without storing or touching the private adjacency; only the
+//! halo (which stays sealed inside each partition) depends on the edges.
 //!
 //! Combined with full-graph degrees
 //! ([`crate::normalization::gcn_normalize_with_degrees`]), a partition
 //! with an `L`-hop halo computes each owned node's `L`-layer GCN
 //! propagation bit-identically to the full graph — it is the
-//! [`crate::subgraph::closure`] of the owned set (verified by this
+//! [`crate::subgraph::closure`] of the owned block (verified by this
 //! module's tests).
 
 use crate::subgraph::{adjacency_lists, closure, Closure};
 use crate::{Graph, GraphError};
+use std::ops::Range;
 
-/// How nodes are assigned to partitions.
-///
-/// Both strategies are pure functions of `(node, num_nodes, parts)` plus
-/// the strategy itself — deterministic across processes and releases, so
-/// a router and a sealed partition snapshot always agree on ownership.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionStrategy {
-    /// Contiguous blocks: node `i` belongs to block `i / ceil(n / parts)`.
-    /// Preserves locality for id-clustered graphs (e.g. ring topologies).
-    Block,
-    /// Seeded SplitMix64 hash of the node id: `mix(node ^ seed) % parts`.
-    /// Spreads hot id ranges uniformly at the cost of more cut edges.
-    Hash {
-        /// Seed mixed into every node id before bucketing.
-        seed: u64,
-    },
-}
-
-/// A deterministic node-to-partition assignment over a fixed node count.
+/// A contiguous-block assignment of a fixed node count to partitions:
+/// node `i` belongs to block `i / ceil(num_nodes / parts)`. A pure
+/// function of `(node, num_nodes, parts)` — deterministic across
+/// processes and releases, so a router and a sealed partition always
+/// agree on ownership — that preserves locality for id-clustered graphs
+/// (e.g. ring topologies).
 ///
 /// # Examples
 ///
@@ -47,23 +37,14 @@ pub enum PartitionStrategy {
 /// let spec = PartitionSpec::block(10, 4).unwrap();
 /// assert_eq!(spec.owner_of(0), 0);
 /// assert_eq!(spec.owner_of(9), 3);
+/// assert_eq!(spec.range(1), 3..6);
 /// // Every node has exactly one owner.
-/// assert!((0..10).all(|n| spec.owner_of(n) < spec.num_parts()));
+/// assert!((0..10).all(|n| spec.range(spec.owner_of(n)).contains(&n)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionSpec {
     num_nodes: usize,
     parts: usize,
-    strategy: PartitionStrategy,
-}
-
-/// SplitMix64 finalizer — the same mixer the serving router used for
-/// hash-sharding, kept here so ownership stays a stable public function.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl PartitionSpec {
@@ -74,40 +55,13 @@ impl PartitionSpec {
     ///
     /// Returns [`GraphError::InvalidParameter`] when `parts == 0`.
     pub fn block(num_nodes: usize, parts: usize) -> Result<Self, GraphError> {
-        Self::with_strategy(num_nodes, parts, PartitionStrategy::Block)
-    }
-
-    /// A seeded hash assignment of `num_nodes` nodes to `parts`
-    /// partitions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidParameter`] when `parts == 0`.
-    pub fn hash(num_nodes: usize, parts: usize, seed: u64) -> Result<Self, GraphError> {
-        Self::with_strategy(num_nodes, parts, PartitionStrategy::Hash { seed })
-    }
-
-    /// An assignment with an explicit [`PartitionStrategy`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidParameter`] when `parts == 0`.
-    pub fn with_strategy(
-        num_nodes: usize,
-        parts: usize,
-        strategy: PartitionStrategy,
-    ) -> Result<Self, GraphError> {
         if parts == 0 {
             return Err(GraphError::InvalidParameter {
                 name: "parts",
                 reason: "a partitioning needs at least one partition".into(),
             });
         }
-        Ok(Self {
-            num_nodes,
-            parts,
-            strategy,
-        })
+        Ok(Self { num_nodes, parts })
     }
 
     /// Number of nodes this spec covers.
@@ -120,9 +74,10 @@ impl PartitionSpec {
         self.parts
     }
 
-    /// The assignment strategy.
-    pub fn strategy(&self) -> PartitionStrategy {
-        self.strategy
+    /// Nodes per block (the last block may be short, and with more
+    /// partitions than nodes the trailing ones are empty).
+    fn block_len(&self) -> usize {
+        self.num_nodes.div_ceil(self.parts).max(1)
     }
 
     /// The partition that owns `node`. Pure and edge-independent: safe
@@ -133,109 +88,26 @@ impl PartitionSpec {
     /// Panics if `node >= num_nodes`.
     pub fn owner_of(&self, node: usize) -> usize {
         assert!(node < self.num_nodes, "node out of bounds");
-        match self.strategy {
-            PartitionStrategy::Block => {
-                let block = self.num_nodes.div_ceil(self.parts).max(1);
-                (node / block).min(self.parts - 1)
-            }
-            PartitionStrategy::Hash { seed } => {
-                (splitmix64(node as u64 ^ seed) % self.parts as u64) as usize
-            }
-        }
+        node / self.block_len()
+    }
+
+    /// The ids `part` owns, ascending: exactly the `n` with
+    /// `owner_of(n) == part`, empty for a partition past the last node.
+    pub fn range(&self, part: usize) -> Range<usize> {
+        let at = |p: usize| p.saturating_mul(self.block_len()).min(self.num_nodes);
+        at(part)..at(part.saturating_add(1))
     }
 }
 
-/// One partition of a graph: the owned nodes, their halo, and the
-/// [`Closure`] of the owned set (induced local subgraph, ascending
-/// global ids, full-graph degrees).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphPartition {
-    part: usize,
-    parts: usize,
-    /// Global ids owned by this partition, sorted ascending.
-    owned: Vec<usize>,
-    /// Global ids in the halo (reachable within `halo_hops` of an owned
-    /// node but owned elsewhere), sorted ascending, disjoint from
-    /// `owned`.
-    halo: Vec<usize>,
-    closure: Closure,
-}
-
-impl GraphPartition {
-    /// This partition's index.
-    pub fn part(&self) -> usize {
-        self.part
-    }
-
-    /// Total number of partitions in the deployment.
-    pub fn num_parts(&self) -> usize {
-        self.parts
-    }
-
-    /// Global ids owned by this partition, sorted ascending.
-    pub fn owned(&self) -> &[usize] {
-        &self.owned
-    }
-
-    /// Global ids of the halo, sorted ascending and disjoint from
-    /// [`owned`](Self::owned).
-    pub fn halo(&self) -> &[usize] {
-        &self.halo
-    }
-
-    /// The partition's closure (`owned ∪ halo`): the induced local
-    /// subgraph, its local-to-global id map, and the full-graph degree
-    /// per local id that exact GCN normalization needs.
-    pub fn closure(&self) -> &Closure {
-        &self.closure
-    }
-
-    /// Whether this partition owns `global`.
-    pub fn owns(&self, global: usize) -> bool {
-        self.owned.binary_search(&global).is_ok()
-    }
-
-    /// Gives up the owned list and the closure — what a sealed
-    /// partition image carries — without copying either.
-    pub fn into_owned_and_closure(self) -> (Vec<usize>, Closure) {
-        (self.owned, self.closure)
-    }
-}
-
-/// Extracts one partition: the nodes `spec` assigns to `part`, plus a
-/// `halo_hops`-hop halo of their out-of-partition neighbours, as an
-/// induced subgraph.
+/// Partitions `graph` into `spec.num_parts()` partitions. Element `i` is
+/// partition `i`'s [`Closure`]: its owned block ([`PartitionSpec::range`])
+/// plus a `halo_hops`-hop halo of out-of-partition neighbours, as an
+/// induced subgraph with ascending global ids and full-graph degrees.
+/// The adjacency lists are built once for all of them.
 ///
 /// For an `L`-layer GCN, `halo_hops = L` makes every owned node's
 /// propagation exact; `halo_hops = 1` is the classic edge-cut halo that
 /// covers a single aggregation step.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] when `spec` does not cover
-/// exactly `graph.num_nodes()` nodes or `part >= spec.num_parts()`.
-pub fn partition_one(
-    graph: &Graph,
-    spec: &PartitionSpec,
-    part: usize,
-    halo_hops: usize,
-) -> Result<GraphPartition, GraphError> {
-    check_spec(graph, spec)?;
-    if part >= spec.num_parts() {
-        return Err(GraphError::InvalidParameter {
-            name: "part",
-            reason: format!(
-                "part {part} out of range for {} partitions",
-                spec.num_parts()
-            ),
-        });
-    }
-    extract(graph, &adjacency_lists(graph), spec, part, halo_hops)
-}
-
-/// Partitions `graph` into `spec.num_parts()` partitions, each with a
-/// `halo_hops`-hop halo (the adjacency lists are built once for all of
-/// them). See [`partition_one`].
 ///
 /// # Errors
 ///
@@ -251,8 +123,8 @@ pub fn partition_one(
 /// let ring = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])?;
 /// let spec = partition::PartitionSpec::block(6, 2)?;
 /// let parts = partition::partition(&ring, &spec, 1)?;
-/// assert_eq!(parts[0].owned(), &[0, 1, 2]);
-/// assert_eq!(parts[0].halo(), &[3, 5]); // cross-partition neighbours
+/// assert_eq!(spec.range(0), 0..3);
+/// assert_eq!(parts[0].ids, &[0, 1, 2, 3, 5]); // 3 and 5: the halo
 /// # Ok(())
 /// # }
 /// ```
@@ -260,15 +132,7 @@ pub fn partition(
     graph: &Graph,
     spec: &PartitionSpec,
     halo_hops: usize,
-) -> Result<Vec<GraphPartition>, GraphError> {
-    check_spec(graph, spec)?;
-    let adjacency = adjacency_lists(graph);
-    (0..spec.num_parts())
-        .map(|part| extract(graph, &adjacency, spec, part, halo_hops))
-        .collect()
-}
-
-fn check_spec(graph: &Graph, spec: &PartitionSpec) -> Result<(), GraphError> {
+) -> Result<Vec<Closure>, GraphError> {
     if spec.num_nodes() != graph.num_nodes() {
         return Err(GraphError::InvalidParameter {
             name: "spec",
@@ -279,35 +143,13 @@ fn check_spec(graph: &Graph, spec: &PartitionSpec) -> Result<(), GraphError> {
             ),
         });
     }
-    Ok(())
-}
-
-/// The closure of `part`'s owned set out to `halo_hops`, split into
-/// owned and halo.
-fn extract(
-    graph: &Graph,
-    adjacency: &[Vec<usize>],
-    spec: &PartitionSpec,
-    part: usize,
-    halo_hops: usize,
-) -> Result<GraphPartition, GraphError> {
-    let owned: Vec<usize> = (0..graph.num_nodes())
-        .filter(|&n| spec.owner_of(n) == part)
-        .collect();
-    let closure = closure(graph, adjacency, &owned, halo_hops)?;
-    let halo = closure
-        .ids
-        .iter()
-        .copied()
-        .filter(|n| owned.binary_search(n).is_err())
-        .collect();
-    Ok(GraphPartition {
-        part,
-        parts: spec.num_parts(),
-        owned,
-        halo,
-        closure,
-    })
+    let adjacency = adjacency_lists(graph);
+    (0..spec.num_parts())
+        .map(|part| {
+            let owned: Vec<usize> = spec.range(part).collect();
+            closure(graph, &adjacency, &owned, halo_hops)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -326,6 +168,8 @@ mod tests {
         let spec = PartitionSpec::block(10, 4).unwrap();
         let owners: Vec<usize> = (0..10).map(|n| spec.owner_of(n)).collect();
         assert_eq!(owners, vec![0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
+        let ranges: Vec<Range<usize>> = (0..4).map(|p| spec.range(p)).collect();
+        assert_eq!(ranges, vec![0..3, 3..6, 6..9, 9..10]);
     }
 
     #[test]
@@ -333,19 +177,9 @@ mod tests {
         let spec = PartitionSpec::block(2, 5).unwrap();
         assert_eq!(spec.owner_of(0), 0);
         assert_eq!(spec.owner_of(1), 1);
-    }
-
-    #[test]
-    fn hash_owner_is_seed_deterministic() {
-        let a = PartitionSpec::hash(64, 4, 9).unwrap();
-        let b = PartitionSpec::hash(64, 4, 9).unwrap();
-        let c = PartitionSpec::hash(64, 4, 10).unwrap();
-        let owners_a: Vec<usize> = (0..64).map(|n| a.owner_of(n)).collect();
-        let owners_b: Vec<usize> = (0..64).map(|n| b.owner_of(n)).collect();
-        let owners_c: Vec<usize> = (0..64).map(|n| c.owner_of(n)).collect();
-        assert_eq!(owners_a, owners_b);
-        assert_ne!(owners_a, owners_c, "different seed shuffles ownership");
-        assert!(owners_a.iter().all(|&p| p < 4));
+        assert!((2..5).all(|p| spec.range(p).is_empty()));
+        // Far past the last partition the range stays empty, not wrapped.
+        assert!(spec.range(usize::MAX).is_empty());
     }
 
     #[test]
@@ -360,16 +194,6 @@ mod tests {
     fn spec_graph_mismatch_rejected() {
         let spec = PartitionSpec::block(5, 2).unwrap();
         assert!(partition(&ring(6), &spec, 1).is_err());
-        assert!(partition_one(&ring(6), &spec, 0, 1).is_err());
-    }
-
-    #[test]
-    fn part_out_of_range_rejected() {
-        let spec = PartitionSpec::block(6, 2).unwrap();
-        assert!(matches!(
-            partition_one(&ring(6), &spec, 2, 1),
-            Err(GraphError::InvalidParameter { name: "part", .. })
-        ));
     }
 
     #[test]
@@ -377,26 +201,12 @@ mod tests {
         let spec = PartitionSpec::block(6, 2).unwrap();
         let parts = partition(&ring(6), &spec, 1).unwrap();
         assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].owned(), &[0, 1, 2]);
-        assert_eq!(parts[0].halo(), &[3, 5]);
-        assert_eq!(parts[0].closure().ids, &[0, 1, 2, 3, 5]);
-        assert_eq!(parts[1].owned(), &[3, 4, 5]);
-        assert_eq!(parts[1].halo(), &[0, 2]);
+        assert_eq!(parts[0].ids, &[0, 1, 2, 3, 5]);
+        assert_eq!(parts[1].ids, &[0, 2, 3, 4, 5]);
         // Local graph keeps the induced edges; degrees come from the ring.
-        assert_eq!(parts[0].closure().degrees, &[2, 2, 2, 2, 2]);
-        assert!(parts[0].closure().graph.has_edge(2, 3)); // local 2-3 edge
-        assert_eq!(parts[0].closure().local_id(5), Some(4));
-        assert!(parts[0].owns(1) && !parts[0].owns(4));
-    }
-
-    #[test]
-    fn partition_one_matches_partition() {
-        let g = ring(12);
-        let spec = PartitionSpec::hash(12, 3, 7).unwrap();
-        let all = partition(&g, &spec, 2).unwrap();
-        for (p, expected) in all.iter().enumerate() {
-            assert_eq!(&partition_one(&g, &spec, p, 2).unwrap(), expected);
-        }
+        assert_eq!(parts[0].degrees, &[2, 2, 2, 2, 2]);
+        assert!(parts[0].graph.has_edge(2, 3)); // local 2-3 edge
+        assert_eq!(parts[0].local_id(5), Some(4));
     }
 
     #[test]
@@ -404,19 +214,17 @@ mod tests {
         let g = Graph::empty(1);
         let spec = PartitionSpec::block(1, 1).unwrap();
         let parts = partition(&g, &spec, 1).unwrap();
-        assert_eq!(parts[0].owned(), &[0]);
-        assert!(parts[0].halo().is_empty());
-        assert_eq!(parts[0].closure().graph.num_nodes(), 1);
+        assert_eq!(parts[0].ids, &[0]);
+        assert_eq!(parts[0].graph.num_nodes(), 1);
     }
 
     #[test]
     fn edge_free_graph_has_empty_halos() {
         let g = Graph::empty(8);
         let spec = PartitionSpec::block(8, 4).unwrap();
-        for p in partition(&g, &spec, 3).unwrap() {
-            assert!(p.halo().is_empty());
-            assert_eq!(p.closure().graph.num_edges(), 0);
-            assert_eq!(p.owned().len(), 2);
+        for (part, p) in partition(&g, &spec, 3).unwrap().iter().enumerate() {
+            assert!(p.ids.iter().copied().eq(spec.range(part)));
+            assert_eq!(p.graph.num_edges(), 0);
         }
     }
 
@@ -426,10 +234,10 @@ mod tests {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]).unwrap();
         let spec = PartitionSpec::block(6, 2).unwrap();
         let parts = partition(&g, &spec, 2).unwrap();
-        assert!(parts[0].halo().is_empty());
-        assert!(parts[1].halo().is_empty());
-        assert_eq!(parts[0].closure().graph.num_edges(), 3);
-        assert_eq!(parts[1].closure().graph.num_edges(), 3);
+        assert_eq!(parts[0].ids, &[0, 1, 2]);
+        assert_eq!(parts[1].ids, &[3, 4, 5]);
+        assert_eq!(parts[0].graph.num_edges(), 3);
+        assert_eq!(parts[1].graph.num_edges(), 3);
     }
 
     #[test]
@@ -459,19 +267,15 @@ mod tests {
         let full_adj = crate::normalization::gcn_normalize(&g);
         let full = full_adj.spmm(&full_adj.spmm(&x).unwrap()).unwrap();
 
-        for spec in [
-            PartitionSpec::block(9, 3).unwrap(),
-            PartitionSpec::hash(9, 2, 42).unwrap(),
-        ] {
-            for p in partition(&g, &spec, 2).unwrap() {
-                let local_x = x.select_rows(&p.closure().ids).unwrap();
-                let local_adj = crate::normalization::gcn_normalize_with_degrees(
-                    &p.closure().graph,
-                    &p.closure().degrees,
-                );
+        for parts in [2, 3, 4] {
+            let spec = PartitionSpec::block(9, parts).unwrap();
+            for (part, p) in partition(&g, &spec, 2).unwrap().iter().enumerate() {
+                let local_x = x.select_rows(&p.ids).unwrap();
+                let local_adj =
+                    crate::normalization::gcn_normalize_with_degrees(&p.graph, &p.degrees);
                 let local = local_adj.spmm(&local_adj.spmm(&local_x).unwrap()).unwrap();
-                for &global in p.owned() {
-                    let l = p.closure().local_id(global).unwrap();
+                for global in spec.range(part) {
+                    let l = p.local_id(global).unwrap();
                     for c in 0..3 {
                         assert_eq!(
                             full.get(global, c).to_bits(),
@@ -484,74 +288,89 @@ mod tests {
         }
     }
 
+    #[test]
+    fn range_is_exactly_the_nodes_owner_of_assigns() {
+        // Every spec up to 40 nodes and 60 partitions, so parts > nodes
+        // (trailing partitions own nothing) and the empty graph are in.
+        for n in 0..40 {
+            for nparts in 1..60 {
+                let spec = PartitionSpec::block(n, nparts).unwrap();
+                let mut covered = 0;
+                for part in 0..nparts {
+                    let range = spec.range(part);
+                    assert_eq!(range.start, covered, "{n}/{nparts}: blocks tile the ids");
+                    covered = range.end;
+                    for node in range {
+                        assert_eq!(spec.owner_of(node), part, "{n}/{nparts}: node {node}");
+                    }
+                }
+                assert_eq!(covered, n, "{n}/{nparts}: blocks cover every node");
+                assert!(spec.range(nparts).is_empty());
+            }
+        }
+    }
+
     /// Random sparse graph over `n` nodes from an edge-probability mask.
-    fn random_case(n: usize, seed: u64, parts: usize, hash: bool) -> (Graph, PartitionSpec) {
+    fn random_case(n: usize, seed: u64, parts: usize) -> (Graph, PartitionSpec) {
         let mut edges = Vec::new();
-        let mut state = seed;
+        let mut state = seed | 1;
         for u in 0..n {
             for v in (u + 1)..n {
-                state = splitmix64(state);
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
                 if state % 100 < 18 {
                     edges.push((u, v));
                 }
             }
         }
         let g = Graph::from_edges(n, &edges).unwrap();
-        let spec = if hash {
-            PartitionSpec::hash(n, parts, seed).unwrap()
-        } else {
-            PartitionSpec::block(n, parts).unwrap()
-        };
-        (g, spec)
+        (g, PartitionSpec::block(n, parts).unwrap())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn every_node_owned_by_exactly_one_partition(
+        fn every_closure_holds_its_block_and_the_blocks_cover_the_graph(
             n in 1usize..20,
             seed in any::<u64>(),
             nparts in 1usize..5,
-            hash in any::<bool>(),
         ) {
-            let (g, spec) = random_case(n, seed, nparts, hash);
+            let (g, spec) = random_case(n, seed, nparts);
             let parts = partition(&g, &spec, 1).unwrap();
+            prop_assert_eq!(parts.len(), nparts);
             let mut owner_count = vec![0usize; g.num_nodes()];
-            for p in &parts {
-                for &n in p.owned() {
-                    owner_count[n] += 1;
-                    prop_assert_eq!(spec.owner_of(n), p.part());
+            for (part, p) in parts.iter().enumerate() {
+                for node in spec.range(part) {
+                    owner_count[node] += 1;
+                    prop_assert!(p.local_id(node).is_some(), "owned node {} in closure", node);
                 }
-                // Owned and halo are disjoint; their union is the closure.
-                let owned: BTreeSet<usize> = p.owned().iter().copied().collect();
-                let halo: BTreeSet<usize> = p.halo().iter().copied().collect();
-                prop_assert!(owned.is_disjoint(&halo));
-                let union: Vec<usize> = owned.union(&halo).copied().collect();
-                prop_assert_eq!(&union[..], p.closure().ids);
             }
             prop_assert!(owner_count.iter().all(|&c| c == 1));
         }
 
         #[test]
-        fn halo_is_exactly_the_out_of_partition_one_hop_neighbours(
+        fn halo_is_exactly_the_one_hop_neighbours_outside_the_block(
             n in 1usize..20,
             seed in any::<u64>(),
             nparts in 1usize..5,
-            hash in any::<bool>(),
         ) {
-            let (g, spec) = random_case(n, seed, nparts, hash);
-            for p in partition(&g, &spec, 1).unwrap() {
+            let (g, spec) = random_case(n, seed, nparts);
+            for (part, p) in partition(&g, &spec, 1).unwrap().iter().enumerate() {
+                let owned = spec.range(part);
                 let mut expected = BTreeSet::new();
-                for &n in p.owned() {
-                    for v in g.neighbors(n) {
-                        if spec.owner_of(v) != p.part() {
+                for node in owned.clone() {
+                    for v in g.neighbors(node) {
+                        if !owned.contains(&v) {
                             expected.insert(v);
                         }
                     }
                 }
                 let expected: Vec<usize> = expected.into_iter().collect();
-                prop_assert_eq!(&expected[..], p.halo());
+                let halo: Vec<usize> =
+                    p.ids.iter().copied().filter(|v| !owned.contains(v)).collect();
+                prop_assert_eq!(expected, halo);
             }
         }
 
@@ -560,28 +379,22 @@ mod tests {
             n in 1usize..20,
             seed in any::<u64>(),
             nparts in 1usize..5,
-            hash in any::<bool>(),
         ) {
-            let (g, spec) = random_case(n, seed, nparts, hash);
+            let (g, spec) = random_case(n, seed, nparts);
             let parts = partition(&g, &spec, 1).unwrap();
-            let mut nodes = BTreeSet::new();
             let mut edges = BTreeSet::new();
             for p in &parts {
-                nodes.extend(p.owned().iter().copied());
-                for &(lu, lv) in p.closure().graph.edges() {
-                    let (gu, gv) = (p.closure().ids[lu], p.closure().ids[lv]);
+                for &(lu, lv) in p.graph.edges() {
+                    let (gu, gv) = (p.ids[lu], p.ids[lv]);
                     edges.insert((gu.min(gv), gu.max(gv)));
                 }
                 // Degrees are the full-graph degrees.
                 let full_deg = g.degrees();
-                for (l, &global) in p.closure().ids.iter().enumerate() {
-                    prop_assert_eq!(p.closure().degrees[l], full_deg[global]);
-                    prop_assert!(p.closure().graph.degree(l) <= full_deg[global]);
+                for (l, &global) in p.ids.iter().enumerate() {
+                    prop_assert_eq!(p.degrees[l], full_deg[global]);
+                    prop_assert!(p.graph.degree(l) <= full_deg[global]);
                 }
             }
-            let all: Vec<usize> = nodes.into_iter().collect();
-            let expect: Vec<usize> = (0..g.num_nodes()).collect();
-            prop_assert_eq!(all, expect);
             // A 1-hop halo already recovers every edge: each edge has an
             // owner-side endpoint whose partition pulled the other in.
             let got: Vec<(usize, usize)> = edges.into_iter().collect();

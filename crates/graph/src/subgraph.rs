@@ -314,17 +314,11 @@ mod tests {
             prop_assert_eq!(&ego, &brute_force(&g, &seeds[..1], hops));
             prop_assert!(ego.local_id(seeds[0]).is_some());
 
-            // An owned set is the graph partition as it was: owned by the
-            // spec, halo the rest of the closure.
-            let spec = PartitionSpec::hash(n, nparts, n as u64).unwrap();
-            for p in partition(&g, &spec, hops).unwrap() {
-                let owned: Vec<usize> = (0..n).filter(|&v| spec.owner_of(v) == p.part()).collect();
-                let expect = brute_force(&g, &owned, hops);
-                let halo: Vec<usize> =
-                    expect.ids.iter().copied().filter(|v| !owned.contains(v)).collect();
-                prop_assert_eq!(p.owned(), &owned[..]);
-                prop_assert_eq!(p.halo(), &halo[..]);
-                prop_assert_eq!(p.closure(), &expect);
+            // An owned block is the graph partition as it was.
+            let spec = PartitionSpec::block(n, nparts).unwrap();
+            for (part, p) in partition(&g, &spec, hops).unwrap().iter().enumerate() {
+                let owned: Vec<usize> = spec.range(part).collect();
+                prop_assert_eq!(p, &brute_force(&g, &owned, hops));
             }
         }
     }

@@ -271,8 +271,6 @@ impl Session {
     /// Feeds one request's nodes through the sliding window and the
     /// pair tracker.
     fn observe(&mut self, nodes: &[usize], window: usize, substitute: Option<&Graph>) {
-        self.requests += 1;
-        self.nodes += nodes.len() as u64;
         for &node in nodes {
             let fresh = self.seen.insert(node);
             if self.fresh_flags.len() == window
@@ -487,6 +485,8 @@ impl Sentinel {
         self.observed_requests.fetch_add(1, Ordering::Relaxed);
         self.observed_nodes
             .fetch_add(nodes.len() as u64, Ordering::Relaxed);
+        // Counted before the quarantine check, so rejected requests
+        // still show in the session's totals.
         session.requests += 1;
         session.nodes += nodes.len() as u64;
 
@@ -498,11 +498,6 @@ impl Sentinel {
             return Err(ServeError::Quarantined { client });
         }
 
-        // observe() counts the request itself; undo the pre-count above
-        // (kept so rejected-at-quarantine requests still show in the
-        // session's request totals).
-        session.requests -= 1;
-        session.nodes -= nodes.len() as u64;
         session.observe(nodes, self.config.window, self.substitute.as_deref());
         let newly_quarantined = session.evaluate(&self.config);
         if newly_quarantined {
