@@ -47,7 +47,7 @@ impl RectifierKind {
     /// The scheme as a [`Network::wired`] wiring: which backbone
     /// embeddings each of `rectifier_layers` layers reads, after the
     /// previous rectifier activation for every layer but the first.
-    /// The rectifier's tap set, its layer widths (snapshot decoding)
+    /// The rectifier's tap set, its layer fan-ins (snapshot decoding)
     /// and its activation sizes (EPC accounting) all follow from it.
     pub fn wiring(&self, backbone_layers: usize, rectifier_layers: usize) -> Vec<Vec<usize>> {
         (0..rectifier_layers)

@@ -1,51 +1,57 @@
 //! Sealed vault snapshots: a deterministic byte serialization of a
-//! trained, deployed [`Vault`](crate::Vault).
+//! trained, deployed [`Vault`](crate::Vault), and the one place it is
+//! sealed and opened.
 //!
 //! A snapshot captures everything a replica needs to answer queries
 //! bit-identically to the source vault — backbone weights (and the
-//! public substitute graph), rectifier weights, the tap-set wiring, the
-//! private real graph, and the deployment's enclave configuration
-//! (EPC budget, cost model, over-budget policy) — but *not* the public
-//! feature corpus, which lives in the untrusted world and is supplied
-//! at serving time.
+//! public substitute graph), rectifier weights, the private real graph,
+//! and the deployment's enclave configuration (EPC budget, cost model,
+//! over-budget policy) — but *not* the public feature corpus, which
+//! lives in the untrusted world and is supplied at serving time.
 //!
 //! The payload is sealed with [`tee::Sealed`] under a key derived from
-//! the deployment's [`SealKey`](tee::SealKey) (purpose
-//! `"vault-snapshot"`), mirroring SGX sealing-for-migration: the bytes
-//! can sit on untrusted storage or cross to another worker, and only a
-//! holder of the deployment key can rehydrate them
-//! ([`Vault::restore`](crate::Vault::restore)). Encoding is
+//! the deployment's [`SealKey`] *and* the image's clear metadata —
+//! epoch, node count and partition stamp — the way SGX sealing binds
+//! clear metadata as associated data. Only a holder of the deployment
+//! key can rehydrate the bytes
+//! ([`Vault::restore`](crate::Vault::restore)), and only under the
+//! metadata they were sealed with: a relabeled epoch, node count or
+//! stamp derives another key and fails as
+//! [`TeeError::SealTampered`](tee::TeeError::SealTampered). Encoding is
 //! deterministic — same vault, same bytes — and restoration preserves
 //! the source vault's epoch, so replicas of one snapshot share a cache
-//! identity: `(epoch, node)` keys mean the same answer on every
-//! replica.
+//! identity.
 //!
-//! There is one payload form: one magic, one flags byte, and a body
-//! whose sections the flags select (little-endian throughout, like
-//! [`tee::codec`]; both sides are always built from the same binary, so
-//! any other magic — including the retired `GV_SNAP1`–`GV_SNAP5` — and
-//! any undefined flag bit is rejected, not migrated):
+//! The payload states each fact once: nothing the clear metadata fixes
+//! (epoch, node counts, the partition), nothing a matrix already read
+//! gives (every layer width), nothing [`RectifierKind::wiring`] gives
+//! (the tap set, each rectifier layer's fan-in). There is one form
+//! (little-endian, like [`tee::codec`]; both sides are always built
+//! from the same binary, so any other magic — the retired
+//! `GV_SNAP1`–`GV_SNAP6` included — and any undefined flag bit — the
+//! retired partition bit 0 included — is rejected, not migrated):
 //!
 //! ```text
-//! magic u64 ("GV_SNAP6")
-//! flags u8            bit 0: partition image   bit 1: int8 projections
-//! epoch u64 | num_global_nodes u64
+//! magic u64 ("GV_SNAP7")
+//! flags u8            bit 1: int8 projections
 //! config:    epc_budget u64 | cost{transition,per_byte,page_swap,slowdown} u64×4
 //!            | policy u8
 //! backbone:  tag u8 (0 with substitute, 1 without — the DNN backbone)
 //!              0: substitute kind (tag u8 + payload) | substitute graph
 //!            | network
-//! rectifier: kind u8 | conv u8 | backbone_dims | channels | taps
-//!            | per layer (count u64, projection, count-1 matrices)
+//! rectifier: kind u8 | conv u8 | network
 //! scope:     full image:      real graph
-//!            partition image: part u64 | parts u64 | closure ids (global
-//!                             ids) | closure degrees | closure graph
+//!            partition image: closure ids (global ids) | closure degrees
+//!                             | closure graph
 //! ```
 //!
-//! where `network` is `input_dim u64 | layers u64 | per layer (in u64,
-//! out u64, projection, bias matrix)`, a matrix is `rows u64 | cols u64
-//! | f32-LE data`, a list is `len u64 | u64 items`, and a graph is
-//! `num_nodes u64 | num_edges u64 | (u,v) u64 pairs`.
+//! where `network` is `layers u64 | every layer's projection | every
+//! layer's remaining parameters (bias, attention vectors) as matrices`,
+//! a matrix is `rows u64 | cols u64 | f32-LE data`, a list is `len u64
+//! | u64 items`, and a graph is `num_edges u64 | (u,v) u64 pairs` over
+//! the node count the clear metadata fixes (for a closure graph, the
+//! closure's id count). Nothing ahead of the scope section depends on
+//! the image, so [`seal`] encodes it once for every image it seals.
 //!
 //! A *projection* is the one slot the int8 flag changes: an f32 matrix
 //! when the flag is clear, `out_dim u64 | in_dim u64 | i8 codes | f32
@@ -65,19 +71,17 @@
 //! the closure's global-id map, the full-graph degree vector, and the
 //! induced local COO — while keeping the shared backbone/rectifier
 //! weights. Its owned nodes are not stored: they are the block
-//! [`PartitionSpec::block`]`(num_global_nodes, parts)` assigns to
-//! `part`, the same function the serving router evaluates. Restoring it
-//! builds a *partial* vault that answers only that block —
-//! bit-identically to the full vault, because the closure spans the
-//! rectifier's receptive field and normalization uses the original
-//! degrees.
+//! [`PartitionSpec::block`]`(num_nodes, parts)` assigns to `part`, the
+//! same function the serving router evaluates. Restoring it builds a
+//! *partial* vault that answers only that block — bit-identically to
+//! the full vault, because the closure spans the rectifier's receptive
+//! field and normalization uses the original degrees.
 //!
-//! [`decode`] takes the snapshot's clear metadata (epoch, node count,
-//! partition stamp) and rejects a payload that disagrees with it before
-//! it reads any graph section, and every graph section must declare the
-//! node count that metadata fixes (the whole deployment's, or the
-//! closure's). No allocation is sized from a count the payload alone
-//! declares.
+//! [`decode`] reads each network's architecture off its projections,
+//! which come first and whose element counts the payload's length
+//! bounds, and checks the layer chain and the wiring's fan-ins on them
+//! before any [`Network`] is built. No allocation is sized from a count
+//! the payload alone declares.
 
 use crate::backbone::Substitute;
 use crate::{Backbone, Precision, Rectifier, RectifierKind, SubstituteKind, VaultError};
@@ -85,24 +89,21 @@ use graph::partition::PartitionSpec;
 use graph::subgraph::Closure;
 use graph::Graph;
 use linalg::{DenseMatrix, QuantizedMatrix};
-use nn::{ConvKind, Network, Param};
-use tee::{CostModel, OverBudgetPolicy, Sealed};
+use nn::{ConvKind, Network};
+use tee::{CostModel, OverBudgetPolicy, SealKey, Sealed};
 
 /// Format marker at offset 0 of every snapshot payload.
-const MAGIC: u64 = 0x4756_5F53_4E41_5036; // "GV_SNAP6"
-
-/// Flag bit: the scope section is one partition, not the full graph.
-const FLAG_PARTITION: u8 = 1 << 0;
+const MAGIC: u64 = 0x4756_5F53_4E41_5037; // "GV_SNAP7"
 
 /// Flag bit: projection slots hold int8 codes + scales, not f32.
 const FLAG_INT8: u8 = 1 << 1;
 
 /// Which partition a sealed snapshot carries — clear routing metadata
-/// on a [`VaultSnapshot`], mirrored (and cross-checked) inside the
-/// sealed payload, and all a partition replica keeps of its ownership:
-/// it owns the block [`PartitionSpec::block`]`(num_nodes, parts)`
-/// assigns to `part`. Ownership is a pure function of the node id, so
-/// exposing `part`/`parts` reveals nothing about the private edges.
+/// on a [`VaultSnapshot`], bound to its sealed payload through the
+/// key, and all a partition replica keeps of its ownership: it owns the
+/// block [`PartitionSpec::block`]`(num_nodes, parts)` assigns to
+/// `part`. Ownership is a pure function of the node id, so exposing
+/// `part`/`parts` reveals nothing about the private edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotPartition {
     pub(crate) part: usize,
@@ -124,11 +125,12 @@ impl SnapshotPartition {
 /// A sealed, deployable image of a trained vault.
 ///
 /// Produced by [`Vault::snapshot`](crate::Vault::snapshot); consumed by
-/// [`Vault::restore`](crate::Vault::restore). The epoch and corpus size
-/// are exposed in the clear (they are serving-layer routing metadata,
-/// not secrets — the untrusted world already knows both); everything
-/// else, including the private real graph and rectifier weights, lives
-/// only inside the sealed payload.
+/// [`Vault::restore`](crate::Vault::restore). The epoch, corpus size
+/// and partition stamp are exposed in the clear (they are serving-layer
+/// routing metadata, not secrets — the untrusted world already knows
+/// them) and authenticated by the seal; everything else, including the
+/// private real graph and rectifier weights, lives only inside the
+/// sealed payload.
 ///
 /// # Examples
 ///
@@ -168,32 +170,39 @@ impl VaultSnapshot {
         self.sealed.len()
     }
 
-    /// Wraps an already-sealed payload with its clear metadata
-    /// (crate-internal; use [`Vault::snapshot`](crate::Vault::snapshot)
-    /// or [`Vault::partition_snapshots`](crate::Vault::partition_snapshots)).
-    pub(crate) fn new(
-        epoch: u64,
-        num_nodes: usize,
-        partition: Option<SnapshotPartition>,
-        sealed: Sealed,
-    ) -> Self {
-        Self {
-            epoch,
-            num_nodes,
-            partition,
-            sealed,
-        }
-    }
-
-    /// The sealed payload (crate-internal; `Vault::restore` unseals it).
-    pub(crate) fn sealed(&self) -> &Sealed {
-        &self.sealed
+    /// The payload, unsealed under the key `deployment_key` and this
+    /// image's clear metadata derive.
+    pub(crate) fn payload(
+        &self,
+        deployment_key: SealKey,
+    ) -> Result<impl std::ops::Deref<Target = [u8]>, VaultError> {
+        let key = image_key(deployment_key, self.epoch, self.num_nodes, self.partition);
+        Ok(self.sealed.unseal(key)?)
     }
 }
 
+/// The key one image is sealed under: the deployment key's
+/// `"vault-snapshot"` subkey, specialised to the image's clear
+/// metadata, so a full image and every `(part, parts)` of every epoch
+/// and node count get distinct keys.
+fn image_key(
+    deployment_key: SealKey,
+    epoch: u64,
+    num_nodes: usize,
+    partition: Option<SnapshotPartition>,
+) -> SealKey {
+    let scope = match partition {
+        Some(SnapshotPartition { part, parts }) => format!("part {part} of {parts}"),
+        None => "full".to_owned(),
+    };
+    deployment_key
+        .derive("vault-snapshot")
+        .derive(&format!("epoch {epoch} nodes {num_nodes} {scope}"))
+}
+
 /// Everything of a deployment that is the same whichever share of the
-/// private graph an image carries: what [`encode`] writes ahead of the
-/// scope section.
+/// private graph an image carries: the clear metadata [`seal`] stamps
+/// on every image, and what it encodes once ahead of the scope section.
 pub(crate) struct Header<'a> {
     pub epoch: u64,
     /// Node count of the whole deployment (the query id space).
@@ -208,7 +217,7 @@ pub(crate) struct Header<'a> {
     pub precision: Precision,
 }
 
-/// The owned parts of one deployment: what [`decode`] returns and what
+/// The owned parts of one deployment: what [`open`] returns and what
 /// the vault installs, whether they came from a payload
 /// ([`Vault::restore`](crate::Vault::restore)) or from training
 /// ([`Vault::deploy`](crate::Vault::deploy)). `resident` is the private
@@ -232,6 +241,53 @@ pub(crate) struct Deployment {
     pub partition: Option<SnapshotPartition>,
 }
 
+/// Seals one image per `(partition, resident)` share of a deployment's
+/// private graph — `resident` a partition's closure when `partition`
+/// names it, else the whole real graph. The header is encoded once into
+/// one buffer; each image is that buffer cut back to the header plus
+/// its own scope section, sealed under the key its clear metadata
+/// derives from `deployment_key`.
+pub(crate) fn seal<'c>(
+    deployment_key: SealKey,
+    h: &Header<'_>,
+    shares: impl IntoIterator<Item = (Option<SnapshotPartition>, &'c Closure)>,
+) -> Vec<VaultSnapshot> {
+    let mut w = encode_header(h);
+    let header_len = w.buf.len();
+    shares
+        .into_iter()
+        .map(|(partition, resident)| {
+            w.buf.truncate(header_len);
+            if partition.is_some() {
+                w.put_usizes(&resident.ids);
+                w.put_usizes(&resident.degrees);
+            }
+            w.put_graph(&resident.graph);
+            let key = image_key(deployment_key, h.epoch, h.num_nodes, partition);
+            VaultSnapshot {
+                epoch: h.epoch,
+                num_nodes: h.num_nodes,
+                partition,
+                sealed: Sealed::seal(key, &w.buf),
+            }
+        })
+        .collect()
+}
+
+/// Unseals `snapshot` under `deployment_key` and decodes it.
+///
+/// # Errors
+///
+/// [`VaultError::Tee`] for a wrong key, a corrupted payload or
+/// relabeled clear metadata; [`VaultError::Snapshot`] (or a typed
+/// construction error) for a payload that unseals but does not decode.
+pub(crate) fn open(
+    snapshot: &VaultSnapshot,
+    deployment_key: SealKey,
+) -> Result<Deployment, VaultError> {
+    decode(&snapshot.payload(deployment_key)?, snapshot)
+}
+
 /// Shorthand for decode failures.
 fn bad(reason: impl Into<String>) -> VaultError {
     VaultError::Snapshot {
@@ -243,16 +299,12 @@ fn bad(reason: impl Into<String>) -> VaultError {
 // Byte writer / reader
 // ---------------------------------------------------------------------
 
-/// Append-only little-endian payload writer.
+/// Little-endian payload writer.
 struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
-    }
-
     fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -306,18 +358,26 @@ impl Writer {
         }
     }
 
-    /// A layer's parameters in `params()` order: param 0, the
-    /// projection weight of every conv kind, through the projection
-    /// slot; the rest (bias, attention vectors) as f32 matrices.
-    fn put_params(&mut self, params: &[&Param], precision: Precision) {
-        self.put_projection(&params[0].value, precision);
-        for p in &params[1..] {
-            self.put_matrix(&p.value);
+    /// A network's parameters: param 0 of every layer — the projection
+    /// weight of every conv kind, whose shape is the layer's — through
+    /// the projection slot first, so a reader has the whole
+    /// architecture before it builds anything; then each layer's other
+    /// parameters (bias, attention vectors) in `params()` order as f32
+    /// matrices.
+    fn put_network(&mut self, network: &Network, precision: Precision) {
+        let layers = network.layers();
+        self.put_usize(layers.len());
+        for layer in layers {
+            self.put_projection(&layer.params()[0].value, precision);
+        }
+        for layer in layers {
+            for p in &layer.params()[1..] {
+                self.put_matrix(&p.value);
+            }
         }
     }
 
     fn put_graph(&mut self, g: &Graph) {
-        self.put_usize(g.num_nodes());
         self.put_usize(g.num_edges());
         for &(u, v) in g.edges() {
             self.put_usize(u);
@@ -417,9 +477,11 @@ impl<'a> Reader<'a> {
     fn get_qmatrix(&mut self) -> Result<DenseMatrix, VaultError> {
         let out_dim = self.get_count(4, "channel")?;
         let in_dim = self.get_usize()?;
+        // Empty is as implausible as too large: dequantizing a `0 × n`
+        // slot would walk all `n` rows.
         let n = out_dim
             .checked_mul(in_dim)
-            .filter(|&n| n <= self.buf.len())
+            .filter(|&n| 0 < n && n <= self.buf.len())
             .ok_or_else(|| bad("implausible quantized matrix dimensions"))?;
         let data: Vec<i8> = self.take(n)?.iter().map(|&b| b as i8).collect();
         if data.contains(&i8::MIN) {
@@ -445,46 +507,63 @@ impl<'a> Reader<'a> {
         Ok(weight)
     }
 
-    /// Reads a projection slot in the form the int8 flag selects and
-    /// returns the f32 weight a layer is restored with. An empty weight
-    /// is rejected — a `0 × n` matrix costs the payload nothing, so its
-    /// `n` would be the one dimension the payload's length does not
-    /// bound.
-    fn get_projection(&mut self, precision: Precision) -> Result<DenseMatrix, VaultError> {
-        let weight = match precision {
-            Precision::F32 => self.get_matrix()?,
-            Precision::Int8 => self.get_qmatrix()?,
-        };
-        if weight.rows() == 0 || weight.cols() == 0 {
-            return Err(bad("projection weight has no elements"));
+    /// A network's projections, as [`Writer::put_network`] writes them
+    /// and in the form the int8 flag selects: the f32 weight each layer
+    /// is restored with. An empty weight is rejected — a `0 × n` matrix
+    /// costs the payload nothing, so its `n` would be the one dimension
+    /// the payload's length does not bound.
+    fn get_projections(&mut self, precision: Precision) -> Result<Vec<DenseMatrix>, VaultError> {
+        // An f32 slot holds at least a 16-byte shape and one weight.
+        let layers = self.get_count(20, "layer")?;
+        let mut projections = Vec::with_capacity(layers);
+        for _ in 0..layers {
+            let weight = match precision {
+                Precision::F32 => self.get_matrix()?,
+                Precision::Int8 => self.get_qmatrix()?,
+            };
+            if weight.rows() == 0 || weight.cols() == 0 {
+                return Err(bad("projection weight has no elements"));
+            }
+            projections.push(weight);
         }
-        Ok(weight)
+        Ok(projections)
     }
 
-    /// `count` parameters as [`Writer::put_params`] writes them.
+    /// Fills a network built from `projections` with them and with the
+    /// rest of [`Writer::put_network`]'s section, each parameter held to
+    /// the shape the architecture gives it (gradients and optimizer
+    /// moments stay zeroed — they are training state, not deployment
+    /// state).
     fn get_params(
         &mut self,
-        count: usize,
-        precision: Precision,
-    ) -> Result<Vec<DenseMatrix>, VaultError> {
-        let mut values = vec![self.get_projection(precision)?];
-        for _ in 1..count {
-            values.push(self.get_matrix()?);
+        network: &mut Network,
+        projections: Vec<DenseMatrix>,
+        what: &str,
+    ) -> Result<(), VaultError> {
+        for (layer, projection) in network.layers_mut().iter_mut().zip(projections) {
+            let mut projection = Some(projection);
+            for param in layer.params_mut() {
+                let value = match projection.take() {
+                    Some(weight) => weight,
+                    None => self.get_matrix()?,
+                };
+                if value.shape() != param.value.shape() {
+                    return Err(bad(format!(
+                        "{what} parameter is {:?} where the architecture has {:?}",
+                        value.shape(),
+                        param.value.shape()
+                    )));
+                }
+                param.value = value;
+            }
         }
-        Ok(values)
+        Ok(())
     }
 
-    /// A graph section, which must declare `num_nodes` nodes: the count
-    /// the clear metadata (or the closure list already read) fixes, so
-    /// nothing downstream sizes a per-node allocation from the payload
-    /// alone.
+    /// A graph section over `num_nodes` nodes: the count the clear
+    /// metadata (or the closure list already read) fixes, so nothing
+    /// sizes a per-node allocation from the payload alone.
     fn get_graph(&mut self, num_nodes: usize) -> Result<Graph, VaultError> {
-        let declared = self.get_usize()?;
-        if declared != num_nodes {
-            return Err(bad(format!(
-                "graph section declares {declared} nodes where {num_nodes} are expected"
-            )));
-        }
         let num_edges = self.get_count(16, "edge")?;
         let mut pairs = Vec::with_capacity(num_edges);
         for _ in 0..num_edges {
@@ -498,25 +577,15 @@ impl<'a> Reader<'a> {
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Encodes a deployment into the deterministic snapshot payload
-/// (pre-sealing): the shared header, then the scope section — all of
-/// `resident` as one partition's closure when `partition` names it (a
-/// partition image), else just its graph, the whole real graph (a
-/// replica image).
-pub(crate) fn encode(
-    h: &Header<'_>,
-    partition: Option<SnapshotPartition>,
-    resident: &Closure,
-) -> Vec<u8> {
-    let mut w = Writer::new();
+/// Encodes everything ahead of the scope section — the part of the
+/// payload every image of one deployment shares.
+fn encode_header(h: &Header<'_>) -> Writer {
+    let mut w = Writer { buf: Vec::new() };
     w.put_u64(MAGIC);
-    let partition_flag = partition.map_or(0, |_| FLAG_PARTITION);
     w.put_u8(match h.precision {
-        Precision::F32 => partition_flag,
-        Precision::Int8 => partition_flag | FLAG_INT8,
+        Precision::F32 => 0,
+        Precision::Int8 => FLAG_INT8,
     });
-    w.put_u64(h.epoch);
-    w.put_usize(h.num_nodes);
 
     w.put_usize(h.epc_budget);
     w.put_u64(h.cost.transition_ns);
@@ -528,61 +597,32 @@ pub(crate) fn encode(
         OverBudgetPolicy::Fail => 1,
     });
 
-    encode_backbone(&mut w, h.backbone, h.precision);
-    encode_rectifier(&mut w, h.rectifier, h.precision);
-
-    if let Some(stamp) = partition {
-        w.put_usize(stamp.part);
-        w.put_usize(stamp.parts);
-        w.put_usizes(&resident.ids);
-        w.put_usizes(&resident.degrees);
-    }
-    w.put_graph(&resident.graph);
-    w.buf
-}
-
-fn encode_backbone(w: &mut Writer, backbone: &Backbone, precision: Precision) {
     // The tag says whether a substitute precedes the network.
-    match &backbone.substitute {
+    match &h.backbone.substitute {
         Some(substitute) => {
             w.put_u8(0);
-            encode_substitute_kind(w, &substitute.kind);
+            encode_substitute_kind(&mut w, &substitute.kind);
             w.put_graph(&substitute.graph);
         }
         None => w.put_u8(1),
     }
-    let layers = backbone.network.layers();
-    w.put_usize(layers[0].in_dim());
-    w.put_usize(layers.len());
-    for layer in layers {
-        w.put_usize(layer.in_dim());
-        w.put_usize(layer.out_dim());
-        w.put_params(&layer.params(), precision);
-    }
-}
+    w.put_network(&h.backbone.network, h.precision);
 
-fn encode_rectifier(w: &mut Writer, rectifier: &Rectifier, precision: Precision) {
-    w.put_u8(match rectifier.kind() {
+    w.put_u8(match h.rectifier.kind() {
         RectifierKind::Parallel => 0,
         RectifierKind::Cascaded => 1,
         RectifierKind::Series => 2,
     });
-    w.put_u8(match rectifier.conv() {
+    w.put_u8(match h.rectifier.conv() {
         ConvKind::Gcn => 0,
         ConvKind::Sage => 1,
         ConvKind::Gat => 2,
     });
-    w.put_usizes(&rectifier.backbone_dims);
-    w.put_usizes(&rectifier.channel_dims());
-    w.put_usizes(&rectifier.tap_indices());
-    for layer in rectifier.network.layers() {
-        let params = layer.params();
-        w.put_usize(params.len());
-        w.put_params(&params, precision);
-    }
+    w.put_network(&h.rectifier.network, h.precision);
+    w
 }
 
-/// Moves every weight [`encode`] writes through a projection slot —
+/// Moves every weight [`seal`] writes through a projection slot —
 /// param 0 of every layer of both networks — onto its int8 grid: the
 /// value an int8 slot written from it restores to. An int8 vault holds
 /// only grid weights, so its answers are those of every replica of its
@@ -618,19 +658,17 @@ fn encode_substitute_kind(w: &mut Writer, kind: &SubstituteKind) {
 // Decoding
 // ---------------------------------------------------------------------
 
-/// Decodes the payload sealed inside `clear` back into deployment
-/// parts, validating every shape against the reconstructed architecture
-/// and the payload's own copy of the clear metadata against `clear`'s:
-/// a partition image relabeled as another partition (or as a full
-/// replica), or any epoch or node count the clear side does not carry,
-/// is a forgery, rejected before any graph section is read.
+/// Decodes a payload back into deployment parts under `clear`'s
+/// metadata — which the seal has authenticated, and which fixes the
+/// epoch, every graph's node count and the scope section's form —
+/// validating every shape against the architecture the weights give.
 pub(crate) fn decode(payload: &[u8], clear: &VaultSnapshot) -> Result<Deployment, VaultError> {
     let mut r = Reader::new(payload);
     if r.get_u64()? != MAGIC {
         return Err(bad("bad magic: not a vault snapshot of this format"));
     }
     let flags = r.get_u8()?;
-    if flags & !(FLAG_PARTITION | FLAG_INT8) != 0 {
+    if flags & !FLAG_INT8 != 0 {
         return Err(bad(format!("undefined flag bits in {flags:#010b}")));
     }
     let precision = if flags & FLAG_INT8 != 0 {
@@ -638,16 +676,6 @@ pub(crate) fn decode(payload: &[u8], clear: &VaultSnapshot) -> Result<Deployment
     } else {
         Precision::F32
     };
-    let epoch = r.get_u64()?;
-    let num_global_nodes = r.get_usize()?;
-    if epoch != clear.epoch() || num_global_nodes != clear.num_nodes() {
-        return Err(bad("snapshot metadata disagrees with its sealed payload"));
-    }
-    if (flags & FLAG_PARTITION != 0) != clear.partition().is_some() {
-        return Err(bad(
-            "snapshot partition stamp disagrees with its sealed payload",
-        ));
-    }
 
     let epc_budget = r.get_usize()?;
     let cost = CostModel {
@@ -663,19 +691,18 @@ pub(crate) fn decode(payload: &[u8], clear: &VaultSnapshot) -> Result<Deployment
         t => return Err(bad(format!("unknown over-budget policy tag {t}"))),
     };
 
-    let backbone = decode_backbone(&mut r, precision, num_global_nodes)?;
+    let backbone = decode_backbone(&mut r, precision, clear.num_nodes)?;
     let rectifier = decode_rectifier(&mut r, &backbone, precision)?;
 
-    let partition = clear.partition();
-    let resident = match partition {
-        Some(stamp) => decode_partition_scope(&mut r, num_global_nodes, stamp)?,
-        None => Closure::whole(r.get_graph(num_global_nodes)?),
+    let resident = match clear.partition {
+        Some(stamp) => decode_partition_scope(&mut r, clear.num_nodes, stamp)?,
+        None => Closure::whole(r.get_graph(clear.num_nodes)?),
     };
     r.finish()?;
 
     Ok(Deployment {
-        epoch,
-        num_nodes: num_global_nodes,
+        epoch: clear.epoch,
+        num_nodes: clear.num_nodes,
         epc_budget,
         cost,
         policy,
@@ -683,34 +710,27 @@ pub(crate) fn decode(payload: &[u8], clear: &VaultSnapshot) -> Result<Deployment
         rectifier,
         precision,
         resident,
-        partition,
+        partition: clear.partition,
     })
 }
 
-/// A partition image's scope section, which must be partition `stamp`
-/// of the deployment and whose closure must hold every id of the block
-/// that stamp owns.
+/// A partition image's scope section, whose closure must hold every id
+/// of the block `stamp` owns.
 fn decode_partition_scope(
     r: &mut Reader<'_>,
-    num_global_nodes: usize,
+    num_nodes: usize,
     stamp: SnapshotPartition,
 ) -> Result<Closure, VaultError> {
-    let part = r.get_usize()?;
-    let parts = r.get_usize()?;
-    if (part, parts) != (stamp.part, stamp.parts) {
-        return Err(bad(
-            "snapshot partition stamp disagrees with its sealed payload",
-        ));
-    }
+    let SnapshotPartition { part, parts } = stamp;
     if part >= parts {
         return Err(bad(format!("partition index {part} out of {parts}")));
     }
     // Strictly ascending within bounds: the invariant every closure
     // lookup (binary search) relies on.
     let local_ids = r.get_usizes()?;
-    if local_ids.iter().any(|&n| n >= num_global_nodes) {
+    if local_ids.iter().any(|&n| n >= num_nodes) {
         return Err(bad(format!(
-            "closure list references a node beyond {num_global_nodes}"
+            "closure list references a node beyond {num_nodes}"
         )));
     }
     if local_ids.windows(2).any(|w| w[0] >= w[1]) {
@@ -726,7 +746,7 @@ fn decode_partition_scope(
     }
     let local_graph = r.get_graph(local_ids.len())?;
 
-    let mut owned = PartitionSpec::block(num_global_nodes, parts)
+    let mut owned = PartitionSpec::block(num_nodes, parts)
         .map_err(|e| bad(e.to_string()))?
         .range(part);
     if !owned.all(|n| local_ids.binary_search(&n).is_ok()) {
@@ -747,25 +767,10 @@ fn decode_partition_scope(
     })
 }
 
-/// Rejects a declared shape that is not the shape of a matrix actually
-/// read — whose element count the payload's own length bounds — before
-/// any network constructor sizes an allocation from the declaration.
-fn expect_shape(
-    what: &str,
-    declared: (usize, usize),
-    read: &DenseMatrix,
-) -> Result<(), VaultError> {
-    if read.shape() != declared {
-        return Err(bad(format!(
-            "{what} is declared {declared:?} but the payload carries {:?}",
-            read.shape()
-        )));
-    }
-    Ok(())
-}
-
 /// The backbone, whose substitute graph (public, over the whole
-/// corpus) spans the deployment's `num_nodes`.
+/// corpus) spans the deployment's `num_nodes`, and whose GCN chain is
+/// its projections' shapes: the first one's rows are the input width,
+/// each one's rows the previous one's columns.
 fn decode_backbone(
     r: &mut Reader<'_>,
     precision: Precision,
@@ -779,12 +784,27 @@ fn decode_backbone(
         1 => None,
         t => return Err(bad(format!("unknown backbone tag {t}"))),
     };
+    let projections = r.get_projections(precision)?;
+    if let Some(pair) = projections.windows(2).find(|p| p[1].rows() != p[0].cols()) {
+        return Err(bad(format!(
+            "backbone weight of {} rows does not chain from the previous width {}",
+            pair[1].rows(),
+            pair[0].cols()
+        )));
+    }
+    let input_dim = projections.first().map_or(0, DenseMatrix::rows);
+    let channels: Vec<usize> = projections.iter().map(DenseMatrix::cols).collect();
+    let mut network = Network::new(input_dim, &channels, 0)?;
+    r.get_params(&mut network, projections, "backbone")?;
     Ok(Backbone {
-        network: decode_network(r, precision)?,
+        network,
         substitute,
     })
 }
 
+/// The rectifier, whose layer widths are its projections' columns and
+/// whose wiring — tap set and each layer's fan-in — its kind gives over
+/// the decoded backbone's widths.
 fn decode_rectifier(
     r: &mut Reader<'_>,
     backbone: &Backbone,
@@ -802,51 +822,27 @@ fn decode_rectifier(
         2 => ConvKind::Gat,
         t => return Err(bad(format!("unknown convolution tag {t}"))),
     };
-    let backbone_dims = r.get_usizes()?;
-    if backbone_dims != backbone.channel_dims() {
-        return Err(bad(
-            "rectifier wiring disagrees with the decoded backbone's layer widths",
-        ));
-    }
-    let channels = r.get_usizes()?;
-    let taps = r.get_usizes()?;
-
-    // Read every layer's matrices before constructing anything, so the
-    // declared `channels` can be held against them.
-    let mut layer_values = Vec::with_capacity(channels.len());
-    for _ in &channels {
-        let count = r.get_count(16, "rectifier parameter")?;
-        if count == 0 {
-            return Err(bad("rectifier layer has no parameters"));
-        }
-        layer_values.push(r.get_params(count, precision)?);
-    }
-    // Widths first: only once every channel is a (non-empty, hence
-    // payload-bounded) weight's column count is it safe to add them up
-    // into the wiring's expected input widths.
-    let widths: Vec<usize> = layer_values.iter().map(|v| v[0].cols()).collect();
-    if widths != channels {
-        return Err(bad(format!(
-            "rectifier channels are declared {channels:?} but the weights are {widths:?} wide"
-        )));
-    }
+    let projections = r.get_projections(precision)?;
+    // Every channel is a non-empty, hence payload-bounded, weight's
+    // column count, so adding them up into fan-ins cannot run away.
+    let channels: Vec<usize> = projections.iter().map(DenseMatrix::cols).collect();
+    let backbone_dims = backbone.channel_dims();
     let input_widths = Rectifier::input_widths(kind, &channels, &backbone_dims);
-    for ((values, in_dim), &out_dim) in layer_values.iter().zip(input_widths).zip(&channels) {
+    for (weight, in_dim) in projections.iter().zip(input_widths) {
         // A SAGE weight spans the `[H ‖ Ā H]` concatenation.
         let fan_in = match conv {
             ConvKind::Sage => 2 * in_dim,
             ConvKind::Gcn | ConvKind::Gat => in_dim,
         };
-        expect_shape("rectifier weight", (fan_in, out_dim), &values[0])?;
+        if weight.rows() != fan_in {
+            return Err(bad(format!(
+                "rectifier weight of {} rows where the wiring gives its layer a fan-in of {fan_in}",
+                weight.rows()
+            )));
+        }
     }
-
     let mut rectifier = Rectifier::new_with_conv(kind, conv, &channels, &backbone_dims, 0)?;
-    if rectifier.tap_indices() != taps {
-        return Err(bad(
-            "encoded tap-set disagrees with the reconstructed wiring",
-        ));
-    }
-    restore_params(&mut rectifier.network, layer_values, "rectifier")?;
+    r.get_params(&mut rectifier.network, projections, "rectifier")?;
     Ok(rectifier)
 }
 
@@ -861,66 +857,6 @@ fn decode_substitute_kind(r: &mut Reader<'_>) -> Result<SubstituteKind, VaultErr
         },
         t => return Err(bad(format!("unknown substitute kind tag {t}"))),
     })
-}
-
-/// Decodes the backbone's GCN chain: its architecture, then per-layer
-/// `(weight, bias)` values (the weight dequantized for an int8 payload).
-fn decode_network(r: &mut Reader<'_>, precision: Precision) -> Result<Network, VaultError> {
-    let input_dim = r.get_usize()?;
-    let num_layers = r.get_count(8, "layer")?;
-    let mut channels = Vec::with_capacity(num_layers);
-    let mut layer_values = Vec::with_capacity(num_layers);
-    let mut prev = input_dim;
-    for _ in 0..num_layers {
-        let in_dim = r.get_usize()?;
-        let out_dim = r.get_usize()?;
-        if in_dim != prev {
-            return Err(bad(format!(
-                "layer input width {in_dim} does not chain from previous width {prev}"
-            )));
-        }
-        let values = r.get_params(2, precision)?;
-        expect_shape("backbone weight", (in_dim, out_dim), &values[0])?;
-        expect_shape("backbone bias", (1, out_dim), &values[1])?;
-        channels.push(out_dim);
-        layer_values.push(values);
-        prev = out_dim;
-    }
-    let mut network = Network::new(input_dim, &channels, 0)?;
-    restore_params(&mut network, layer_values, "backbone")?;
-    Ok(network)
-}
-
-/// Overwrites a freshly built network's parameter values, layer by
-/// layer in `params_mut()` order, with decoded matrices, rejecting
-/// count and shape mismatches (gradients and optimizer moments stay
-/// zeroed — they are training state, not deployment state).
-fn restore_params(
-    network: &mut Network,
-    layer_values: Vec<Vec<DenseMatrix>>,
-    what: &str,
-) -> Result<(), VaultError> {
-    for (layer, values) in network.layers_mut().iter_mut().zip(layer_values) {
-        let params = layer.params_mut();
-        if values.len() != params.len() {
-            return Err(bad(format!(
-                "{what} layer has {} parameters, payload carries {}",
-                params.len(),
-                values.len()
-            )));
-        }
-        for (param, value) in params.into_iter().zip(values) {
-            if param.value.shape() != value.shape() {
-                return Err(bad(format!(
-                    "{what} parameter shape {:?} does not match architecture shape {:?}",
-                    value.shape(),
-                    param.value.shape()
-                )));
-            }
-            param.value = value;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1110,6 +1046,42 @@ mod tests {
     }
 
     #[test]
+    fn every_kind_conv_precision_and_scope_restores_bit_identically() {
+        // kind × conv × {f32, int8} × {full, partition}: a restored
+        // image answers with the source's labels and transition counts,
+        // and re-seals to its own bytes.
+        let graph = random_graph(6, 500, 19);
+        let key = SealKey(43);
+        let spec = PartitionSpec::block(6, 2).unwrap();
+        for kind in RectifierKind::ALL {
+            for conv in [ConvKind::Gcn, ConvKind::Sage, ConvKind::Gat] {
+                let substitute = SubstituteKind::Knn { k: 1 };
+                let (mut vault, x) = trained_vault(6, kind, conv, substitute, &graph, 7, key);
+                for precision in crate::Precision::ALL {
+                    vault.set_precision(precision).unwrap();
+                    let what = format!("{kind:?} {conv:?} {precision:?}");
+                    let mut images = vault.partition_snapshots(&spec).unwrap();
+                    images.push(vault.snapshot());
+                    for image in &images {
+                        let mut replica = Vault::restore(image, key).unwrap();
+                        assert_eq!(&replica.snapshot(), image, "{what}: re-seal");
+                        let owned: Vec<usize> = match image.partition() {
+                            Some(stamp) => spec.range(stamp.part()).collect(),
+                            None => (0..6).collect(),
+                        };
+                        let mut s0 = vault.open_session();
+                        let mut s1 = replica.open_session();
+                        let (want, want_report) = vault.infer_batch(&mut s0, &x, &owned).unwrap();
+                        let (got, got_report) = replica.infer_batch(&mut s1, &x, &owned).unwrap();
+                        assert_eq!(got, want, "{what}: {:?}", image.partition());
+                        assert_eq!(got_report.transitions, want_report.transitions, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn snapshot_roundtrips_sage_and_gat_rectifiers() {
         for conv in [ConvKind::Sage, ConvKind::Gat] {
             let graph = random_graph(6, 500, 7);
@@ -1124,6 +1096,25 @@ mod tests {
                 key,
             );
             assert_roundtrip(vault, &x, key);
+        }
+    }
+
+    /// `clear` with its sealed payload replaced by `payload`, sealed as
+    /// a holder of `key` would seal it under `clear`'s metadata.
+    fn resealed(clear: &VaultSnapshot, key: SealKey, payload: &[u8]) -> VaultSnapshot {
+        let image = image_key(key, clear.epoch, clear.num_nodes, clear.partition);
+        VaultSnapshot {
+            sealed: Sealed::seal(image, payload),
+            ..clear.clone()
+        }
+    }
+
+    /// Restoring `snapshot` fails as a tampered seal.
+    fn assert_seal_tampered(snapshot: &VaultSnapshot, key: SealKey, what: &str) {
+        match Vault::restore(snapshot, key) {
+            Err(VaultError::Tee(TeeError::SealTampered)) => {}
+            Err(other) => panic!("{what}: expected a tampered seal, got {other}"),
+            Ok(_) => panic!("{what}: must not restore"),
         }
     }
 
@@ -1142,26 +1133,17 @@ mod tests {
         );
         let snapshot = vault.snapshot();
 
-        // Metadata that disagrees with the sealed payload is caught.
-        let forged = VaultSnapshot::new(
-            snapshot.epoch() + 1,
-            snapshot.num_nodes(),
-            None,
-            snapshot.sealed().clone(),
-        );
-        assert!(matches!(
-            Vault::restore(&forged, key),
-            Err(VaultError::Snapshot { .. })
-        ));
+        // The seal binds the clear epoch: relabeled, the image derives
+        // another key.
+        let forged = VaultSnapshot {
+            epoch: snapshot.epoch + 1,
+            ..snapshot.clone()
+        };
+        assert_seal_tampered(&forged, key, "relabeled epoch");
 
         // A sealed blob that is not a snapshot payload fails to decode
         // (bad magic), not panic.
-        let garbage = VaultSnapshot::new(
-            snapshot.epoch(),
-            snapshot.num_nodes(),
-            None,
-            Sealed::seal(key.derive("vault-snapshot"), &[1, 2, 3, 4, 5, 6, 7, 8, 9]),
-        );
+        let garbage = resealed(&snapshot, key, &[1, 2, 3, 4, 5, 6, 7, 8, 9]);
         assert!(matches!(
             Vault::restore(&garbage, key),
             Err(VaultError::Snapshot { .. })
@@ -1170,11 +1152,11 @@ mod tests {
 
     #[test]
     fn forged_node_counts_fail_typed_against_the_clear_count() {
-        // A full image whose header and real graph both declare 2^40
-        // nodes agrees with itself, so only the clear count can catch
-        // it — before `Closure::whole` sizes 2^40 ids and degrees from
-        // the claim. Each graph section alone must match it too.
-        const HUGE: u64 = 1 << 40;
+        // The clear count is the only node count there is, and the seal
+        // binds it: relabeled to 2^40, a full or partition image fails
+        // to unseal — before `Closure::whole` (or a closure check) could
+        // size anything from it.
+        const HUGE: usize = 1 << 40;
         let graph = random_graph(5, 600, 1);
         let key = SealKey(77);
         let (vault, _) = trained_vault(
@@ -1186,54 +1168,47 @@ mod tests {
             2,
             key,
         );
-        let snapshot = vault.snapshot();
-        let payload = payload_of(&snapshot, key);
-        let count_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
-        // magic u64 | flags u8 | epoch u64 | num_global_nodes u64
-        let header = 17;
-        // ... | config (41 bytes) | backbone tag u8 | KNN tag u8 | k u64
-        // | the substitute graph's num_nodes u64
-        let substitute = header + 8 + 41 + 2 + 8;
-        // The real graph closes the payload: num_nodes u64 | num_edges
-        // u64 | 16 bytes per edge.
-        let real = payload.len() - 16 * graph.num_edges() - 16;
-        for at in [header, substitute, real] {
-            assert_eq!(count_at(at), 5, "offset {at} holds a node count");
+        let full = vault.snapshot();
+        let spec = PartitionSpec::block(5, 2).unwrap();
+        let partition = vault.partition_snapshots(&spec).unwrap().swap_remove(1);
+        for image in [&full, &partition] {
+            let relabeled = VaultSnapshot {
+                num_nodes: HUGE,
+                ..image.clone()
+            };
+            assert_seal_tampered(&relabeled, key, "node count 2^40");
         }
-        let restore_forged = |offsets: &[usize]| {
-            let mut forged = payload.clone();
-            for &at in offsets {
-                forged[at..at + 8].copy_from_slice(&HUGE.to_le_bytes());
-            }
-            let sealed = Sealed::seal(key.derive("vault-snapshot"), &forged);
-            let clear = VaultSnapshot::new(snapshot.epoch(), snapshot.num_nodes(), None, sealed);
-            match Vault::restore(&clear, key) {
-                Err(VaultError::Snapshot { reason }) => reason,
-                Err(other) => panic!("{offsets:?}: expected a snapshot error, got {other}"),
-                Ok(_) => panic!("{offsets:?}: must not restore"),
-            }
-        };
-        assert!(restore_forged(&[header, real]).contains("metadata"));
+
+        // Every graph section spans the clear count: an edge naming a
+        // node past it fails typed, in the substitute graph and in the
+        // real graph alike.
+        let payload = payload_of(&full, key);
+        // magic u64 | flags u8 | config (41 bytes) | backbone tag u8 |
+        // KNN tag u8 | k u64 | the substitute graph's num_edges u64,
+        // then its first edge.
+        let substitute = 8 + 1 + 41 + 2 + 8 + 8;
+        // The real graph closes the payload: num_edges u64 | 16 bytes
+        // per edge.
+        let real = payload.len() - 16 * graph.num_edges();
         for at in [substitute, real] {
-            assert!(restore_forged(&[at]).contains("graph section declares"));
+            let mut forged = payload.clone();
+            forged[at..at + 8].copy_from_slice(&5u64.to_le_bytes());
+            let reason = rejection(&forged, &full, "edge past the clear count");
+            assert!(reason.contains("out of bounds"), "offset {at}: {reason}");
         }
     }
 
     /// Unsealed payload of a snapshot (test helper).
     fn payload_of(snapshot: &VaultSnapshot, key: SealKey) -> Vec<u8> {
-        snapshot
-            .sealed()
-            .unseal(key.derive("vault-snapshot"))
-            .unwrap()
-            .to_vec()
+        snapshot.payload(key).unwrap().to_vec()
     }
 
-    /// The payload of every flag combination — {full, partition} ×
-    /// {f32, int8} — for one small deployment. The MLP backbone keeps
-    /// the bytes ahead of the network section free of graph ids, so the
-    /// forging tests below can find declared widths by value.
+    /// The payload of every form — {full, partition} × {f32, int8} —
+    /// for one small deployment, full before partition at each
+    /// precision. The MLP backbone keeps the bytes ahead of the network
+    /// section free of graph ids, so the forging tests below can find
+    /// matrix headers by value.
     fn four_forms(conv: ConvKind) -> Vec<(&'static str, VaultSnapshot, Vec<u8>)> {
-        use graph::partition::PartitionSpec;
         let graph = random_graph(6, 500, 11);
         let key = SealKey(13);
         let (mut vault, _) = trained_vault(
@@ -1269,7 +1244,7 @@ mod tests {
         let at = payload
             .windows(needle.len())
             .position(|w| w == needle)
-            .expect("the payload declares these widths");
+            .expect("the payload holds this sequence");
         let mut forged = payload.to_vec();
         forged[at..at + patch.len()].copy_from_slice(&patch);
         forged
@@ -1285,12 +1260,29 @@ mod tests {
         }
     }
 
+    /// The payload a sealer holding the deployment key writes for `d`.
+    fn encode(d: &Deployment) -> Vec<u8> {
+        let header = Header {
+            epoch: d.epoch,
+            num_nodes: d.num_nodes,
+            epc_budget: d.epc_budget,
+            cost: &d.cost,
+            policy: d.policy,
+            backbone: &d.backbone,
+            rectifier: &d.rectifier,
+            precision: d.precision,
+        };
+        let image = seal(SealKey(0), &header, [(d.partition, &d.resident)]).swap_remove(0);
+        payload_of(&image, SealKey(0))
+    }
+
     #[test]
     fn every_strict_prefix_fails_to_decode_in_all_four_forms() {
         // GAT carries the most per-layer matrices, so its payload has
         // the most section boundaries to cut at.
         for (form, clear, payload) in four_forms(ConvKind::Gat) {
-            assert!(decode(&payload, &clear).is_ok(), "{form}");
+            let decoded = decode(&payload, &clear).unwrap();
+            assert_eq!(encode(&decoded), payload, "{form}: decode∘encode is exact");
             for len in 0..payload.len() {
                 assert!(
                     decode(&payload[..len], &clear).is_err(),
@@ -1308,19 +1300,45 @@ mod tests {
     }
 
     #[test]
+    fn every_image_of_a_vault_shares_its_header_byte_for_byte() {
+        // Nothing image-specific precedes the scope section, so a
+        // partition image is the full image with the real graph swapped
+        // for the closure — which is what lets `partition_snapshots`
+        // encode the header once.
+        let real_graph = 8 + 16 * random_graph(6, 500, 11).num_edges();
+        let forms = four_forms(ConvKind::Gat);
+        for pair in forms.chunks(2) {
+            let [(full, _, full_payload), (partition, clear, part_payload)] = pair else {
+                unreachable!("four_forms pairs each full image with a partition image")
+            };
+            let header = full_payload.len() - real_graph;
+            assert_eq!(
+                full_payload[..header],
+                part_payload[..header],
+                "{full} / {partition}"
+            );
+            let closure = decode(part_payload, clear).unwrap().resident;
+            let scope = 2 * 8 + 16 * closure.ids.len() + 8 + 16 * closure.graph.num_edges();
+            assert_eq!(part_payload.len(), header + scope, "{partition}");
+        }
+    }
+
+    #[test]
     fn retired_magics_and_undefined_flag_bits_are_rejected() {
         for (form, clear, payload) in four_forms(ConvKind::Gcn) {
             // GV_SNAP1..4: the four forms one codec replaced; GV_SNAP5:
             // that codec while partition images still sealed an owned
-            // list.
-            for retired in 0x4756_5F53_4E41_5031u64..=0x4756_5F53_4E41_5035 {
+            // list; GV_SNAP6: while the payload repeated the clear
+            // metadata and every width.
+            for retired in 0x4756_5F53_4E41_5031u64..=0x4756_5F53_4E41_5036 {
                 let mut old = payload.clone();
                 old[..8].copy_from_slice(&retired.to_le_bytes());
                 assert!(rejection(&old, &clear, form).contains("magic"), "{form}");
             }
             let flags = payload[8];
-            assert_eq!(flags & !(FLAG_PARTITION | FLAG_INT8), 0);
-            for bit in 2..8 {
+            assert_eq!(flags & !FLAG_INT8, 0);
+            // Bit 0 (the retired partition bit) and bits 2..8.
+            for bit in (0..8).filter(|&bit| 1 << bit != FLAG_INT8) {
                 let mut forged = payload.clone();
                 forged[8] = flags | (1 << bit);
                 assert!(
@@ -1328,69 +1346,84 @@ mod tests {
                     "{form}: bit {bit}"
                 );
             }
-            // A defined bit flipped selects a body the payload does not
-            // have; that fails typed too, wherever the mismatch lands.
-            for bit in [FLAG_PARTITION, FLAG_INT8] {
-                let mut forged = payload.clone();
-                forged[8] = flags ^ bit;
-                assert!(
-                    decode(&forged, &clear).is_err(),
-                    "{form}: flipped {bit:#04b}"
-                );
-            }
+            // The int8 bit flipped selects projection slots the payload
+            // does not have; that fails typed too, wherever the
+            // mismatch lands.
+            let mut forged = payload.clone();
+            forged[8] = flags ^ FLAG_INT8;
+            assert!(decode(&forged, &clear).is_err(), "{form}: flipped int8");
         }
     }
 
     #[test]
     fn declared_widths_are_checked_against_the_matrices_read() {
         // `trained_vault` is 3 features → backbone [4, 2] → series
-        // rectifier [4, 2]. A payload that *declares* 2^20-wide layers
-        // beside those small matrices must fail typed — before
-        // anything Glorot-allocates 2^20 × 2^20 floats from the claim.
+        // rectifier [4, 2]; the widths are the projections' shapes. A
+        // matrix header forged to 2^20-wide must fail typed — before
+        // anything reads or Glorot-allocates from the claim.
         const HUGE: u64 = 1 << 20;
         for conv in [ConvKind::Gcn, ConvKind::Sage, ConvKind::Gat] {
             for (form, clear, payload) in four_forms(conv) {
-                // Backbone: input_dim | layers | in | out, then the
-                // weight itself.
-                let forged = forge_u64s(&payload, &[3, 2, 3, 4], &[HUGE, 2, HUGE, HUGE]);
-                let reason = rejection(&forged, &clear, form);
-                assert!(
-                    reason.contains("backbone weight is declared"),
-                    "{form}: {reason}"
-                );
-                // Only the output width forged: the weight's row count
-                // still matches, its column count does not.
-                let forged = forge_u64s(&payload, &[3, 2, 3, 4], &[3, 2, 3, HUGE]);
-                let reason = rejection(&forged, &clear, form);
-                assert!(
-                    reason.contains("backbone weight is declared"),
-                    "{form}: {reason}"
-                );
-
-                // Rectifier: backbone_dims [4,2] | channels [4,2] |
-                // taps [0], each list length-prefixed.
-                let wiring = [2, 4, 2, 2, 4, 2, 1, 0];
-                let forged = forge_u64s(&payload, &wiring, &[2, 4, 2, 2, HUGE, 2, 1, 0]);
-                let reason = rejection(&forged, &clear, form);
-                assert!(
-                    reason.contains("rectifier channels are declared"),
-                    "{form}: {reason}"
-                );
-                // A channel list claiming more layers than the payload
-                // carries runs out of matrices instead.
-                let forged = forge_u64s(&payload, &wiring, &[2, 4, 2, HUGE, 4, 2, 1, 0]);
+                let int8 = form.contains("int8");
+                // The backbone section: layers | first projection's
+                // header — `rows | cols` of the 3 × 4 f32 weight, or
+                // `out | in` of its int8 slot.
+                let first = if int8 { [2, 4, 3] } else { [2, 3, 4] };
+                for (forged_header, why) in [
+                    ([2, HUGE, HUGE], "implausible"),
+                    ([2, first[1], HUGE], "implausible"),
+                    (
+                        [2, 0, HUGE],
+                        if int8 { "implausible" } else { "no elements" },
+                    ),
+                    (
+                        [2, HUGE, 0],
+                        if int8 { "implausible" } else { "no elements" },
+                    ),
+                    ([HUGE, first[1], first[2]], "implausible layer count"),
+                ] {
+                    let forged = forge_u64s(&payload, &first, &forged_header);
+                    let reason = rejection(&forged, &clear, form);
+                    assert!(reason.contains(why), "{form}: {forged_header:?}: {reason}");
+                }
+                // More layers than the payload carries runs out of
+                // matrices, or reads a bias as a projection.
+                let forged = forge_u64s(&payload, &first, &[3, first[1], first[2]]);
                 assert!(decode(&forged, &clear).is_err(), "{form}");
 
-                // An int8 slot holding what `quantize` never writes. The
-                // first backbone slot follows its layer's declared
-                // widths: out 4 | in 3 | 12 codes | 4 scales.
-                if !form.contains("int8") {
+                // The rectifier section: kind | conv | layers 2 | its
+                // first projection, 4 × 4 (8 × 4 for SAGE's
+                // concatenation).
+                let conv_tag = match conv {
+                    ConvKind::Gcn => 0,
+                    ConvKind::Sage => 1,
+                    ConvKind::Gat => 2,
+                };
+                let kind_conv = [2u8, conv_tag];
+                let rect = payload
+                    .windows(2 + 8)
+                    .rposition(|w| w[..2] == kind_conv && w[2..] == 2u64.to_le_bytes())
+                    .expect("the rectifier section")
+                    + 2;
+                let mut forged = payload.clone();
+                forged[rect..rect + 8].copy_from_slice(&HUGE.to_le_bytes());
+                let reason = rejection(&forged, &clear, form);
+                assert!(
+                    reason.contains("implausible layer count"),
+                    "{form}: {reason}"
+                );
+                let mut forged = payload.clone();
+                forged[rect + 8..rect + 24].copy_from_slice(&[HUGE.to_le_bytes(); 2].concat());
+                let reason = rejection(&forged, &clear, form);
+                assert!(reason.contains("implausible"), "{form}: {reason}");
+
+                // An int8 slot holding what `quantize` never writes: the
+                // first backbone slot is out 4 | in 3 | 12 codes | 4
+                // scales.
+                if !int8 {
                     continue;
                 }
-                let slot: Vec<u8> = [3u64, 2, 3, 4, 4, 3]
-                    .iter()
-                    .flat_map(|v| v.to_le_bytes())
-                    .collect();
+                let slot: Vec<u8> = first.iter().flat_map(|v| v.to_le_bytes()).collect();
                 let at = payload.windows(slot.len()).position(|w| w == slot);
                 let codes = at.expect("the first int8 slot") + slot.len();
                 let scale0 = codes + 12;
@@ -1412,6 +1445,53 @@ mod tests {
                     forged[scale0..scale0 + 4].copy_from_slice(&scale.to_le_bytes());
                     let reason = rejection(&forged, &clear, form);
                     assert!(reason.contains(why), "{form}: scale {scale:e}: {reason}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weights_that_break_the_chain_or_the_wiring_fail_before_any_network_is_built() {
+        // Written by an encoder handed inconsistent weights — the one
+        // forgery the shapes alone can carry. The reasons name the
+        // checks `decode` runs on the projections it has read, ahead
+        // of `Network::new` and `Rectifier::new_with_conv`.
+        for conv in [ConvKind::Gcn, ConvKind::Sage, ConvKind::Gat] {
+            for (form, clear, payload) in four_forms(conv) {
+                type Forge = fn(&mut Deployment);
+                let forgeries: [(Forge, &str); 3] = [
+                    // Backbone layer 1 reads 2 features where layer 0
+                    // writes 4.
+                    (
+                        |d| {
+                            d.backbone.network.layers_mut()[1].params_mut()[0].value =
+                                DenseMatrix::filled(2, 2, 0.5)
+                        },
+                        "does not chain",
+                    ),
+                    // Rectifier layer 0 one row wider than its tap.
+                    (
+                        |d| {
+                            let w = &mut d.rectifier.network.layers_mut()[0].params_mut()[0].value;
+                            *w = DenseMatrix::filled(w.rows() + 1, w.cols(), 0.5);
+                        },
+                        "fan-in",
+                    ),
+                    // Rectifier layer 0 one channel wider, so layer 1's
+                    // rows no longer match the width it is fed.
+                    (
+                        |d| {
+                            let w = &mut d.rectifier.network.layers_mut()[0].params_mut()[0].value;
+                            *w = DenseMatrix::filled(w.rows(), w.cols() + 1, 0.5);
+                        },
+                        "fan-in",
+                    ),
+                ];
+                for (forge, why) in forgeries {
+                    let mut d = decode(&payload, &clear).unwrap();
+                    forge(&mut d);
+                    let reason = rejection(&encode(&d), &clear, form);
+                    assert!(reason.contains(why), "{form}: {reason}");
                 }
             }
         }
@@ -1497,7 +1577,6 @@ mod tests {
 
     #[test]
     fn partition_snapshot_rejects_forged_stamps() {
-        use graph::partition::PartitionSpec;
         let graph = random_graph(6, 500, 11);
         let key = SealKey(13);
         let (vault, _) = trained_vault(
@@ -1511,51 +1590,37 @@ mod tests {
         );
         let spec = PartitionSpec::block(6, 2).unwrap();
         let snap = vault.partition_snapshots(&spec).unwrap().swap_remove(0);
-        let stamp = snap.partition().unwrap();
-
-        // Clear-metadata stamp disagreeing with the sealed payload is
-        // caught: wrong part index, wrong epoch, and a stamp claiming
-        // the payload is a full snapshot (or vice versa).
-        let forged_part = VaultSnapshot::new(
-            snap.epoch(),
-            snap.num_nodes(),
-            Some(SnapshotPartition {
-                part: 1,
-                parts: stamp.parts(),
-            }),
-            snap.sealed().clone(),
-        );
-        assert!(matches!(
-            Vault::restore(&forged_part, key),
-            Err(VaultError::Snapshot { .. })
-        ));
-        let forged_epoch = VaultSnapshot::new(
-            snap.epoch() + 1,
-            snap.num_nodes(),
-            Some(stamp),
-            snap.sealed().clone(),
-        );
-        assert!(matches!(
-            Vault::restore(&forged_epoch, key),
-            Err(VaultError::Snapshot { .. })
-        ));
-        let unstamped =
-            VaultSnapshot::new(snap.epoch(), snap.num_nodes(), None, snap.sealed().clone());
-        assert!(matches!(
-            Vault::restore(&unstamped, key),
-            Err(VaultError::Snapshot { .. })
-        ));
         let full = vault.snapshot();
-        let full_as_partition = VaultSnapshot::new(
-            full.epoch(),
-            full.num_nodes(),
-            Some(SnapshotPartition { part: 0, parts: 2 }),
-            full.sealed().clone(),
-        );
-        assert!(matches!(
-            Vault::restore(&full_as_partition, key),
-            Err(VaultError::Snapshot { .. })
-        ));
+
+        // Every relabeling of the clear metadata derives another key:
+        // another part or part count, another epoch, a partition image
+        // passed off as a full one, and a full one as a partition.
+        let relabeled = [
+            ("part", Some(SnapshotPartition { part: 1, parts: 2 }), &snap),
+            (
+                "parts",
+                Some(SnapshotPartition { part: 0, parts: 3 }),
+                &snap,
+            ),
+            ("unstamped", None, &snap),
+            (
+                "full as partition",
+                Some(SnapshotPartition { part: 0, parts: 2 }),
+                &full,
+            ),
+        ];
+        for (what, partition, image) in relabeled {
+            let forged = VaultSnapshot {
+                partition,
+                ..image.clone()
+            };
+            assert_seal_tampered(&forged, key, what);
+        }
+        let forged_epoch = VaultSnapshot {
+            epoch: snap.epoch + 1,
+            ..snap.clone()
+        };
+        assert_seal_tampered(&forged_epoch, key, "epoch");
     }
 
     #[test]
@@ -1714,9 +1779,10 @@ mod tests {
         // The 512-node bench graph: a ring with two chord families
         // (sparse, with strong locality), 32 features, a [16, 8, 2]
         // backbone and series rectifier. A partition image is the full
-        // image with the real graph swapped for `part | parts` and the
-        // closure (ids, degrees, induced graph) — no owned list: the
-        // decoder derives the owned block from `(part, parts)`.
+        // image with the real graph swapped for the closure (ids,
+        // degrees, induced graph) — no owned list and no stamp: the
+        // decoder derives the owned block from the clear `(part,
+        // parts)`, which the seal binds.
         use graph::partition::{partition, PartitionSpec};
         let n = 512;
         let mut edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
@@ -1764,7 +1830,7 @@ mod tests {
         )
         .unwrap();
 
-        let graph_bytes = |g: &Graph| 16 + 16 * g.num_edges();
+        let graph_bytes = |g: &Graph| 8 + 16 * g.num_edges();
         let list_bytes = |len: usize| 8 + 8 * len;
         let full = vault.snapshot().sealed_nbytes();
         let spec = PartitionSpec::block(n, 4).unwrap();
@@ -1776,7 +1842,7 @@ mod tests {
             .map(VaultSnapshot::sealed_nbytes)
             .collect();
         for (image, closure) in images.iter().zip(&closures) {
-            let scope = 16 + 2 * list_bytes(closure.ids.len()) + graph_bytes(&closure.graph);
+            let scope = 2 * list_bytes(closure.ids.len()) + graph_bytes(&closure.graph);
             assert_eq!(*image, full - graph_bytes(&graph) + scope);
             assert!(*image < full);
         }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use tee::{
     codec, AllocationId, ClassLabel, CostModel, EnclaveSession, EnclaveSim, OverBudgetPolicy,
-    SealKey, Sealed,
+    SealKey,
 };
 
 /// Process-wide deployment counter behind [`Vault::epoch`]: every
@@ -50,7 +50,7 @@ impl InferenceReport {
 /// There is one forward pass, f32, at both settings. `Int8` makes
 /// every snapshot of the vault store each projection weight (backbone
 /// and rectifier) as per-output-channel int8 codes plus scales
-/// ([`linalg::QuantizedMatrix`]) instead of f32 — 948,734 → 361,590
+/// ([`linalg::QuantizedMatrix`]) instead of f32 — 948,550 → 361,406
 /// sealed bytes (−62 %) on the Cora-scale benchmark fixture, whose
 /// 1433×128 first-layer weight dominates the image. So that a restored
 /// replica answers exactly like its source, the vault's own weights are
@@ -222,10 +222,10 @@ impl Vault {
     }
 
     /// Serializes this deployment into a sealed [`VaultSnapshot`]: the
-    /// backbone (weights plus substitute graph), the rectifier weights
-    /// and tap-set, the private real graph, and the enclave
-    /// configuration, sealed under this deployment's seal key (purpose
-    /// `"vault-snapshot"`).
+    /// backbone (weights plus substitute graph), the rectifier weights,
+    /// the private real graph, and the enclave configuration, sealed
+    /// under a key derived from this deployment's seal key and the
+    /// snapshot's clear metadata (epoch, node count, partition stamp).
     ///
     /// Encoding is deterministic — snapshotting the same vault twice
     /// yields identical bytes — and [`Vault::restore`] rebuilds a
@@ -249,7 +249,7 @@ impl Vault {
     pub fn snapshot(&self) -> VaultSnapshot {
         // A partition replica re-snapshots as a partition image, so
         // its recovery handle restores the same partial vault.
-        self.seal(self.partition, &self.resident)
+        self.seal([(self.partition, &self.resident)]).swap_remove(0)
     }
 
     /// Seals every partition of `spec`, element `i` partition `i`'s
@@ -257,7 +257,8 @@ impl Vault {
     /// that partition's private graph state — the closure of its owned
     /// block at the rectifier's receptive-field depth, the full-graph
     /// degree vector for the closure, and the induced local COO. The
-    /// full-graph adjacency scan runs once for all of them. Restoring
+    /// full-graph adjacency scan runs once for all of them, and so does
+    /// encoding (and, at int8, quantizing) the shared weights. Restoring
     /// one builds a *partial* vault that answers exactly its owned
     /// block, bit-identically to this vault.
     ///
@@ -283,18 +284,16 @@ impl Vault {
         let hops = self.rectifier.num_layers();
         let closures = graph::partition::partition(&self.resident.graph, spec, hops)?;
         let parts = spec.num_parts();
-        Ok(closures
-            .iter()
-            .enumerate()
-            .map(|(part, closure)| self.seal(Some(SnapshotPartition { part, parts }), closure))
-            .collect())
+        let shares = (closures.iter().enumerate())
+            .map(|(part, closure)| (Some(SnapshotPartition { part, parts }), closure));
+        Ok(self.seal(shares))
     }
 
     /// [`Vault::partition_snapshots`] bundled with the deployment key:
     /// element `i` is the [`RecoveryHandle`] partition `i`'s shard both
     /// starts from ([`RecoveryHandle::restore`]) and retains — the
-    /// partitioned analogue of [`Vault::recovery_handle`], one
-    /// encode/seal pass per partition.
+    /// partitioned analogue of [`Vault::recovery_handle`], one seal per
+    /// partition over one encoding of the shared weights.
     ///
     /// # Errors
     ///
@@ -310,12 +309,14 @@ impl Vault {
             .collect())
     }
 
-    /// Encodes this deployment's shared header plus one share of the
-    /// private graph (`resident`: a partition's closure when
-    /// `partition` is given, else the whole graph), seals the payload
-    /// under the deployment key, and stamps it with the clear routing
-    /// metadata — the one body behind every snapshot form.
-    fn seal(&self, partition: Option<SnapshotPartition>, resident: &Closure) -> VaultSnapshot {
+    /// Seals one snapshot per share of the private graph (`resident`: a
+    /// partition's closure when its `partition` is given, else the
+    /// whole graph) over one encoding of this deployment's shared
+    /// header — the one body behind every snapshot form.
+    fn seal<'c>(
+        &self,
+        shares: impl IntoIterator<Item = (Option<SnapshotPartition>, &'c Closure)>,
+    ) -> Vec<VaultSnapshot> {
         let header = snapshot::Header {
             epoch: self.epoch,
             num_nodes: self.num_nodes,
@@ -326,9 +327,7 @@ impl Vault {
             rectifier: &self.rectifier,
             precision: self.precision,
         };
-        let payload = snapshot::encode(&header, partition, resident);
-        let sealed = Sealed::seal(self.seal_key.derive("vault-snapshot"), &payload);
-        VaultSnapshot::new(self.epoch, self.num_nodes, partition, sealed)
+        snapshot::seal(self.seal_key, &header, shares)
     }
 
     /// Rehydrates a replica from a sealed snapshot.
@@ -344,16 +343,14 @@ impl Vault {
     /// # Errors
     ///
     /// Returns [`VaultError::Tee`] ([`tee::TeeError::SealTampered`])
-    /// for a wrong key or corrupted payload, [`VaultError::Snapshot`]
-    /// for a payload that unseals but does not decode or disagrees with
-    /// the snapshot's clear metadata, and the usual deployment failures
+    /// for a wrong key, a corrupted payload, or clear metadata (epoch,
+    /// node count, partition stamp) other than the snapshot was sealed
+    /// with, [`VaultError::Snapshot`] for a payload that unseals but
+    /// does not decode, and the usual deployment failures
     /// (e.g. an EPC budget the resident set no longer fits) from the
     /// rebuild.
     pub fn restore(snapshot: &VaultSnapshot, seal_key: SealKey) -> Result<Vault, VaultError> {
-        let payload = snapshot
-            .sealed()
-            .unseal(seal_key.derive("vault-snapshot"))?;
-        Self::install(snapshot::decode(&payload, snapshot)?, seal_key)
+        Self::install(snapshot::open(snapshot, seal_key)?, seal_key)
     }
 
     /// Bundles a sealed snapshot of this vault's *current* model with
@@ -1020,15 +1017,12 @@ mod tests {
             .flat_map(u64::to_le_bytes)
             .collect();
         assert!(!edges.is_empty());
-        let payload = snapshot
-            .sealed()
-            .unseal(SealKey(7).derive("vault-snapshot"))
-            .unwrap();
+        let payload = snapshot.payload(SealKey(7)).unwrap();
         let holds = |bytes: &[u8]| bytes.windows(edges.len()).any(|w| w == edges);
         assert!(holds(&payload), "the snapshot carries the real graph");
         // `Sealed` shows its ciphertext only through `Debug`.
         let listed = format!("{edges:?}");
-        let sealed = format!("{:?}", snapshot.sealed());
+        let sealed = format!("{snapshot:?}");
         assert!(!sealed.contains(&listed[1..listed.len() - 1]));
         assert!(vault.peak_enclave_bytes() > 0);
         assert!(vault.rectifier_param_count() > 0);

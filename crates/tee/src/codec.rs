@@ -114,6 +114,86 @@ mod tests {
         assert!(decode_dense(&buf).is_err());
     }
 
+    /// Hostile-input contract: `payload` decodes to a matrix that
+    /// re-encodes to exactly `payload` (so nothing was sized beyond its
+    /// length), or fails as a typed [`TeeError::Codec`] — never a panic.
+    fn assert_typed_or_exact(payload: &[u8]) {
+        match decode_dense(payload) {
+            Ok(m) => assert_eq!(&encode_dense(&m)[..], payload),
+            Err(TeeError::Codec { .. }) => {}
+            Err(other) => panic!("untyped failure {other:?}"),
+        }
+    }
+
+    /// A `rows | cols` header with no data.
+    fn header(rows: u64, cols: u64) -> Vec<u8> {
+        [rows.to_le_bytes(), cols.to_le_bytes()].concat()
+    }
+
+    /// A header dimension an attacker would pick, by `pick`: small, a
+    /// power of two at the overflow edges of `rows·cols·4`, the
+    /// maximum, or anything at all.
+    fn hostile_dim(pick: u8, raw: u64) -> u64 {
+        match pick {
+            0 => raw % 6,
+            1 => 1 << (60 + raw % 4),
+            2 => u64::MAX,
+            _ => raw,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_decode_typed_or_exactly(
+            payload in proptest::collection::vec(any::<u8>(), 0..80),
+        ) {
+            assert_typed_or_exact(&payload);
+        }
+
+        #[test]
+        fn adversarial_headers_decode_typed_or_exactly(
+            picks in proptest::collection::vec(0u8..4, 2),
+            raws in proptest::collection::vec(any::<u64>(), 2),
+            data_len in 0usize..100,
+        ) {
+            let rows = hostile_dim(picks[0], raws[0]);
+            let cols = hostile_dim(picks[1], raws[1]);
+            let mut payload = header(rows, cols);
+            payload.resize(16 + data_len, 0x3F);
+            assert_typed_or_exact(&payload);
+        }
+
+        #[test]
+        fn a_length_off_by_one_is_typed(rows in 0usize..6, cols in 1usize..6, grow in any::<bool>()) {
+            let mut payload = encode_dense(&DenseMatrix::filled(rows, cols, 0.5)).to_vec();
+            if grow {
+                payload.push(0);
+            } else {
+                payload.pop();
+            }
+            prop_assert!(matches!(decode_dense(&payload), Err(TeeError::Codec { .. })));
+        }
+    }
+
+    #[test]
+    fn overflowing_and_empty_headers_are_typed_or_exact() {
+        // rows·cols·4 overflows in the product and in the byte count.
+        for (rows, cols) in [(1u64 << 32, 1u64 << 32), (1 << 62, 1), (1 << 63, 2)] {
+            assert!(matches!(
+                decode_dense(&header(rows, cols)),
+                Err(TeeError::Codec { .. })
+            ));
+        }
+        // Zero rows by 2^63 columns holds no data: it decodes, to the
+        // matrix that encodes as exactly these 16 bytes.
+        let empty = header(0, 1 << 63);
+        let m = decode_dense(&empty).unwrap();
+        assert_eq!((m.rows(), m.cols(), m.len()), (0, 1 << 63, 0));
+        assert_eq!(&encode_dense(&m)[..], &empty[..]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -11,8 +11,11 @@ use serde::{Deserialize, Serialize};
 pub struct SealKey(pub u128);
 
 impl SealKey {
-    /// Derives a deterministic per-purpose subkey, so one deployment key
-    /// can seal several artifacts without keystream reuse.
+    /// Derives a deterministic per-purpose subkey, so an artifact sealed
+    /// for one purpose never unseals as another's. Keystream reuse is
+    /// [`Sealed`]'s concern, not the key's: it seeds each keystream
+    /// from the payload's tag, so no key reuses one across distinct
+    /// payloads short of a 64-bit tag collision.
     pub fn derive(&self, purpose: &str) -> SealKey {
         let mut h: u128 = self.0 ^ 0x9E37_79B9_7F4A_7C15_F39C_ACC5_1234_5678;
         for b in purpose.bytes() {
@@ -25,11 +28,15 @@ impl SealKey {
 
 /// A sealed (encrypted-at-rest, tamper-evident) byte payload.
 ///
-/// **Simulation only — not real cryptography.** The payload is XOR-ed
-/// with a xorshift keystream and protected by a keyed FNV-style
-/// checksum. This preserves the *interface* and failure modes of SGX
-/// sealing (wrong key or flipped bit ⇒ unseal fails) without claiming
-/// any security; DESIGN.md §2 records the substitution.
+/// **Simulation only — not real cryptography.** Sealing is SIV-shaped:
+/// a keyed FNV-style checksum of the *plaintext* is the tag, and the
+/// payload is XOR-ed with a xorshift keystream seeded from the key and
+/// that tag, so two distinct payloads under one key share a keystream
+/// only if their 64-bit tags collide. Sealing stays deterministic — same key, same
+/// payload, same bytes. This preserves the *interface* and failure
+/// modes of SGX sealing (wrong key or flipped bit ⇒ unseal fails)
+/// without claiming any security; DESIGN.md §2 records the
+/// substitution.
 ///
 /// # Examples
 ///
@@ -54,22 +61,24 @@ pub struct Sealed {
 impl Sealed {
     /// Seals a byte payload under `key`.
     pub fn seal(key: SealKey, plaintext: &[u8]) -> Sealed {
-        let ciphertext = xor_keystream(key, plaintext);
-        let tag = mac(key, &ciphertext);
+        let tag = mac(key, plaintext);
+        let ciphertext = xor_keystream(key, tag, plaintext);
         Sealed { ciphertext, tag }
     }
 
-    /// Unseals, verifying integrity first.
+    /// Unseals: decrypts under the key and the stored tag, then checks
+    /// the tag against the plaintext that decryption produced.
     ///
     /// # Errors
     ///
     /// Returns [`TeeError::SealTampered`] when the key is wrong or the
-    /// ciphertext was modified.
+    /// ciphertext or tag was modified.
     pub fn unseal(&self, key: SealKey) -> Result<Bytes, TeeError> {
-        if mac(key, &self.ciphertext) != self.tag {
+        let plaintext = xor_keystream(key, self.tag, &self.ciphertext);
+        if mac(key, &plaintext) != self.tag {
             return Err(TeeError::SealTampered);
         }
-        Ok(Bytes::from(xor_keystream(key, &self.ciphertext)))
+        Ok(Bytes::from(plaintext))
     }
 
     /// Size of the sealed payload in bytes.
@@ -83,8 +92,13 @@ impl Sealed {
     }
 }
 
-fn xor_keystream(key: SealKey, data: &[u8]) -> Vec<u8> {
-    let mut state = (key.0 as u64) ^ ((key.0 >> 64) as u64) ^ 0xDEAD_BEEF_CAFE_F00D;
+/// XORs `data` with the keystream of `key` and a payload's `tag` (its
+/// synthetic IV).
+fn xor_keystream(key: SealKey, tag: u64, data: &[u8]) -> Vec<u8> {
+    let mut state = (key.0 as u64)
+        ^ ((key.0 >> 64) as u64)
+        ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ 0xDEAD_BEEF_CAFE_F00D;
     if state == 0 {
         state = 1;
     }
@@ -138,6 +152,27 @@ mod tests {
         assert_ne!(&sealed.ciphertext[..], b"secret secret secret" as &[u8]);
         assert_eq!(sealed.len(), 20);
         assert!(!sealed.is_empty());
+    }
+
+    #[test]
+    fn equal_length_payloads_under_one_key_get_distinct_keystreams() {
+        // With one keystream per key, ciphertext XOR would equal
+        // plaintext XOR, and a known payload would reveal any other.
+        let key = SealKey(0x5EED);
+        let (a, b): (&[u8], &[u8]) = (b"public backbone!", b"private edge 0-1");
+        assert_eq!(a.len(), b.len());
+        let (sa, sb) = (Sealed::seal(key, a), Sealed::seal(key, b));
+        let xor = |x: &[u8], y: &[u8]| -> Vec<u8> { x.iter().zip(y).map(|(p, q)| p ^ q).collect() };
+        assert_ne!(xor(&sa.ciphertext, &sb.ciphertext), xor(a, b));
+        assert_eq!(Sealed::seal(key, a), sa, "sealing is deterministic");
+    }
+
+    #[test]
+    fn tampered_tag_is_rejected() {
+        let key = SealKey(7);
+        let mut sealed = Sealed::seal(key, b"hello world");
+        sealed.tag ^= 1;
+        assert_eq!(sealed.unseal(key), Err(TeeError::SealTampered));
     }
 
     #[test]
