@@ -12,6 +12,12 @@
 //! times one end-to-end GCN fit epoch, whose backward pass materializes
 //! no transposes at all.
 //!
+//! `first_layer_cora` holds the first layer's two products at the
+//! vaultbench fixture's shape (synthetic Cora: 2708 × 1433 features,
+//! 8 % non-zero, times 128) on the dense engine and on the CSR product
+//! that returns its bits; `train_epoch_cora` times one fit epoch there
+//! at dropout 0.5, where the first layer trains on the sparse features.
+//!
 //! Running this bench writes `BENCH_kernels.json` (machine-readable
 //! mean/median per kernel plus the machine's parallelism) so successive
 //! PRs accumulate a perf trajectory. How a product runs is `linalg`'s
@@ -22,10 +28,11 @@
 //! measured by `benchmark/` (vaultbench), not here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use datasets::{CitationDataset, DatasetSpec, SyntheticPlanetoid};
 use graph::{normalization, substitute, Graph};
 use linalg::{
-    available_kernel_variants, detected_cpu_features, gemm_into_ws, kernel_variant, matmul,
-    pairwise, DenseMatrix, Epilogue, GemmOp, Workspace,
+    available_kernel_variants, csr_gemm_into_ws, detected_cpu_features, gemm_into_ws,
+    kernel_variant, matmul, pairwise, CsrMatrix, DenseMatrix, Epilogue, GemmOp, Workspace,
 };
 use nn::{Network, TrainConfig};
 
@@ -163,6 +170,70 @@ fn bench_train_epoch(c: &mut Criterion) {
     );
 }
 
+/// The vaultbench fixture's dataset: synthetic Cora at full scale.
+fn cora() -> CitationDataset {
+    SyntheticPlanetoid::new(DatasetSpec::CORA)
+        .scale(1.0)
+        .seed(11)
+        .generate()
+        .expect("synthetic Cora")
+}
+
+fn bench_first_layer_cora(c: &mut Criterion) {
+    // The first layer's forward `X W` and weight gradient `Xᵀ G`, each
+    // on the packed engine over dense `X` and on the CSR product over
+    // its stored entries. Both return the same bits.
+    let x = cora().features;
+    let (n, f, h) = (x.rows(), x.cols(), 128);
+    let sparse = CsrMatrix::from_dense(&x);
+    let sparse_t = sparse.transpose();
+    let w = random_matrix(f, h, 41);
+    let g = random_matrix(n, h, 42);
+    let mut group = c.benchmark_group("first_layer_cora");
+    group.throughput(Throughput::Bytes(gemm_bytes(n, f, h)));
+    let mut ws = Workspace::new();
+    let (mut xw, mut xt_g) = (DenseMatrix::zeros(n, h), DenseMatrix::zeros(f, h));
+    let none = Epilogue::None;
+    group.bench_function("dense_ab", |bencher| {
+        bencher.iter(|| gemm_into_ws(GemmOp::AB, &x, &w, &mut xw, none, &mut ws).expect("gemm"))
+    });
+    group.bench_function("sparse_ab", |bencher| {
+        bencher.iter(|| csr_gemm_into_ws(&sparse, &w, &mut xw, none, &mut ws).expect("csr"))
+    });
+    group.bench_function("dense_at_b", |bencher| {
+        bencher.iter(|| gemm_into_ws(GemmOp::AtB, &x, &g, &mut xt_g, none, &mut ws).expect("gemm"))
+    });
+    group.bench_function("sparse_at_b", |bencher| {
+        bencher.iter(|| csr_gemm_into_ws(&sparse_t, &g, &mut xt_g, none, &mut ws).expect("csr"))
+    });
+    group.finish();
+}
+
+fn bench_train_epoch_cora(c: &mut Criterion) {
+    // One fit epoch of the paper's M1 backbone shape over the fixture's
+    // features and graph, at the pipeline's dropout: the row that sees
+    // the sparse first layer (`train_epoch_512` has dense features and
+    // no dropout).
+    let data = cora();
+    let adj = normalization::gcn_normalize(&data.graph);
+    let base = Network::new(data.num_features(), &[128, 32, data.num_classes], 5).expect("net");
+    let cfg = TrainConfig {
+        epochs: 1,
+        lr: 0.01,
+        weight_decay: 5e-4,
+        dropout: 0.5,
+        seed: 0,
+    };
+    let features = std::slice::from_ref(&data.features);
+    c.bench_function("train_epoch_cora", |bencher| {
+        bencher.iter(|| {
+            let mut net = base.clone();
+            net.fit(Some(&adj), features, &data.labels, &data.train_mask, &cfg)
+                .expect("fit epoch")
+        })
+    });
+}
+
 fn bench_spmm(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmm_message_passing");
     for &n in &[512usize, 2048] {
@@ -265,6 +336,8 @@ criterion_group!(
     bench_gemm,
     bench_gemm_packed,
     bench_train_epoch,
+    bench_first_layer_cora,
+    bench_train_epoch_cora,
     bench_spmm,
     bench_spmm_parallel,
     bench_normalization,

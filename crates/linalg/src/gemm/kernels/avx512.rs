@@ -41,3 +41,29 @@ unsafe fn accumulate_f32_impl(apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; 
         _mm512_storeu_ps(acc[i].as_mut_ptr(), tile[i]);
     }
 }
+
+/// Safe wrapper over the `#[target_feature]` axpy; same soundness
+/// argument as [`accumulate_f32`].
+pub(super) fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
+    debug_assert!(std::arch::is_x86_feature_detected!("avx512f"));
+    assert!(x.len() >= y.len(), "axpy reads one x per y");
+    unsafe { axpy_f32_impl(alpha, x, y) }
+}
+
+/// Sixteen lanes per `vfmadd231ps`; the tail uses `mul_add`, which
+/// this feature set lowers to the same correctly-rounded FMA.
+#[target_feature(enable = "avx512f")]
+unsafe fn axpy_f32_impl(alpha: f32, x: &[f32], y: &mut [f32]) {
+    let n = y.len();
+    let a = _mm512_set1_ps(alpha);
+    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
+    let mut j = 0;
+    while j + 16 <= n {
+        let sum = _mm512_fmadd_ps(a, _mm512_loadu_ps(xp.add(j)), _mm512_loadu_ps(yp.add(j)));
+        _mm512_storeu_ps(yp.add(j), sum);
+        j += 16;
+    }
+    for (y, &x) in y[j..].iter_mut().zip(&x[j..n]) {
+        *y = alpha.mul_add(x, *y);
+    }
+}

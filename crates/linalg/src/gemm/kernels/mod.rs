@@ -17,6 +17,10 @@
 //! - [`KernelVariant::Avx512`]: AVX-512F intrinsics, 6 `zmm`
 //!   accumulators (the 16-wide tile row is exactly one `zmm`).
 //!
+//! Beside the tile kernel each variant has an FMA axpy, the inner step
+//! of the sparse × dense product in `gemm::csr`, under the same
+//! contract and the same dispatch.
+//!
 //! Selection happens **once per process**: the first GEMM call detects
 //! CPU features (`is_x86_feature_detected!`) and caches the winner in a
 //! [`OnceLock`]. The `LINALG_FORCE_KERNEL=scalar|avx2|avx512`
@@ -117,23 +121,31 @@ pub(crate) struct Kernels {
     /// panels, every product-add a correctly-rounded fused multiply-add
     /// in fixed per-element k-order (the bit-identity contract).
     pub(crate) accumulate_f32: fn(&[f32], &[f32], &mut [[f32; NR]; MR]),
+    /// `y[j] = fma(alpha, x[j], y[j])` for every `j < y.len()` (`x` at
+    /// least as long): one stored entry's step of every chain in a
+    /// sparse × dense output row. Each lane is its own correctly-rounded
+    /// fused multiply-add, so the lane split changes no bit.
+    pub(crate) axpy_f32: fn(f32, &[f32], &mut [f32]),
 }
 
 const SCALAR_KERNELS: Kernels = Kernels {
     variant: KernelVariant::Scalar,
     accumulate_f32: scalar::accumulate_f32,
+    axpy_f32: scalar::axpy_f32,
 };
 
 #[cfg(target_arch = "x86_64")]
 const AVX2_KERNELS: Kernels = Kernels {
     variant: KernelVariant::Avx2,
     accumulate_f32: avx2::accumulate_f32,
+    axpy_f32: avx2::axpy_f32,
 };
 
 #[cfg(target_arch = "x86_64")]
 const AVX512_KERNELS: Kernels = Kernels {
     variant: KernelVariant::Avx512,
     accumulate_f32: avx512::accumulate_f32,
+    axpy_f32: avx512::axpy_f32,
 };
 
 /// The table for an explicitly requested variant.
@@ -299,6 +311,31 @@ mod tests {
                 let mut acc = [[0.1f32; NR]; MR];
                 (kernels_for(v).accumulate_f32)(&apan, &bpan, &mut acc);
                 assert_eq!(acc, reference, "variant {} at kc {kc}", v.label());
+            }
+        }
+    }
+
+    #[test]
+    fn axpy_f32_bit_identical_across_available_variants() {
+        // Lengths around every vector width, so each variant's tail
+        // runs too; `x` longer than `y` is allowed and ignored.
+        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 33, 128] {
+            let x: Vec<f32> = (0..len + 3)
+                .map(|i| ((i * 173 + 19) % 1999) as f32 / 499.0 - 2.0)
+                .collect();
+            let y0: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
+            let mut reference = y0.clone();
+            scalar::axpy_f32(-1.3, &x, &mut reference);
+            for v in available_kernel_variants() {
+                let mut y = y0.clone();
+                (kernels_for(v).axpy_f32)(-1.3, &x, &mut y);
+                let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&y),
+                    bits(&reference),
+                    "variant {} at len {len}",
+                    v.label()
+                );
             }
         }
     }

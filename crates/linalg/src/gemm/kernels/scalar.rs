@@ -27,3 +27,11 @@ pub(super) fn accumulate_f32(apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; M
         }
     }
 }
+
+/// `y[j] = fma(alpha, x[j], y[j])`, `mul_add` for the same reason as
+/// above.
+pub(super) fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
+    for (y, &x) in y.iter_mut().zip(x) {
+        *y = alpha.mul_add(x, *y);
+    }
+}

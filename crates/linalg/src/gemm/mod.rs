@@ -37,8 +37,10 @@
 
 use crate::{pool, DenseMatrix, LinalgError, Workspace};
 
+mod csr;
 pub mod kernels;
 
+pub use csr::csr_gemm_into_ws;
 use kernels::Kernels;
 
 /// Rows per A panel / micro-tile (register-tile height). `6×16` is the
@@ -54,7 +56,8 @@ const MR: usize = 6;
 const NR: usize = 16;
 
 /// k-dimension block: one `KC×NR` B panel slice (16 KiB) stays
-/// L1-resident across a row block of micro-tiles.
+/// L1-resident across a row block of micro-tiles. It also fixes the
+/// summation order (one chain per block), which `csr` reproduces.
 const KC: usize = 256;
 
 /// Row block: `MC×KC` of packed A (~128 KiB) stays L2-resident while

@@ -19,6 +19,9 @@
 //! - [`CsrMatrix`]: compressed sparse row matrices with sparse × dense
 //!   multiplication ([`CsrMatrix::spmm`]) — the message-passing kernel of
 //!   every GCN layer (`Â · H`),
+//! - [`csr_gemm_into_ws`]: a CSR × dense product that returns the packed
+//!   engine's bits for the densified operand — the first layer's `X̃W`
+//!   and `X̃ᵀG` over sparse bag-of-words features,
 //! - [`ops`]: activations, softmax family, argmax, and reductions used by
 //!   the neural-network crate,
 //! - [`pairwise`]: the tiled pool-parallel pairwise-similarity engine
@@ -70,7 +73,7 @@ pub use gemm::kernels::{
 };
 #[cfg(test)]
 pub(crate) use gemm::matmul_naive;
-pub use gemm::{gemm_into_ws, matmul, matmul_fused_into_ws, Epilogue, GemmOp};
+pub use gemm::{csr_gemm_into_ws, gemm_into_ws, matmul, matmul_fused_into_ws, Epilogue, GemmOp};
 pub use quant::QuantizedMatrix;
 pub use sparse::CsrMatrix;
 pub use workspace::Workspace;

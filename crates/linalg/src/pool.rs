@@ -68,7 +68,7 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    fn with_workers(workers: usize) -> Self {
+    pub(crate) fn with_workers(workers: usize) -> Self {
         let (sender, receiver) = channel::<Job>();
         if workers > 1 {
             let receiver = Arc::new(Mutex::new(receiver));

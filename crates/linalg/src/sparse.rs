@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 /// product is row-partitioned over the shared pool, provided it has more
 /// than one worker. Below it the dispatch overhead (one channel send +
 /// two atomics per chunk) is not worth amortizing.
-const SPMM_PARALLEL_FLOP_THRESHOLD: usize = 1 << 21;
+pub(crate) const SPMM_PARALLEL_FLOP_THRESHOLD: usize = 1 << 21;
 
 /// How one sparse product runs. Callers never pick — every public entry
 /// passes `Auto`; the pinned values exist so this module's tests can
@@ -190,6 +190,20 @@ impl CsrMatrix {
             { self.row_ptr[r]..self.row_ptr[r + 1] }
                 .map(move |k| (r, self.col_idx[k], self.values[k]))
         })
+    }
+
+    /// The stored values, in [`CsrMatrix::iter`] order.
+    pub fn values(&self) -> &[f32] {
+        &self.values
+    }
+
+    /// Mutable access to the stored values, in [`CsrMatrix::iter`]
+    /// order; the structure stays fixed. The cached
+    /// [`CsrMatrix::transposed`] holds the old values, so it is dropped
+    /// here and rebuilt on next use.
+    pub fn values_mut(&mut self) -> &mut [f32] {
+        self.transpose_cache = std::sync::OnceLock::new();
+        &mut self.values
     }
 
     /// The stored entries of row `r` as parallel `(columns, values)` slices.
@@ -377,7 +391,7 @@ impl CsrMatrix {
     /// nonzero counts, returned as `parts + 1` row boundaries. Row
     /// pointers are already a prefix sum of nonzeros, so each cut is a
     /// partition-point search for the next nnz target.
-    fn row_bounds_by_nnz(&self, parts: usize) -> Vec<usize> {
+    pub(crate) fn row_bounds_by_nnz(&self, parts: usize) -> Vec<usize> {
         let nnz = self.nnz();
         let mut bounds = Vec::with_capacity(parts + 1);
         bounds.push(0);
@@ -651,6 +665,16 @@ mod tests {
         // Populating the cache does not affect equality with a clean copy.
         let clean = path3();
         assert_eq!(m, clean);
+    }
+
+    #[test]
+    fn writing_values_drops_the_cached_transpose() {
+        let mut m = CsrMatrix::from_triplets(2, 3, &[(0, 2, 1.5), (1, 0, -2.0)]).unwrap();
+        assert_eq!(m.transposed().get(2, 0), 1.5);
+        m.values_mut()[0] = 4.0;
+        assert_eq!(m.values(), &[4.0, -2.0]);
+        assert_eq!(m.transposed(), &m.transpose());
+        assert_eq!(m.transposed().get(2, 0), 4.0);
     }
 
     #[test]

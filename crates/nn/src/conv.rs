@@ -1,3 +1,4 @@
+use crate::features::Features;
 use crate::gat::GatForward;
 use crate::gcn::GcnForward;
 use crate::sage::SageForward;
@@ -154,7 +155,9 @@ impl ConvLayer {
         ws: &mut Workspace,
     ) -> Result<ConvForward, NnError> {
         Ok(match self {
-            ConvLayer::Gcn(l) => ConvForward::Gcn(l.forward_fused(adj, input, fuse_relu, ws)?),
+            ConvLayer::Gcn(l) => {
+                ConvForward::Gcn(l.forward_fused(adj, Features::Dense(input), fuse_relu, ws)?)
+            }
             ConvLayer::Sage(l) => {
                 let adj = operator(adj, ConvKind::Sage)?;
                 ConvForward::Sage(l.forward_fused(adj, input, fuse_relu, ws)?)
@@ -215,7 +218,7 @@ impl ConvLayer {
         ws: &mut Workspace,
     ) -> Result<(), NnError> {
         if let (ConvLayer::Gcn(l), ConvForward::Gcn(_)) = (&mut *self, cache) {
-            return l.param_grads_ws(input, adj, d_output, ws);
+            return l.param_grads_ws(Features::Dense(input), adj, d_output, ws);
         }
         let d_input = self.backward_ws(cache, input, adj, d_output, ws)?;
         ws.give(d_input);

@@ -1,8 +1,7 @@
+use crate::features::Features;
 use crate::init::glorot_uniform;
 use crate::{NnError, Param};
-use linalg::{
-    gemm_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix, Epilogue, GemmOp, Workspace,
-};
+use linalg::{gemm_into_ws, CsrMatrix, DenseMatrix, Epilogue, GemmOp, Workspace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -81,7 +80,9 @@ impl GcnLayer {
     /// copying and ReLU-ing it. The projection scratch (`H W`), the
     /// output, and the GEMM packing buffers come from `ws`, so a
     /// training loop that gives buffers back each epoch runs
-    /// allocation-free in steady state.
+    /// allocation-free in steady state. A network's first layer may
+    /// read its features sparse ([`Features::Sparse`]), with the same
+    /// bits.
     ///
     /// # Errors
     ///
@@ -90,7 +91,7 @@ impl GcnLayer {
     pub(crate) fn forward_fused(
         &self,
         adj: Option<&CsrMatrix>,
-        input: &DenseMatrix,
+        input: Features<'_>,
         fuse_relu: bool,
         ws: &mut Workspace,
     ) -> Result<GcnForward, NnError> {
@@ -102,10 +103,10 @@ impl GcnLayer {
         };
         let mut xw = ws.take_for_overwrite(input.rows(), self.out_dim);
         let Some(adj) = adj else {
-            matmul_fused_into_ws(input, &self.weight.value, &mut xw, epilogue, ws)?;
+            input.times_into(&self.weight.value, &mut xw, epilogue, ws)?;
             return Ok(GcnForward { output: xw });
         };
-        matmul_fused_into_ws(input, &self.weight.value, &mut xw, Epilogue::None, ws)?;
+        input.times_into(&self.weight.value, &mut xw, Epilogue::None, ws)?;
         let mut output = ws.take_for_overwrite(adj.rows(), self.out_dim);
         adj.spmm_fused_into(&xw, &mut output, epilogue)?;
         ws.give(xw);
@@ -139,7 +140,7 @@ impl GcnLayer {
         d_output: &DenseMatrix,
         ws: &mut Workspace,
     ) -> Result<DenseMatrix, NnError> {
-        let propagated = self.accumulate_grads(input, adj, d_output, ws)?;
+        let propagated = self.accumulate_grads(Features::Dense(input), adj, d_output, ws)?;
         let mut d_input = ws.take_for_overwrite(input.rows(), self.in_dim);
         let d_xw = propagated.as_ref().unwrap_or(d_output);
         gemm_into_ws(
@@ -166,7 +167,7 @@ impl GcnLayer {
     /// Same conditions as [`GcnLayer::backward_ws`].
     pub(crate) fn param_grads_ws(
         &mut self,
-        input: &DenseMatrix,
+        input: Features<'_>,
         adj: Option<&CsrMatrix>,
         d_output: &DenseMatrix,
         ws: &mut Workspace,
@@ -182,7 +183,7 @@ impl GcnLayer {
     /// is `d_output`).
     fn accumulate_grads(
         &mut self,
-        input: &DenseMatrix,
+        input: Features<'_>,
         adj: Option<&CsrMatrix>,
         d_output: &DenseMatrix,
         ws: &mut Workspace,
@@ -191,7 +192,7 @@ impl GcnLayer {
         let propagated = adj.map(|a| a.spmm_transposed(d_output)).transpose()?;
         let d_xw = propagated.as_ref().unwrap_or(d_output);
         let mut d_w = ws.take_for_overwrite(self.in_dim, self.out_dim);
-        gemm_into_ws(GemmOp::AtB, input, d_xw, &mut d_w, Epilogue::None, ws)?;
+        input.transposed_times_into(d_xw, &mut d_w, ws)?;
         self.weight.grad.add_scaled(&d_w, 1.0)?;
         ws.give(d_w);
         let col_sums = d_output.column_sums();
@@ -225,7 +226,7 @@ mod tests {
         x: &DenseMatrix,
     ) -> Result<DenseMatrix, NnError> {
         Ok(layer
-            .forward_fused(adj, x, false, &mut Workspace::new())?
+            .forward_fused(adj, Features::Dense(x), false, &mut Workspace::new())?
             .output)
     }
 
@@ -361,7 +362,9 @@ mod tests {
             let (mut full, mut params_only) = (layer.clone(), layer.clone());
             let mut ws = Workspace::new();
             full.backward_ws(&x, op, &d_out, &mut ws).unwrap();
-            params_only.param_grads_ws(&x, op, &d_out, &mut ws).unwrap();
+            params_only
+                .param_grads_ws(Features::Dense(&x), op, &d_out, &mut ws)
+                .unwrap();
             assert_eq!(full, params_only);
             assert!(full.weight.grad.as_slice().iter().any(|&g| g != 0.0));
         }

@@ -61,6 +61,7 @@
 
 mod conv;
 mod error;
+mod features;
 mod gat;
 mod gcn;
 mod init;

@@ -1,4 +1,5 @@
 use crate::conv::ConvForward;
+use crate::features::{Features, SparseFeatures};
 use crate::optim::Adam;
 use crate::{loss, ConvKind, ConvLayer, NnError};
 use linalg::{ops, CsrMatrix, DenseMatrix, Workspace};
@@ -17,7 +18,7 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Adam learning rate; finite and positive.
     pub lr: f32,
-    /// L2 weight decay.
+    /// L2 weight decay; finite and non-negative.
     pub weight_decay: f32,
     /// Inverted-dropout probability on each layer input, in `[0, 1)`
     /// (0 disables).
@@ -29,8 +30,11 @@ pub struct TrainConfig {
 impl TrainConfig {
     /// Rejects values a fit would silently mis-train on: a dropout of 1
     /// or more zeroes every mask (only biases would train), a negative
-    /// or NaN one disables dropout unasked, and a non-finite or
-    /// non-positive learning rate poisons or freezes every weight.
+    /// or NaN one disables dropout unasked, a non-finite or
+    /// non-positive learning rate poisons or freezes every weight, and
+    /// so does a non-finite weight decay (it enters every gradient as
+    /// `grad + weight_decay · value`), while a negative one pushes
+    /// weights away from zero.
     ///
     /// # Errors
     ///
@@ -44,6 +48,14 @@ impl TrainConfig {
         if !(self.lr.is_finite() && self.lr > 0.0) {
             return Err(NnError::InvalidTrainConfig {
                 reason: format!("lr must be finite and positive, got {}", self.lr),
+            });
+        }
+        if !(self.weight_decay.is_finite() && self.weight_decay >= 0.0) {
+            return Err(NnError::InvalidTrainConfig {
+                reason: format!(
+                    "weight_decay must be finite and non-negative, got {}",
+                    self.weight_decay
+                ),
             });
         }
         Ok(())
@@ -265,7 +277,7 @@ impl Network {
     ) -> Result<Vec<DenseMatrix>, NnError> {
         // The workspace recycles GEMM packing and projection scratch
         // across layers.
-        let pass = self.forward_pass(adj, inputs, None, &mut Workspace::new())?;
+        let pass = self.forward_pass(adj, inputs, None, None, &mut Workspace::new())?;
         Ok(pass
             .caches
             .into_iter()
@@ -302,12 +314,14 @@ impl Network {
     /// (a borrow when it is one part, else a concatenation drawn from
     /// `ws`), dropout-masked when `dropout` is given, then run through
     /// the layer's fused forward (bias and hidden-layer ReLU in the
-    /// output epilogue — no activation pass and no input copy).
+    /// output epilogue — no activation pass and no input copy). With
+    /// `first`, the first layer reads those sparse features instead.
     fn forward_pass(
         &self,
         adj: Option<&CsrMatrix>,
         inputs: &[DenseMatrix],
         mut dropout: Option<(f32, &mut StdRng)>,
+        mut first: Option<&mut SparseFeatures>,
         ws: &mut Workspace,
     ) -> Result<Pass, NnError> {
         if let Some(t) = self.taps.iter().flatten().find(|&&t| t >= inputs.len()) {
@@ -321,6 +335,15 @@ impl Network {
             owned: Vec::with_capacity(self.layers.len()),
         };
         for (i, layer) in self.layers.iter().enumerate() {
+            if let (0, Some(x), ConvLayer::Gcn(gcn)) = (i, first.as_deref_mut(), layer) {
+                if let Some((p, rng)) = dropout.as_mut() {
+                    x.drop_out(*p, &mut **rng);
+                }
+                let cache = gcn.forward_fused(adj, Features::Sparse(x), i != last, ws)?;
+                pass.owned.push(None);
+                pass.caches.push(ConvForward::Gcn(cache));
+                continue;
+            }
             let parts: Vec<&DenseMatrix> = (pass.caches.last().map(ConvForward::output))
                 .into_iter()
                 .chain(self.taps[i].iter().map(|&t| &inputs[t]))
@@ -335,9 +358,12 @@ impl Network {
                     Some(concat)
                 }
             };
+            // Nothing reads the first layer's input gradient, so its
+            // dropout keeps no mask.
             pass.owned.push(owned.map(|mut input| {
-                let mask = (dropout.as_mut())
-                    .map(|(p, rng)| apply_dropout(&mut input, *p, &mut **rng, ws));
+                let mask = dropout.as_mut().and_then(|(p, rng)| {
+                    apply_dropout(&mut input, *p, &mut **rng, (i > 0).then_some(&mut *ws))
+                });
                 OwnedInput { input, mask }
             }));
             let input = layer_input(&self.taps, i, inputs, &pass);
@@ -350,7 +376,10 @@ impl Network {
     /// Trains the network full-batch on the masked cross-entropy loss
     /// over the taps `inputs`, propagating over `adj` when there is one.
     /// Taps are constants: no gradient flows into them, so the first
-    /// layer accumulates its parameter gradients and stops.
+    /// layer accumulates its parameter gradients and stops. A GCN first
+    /// layer reading one mostly-zero tap (bag-of-words features) trains
+    /// on it as CSR, bit-identically and in time proportional to its
+    /// stored entries.
     ///
     /// # Errors
     ///
@@ -367,6 +396,21 @@ impl Network {
         cfg: &TrainConfig,
     ) -> Result<TrainReport, NnError> {
         cfg.validate()?;
+        let first = SparseFeatures::for_first_layer(&self.layers[0], &self.taps[0], inputs);
+        self.fit_on(adj, inputs, first, labels, train_mask, cfg)
+    }
+
+    /// [`Network::fit`] with its first-layer arm chosen: sparse
+    /// features, or `None` for the dense input.
+    fn fit_on(
+        &mut self,
+        adj: Option<&CsrMatrix>,
+        inputs: &[DenseMatrix],
+        mut first: Option<SparseFeatures>,
+        labels: &[usize],
+        train_mask: &[usize],
+        cfg: &TrainConfig,
+    ) -> Result<TrainReport, NnError> {
         let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut final_loss = f32::NAN;
@@ -385,7 +429,7 @@ impl Network {
         let mut ws = Workspace::new();
         for _ in 0..cfg.epochs {
             let dropout = (cfg.dropout > 0.0).then_some((cfg.dropout, &mut rng));
-            let pass = self.forward_pass(adj, inputs, dropout, &mut ws)?;
+            let pass = self.forward_pass(adj, inputs, dropout, first.as_mut(), &mut ws)?;
             let logits = pass.caches[pass.caches.len() - 1].output();
             let (loss_value, grad) = loss::masked_cross_entropy(logits, labels, train_mask)?;
             final_loss = loss_value;
@@ -417,8 +461,15 @@ impl Network {
                 ws.give(d_input);
                 ws.give(std::mem::replace(&mut d, next));
             }
-            let input = layer_input(taps, 0, inputs, &pass);
-            layers[0].param_grads_ws(&pass.caches[0], input, adj, &d, &mut ws)?;
+            match (&mut layers[0], &first) {
+                (ConvLayer::Gcn(gcn), Some(x)) => {
+                    gcn.param_grads_ws(Features::Sparse(x), adj, &d, &mut ws)?
+                }
+                (layer, _) => {
+                    let input = layer_input(taps, 0, inputs, &pass);
+                    layer.param_grads_ws(&pass.caches[0], input, adj, &d, &mut ws)?
+                }
+            }
             ws.give(d);
 
             // Update.
@@ -428,8 +479,14 @@ impl Network {
             }
             pass.recycle(&mut ws);
         }
-        let logits = self.logits(adj, inputs)?;
-        let train_accuracy = loss::masked_accuracy(&logits, labels, train_mask)?;
+        // The closing pass runs dense, as serving does. A sparse one left
+        // glibc's mmap threshold below the packing buffers a fresh
+        // serving `Workspace` takes per call (15.5 MB on Cora), which
+        // then paid page faults on every request (vaultbench
+        // `cold_single` p50 +12 %).
+        let pass = self.forward_pass(adj, inputs, None, None, &mut ws)?;
+        let logits = pass.caches[pass.caches.len() - 1].output();
+        let train_accuracy = loss::masked_accuracy(logits, labels, train_mask)?;
         Ok(TrainReport {
             final_loss,
             train_accuracy,
@@ -472,27 +529,39 @@ fn validate_wiring(
     Ok(())
 }
 
-/// Applies inverted dropout with probability `p` in place, returning
-/// the scaled keep-mask for the backward pass. The mask is drawn from
+/// One inverted-dropout draw at keep probability `keep`: the factor
+/// `1 / keep` for a kept element, `0` for a dropped one.
+pub(crate) fn dropout_scale(keep: f32, rng: &mut impl Rng) -> f32 {
+    if rng.gen::<f32>() < keep {
+        1.0 / keep
+    } else {
+        0.0
+    }
+}
+
+/// Applies inverted dropout with probability `p` to `h` in place, one
+/// [`dropout_scale`] per element in row-major order. Given `ws`, it
+/// also returns the scaled keep-mask for the backward pass, drawn from
 /// `ws` so epochs recycle its allocation.
 fn apply_dropout(
     h: &mut DenseMatrix,
     p: f32,
     rng: &mut impl Rng,
-    ws: &mut Workspace,
-) -> DenseMatrix {
+    ws: Option<&mut Workspace>,
+) -> Option<DenseMatrix> {
     let keep = 1.0 - p;
+    let Some(ws) = ws else {
+        for v in h.as_mut_slice() {
+            *v *= dropout_scale(keep, rng);
+        }
+        return None;
+    };
     let mut mask = ws.take_for_overwrite(h.rows(), h.cols());
-    for v in mask.as_mut_slice() {
-        *v = if rng.gen::<f32>() < keep {
-            1.0 / keep
-        } else {
-            0.0
-        };
+    for (v, m) in h.as_mut_slice().iter_mut().zip(mask.as_mut_slice()) {
+        *m = dropout_scale(keep, rng);
+        *v *= *m;
     }
-    h.hadamard_inplace(&mask)
-        .expect("same shape by construction");
-    mask
+    Some(mask)
 }
 
 #[cfg(test)]
@@ -691,6 +760,10 @@ mod tests {
             lr,
             ..TrainConfig::default()
         };
+        let decay = |weight_decay| TrainConfig {
+            weight_decay,
+            ..cfg(0.0, 0.01)
+        };
         for (field, bad) in [
             ("dropout", cfg(1.0, 0.01)),
             ("dropout", cfg(1.5, 0.01)),
@@ -700,6 +773,10 @@ mod tests {
             ("lr", cfg(0.0, -0.01)),
             ("lr", cfg(0.0, f32::NAN)),
             ("lr", cfg(0.0, f32::INFINITY)),
+            ("weight_decay", decay(f32::NAN)),
+            ("weight_decay", decay(f32::INFINITY)),
+            ("weight_decay", decay(f32::NEG_INFINITY)),
+            ("weight_decay", decay(-5e-4)),
         ] {
             let mut net = fresh.clone();
             match net.fit(Some(&adj), from_ref(&x), &labels, &train, &bad) {
@@ -711,11 +788,69 @@ mod tests {
             assert_eq!(net, fresh);
         }
         // The range is open at the top: dropping almost everything is
-        // a legitimate, if unwise, request.
+        // a legitimate, if unwise, request. No decay at all is allowed.
         let mut net = fresh.clone();
         assert!(net
             .fit(None, from_ref(&x), &labels, &train, &cfg(0.99, 0.01))
             .is_ok());
+        assert!(net
+            .fit(None, from_ref(&x), &labels, &train, &decay(0.0))
+            .is_ok());
+    }
+
+    /// Bag-of-words-like features: `n × width`, about 8 % non-zero,
+    /// with empty rows and columns, and a ring graph over the nodes.
+    fn sparse_problem(n: usize, width: usize) -> (CsrMatrix, DenseMatrix, Vec<usize>) {
+        let mut rng = StdRng::seed_from_u64(11);
+        let x = DenseMatrix::from_fn(n, width, |r, c| {
+            let on = r % 7 != 3 && c % 9 != 4 && rng.gen::<f32>() < 0.09;
+            if on {
+                rng.gen::<f32>() * 2.0 - 0.5
+            } else {
+                0.0
+            }
+        });
+        let ring: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        let adj = normalization::gcn_normalize(&Graph::from_edges(n, &ring).unwrap());
+        let labels = (0..n).map(|i| (i * 5 + i / 3) % 3).collect();
+        (adj, x, labels)
+    }
+
+    /// A fit whose first layer reads sparse features matches the dense
+    /// arm in every bit — loss, weights, biases and Adam moments, at
+    /// dropout 0.5 — with and without an operator. Equal later layers
+    /// also show that they drew the same dropout masks: the sparse arm
+    /// consumed the dense arm's stream for the first layer.
+    #[test]
+    fn sparse_first_layer_fit_is_bit_identical_to_the_dense_arm() {
+        // Wider than one KC block of k both ways (features forward,
+        // nodes backward).
+        let (adj, x, labels) = sparse_problem(300, 600);
+        let train: Vec<usize> = (0..300).step_by(3).collect();
+        let cfg = TrainConfig {
+            epochs: 4,
+            dropout: 0.5,
+            seed: 3,
+            ..TrainConfig::default()
+        };
+        let fresh = Network::new(600, &[16, 8, 3], 5).unwrap();
+        let first =
+            || SparseFeatures::for_first_layer(&fresh.layers[0], &fresh.taps[0], from_ref(&x));
+        assert!(first().is_some(), "the features must take the sparse arm");
+        for op in [Some(&adj), None] {
+            let (mut sparse, mut dense) = (fresh.clone(), fresh.clone());
+            let a = sparse
+                .fit_on(op, from_ref(&x), first(), &labels, &train, &cfg)
+                .unwrap();
+            let b = dense
+                .fit_on(op, from_ref(&x), None, &labels, &train, &cfg)
+                .unwrap();
+            assert_eq!(a.final_loss.to_bits(), b.final_loss.to_bits());
+            assert_eq!(a.train_accuracy, b.train_accuracy);
+            // `Debug` prints every f32 so that distinct bits differ.
+            assert_eq!(format!("{sparse:?}"), format!("{dense:?}"));
+            assert_ne!(sparse, fresh);
+        }
     }
 
     /// A first layer reading two taps is a chain over their
