@@ -1,5 +1,4 @@
 use linalg::{ops, pairwise, DenseMatrix};
-use serde::{Deserialize, Serialize};
 
 /// The six pairwise similarity metrics of Table IV.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let far = SimilarityMetric::Euclidean.score(&[0.0, 0.0], &[5.0, 0.0]);
 /// assert!(close > far);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimilarityMetric {
     /// Negative Euclidean (L2) distance.
     Euclidean,

@@ -1,115 +1,8 @@
-//! Regenerates **Fig. 5**: the impact of substitute-graph
-//! hyperparameters on Cora and Citeseer — sweeping the KNN neighbour
-//! count, the cosine-similarity threshold, and the random-edge
-//! percentage, reporting backbone (pbb) and rectified (prec) accuracy at
-//! each point.
-//!
-//! ```text
-//! cargo run -p bench --bin fig5 --release [--epochs N] [--scale F]
-//! ```
+//! Prints [`bench::fig5`]; flags: `--scale F`, `--epochs N`, `--seed N`.
 
-use bench::{model_for, pct, HarnessArgs};
-use datasets::{CitationDataset, DatasetSpec};
-use gnnvault::{Backbone, Rectifier, RectifierKind, SubstituteKind};
-use graph::normalization;
-use nn::TrainConfig;
+use bench::HarnessArgs;
+use std::io;
 
-fn run_point(
-    data: &CitationDataset,
-    kind: SubstituteKind,
-    channels: (&[usize], &[usize]),
-    cfg: &TrainConfig,
-    seed: u64,
-) -> (f32, f32) {
-    let backbone = Backbone::train(
-        &data.features,
-        &data.labels,
-        &data.train_mask,
-        kind,
-        channels.0,
-        data.graph.num_edges(),
-        cfg,
-        seed,
-    )
-    .expect("backbone training");
-    let pbb = metrics::masked_accuracy(
-        &backbone.predict(&data.features).expect("predict"),
-        &data.labels,
-        &data.test_mask,
-    )
-    .expect("pbb");
-    let real_adj = normalization::gcn_normalize(&data.graph);
-    let embeddings = backbone.embeddings(&data.features).expect("embeddings");
-    let mut rectifier = Rectifier::new(
-        RectifierKind::Parallel,
-        channels.1,
-        &backbone.channel_dims(),
-        seed + 1,
-    )
-    .expect("rectifier construction");
-    rectifier
-        .fit(&real_adj, &embeddings, &data.labels, &data.train_mask, cfg)
-        .expect("rectifier training");
-    let prec = metrics::masked_accuracy(
-        &rectifier.predict(&real_adj, &embeddings).expect("predict"),
-        &data.labels,
-        &data.test_mask,
-    )
-    .expect("prec");
-    (pbb, prec)
-}
-
-fn main() {
-    let args = HarnessArgs::from_env();
-    let cfg = TrainConfig {
-        epochs: args.epochs,
-        lr: 0.01,
-        weight_decay: 5e-4,
-        dropout: 0.5,
-        seed: args.seed,
-    };
-
-    for spec in [DatasetSpec::CORA, DatasetSpec::CITESEER] {
-        let data = bench::load(&spec, args.scale_mult, args.seed);
-        let model = model_for(&spec);
-        let ch = (
-            model.backbone_channels.as_slice(),
-            model.rectifier_channels.as_slice(),
-        );
-        println!("Fig. 5 sweeps on {}:", data.name);
-
-        println!("  KNN substitute: k sweep");
-        println!("  {:>4} {:>7} {:>7}", "k", "pbb%", "prec%");
-        for k in [1usize, 2, 3, 4, 6, 8] {
-            let (pbb, prec) = run_point(&data, SubstituteKind::Knn { k }, ch, &cfg, args.seed);
-            println!("  {:>4} {:>7} {:>7}", k, pct(pbb), pct(prec));
-        }
-
-        println!("  cosine substitute: threshold sweep");
-        println!("  {:>4} {:>7} {:>7}", "τ", "pbb%", "prec%");
-        for tau in [0.0f32, 0.1, 0.2, 0.4, 0.6, 0.8] {
-            let (pbb, prec) = run_point(
-                &data,
-                SubstituteKind::CosineThreshold { tau },
-                ch,
-                &cfg,
-                args.seed,
-            );
-            println!("  {:>4.1} {:>7} {:>7}", tau, pct(pbb), pct(prec));
-        }
-
-        println!("  random substitute: edge-percentage sweep");
-        println!("  {:>5} {:>7} {:>7}", "ratio", "pbb%", "prec%");
-        for ratio in [0.01f64, 0.1, 0.5, 1.0, 1.5, 2.0] {
-            let (pbb, prec) =
-                run_point(&data, SubstituteKind::Random { ratio }, ch, &cfg, args.seed);
-            println!("  {:>5.2} {:>7} {:>7}", ratio, pct(pbb), pct(prec));
-        }
-        println!();
-    }
-    println!(
-        "Shape checks vs the paper: KNN is stable in k; a too-low cosine threshold \
-         (≤0.2) hurts; more random edges degrade both pbb and prec, and with almost \
-         no edges the random backbone approaches the DNN baseline."
-    );
+fn main() -> io::Result<()> {
+    bench::fig5(&HarnessArgs::from_env(), &mut io::stdout().lock())
 }

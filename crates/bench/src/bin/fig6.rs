@@ -1,147 +1,8 @@
-//! Regenerates **Fig. 6**: GNNVault inference-time breakdown (backbone /
-//! transfer / rectifier) and enclave runtime memory usage for the three
-//! model configurations (M1 on Cora, M2 on CoraFull, M3 on Computer)
-//! under each rectifier design, compared against running the unprotected
-//! GNN on the CPU.
-//!
-//! Wall-clock portions come from the real Rust kernels; the SGX
-//! transition/marshalling/paging components come from the calibrated
-//! [`tee::CostModel`] (see DESIGN.md §2).
-//!
-//! ```text
-//! cargo run -p bench --bin fig6 --release [--epochs N] [--scale F]
-//! ```
+//! Prints [`bench::fig6`]; flags: `--scale F`, `--epochs N`, `--seed N`.
 
 use bench::HarnessArgs;
-use datasets::DatasetSpec;
-use gnnvault::{pipeline, ModelConfig, RectifierKind, SubstituteKind};
-use std::time::Instant;
-use tee::MB;
+use std::io;
 
-fn main() {
-    let args = HarnessArgs::from_env();
-    type Preset = (&'static DatasetSpec, fn(usize) -> ModelConfig, &'static str);
-    let configs: [Preset; 3] = [
-        (&DatasetSpec::CORA, ModelConfig::m1, "M1 (Cora)"),
-        (&DatasetSpec::CORAFULL, ModelConfig::m2, "M2 (CoraFull)"),
-        (&DatasetSpec::COMPUTER, ModelConfig::m3, "M3 (Computer)"),
-    ];
-
-    println!("Fig. 6 (top): inference time breakdown, ms per full-graph inference");
-    println!(
-        "{:<14} {:<9} {:>9} {:>9} {:>9} {:>9} | {:>11} {:>9}",
-        "model", "rectifier", "backbone", "transfer", "enclave", "total", "unprotected", "overhead"
-    );
-    println!("{}", "-".repeat(92));
-
-    let mut memory_rows = Vec::new();
-    for (spec, model_fn, label) in configs {
-        let data = bench::load(spec, args.scale_mult, args.seed);
-        let model = model_fn(data.num_classes);
-
-        // Unprotected GNN on CPU: the baseline the paper compares against.
-        let reference = pipeline::train(
-            &data,
-            &pipeline::PipelineConfig {
-                model: model.clone(),
-                substitute: SubstituteKind::Knn { k: 2 },
-                rectifier: RectifierKind::Series,
-                epochs: args.epochs.min(60),
-                train_original: true,
-                ..Default::default()
-            },
-        )
-        .expect("training");
-        let original = reference.original.as_ref().expect("reference model");
-        const REPS: u32 = 5;
-        let _ = original.predict(&data.features).expect("baseline warmup");
-        let start = Instant::now();
-        for _ in 0..REPS {
-            let _ = original
-                .predict(&data.features)
-                .expect("baseline inference");
-        }
-        let unprotected_ms = start.elapsed().as_nanos() as f64 / 1e6 / REPS as f64;
-
-        for kind in RectifierKind::ALL {
-            let trained = pipeline::train(
-                &data,
-                &pipeline::PipelineConfig {
-                    model: model.clone(),
-                    substitute: SubstituteKind::Knn { k: 2 },
-                    rectifier: kind,
-                    epochs: args.epochs.min(60),
-                    train_original: false,
-                    ..Default::default()
-                },
-            )
-            .expect("training");
-            let mut vault = pipeline::deploy(trained, &data).expect("deploy");
-            // Warm up once, then average several measured inferences
-            // (the meter resets per call, so fields are averaged here).
-            let _ = vault.infer(&data.features).expect("warmup");
-            let mut acc = (0u64, 0u64, 0u64, 0usize, 0u64, 0usize);
-            for _ in 0..REPS {
-                let (_, r) = vault.infer(&data.features).expect("inference");
-                acc.0 += r.backbone_ns;
-                acc.1 += r.transfer_ns;
-                acc.2 += r.rectifier_ns;
-                acc.3 = r.transferred_bytes;
-                acc.4 = r.transitions;
-                acc.5 = r.peak_enclave_bytes;
-            }
-            let report = gnnvault::InferenceReport {
-                backbone_ns: acc.0 / REPS as u64,
-                transfer_ns: acc.1 / REPS as u64,
-                rectifier_ns: acc.2 / REPS as u64,
-                transferred_bytes: acc.3,
-                transitions: acc.4,
-                peak_enclave_bytes: acc.5,
-            };
-            let total_ms = report.total_ns() as f64 / 1e6;
-            println!(
-                "{:<14} {:<9} {:>9.2} {:>9.2} {:>9.2} {:>9.2} | {:>11.2} {:>8.0}%",
-                label,
-                kind.label(),
-                report.backbone_ns as f64 / 1e6,
-                report.transfer_ns as f64 / 1e6,
-                report.rectifier_ns as f64 / 1e6,
-                total_ms,
-                unprotected_ms,
-                (total_ms / unprotected_ms - 1.0) * 100.0
-            );
-            memory_rows.push((
-                label,
-                kind.label(),
-                report.peak_enclave_bytes as f64 / MB as f64,
-            ));
-        }
-    }
-
-    println!("\nFig. 6 (bottom): enclave runtime memory usage");
-    println!(
-        "{:<14} {:<9} {:>12} {:>10}",
-        "model", "rectifier", "peak (MB)", "fits EPC?"
-    );
-    println!("{}", "-".repeat(50));
-    for (label, kind, mb) in &memory_rows {
-        println!(
-            "{:<14} {:<9} {:>12.2} {:>10}",
-            label,
-            kind,
-            mb,
-            if *mb < (tee::SGX_EPC_BYTES / MB) as f64 {
-                "yes"
-            } else {
-                "NO"
-            }
-        );
-    }
-    println!(
-        "\nShape checks vs the paper: series transfers the least and is cheapest; \
-         every configuration stays far below the {} MB EPC; the paper reports a \
-         52–131% series overhead on real SGX hardware — absolute values here come \
-         from the simulator's calibrated cost model.",
-        tee::SGX_EPC_BYTES / MB
-    );
+fn main() -> io::Result<()> {
+    bench::fig6(&HarnessArgs::from_env(), &mut io::stdout().lock())
 }

@@ -1,135 +1,8 @@
-//! Regenerates **Table II**: GNNVault performance with the KNN (k = 2)
-//! substitute graph — porg/pbb/prec/Δp and model sizes for the three
-//! rectifier designs across all six datasets.
-//!
-//! ```text
-//! cargo run -p bench --bin table2 --release [--epochs N] [--scale F]
-//! ```
+//! Prints [`bench::table2`]; flags: `--scale F`, `--epochs N`, `--seed N`.
 
-use bench::{millions, model_for, pct, HarnessArgs};
-use datasets::DatasetSpec;
-use gnnvault::{Backbone, OriginalGnn, Rectifier, RectifierKind, SubstituteKind};
-use graph::normalization;
-use nn::TrainConfig;
+use bench::HarnessArgs;
+use std::io;
 
-fn main() {
-    let args = HarnessArgs::from_env();
-    let cfg = TrainConfig {
-        epochs: args.epochs,
-        lr: 0.01,
-        weight_decay: 5e-4,
-        dropout: 0.5,
-        seed: args.seed,
-    };
-
-    println!("Table II: GNNVault performance with KNN graph (k = 2)");
-    println!(
-        "{:<10} | {:>7} {:>8} {:>7} | {:>7} {:>7} {:>8} | {:>7} {:>7} {:>8} | {:>7} {:>7} {:>8}",
-        "", "", "", "", "Parallel", "", "", "Series", "", "", "Cascaded", "", ""
-    );
-    println!(
-        "{:<10} | {:>7} {:>8} {:>7} | {:>7} {:>7} {:>8} | {:>7} {:>7} {:>8} | {:>7} {:>7} {:>8}",
-        "Dataset",
-        "porg%",
-        "θbb(M)",
-        "pbb%",
-        "prec%",
-        "Δp%",
-        "θrec(M)",
-        "prec%",
-        "Δp%",
-        "θrec(M)",
-        "prec%",
-        "Δp%",
-        "θrec(M)"
-    );
-    println!("{}", "-".repeat(128));
-
-    for spec in &DatasetSpec::ALL {
-        let data = bench::load(spec, args.scale_mult, args.seed);
-        let model = model_for(spec);
-
-        // Reference (porg) and backbone (pbb) are shared across rectifiers.
-        let original = OriginalGnn::train(
-            &data.graph,
-            &data.features,
-            &data.labels,
-            &data.train_mask,
-            &model.backbone_channels,
-            &cfg,
-            args.seed,
-        )
-        .expect("original training");
-        let porg = metrics::masked_accuracy(
-            &original.predict(&data.features).expect("original predict"),
-            &data.labels,
-            &data.test_mask,
-        )
-        .expect("porg");
-
-        let backbone = Backbone::train(
-            &data.features,
-            &data.labels,
-            &data.train_mask,
-            SubstituteKind::Knn { k: 2 },
-            &model.backbone_channels,
-            data.graph.num_edges(),
-            &cfg,
-            args.seed,
-        )
-        .expect("backbone training");
-        let pbb = metrics::masked_accuracy(
-            &backbone.predict(&data.features).expect("backbone predict"),
-            &data.labels,
-            &data.test_mask,
-        )
-        .expect("pbb");
-
-        let real_adj = normalization::gcn_normalize(&data.graph);
-        let embeddings = backbone.embeddings(&data.features).expect("embeddings");
-
-        let mut row = format!(
-            "{:<10} | {:>7} {:>8} {:>7}",
-            spec.name,
-            pct(porg),
-            millions(backbone.param_count()),
-            pct(pbb)
-        );
-        for kind in [
-            RectifierKind::Parallel,
-            RectifierKind::Series,
-            RectifierKind::Cascaded,
-        ] {
-            let mut rectifier = Rectifier::new(
-                kind,
-                &model.rectifier_channels,
-                &backbone.channel_dims(),
-                args.seed + 1,
-            )
-            .expect("rectifier construction");
-            rectifier
-                .fit(&real_adj, &embeddings, &data.labels, &data.train_mask, &cfg)
-                .expect("rectifier training");
-            let prec = metrics::masked_accuracy(
-                &rectifier
-                    .predict(&real_adj, &embeddings)
-                    .expect("rectifier predict"),
-                &data.labels,
-                &data.test_mask,
-            )
-            .expect("prec");
-            row.push_str(&format!(
-                " | {:>7} {:>7} {:>8}",
-                pct(prec),
-                pct(prec - pbb),
-                millions(rectifier.param_count())
-            ));
-        }
-        println!("{row}");
-    }
-    println!(
-        "\nShape checks vs the paper: pbb well below porg; prec within a few points \
-         of porg (Δp positive); series has the smallest θrec; datasets are synthetic \
-         stand-ins at reduced scale (absolute numbers differ, see EXPERIMENTS.md)."
-    );
+fn main() -> io::Result<()> {
+    bench::table2(&HarnessArgs::from_env(), &mut io::stdout().lock())
 }

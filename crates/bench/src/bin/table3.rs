@@ -1,92 +1,8 @@
-//! Regenerates **Table III**: comparing backbone designs — feature-only
-//! DNN vs GNN backbones with random / cosine / KNN substitute graphs —
-//! by backbone accuracy (pbb) and rectified accuracy (prec, parallel
-//! rectifier).
-//!
-//! ```text
-//! cargo run -p bench --bin table3 --release [--epochs N] [--scale F]
-//! ```
+//! Prints [`bench::table3`]; flags: `--scale F`, `--epochs N`, `--seed N`.
 
-use bench::{model_for, pct, HarnessArgs};
-use datasets::DatasetSpec;
-use gnnvault::{Backbone, Rectifier, RectifierKind, SubstituteKind};
-use graph::normalization;
-use nn::TrainConfig;
+use bench::HarnessArgs;
+use std::io;
 
-fn main() {
-    let args = HarnessArgs::from_env();
-    let cfg = TrainConfig {
-        epochs: args.epochs,
-        lr: 0.01,
-        weight_decay: 5e-4,
-        dropout: 0.5,
-        seed: args.seed,
-    };
-    let kinds: [SubstituteKind; 4] = [
-        SubstituteKind::Dnn,
-        SubstituteKind::Random { ratio: 1.0 },
-        SubstituteKind::CosineBudget,
-        SubstituteKind::Knn { k: 2 },
-    ];
-
-    println!("Table III: compare various backbone designs (parallel rectifier)");
-    println!(
-        "{:<10} | {:>6} {:>6} | {:>6} {:>6} | {:>6} {:>6} | {:>6} {:>6}",
-        "", "DNN", "", "random", "", "cosine", "", "KNN", ""
-    );
-    println!(
-        "{:<10} | {:>6} {:>6} | {:>6} {:>6} | {:>6} {:>6} | {:>6} {:>6}",
-        "Dataset", "pbb", "prec", "pbb", "prec", "pbb", "prec", "pbb", "prec"
-    );
-    println!("{}", "-".repeat(76));
-
-    for spec in &DatasetSpec::ALL {
-        let data = bench::load(spec, args.scale_mult, args.seed);
-        let model = model_for(spec);
-        let real_adj = normalization::gcn_normalize(&data.graph);
-        let mut row = format!("{:<10}", spec.name);
-        for kind in kinds {
-            let backbone = Backbone::train(
-                &data.features,
-                &data.labels,
-                &data.train_mask,
-                kind,
-                &model.backbone_channels,
-                data.graph.num_edges(),
-                &cfg,
-                args.seed,
-            )
-            .expect("backbone training");
-            let pbb = metrics::masked_accuracy(
-                &backbone.predict(&data.features).expect("predict"),
-                &data.labels,
-                &data.test_mask,
-            )
-            .expect("pbb");
-            let embeddings = backbone.embeddings(&data.features).expect("embeddings");
-            let mut rectifier = Rectifier::new(
-                RectifierKind::Parallel,
-                &model.rectifier_channels,
-                &backbone.channel_dims(),
-                args.seed + 1,
-            )
-            .expect("rectifier construction");
-            rectifier
-                .fit(&real_adj, &embeddings, &data.labels, &data.train_mask, &cfg)
-                .expect("rectifier training");
-            let prec = metrics::masked_accuracy(
-                &rectifier.predict(&real_adj, &embeddings).expect("predict"),
-                &data.labels,
-                &data.test_mask,
-            )
-            .expect("prec");
-            row.push_str(&format!(" | {:>6} {:>6}", pct(pbb), pct(prec)));
-        }
-        println!("{row}");
-    }
-    println!(
-        "\nShape checks vs the paper: the random substitute collapses both pbb and \
-         prec; cosine and KNN lead; the DNN backbone rectifies but trails the \
-         similarity-based GNN backbones."
-    );
+fn main() -> io::Result<()> {
+    bench::table3(&HarnessArgs::from_env(), &mut io::stdout().lock())
 }

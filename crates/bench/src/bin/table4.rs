@@ -1,94 +1,8 @@
-//! Regenerates **Table IV**: link-stealing attack ROC-AUC on Cora and
-//! Citeseer over six similarity metrics, against the unprotected GNN
-//! (Morg), GNNVault's untrusted world (Mgv), and the feature-only MLP
-//! baseline (Mbase).
-//!
-//! ```text
-//! cargo run -p bench --bin table4 --release [--epochs N] [--scale F]
-//! ```
+//! Prints [`bench::table4`]; flags: `--scale F`, `--epochs N`, `--seed N`.
 
-use attacks::{surface, LinkStealingAttack, SimilarityMetric};
-use bench::{model_for, HarnessArgs};
-use datasets::DatasetSpec;
-use gnnvault::{Backbone, OriginalGnn, SubstituteKind};
-use nn::{Network, TrainConfig};
+use bench::HarnessArgs;
+use std::io;
 
-fn main() {
-    let args = HarnessArgs::from_env();
-    let cfg = TrainConfig {
-        epochs: args.epochs,
-        lr: 0.01,
-        weight_decay: 5e-4,
-        dropout: 0.5,
-        seed: args.seed,
-    };
-
-    println!("Table IV: link stealing attack performance on GNNVault (ROC-AUC)");
-    println!(
-        "{:<10} {:<12} {:>8} {:>8} {:>8}",
-        "Dataset", "Metric", "Morg", "Mgv", "Mbase"
-    );
-    println!("{}", "-".repeat(50));
-
-    for spec in [DatasetSpec::CORA, DatasetSpec::CITESEER] {
-        let data = bench::load(&spec, args.scale_mult, args.seed);
-        let model = model_for(&spec);
-
-        let original = OriginalGnn::train(
-            &data.graph,
-            &data.features,
-            &data.labels,
-            &data.train_mask,
-            &model.backbone_channels,
-            &cfg,
-            args.seed,
-        )
-        .expect("original training");
-        let backbone = Backbone::train(
-            &data.features,
-            &data.labels,
-            &data.train_mask,
-            SubstituteKind::Knn { k: 2 },
-            &model.backbone_channels,
-            data.graph.num_edges(),
-            &cfg,
-            args.seed,
-        )
-        .expect("backbone training");
-        let mut mlp = Network::new(data.num_features(), &model.backbone_channels, args.seed)
-            .expect("mlp construction");
-        mlp.fit(
-            None,
-            std::slice::from_ref(&data.features),
-            &data.labels,
-            &data.train_mask,
-            &cfg,
-        )
-        .expect("mlp training");
-
-        let m_org = surface::original_surface(&original, &data.features).expect("Morg");
-        let m_gv = surface::gnnvault_surface(&backbone, &data.features).expect("Mgv");
-        let m_base = surface::baseline_surface(&mlp, &data.features).expect("Mbase");
-
-        for metric in SimilarityMetric::ALL {
-            let attack = LinkStealingAttack::new(metric).with_seed(args.seed);
-            let auc_org = attack.run(&data.graph, &m_org).expect("Morg attack");
-            let auc_gv = attack.run(&data.graph, &m_gv).expect("Mgv attack");
-            let auc_base = attack.run(&data.graph, &m_base).expect("Mbase attack");
-            println!(
-                "{:<10} {:<12} {:>8.3} {:>8.3} {:>8.3}",
-                spec.name,
-                metric.label(),
-                auc_org,
-                auc_gv,
-                auc_base
-            );
-        }
-        println!("{}", "-".repeat(50));
-    }
-    println!(
-        "Shape checks vs the paper: Morg shows high AUC on every metric; GNNVault \
-         (Mgv) drops the attack to the feature-only baseline (Mbase) level — no \
-         private edge information leaks from the untrusted world."
-    );
+fn main() -> io::Result<()> {
+    bench::table4(&HarnessArgs::from_env(), &mut io::stdout().lock())
 }

@@ -1,41 +1,64 @@
-//! Experiment harness support library.
+//! The paper's tables and figures, one function per artifact.
 //!
-//! The deliverables of this crate are its binaries — one per table and
-//! figure of the paper:
+//! | function / binary | regenerates |
+//! |-------------------|-------------|
+//! | [`table1`]   | Table I: dataset statistics |
+//! | [`table2`]   | Table II: GNNVault performance, KNN k = 2 |
+//! | [`table3`]   | Table III: backbone comparison |
+//! | [`table4`]   | Table IV: link-stealing ROC-AUC |
+//! | [`fig4`]     | Fig. 4: layer-wise silhouette scores |
+//! | [`fig5`]     | Fig. 5: substitute-graph hyperparameter sweeps |
+//! | [`fig6`]     | Fig. 6: inference-time breakdown + enclave memory |
+//! | [`ablation`] | rectifier convolution, one-way channel, cost model |
 //!
-//! | target | regenerates |
-//! |--------|-------------|
-//! | `table1` | Table I: dataset statistics |
-//! | `table2` | Table II: GNNVault performance, KNN k = 2 |
-//! | `table3` | Table III: backbone comparison |
-//! | `table4` | Table IV: link-stealing ROC-AUC |
-//! | `fig4`   | Fig. 4: layer-wise silhouette scores |
-//! | `fig5`   | Fig. 5: substitute-graph hyperparameter sweeps |
-//! | `fig6`   | Fig. 6: inference-time breakdown + enclave memory |
+//! Each function writes what its binary (`src/bin/<name>.rs`, a
+//! one-line `main`) prints, trains through [`gnnvault::pipeline`]
+//! alone, and panics if training fails. The Criterion micro-benches live under
+//! `benches/`. Everything runs on scaled-down synthetic datasets (a
+//! per-dataset default scale); pass `--scale <multiplier>` to grow or
+//! shrink them and `--epochs <n>` to change the training budget.
 //!
-//! plus the Criterion micro-benches under `benches/`. All binaries run
-//! on scaled-down synthetic datasets (see `harness_scale`); pass
-//! `--scale <multiplier>` to grow or shrink them and `--epochs <n>` to
-//! change the training budget.
+//! Every function but [`fig6`] (and [`ablation`]'s last four rows,
+//! which time inference) prints the same bytes at any pool width and
+//! kernel variant; the root package's `paper_goldens` test holds them
+//! to `goldens/*.txt` at `--epochs 2 --scale 0.1`.
+
+mod ablation;
+mod fig4;
+mod fig5;
+mod fig6;
+mod table1;
+mod table2;
+mod table3;
+mod table4;
+
+pub use ablation::ablation;
+pub use fig4::fig4;
+pub use fig5::fig5;
+pub use fig6::fig6;
+pub use table1::table1;
+pub use table2::table2;
+pub use table3::table3;
+pub use table4::table4;
 
 use datasets::{CitationDataset, DatasetSpec, SyntheticPlanetoid};
-use gnnvault::ModelConfig;
+use gnnvault::{pipeline::PipelineConfig, ModelConfig};
 
 /// Formats a fraction as a percentage with one decimal, the style used
 /// in the paper's tables.
-pub fn pct(fraction: f32) -> String {
+fn pct(fraction: f32) -> String {
     format!("{:.1}", fraction * 100.0)
 }
 
 /// Formats a parameter count in millions with four decimals, matching
 /// the `θ (M)` columns of Table II.
-pub fn millions(count: usize) -> String {
+fn millions(count: usize) -> String {
     format!("{:.4}", count as f64 / 1.0e6)
 }
 
 /// Default generation scale per dataset, chosen so each harness binary
 /// finishes in minutes on a laptop while keeping every class populated.
-pub fn harness_scale(spec: &DatasetSpec) -> f64 {
+fn harness_scale(spec: &DatasetSpec) -> f64 {
     match spec.name {
         "Cora" => 0.15,
         "Citeseer" => 0.12,
@@ -49,7 +72,7 @@ pub fn harness_scale(spec: &DatasetSpec) -> f64 {
 
 /// Model preset per dataset, following §V-A: M1 for the three citation
 /// graphs, M2 for CoraFull's 70 classes, M3 for the Amazon graphs.
-pub fn model_for(spec: &DatasetSpec) -> ModelConfig {
+fn model_for(spec: &DatasetSpec) -> ModelConfig {
     match spec.name {
         "CoraFull" => ModelConfig::m2(spec.num_classes),
         "Computer" | "Photo" => ModelConfig::m3(spec.num_classes),
@@ -63,7 +86,7 @@ pub fn model_for(spec: &DatasetSpec) -> ModelConfig {
 /// # Panics
 ///
 /// Panics when generation fails (harness binaries treat that as fatal).
-pub fn load(spec: &DatasetSpec, scale_mult: f64, seed: u64) -> CitationDataset {
+fn load(spec: &DatasetSpec, scale_mult: f64, seed: u64) -> CitationDataset {
     SyntheticPlanetoid::new(*spec)
         .scale((harness_scale(spec) * scale_mult).clamp(0.005, 1.0))
         .seed(seed)
@@ -93,43 +116,50 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `--scale <f>`, `--epochs <n>`, `--seed <n>` from an
-    /// argument iterator (unknown flags are ignored so binaries can add
-    /// their own).
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
-        let mut out = Self::default();
-        let argv: Vec<String> = args.collect();
-        let mut i = 0;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--scale" => {
-                    if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        out.scale_mult = v;
-                        i += 1;
-                    }
-                }
-                "--epochs" => {
-                    if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        out.epochs = v;
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        out.seed = v;
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
+    /// Parses `--scale <f>`, `--epochs <n>` and `--seed <n>` from an
+    /// argument iterator.
+    ///
+    /// # Errors
+    ///
+    /// Names the argument when a flag is unknown, or its value is
+    /// missing or does not parse.
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+        fn value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
+            let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+            v.parse().map_err(|_| format!("{flag}: cannot parse `{v}`"))
         }
-        out
+        let mut out = Self::default();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--scale" => out.scale_mult = value(&flag, args.next())?,
+                "--epochs" => out.epochs = value(&flag, args.next())?,
+                "--seed" => out.seed = value(&flag, args.next())?,
+                _ => return Err(format!("unknown argument `{flag}`")),
+            }
+        }
+        Ok(out)
     }
 
-    /// Parses from the process arguments.
+    /// Parses the process arguments; on an error, prints it with the
+    /// usage line and exits with status 2.
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: [--scale F] [--epochs N] [--seed N]");
+            std::process::exit(2)
+        })
+    }
+
+    /// The pipeline every artifact trains unless it says otherwise:
+    /// `model` with [`PipelineConfig`]'s defaults (KNN k = 2 substitute,
+    /// parallel rectifier, reference model, optimizer settings) at these
+    /// epochs and this seed.
+    fn pipeline(&self, model: ModelConfig) -> PipelineConfig {
+        PipelineConfig {
+            model,
+            epochs: self.epochs,
+            seed: self.seed,
+            ..PipelineConfig::default()
+        }
     }
 }
 
@@ -150,27 +180,26 @@ mod tests {
     }
 
     #[test]
-    fn args_parse_flags_and_ignore_unknown() {
-        let args = HarnessArgs::parse(
-            [
-                "--epochs",
-                "10",
-                "--mystery",
-                "--scale",
-                "0.5",
-                "--seed",
-                "7",
-            ]
-            .into_iter()
-            .map(String::from),
-        );
+    fn args_parse_flags_and_reject_what_they_cannot_use() {
+        let parse = |argv: &[&str]| HarnessArgs::parse(argv.iter().map(|s| s.to_string()));
+        let args = parse(&["--epochs", "10", "--scale", "0.5", "--seed", "7"]).unwrap();
         assert_eq!(args.epochs, 10);
         assert_eq!(args.scale_mult, 0.5);
         assert_eq!(args.seed, 7);
+        assert_eq!(parse(&[]), Ok(HarnessArgs::default()));
         assert_eq!(
-            HarnessArgs::parse(std::iter::empty()),
-            HarnessArgs::default()
+            parse(&["--epochs", "10", "--mystery"]),
+            Err("unknown argument `--mystery`".to_string())
         );
+        assert_eq!(
+            parse(&["--epoch", "2"]),
+            Err("unknown argument `--epoch`".to_string())
+        );
+        assert_eq!(
+            parse(&["--epochs", "x"]),
+            Err("--epochs: cannot parse `x`".to_string())
+        );
+        assert_eq!(parse(&["--seed"]), Err("--seed needs a value".to_string()));
     }
 
     #[test]

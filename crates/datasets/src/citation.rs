@@ -1,11 +1,10 @@
 use graph::Graph;
 use linalg::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 /// A generated node-classification dataset: graph, features, labels, and
 /// the semi-supervised split (20 labelled nodes per class by default,
 /// everything else test — the protocol the paper follows).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CitationDataset {
     /// Display name (spec name plus scale annotation).
     pub name: String,

@@ -14,8 +14,6 @@
 //!    but not all — of that signal (the backbone sits between the MLP
 //!    and the original GCN, leaving room for the rectifier to close).
 //!
-//! See `DESIGN.md` §2 for the substitution rationale.
-//!
 //! # Examples
 //!
 //! ```

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Target statistics for one dataset row of the paper's Table I.
 ///
 /// `num_edges` follows the Planetoid convention used by the paper:
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cora.num_nodes, 2708);
 /// assert_eq!(cora.undirected_edges(), 5278);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DatasetSpec {
     /// Dataset display name.
     pub name: &'static str,

@@ -2,7 +2,6 @@ use crate::{SubstituteKind, VaultError};
 use graph::{normalization, Graph};
 use linalg::{CsrMatrix, DenseMatrix};
 use nn::{Network, TrainConfig};
-use serde::{Deserialize, Serialize};
 use std::slice::from_ref;
 
 /// The public backbone model deployed in the untrusted world (§IV-C).
@@ -37,7 +36,7 @@ use std::slice::from_ref;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Backbone {
     /// The trained network.
     pub(crate) network: Network,
@@ -46,7 +45,7 @@ pub struct Backbone {
 }
 
 /// The public substitute graph deployed alongside a backbone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Substitute {
     pub(crate) graph: Graph,
     /// Normalized adjacency of `graph`, the operator every pass uses.

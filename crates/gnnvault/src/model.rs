@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Architecture preset pairing a backbone with a rectifier, matching the
 /// paper's M1/M2/M3 (§V-A "Models").
 ///
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m1.backbone_channels, vec![128, 32, 7]);
 /// assert_eq!(m1.rectifier_channels, vec![128, 32, 7]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Human-readable name ("M1", "M2", "M3", or custom).
     pub name: String,

@@ -2,7 +2,6 @@ use crate::VaultError;
 use graph::{normalization, Graph};
 use linalg::{CsrMatrix, DenseMatrix};
 use nn::{Network, TrainConfig};
-use serde::{Deserialize, Serialize};
 use std::slice::from_ref;
 
 /// The unprotected reference GNN (`porg` in the paper's tables): same
@@ -28,7 +27,7 @@ use std::slice::from_ref;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OriginalGnn {
     network: Network,
     real_adj: CsrMatrix,

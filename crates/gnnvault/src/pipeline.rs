@@ -10,13 +10,11 @@ use crate::{
     Backbone, ModelConfig, OriginalGnn, Rectifier, RectifierKind, SubstituteKind, Vault, VaultError,
 };
 use datasets::CitationDataset;
-use graph::normalization;
-use nn::TrainConfig;
-use serde::{Deserialize, Serialize};
+use nn::{ConvKind, TrainConfig};
 use tee::{CostModel, OverBudgetPolicy, SealKey};
 
 /// Configuration for one full pipeline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// Architecture preset (M1/M2/M3 or custom).
     pub model: ModelConfig,
@@ -54,14 +52,14 @@ impl Default for PipelineConfig {
     }
 }
 
-impl PipelineConfig {
-    fn train_config(&self) -> TrainConfig {
+impl From<&PipelineConfig> for TrainConfig {
+    fn from(config: &PipelineConfig) -> Self {
         TrainConfig {
-            epochs: self.epochs,
-            lr: self.lr,
-            weight_decay: self.weight_decay,
-            dropout: self.dropout,
-            seed: self.seed,
+            epochs: config.epochs,
+            lr: config.lr,
+            weight_decay: config.weight_decay,
+            dropout: config.dropout,
+            seed: config.seed,
         }
     }
 }
@@ -81,7 +79,7 @@ pub struct TrainedGnnVault {
 }
 
 /// Accuracy bundle matching the columns of Tables II–III.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Evaluation {
     /// `porg`: unprotected reference accuracy (NaN when not trained).
     pub original_accuracy: f32,
@@ -108,8 +106,8 @@ impl Evaluation {
     }
 }
 
-/// Runs pipeline steps 1–3: substitute graph, backbone training, and
-/// rectifier training (plus the reference model when configured).
+/// Runs pipeline steps 1–3: [`backbone`] (with the reference model
+/// when configured), then [`rectifier`] with GCN layers.
 ///
 /// # Errors
 ///
@@ -122,9 +120,29 @@ pub fn train(
     data: &CitationDataset,
     config: &PipelineConfig,
 ) -> Result<TrainedGnnVault, VaultError> {
-    let cfg = config.train_config();
+    let (backbone, original) = backbone(data, config)?;
+    let rectifier = rectifier(data, config, &backbone, ConvKind::Gcn)?;
+    Ok(TrainedGnnVault {
+        backbone,
+        rectifier,
+        original,
+        config: config.clone(),
+    })
+}
 
-    // Steps 1–2: substitute graph + public backbone.
+/// Steps 1–2: the substitute graph and the public backbone trained over
+/// it, plus the unprotected reference model on the real graph when
+/// `config.train_original` — every model that does not depend on a
+/// rectifier. All three use `config.seed`.
+///
+/// # Errors
+///
+/// Propagates substitute, architecture, and training failures.
+pub fn backbone(
+    data: &CitationDataset,
+    config: &PipelineConfig,
+) -> Result<(Backbone, Option<OriginalGnn>), VaultError> {
+    let cfg = TrainConfig::from(config);
     let backbone = Backbone::train(
         &data.features,
         &data.labels,
@@ -135,18 +153,6 @@ pub fn train(
         &cfg,
         config.seed,
     )?;
-
-    // Step 3: private rectifier on the real adjacency, backbone frozen.
-    let real_adj = normalization::gcn_normalize(&data.graph);
-    let embeddings = backbone.embeddings(&data.features)?;
-    let mut rectifier = Rectifier::new(
-        config.rectifier,
-        &config.model.rectifier_channels,
-        &backbone.channel_dims(),
-        config.seed.wrapping_add(1),
-    )?;
-    rectifier.fit(&real_adj, &embeddings, &data.labels, &data.train_mask, &cfg)?;
-
     let original = if config.train_original {
         Some(OriginalGnn::train(
             &data.graph,
@@ -160,16 +166,45 @@ pub fn train(
     } else {
         None
     };
-
-    Ok(TrainedGnnVault {
-        backbone,
-        rectifier,
-        original,
-        config: config.clone(),
-    })
+    Ok((backbone, original))
 }
 
-/// Computes the Table II/III accuracy bundle on the dataset's test mask.
+/// Step 3: a private `config.rectifier` rectifier with `conv` layers,
+/// seeded `config.seed + 1` and trained on the real graph's
+/// [`Rectifier::preferred_adjacency`] over `backbone`'s frozen
+/// embeddings. One backbone can carry any number of them (Table II's
+/// three wirings, the ablation's convolution sweep).
+///
+/// # Errors
+///
+/// Propagates wiring and training failures.
+pub fn rectifier(
+    data: &CitationDataset,
+    config: &PipelineConfig,
+    backbone: &Backbone,
+    conv: ConvKind,
+) -> Result<Rectifier, VaultError> {
+    let mut rectifier = Rectifier::new_with_conv(
+        config.rectifier,
+        conv,
+        &config.model.rectifier_channels,
+        &backbone.channel_dims(),
+        config.seed.wrapping_add(1),
+    )?;
+    let adj = rectifier.preferred_adjacency(&data.graph);
+    let embeddings = backbone.embeddings(&data.features)?;
+    rectifier.fit(
+        &adj,
+        &embeddings,
+        &data.labels,
+        &data.train_mask,
+        &TrainConfig::from(config),
+    )?;
+    Ok(rectifier)
+}
+
+/// Computes the Table II/III accuracy bundle on the dataset's test mask
+/// (the rectifier runs over its [`Rectifier::preferred_adjacency`]).
 ///
 /// # Errors
 ///
@@ -178,7 +213,7 @@ pub fn evaluate(
     trained: &TrainedGnnVault,
     data: &CitationDataset,
 ) -> Result<Evaluation, VaultError> {
-    let real_adj = normalization::gcn_normalize(&data.graph);
+    let real_adj = trained.rectifier.preferred_adjacency(&data.graph);
     let embeddings = trained.backbone.embeddings(&data.features)?;
 
     let backbone_preds = trained.backbone.predict(&data.features)?;
@@ -236,6 +271,7 @@ pub const DEPLOY_SEAL_KEY: SealKey = SealKey(0x006E_6E76_6175_6C74_u128);
 mod tests {
     use super::*;
     use datasets::{DatasetSpec, SyntheticPlanetoid};
+    use graph::normalization;
 
     fn small_data() -> CitationDataset {
         SyntheticPlanetoid::new(DatasetSpec::CORA)

@@ -1,12 +1,11 @@
 use crate::VaultError;
 use linalg::{CsrMatrix, DenseMatrix};
 use nn::{ConvKind, Network, TrainConfig};
-use serde::{Deserialize, Serialize};
 
 /// The three backbone-to-rectifier communication schemes of Fig. 3.
 ///
 /// Input-wiring rules (reconstructed from the paper's description and
-/// the θrec values of Table II; see DESIGN.md), all stated by
+/// the θrec values of Table II), all stated by
 /// [`RectifierKind::wiring`]:
 ///
 /// - **Parallel**: rectifier layer `i` consumes the concatenation of the
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// - **Series**: rectifier layer 0 consumes only the backbone's final
 ///   node embedding (its last hidden layer — the smallest tap, giving
 ///   the smallest enclave input and the paper's lowest transfer cost).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RectifierKind {
     /// Per-layer taps, rectify after every message-passing step.
     Parallel,
@@ -69,7 +68,7 @@ impl RectifierKind {
 /// per-layer embeddings, wired by its [`RectifierKind`]. Construct with
 /// [`Rectifier::new`], train with [`Rectifier::fit`] (backbone frozen —
 /// its embeddings enter as constants), run with [`Rectifier::forward`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rectifier {
     kind: RectifierKind,
     pub(crate) network: Network,

@@ -1,7 +1,6 @@
 use crate::VaultError;
 use graph::{substitute, Graph};
 use linalg::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 /// How the public substitute adjacency `A′` is constructed (§IV-C), or
 /// that the backbone is a plain MLP using no graph at all (the "DNN"
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SubstituteKind {
     /// No substitute graph: the backbone is an MLP on raw features.
     Dnn,

@@ -4,7 +4,6 @@ use graph::partition::PartitionSpec;
 use graph::subgraph::{self, Closure};
 use graph::Graph;
 use linalg::{CsrMatrix, DenseMatrix};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,7 +20,7 @@ use tee::{
 static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 
 /// Per-inference report: the Fig. 6 measurables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceReport {
     /// Backbone time (wall clock, untrusted world).
     pub backbone_ns: u64,
@@ -63,7 +62,7 @@ impl InferenceReport {
 /// changes only the sealed form, so the `set_precision` round trip does
 /// not return the trained weights' answers (2 of 2,708 labels differ
 /// on that fixture).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
     /// Full-precision f32 weights (the precision models train at).
     #[default]

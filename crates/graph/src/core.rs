@@ -1,6 +1,4 @@
 use crate::GraphError;
-use linalg::CsrMatrix;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// An undirected, unweighted graph over `n` nodes.
@@ -23,7 +21,7 @@ use std::collections::BTreeSet;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     num_nodes: usize,
     /// Canonical `(min, max)` undirected edges, sorted ascending.
@@ -152,17 +150,6 @@ impl Graph {
         out
     }
 
-    /// Binary adjacency matrix in CSR form (symmetric, no self-loops).
-    pub fn to_adjacency_csr(&self) -> CsrMatrix {
-        let mut triplets = Vec::with_capacity(self.edges.len() * 2);
-        for &(u, v) in &self.edges {
-            triplets.push((u, v, 1.0));
-            triplets.push((v, u, 1.0));
-        }
-        CsrMatrix::from_triplets(self.num_nodes, self.num_nodes, &triplets)
-            .expect("edges were validated at construction")
-    }
-
     /// Adds an undirected edge, returning whether it was newly inserted.
     ///
     /// # Errors
@@ -193,16 +180,6 @@ impl Graph {
                 Ok(true)
             }
         }
-    }
-
-    /// Iterates over node pairs *not* connected by an edge, in
-    /// lexicographic order. Used by the link-stealing attack to sample
-    /// negative pairs deterministically for small graphs.
-    pub fn non_edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let n = self.num_nodes;
-        (0..n)
-            .flat_map(move |u| (u + 1..n).map(move |v| (u, v)))
-            .filter(move |&(u, v)| !self.has_edge(u, v))
     }
 
     /// Size in bytes of the COO payload (two `u32` per edge), matching
@@ -258,16 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_csr_is_symmetric_binary() {
-        let g = triangle_plus_leaf();
-        let a = g.to_adjacency_csr();
-        assert_eq!(a.nnz(), g.num_directed_edges());
-        assert!(a.is_symmetric(0.0));
-        assert_eq!(a.get(0, 1), 1.0);
-        assert_eq!(a.get(0, 0), 0.0);
-    }
-
-    #[test]
     fn add_edge_keeps_sorted_invariant() {
         let mut g = Graph::empty(4);
         assert!(g.add_edge(3, 1).unwrap());
@@ -276,15 +243,6 @@ mod tests {
         assert_eq!(g.edges(), &[(0, 2), (1, 3)]);
         assert!(g.add_edge(0, 0).is_err());
         assert!(g.add_edge(0, 9).is_err());
-    }
-
-    #[test]
-    fn non_edges_complement_edges() {
-        let g = triangle_plus_leaf();
-        let non: Vec<_> = g.non_edges().collect();
-        assert_eq!(non, vec![(0, 3), (1, 3)]);
-        let total_pairs = 4 * 3 / 2;
-        assert_eq!(non.len() + g.num_edges(), total_pairs);
     }
 
     #[test]
@@ -297,6 +255,5 @@ mod tests {
         let g = Graph::empty(0);
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.non_edges().count(), 0);
     }
 }

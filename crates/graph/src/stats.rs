@@ -37,15 +37,6 @@ pub fn density(graph: &Graph) -> f64 {
     graph.num_edges() as f64 / pairs
 }
 
-/// Average degree (undirected: `2E / N`).
-pub fn average_degree(graph: &Graph) -> f64 {
-    let n = graph.num_nodes();
-    if n == 0 {
-        return 0.0;
-    }
-    2.0 * graph.num_edges() as f64 / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,12 +65,5 @@ mod tests {
         assert!((density(&complete) - 1.0).abs() < 1e-12);
         assert_eq!(density(&Graph::empty(4)), 0.0);
         assert_eq!(density(&Graph::empty(1)), 0.0);
-    }
-
-    #[test]
-    fn average_degree_path() {
-        let path = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        assert!((average_degree(&path) - 1.5).abs() < 1e-12);
-        assert_eq!(average_degree(&Graph::empty(0)), 0.0);
     }
 }

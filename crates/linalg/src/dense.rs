@@ -1,5 +1,4 @@
 use crate::LinalgError;
-use serde::{Deserialize, Serialize};
 
 /// A dense, row-major matrix of `f32` values.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,

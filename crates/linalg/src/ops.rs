@@ -5,26 +5,13 @@
 
 use crate::DenseMatrix;
 
-/// ReLU activation, `max(0, x)` elementwise.
-///
-/// # Examples
-///
-/// ```
-/// # use linalg::{DenseMatrix, ops};
-/// let x = DenseMatrix::from_rows(&[&[-1.0, 2.0]]).unwrap();
-/// assert_eq!(ops::relu(&x).row(0), &[0.0, 2.0]);
-/// ```
-pub fn relu(x: &DenseMatrix) -> DenseMatrix {
-    x.map(|v| v.max(0.0))
-}
-
 /// Gradient mask of ReLU: `grad * (x > 0)` elementwise.
 ///
-/// `x` may be either the pre-activation input that was fed to [`relu`]
-/// or the post-activation output: `relu(z) > 0 ⇔ z > 0`, so both
-/// tensors produce the same mask. Training loops that use fused
-/// bias + ReLU forwards (see [`crate::Epilogue::BiasRelu`]) pass the
-/// post-activation output they cached.
+/// `x` may be either the pre-activation input or the post-activation
+/// output: `max(z, 0) > 0 ⇔ z > 0`, so both tensors produce the same
+/// mask. Training loops that use fused bias + ReLU forwards (see
+/// [`crate::Epilogue::BiasRelu`]) pass the post-activation output they
+/// cached.
 ///
 /// # Panics
 ///
@@ -35,32 +22,6 @@ pub fn relu_backward(x: &DenseMatrix, grad: &DenseMatrix) -> DenseMatrix {
     for (o, &xv) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
         if xv <= 0.0 {
             *o = 0.0;
-        }
-    }
-    out
-}
-
-/// Leaky ReLU with slope `alpha` for negative inputs (used by the GAT
-/// extension's attention scores).
-pub fn leaky_relu(x: &DenseMatrix, alpha: f32) -> DenseMatrix {
-    x.map(|v| if v >= 0.0 { v } else { alpha * v })
-}
-
-/// Gradient of [`leaky_relu`].
-///
-/// # Panics
-///
-/// Panics if shapes differ.
-pub fn leaky_relu_backward(x: &DenseMatrix, grad: &DenseMatrix, alpha: f32) -> DenseMatrix {
-    assert_eq!(
-        x.shape(),
-        grad.shape(),
-        "leaky_relu_backward shape mismatch"
-    );
-    let mut out = grad.clone();
-    for (o, &xv) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
-        if xv < 0.0 {
-            *o *= alpha;
         }
     }
     out
@@ -178,25 +139,10 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn relu_clamps_negatives() {
-        let x = DenseMatrix::from_rows(&[&[-2.0, 0.0, 3.0]]).unwrap();
-        assert_eq!(relu(&x).row(0), &[0.0, 0.0, 3.0]);
-    }
-
-    #[test]
     fn relu_backward_masks_by_preactivation() {
         let x = DenseMatrix::from_rows(&[&[-1.0, 2.0]]).unwrap();
         let g = DenseMatrix::from_rows(&[&[5.0, 5.0]]).unwrap();
         assert_eq!(relu_backward(&x, &g).row(0), &[0.0, 5.0]);
-    }
-
-    #[test]
-    fn leaky_relu_scales_negatives() {
-        let x = DenseMatrix::from_rows(&[&[-10.0, 10.0]]).unwrap();
-        let y = leaky_relu(&x, 0.2);
-        assert_eq!(y.row(0), &[-2.0, 10.0]);
-        let g = DenseMatrix::filled(1, 2, 1.0);
-        assert_eq!(leaky_relu_backward(&x, &g, 0.2).row(0), &[0.2, 1.0]);
     }
 
     #[test]

@@ -1,5 +1,4 @@
 use crate::{pool, DenseMatrix, Epilogue, LinalgError};
-use serde::{Deserialize, Serialize};
 
 /// FLOP threshold (`nnz × rhs.cols()` multiply-adds) above which a
 /// product is row-partitioned over the shared pool, provided it has more
@@ -45,7 +44,7 @@ enum SpmmStrategy {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,

@@ -5,14 +5,13 @@ use crate::sage::SageForward;
 use crate::{GatLayer, GcnLayer, NnError, Param, SageLayer};
 use linalg::{CsrMatrix, DenseMatrix, Workspace};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which graph-convolution architecture a layer uses.
 ///
 /// [`ConvKind::Gcn`] is the paper's evaluated design; `Sage` and `Gat`
 /// are its §VI future-work extensions, usable anywhere the rectifier
 /// accepts a convolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ConvKind {
     /// Spectral GCN (paper Eq. 1), expects the symmetric `Â`; run with
     /// no operator it is a fully-connected layer.
@@ -39,7 +38,7 @@ impl ConvKind {
 
 /// A graph-convolution layer of any supported architecture: the layer
 /// type of [`crate::Network`], which is the only thing that runs one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[allow(clippy::large_enum_variant)] // layers are long-lived; boxing buys nothing
 pub enum ConvLayer {
     /// Spectral GCN layer.

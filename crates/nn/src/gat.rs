@@ -4,7 +4,6 @@ use linalg::{
     gemm_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix, Epilogue, GemmOp, Workspace,
 };
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Negative-slope constant for the attention LeakyReLU (GAT default).
 const LEAKY_SLOPE: f32 = 0.2;
@@ -21,7 +20,7 @@ const LEAKY_SLOPE: f32 = 0.2;
 /// (values ignored); pass a GCN-normalized matrix so self-loops are
 /// present. This is the second §VI future-work architecture; see
 /// [`crate::ConvLayer`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatLayer {
     weight: Param,
     attn_src: Param,

@@ -3,7 +3,6 @@ use crate::init::glorot_uniform;
 use crate::{NnError, Param};
 use linalg::{gemm_into_ws, CsrMatrix, DenseMatrix, Epilogue, GemmOp, Workspace};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One layer `Z = Â (H W) + b` (paper Eq. 1, without the activation,
 /// which the network container applies between layers).
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// layer's input), and the forward draws its output and scratch
 /// buffers from a [`Workspace`] so epochs reuse allocations instead of
 /// re-allocating per step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GcnLayer {
     weight: Param,
     bias: Param,

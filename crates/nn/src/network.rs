@@ -5,14 +5,13 @@ use crate::{loss, ConvKind, ConvLayer, NnError};
 use linalg::{ops, CsrMatrix, DenseMatrix, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Training hyperparameters of [`Network::fit`].
 ///
 /// `gnnvault`'s `Rectifier::fit` takes the same struct, validates it,
 /// and fits through [`Network::fit`] at dropout 0: the rectifier has
 /// never applied dropout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Number of full-batch epochs.
     pub epochs: usize,
@@ -75,7 +74,7 @@ impl Default for TrainConfig {
 }
 
 /// Summary of a completed training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainReport {
     /// Cross-entropy loss after the final epoch.
     pub final_loss: f32,
@@ -106,7 +105,7 @@ pub struct TrainReport {
 /// layers fully connected (an MLP over the same weights).
 ///
 /// See the crate-level example for end-to-end usage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     layers: Vec<ConvLayer>,
     /// The taps each layer's input concatenates (after the previous

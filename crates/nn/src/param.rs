@@ -1,5 +1,4 @@
 use linalg::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 /// A trainable parameter tensor with its gradient and Adam moment state.
 ///
@@ -7,7 +6,7 @@ use serde::{Deserialize, Serialize};
 /// gymnastics of a central parameter registry and makes freezing a layer
 /// (the backbone during rectifier training, §IV-D) as simple as never
 /// stepping it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Current value.
     pub value: DenseMatrix,

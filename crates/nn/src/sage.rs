@@ -4,7 +4,6 @@ use linalg::{
     gemm_into_ws, matmul_fused_into_ws, CsrMatrix, DenseMatrix, Epilogue, GemmOp, Workspace,
 };
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A GraphSAGE-style convolution (mean aggregator, concatenation
 /// variant): `Z = [H ‖ Ā H] W + b`, where `Ā` is the row-normalized
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// GCN layer.
 ///
 /// [`graph::normalization::row_normalize`]: ../graph/normalization/fn.row_normalize.html
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SageLayer {
     weight: Param,
     bias: Param,

@@ -40,7 +40,6 @@
 
 use crate::ServeError;
 use graph::Graph;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -50,11 +49,8 @@ use std::time::{Duration, Instant};
 ///
 /// In production this is whatever the transport authenticates (an API
 /// key hash, a TLS session); the sentinel only needs it to be stable
-/// per client. `Hash + Ord` let it key detector and accounting maps,
-/// and the serde derives let it appear in serialized statistics.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+/// per client. `Hash + Ord` let it key detector and accounting maps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ClientId(pub u64);
 
 impl ClientId {
@@ -73,7 +69,7 @@ impl std::fmt::Display for ClientId {
 }
 
 /// What the sentinel does with its verdicts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SentinelMode {
     /// Detectors off: no per-session state is kept at all.
     Off,
@@ -149,7 +145,7 @@ impl Default for SentinelConfig {
 }
 
 /// A session's position on the enforcement ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SentinelVerdict {
     /// Nothing sustained against the session.
     #[default]
@@ -167,7 +163,7 @@ pub enum SentinelVerdict {
 /// Aggregate sentinel counters plus the per-session breakdown, reported
 /// in [`ServeStats::sentinel`](crate::ServeStats) and live via
 /// [`ServingEngine::sentinel_stats`](crate::ServingEngine::sentinel_stats).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SentinelStats {
     /// Distinct client sessions the sentinel has tracked.
     pub sessions_observed: u64,
@@ -187,7 +183,7 @@ pub struct SentinelStats {
 }
 
 /// One session's detector readings and enforcement history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SentinelSessionStats {
     /// The session's client identity.
     pub client: ClientId,

@@ -1,10 +1,9 @@
 use crate::EnclaveSim;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// The label-only egress type of a GNNVault enclave (§IV-E): logits stay
 /// sealed inside; only the predicted class index leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClassLabel(pub usize);
 
 /// The one ingress into the enclave: a one-way channel reused batch

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Calibrated cost constants for simulated SGX operations.
 ///
 /// Defaults follow published SGX microbenchmarks (Costan & Devadas,
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// let cost = tee::CostModel::default();
 /// assert_eq!(cost.transfer_ns(1024), 8_000 + 1024);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Cost of one ECALL or OCALL transition, in nanoseconds.
     pub transition_ns: u64,

@@ -3,8 +3,7 @@
 //!
 //! The paper deploys the GNN rectifier inside a real SGX enclave on an
 //! i7-7700 (SGX SDK 2.25). This crate substitutes a *software model* of
-//! that enclave that preserves every property the evaluation depends on
-//! (see DESIGN.md §2):
+//! that enclave that preserves every property the evaluation depends on:
 //!
 //! - **Memory restriction** (§III-C): [`EnclaveSim`] accounts every
 //!   allocation against the 96 MB Enclave Page Cache of the 128 MB

@@ -1,13 +1,12 @@
 use crate::TeeError;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// Sealing key for at-rest protection of deployment artifacts.
 ///
 /// Real SGX derives sealing keys from the CPU's fuse keys and the
 /// enclave measurement; the simulator uses a caller-supplied 128-bit
 /// value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SealKey(pub u128);
 
 impl SealKey {
@@ -35,8 +34,7 @@ impl SealKey {
 /// only if their 64-bit tags collide. Sealing stays deterministic — same key, same
 /// payload, same bytes. This preserves the *interface* and failure
 /// modes of SGX sealing (wrong key or flipped bit ⇒ unseal fails)
-/// without claiming any security; DESIGN.md §2 records the
-/// substitution.
+/// without claiming any security.
 ///
 /// # Examples
 ///
@@ -52,7 +50,7 @@ impl SealKey {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sealed {
     ciphertext: Vec<u8>,
     tag: u64,

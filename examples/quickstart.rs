@@ -13,7 +13,7 @@ use datasets::{DatasetSpec, SyntheticPlanetoid};
 use gnnvault::{pipeline, ModelConfig, RectifierKind, SubstituteKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A scaled-down synthetic stand-in for Cora (see DESIGN.md §2).
+    // A scaled-down synthetic stand-in for Cora (see the `datasets` crate).
     let data = SyntheticPlanetoid::new(DatasetSpec::CORA)
         .scale(0.10)
         .seed(7)

@@ -2,8 +2,8 @@
 //!
 //! Re-exports every workspace crate so examples and integration tests can
 //! `use gnnvault_suite::...` a single dependency. See the repository
-//! README for the architecture overview and DESIGN.md for the
-//! paper-to-module mapping.
+//! README for building and running, and ARCHITECTURE.md for the crate
+//! map and the paper's data flow.
 
 pub use attacks;
 pub use datasets;
