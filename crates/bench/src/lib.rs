@@ -13,10 +13,11 @@
 //!
 //! Each function writes what its binary (`src/bin/<name>.rs`, a
 //! one-line `main`) prints, trains through [`gnnvault::pipeline`]
-//! alone, and panics if training fails. The Criterion micro-benches live under
-//! `benches/`. Everything runs on scaled-down synthetic datasets (a
-//! per-dataset default scale); pass `--scale <multiplier>` to grow or
-//! shrink them and `--epochs <n>` to change the training budget.
+//! alone, and panics if training fails. The Criterion micro-benches
+//! live under `benches/`. Everything runs on scaled-down synthetic
+//! datasets (a per-dataset default scale); pass `--scale <multiplier>`
+//! to grow or shrink them and `--epochs <n>` to change the training
+//! budget.
 //!
 //! Every function but [`fig6`] (and [`ablation`]'s last four rows,
 //! which time inference) prints the same bytes at any pool width and
@@ -122,7 +123,8 @@ impl HarnessArgs {
     /// # Errors
     ///
     /// Names the argument when a flag is unknown, or its value is
-    /// missing or does not parse.
+    /// missing or does not parse, and rejects a `--scale` that is not
+    /// positive (NaN included).
     pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         fn value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
             let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
@@ -136,6 +138,9 @@ impl HarnessArgs {
                 "--seed" => out.seed = value(&flag, args.next())?,
                 _ => return Err(format!("unknown argument `{flag}`")),
             }
+        }
+        if out.scale_mult.is_nan() || out.scale_mult <= 0.0 {
+            return Err(format!("--scale must be positive, got {}", out.scale_mult));
         }
         Ok(out)
     }
@@ -200,6 +205,11 @@ mod tests {
             Err("--epochs: cannot parse `x`".to_string())
         );
         assert_eq!(parse(&["--seed"]), Err("--seed needs a value".to_string()));
+        assert_eq!(
+            parse(&["--scale", "NaN"]),
+            Err("--scale must be positive, got NaN".to_string())
+        );
+        assert!(parse(&["--scale", "0"]).is_err());
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!     > crates/bench/goldens/table2.txt
 //! ```
 //!
-//! (for `ablation`, keep only the first 14 lines).
+//! (for `ablation`, keep only the first 14 lines), together with its
+//! line in `crates/bench/goldens/epochs30.md5`: the md5 of the release
+//! binary's output at `--epochs 30`, which CI checks with `md5sum -c`.
 
 use bench::HarnessArgs;
 use std::io;
