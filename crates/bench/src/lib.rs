@@ -82,12 +82,13 @@ fn model_for(spec: &DatasetSpec) -> ModelConfig {
 }
 
 /// Generates the harness dataset for a spec at `scale_mult` times the
-/// default scale.
+/// default scale: what every artifact trains on at `--scale
+/// scale_mult --seed seed`.
 ///
 /// # Panics
 ///
 /// Panics when generation fails (harness binaries treat that as fatal).
-fn load(spec: &DatasetSpec, scale_mult: f64, seed: u64) -> CitationDataset {
+pub fn load(spec: &DatasetSpec, scale_mult: f64, seed: u64) -> CitationDataset {
     SyntheticPlanetoid::new(*spec)
         .scale((harness_scale(spec) * scale_mult).clamp(0.005, 1.0))
         .seed(seed)

@@ -80,6 +80,6 @@ pub fn table2(args: &HarnessArgs, out: &mut impl Write) -> io::Result<()> {
         out,
         "\nShape checks vs the paper: pbb well below porg; prec within a few points \
          of porg (Δp positive); series has the smallest θrec; datasets are synthetic \
-         stand-ins at reduced scale (absolute numbers differ, see EXPERIMENTS.md)."
+         stand-ins at reduced scale (absolute numbers differ, see README, \"Reproducing paper artifacts\")."
     )
 }

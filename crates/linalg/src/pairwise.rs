@@ -29,6 +29,13 @@
 //! 4×-unrolled blocked kernel rather than per-pair scalar dots, so they
 //! can differ from a naive `Σ aᵢbᵢ` loop by normal f32 reassociation
 //! error (≈1e-6 relative); consumers document that tolerance.
+//!
+//! The panel kernel's summation order is part of the paper fixed
+//! point: the KNN substitute graphs take their neighbours from these
+//! values, so reassociating them flips ties and moves the paper
+//! artifacts (folding the panel onto the packed GEMM engine changed 6
+//! of the 7 `--epochs 30` outputs), which the root test
+//! `substitute_digests` catches.
 
 use crate::{pool, DenseMatrix, LinalgError};
 use std::cmp::Ordering;

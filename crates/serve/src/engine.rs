@@ -50,8 +50,8 @@
 //! A partition's shard rectifies its owned nodes over their whole
 //! receptive field with the same weights, so an N-shard engine's labels
 //! are bit-identical to a single-shard engine's — and to sequential
-//! [`Vault::infer`] — for any request stream (asserted in
-//! `tests/conformance.rs`). Supervision keeps the invariant: a restored
+//! [`Vault::infer`] — for any request stream (held by the seeded
+//! traces of `tests/trace.rs`). Supervision keeps the invariant: a restored
 //! shard serves the same retained snapshot, and a node is only ever
 //! answered by its owner, so every *successful* answer is bit-identical
 //! to sequential inference no matter what failed around it.

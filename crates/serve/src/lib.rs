@@ -34,8 +34,9 @@
 //! Routing, batching, and caching change cost, never answers: served
 //! labels are bit-identical to what per-node
 //! [`Vault::infer`](gnnvault::Vault::infer) would return, at any shard
-//! count and in *either topology* (asserted for one replicated shard
-//! and `{1, 2, 4}` partitioned shards in `tests/conformance.rs`). A
+//! count and in *either topology* (held for one replicated shard and
+//! `{1, 2, 4}` partitioned shards by the seeded traces of
+//! `tests/trace.rs`). A
 //! retrained model hot-swaps in with zero downtime through
 //! [`ServingEngine::deploy`], which installs a sealed snapshot across
 //! all shards between batches — all-or-nothing: one install per shard,

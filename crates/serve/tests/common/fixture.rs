@@ -10,13 +10,13 @@ use graph::Graph;
 use linalg::DenseMatrix;
 use nn::TrainConfig;
 use std::sync::Once;
-use tee::{ClassLabel, CostModel, OverBudgetPolicy, SealKey};
+use tee::{CostModel, OverBudgetPolicy, SealKey};
 
 /// Trains and deploys the toy two-cluster vault: `n` nodes (even,
 /// ≥ 6) in two ring clusters, two-class features, every other node
 /// labelled for training. `flipped` inverts the training labels so the
-/// resulting model answers oppositely on (almost) every node — the
-/// hot-swap tests use that to tell which epoch answered a query.
+/// resulting model answers oppositely on (almost) every node, so an
+/// answer names the model that gave it.
 fn build_toy_vault(
     n: usize,
     kind: RectifierKind,
@@ -97,18 +97,12 @@ pub fn toy_vault_with_budget(
 
 /// Builds a second vault over the same corpus whose labels differ from
 /// `toy_vault`'s: the training labels are flipped, so the two models
-/// answer oppositely on (almost) every node. Used by the hot-swap
-/// tests to tell which epoch answered a query.
+/// answer oppositely on (almost) every node: model B of the oracle and
+/// of the shard state machine's word test.
 pub fn toy_vault_flipped(n: usize, seal_key: SealKey) -> (Vault, DenseMatrix) {
     let (vault, x, _) =
         build_toy_vault(n, RectifierKind::Series, tee::SGX_EPC_BYTES, true, seal_key);
     (vault, x)
-}
-
-/// Baseline: labels from sequential full-graph inference.
-pub fn sequential_labels(vault: &mut Vault, x: &DenseMatrix) -> Vec<ClassLabel> {
-    let (labels, _) = vault.infer(x).unwrap();
-    labels
 }
 
 /// Silences the default panic printout for *injected* panics only, so

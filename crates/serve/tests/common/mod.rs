@@ -1,8 +1,11 @@
 //! Shared helpers for the serve integration suites: the vault fixture
-//! (`fixture.rs`) plus engine drivers built on it.
+//! (`fixture.rs`), the serving contract's oracle (`oracle.rs`) and the
+//! seeded trace driver that holds an engine to it (`driver.rs`).
 #![allow(dead_code)]
 
+pub mod driver;
 mod fixture;
+pub mod oracle;
 
 pub use fixture::*;
 use gnnvault::Vault;

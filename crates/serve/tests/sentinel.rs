@@ -1,84 +1,21 @@
-//! End-to-end coverage for the serving sentinel: realistic benign
-//! traffic must never be throttled at default thresholds (even under
-//! full enforcement), an extraction sweep must climb the whole ladder
-//! at the admission front door, detector counters must be bit-identical
-//! across shard counts for the same trace, and deploy/reset amnesty
-//! must clear verdicts.
+//! End-to-end coverage for the serving sentinel's ladder: realistic
+//! benign traffic must never be throttled at default thresholds (even
+//! under full enforcement), an extraction sweep must climb the whole
+//! ladder at the admission front door, and deploy/reset amnesty must
+//! clear verdicts. That the sentinel's counters are a pure function of
+//! the trace in every cell is held by `tests/trace.rs`.
 
-use gnnvault::{Backbone, Rectifier, RectifierKind, SubstituteKind, Vault};
-use graph::Graph;
-use linalg::DenseMatrix;
-use nn::TrainConfig;
+mod common;
+
+use common::toy_vault;
+use gnnvault::RectifierKind;
 use serve::{
-    BatchPolicy, ClientId, SentinelConfig, SentinelMode, SentinelStats, SentinelVerdict,
-    ServeConfig, ServeError, ServingEngine, Topology,
+    BatchPolicy, ClientId, SentinelConfig, SentinelMode, SentinelVerdict, ServeConfig, ServeError,
+    ServingEngine, Topology,
 };
 use std::sync::Arc;
 use std::time::Duration;
-use tee::{CostModel, OverBudgetPolicy, SealKey};
-
-/// Trains and deploys a small two-cluster vault with `n` nodes (same
-/// construction as `tests/engine.rs`, kept local to this suite).
-fn toy_vault(n: usize) -> (Vault, DenseMatrix) {
-    assert!(n >= 6 && n.is_multiple_of(2));
-    let half = n / 2;
-    let x = DenseMatrix::from_fn(n, 2, |r, c| {
-        let in_first = r < half;
-        let base = if (c == 0) == in_first { 1.0 } else { 0.0 };
-        base + 0.05 * ((r * 7 + c) % 5) as f32
-    });
-    let labels: Vec<usize> = (0..n).map(|r| usize::from(r >= half)).collect();
-    let train: Vec<usize> = (0..n).step_by(2).collect();
-    let mut edges = Vec::new();
-    for cluster in 0..2 {
-        let offset = cluster * half;
-        for i in 0..half {
-            edges.push((offset + i, offset + (i + 1) % half));
-        }
-    }
-    let real = Graph::from_edges(n, &edges).unwrap();
-    let cfg = TrainConfig {
-        epochs: 60,
-        lr: 0.05,
-        weight_decay: 0.0,
-        dropout: 0.0,
-        seed: 0,
-    };
-    let backbone = Backbone::train(
-        &x,
-        &labels,
-        &train,
-        SubstituteKind::Knn { k: 2 },
-        &[8, 4, 2],
-        real.num_edges(),
-        &cfg,
-        1,
-    )
-    .unwrap();
-    let mut rectifier = Rectifier::new(
-        RectifierKind::Series,
-        &[8, 4, 2],
-        &backbone.channel_dims(),
-        2,
-    )
-    .unwrap();
-    let real_adj = graph::normalization::gcn_normalize(&real);
-    let embs = backbone.embeddings(&x).unwrap();
-    rectifier
-        .fit(&real_adj, &embs, &labels, &train, &cfg)
-        .unwrap();
-    let vault = Vault::deploy(
-        backbone,
-        rectifier,
-        &real,
-        tee::SGX_EPC_BYTES,
-        CostModel::default(),
-        OverBudgetPolicy::Fail,
-        SealKey(7),
-    )
-    .unwrap();
-    (vault, x)
-}
+use tee::SealKey;
 
 fn engine_config(sentinel: SentinelConfig, shards: usize) -> ServeConfig {
     ServeConfig {
@@ -120,7 +57,7 @@ fn strict_sentinel() -> SentinelConfig {
 #[test]
 fn benign_storm_is_never_limited_at_default_thresholds() {
     let n = 64;
-    let (vault, x) = toy_vault(n);
+    let (vault, x, _) = toy_vault(n, RectifierKind::Series);
     let engine = ServingEngine::start(
         vault,
         x,
@@ -195,7 +132,7 @@ fn benign_storm_is_never_limited_at_default_thresholds() {
 #[test]
 fn extraction_sweep_climbs_the_ladder_at_admission() {
     let n = 64;
-    let (vault, x) = toy_vault(n);
+    let (vault, x, _) = toy_vault(n, RectifierKind::Series);
     let engine = ServingEngine::start(vault, x, engine_config(strict_sentinel(), 2)).unwrap();
     let handle = engine.handle();
     let attacker = ClientId(66);
@@ -270,7 +207,7 @@ fn extraction_sweep_climbs_the_ladder_at_admission() {
 #[test]
 fn probe_stream_is_quarantined_even_at_full_fast_cache_hit_rate() {
     let n = 64;
-    let (vault, x) = toy_vault(n);
+    let (vault, x, _) = toy_vault(n, RectifierKind::Series);
     let mut config = engine_config(strict_sentinel(), 1);
     config.fast_cache_slots = 1024;
     let engine = ServingEngine::start(vault, x, config).unwrap();
@@ -335,60 +272,12 @@ fn probe_stream_is_quarantined_even_at_full_fast_cache_hit_rate() {
     assert_eq!(attacker_stats.verdict, SentinelVerdict::Quarantined);
 }
 
-/// Replays one fixed request trace through an engine and returns the
-/// final sentinel stats.
-fn replay_trace(shards: usize) -> SentinelStats {
-    let n = 64;
-    let (vault, x) = toy_vault(n);
-    let engine = ServingEngine::start(vault, x, engine_config(strict_sentinel(), shards)).unwrap();
-    let handle = engine.handle();
-    let mut tickets = Vec::new();
-    for i in 0..512usize {
-        // Three sessions: a sweeper, a pair prober, and a hot-looper.
-        let _ = handle
-            .submit_one_as(ClientId(1), (i * 3) % n)
-            .map(|t| tickets.push(t));
-        let _ = handle
-            .submit_as(ClientId(2), vec![i % n, (i * 11 + 5) % n])
-            .map(|t| tickets.push(t));
-        let _ = handle
-            .submit_one_as(ClientId(3), i % 3)
-            .map(|t| tickets.push(t));
-    }
-    for ticket in tickets {
-        let _ = ticket.wait();
-    }
-    let stats = engine.sentinel_stats();
-    let (_, shutdown_stats) = engine.shutdown();
-    assert_eq!(
-        stats, shutdown_stats.sentinel,
-        "live snapshot and shutdown report must agree once traffic stopped"
-    );
-    stats
-}
-
-/// Satellite: sentinel counters are a pure function of the request
-/// trace — bit-identical (f64 fields included, via exact `PartialEq`)
-/// on one replicated shard and on 4 partitioned shards. CI runs this
-/// suite only at the default `linalg` pool width (once more with the
-/// scalar kernels), so pool-width invariance is not covered here.
-#[test]
-fn sentinel_counters_are_bit_identical_across_shard_counts() {
-    let one = replay_trace(1);
-    let four = replay_trace(4);
-    assert_eq!(one, four);
-    // Sanity: the trace actually exercised the ladder.
-    assert_eq!(one.sessions_observed, 3);
-    assert!(one.quarantined_sessions >= 1);
-    assert!(one.rate_limited_requests > 0);
-}
-
 /// Tentpole: deploy-time amnesty and the explicit operator reset both
 /// clear verdicts; aggregate counters survive.
 #[test]
 fn deploy_and_reset_grant_amnesty() {
     let n = 64;
-    let (vault, x) = toy_vault(n);
+    let (vault, x, _) = toy_vault(n, RectifierKind::Series);
     let snapshot = vault.snapshot();
     let engine = ServingEngine::start(vault, x, engine_config(strict_sentinel(), 1)).unwrap();
     let handle = engine.handle();
