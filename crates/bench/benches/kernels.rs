@@ -15,8 +15,10 @@
 //! `first_layer_cora` holds the first layer's two products at the
 //! vaultbench fixture's shape (synthetic Cora: 2708 × 1433 features,
 //! 8 % non-zero, times 128) on the dense engine and on the CSR product
-//! that returns its bits; `train_epoch_cora` times one fit epoch there
-//! at dropout 0.5, where the first layer trains on the sparse features.
+//! that returns its bits, plus `csr_build`, the one CSR build of those
+//! features that each fit and each serving engine's start pay;
+//! `train_epoch_cora` times one fit epoch there at dropout 0.5, where
+//! the first layer trains on the sparse features.
 //!
 //! Running this bench writes `BENCH_kernels.json` (machine-readable
 //! mean/median per kernel plus the machine's parallelism) so successive
@@ -205,6 +207,14 @@ fn bench_first_layer_cora(c: &mut Criterion) {
     });
     group.bench_function("sparse_at_b", |bencher| {
         bencher.iter(|| csr_gemm_into_ws(&sparse_t, &g, &mut xt_g, none, &mut ws).expect("csr"))
+    });
+    // The sparse arm's one-time cost: a fit's, and a serving engine's
+    // at start. It reads `X` once.
+    group.throughput(Throughput::Bytes(
+        (n * f * std::mem::size_of::<f32>()) as u64,
+    ));
+    group.bench_function("csr_build", |bencher| {
+        bencher.iter(|| CsrMatrix::from_dense(&x))
     });
     group.finish();
 }

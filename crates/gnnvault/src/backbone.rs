@@ -1,7 +1,7 @@
 use crate::{SubstituteKind, VaultError};
 use graph::{normalization, Graph};
 use linalg::{CsrMatrix, DenseMatrix};
-use nn::{Network, TrainConfig};
+use nn::{Input, Network, TrainConfig};
 use std::slice::from_ref;
 
 /// The public backbone model deployed in the untrusted world (§IV-C).
@@ -99,12 +99,19 @@ impl Backbone {
     /// substitute adjacency when there is one) — the intermediate data
     /// visible to the attacker and consumed by the rectifier.
     ///
+    /// `features` is a `&DenseMatrix` or, for repeated passes over one
+    /// corpus, a prepared [`nn::NodeFeatures`], whose CSR rows a GCN
+    /// first layer multiplies with the same bits.
+    ///
     /// # Errors
     ///
     /// Returns [`VaultError::Nn`] on shape inconsistencies.
-    pub fn embeddings(&self, features: &DenseMatrix) -> Result<Vec<DenseMatrix>, VaultError> {
+    pub fn embeddings<'a>(
+        &self,
+        features: impl Into<Input<'a>>,
+    ) -> Result<Vec<DenseMatrix>, VaultError> {
         let adj = self.substitute.as_ref().map(|s| &s.adj);
-        Ok(self.network.forward_embeddings(adj, from_ref(features))?)
+        Ok(self.network.forward_embeddings(adj, features)?)
     }
 
     /// Final-layer logits on the public data path.

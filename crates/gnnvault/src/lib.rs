@@ -69,6 +69,7 @@ mod vault;
 pub use backbone::Backbone;
 pub use error::VaultError;
 pub use model::ModelConfig;
+pub use nn::NodeFeatures;
 pub use original::OriginalGnn;
 pub use rectifier::{Rectifier, RectifierKind};
 pub use snapshot::{SnapshotPartition, VaultSnapshot};

@@ -4,6 +4,7 @@ use graph::partition::PartitionSpec;
 use graph::subgraph::{self, Closure};
 use graph::Graph;
 use linalg::{CsrMatrix, DenseMatrix};
+use nn::Input;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -500,13 +501,19 @@ impl Vault {
     ///    the EPC),
     /// 4. argmax inside the enclave; only [`ClassLabel`]s exit.
     ///
+    /// `features` is a `&DenseMatrix` or, for a caller that serves one
+    /// corpus many times, [`NodeFeatures`](crate::NodeFeatures)
+    /// prepared once: the backbone's GCN first layer then multiplies
+    /// their CSR rows, with the same bits. [`Vault::infer_batch`] and
+    /// [`Vault::infer_node`] take either too.
+    ///
     /// # Errors
     ///
     /// Propagates backbone/rectifier failures and enclave memory
     /// rejections.
-    pub fn infer(
+    pub fn infer<'a>(
         &mut self,
-        features: &DenseMatrix,
+        features: impl Into<Input<'a>>,
     ) -> Result<(Vec<ClassLabel>, InferenceReport), VaultError> {
         if let Some(SnapshotPartition { part, parts }) = self.partition {
             return Err(VaultError::InvalidConfig {
@@ -584,10 +591,10 @@ impl Vault {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn infer_batch(
+    pub fn infer_batch<'a>(
         &mut self,
         session: &mut EnclaveSession,
-        features: &DenseMatrix,
+        features: impl Into<Input<'a>>,
         nodes: &[usize],
     ) -> Result<(Vec<ClassLabel>, InferenceReport), VaultError> {
         if nodes.is_empty() {
@@ -614,9 +621,9 @@ impl Vault {
     /// Returns [`VaultError::InvalidConfig`] when `node` is out of
     /// range; otherwise propagates the same failures as
     /// [`Vault::infer`].
-    pub fn infer_node(
+    pub fn infer_node<'a>(
         &mut self,
-        features: &DenseMatrix,
+        features: impl Into<Input<'a>>,
         node: usize,
     ) -> Result<(ClassLabel, InferenceReport), VaultError> {
         let mut one_shot = EnclaveSession::default();
@@ -629,10 +636,10 @@ impl Vault {
     /// `nodes` (global ids) by rectifying `field`. Either field gives
     /// every queried node its whole receptive field and normalizes with
     /// full-graph degrees, so the labels are bit-identical between them.
-    fn pass(
+    fn pass<'a>(
         &mut self,
         session: &mut EnclaveSession,
-        features: &DenseMatrix,
+        features: impl Into<Input<'a>>,
         nodes: &[usize],
         field: Field,
     ) -> Result<(Vec<ClassLabel>, InferenceReport), VaultError> {
@@ -900,6 +907,19 @@ mod tests {
         conv: ConvKind,
         epc_budget: usize,
     ) -> (Vault, DenseMatrix, Vec<usize>) {
+        let knn = SubstituteKind::Knn { k: 2 };
+        deployed_over(x, real, knn, kind, conv, epc_budget)
+    }
+
+    /// [`deployed`] with the backbone's substitute chosen.
+    fn deployed_over(
+        x: DenseMatrix,
+        real: &Graph,
+        substitute: SubstituteKind,
+        kind: RectifierKind,
+        conv: ConvKind,
+        epc_budget: usize,
+    ) -> (Vault, DenseMatrix, Vec<usize>) {
         let n = x.rows();
         let labels: Vec<usize> = (0..n).map(|i| 2 * i / n).collect();
         let train: Vec<usize> = (0..n).filter(|i| i % 3 != 2).collect();
@@ -914,7 +934,7 @@ mod tests {
             &x,
             &labels,
             &train,
-            SubstituteKind::Knn { k: 2 },
+            substitute,
             &[8, 4, 2],
             real.num_edges(),
             &cfg,
@@ -1228,6 +1248,67 @@ mod tests {
                             labels, expected,
                             "{kind:?}/{conv:?}: partition {part}, seeds {owned:?}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A serving engine's prepared corpus answers exactly like the
+    /// dense matrix: the backbone's embeddings bit for bit, and
+    /// `infer_batch`'s labels on the full image and every partition
+    /// image, for every wiring and convolution, over a substitute graph
+    /// and with none (the DNN backbone), at f32 and int8.
+    #[test]
+    fn prepared_features_answer_bit_identically_to_the_dense_matrix() {
+        let n = 24;
+        let mut edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        edges.extend([(0, 9), (4, 17), (12, 21)]);
+        let real = Graph::from_edges(n, &edges).unwrap();
+        // Bag-of-words-like rows: 2 or 3 of 40 features set, 6 % dense.
+        let x = DenseMatrix::from_fn(n, 40, |r, c| match (r * 7 + c * 3) % 41 {
+            0..=1 => 0.5 + (r % 5) as f32 * 0.375,
+            2 if r % 2 == 0 => 1.0 / (1 + c) as f32,
+            _ => 0.0,
+        });
+        let prepared = nn::NodeFeatures::new(x.clone());
+        assert!(
+            prepared.sparse_rows().is_some(),
+            "the corpus keeps CSR rows"
+        );
+        let bits = |embs: Vec<DenseMatrix>| -> Vec<Vec<u32>> {
+            let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+            embs.iter().map(bits).collect()
+        };
+        let spec = PartitionSpec::block(n, 3).unwrap();
+        for substitute in [SubstituteKind::Knn { k: 2 }, SubstituteKind::Dnn] {
+            for kind in RectifierKind::ALL {
+                for conv in CONVS {
+                    let at = format!("{substitute:?}/{kind:?}/{conv:?}");
+                    let (mut vault, ..) =
+                        deployed_over(x.clone(), &real, substitute, kind, conv, tee::SGX_EPC_BYTES);
+                    for precision in Precision::ALL {
+                        vault.set_precision(precision).unwrap();
+                        assert_eq!(
+                            bits(vault.backbone().embeddings(&prepared).unwrap()),
+                            bits(vault.backbone().embeddings(&x).unwrap()),
+                            "{at}/{precision:?}: embeddings"
+                        );
+                        let replicas = vault.partition_recovery_handles(&spec).unwrap();
+                        let mut images = vec![(vault.recovery_handle().restore().unwrap(), 0..n)];
+                        images.extend(
+                            replicas.iter().enumerate().map(|(part, handle)| {
+                                (handle.restore().unwrap(), spec.range(part))
+                            }),
+                        );
+                        for (mut image, owned) in images {
+                            let nodes: Vec<usize> = owned.collect();
+                            let mut session = image.open_session();
+                            let (want, _) = image.infer_batch(&mut session, &x, &nodes).unwrap();
+                            let (got, _) =
+                                image.infer_batch(&mut session, &prepared, &nodes).unwrap();
+                            assert_eq!(got, want, "{at}/{precision:?}: nodes {nodes:?}");
+                        }
                     }
                 }
             }

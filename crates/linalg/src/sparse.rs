@@ -148,19 +148,31 @@ impl CsrMatrix {
         })
     }
 
-    /// Builds a CSR matrix from a dense matrix, keeping nonzero entries.
+    /// Builds a CSR matrix from a dense matrix, keeping nonzero entries
+    /// (`±0` is skipped; NaN compares unequal to zero and is stored).
+    /// One row-major pass: the entries come out in CSR order, so
+    /// nothing is sorted or merged.
     pub fn from_dense(dense: &DenseMatrix) -> Self {
-        let mut triplets = Vec::new();
+        let mut row_ptr = Vec::with_capacity(dense.rows() + 1);
+        row_ptr.push(0);
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
         for r in 0..dense.rows() {
-            for c in 0..dense.cols() {
-                let v = dense.get(r, c);
+            for (c, &v) in dense.row(r).iter().enumerate() {
                 if v != 0.0 {
-                    triplets.push((r, c, v));
+                    col_idx.push(c);
+                    values.push(v);
                 }
             }
+            row_ptr.push(col_idx.len());
         }
-        Self::from_triplets(dense.rows(), dense.cols(), &triplets)
-            .expect("dense coordinates are always in range")
+        Self {
+            rows: dense.rows(),
+            cols: dense.cols(),
+            row_ptr,
+            col_idx,
+            values,
+            transpose_cache: std::sync::OnceLock::new(),
+        }
     }
 
     /// Number of rows.
@@ -813,6 +825,37 @@ mod strategy_tests {
             prop_assert!(
                 sequential.approx_eq(&dense_ref, 1e-5 * scale),
                 "max |dense| = {scale}"
+            );
+        }
+
+        /// The direct `from_dense` builds what `from_triplets` builds
+        /// from the same entries: `±0` skipped, NaN and infinities kept,
+        /// empty rows and columns included. Values compare by bits, so
+        /// a stored NaN must be the same NaN.
+        #[test]
+        fn from_dense_equals_from_triplets_over_its_entries(
+            rows in 0usize..9,
+            cols in 0usize..9,
+            picks in proptest::collection::vec(0usize..8, 81),
+        ) {
+            const SPECIAL: [f32; 8] =
+                [0.0, -0.0, 0.0, 1.5, -2.25, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            let dense = DenseMatrix::from_fn(rows, cols, |r, c| SPECIAL[picks[r * 9 + c]]);
+            let triplets: Vec<_> = (0..rows)
+                .flat_map(|r| (0..cols).map(move |c| (r, c)))
+                .map(|(r, c)| (r, c, dense.get(r, c)))
+                .filter(|&(_, _, v)| v != 0.0)
+                .collect();
+            let direct = CsrMatrix::from_dense(&dense);
+            let merged = CsrMatrix::from_triplets(rows, cols, &triplets).unwrap();
+            let bits = |m: &CsrMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&direct), bits(&merged));
+            if !triplets.iter().any(|t| t.2.is_nan()) {
+                prop_assert_eq!(&direct, &merged);
+            }
+            prop_assert_eq!(
+                (direct.shape(), &direct.row_ptr, &direct.col_idx),
+                (merged.shape(), &merged.row_ptr, &merged.col_idx)
             );
         }
 

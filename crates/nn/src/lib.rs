@@ -73,6 +73,7 @@ mod sage;
 
 pub use conv::{ConvKind, ConvLayer};
 pub use error::NnError;
+pub use features::{Input, NodeFeatures};
 pub use gat::GatLayer;
 pub use gcn::GcnLayer;
 pub use network::{Network, TrainConfig, TrainReport};

@@ -1,5 +1,5 @@
 use crate::conv::ConvForward;
-use crate::features::{Features, SparseFeatures};
+use crate::features::{Features, Input, SparseFeatures};
 use crate::optim::Adam;
 use crate::{loss, ConvKind, ConvLayer, NnError};
 use linalg::{ops, CsrMatrix, DenseMatrix, Workspace};
@@ -259,6 +259,11 @@ impl Network {
     /// embedding in order: ReLU outputs for hidden layers and raw
     /// logits for the last layer.
     ///
+    /// `inputs` is a `&DenseMatrix` (one tap), a `&[DenseMatrix]` or a
+    /// [`NodeFeatures`](crate::NodeFeatures). Given the latter with CSR
+    /// rows, a GCN first layer reading tap 0 alone multiplies those
+    /// rows, with the same bits as the dense matrix.
+    ///
     /// A backbone's per-layer embeddings are exactly the intermediate
     /// data the rectifier taps (Fig. 3) and the attacker observes in
     /// the untrusted world (§V-D).
@@ -269,14 +274,14 @@ impl Network {
     /// tap `inputs` does not have (or a GraphSAGE/GAT layer gets no
     /// operator), and [`NnError::Linalg`] when the inputs or `adj` have
     /// inconsistent shapes.
-    pub fn forward_embeddings(
+    pub fn forward_embeddings<'a>(
         &self,
         adj: Option<&CsrMatrix>,
-        inputs: &[DenseMatrix],
+        inputs: impl Into<Input<'a>>,
     ) -> Result<Vec<DenseMatrix>, NnError> {
         // The workspace recycles GEMM packing and projection scratch
         // across layers.
-        let pass = self.forward_pass(adj, inputs, None, None, &mut Workspace::new())?;
+        let pass = self.forward_pass(adj, inputs.into(), None, None, &mut Workspace::new())?;
         Ok(pass
             .caches
             .into_iter()
@@ -314,15 +319,21 @@ impl Network {
     /// `ws`), dropout-masked when `dropout` is given, then run through
     /// the layer's fused forward (bias and hidden-layer ReLU in the
     /// output epilogue — no activation pass and no input copy). With
-    /// `first`, the first layer reads those sparse features instead.
+    /// `first`, a GCN first layer reads those sparse features instead;
+    /// without it and without dropout, it reads `input`'s CSR rows when
+    /// it reads tap 0 alone.
     fn forward_pass(
         &self,
         adj: Option<&CsrMatrix>,
-        inputs: &[DenseMatrix],
+        input: Input<'_>,
         mut dropout: Option<(f32, &mut StdRng)>,
         mut first: Option<&mut SparseFeatures>,
         ws: &mut Workspace,
     ) -> Result<Pass, NnError> {
+        let inputs = input.taps;
+        let prepared = (input.rows)
+            .filter(|_| dropout.is_none() && self.taps[0] == [0])
+            .map(|rows| Features::Sparse { rows, cols: None });
         if let Some(t) = self.taps.iter().flatten().find(|&&t| t >= inputs.len()) {
             return Err(NnError::InvalidArchitecture {
                 reason: format!("a layer reads input {t}, but {} were given", inputs.len()),
@@ -334,14 +345,22 @@ impl Network {
             owned: Vec::with_capacity(self.layers.len()),
         };
         for (i, layer) in self.layers.iter().enumerate() {
-            if let (0, Some(x), ConvLayer::Gcn(gcn)) = (i, first.as_deref_mut(), layer) {
-                if let Some((p, rng)) = dropout.as_mut() {
-                    x.drop_out(*p, &mut **rng);
+            if let (0, ConvLayer::Gcn(gcn)) = (i, layer) {
+                let sparse = match first.as_deref_mut() {
+                    Some(x) => {
+                        if let Some((p, rng)) = dropout.as_mut() {
+                            x.drop_out(*p, &mut **rng);
+                        }
+                        Some(x.features())
+                    }
+                    None => prepared,
+                };
+                if let Some(x) = sparse {
+                    let cache = gcn.forward_fused(adj, x, i != last, ws)?;
+                    pass.owned.push(None);
+                    pass.caches.push(ConvForward::Gcn(cache));
+                    continue;
                 }
-                let cache = gcn.forward_fused(adj, Features::Sparse(x), i != last, ws)?;
-                pass.owned.push(None);
-                pass.caches.push(ConvForward::Gcn(cache));
-                continue;
             }
             let parts: Vec<&DenseMatrix> = (pass.caches.last().map(ConvForward::output))
                 .into_iter()
@@ -428,7 +447,7 @@ impl Network {
         let mut ws = Workspace::new();
         for _ in 0..cfg.epochs {
             let dropout = (cfg.dropout > 0.0).then_some((cfg.dropout, &mut rng));
-            let pass = self.forward_pass(adj, inputs, dropout, first.as_mut(), &mut ws)?;
+            let pass = self.forward_pass(adj, inputs.into(), dropout, first.as_mut(), &mut ws)?;
             let logits = pass.caches[pass.caches.len() - 1].output();
             let (loss_value, grad) = loss::masked_cross_entropy(logits, labels, train_mask)?;
             final_loss = loss_value;
@@ -462,7 +481,7 @@ impl Network {
             }
             match (&mut layers[0], &first) {
                 (ConvLayer::Gcn(gcn), Some(x)) => {
-                    gcn.param_grads_ws(Features::Sparse(x), adj, &d, &mut ws)?
+                    gcn.param_grads_ws(x.features(), adj, &d, &mut ws)?
                 }
                 (layer, _) => {
                     let input = layer_input(taps, 0, inputs, &pass);
@@ -478,12 +497,11 @@ impl Network {
             }
             pass.recycle(&mut ws);
         }
-        // The closing pass runs dense, as serving does. A sparse one left
-        // glibc's mmap threshold below the packing buffers a fresh
-        // serving `Workspace` takes per call (15.5 MB on Cora), which
-        // then paid page faults on every request (vaultbench
-        // `cold_single` p50 +12 %).
-        let pass = self.forward_pass(adj, inputs, None, None, &mut ws)?;
+        // The closing pass runs dense. A sparse one left glibc's mmap
+        // threshold below the packing buffers a fresh `Workspace` takes
+        // per dense forward call (15.5 MB on Cora), which then paid page
+        // faults on every request (vaultbench `cold_single` p50 +12 %).
+        let pass = self.forward_pass(adj, inputs.into(), None, None, &mut ws)?;
         let logits = pass.caches[pass.caches.len() - 1].output();
         let train_accuracy = loss::masked_accuracy(logits, labels, train_mask)?;
         Ok(TrainReport {

@@ -127,7 +127,7 @@ use crate::{
     AdmissionQueue, BatchPolicy, BatchPoll, FastCache, PendingRequest, SentinelConfig,
     SentinelStats, ServeError,
 };
-use gnnvault::{RecoveryHandle, Vault, VaultSnapshot};
+use gnnvault::{NodeFeatures, RecoveryHandle, Vault, VaultSnapshot};
 use graph::partition::PartitionSpec;
 use linalg::DenseMatrix;
 use std::sync::atomic::Ordering;
@@ -276,7 +276,7 @@ impl Drop for ServingEngine {
     /// Closes every queue so an abandoned engine's workers unblock,
     /// drain, and exit instead of parking forever on their condvars.
     fn drop(&mut self) {
-        self.shards.iter().for_each(|shard| shard.queue.close());
+        self.close();
     }
 }
 
@@ -284,6 +284,11 @@ impl ServingEngine {
     /// Deploys `vault` behind a serving runtime over the corpus
     /// `features` (one row per node, the same matrix the vault's
     /// backbone was meant to serve).
+    ///
+    /// The corpus is prepared here once, as [`NodeFeatures`] that every
+    /// shard shares: a corpus no denser than 15 % keeps its CSR rows,
+    /// which the backbone's GCN first layer multiplies on every flush
+    /// with the dense product's bits.
     ///
     /// Under [`Topology::Replicated`], the one shard takes ownership of
     /// `vault` and retains its [`RecoveryHandle`]
@@ -343,7 +348,7 @@ impl ServingEngine {
         }
         let shard_count = config.shards.max(1);
         let num_nodes = vault.num_nodes();
-        let features = Arc::new(features);
+        let features = Arc::new(NodeFeatures::new(features));
         let health = Arc::new(HealthBoard::new(shard_count));
         let front = Arc::new(FrontStats::default());
         // The sentinel scores pair probes against the backbone's public
@@ -643,6 +648,13 @@ impl ServingEngine {
         Err(error)
     }
 
+    /// Refuses every later submit with [`ServeError::Closed`], the
+    /// fast path included, then closes the queues.
+    fn close(&self) {
+        self.front.closed.store(true, Ordering::Release);
+        self.shards.iter().for_each(|shard| shard.queue.close());
+    }
+
     /// Stops admission, drains and answers every already-admitted
     /// request on all shards, and joins the workers; returns a
     /// surviving vault and the run's aggregate statistics. Replicated,
@@ -656,7 +668,7 @@ impl ServingEngine {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .take();
-        self.shards.iter().for_each(|shard| shard.queue.close());
+        self.close();
         let mut merged = ServeStats::default();
         for shard in &mut self.shards {
             let Some(worker) = shard.worker.take() else {

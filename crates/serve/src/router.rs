@@ -6,7 +6,7 @@ use crate::latency::AtomicLatency;
 use crate::sentinel::Sentinel;
 use crate::{AdmissionQueue, ClientId, FastCache, SentinelStats, ServeError, Ticket};
 use graph::partition::PartitionSpec;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -84,11 +84,14 @@ impl HealthBoard {
     }
 }
 
-/// Handle-side telemetry the shards never see: shed submissions and
+/// Handle-side state the shards never see: whether the engine has
+/// begun shutting down, and the telemetry of shed submissions and
 /// submit-path fast-cache hits (with their latency histogram), folded
 /// into [`ServeStats`](crate::ServeStats) at shutdown.
 #[derive(Debug, Default)]
 pub(crate) struct FrontStats {
+    /// Set by shutdown and drop before they close the queues.
+    pub(crate) closed: AtomicBool,
     pub(crate) shed: AtomicU64,
     pub(crate) fast_hits: AtomicU64,
     pub(crate) fast_latency: AtomicLatency,
@@ -184,6 +187,12 @@ impl ServeHandle {
             });
         }
         self.sentinel.admit(client, &nodes)?;
+        // Where the queued path fails once shutdown began: after the
+        // sentinel counted the submission, before the fast cache could
+        // answer it.
+        if self.front.closed.load(Ordering::Acquire) {
+            return Err(ServeError::Closed);
+        }
         // Fast path: probe the lock-free cache on this thread, strictly
         // *after* sentinel accounting (a replayed hot node still climbs
         // the abuse ladder) and *before* any queue admission.

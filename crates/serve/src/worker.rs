@@ -15,8 +15,7 @@ use crate::{
     FastCache, FlushReason, HealthBoard, LruCache, PendingRequest, ServeConfig, ServeError,
     ServeStats, ShardHealth, ShardStats,
 };
-use gnnvault::{RecoveryHandle, Vault};
-use linalg::DenseMatrix;
+use gnnvault::{NodeFeatures, RecoveryHandle, Vault};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -30,7 +29,8 @@ use tee::ClassLabel;
 pub(crate) struct ShardCore {
     shard: usize,
     vault: Option<Vault>,
-    features: Arc<DenseMatrix>,
+    /// The engine's corpus, with its CSR rows built once at start.
+    features: Arc<NodeFeatures>,
     /// The long-lived ingress channel every batch of the current
     /// replica goes through; reopened at every restore.
     session: tee::EnclaveSession,
@@ -75,7 +75,7 @@ impl ShardCore {
         shard: usize,
         mut vault: Vault,
         retained: RecoveryHandle,
-        features: Arc<DenseMatrix>,
+        features: Arc<NodeFeatures>,
         config: &ServeConfig,
         health: Arc<HealthBoard>,
         fast: Option<Arc<FastCache>>,
@@ -348,7 +348,7 @@ impl ShardCore {
         }
         if !need.is_empty() {
             let transitions_before = vault.enclave_transitions();
-            match vault.infer_batch(&mut self.session, &self.features, &need) {
+            match vault.infer_batch(&mut self.session, &*self.features, &need) {
                 Ok((labels, report)) => {
                     for (&node, label) in need.iter().zip(labels) {
                         resolved.insert(node, label);
@@ -435,7 +435,7 @@ mod tests {
     /// every test here.
     struct Fixture {
         snapshots: [VaultSnapshot; 2],
-        features: Arc<DenseMatrix>,
+        features: Arc<NodeFeatures>,
         labels: [Vec<ClassLabel>; 2],
         /// One node per cluster on which A and B disagree: the request
         /// every served batch carries, so each answer names its model.
@@ -458,7 +458,7 @@ mod tests {
                 .collect();
             Fixture {
                 snapshots: [a.snapshot(), b.snapshot()],
-                features: Arc::new(features),
+                features: Arc::new(NodeFeatures::new(features)),
                 labels,
                 query,
             }

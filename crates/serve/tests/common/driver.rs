@@ -317,14 +317,11 @@ pub fn run_sequential(cell: Cell, ops: &[Op]) -> SentinelStats {
     sentinel.expect("a trace ends in its shutdown")
 }
 
-/// Once the engine is shut down or dropped, a submit fails `Closed`.
-/// Only where no fast cache is configured: a request whose every node
-/// hits the fast cache is still answered on the submit thread.
+/// Once the engine is shut down or dropped, a submit fails `Closed`,
+/// even one whose every node would hit the fast cache.
 fn assert_closed(cell: &Cell, handle: &ServeHandle, at: &str) {
-    if cell.fast_cache_slots == 0 {
-        let got = handle.submit(vec![0]).err();
-        assert_eq!(got, Some(ServeError::Closed), "{cell:?}, {at}");
-    }
+    let got = handle.submit(vec![0]).err();
+    assert_eq!(got, Some(ServeError::Closed), "{cell:?}, {at}");
 }
 
 /// Shuts `engine` down and holds its stats and survivor to the
